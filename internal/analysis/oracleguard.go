@@ -9,7 +9,11 @@ import (
 // production code. PR 1 and PR 2 replaced the complex-FFT and
 // scalar-sampling paths with fused/real-input equivalents but kept the
 // originals — NewVolumeDFTComplex, ImageDFTComplex, VolumeDFT.Sample —
-// as the ground truth that equivalence tests compare against. An
+// as the ground truth that equivalence tests compare against; later
+// kernels added their own (Refiner.ExhaustiveRefine, the serial
+// reconstructor, and core's newFullDiscMatcher, the pre-half-band
+// comparison band, which lives in a _test.go file and so cannot reach
+// production at all). An
 // oracle that leaks back into a production call chain silently
 // forfeits the speedup and, worse, stops being an independent check.
 // A declaration opts in with a //repro:oracle directive; references

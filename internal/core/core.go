@@ -265,8 +265,9 @@ type LevelStats struct {
 	CenterEvals int
 	// CenterSlides is how many times the centre box was re-centred.
 	CenterSlides int
-	// BandUsed is the number of Fourier coefficients per matching at
-	// this level (the low-frequency prefix selected by RMapFrac).
+	// BandUsed is the number of Fourier coefficients compared per
+	// matching at this level: the low-frequency prefix of the Friedel
+	// half band selected by RMapFrac (about half the full-disc count).
 	BandUsed int
 	// Shifts records, in application order, every centre-shift
 	// increment (dx, dy) baked into the view's band during this level

@@ -1,0 +1,257 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/ctf"
+	"repro/internal/fourier"
+	"repro/internal/geom"
+	"repro/internal/micrograph"
+	"repro/internal/phantom"
+)
+
+// newFullDiscMatcher is the band enumeration as it stood before the
+// Friedel half band: every coefficient of the disc −r…r × −r…r at its
+// plain weight, both members of every conjugate pair included. It is
+// kept verbatim as the reference the half band is held to; weighting,
+// sorting and every matcher method are band-agnostic and shared, so the
+// oracle differs from production in exactly the one decision under
+// test and runs the same kernels over twice the entries.
+//
+//repro:oracle
+func newFullDiscMatcher(dft *fourier.VolumeDFT, cfg Config) *matcher {
+	l := dft.SrcL
+	m := &matcher{dft: dft, smp: dft.NewSampler(cfg.Interp), cfg: cfg, l: l, invL2: 1 / float64(l*l), cuts: fourier.NewCutCache(0)}
+	rmax := math.Min(cfg.RMap, float64(l)/2)
+	ri := int(rmax)
+	for h := -ri; h <= ri; h++ {
+		for k := -ri; k <= ri; k++ {
+			r := math.Hypot(float64(h), float64(k))
+			if r > rmax || r < cfg.RMin {
+				continue
+			}
+			w := 1.0
+			if cfg.Weighting != nil {
+				w = cfg.Weighting(r)
+			}
+			if w <= 0 {
+				continue
+			}
+			m.band = append(m.band, bandEntry{h: h, k: k, weight: w, radius: r})
+		}
+	}
+	m.finishBand(rmax)
+	return m
+}
+
+// friedelRel is the difference of a and b relative to the larger of
+// the two and floor — no "1 +" softening, so the 1e-12 bound below is
+// relative whatever the distance scale. floor is 0 for the raw metric,
+// a plain sum. The least-squares and magnitude metrics are a difference
+// E − ⟨F,C⟩²/E_C of two sums of size E/l² that agree to a few parts in a
+// thousand near a match, so their rounding error lives on the scale of
+// that minuend, not of the result; floor carries E/l² for them.
+func friedelRel(a, b, floor float64) float64 {
+	if a == b {
+		return 0
+	}
+	return math.Abs(a-b) / math.Max(floor, math.Max(math.Abs(a), math.Abs(b)))
+}
+
+func friedelConfigs(l int) map[string]Config {
+	out := map[string]Config{}
+	for _, norm := range []bool{true, false} {
+		for _, weighted := range []bool{false, true} {
+			cfg := DefaultConfig(l)
+			cfg.NormalizeScale = norm
+			name := "raw"
+			if norm {
+				name = "normalized"
+			}
+			if weighted {
+				cfg.CorrectCTF = true
+				cfg.CTFMode = ctf.PhaseFlip
+				cfg.CTFWeightCuts = true
+				name += "+ctf"
+			}
+			out[name] = cfg
+		}
+	}
+	// RMap = l/2: the full disc holds (±l/2, 0) and (0, ±l/2), which
+	// alias to one lattice row/column of the view transform.
+	nyq := DefaultConfig(l)
+	nyq.RMap = float64(l) / 2
+	out["nyquist"] = nyq
+	nyqRaw := nyq
+	nyqRaw.NormalizeScale = false
+	nyqRaw.Interp = fourier.Nearest
+	out["nyquist-raw-nearest"] = nyqRaw
+	spectral := DefaultConfig(l)
+	spectral.SpectralWeight = true
+	spectral.RMin = 2
+	out["spectral+rmin"] = spectral
+	return out
+}
+
+// TestHalfBandMatchesFullDisc holds every distance variant of the half
+// band to the full-disc oracle at ≤ 1e-12 relative: plain, windowed,
+// lattice (cut-cache) and magnitude distances at every schedule level's
+// prefix length, and shifted distances at non-zero shifts, before and
+// after centre shifts are baked into the view.
+func TestHalfBandMatchesFullDisc(t *testing.T) {
+	const l = 20
+	const tol = 1e-12
+	truth := phantom.Asymmetric(l, 6, 1)
+	truth.SphericalMask(8)
+	dft := fourier.NewVolumeDFTPadded(truth, 2)
+	for name, cfg := range friedelConfigs(l) {
+		t.Run(name, func(t *testing.T) {
+			ds := micrograph.Generate(truth, micrograph.GenParams{NumViews: 1, PixelA: 2, Seed: 83, CenterJitter: 1, ApplyCTF: cfg.CTFWeightCuts})
+			r, err := NewRefiner(dft, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			half := r.m
+			full := newFullDiscMatcher(dft, r.cfg)
+			if got, want := half.fullDiscSize(), len(full.band); got != want {
+				t.Fatalf("fullDiscSize %d, oracle band holds %d", got, want)
+			}
+			// PrepareView only needs the matcher and the config, so a bare
+			// Refiner around the oracle band prepares the view for it.
+			v := ds.Views[0]
+			hpv, err := r.PrepareView(v.Image, v.CTF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fpv, err := (&Refiner{m: full, cfg: r.cfg}).PrepareView(v.Image, v.CTF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hv, fv := hpv.vd, fpv.vd
+			hs, fs := half.newScratch(), full.newScratch()
+			rng := rand.New(rand.NewSource(7))
+
+			check := func(stage string) {
+				t.Helper()
+				for li, lv := range r.cfg.Schedule {
+					rad := lv.effRMapFrac() * r.cfg.RMap
+					nh, nf := half.prefixLen(rad), full.prefixLen(rad)
+					if nh == 0 || nf == 0 {
+						t.Fatalf("level %d: empty prefix", li)
+					}
+					energy := hv.prefixE[nh] * half.invL2
+					floor := 0.0
+					if cfg.NormalizeScale {
+						floor = energy
+					}
+					orients := []geom.Euler{v.TrueOrient}
+					for i := 0; i < 12; i++ {
+						orients = append(orients, micrograph.RandomOrientation(rng))
+					}
+					hd, fd := make([]float64, len(orients)), make([]float64, len(orients))
+					half.distanceWindow(hv, orients, nh, hs, hd)
+					full.distanceWindow(fv, orients, nf, fs, fd)
+					for i, o := range orients {
+						if d := friedelRel(hd[i], fd[i], floor); d > tol {
+							t.Fatalf("%s level %d distanceWindow at %v: half %.17g, full %.17g (rel %.3g)", stage, li, o, hd[i], fd[i], d)
+						}
+						a, b := half.distance(hv, o, nh, hs), full.distance(fv, o, nf, fs)
+						if d := friedelRel(a, b, floor); d > tol {
+							t.Fatalf("%s level %d distance at %v: half %.17g, full %.17g (rel %.3g)", stage, li, o, a, b, d)
+						}
+						a, b = half.magDistance(hv, o, nh, hs), full.magDistance(fv, o, nf, fs)
+						if d := friedelRel(a, b, energy); d > tol {
+							t.Fatalf("%s level %d magDistance at %v: half %.17g, full %.17g (rel %.3g)", stage, li, o, a, b, d)
+						}
+						hc, fc := make([]complex128, nh), make([]complex128, nf)
+						half.sampleCut(hc, hv.refW, o)
+						full.sampleCut(fc, fv.refW, o)
+						dx, dy := (rng.Float64()-0.5)*3, (rng.Float64()-0.5)*3
+						a, b = half.shiftedDistance(hv, hc, dx, dy), full.shiftedDistance(fv, fc, dx, dy)
+						if d := friedelRel(a, b, floor); d > tol {
+							t.Fatalf("%s level %d shiftedDistance(%g,%g) at %v: half %.17g, full %.17g (rel %.3g)", stage, li, dx, dy, o, a, b, d)
+						}
+					}
+					keys := make([]orientKey, 10)
+					for i := range keys {
+						keys[i] = keyOf(micrograph.RandomOrientation(rng), lv.RAngular)
+					}
+					hd, fd = hd[:len(keys)], fd[:len(keys)]
+					half.distanceLattice(hv, keys, lv.RAngular, nh, hs, hd)
+					full.distanceLattice(fv, keys, lv.RAngular, nf, fs, fd)
+					for i := range keys {
+						if d := friedelRel(hd[i], fd[i], floor); d > tol {
+							t.Fatalf("%s level %d distanceLattice key %v: half %.17g, full %.17g (rel %.3g)", stage, li, keys[i], hd[i], fd[i], d)
+						}
+					}
+				}
+			}
+			check("fresh view")
+			for _, s := range [][2]float64{{0.8, -0.35}, {-0.07, 0.012}} {
+				half.applyShift(hv, s[0], s[1])
+				full.applyShift(fv, s[0], s[1])
+			}
+			check("shifted view")
+		})
+	}
+}
+
+// TestBandSizeIsFullDiscCount pins the two band counts to each other:
+// the package-level BandSize stays the paper's full-disc count (it
+// prices the simulated SP2 tables), Refiner.BandSize is the half the
+// matcher compares, and the two differ by the conjugate mates of every
+// entry but the self-conjugate origin.
+func TestBandSizeIsFullDiscCount(t *testing.T) {
+	for _, tc := range []struct {
+		l          int
+		rmap, rmin float64
+		selfConj   int
+	}{
+		{20, 8, 0, 1},
+		{20, 10, 0, 1}, // RMap = l/2
+		{24, 9.6, 3, 0},
+		{32, 12.8, 0, 1},
+	} {
+		truth := phantom.Asymmetric(tc.l, 6, 1)
+		dft := fourier.NewVolumeDFTPadded(truth, 1)
+		cfg := Config{RMap: tc.rmap, RMin: tc.rmin}
+		r, err := NewRefiner(dft, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := BandSize(tc.l, cfg)
+		if want := 2*r.BandSize() - tc.selfConj; full != want {
+			t.Errorf("l=%d RMap=%g RMin=%g: BandSize %d, want 2·%d − %d = %d", tc.l, tc.rmap, tc.rmin, full, r.BandSize(), tc.selfConj, want)
+		}
+		if oracle := len(newFullDiscMatcher(dft, cfg).band); full != oracle {
+			t.Errorf("l=%d RMap=%g RMin=%g: BandSize %d, full-disc oracle holds %d", tc.l, tc.rmap, tc.rmin, full, oracle)
+		}
+	}
+}
+
+// TestNewRefinerRejectsNonHermitianSpectrum: the half band is only
+// valid for the spectrum of a real map, and VolumeDFT.Data is exported.
+func TestNewRefinerRejectsNonHermitianSpectrum(t *testing.T) {
+	const l = 16
+	truth := phantom.Asymmetric(l, 6, 1)
+	dft := fourier.NewVolumeDFTPadded(truth, 2)
+	if _, err := NewRefiner(dft, DefaultConfig(l)); err != nil {
+		t.Fatalf("real-map spectrum rejected: %v", err)
+	}
+	// Multiplying by i is what an imaginary map's spectrum looks like:
+	// D(−p) = −conj D(p) everywhere.
+	bad := &fourier.VolumeDFT{L: dft.L, SrcL: dft.SrcL, Data: make([]complex128, len(dft.Data))}
+	for i, v := range dft.Data {
+		bad.Data[i] = v * 1i
+	}
+	if _, err := NewRefiner(bad, DefaultConfig(l)); err == nil || !strings.Contains(err.Error(), "not Hermitian") {
+		t.Fatalf("asymmetric spectrum: got error %v, want a not-Hermitian error", err)
+	}
+	bad.Data = bad.Data[:len(bad.Data)-1]
+	if _, err := NewRefiner(bad, DefaultConfig(l)); err == nil {
+		t.Fatal("truncated spectrum accepted")
+	}
+}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/cmplx"
 	"sort"
 
 	"repro/internal/ctf"
@@ -11,8 +13,10 @@ import (
 )
 
 // bandEntry is one Fourier coefficient position that participates in
-// the distance d(F, C): signed frequencies (h, k) with RMin ≤ r ≤ RMap,
-// plus its weight wt(j,k) and radius.
+// the distance d(F, C): signed frequencies (h, k) with RMin ≤ r ≤ RMap
+// on the Friedel half plane, plus its weight wt(j,k) — doubled when the
+// entry also stands for its dropped conjugate mate (−h, −k) — and
+// radius.
 type bandEntry struct {
 	h, k   int
 	weight float64
@@ -20,10 +24,11 @@ type bandEntry struct {
 }
 
 // matcher owns the read-only state shared by all views: the volume
-// spectrum and the comparison band, sorted by increasing frequency
-// radius so coarse schedule levels can match on a low-frequency
-// prefix. It is safe for concurrent use; mutable per-worker state
-// lives in matchScratch.
+// spectrum and the comparison band — the Friedel half of the disc
+// RMin ≤ r ≤ RMap, valid because the spectrum is that of a real map
+// (NewRefiner checks) — sorted by increasing frequency radius so coarse
+// schedule levels can match on a low-frequency prefix. It is safe for
+// concurrent use; mutable per-worker state lives in matchScratch.
 type matcher struct {
 	dft *fourier.VolumeDFT
 	// smp is the fused central-section sampler bound to dft: lattice
@@ -55,8 +60,16 @@ func newMatcher(dft *fourier.VolumeDFT, cfg Config) *matcher {
 	m := &matcher{dft: dft, smp: dft.NewSampler(cfg.Interp), cfg: cfg, l: l, invL2: 1 / float64(l*l), cuts: fourier.NewCutCache(0)}
 	rmax := math.Min(cfg.RMap, float64(l)/2)
 	ri := int(rmax)
-	for h := -ri; h <= ri; h++ {
+	// Friedel half plane {h > 0} ∪ {h = 0, k ≥ 0}: map and views are
+	// real, so F(−h,−k) = conj F(h,k) and C(−h,−k) = conj C(h,k), and the
+	// two members of a conjugate pair contribute identical terms to every
+	// distance. Only one is kept, at twice the weight, which preserves the
+	// full-disc value (and the paper's 1/l² scale) at half the work.
+	for h := 0; h <= ri; h++ {
 		for k := -ri; k <= ri; k++ {
+			if h == 0 && k < 0 {
+				continue
+			}
 			r := math.Hypot(float64(h), float64(k))
 			if r > rmax || r < cfg.RMin {
 				continue
@@ -68,11 +81,22 @@ func newMatcher(dft *fourier.VolumeDFT, cfg Config) *matcher {
 			if w <= 0 {
 				continue
 			}
+			if h != 0 || k != 0 {
+				w *= 2
+			}
 			m.band = append(m.band, bandEntry{h: h, k: k, weight: w, radius: r})
 		}
 	}
-	if cfg.SpectralWeight && dft.Data != nil {
-		power := radialPower(dft, rmax)
+	m.finishBand(rmax)
+	return m
+}
+
+// finishBand turns the enumerated band positions into the matcher's
+// working layout: spectral weights applied, entries sorted by
+// (radius, h, k), and the structure-of-arrays mirror filled.
+func (m *matcher) finishBand(rmax float64) {
+	if m.cfg.SpectralWeight && m.dft.Data != nil {
+		power := radialPower(m.dft, rmax)
 		// Soft gate rather than raw power: shells carrying signal get
 		// weight ≈1, shells whose power has fallen below ~1% of the
 		// peak (noise-only territory on experimental data) roll off.
@@ -105,7 +129,6 @@ func newMatcher(dft *fourier.VolumeDFT, cfg Config) *matcher {
 		m.fk[i] = float64(e.k)
 		m.wt[i] = e.weight
 	}
-	return m
 }
 
 // radialPower tabulates the reference spectrum's mean power per
@@ -245,6 +268,44 @@ func wrapIdx(f, l int) int {
 		f += l
 	}
 	return f
+}
+
+// checkHermitian verifies D̂(−p) = conj D̂(p) — the property of a real
+// map's spectrum that the half band relies on — on a fixed sample of
+// lattice points: the 13 half-space neighbour directions of the origin
+// at three strides (low, mid and high frequency), which costs
+// microseconds. The tolerance is relative to the largest sampled
+// magnitude, far above FFT rounding and far below any real asymmetry.
+func checkHermitian(dft *fourier.VolumeDFT) error {
+	l := dft.L
+	if l <= 0 || len(dft.Data) != l*l*l {
+		return fmt.Errorf("core: spectrum holds %d coefficients, want %d³", len(dft.Data), l)
+	}
+	at := func(x, y, z int) complex128 {
+		return dft.Data[(wrapIdx(x, l)*l+wrapIdx(y, l))*l+wrapIdx(z, l)]
+	}
+	var worst, scale float64
+	var wx, wy, wz int
+	for _, s := range [3]int{1, max(1, l/8), max(1, l/4)} {
+		for x := 0; x <= 1; x++ {
+			for y := -x; y <= 1; y++ {
+				for z := -1; z <= 1; z++ {
+					if x == 0 && y == 0 && z <= 0 {
+						continue
+					}
+					a, b := at(s*x, s*y, s*z), at(-s*x, -s*y, -s*z)
+					scale = math.Max(scale, math.Max(cmplx.Abs(a), cmplx.Abs(b)))
+					if d := cmplx.Abs(a - cmplx.Conj(b)); d > worst {
+						worst, wx, wy, wz = d, s*x, s*y, s*z
+					}
+				}
+			}
+		}
+	}
+	if worst > 1e-9*scale {
+		return fmt.Errorf("core: spectrum is not Hermitian (|D(p) − conj D(−p)| = %.3g at p = (%d,%d,%d), scale %.3g): the reference must be the DFT of a real map", worst, wx, wy, wz, scale)
+	}
+	return nil
 }
 
 // sampleCut fills cut with the reference cut C at orientation o over
@@ -434,13 +495,28 @@ func (m *matcher) applyShift(vd *viewData, dx, dy float64) {
 	vd.rebuildEnergy(m.band)
 }
 
-// BandSize returns the number of Fourier coefficients in the
-// comparison band (exposed for cost accounting and tests). Band
-// construction never touches spectrum data, so this works for
-// arbitrarily large l.
+// fullDiscSize returns the number of coefficients of the full-disc band
+// the half band stands for: every entry counts twice except the
+// self-conjugate origin. This is the count the paper's program compares
+// per matching, and the one the simulated SP2 cost model charges.
+func (m *matcher) fullDiscSize() int {
+	n := 2 * len(m.band)
+	if n > 0 && m.band[0].h == 0 && m.band[0].k == 0 {
+		n--
+	}
+	return n
+}
+
+// BandSize returns the number of Fourier coefficients in the paper's
+// full-disc comparison band, −r…r × −r…r — the count the simulated SP2
+// cost model charges per matching (the tables model the paper's
+// program, which scores both members of every conjugate pair). The
+// matcher itself compares only the Friedel half of it; that count is
+// Refiner.BandSize. Band construction never touches spectrum data, so
+// this works for arbitrarily large l.
 func BandSize(l int, cfg Config) int {
 	dummy := &fourier.VolumeDFT{L: l, SrcL: l}
-	return len(newMatcher(dummy, cfg).band)
+	return newMatcher(dummy, cfg).fullDiscSize()
 }
 
 // EstimateMatchFlops models the floating-point work of one matching

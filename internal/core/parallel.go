@@ -167,7 +167,9 @@ func (r *Refiner) RefineOnCluster(
 		for i, q := range myIdx {
 			states[i] = Result{Orient: inits[q]}
 		}
-		band := len(r.m.band)
+		// The simulated clock charges the paper's full-disc band, not
+		// the half band the matcher actually compares.
+		band := r.m.fullDiscSize()
 		nodeWorkers := runtime.GOMAXPROCS(0) / p
 		if nodeWorkers < 1 {
 			nodeWorkers = 1

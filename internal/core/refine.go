@@ -25,11 +25,21 @@ type Refiner struct {
 // NewRefiner builds a refiner for the centred map spectrum dft.
 // Oversampled spectra (fourier.NewVolumeDFTPadded) give markedly more
 // accurate matching and are recommended.
+//
+// dft must be the spectrum of a real map, D̂(−p) = conj D̂(p): the
+// matcher scores only the Friedel half of the comparison band and lets
+// each entry stand for its conjugate mate. Every constructor in
+// fourier and parfft produces such a spectrum; a spectrum edited by
+// hand through the exported Data field may not, so a fixed sample of
+// lattice points is checked here and a violation is an error.
 func NewRefiner(dft *fourier.VolumeDFT, cfg Config) (*Refiner, error) {
 	if cfg.Schedule == nil {
 		cfg.Schedule = DefaultSchedule()
 	}
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkHermitian(dft); err != nil {
 		return nil, err
 	}
 	if cfg.RMap > float64(dft.SrcL)/2 {
@@ -48,7 +58,10 @@ func (r *Refiner) getScratch() *matchScratch {
 
 func (r *Refiner) putScratch(sc *matchScratch) { r.scratchPool.Put(sc) }
 
-// BandSize returns the number of Fourier coefficients per matching.
+// BandSize returns the number of Fourier coefficients a matching
+// actually compares: the Friedel half of the comparison band. The
+// paper's full-disc count, which the simulated cost model charges, is
+// the package-level BandSize.
 func (r *Refiner) BandSize() int { return len(r.m.band) }
 
 // View is a prepared experimental view: transformed, CTF-corrected and
@@ -62,6 +75,10 @@ type View struct {
 // centred 2-D DFT (step d), optional CTF correction (step e), band
 // extraction. The CTF parameters are only consulted when
 // Config.CorrectCTF or Config.CTFWeightCuts is set.
+//
+// Only the Friedel half of the band is extracted: im is real, and the
+// radial CTF correction and later centre phase ramps keep
+// F(−h,−k) = conj F(h,k), so the dropped half carries no information.
 func (r *Refiner) PrepareView(im *volume.Image, p ctf.Params) (*View, error) {
 	if im.L != r.m.l {
 		return nil, fmt.Errorf("core: view size %d does not match map size %d", im.L, r.m.l)

@@ -270,10 +270,17 @@ func TestMultiResolutionCheaperThanFlat(t *testing.T) {
 
 func TestBandRespectsRMinRMax(t *testing.T) {
 	cfg := Config{RMap: 8, RMin: 3, Schedule: DefaultSchedule()}
+	// The cost model's count is the paper's full disc: annulus area
+	// ≈ π(64−9) ≈ 173.
 	n := BandSize(32, cfg)
-	// Annulus area ≈ π(64−9) ≈ 173.
 	if n < 140 || n > 210 {
-		t.Fatalf("band size %d, want ≈173", n)
+		t.Fatalf("full-disc band size %d, want ≈173", n)
+	}
+	// The matcher compares its Friedel half; the origin is outside this
+	// annulus, so exactly half.
+	dummy := &fourier.VolumeDFT{L: 32, SrcL: 32}
+	if compared := len(newMatcher(dummy, cfg).band); 2*compared != n {
+		t.Fatalf("compared band holds %d coefficients, want half of %d", compared, n)
 	}
 	full := BandSize(32, Config{RMap: 8, Schedule: DefaultSchedule()})
 	if full <= n {

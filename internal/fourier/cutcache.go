@@ -48,11 +48,21 @@ type CutCache struct {
 }
 
 // NewCutCache builds a cache bounded to roughly maxCoeffs cached
-// complex coefficients in total; ≤ 0 selects a default of 4M
-// (≈ 64 MiB of cut data).
+// complex coefficients in total; ≤ 0 selects a default of 256K
+// (≈ 4 MiB of cut data).
+//
+// The default is sized to the cache's traffic, not to its possible
+// contents: on distinct views the hit rate is ~0.02, and the hits come
+// from entries a few batches old (a descent revisiting its own
+// neighbourhood), not from cross-view reuse, so a large budget only
+// pins cuts that are never read again. Measured with benchcycle on
+// cycle_adaptive (2 cores, seed 1, medians): the former 4M-coefficient
+// (64 MiB) budget gave peak_rss_mb 194 and core.cut_cache_hit_rate
+// 0.024; this one gives 96 MB and 0.019, with cycle_s 0.92 s → 0.93 s,
+// inside run-to-run noise (DESIGN.md §12.4).
 func NewCutCache(maxCoeffs int) *CutCache {
 	if maxCoeffs <= 0 {
-		maxCoeffs = 1 << 22
+		maxCoeffs = 1 << 18
 	}
 	c := &CutCache{shardBudget: (maxCoeffs + cutShardCount - 1) / cutShardCount}
 	for i := range c.shards {

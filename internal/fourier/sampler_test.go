@@ -128,6 +128,58 @@ func TestSamplerEdgeFrequencies(t *testing.T) {
 	}
 }
 
+// TestSampleCutFriedelSymmetry: the spectrum of a real map is
+// Hermitian, and both interpolations preserve that, so the cut at
+// (−h, −k) is the conjugate of the cut at (h, k) for every orientation.
+// core's half-band matcher depends on exactly this. The band runs out
+// to r = l/2, so coefficients on the Nyquist boundary of the padded
+// lattice — where ±L/2 alias to one lattice plane — are covered,
+// including the axis-aligned orientations that land on it exactly.
+func TestSampleCutFriedelSymmetry(t *testing.T) {
+	const l = 16
+	dft := randomVolumeDFT(l, 2, 53)
+	scale := 0.0
+	for _, v := range dft.Data {
+		scale = math.Max(scale, math.Hypot(real(v), imag(v)))
+	}
+	var fh, fk, nh, nk []float64
+	for h := -l / 2; h <= l/2; h++ {
+		for k := -l / 2; k <= l/2; k++ {
+			if h*h+k*k <= l*l/4 {
+				fh, fk = append(fh, float64(h)), append(fk, float64(k))
+				nh, nk = append(nh, float64(-h)), append(nk, float64(-k))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	orients := []geom.Euler{{}, {Theta: 90}, {Theta: 90, Phi: 90}, {Omega: 90}, {Theta: 180, Phi: 270, Omega: 90}}
+	for i := 0; i < 40; i++ {
+		orients = append(orients, geom.Euler{Theta: rng.Float64() * 180, Phi: rng.Float64() * 360, Omega: rng.Float64() * 360})
+	}
+	pos, neg := make([]complex128, len(fh)), make([]complex128, len(fh))
+	for _, interp := range []Interpolation{Trilinear, Nearest} {
+		s := dft.NewSampler(interp)
+		for _, o := range orients {
+			rot := o.Matrix()
+			s.SampleCut(pos, fh, fk, rot.Col(0), rot.Col(1))
+			s.SampleCut(neg, nh, nk, rot.Col(0), rot.Col(1))
+			nonzero := 0
+			for i := range pos {
+				if d := cdiff(pos[i], complex(real(neg[i]), -imag(neg[i]))); d > 1e-12*scale {
+					t.Fatalf("interp %v orient %v (h,k)=(%g,%g): C(h,k) = %v, C(−h,−k) = %v (diff %g)",
+						interp, o, fh[i], fk[i], pos[i], neg[i], d)
+				}
+				if pos[i] != 0 {
+					nonzero++
+				}
+			}
+			if nonzero < len(pos)/2 {
+				t.Fatalf("interp %v orient %v: only %d of %d coefficients in band", interp, o, nonzero, len(pos))
+			}
+		}
+	}
+}
+
 func BenchmarkSamplerAt(b *testing.B) {
 	dft := randomVolumeDFT(32, 2, 3)
 	s := dft.NewSampler(Trilinear)
