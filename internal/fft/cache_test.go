@@ -11,14 +11,14 @@ import (
 // TestPlansShareTables: two plans of the same length must share the
 // same immutable table set (the whole point of the global cache).
 func TestPlansShareTables(t *testing.T) {
-	for _, n := range []int{16, 221} {
+	for _, n := range []int{16, 48, 221} {
 		a, b := NewPlan(n), NewPlan(n)
 		if a.planTables != b.planTables {
 			t.Fatalf("n=%d: plans built distinct table sets", n)
 		}
-		if !a.pow2 {
-			if &a.ascr[0] == &b.ascr[0] {
-				t.Fatalf("n=%d: plans share mutable Bluestein scratch", n)
+		if a.kernel != kernelPow2 {
+			if &a.scratch[0] == &b.scratch[0] {
+				t.Fatalf("n=%d: plans share mutable %v scratch", n, a.kernel)
 			}
 		}
 	}

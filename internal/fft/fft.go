@@ -1,9 +1,22 @@
 // Package fft implements the discrete Fourier transforms used by the
-// orientation-refinement pipeline: 1-D complex FFTs of any length
-// (iterative radix-2 Cooley–Tukey for powers of two, Bluestein's
-// chirp-z algorithm otherwise), and separable 2-D and 3-D transforms
-// built on them. Everything is written against the standard library
-// only.
+// orientation-refinement pipeline: 1-D complex FFTs of any length, and
+// separable 2-D and 3-D transforms built on them. Everything is
+// written against the standard library only.
+//
+// The 1-D kernel is chosen by the length's factorisation alone:
+//
+//   - powers of two: iterative radix-2 Cooley–Tukey, in place;
+//   - other lengths whose prime factors are all ≤ 7 (the 40, 48, 56,
+//     80, 96, 112 of real box sizes and their padded lattices): a
+//     Stockham autosort mixed-radix transform with butterflies for 2,
+//     3, 4, 5 and one generic small-prime butterfly (smooth.go), which
+//     needs one n-sized scratch;
+//   - everything else (the paper's 221 = 13·17 and 511 = 7·73):
+//     Bluestein's chirp-z algorithm over a power-of-two convolution of
+//     length ≥ 2n−1.
+//
+// There is no option that selects a kernel; the fft.transforms
+// counters (metrics.go) report which ones served a run.
 //
 // Conventions. Forward transforms are unnormalized,
 //
@@ -14,10 +27,10 @@
 // layout: index k holds frequency k for k ≤ N/2 and k−N above.
 //
 // Plan setup is cached globally: the twiddle factors, bit-reversal
-// permutation and Bluestein chirp filter for each length are computed
-// once per process and shared (immutably) by every Plan of that
-// length, so repeated NewPlan/NewPlan2D/NewPlan3D calls in hot loops
-// cost only the per-plan scratch allocation.
+// permutation, Stockham stage tables and Bluestein chirp filter for
+// each length are computed once per process and shared (immutably) by
+// every Plan of that length, so repeated NewPlan/NewPlan2D/NewPlan3D
+// calls in hot loops cost only the per-plan scratch allocation.
 package fft
 
 import (
@@ -28,19 +41,39 @@ import (
 	"sync"
 )
 
-// planTables is the immutable precomputed state for transforms of one
-// length: twiddle factors, the bit-reversal permutation and — for
-// non-power-of-two lengths — the Bluestein chirp and its transform.
-// Tables are built once per length and shared by every Plan through
-// the global cache; nothing mutates them after construction, which is
-// what makes the sharing safe across goroutines.
-type planTables struct {
-	n       int
-	pow2    bool
-	twiddle []complex128 // radix-2 twiddles for size n (or the inner pow-2 size)
-	rev     []int        // bit-reversal permutation
+// kernel names the 1-D algorithm a length is served by. It is a
+// function of the length's factorisation only.
+type kernel uint8
 
-	// Bluestein state (nil when n is a power of two).
+const (
+	kernelPow2      kernel = iota // radix-2 Cooley–Tukey
+	kernelSmooth                  // Stockham mixed radix, prime factors ≤ 7
+	kernelBluestein               // chirp-z, some prime factor > 7
+)
+
+// kernelNames are the label values of the fft.transforms counters, in
+// kernel order.
+var kernelNames = []string{"pow2", "smooth", "bluestein"}
+
+func (k kernel) String() string { return kernelNames[k] }
+
+// planTables is the immutable precomputed state for transforms of one
+// length: which kernel serves it and that kernel's tables. Tables are
+// built once per length and shared by every Plan through the global
+// cache; nothing mutates them after construction, which is what makes
+// the sharing safe across goroutines.
+type planTables struct {
+	n      int
+	kernel kernel
+
+	// Radix-2 state (kernelPow2 only).
+	twiddle []complex128
+	rev     []int // bit-reversal permutation
+
+	// Stockham stages (kernelSmooth only).
+	stages []smoothStage
+
+	// Bluestein state (kernelBluestein only).
 	bn    int          // convolution length, power of two ≥ 2n−1
 	chirp []complex128 // exp(−iπ k²/n)
 	bfft  []complex128 // FFT of the chirp filter, precomputed
@@ -96,12 +129,19 @@ func CachedPlanSizes() int {
 }
 
 func buildTables(n int) *planTables {
-	t := &planTables{n: n, pow2: n&(n-1) == 0}
-	if t.pow2 {
+	t := &planTables{n: n}
+	if n&(n-1) == 0 {
+		t.kernel = kernelPow2
 		t.initPow2(n)
 		return t
 	}
+	if radices := smoothRadices(n); radices != nil {
+		t.kernel = kernelSmooth
+		t.initSmooth(radices)
+		return t
+	}
 	// Bluestein: x̂ = chirp ⊛ (x·chirp) scaled by conj chirp.
+	t.kernel = kernelBluestein
 	t.bn = 1
 	for t.bn < 2*n-1 {
 		t.bn <<= 1
@@ -148,7 +188,10 @@ func (t *planTables) initPow2(n int) {
 // (each goroutine should own one) because of its private scratch.
 type Plan struct {
 	*planTables
-	ascr []complex128 // Bluestein convolution scratch (nil for pow-2)
+	// scratch is the Stockham ping-pong buffer (n) or the Bluestein
+	// convolution buffer (bn); nil for powers of two, which run in
+	// place.
+	scratch []complex128
 }
 
 // NewPlan creates a transform plan for length n ≥ 1.
@@ -157,8 +200,11 @@ func NewPlan(n int) *Plan {
 		panic(fmt.Sprintf("fft: invalid length %d", n))
 	}
 	p := &Plan{planTables: tablesFor(n)}
-	if !p.pow2 {
-		p.ascr = make([]complex128, p.bn)
+	switch p.kernel {
+	case kernelSmooth:
+		p.scratch = make([]complex128, n)
+	case kernelBluestein:
+		p.scratch = make([]complex128, p.bn)
 	}
 	return p
 }
@@ -172,11 +218,15 @@ func (p *Plan) Forward(x []complex128) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: Forward length %d, plan length %d", len(x), p.n))
 	}
-	if p.pow2 {
+	transforms.Inc(int(p.kernel))
+	switch p.kernel {
+	case kernelPow2:
 		p.forwardPow2(x)
-		return
+	case kernelSmooth:
+		p.forwardSmooth(x, p.scratch)
+	default:
+		p.bluestein(x)
 	}
-	p.bluestein(x)
 }
 
 // Inverse computes the in-place inverse DFT of x (conjugate kernel,
@@ -223,10 +273,12 @@ func (t *planTables) forwardPow2(x []complex128) {
 	}
 }
 
-// bluestein computes an arbitrary-length DFT via chirp-z convolution.
+// bluestein computes an arbitrary-length DFT via chirp-z convolution;
+// buildTables routes only lengths with a prime factor above maxRadix
+// here.
 func (p *Plan) bluestein(x []complex128) {
 	n, bn := p.n, p.bn
-	a := p.ascr
+	a := p.scratch
 	for i := range a {
 		a[i] = 0
 	}

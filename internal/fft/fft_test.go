@@ -1,11 +1,14 @@
 package fft
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // naiveDFT is the O(n²) reference transform.
@@ -41,18 +44,94 @@ func maxDiff(a, b []complex128) float64 {
 	return m
 }
 
+// lengths1to128 is every length the kernel tests sweep: all three
+// kernels, every radix mix the smooth one can meet below 128, and the
+// primes between them.
+func lengths1to128() []int {
+	ns := make([]int, 128)
+	for i := range ns {
+		ns[i] = i + 1
+	}
+	return ns
+}
+
 func TestForwardMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	// Powers of two, primes, composites — including the paper's view
-	// sizes 221 = 13·17 and 511 = 7·73.
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 31, 32, 45, 64, 100, 221, 511} {
+	// Every length to 128, then larger composites of each kernel —
+	// including the paper's view sizes 221 = 13·17 and 511 = 7·73.
+	for _, n := range append(lengths1to128(), 210, 221, 240, 360, 511, 512, 1000) {
 		x := randomSignal(r, n)
 		want := naiveDFT(x)
 		got := append([]complex128(nil), x...)
 		NewPlan(n).Forward(got)
-		if d := maxDiff(got, want); d > 1e-8*float64(n) {
-			t.Errorf("n=%d: max deviation from naive DFT %g", n, d)
+		if d := maxRel(got, want); d > 1e-12 {
+			t.Errorf("n=%d (%v): deviation from naive DFT %g of the peak", n, NewPlan(n).kernel, d)
 		}
+	}
+}
+
+// TestKernelSelection pins which kernel each length gets: the choice
+// is a function of the factorisation alone, and Bluestein serves no
+// length whose prime factors are all ≤ 7.
+func TestKernelSelection(t *testing.T) {
+	want := map[int]kernel{}
+	for n := 1; n <= 1024; n <<= 1 {
+		want[n] = kernelPow2
+	}
+	for _, n := range []int{6, 40, 48, 56, 80, 96, 112, 360} {
+		want[n] = kernelSmooth
+	}
+	for _, n := range []int{11, 13, 221, 511} {
+		want[n] = kernelBluestein
+	}
+	for n, k := range want {
+		if got := NewPlan(n).kernel; got != k {
+			t.Errorf("n=%d: kernel %v, want %v", n, got, k)
+		}
+	}
+	for n := 1; n <= 4096; n++ {
+		rest := n
+		for _, f := range []int{2, 3, 5, 7} {
+			for rest%f == 0 {
+				rest /= f
+			}
+		}
+		got := buildTables(n).kernel
+		switch {
+		case rest != 1 && got != kernelBluestein:
+			t.Errorf("n=%d has a prime factor > 7 but got kernel %v", n, got)
+		case rest == 1 && n&(n-1) == 0 && got != kernelPow2:
+			t.Errorf("n=%d is a power of two but got kernel %v", n, got)
+		case rest == 1 && n&(n-1) != 0 && got != kernelSmooth:
+			t.Errorf("n=%d is 7-smooth but got kernel %v", n, got)
+		}
+	}
+}
+
+// TestPow2BitIdenticalToParent: the radix-2 kernel did not change when
+// the smooth kernel arrived. The hash is over the float64 bits of
+// Forward on seeded input at every power of two to 1024, recorded at
+// the commit before the mixed-radix kernel.
+func TestPow2BitIdenticalToParent(t *testing.T) {
+	h := sha256.New()
+	r := rand.New(rand.NewSource(14))
+	for n := 1; n <= 1024; n <<= 1 {
+		x := randomSignal(r, n)
+		NewPlan(n).Forward(x)
+		hashComplex(h, x)
+	}
+	const golden = "8f4704b01d15a99e48a19f801f2353adeec9d445e3cdad1665f60f3505517a3e"
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Fatalf("power-of-two spectra hash %s, want %s", got, golden)
+	}
+}
+
+func hashComplex(h hash.Hash, x []complex128) {
+	var b [16]byte
+	for _, v := range x {
+		binary.LittleEndian.PutUint64(b[:8], math.Float64bits(real(v)))
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(v)))
+		h.Write(b[:])
 	}
 }
 
@@ -85,9 +164,8 @@ func TestPlanReuse(t *testing.T) {
 }
 
 func TestLinearity(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 24
+	r := rand.New(rand.NewSource(31))
+	for _, n := range lengths1to128() {
 		p := NewPlan(n)
 		x, y := randomSignal(r, n), randomSignal(r, n)
 		alpha := complex(r.NormFloat64(), r.NormFloat64())
@@ -96,44 +174,33 @@ func TestLinearity(t *testing.T) {
 			lhs[i] = x[i] + alpha*y[i]
 		}
 		p.Forward(lhs)
-		fx := append([]complex128(nil), x...)
-		fy := append([]complex128(nil), y...)
-		p.Forward(fx)
-		p.Forward(fy)
-		for i := range lhs {
-			if cmplx.Abs(lhs[i]-(fx[i]+alpha*fy[i])) > 1e-8 {
-				return false
-			}
+		p.Forward(x)
+		p.Forward(y)
+		for i := range x {
+			x[i] += alpha * y[i]
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+		if d := maxRel(lhs, x); d > 1e-12 {
+			t.Fatalf("n=%d: F(x+αy) deviates from F(x)+αF(y) by %g of the peak", n, d)
+		}
 	}
 }
 
 func TestParseval(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		for _, n := range []int{16, 21} {
-			x := randomSignal(r, n)
-			var timeE float64
-			for _, v := range x {
-				timeE += real(v)*real(v) + imag(v)*imag(v)
-			}
-			NewPlan(n).Forward(x)
-			var freqE float64
-			for _, v := range x {
-				freqE += real(v)*real(v) + imag(v)*imag(v)
-			}
-			if math.Abs(freqE/float64(n)-timeE) > 1e-8*timeE {
-				return false
-			}
+	r := rand.New(rand.NewSource(32))
+	for _, n := range lengths1to128() {
+		x := randomSignal(r, n)
+		var timeE float64
+		for _, v := range x {
+			timeE += real(v)*real(v) + imag(v)*imag(v)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+		NewPlan(n).Forward(x)
+		var freqE float64
+		for _, v := range x {
+			freqE += real(v)*real(v) + imag(v)*imag(v)
+		}
+		if math.Abs(freqE/float64(n)-timeE) > 1e-12*timeE {
+			t.Errorf("n=%d: spectrum energy/n %g, signal energy %g", n, freqE/float64(n), timeE)
+		}
 	}
 }
 
@@ -168,20 +235,21 @@ func TestImpulseAndDC(t *testing.T) {
 func TestShiftTheorem(t *testing.T) {
 	// x[n-s] has DFT X[k]·exp(-2πi ks/N).
 	r := rand.New(rand.NewSource(4))
-	n, s := 40, 7
-	x := randomSignal(r, n)
-	shifted := make([]complex128, n)
-	for i := range shifted {
-		shifted[i] = x[((i-s)%n+n)%n]
-	}
-	p := NewPlan(n)
-	fx := append([]complex128(nil), x...)
-	p.Forward(fx)
-	p.Forward(shifted)
-	for k := 0; k < n; k++ {
-		phase := cmplx.Exp(complex(0, -2*math.Pi*float64(k)*float64(s)/float64(n)))
-		if cmplx.Abs(shifted[k]-fx[k]*phase) > 1e-8 {
-			t.Fatalf("shift theorem violated at bin %d", k)
+	for _, n := range lengths1to128() {
+		s := 7 % n
+		x := randomSignal(r, n)
+		shifted := make([]complex128, n)
+		for i := range shifted {
+			shifted[i] = x[((i-s)%n+n)%n]
+		}
+		p := NewPlan(n)
+		p.Forward(x)
+		p.Forward(shifted)
+		for k := 0; k < n; k++ {
+			x[k] *= cmplx.Exp(complex(0, -2*math.Pi*float64(k*s%n)/float64(n)))
+		}
+		if d := maxRel(shifted, x); d > 1e-12 {
+			t.Fatalf("n=%d: shift theorem violated by %g of the peak", n, d)
 		}
 	}
 }
@@ -313,10 +381,19 @@ func BenchmarkFFTPow2_256(b *testing.B) {
 	}
 }
 
-func BenchmarkFFTBluestein_221(b *testing.B) {
-	p := NewPlan(221)
-	x := randomSignal(rand.New(rand.NewSource(1)), 221)
+func BenchmarkFFTBluestein_221(b *testing.B) { benchForward(b, 221) }
+
+// The smooth kernel at the sindbis box (48), its padded lattice (96)
+// and the asymmetric set's padded lattice (80 = 2⁴·5).
+func BenchmarkFFTSmooth_48(b *testing.B) { benchForward(b, 48) }
+func BenchmarkFFTSmooth_96(b *testing.B) { benchForward(b, 96) }
+func BenchmarkFFTSmooth_80(b *testing.B) { benchForward(b, 80) }
+
+func benchForward(b *testing.B, n int) {
+	p := NewPlan(n)
+	x := randomSignal(rand.New(rand.NewSource(1)), n)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Forward(x)
 	}

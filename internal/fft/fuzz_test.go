@@ -13,7 +13,8 @@ import (
 // path and the real-input path. The seed corpus pins powers of two,
 // primes (including the paper's 221 and 511), and degenerate lengths;
 // `go test` replays the corpus, `go test -fuzz=FuzzFFTRoundTrip`
-// explores.
+// explores. A round trip cannot see a wrong spectrum — that is
+// FuzzFFTMatchesNaive's job.
 func FuzzFFTRoundTrip(f *testing.F) {
 	for _, seed := range [][2]uint64{
 		{1, 1}, {2, 2}, {4, 3}, {16, 4}, {64, 5}, {1024, 6}, // powers of two
@@ -23,7 +24,7 @@ func FuzzFFTRoundTrip(f *testing.F) {
 		f.Add(seed[0], seed[1])
 	}
 	f.Fuzz(func(t *testing.T, rawN, dataSeed uint64) {
-		n := int(rawN%1024) + 1
+		n := int((rawN-1)%1024) + 1 // seed length n means n (it used to mean n+1)
 		r := rand.New(rand.NewSource(int64(dataSeed)))
 
 		// Complex round trip.
@@ -75,6 +76,32 @@ func FuzzFFTRoundTrip(f *testing.F) {
 			if cmplx.Abs(got[i]-ref[i]) > 1e-9*peak {
 				t.Fatalf("real vs complex forward n=%d coeff %d: |Δ|=%g", n, i, cmplx.Abs(got[i]-ref[i]))
 			}
+		}
+	})
+}
+
+// FuzzFFTMatchesNaive checks Forward against the O(n²) DFT, which the
+// round-trip target cannot do: a kernel whose outputs are permuted or
+// mis-twiddled still inverts itself and still agrees with RFFT (which
+// is built on it). Lengths clamp to [1, 1024]; the bound is 1e-12 of
+// the peak coefficient. The corpus holds every workload length (box,
+// padded box), one length per kernel boundary and the degenerate ones.
+func FuzzFFTMatchesNaive(f *testing.F) {
+	for _, n := range []uint64{
+		16, 32, 40, 48, 56, 64, 80, 96, 112, 128, // workload lengths
+		7 * 2, 7 * 4, 7 * 8, 7 * 64, 11, 13, 2 * 11, 221, 511, // kernel boundaries
+		1, 2, 3, 5, 7, // degenerate
+	} {
+		f.Add(n, n)
+	}
+	f.Fuzz(func(t *testing.T, rawN, dataSeed uint64) {
+		n := int((rawN-1)%1024) + 1
+		x := randomSignal(rand.New(rand.NewSource(int64(dataSeed))), n)
+		want := naiveDFT(x)
+		p := NewPlan(n)
+		p.Forward(x)
+		if d := maxRel(x, want); d > 1e-12 {
+			t.Fatalf("n=%d (%v): deviation from naive DFT %g of the peak", n, p.kernel, d)
 		}
 	})
 }

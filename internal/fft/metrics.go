@@ -11,3 +11,15 @@ var (
 	realCacheHits   = obs.NewCounterVec("fft.real_cache.hits", cacheShards)
 	realCacheMisses = obs.NewCounterVec("fft.real_cache.misses", cacheShards)
 )
+
+// Which kernel served the work. transforms counts 1-D transforms per
+// kernel (Plan.Forward calls, so an Inverse counts once and the
+// power-of-two transforms inside a Bluestein convolution do not): a
+// non-zero bluestein cell on a production run means the dataset's box
+// size has a prime factor above 7 and has fallen off the fast path.
+// real3dLinesSkipped counts the 1-D transforms RealPlan3D.Forward did
+// not run because it saw their input was all zero.
+var (
+	transforms         = obs.NewLabeledCounterVec("fft.transforms", "kernel", kernelNames...)
+	real3dLinesSkipped = obs.NewCounter("fft.real3d.lines_skipped")
+)

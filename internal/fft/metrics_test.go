@@ -95,3 +95,72 @@ func TestCountersSilentWhenDisabled(t *testing.T) {
 		t.Fatal("disabled instrumentation moved cache counters")
 	}
 }
+
+// TestTransformsCountedPerKernel: every 1-D transform lands on its
+// kernel's cell — an Inverse once, a Bluestein's inner power-of-two
+// transforms not at all — and the cells carry the kernel's name.
+func TestTransformsCountedPerKernel(t *testing.T) {
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+
+	before := [3]int64{}
+	for k := range before {
+		before[k] = transforms.Value(k)
+	}
+	for n, times := range map[int]int{64: 1, 48: 2, 221: 3} {
+		p := NewPlan(n)
+		x := make([]complex128, n)
+		for i := 0; i < times; i++ {
+			p.Forward(x)
+		}
+		p.Inverse(x)
+	}
+	for k, want := range [3]int64{kernelPow2: 2, kernelSmooth: 3, kernelBluestein: 4} {
+		if got := transforms.Value(k) - before[k]; got != want {
+			t.Errorf("%v transforms counted %d, want %d", kernel(k), got, want)
+		}
+	}
+	vals := obs.Values()
+	for _, name := range []string{"fft.transforms{kernel=pow2}", "fft.transforms{kernel=smooth}", "fft.transforms{kernel=bluestein}", "fft.real3d.lines_skipped"} {
+		if _, ok := vals[name]; !ok {
+			t.Errorf("snapshot has no series %q", name)
+		}
+	}
+}
+
+// TestWorkloadTransformsAvoidBluestein: the reference-map transform at
+// each benchmark workload's padded box runs no Bluestein transform.
+func TestWorkloadTransformsAvoidBluestein(t *testing.T) {
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+
+	before := transforms.Value(int(kernelBluestein))
+	for _, bl := range []int{96, 80, 32} { // sindbis, asymmetric, jobs_small at pad 2
+		src := make([]float64, bl*bl*bl)
+		src[(bl*bl+bl)*bl/2] = 1
+		NewRealPlan3D(bl, bl, bl).Forward(src, make([]complex128, len(src)))
+		img := make([]float64, bl*bl/4)
+		NewRealPlan2D(bl/2, bl/2).Forward(img, make([]complex128, len(img)))
+	}
+	if got := transforms.Value(int(kernelBluestein)) - before; got != 0 {
+		t.Fatalf("%d Bluestein transforms at workload sizes, want 0", got)
+	}
+}
+
+// TestTransformCountersOffPath: with instrumentation off a transform
+// moves no counter and allocates nothing.
+func TestTransformCountersOffPath(t *testing.T) {
+	prev := obs.SetEnabled(false)
+	defer obs.SetEnabled(prev)
+
+	p := NewPlan(48)
+	x := make([]complex128, 48)
+	before, skipped := transforms.Total(), real3dLinesSkipped.Value()
+	if allocs := testing.AllocsPerRun(100, func() { p.Forward(x) }); allocs != 0 {
+		t.Errorf("Forward allocates %v times per call with instrumentation off", allocs)
+	}
+	NewRealPlan3D(4, 4, 4).Forward(make([]float64, 64), make([]complex128, 64))
+	if transforms.Total() != before || real3dLinesSkipped.Value() != skipped {
+		t.Fatal("disabled instrumentation moved transform counters")
+	}
+}

@@ -1,11 +1,15 @@
 package fft
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func randomReal(r *rand.Rand, n int) []float64 {
@@ -95,6 +99,100 @@ func TestRealPlan3DMatchesComplex(t *testing.T) {
 		if rel := maxRel(got, want); rel > 1e-12 {
 			t.Errorf("%d×%d×%d: real path deviates from complex by %g (rel)", nx, ny, nz, rel)
 		}
+	}
+}
+
+// skippedBy runs p.Forward and returns the fft.real3d.lines_skipped
+// delta it caused.
+func skippedBy(t *testing.T, p *RealPlan3D, src []float64, dst []complex128) int64 {
+	t.Helper()
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	before := real3dLinesSkipped.Value()
+	p.Forward(src, dst)
+	return real3dLinesSkipped.Value() - before
+}
+
+// TestRealPlan3DPrunesZeroLines: on a cube embedded in a pad-2 box the
+// pruned transform equals the unpruned complex oracle and skips
+// exactly the lines the embedding leaves zero; on a dense cube it
+// skips nothing. A dirty dst proves skipped lines are still written.
+func TestRealPlan3DPrunesZeroLines(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for _, c := range []struct {
+		l, pad  int
+		skipped int64
+	}{
+		// Skipped = dead z-line pairs + (dead x-planes)·(bl/2 + 1) y-lines.
+		{48, 2, (4608 - 1152) + 48*49}, // bl = 96: 14 016 − 8 208 transforms
+		{40, 2, (3200 - 800) + 40*41},  // bl = 80, smooth with a 5
+		{16, 2, (512 - 128) + 16*17},   // bl = 32, pow2
+		{7, 3, (21*11 - 7*4) + 14*11},  // bl = 21, odd: each plane ends on a lone line
+		{24, 1, 0},                     // dense: nothing may be skipped
+		{9, 1, 0},
+	} {
+		bl := c.l * c.pad
+		src := paddedCube(r, c.l, c.pad)
+		want := complexOracle3D(src, bl, bl, bl)
+		got := make([]complex128, len(src))
+		for i := range got {
+			got[i] = complex(math.NaN(), math.NaN())
+		}
+		skipped := skippedBy(t, NewRealPlan3D(bl, bl, bl), src, got)
+		if rel := maxRel(got, want); !(rel <= 1e-12) {
+			t.Errorf("l=%d pad=%d: pruned path deviates from complex oracle by %g (rel)", c.l, c.pad, rel)
+		}
+		if skipped != c.skipped {
+			t.Errorf("l=%d pad=%d: skipped %d line transforms, want %d", c.l, c.pad, skipped, c.skipped)
+		}
+	}
+}
+
+// TestRealPlan3DWorkersBitIdentical: every output line is written by
+// one work item whose value does not depend on the worker that ran
+// it, so 1, 2, 3 and 8 workers agree to the bit (run under -race: the
+// passes share dst and the per-plane live counts).
+func TestRealPlan3DWorkersBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	for _, d := range [][3]int{{24, 24, 24}, {12, 10, 9}, {16, 16, 16}} {
+		nx, ny, nz := d[0], d[1], d[2]
+		src := randomReal(r, nx*ny*nz)
+		clear(src[:len(src)/3]) // some dead planes and pairs
+		var want []complex128
+		for _, workers := range []int{1, 2, 3, 8} {
+			got := make([]complex128, len(src))
+			newRealPlan3D(nx, ny, nz, workers).Forward(src, got)
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range got {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("%d×%d×%d: %d workers differ from 1 at coefficient %d", nx, ny, nz, workers, i)
+				}
+			}
+		}
+	}
+}
+
+// TestRealPlan3DPow2BitIdenticalToParent: at a power-of-two box the
+// pruned, pooled transform reproduces the parent commit's serial one
+// bit for bit up to the sign of zero (a skipped line is +0 where the
+// transform of zeros could give −0; adding +0 folds both to +0). The
+// hash was recorded at the commit before the rewrite.
+func TestRealPlan3DPow2BitIdenticalToParent(t *testing.T) {
+	src := paddedCube(rand.New(rand.NewSource(15)), 8, 2)
+	dst := make([]complex128, len(src))
+	NewRealPlan3D(16, 16, 16).Forward(src, dst)
+	for i, v := range dst {
+		dst[i] = complex(real(v)+0, imag(v)+0)
+	}
+	h := sha256.New()
+	hashComplex(h, dst)
+	const golden = "d40671e716dce3815119e9c7a1788f21da9b33a1da74d3f35108881f9d3b1b06"
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Fatalf("16³ padded spectrum hash %s, want %s", got, golden)
 	}
 }
 
@@ -296,6 +394,37 @@ func BenchmarkRealFFT3D_32(b *testing.B) {
 	src := randomReal(r, l*l*l)
 	dst := make([]complex128, l*l*l)
 	p := NewRealPlan3D(l, l, l)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Forward(src, dst)
+	}
+}
+
+// paddedCube embeds a dense random l³ cube centrally in a zero (pad·l)³
+// box, the input fourier.NewVolumeDFTPadded builds.
+func paddedCube(r *rand.Rand, l, pad int) []float64 {
+	bl := pad * l
+	off := bl/2 - l/2
+	src := make([]float64, bl*bl*bl)
+	for x := 0; x < l; x++ {
+		for y := 0; y < l; y++ {
+			for z := 0; z < l; z++ {
+				src[((x+off)*bl+y+off)*bl+z+off] = r.NormFloat64()
+			}
+		}
+	}
+	return src
+}
+
+// BenchmarkRealFFT3D_Padded96 is the reference-map transform of the
+// sindbis set: a 48³ cube in a 96³ box, smooth kernel, pruned lines,
+// pool fan-out at GOMAXPROCS.
+func BenchmarkRealFFT3D_Padded96(b *testing.B) {
+	const bl = 96
+	src := paddedCube(rand.New(rand.NewSource(5)), bl/2, 2)
+	dst := make([]complex128, bl*bl*bl)
+	p := NewRealPlan3D(bl, bl, bl)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -119,13 +119,23 @@ func (v *VolumeDFT) Pad() int { return v.L / v.SrcL }
 
 // Grid converts the centred spectrum back to a real-space density map
 // of the original size (inverse of NewVolumeDFTPadded, cropping the
-// padding). The imaginary residue is discarded.
+// padding). The imaginary residue is discarded. v is left untouched:
+// the inverse transform runs on a copy of Data.
 func (v *VolumeDFT) Grid() *volume.Grid {
-	bl := v.L
-	data := append([]complex128(nil), v.Data...)
+	return GridFromSpectrum(append([]complex128(nil), v.Data...), v.L, v.SrcL)
+}
+
+// GridFromSpectrum is Grid for a caller that owns the centred spectrum
+// and is done with it: data (bl³ coefficients of an l-voxel map padded
+// to bl) is inverse-transformed in place — it holds the real-space
+// cube afterwards, not the spectrum — which saves the bl³ copy Grid
+// makes to protect its receiver.
+func GridFromSpectrum(data []complex128, bl, l int) *volume.Grid {
+	if len(data) != bl*bl*bl {
+		panic("fourier: spectrum length is not bl³")
+	}
 	applyCenterRamp3D(data, bl, -1)
 	fft.NewPlan3D(bl, bl, bl).Inverse(data)
-	l := v.SrcL
 	off := bl/2 - l/2
 	g := volume.NewGrid(l)
 	for x := 0; x < l; x++ {

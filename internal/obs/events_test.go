@@ -232,10 +232,12 @@ func TestWritePromExposition(t *testing.T) {
 	g := NewGauge("test.prom.gauge")
 	h := NewHistogram("test.prom.hist", 4)
 	v := NewCounterVec("test.prom.vec", 2)
+	lv := NewLabeledCounterVec("test.prom.labeled", "kind", "a", "b")
 	withEnabled(t, func() {
 		c.Add(3)
 		g.Set(-2)
 		v.Inc(1)
+		lv.Add(1, 5)
 		h.Observe(0) // bucket 0
 		h.Observe(1) // bucket 1
 		h.Observe(9) // clamps to bucket 3 (+Inf)
@@ -249,6 +251,7 @@ func TestWritePromExposition(t *testing.T) {
 		"# TYPE test_prom_counter counter\ntest_prom_counter 3\n",
 		"# TYPE test_prom_gauge gauge\ntest_prom_gauge -2\n",
 		`test_prom_vec{cell="1"} 1`,
+		"# TYPE test_prom_labeled counter\ntest_prom_labeled{kind=\"a\"} 0\ntest_prom_labeled{kind=\"b\"} 5\n",
 		`test_prom_hist_bucket{le="0"} 1`,
 		`test_prom_hist_bucket{le="1"} 2`,
 		`test_prom_hist_bucket{le="3"} 2`,

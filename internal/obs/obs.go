@@ -148,11 +148,16 @@ func (c *Counter) reset() { c.v.Store(0) }
 
 // CounterVec is a fixed-width vector of counters indexed by a small
 // integer label (a cache shard, a resolution level). Cells export as
-// name[i]; out-of-range indexes clamp to the last cell so callers never
-// need a bounds check on the hot path.
+// name[i] — or, for a vector built by NewLabeledCounterVec, as
+// name{label=value}; out-of-range indexes clamp to the last cell so
+// callers never need a bounds check on the hot path.
 type CounterVec struct {
 	name  string
 	cells []atomic.Int64
+	// label and values name the cells of a labelled vector (values[i]
+	// for cell i); both empty for an index-named one.
+	label  string
+	values []string
 }
 
 // NewCounterVec registers a counter vector with n cells.
@@ -161,6 +166,20 @@ func NewCounterVec(name string, n int) *CounterVec {
 		panic("obs: CounterVec needs at least one cell: " + name)
 	}
 	v := &CounterVec{name: name, cells: make([]atomic.Int64, n)}
+	register(name, v)
+	return v
+}
+
+// NewLabeledCounterVec registers a counter vector whose cells carry
+// names instead of indexes: cell i exports as name{label=values[i]}
+// (Prometheus: name{label="values[i]"}). For a small closed set of
+// alternatives — which kernel, which outcome — where an operator
+// reading /metrics should not need the source to decode a cell number.
+func NewLabeledCounterVec(name, label string, values ...string) *CounterVec {
+	if len(values) == 0 {
+		panic("obs: CounterVec needs at least one cell: " + name)
+	}
+	v := &CounterVec{name: name, cells: make([]atomic.Int64, len(values)), label: label, values: values}
 	register(name, v)
 	return v
 }
@@ -202,7 +221,7 @@ func (v *CounterVec) Total() int64 {
 
 func (v *CounterVec) snapshot(ms []Metric) []Metric {
 	for i := range v.cells {
-		ms = append(ms, Metric{Name: vecName(v.name, i), Value: v.cells[i].Load()})
+		ms = append(ms, Metric{Name: v.cellName(i), Value: v.cells[i].Load()})
 	}
 	return ms
 }
@@ -211,6 +230,14 @@ func (v *CounterVec) reset() {
 	for i := range v.cells {
 		v.cells[i].Store(0)
 	}
+}
+
+// cellName is the snapshot name of cell i.
+func (v *CounterVec) cellName(i int) string {
+	if v.label == "" {
+		return vecName(v.name, i)
+	}
+	return v.name + "{" + v.label + "=" + v.values[i] + "}"
 }
 
 // vecName formats name[i] without fmt (init-time and snapshot only, but

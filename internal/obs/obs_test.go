@@ -31,7 +31,9 @@ func TestCounterDisabledIsNoop(t *testing.T) {
 func TestCounterAndVec(t *testing.T) {
 	c := NewCounter("test.counter.basic")
 	v := NewCounterVec("test.vec.basic", 4)
+	lv := NewLabeledCounterVec("test.vec.labeled", "kind", "a", "b")
 	withEnabled(t, func() {
+		lv.Inc(1)
 		c.Inc()
 		c.Add(2)
 		v.Inc(0)
@@ -54,6 +56,9 @@ func TestCounterAndVec(t *testing.T) {
 	vals := Values()
 	if vals["test.vec.basic[3]"] != 11 {
 		t.Errorf("snapshot vec cell = %d, want 11", vals["test.vec.basic[3]"])
+	}
+	if _, ok := vals["test.vec.labeled{kind=a}"]; !ok || vals["test.vec.labeled{kind=b}"] != 1 {
+		t.Errorf("labelled vec cells = %d, %d (present %v), want 0, 1", vals["test.vec.labeled{kind=a}"], vals["test.vec.labeled{kind=b}"], ok)
 	}
 }
 

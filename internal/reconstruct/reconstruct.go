@@ -232,8 +232,9 @@ func finishVolume(l int, opt Options, num []complex128, den []float64) *volume.G
 		}
 	}
 	spec.Hermitianize()
-	vd := &fourier.VolumeDFT{L: l, SrcL: l, Data: spec.Data}
-	return vd.Grid()
+	// spec is ours and dead after this call, so the inverse transform
+	// may run in its buffer.
+	return fourier.GridFromSpectrum(spec.Data, l, l)
 }
 
 // validateSet checks the per-view argument slices of the batch entry
