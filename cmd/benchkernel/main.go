@@ -12,7 +12,7 @@
 // The refinement runs twice, once with the default adaptive search and
 // once through the exhaustive oracle, so the report prices the
 // adaptive path against the flat scan it replaces
-// (distance_evals_per_view, evals_saved_frac, cut_cache_hit_rate).
+// (distance_evals_per_view, evals_saved_frac).
 //
 // With -smoke the command instead acts as a CI gate: it skips the
 // timing loops, runs the adaptive path against the exhaustive oracle
@@ -64,7 +64,6 @@ type Report struct {
 	DistanceEvalsPerView        float64 `json:"distance_evals_per_view"`
 	ExhaustiveEvalsPerView      float64 `json:"exhaustive_evals_per_view"`
 	EvalsSavedFrac              float64 `json:"evals_saved_frac"`
-	CutCacheHitRate             float64 `json:"cut_cache_hit_rate"`
 	NsPerRefineViewExhaustive   float64 `json:"ns_per_refine_view_exhaustive"`
 	RefineFinalErrExhaustiveDeg float64 `json:"refine_final_err_exhaustive_deg"`
 
@@ -114,20 +113,14 @@ func main() {
 	init := v.TrueOrient.Add(geom.Euler{Theta: 1.5, Phi: -1, Omega: 0.7})
 
 	// Deterministic comparison pass, independent of the timing loops:
-	// one adaptive refinement (plus a rerun for the bit-identity and
-	// steady-state cache-hit checks) against the exhaustive oracle.
+	// one adaptive refinement (plus a rerun for the bit-identity check)
+	// against the exhaustive oracle.
 	resA := r.RefineView(mustPrepare(r, v), init)
-	h0, m0 := r.CutCacheStats()
 	resB := r.RefineView(mustPrepare(r, v), init)
-	h1, m1 := r.CutCacheStats()
 	identical := resA.Orient == resB.Orient && resA.Center == resB.Center && resA.Distance == resB.Distance
 
-	rx, err := core.NewRefiner(dft, core.DefaultConfig(l))
-	if err != nil {
-		fatal(err)
-	}
 	//replint:allow oracleguard the report's whole point is scoring the adaptive search against the exhaustive reference scan
-	resE := rx.ExhaustiveRefine(mustPrepare(rx, v), init)
+	resE := r.ExhaustiveRefine(mustPrepare(r, v), init)
 
 	rep.RefineFinalErrDeg = geom.AngularDistance(resA.Orient, v.TrueOrient)
 	rep.RefineFinalErrExhaustiveDeg = geom.AngularDistance(resE.Orient, v.TrueOrient)
@@ -135,11 +128,6 @@ func main() {
 	rep.ExhaustiveEvalsPerView = float64(resE.TotalMatchings())
 	if rep.ExhaustiveEvalsPerView > 0 {
 		rep.EvalsSavedFrac = 1 - rep.DistanceEvalsPerView/rep.ExhaustiveEvalsPerView
-	}
-	// Hit rate of the second (warm-cache) refinement — the steady
-	// state a multi-view job converges to.
-	if dh, dm := h1-h0, m1-m0; dh+dm > 0 {
-		rep.CutCacheHitRate = float64(dh) / float64(dh+dm)
 	}
 
 	if !*smoke {
@@ -231,9 +219,9 @@ func main() {
 		if !ok {
 			os.Exit(1)
 		}
-		fmt.Printf("smoke ok: %s — adaptive %v evals vs exhaustive %v (saved %.1f%%), err %.4f° vs %.4f°, cache hit rate %.2f\n",
+		fmt.Printf("smoke ok: %s — adaptive %v evals vs exhaustive %v (saved %.1f%%), err %.4f° vs %.4f°\n",
 			*out, rep.DistanceEvalsPerView, rep.ExhaustiveEvalsPerView, 100*rep.EvalsSavedFrac,
-			rep.RefineFinalErrDeg, rep.RefineFinalErrExhaustiveDeg, rep.CutCacheHitRate)
+			rep.RefineFinalErrDeg, rep.RefineFinalErrExhaustiveDeg)
 		return
 	}
 

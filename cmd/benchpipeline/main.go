@@ -24,7 +24,6 @@ import (
 	"repro/internal/benchutil"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/ctf"
 	"repro/internal/fourier"
 	"repro/internal/geom"
 	"repro/internal/micrograph"
@@ -61,7 +60,6 @@ type Report struct {
 	ViewsPerSecBatch     float64 `json:"views_per_sec_batch"`
 	ViewsPerSecStream    float64 `json:"views_per_sec_stream"`
 	DistanceEvalsPerView float64 `json:"distance_evals_per_view"`
-	CutCacheHitRate      float64 `json:"cut_cache_hit_rate"`
 
 	// Streaming-pass footprint.
 	AllocsPerView    float64 `json:"allocs_per_view"`
@@ -156,13 +154,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	images := make([]*volume.Image, *views)
-	ctfs := make([]ctf.Params, *views)
+	images, ctfs := ds.Images(), ds.CTFs()
 	inits := make([]geom.Euler, *views)
 	perturb := geom.Euler{Theta: 1.5, Phi: -1, Omega: 0.7}
 	for i, v := range ds.Views {
-		images[i] = v.Image
-		ctfs[i] = v.CTF
 		inits[i] = v.TrueOrient.Add(perturb)
 	}
 	src := core.SliceSource(images, ctfs, inits)
@@ -211,9 +206,6 @@ func main() {
 	rep.StreamFFTWorkers = fftW
 	rep.StreamRefiners = refW
 	rep.StreamDepth = depth
-	if hits, misses := r.CutCacheStats(); hits+misses > 0 {
-		rep.CutCacheHitRate = float64(hits) / float64(hits+misses)
-	}
 
 	if err := stopObs(); err != nil {
 		fatal(err)

@@ -26,7 +26,6 @@ import (
 	"testing"
 
 	"repro/internal/benchutil"
-	"repro/internal/ctf"
 	"repro/internal/micrograph"
 	"repro/internal/phantom"
 	"repro/internal/reconstruct"
@@ -87,10 +86,9 @@ func main() {
 	views := ds.Images()
 	orients := ds.TrueOrientations()
 	centers := make([][2]float64, nViews)
-	ctfs := make([]ctf.Params, nViews)
+	ctfs := ds.CTFs()
 	for i, v := range ds.Views {
 		centers[i] = [2]float64{-v.TrueCenter[0], -v.TrueCenter[1]}
-		ctfs[i] = v.CTF
 	}
 	opt := reconstruct.Options{WienerCTF: true}
 	popt := func(w int) reconstruct.ParallelOptions {

@@ -64,9 +64,7 @@ func main() {
 
 	var ctfs []ctf.Params
 	if ds.HasCTF {
-		for _, v := range ds.Views {
-			ctfs = append(ctfs, v.CTF)
-		}
+		ctfs = ds.CTFs()
 	}
 	m, err := reconstruct.FromViewsParallel(ds.Images(), orientList, centers, ctfs,
 		reconstruct.ParallelOptions{Options: reconstruct.Options{WienerCTF: ds.HasCTF}, Workers: *p})

@@ -35,7 +35,6 @@ import (
 	"repro/internal/micrograph"
 	"repro/internal/obs"
 	"repro/internal/parfft"
-	"repro/internal/volume"
 )
 
 func main() {
@@ -158,13 +157,7 @@ func refineOnCluster(ds *micrograph.Dataset, cfg core.Config, inits []geom.Euler
 	if err != nil {
 		log.Fatal(err)
 	}
-	images := make([]*volume.Image, len(ds.Views))
-	ctfs := make([]ctf.Params, len(ds.Views))
-	for i, v := range ds.Views {
-		images[i] = v.Image
-		ctfs[i] = v.CTF
-	}
-	results, times, err := r.RefineOnCluster(cl, images, ctfs, inits, opt)
+	results, times, err := r.RefineOnCluster(cl, ds.Images(), ds.CTFs(), inits, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,8 @@ import (
 //
 //   - append whose destination was not made with an explicit capacity
 //     in the same function (growth ⇒ realloc+copy in the loop),
+//   - make with a length, capacity or size hint that is not a constant
+//     (always a heap allocation, once per call), and new,
 //   - composite literals that escape (&T{...}) and slice/map literals,
 //   - numeric slices passed to interface parameters (the conversion
 //     boxes the slice header on the heap — the classic fmt leak),
@@ -37,7 +39,8 @@ import (
 var HotpathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc: "//repro:hotpath functions — and every function they transitively call — " +
-		"may not allocate per call: no growing append, no escaping composite literals, " +
+		"may not allocate per call: no growing append, no run-time-sized make, no new, " +
+		"no escaping composite literals, " +
 		"no numeric-slice→interface conversions, no closures over loop variables, " +
 		"no obs event emission",
 	Run: runHotpathAlloc,
@@ -151,6 +154,17 @@ func allocSites(info *types.Info, fd *ast.FuncDecl) []allocSite {
 					report(e.Pos(), "append in hot path without a same-function make(..., cap): growth reallocates inside the kernel loop")
 				}
 			}
+			switch builtinName(info, e) {
+			case "make":
+				for _, size := range e.Args[1:] {
+					if tv, ok := info.Types[size]; ok && tv.Value == nil {
+						report(e.Pos(), "make with a run-time size allocates on every call in a hot path; presize the buffer in setup or worker scratch")
+						break
+					}
+				}
+			case "new":
+				report(e.Pos(), "new allocates on every call in a hot path; hoist the value to setup or scratch state")
+			}
 			if obj := calleeObject(info, e); obj != nil && obj.Name() == "Emit" &&
 				obj.Pkg() != nil && obj.Pkg().Name() == "obs" {
 				report(e.Pos(), "obs event emission in a hot path: events narrate job lifecycle edges, not kernel loops — lift the Emit to the level/job layer")
@@ -194,14 +208,12 @@ func cappedLocals(info *types.Info, fd *ast.FuncDecl) map[types.Object]bool {
 			if !ok || len(call.Args) != 3 {
 				continue
 			}
-			if id, ok := call.Fun.(*ast.Ident); ok {
-				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "make" {
-					if lid, ok := as.Lhs[i].(*ast.Ident); ok {
-						if obj := info.Defs[lid]; obj != nil {
-							out[obj] = true
-						} else if obj := info.Uses[lid]; obj != nil {
-							out[obj] = true
-						}
+			if builtinName(info, call) == "make" {
+				if lid, ok := as.Lhs[i].(*ast.Ident); ok {
+					if obj := info.Defs[lid]; obj != nil {
+						out[obj] = true
+					} else if obj := info.Uses[lid]; obj != nil {
+						out[obj] = true
 					}
 				}
 			}
@@ -209,6 +221,17 @@ func cappedLocals(info *types.Info, fd *ast.FuncDecl) map[types.Object]bool {
 		return true
 	})
 	return out
+}
+
+// builtinName returns the name of the builtin a call invokes ("make",
+// "new", …), or "" when the callee is anything else.
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	if id, ok := call.Fun.(*ast.Ident); ok {
+		if b, ok := info.Uses[id].(*types.Builtin); ok {
+			return b.Name()
+		}
+	}
+	return ""
 }
 
 // calleeObject resolves the object a call expression invokes: a plain

@@ -87,10 +87,5 @@ func isFloatOrComplex(t types.Type) bool {
 }
 
 func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "append"
+	return builtinName(info, call) == "append"
 }

@@ -24,7 +24,7 @@ import (
 //repro:oracle
 func newFullDiscMatcher(dft *fourier.VolumeDFT, cfg Config) *matcher {
 	l := dft.SrcL
-	m := &matcher{dft: dft, smp: dft.NewSampler(cfg.Interp), cfg: cfg, l: l, invL2: 1 / float64(l*l), cuts: fourier.NewCutCache(0)}
+	m := &matcher{dft: dft, smp: dft.NewSampler(cfg.Interp), cfg: cfg, l: l, invL2: 1 / float64(l*l)}
 	rmax := math.Min(cfg.RMap, float64(l)/2)
 	ri := int(rmax)
 	for h := -ri; h <= ri; h++ {
@@ -97,8 +97,8 @@ func friedelConfigs(l int) map[string]Config {
 }
 
 // TestHalfBandMatchesFullDisc holds every distance variant of the half
-// band to the full-disc oracle at ≤ 1e-12 relative: plain, windowed,
-// lattice (cut-cache) and magnitude distances at every schedule level's
+// band to the full-disc oracle at ≤ 1e-12 relative: plain, windowed
+// (off- and on-lattice) and magnitude distances at every schedule level's
 // prefix length, and shifted distances at non-zero shifts, before and
 // after centre shifts are baked into the view.
 func TestHalfBandMatchesFullDisc(t *testing.T) {
@@ -175,16 +175,17 @@ func TestHalfBandMatchesFullDisc(t *testing.T) {
 							t.Fatalf("%s level %d shiftedDistance(%g,%g) at %v: half %.17g, full %.17g (rel %.3g)", stage, li, dx, dy, o, a, b, d)
 						}
 					}
-					keys := make([]orientKey, 10)
-					for i := range keys {
-						keys[i] = keyOf(micrograph.RandomOrientation(rng), lv.RAngular)
+					// Lattice orientations, as the adaptive descent scores them.
+					lattice := make([]geom.Euler, 10)
+					for i := range lattice {
+						lattice[i] = eulerOfKey(keyOf(micrograph.RandomOrientation(rng), lv.RAngular), lv.RAngular)
 					}
-					hd, fd = hd[:len(keys)], fd[:len(keys)]
-					half.distanceLattice(hv, keys, lv.RAngular, nh, hs, hd)
-					full.distanceLattice(fv, keys, lv.RAngular, nf, fs, fd)
-					for i := range keys {
+					hd, fd = hd[:len(lattice)], fd[:len(lattice)]
+					half.distanceWindow(hv, lattice, nh, hs, hd)
+					full.distanceWindow(fv, lattice, nf, fs, fd)
+					for i, o := range lattice {
 						if d := friedelRel(hd[i], fd[i], floor); d > tol {
-							t.Fatalf("%s level %d distanceLattice key %v: half %.17g, full %.17g (rel %.3g)", stage, li, keys[i], hd[i], fd[i], d)
+							t.Fatalf("%s level %d distanceWindow at lattice point %v: half %.17g, full %.17g (rel %.3g)", stage, li, o, hd[i], fd[i], d)
 						}
 					}
 				}

@@ -48,16 +48,11 @@ type matcher struct {
 	fh, fk, wt []float64
 	// invL2 normalizes distances to the paper's 1/l² scale.
 	invL2 float64
-	// cuts memoizes reference cuts at lattice orientations for the
-	// adaptive search; shared (and concurrency-safe) across all workers
-	// so views descending over the same level grid reuse each other's
-	// interpolated cuts.
-	cuts *fourier.CutCache
 }
 
 func newMatcher(dft *fourier.VolumeDFT, cfg Config) *matcher {
 	l := dft.SrcL
-	m := &matcher{dft: dft, smp: dft.NewSampler(cfg.Interp), cfg: cfg, l: l, invL2: 1 / float64(l*l), cuts: fourier.NewCutCache(0)}
+	m := &matcher{dft: dft, smp: dft.NewSampler(cfg.Interp), cfg: cfg, l: l, invL2: 1 / float64(l*l)}
 	rmax := math.Min(cfg.RMap, float64(l)/2)
 	ri := int(rmax)
 	// Friedel half plane {h > 0} ∪ {h = 0, k ≥ 0}: map and views are
@@ -177,10 +172,9 @@ type matchScratch struct {
 	cut       []complex128          // candidate cut being scored
 	centerCut []complex128          // fixed best cut during centre refinement
 	orients   []geom.Euler          // current window grid
-	pending   []geom.Euler          // uncached subset of the window
+	pending   []geom.Euler          // uncached candidates, scored as one batch
 	keys      []orientKey           // adaptive candidate batch (lattice keys)
-	pendKeys  []orientKey           // uncached subset of keys
-	dists     []float64             // batched distances for pending/pendKeys
+	dists     []float64             // batched distances for pending
 	cache     map[orientKey]float64 // per-level distance memo across window slides
 }
 
@@ -189,13 +183,12 @@ type matchScratch struct {
 // batches and the flat scan's occasional large windows share one
 // steady-state allocation (the same pattern sc.pending follows through
 // append).
+//
+//repro:hotpath
 func (sc *matchScratch) growDists(n int) []float64 {
 	if cap(sc.dists) < n {
-		newCap := 2 * cap(sc.dists)
-		if newCap < n {
-			newCap = n
-		}
-		sc.dists = make([]float64, newCap)
+		//replint:allow hotpathalloc worker-owned scratch doubled on demand: it reaches the level's largest batch (one flat window, or 27+probes lattice keys) within the first view and never allocates again
+		sc.dists = make([]float64, max(n, 2*cap(sc.dists)))
 	}
 	return sc.dists[:n]
 }
@@ -228,7 +221,7 @@ type viewData struct {
 // refW, when non-nil, is the per-band-entry weight applied to every
 // cut during matching.
 func (m *matcher) prepareView(f *volume.CImage, refW []float64) *viewData {
-	vd := &viewData{vals: make([]complex128, len(m.band)), refW: refW}
+	vd := &viewData{vals: make([]complex128, len(m.band)), prefixE: make([]float64, len(m.band)+1), refW: refW}
 	for i, e := range m.band {
 		vd.vals[i] = f.Data[wrapIdx(e.h, m.l)*m.l+wrapIdx(e.k, m.l)]
 	}
@@ -239,9 +232,6 @@ func (m *matcher) prepareView(f *volume.CImage, refW []float64) *viewData {
 // rebuildEnergy recomputes the prefix-energy table after the values
 // change.
 func (vd *viewData) rebuildEnergy(band []bandEntry) {
-	if vd.prefixE == nil {
-		vd.prefixE = make([]float64, len(band)+1)
-	}
 	var acc float64
 	vd.prefixE[0] = 0
 	for i, e := range band {
@@ -394,50 +384,6 @@ func (m *matcher) distanceWindow(vd *viewData, orients []geom.Euler, n int, sc *
 		m.sampleCut(cut, vd.refW, o)
 		dst[i] = m.distanceToCut(vd, cut)
 	}
-}
-
-// distanceLattice scores candidate lattice orientations (key · step
-// degrees per axis) in one batched call, writing dst[i] for keys[i].
-// Reference cuts come from the shared orientation-quantized cut cache:
-// lattice candidates are exact cache keys, so every view descending
-// over a level's grid reuses cuts any other view (or worker) already
-// interpolated there.
-//
-//repro:hotpath
-func (m *matcher) distanceLattice(vd *viewData, keys []orientKey, step float64, n int, sc *matchScratch, dst []float64) {
-	matchDistanceEvals.Add(int64(len(keys)))
-	for i, k := range keys {
-		cut := m.latticeCut(k, step, n)
-		if vd.refW != nil {
-			// A CTF-weighted comparison cannot consume the shared raw
-			// cut directly — apply the view's cut weights into worker
-			// scratch.
-			w := sc.cut[:n]
-			for j, c := range cut {
-				wj := vd.refW[j]
-				w[j] = complex(real(c)*wj, imag(c)*wj)
-			}
-			cut = w
-		}
-		dst[i] = m.distanceToCut(vd, cut)
-	}
-}
-
-// latticeCut returns the shared reference cut at lattice key k —
-// served from the cut cache when present, sampled and published
-// otherwise. Every worker materializes the identical float64 angles
-// for a given key (eulerOfKey is exact), so the cached coefficients
-// are bit-identical to a fresh sample and the returned slice is safe
-// to share; callers must treat it as immutable.
-func (m *matcher) latticeCut(k orientKey, step float64, n int) []complex128 {
-	ck := fourier.CutKey{Step: step, T: k[0], P: k[1], O: k[2], N: n}
-	if cut, ok := m.cuts.Get(ck); ok {
-		return cut
-	}
-	cut := make([]complex128, n)
-	rot := eulerOfKey(k, step).Matrix()
-	m.smp.SampleCut(cut, m.fh[:n], m.fk[:n], rot.Col(0), rot.Col(1))
-	return m.cuts.Put(ck, cut)
 }
 
 // shiftedDistance evaluates the distance between the view shifted by

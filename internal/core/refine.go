@@ -134,8 +134,8 @@ func keyOf(o geom.Euler, step float64) orientKey {
 
 // eulerOfKey materializes the orientation at lattice key k — the exact
 // inverse of keyOf for on-grid orientations. Every worker computes the
-// identical float64 angles for a given key, which is what makes
-// lattice keys safe as shared cut-cache keys.
+// identical float64 angles for a given key, so a lattice candidate's
+// distance does not depend on which worker, run or resume scores it.
 func eulerOfKey(k orientKey, step float64) geom.Euler {
 	return geom.Euler{Theta: float64(k[0]) * step, Phi: float64(k[1]) * step, Omega: float64(k[2]) * step}
 }
@@ -168,7 +168,7 @@ func (r *Refiner) RefineView(v *View, init geom.Euler) Result {
 // refineViewWith is RefineView bound to caller-owned scratch (one per
 // worker in the batch paths).
 func (r *Refiner) refineViewWith(v *View, init geom.Euler, sc *matchScratch) Result {
-	return r.refineViewRange(v, Result{Orient: init}, 0, len(r.cfg.Schedule), sc)
+	return r.refineViewRange(v, Result{Orient: init}, 0, len(r.cfg.Schedule), sc, "")
 }
 
 // refineViewRange runs schedule levels [start, stop) for one view,
@@ -177,13 +177,18 @@ func (r *Refiner) refineViewWith(v *View, init geom.Euler, sc *matchScratch) Res
 // for a fresh view with an empty prior, and restored for a checkpointed
 // view by replaying res.PerLevel[...].Shifts through ApplyShift).
 // res.PerLevel is cloned before appending so priors shared across runs
-// are never mutated.
-func (r *Refiner) refineViewRange(v *View, res Result, start, stop int, sc *matchScratch) Result {
+// are never mutated. force, when non-empty, overrides the configured
+// per-level search mode (the exhaustive oracle's only difference).
+func (r *Refiner) refineViewRange(v *View, res Result, start, stop int, sc *matchScratch, force SearchMode) Result {
 	viewsRefined.Inc()
 	res.PerLevel = append([]LevelStats(nil), res.PerLevel...)
 	for li := start; li < stop; li++ {
+		mode := force
+		if mode == "" {
+			mode = r.cfg.searchModeAt(li)
+		}
 		rng := newSearchRNG(r.cfg.SearchSeed, li, res.Orient)
-		st := r.refineLevel(v.vd, &res, r.cfg.Schedule[li], sc, &rng, r.cfg.searchModeAt(li))
+		st := r.refineLevel(v.vd, &res, r.cfg.Schedule[li], sc, &rng, mode)
 		recordLevelStats(li, st)
 		res.PerLevel = append(res.PerLevel, st)
 	}
@@ -201,25 +206,14 @@ func (r *Refiner) refineViewRange(v *View, res Result, start, stop int, sc *matc
 func (r *Refiner) ExhaustiveRefine(v *View, init geom.Euler) Result {
 	sc := r.getScratch()
 	defer r.putScratch(sc)
-	viewsRefined.Inc()
-	res := Result{Orient: init}
-	for li := range r.cfg.Schedule {
-		rng := newSearchRNG(r.cfg.SearchSeed, li, res.Orient)
-		st := r.refineLevel(v.vd, &res, r.cfg.Schedule[li], sc, &rng, SearchExhaustive)
-		recordLevelStats(li, st)
-		res.PerLevel = append(res.PerLevel, st)
-	}
-	return res
+	return r.refineViewRange(v, Result{Orient: init}, 0, len(r.cfg.Schedule), sc, SearchExhaustive)
 }
 
-// CutCacheStats reports the orientation-quantized cut cache's
-// cumulative hit/miss counts. Only the adaptive search routes through
-// the cache (the flat scan's windows sit on view-specific off-lattice
-// grids and sample cuts directly), so the rate measures adaptive
-// traffic alone.
-func (r *Refiner) CutCacheStats() (hits, misses int64) {
-	return r.m.cuts.Stats()
-}
+// CutCacheStats always reports (0, 0): the shared cut cache is gone.
+//
+// Deprecated: kept only because cmd/benchcycle still reads it; it goes
+// when that counter does.
+func (r *Refiner) CutCacheStats() (hits, misses int64) { return 0, 0 }
 
 // ApplyShift bakes an additional centre shift into a prepared view's
 // band coefficients — the exported form of the step-l correction, used
@@ -273,8 +267,7 @@ func (r *Refiner) refineLevel(vd *viewData, res *Result, lv Level, sc *matchScra
 				if math.Hypot(dx, dy) >= 0.25*lv.CenterDelta {
 					shifted = true
 					// The cached distances were measured against the
-					// old centre; the cut cache needs no such
-					// invalidation (cuts are view-independent).
+					// old centre.
 					clear(sc.cache)
 				}
 			}
@@ -327,12 +320,7 @@ func (r *Refiner) scanOrientations(vd *viewData, start geom.Euler, lv Level, n i
 				sc.pending = append(sc.pending, o)
 			}
 		}
-		dists := sc.growDists(len(sc.pending))
-		r.m.distanceWindow(vd, sc.pending, n, sc, dists)
-		for i, o := range sc.pending {
-			sc.cache[keyOf(o, lv.RAngular)] = dists[i]
-		}
-		st.Matchings += len(sc.pending)
+		r.scorePending(vd, lv.RAngular, n, st, sc)
 		for _, o := range sc.orients {
 			if d := sc.cache[keyOf(o, lv.RAngular)]; d < bestD {
 				bestD = d
@@ -367,10 +355,11 @@ const maxDryRounds = 4
 // like the flat scan.
 //
 // Candidates are global lattice cells (orientation = key · step), so
-// the per-level distance memo and the shared cut cache key them
-// exactly. The off-lattice starting orientation is evaluated as the
-// baseline: the descent only replaces it with a strictly better
-// lattice point, so snapping to the grid can never regress a level.
+// the per-level distance memo keys them exactly and a journaled
+// result names the same cell on every run. The off-lattice starting
+// orientation is evaluated as the baseline: the descent only replaces
+// it with a strictly better lattice point, so snapping to the grid can
+// never regress a level.
 func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, n int, st *LevelStats, sc *matchScratch, rng *searchRNG) (geom.Euler, float64) {
 	step := lv.RAngular
 	h := int64(math.Round(lv.WindowHalf / step))
@@ -399,7 +388,7 @@ func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, 
 			}
 		}
 	}
-	//replint:allow hotpathalloc scoreLatticeKeys grows sc.pendKeys, worker-owned scratch reused via [:0] that reaches steady-state capacity after the first batch
+	//replint:allow hotpathalloc scoreLatticeKeys grows sc.pending, worker-owned scratch reused via [:0] that reaches steady-state capacity after the first batch
 	r.scoreLatticeKeys(vd, step, n, st, sc)
 	for _, k := range sc.keys {
 		if d := sc.cache[k]; d < bestD {
@@ -458,26 +447,32 @@ func appendLatticeNeighbors(dst []orientKey, c orientKey) []orientKey {
 }
 
 // scoreLatticeKeys scores every key in sc.keys not already in the
-// level cache through the batched lattice kernel, landing the
-// distances in sc.cache. Duplicate keys within the batch deduplicate
-// via the same NaN-claim the flat scan uses.
+// level cache, landing the distances in sc.cache. Duplicate keys
+// within the batch deduplicate via the same NaN-claim the flat scan
+// uses.
 func (r *Refiner) scoreLatticeKeys(vd *viewData, step float64, n int, st *LevelStats, sc *matchScratch) {
-	sc.pendKeys = sc.pendKeys[:0]
+	sc.pending = sc.pending[:0]
 	for _, k := range sc.keys {
 		if _, ok := sc.cache[k]; !ok {
 			sc.cache[k] = math.NaN() // claimed; value lands below
-			sc.pendKeys = append(sc.pendKeys, k)
+			sc.pending = append(sc.pending, eulerOfKey(k, step))
 		}
 	}
-	if len(sc.pendKeys) == 0 {
-		return
+	r.scorePending(vd, step, n, st, sc)
+}
+
+// scorePending scores the claimed candidates in sc.pending through
+// distanceWindow — the one batched kernel both search modes share — and
+// lands each distance in sc.cache under its level-grid key (keyOf
+// inverts eulerOfKey exactly, so lattice candidates land on the key
+// that claimed them).
+func (r *Refiner) scorePending(vd *viewData, step float64, n int, st *LevelStats, sc *matchScratch) {
+	dists := sc.growDists(len(sc.pending))
+	r.m.distanceWindow(vd, sc.pending, n, sc, dists)
+	for i, o := range sc.pending {
+		sc.cache[keyOf(o, step)] = dists[i]
 	}
-	dists := sc.growDists(len(sc.pendKeys))
-	r.m.distanceLattice(vd, sc.pendKeys, step, n, sc, dists)
-	for i, k := range sc.pendKeys {
-		sc.cache[k] = dists[i]
-	}
-	st.Matchings += len(sc.pendKeys)
+	st.Matchings += len(sc.pending)
 }
 
 // refineCenter performs the sliding-box centre search (step k) against

@@ -94,14 +94,17 @@ type StreamOptions struct {
 // used.
 func StreamShape(opt StreamOptions) (fftWorkers, refineWorkers, depth int) {
 	const many = 1 << 30 // don't let a small n clamp the answer
-	fftWorkers = poolWorkers(many, opt.FFTWorkers)
-	refineWorkers = poolWorkers(many, opt.RefineWorkers)
+	return streamShape(many, opt)
+}
+
+// streamShape defaults the pipeline shape for a stream of n views:
+// worker counts clamp to n, depth to twice the larger worker count.
+func streamShape(n int, opt StreamOptions) (fftWorkers, refineWorkers, depth int) {
+	fftWorkers = poolWorkers(n, opt.FFTWorkers)
+	refineWorkers = poolWorkers(n, opt.RefineWorkers)
 	depth = opt.Depth
 	if depth <= 0 {
-		depth = 2 * fftWorkers
-		if 2*refineWorkers > depth {
-			depth = 2 * refineWorkers
-		}
+		depth = 2 * max(fftWorkers, refineWorkers)
 	}
 	return fftWorkers, refineWorkers, depth
 }
@@ -155,15 +158,7 @@ func (r *Refiner) refineStreamRange(ctx context.Context, n int, src StreamSource
 	if n == 0 {
 		return nil, nil
 	}
-	fftWorkers := poolWorkers(n, opt.FFTWorkers)
-	refineWorkers := poolWorkers(n, opt.RefineWorkers)
-	depth := opt.Depth
-	if depth <= 0 {
-		depth = 2 * fftWorkers
-		if 2*refineWorkers > depth {
-			depth = 2 * refineWorkers
-		}
-	}
+	fftWorkers, refineWorkers, depth := streamShape(n, opt)
 
 	type loadedView struct {
 		i    int
@@ -283,7 +278,7 @@ func (r *Refiner) refineStreamRange(ctx context.Context, n int, src StreamSource
 					prior = priors[pv.i]
 					prior.Orient = pv.init
 				}
-				results[pv.i] = r.refineViewRange(pv.v, prior, start, stop, sc)
+				results[pv.i] = r.refineViewRange(pv.v, prior, start, stop, sc, "")
 				streamViews.Inc()
 			}
 		})

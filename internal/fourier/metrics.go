@@ -12,13 +12,3 @@ var (
 	samplerCutCalls  = obs.NewCounter("fourier.sampler.cut_calls")
 	samplerCutCoeffs = obs.NewCounter("fourier.sampler.cut_coeffs")
 )
-
-// Cut-cache traffic (same shape as the FFT plan caches): hits are cut
-// reuses that skipped interpolation entirely, misses turn into samples
-// followed by a Put, and an eviction is one whole shard cleared on
-// budget overflow.
-var (
-	cutCacheHits      = obs.NewCounter("fourier.cut_cache.hits")
-	cutCacheMisses    = obs.NewCounter("fourier.cut_cache.misses")
-	cutCacheEvictions = obs.NewCounter("fourier.cut_cache.evictions")
-)

@@ -184,6 +184,15 @@ func (ds *Dataset) Images() []*volume.Image {
 	return out
 }
 
+// CTFs returns each view's microscope parameters in dataset order.
+func (ds *Dataset) CTFs() []ctf.Params {
+	out := make([]ctf.Params, len(ds.Views))
+	for i, v := range ds.Views {
+		out[i] = v.CTF
+	}
+	return out
+}
+
 // TiltSeries synthesizes a single-axis tilt series of the truth map:
 // views at the given tilt angles (degrees) about the Y axis, exactly
 // as computed tomography acquires them. This is the §2 contrast case —

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/core"
-	"repro/internal/ctf"
 	"repro/internal/cycle"
 	"repro/internal/fsc"
 	"repro/internal/obs"
@@ -28,10 +27,7 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 	n := len(ds.Views)
 	cds := cycle.Dataset{Views: ds.Images(), Inits: inits}
 	if ds.HasCTF {
-		cds.CTFs = make([]ctf.Params, n)
-		for i, v := range ds.Views {
-			cds.CTFs[i] = v.CTF
-		}
+		cds.CTFs = ds.CTFs()
 	}
 	cfg := cycle.Config{
 		L:             ds.L,
@@ -119,38 +115,8 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 			return nil
 		},
 		OnLevel: func(c, global int, results []core.Result) error {
-			t1 := m.clock()
-			obs.Span(0, worker, fmt.Sprintf("%s C%d L%d", jb.id, c, global%jb.spec.Levels), "serve.level", lastLevelStart, t1)
-			levelTicks.Observe(int64(t1 - lastLevelStart))
-			evals, slides, shifts := levelTotals(results, global)
-			obs.Emit(evLevelEnd, jb.id, global, t1, [obs.EventFieldsMax]obs.EventField{
-				{Key: "evals", Value: evals},
-				{Key: "slides", Value: slides},
-				{Key: "shifts", Value: shifts},
-				{Key: "ticks", Value: int64(t1 - lastLevelStart)},
-			})
-			levelsDone.Inc()
-			m.mu.Lock()
-			jb.levelsDone = global + 1
-			jb.results = results
-			var jerr error
-			if m.opt.Journal != nil {
-				jerr = m.opt.Journal.Level(jb.id, global, results)
-				if jerr == nil {
-					gaugeJournalBytes.Set(m.opt.Journal.Size())
-					obs.Emit(evCheckpoint, jb.id, global, t1, [obs.EventFieldsMax]obs.EventField{
-						{Key: "journal_bytes", Value: m.opt.Journal.Size()},
-					})
-				}
-			}
-			m.mu.Unlock()
-			if jerr != nil {
-				return jerr
-			}
-			if m.opt.OnLevel != nil {
-				m.opt.OnLevel(jb.id, global)
-			}
-			return nil
+			span := fmt.Sprintf("%s C%d L%d", jb.id, c, global%jb.spec.Levels)
+			return m.checkpointLevel(worker, jb, span, global, lastLevelStart, results)
 		},
 		OnMap: func(c int, g *volume.Grid) error {
 			ts := m.clock()

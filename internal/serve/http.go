@@ -23,7 +23,8 @@ import (
 //	                    see http_events.go
 //	GET    /jobs/{id}/events — one job's event stream
 //
-// Error mapping: invalid spec → 400, unknown job → 404, queue full →
+// Error mapping: invalid spec → 400, spec body over maxSpecBytes → 413,
+// unknown job → 404, queue full →
 // 429 with Retry-After (the client should back off and retry — the
 // job was not accepted), draining → 503, cancel of a finished job →
 // 409. Handlers never read the wall clock; anything time-shaped in a
@@ -91,13 +92,23 @@ func NewHandler(m *Manager) http.Handler {
 	return mux
 }
 
+// maxSpecBytes caps a POST /jobs body. A JobSpec is a few hundred
+// bytes; the cap only stops a client from making the decoder buffer an
+// arbitrarily long token.
+const maxSpecBytes = 1 << 20
+
 // handleSubmit decodes, validates and enqueues a job spec.
 func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	var spec JobSpec
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(m, w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("serve: decoding job spec: %v", err)})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(m, w, code, errorBody{Error: fmt.Sprintf("serve: decoding job spec: %v", err)})
 		return
 	}
 	st, err := m.Submit(spec)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -169,6 +170,42 @@ func TestHTTPBackpressure(t *testing.T) {
 	m.RequestDrain()
 	if resp, _ := postJob(t, ts, body); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining POST: %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPSubmitBodyLimit: a spec body over maxSpecBytes is refused
+// with 413 before anything is admitted — no journal record, no queue
+// slot — and the service keeps accepting normal specs afterwards.
+func TestHTTPSubmitBodyLimit(t *testing.T) {
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "jobs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	m, err := NewManager(Options{Stream: tinyStream(), Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(m))
+	defer ts.Close()
+
+	huge := `{"dataset":"` + strings.Repeat("a", maxSpecBytes) + `"}`
+	resp, data := postJob(t, ts, huge)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST: %d %.80s", resp.StatusCode, data)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(data, &eb); err != nil || eb.Error == "" {
+		t.Fatalf("413 body %q: %v", data, err)
+	}
+	m.mu.Lock()
+	queued := m.queued
+	m.mu.Unlock()
+	if queued != 0 || len(m.List()) != 0 || j.Size() != 0 {
+		t.Fatalf("oversized POST left queued=%d jobs=%d journal_bytes=%d, want all 0", queued, len(m.List()), j.Size())
+	}
+	if resp, data := postJob(t, ts, `{"dataset":"asymmetric","scale":2.5,"views":4,"levels":1}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("normal POST after oversized one: %d %s", resp.StatusCode, data)
 	}
 }
 

@@ -8,11 +8,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/ctf"
 	"repro/internal/cycle"
 	"repro/internal/fourier"
 	"repro/internal/obs"
-	"repro/internal/volume"
 	"repro/internal/workload"
 )
 
@@ -446,13 +444,7 @@ func (m *Manager) runJob(worker int, jb *job) {
 		return
 	}
 	n := len(ds.Views)
-	images := make([]*volume.Image, n)
-	ctfs := make([]ctf.Params, n)
-	for i, v := range ds.Views {
-		images[i] = v.Image
-		ctfs[i] = v.CTF
-	}
-	src := core.SliceSource(images, ctfs, inits)
+	src := core.SliceSource(ds.Images(), ds.CTFs(), inits)
 
 	m.mu.Lock()
 	start := jb.levelsDone
@@ -484,40 +476,52 @@ func (m *Manager) runJob(worker int, jb *job) {
 			return
 		}
 		priors = res
-		t1 := m.clock()
-		obs.Span(0, worker, fmt.Sprintf("%s L%d", jb.id, k), "serve.level", t0, t1)
-		levelTicks.Observe(int64(t1 - t0))
-		evals, slides, shifts := levelTotals(priors, k)
-		obs.Emit(evLevelEnd, jb.id, k, t1, [obs.EventFieldsMax]obs.EventField{
-			{Key: "evals", Value: evals},
-			{Key: "slides", Value: slides},
-			{Key: "shifts", Value: shifts},
-			{Key: "ticks", Value: int64(t1 - t0)},
-		})
-		levelsDone.Inc()
-		m.mu.Lock()
-		jb.levelsDone = k + 1
-		jb.results = priors
-		var jerr error
-		if m.opt.Journal != nil {
-			jerr = m.opt.Journal.Level(jb.id, k, priors)
-			if jerr == nil {
-				gaugeJournalBytes.Set(m.opt.Journal.Size())
-				obs.Emit(evCheckpoint, jb.id, k, t1, [obs.EventFieldsMax]obs.EventField{
-					{Key: "journal_bytes", Value: m.opt.Journal.Size()},
-				})
-			}
-		}
-		m.mu.Unlock()
-		if jerr != nil {
-			m.finish(jb, StateFailed, fmt.Sprintf("journaling level %d: %v", k, jerr), nil)
+		if err := m.checkpointLevel(worker, jb, fmt.Sprintf("%s L%d", jb.id, k), k, t0, priors); err != nil {
+			m.finish(jb, StateFailed, fmt.Sprintf("journaling level %d: %v", k, err), nil)
 			return
-		}
-		if m.opt.OnLevel != nil {
-			m.opt.OnLevel(jb.id, k)
 		}
 	}
 	m.finish(jb, StateDone, "", summarize(priors, ds.TrueOrientations()))
+}
+
+// checkpointLevel closes out one completed schedule level of a refine
+// or cycle job (level is the job-global index, t0 its start tick): the
+// span and level_end event, the job's resumable state, the fsynced
+// journal record with its checkpoint event, and last the OnLevel
+// callback. A journal error is returned before OnLevel runs.
+func (m *Manager) checkpointLevel(worker int, jb *job, span string, level int, t0 float64, results []core.Result) error {
+	t1 := m.clock()
+	obs.Span(0, worker, span, "serve.level", t0, t1)
+	levelTicks.Observe(int64(t1 - t0))
+	evals, slides, shifts := levelTotals(results, level)
+	obs.Emit(evLevelEnd, jb.id, level, t1, [obs.EventFieldsMax]obs.EventField{
+		{Key: "evals", Value: evals},
+		{Key: "slides", Value: slides},
+		{Key: "shifts", Value: shifts},
+		{Key: "ticks", Value: int64(t1 - t0)},
+	})
+	levelsDone.Inc()
+	m.mu.Lock()
+	jb.levelsDone = level + 1
+	jb.results = results
+	var jerr error
+	if m.opt.Journal != nil {
+		jerr = m.opt.Journal.Level(jb.id, level, results)
+		if jerr == nil {
+			gaugeJournalBytes.Set(m.opt.Journal.Size())
+			obs.Emit(evCheckpoint, jb.id, level, t1, [obs.EventFieldsMax]obs.EventField{
+				{Key: "journal_bytes", Value: m.opt.Journal.Size()},
+			})
+		}
+	}
+	m.mu.Unlock()
+	if jerr != nil {
+		return jerr
+	}
+	if m.opt.OnLevel != nil {
+		m.opt.OnLevel(jb.id, level)
+	}
+	return nil
 }
 
 // levelTotals aggregates one completed level's per-view work counters

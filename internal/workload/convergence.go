@@ -57,9 +57,7 @@ func RunConvergence(spec DatasetSpec, opt FSCOptions, maxCycles int) (*Convergen
 	centers := make([][2]float64, len(ds.Views))
 	var ctfs []ctf.Params
 	if ds.HasCTF {
-		for _, v := range ds.Views {
-			ctfs = append(ctfs, v.CTF)
-		}
+		ctfs = ds.CTFs()
 	}
 	out := &ConvergenceResult{Spec: spec}
 	recOpt := reconstruct.Options{WienerCTF: ds.HasCTF}

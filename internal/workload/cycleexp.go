@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/ctf"
 	"repro/internal/cycle"
 	"repro/internal/geom"
 )
@@ -59,10 +58,7 @@ func RunCycleDriver(spec DatasetSpec, opt CycleOptions) (*CycleDriverResult, err
 	inits := ds.PerturbedOrientations(spec.InitError, spec.Seed+1)
 	cds := cycle.Dataset{Views: ds.Images(), Inits: inits}
 	if ds.HasCTF {
-		cds.CTFs = make([]ctf.Params, len(ds.Views))
-		for i, v := range ds.Views {
-			cds.CTFs[i] = v.CTF
-		}
+		cds.CTFs = ds.CTFs()
 	}
 	cfg := cycle.Config{
 		L:             ds.L,

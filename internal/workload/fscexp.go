@@ -145,9 +145,7 @@ func runMethod(ds *micrograph.Dataset, spec DatasetSpec, inits []geom.Euler, opt
 
 	var ctfs []ctf.Params
 	if ds.HasCTF {
-		for _, v := range ds.Views {
-			ctfs = append(ctfs, v.CTF)
-		}
+		ctfs = ds.CTFs()
 	}
 
 	for cycle := 0; cycle < opt.Cycles; cycle++ {
