@@ -20,6 +20,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/micrograph"
 	"repro/internal/obs"
+	"repro/internal/parfft"
 	"repro/internal/phantom"
 	"repro/internal/reconstruct"
 	"repro/internal/volume"
@@ -439,8 +440,8 @@ func BenchmarkParallelDFTScaling(b *testing.B) {
 	g := phantom.SindbisLike(64)
 	var t1, t8 float64
 	for i := 0; i < b.N; i++ {
-		r1 := core.Transform3DOnCluster(cluster.New(1, cluster.SP2), g, 0)
-		r8 := core.Transform3DOnCluster(cluster.New(8, cluster.SP2), g, 0)
+		r1 := parfft.Transform3D(cluster.New(1, cluster.SP2), g, 0)
+		r8 := parfft.Transform3D(cluster.New(8, cluster.SP2), g, 0)
 		t1, t8 = r1.Elapsed, r8.Elapsed
 	}
 	b.ReportMetric(t1, "P1secs")

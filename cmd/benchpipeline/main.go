@@ -5,8 +5,8 @@
 //
 // It times three layers: the 3-D map transform (complex oracle vs the
 // Hermitian real-input path, plus the simulated slab DFT), the
-// streaming load→FFT→CTF→match pipeline against the batch path, and
-// the per-view allocation/footprint profile of a streaming pass.
+// streaming load→FFT→CTF→match pipeline, and the per-view
+// allocation/footprint profile of a streaming pass.
 // Optional -cpuprofile/-memprofile flags capture pprof data for the
 // whole run.
 package main
@@ -57,7 +57,6 @@ type Report struct {
 
 	// End-to-end refinement throughput.
 	SearchMode           string  `json:"search_mode"`
-	ViewsPerSecBatch     float64 `json:"views_per_sec_batch"`
 	ViewsPerSecStream    float64 `json:"views_per_sec_stream"`
 	DistanceEvalsPerView float64 `json:"distance_evals_per_view"`
 
@@ -145,7 +144,7 @@ func main() {
 	rep.NsView2DReal = float64(real2d.NsPerOp())
 	rep.View2DSpeedup = rep.NsView2DComplex / rep.NsView2DReal
 
-	// --- End-to-end throughput: batch vs streaming.
+	// --- End-to-end throughput of the streaming pipeline.
 	dft := fourier.NewVolumeDFTPadded(truth, pad)
 	cfg := core.DefaultConfig(l)
 	cfg.Search = core.SearchMode(*search)
@@ -154,40 +153,24 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	images, ctfs := ds.Images(), ds.CTFs()
 	inits := make([]geom.Euler, *views)
 	perturb := geom.Euler{Theta: 1.5, Phi: -1, Omega: 0.7}
 	for i, v := range ds.Views {
 		inits[i] = v.TrueOrient.Add(perturb)
 	}
-	src := core.SliceSource(images, ctfs, inits)
-
-	batchSecs := timeRun(func() {
-		pvs := make([]*core.View, *views)
-		for i := range images {
-			pv, err := r.PrepareView(images[i], ctfs[i])
-			if err != nil {
-				fatal(err)
-			}
-			pvs[i] = pv
-		}
-		results, err := r.RefineBatch(context.Background(), pvs, inits, 0)
-		if err != nil {
-			fatal(err)
-		}
-		var evals int
-		for i := range results {
-			evals += results[i].TotalMatchings()
-		}
-		rep.DistanceEvalsPerView = float64(evals) / float64(*views)
-	})
-	rep.ViewsPerSecBatch = float64(*views) / batchSecs
+	src := core.SliceSource(ds.Images(), ds.CTFs(), inits)
 
 	opt := core.StreamOptions{}
 	// Warm pipeline (plan caches, pools) before the measured pass.
-	if _, err := r.RefineStream(context.Background(), *views, src, opt); err != nil {
+	results, err := r.RefineStream(context.Background(), *views, src, opt)
+	if err != nil {
 		fatal(err)
 	}
+	var evals int
+	for i := range results {
+		evals += results[i].TotalMatchings()
+	}
+	rep.DistanceEvalsPerView = float64(evals) / float64(*views)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

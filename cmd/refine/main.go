@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -90,15 +91,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		views := make([]*core.View, len(ds.Views))
-		for i, v := range ds.Views {
-			pv, err := r.PrepareView(v.Image, v.CTF)
-			if err != nil {
-				log.Fatal(err)
-			}
-			views[i] = pv
-		}
-		results, err = r.RefineAll(views, inits, *workers)
+		src := core.SliceSource(ds.Images(), ds.CTFs(), inits)
+		results, err = r.RefineStream(context.Background(), len(inits), src, core.StreamOptions{FFTWorkers: *workers, RefineWorkers: *workers})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,14 +37,8 @@ func main() {
 		log.Fatal(err)
 	}
 	inits := ds.PerturbedOrientations(spec.InitError, 3)
-	views := make([]*core.View, len(ds.Views))
-	for i, v := range ds.Views {
-		views[i], err = refiner.PrepareView(v.Image, v.CTF)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	results, err := refiner.RefineAll(views, inits, 0)
+	src := core.SliceSource(ds.Images(), ds.CTFs(), inits)
+	results, err := refiner.RefineStream(context.Background(), len(inits), src, core.StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // CtxLeak flags goroutines that cannot be shut down. PR 5 fixed this
-// class by hand — RefineBatch/RefineStream goroutines learned to abort
+// class by hand — RefineStream's stage goroutines learned to abort
 // between views when the job context is cancelled — and the daemon's
 // graceful-drain contract depends on every long-lived goroutine in the
 // service and execution layers (internal/serve, internal/pool,

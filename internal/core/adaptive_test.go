@@ -115,18 +115,14 @@ func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 		pv, _ := r.PrepareView(v.Image, v.CTF)
 		serial = append(serial, r.RefineView(pv, inits[i]))
 	}
+	src := SliceSource(ds.Images(), ds.CTFs(), inits)
 	for _, workers := range []int{1, 2, 8} {
-		var views []*View
-		for _, v := range ds.Views {
-			pv, _ := r.PrepareView(v.Image, v.CTF)
-			views = append(views, pv)
-		}
-		res, err := r.RefineBatch(context.Background(), views, inits, workers)
+		res, err := r.RefineStream(context.Background(), len(inits), src, StreamOptions{FFTWorkers: workers, RefineWorkers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(serial, res) {
-			t.Fatalf("workers=%d: batch results differ from serial RefineView", workers)
+			t.Fatalf("workers=%d: stream results differ from serial RefineView", workers)
 		}
 	}
 }
@@ -239,23 +235,12 @@ func TestAdaptiveVirtualWindowSlides(t *testing.T) {
 	}
 }
 
-// TestSearchConfigValidate: unknown search modes and negative search
-// parameters are rejected up front.
+// TestSearchConfigValidate: unknown search modes are rejected up front.
 func TestSearchConfigValidate(t *testing.T) {
 	cfg := DefaultConfig(16)
 	cfg.Search = "simulated-annealing"
 	if err := cfg.Validate(); err == nil {
 		t.Error("unknown search mode accepted")
-	}
-	cfg = DefaultConfig(16)
-	cfg.SearchProbes = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative SearchProbes accepted")
-	}
-	cfg = DefaultConfig(16)
-	cfg.ExhaustiveLevels = -2
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative ExhaustiveLevels accepted")
 	}
 	for _, mode := range []SearchMode{"", SearchExhaustive, SearchAdaptive} {
 		cfg = DefaultConfig(16)
@@ -263,34 +248,6 @@ func TestSearchConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("mode %q rejected: %v", mode, err)
 		}
-	}
-}
-
-// TestExhaustiveLevelsForcesScan: with ExhaustiveLevels set, the early
-// levels run the flat scan (window-sized eval counts) and later levels
-// switch to the descent.
-func TestExhaustiveLevelsForcesScan(t *testing.T) {
-	l := 20
-	dft, ds := testSetup(t, l, 1, micrograph.GenParams{Seed: 51})
-	cfg := quickConfig(l)
-	cfg.ExhaustiveLevels = 1
-	r, err := NewRefiner(dft, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := ds.Views[0]
-	pv, _ := r.PrepareView(v.Image, v.CTF)
-	res := r.RefineView(pv, v.TrueOrient.Add(geom.Euler{Theta: 1, Phi: -1, Omega: 0.5}))
-	// Level 0 scanned a full 9×9×9 window: at least window-size evals.
-	if res.PerLevel[0].Matchings < 729 {
-		t.Errorf("level 0 ran %d matchings, expected a full window scan (≥729)", res.PerLevel[0].Matchings)
-	}
-	if res.PerLevel[0].DescentMoves != 0 {
-		t.Errorf("level 0 recorded %d descent moves under forced scan", res.PerLevel[0].DescentMoves)
-	}
-	// Level 1 descended: far fewer evals than its 729-cell window.
-	if res.PerLevel[1].Matchings >= 729 {
-		t.Errorf("level 1 ran %d matchings, expected an adaptive descent (<729)", res.PerLevel[1].Matchings)
 	}
 }
 

@@ -159,17 +159,6 @@ type Config struct {
 	// streams (per level and per level-entry orientation). Two runs
 	// with the same seed are bit-identical regardless of worker count.
 	SearchSeed int64
-	// SearchProbes is how many random lattice probes the adaptive
-	// descent adds to each neighborhood batch (0 selects 2). More
-	// probes escape shallow local minima at proportionally more
-	// distance evaluations.
-	SearchProbes int
-	// ExhaustiveLevels forces the flat window scan on the first n
-	// schedule levels even under SearchAdaptive, for callers whose
-	// initial orientations are too rough to trust a descent. The
-	// default 0 runs the descent everywhere — its virtual sliding
-	// window (see DESIGN.md §12) already covers edge-chasing starts.
-	ExhaustiveLevels int
 }
 
 // DefaultConfig returns a production configuration for maps of size l:
@@ -186,25 +175,6 @@ func DefaultConfig(l int) Config {
 		ParabolicCenter: true,
 		Search:          SearchAdaptive,
 	}
-}
-
-// searchModeAt resolves the orientation-search mode of schedule level
-// li: adaptive configurations still run the flat scan on the first
-// ExhaustiveLevels levels, and every other Search value — including
-// the zero value — is the exhaustive scan.
-func (c *Config) searchModeAt(li int) SearchMode {
-	if c.Search == SearchAdaptive && li >= c.ExhaustiveLevels {
-		return SearchAdaptive
-	}
-	return SearchExhaustive
-}
-
-// effSearchProbes resolves the zero-means-default probe count.
-func (c *Config) effSearchProbes() int {
-	if c.SearchProbes == 0 {
-		return 2
-	}
-	return c.SearchProbes
 }
 
 // Validate reports configuration errors.
@@ -237,12 +207,6 @@ func (c *Config) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown search mode %q", c.Search)
 	}
-	if c.SearchProbes < 0 {
-		return fmt.Errorf("core: SearchProbes must be non-negative")
-	}
-	if c.ExhaustiveLevels < 0 {
-		return fmt.Errorf("core: ExhaustiveLevels must be non-negative")
-	}
 	return nil
 }
 
@@ -272,8 +236,8 @@ type LevelStats struct {
 	// Shifts records, in application order, every centre-shift
 	// increment (dx, dy) baked into the view's band during this level
 	// (one entry per refineLevel round that moved the centre). Replaying
-	// the increments on a freshly prepared view — in PerLevel order,
-	// via Refiner.ApplyShift — reproduces the view's band state
+	// the increments on a freshly prepared view — in PerLevel order, as
+	// the stream's FFT stage does — reproduces the view's band state
 	// bit-identically, which is what lets a checkpointed refinement
 	// resume mid-schedule with no numerical drift (see RefineStreamLevels).
 	Shifts [][2]float64

@@ -34,45 +34,6 @@ func clusterInputs(ds *micrograph.Dataset, perturb geom.Euler) ([]*volume.Image,
 	return images, ctfs, inits
 }
 
-func TestRefineBatchBitIdenticalUnderObs(t *testing.T) {
-	r, ds := streamFixture(t, 4)
-	perturb := geom.Euler{Theta: 0.8, Phi: -0.5, Omega: 0.3}
-
-	run := func() []Result {
-		views := make([]*View, len(ds.Views))
-		inits := make([]geom.Euler, len(ds.Views))
-		for i, v := range ds.Views {
-			pv, err := r.PrepareView(v.Image, v.CTF)
-			if err != nil {
-				t.Fatal(err)
-			}
-			views[i] = pv
-			inits[i] = v.TrueOrient.Add(perturb)
-		}
-		res, err := r.RefineBatch(context.Background(), views, inits, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	prev := obs.SetEnabled(false)
-	defer obs.SetEnabled(prev)
-	plain := run()
-
-	obs.SetEnabled(true)
-	obs.StartTrace()
-	obs.StartEvents(1024)
-	instrumented := run()
-	obs.EndTrace()
-	obs.StopEvents()
-
-	if !reflect.DeepEqual(plain, instrumented) {
-		t.Fatalf("RefineBatch results differ under instrumentation:\n  plain        %+v\n  instrumented %+v",
-			plain, instrumented)
-	}
-}
-
 func TestRefineStreamBitIdenticalUnderObs(t *testing.T) {
 	r, ds := streamFixture(t, 5)
 	perturb := geom.Euler{Theta: -0.6, Phi: 0.4, Omega: 0.9}

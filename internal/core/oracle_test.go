@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -343,7 +342,7 @@ func TestRefineViewMatchesOracleRefinement(t *testing.T) {
 	}
 }
 
-// oracleRefineView mirrors refineViewWith/refineLevel exactly but
+// oracleRefineView mirrors refineViewRange/refineLevel exactly but
 // evaluates every matching through the scalar oracle loops.
 func oracleRefineView(r *Refiner, vd *viewData, init geom.Euler) Result {
 	res := Result{Orient: init}
@@ -461,42 +460,4 @@ func oracleRefineCenter(r *Refiner, vd *viewData, o geom.Euler, lv Level, n int)
 		}
 	}
 	return bestDx, bestDy, bestD
-}
-
-// TestRefineBatchDeterministic: RefineBatch must produce bit-identical
-// results for any worker count.
-func TestRefineBatchDeterministic(t *testing.T) {
-	l := 20
-	truth := phantom.Asymmetric(l, 6, 1)
-	truth.SphericalMask(8)
-	ds := micrograph.Generate(truth, micrograph.GenParams{NumViews: 7, PixelA: 2, Seed: 71})
-	dft := fourier.NewVolumeDFTPadded(truth, 2)
-	cfg := DefaultConfig(l)
-	cfg.Schedule = []Level{{RAngular: 1, WindowHalf: 3, CenterDelta: 1, CenterHalf: 1}}
-	r, err := NewRefiner(dft, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inits := ds.PerturbedOrientations(2, 72)
-	var ref []Result
-	for _, workers := range []int{1, 2, 8} {
-		var views []*View
-		for _, v := range ds.Views {
-			pv, _ := r.PrepareView(v.Image, v.CTF)
-			views = append(views, pv)
-		}
-		res, err := r.RefineBatch(context.Background(), views, inits, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		for i := range res {
-			if res[i].Orient != ref[i].Orient || res[i].Center != ref[i].Center || res[i].Distance != ref[i].Distance {
-				t.Fatalf("workers=%d: view %d result differs from workers=1", workers, i)
-			}
-		}
-	}
 }

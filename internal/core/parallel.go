@@ -9,7 +9,6 @@ import (
 	"repro/internal/fourier"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/parfft"
 	"repro/internal/volume"
 )
 
@@ -187,7 +186,7 @@ func (r *Refiner) RefineOnCluster(
 				// serial path, so cluster refinement is bit-identical
 				// to RefineView regardless of node count.
 				rng := newSearchRNG(r.cfg.SearchSeed, li, states[i].Orient)
-				sts[i] = r.refineLevel(myViews[i].vd, &states[i], lv, scratches[w], &rng, r.cfg.searchModeAt(li))
+				sts[i] = r.refineLevel(myViews[i].vd, &states[i], lv, scratches[w], &rng, r.cfg.Search)
 			})
 			for i, q := range myIdx {
 				st := sts[i]
@@ -243,12 +242,4 @@ func (r *Refiner) RefineOnCluster(
 	}
 	times.Total = times.DFT3D + times.ReadImages + times.FFTAnalysis + times.Refinement
 	return results, times, nil
-}
-
-// Transform3DOnCluster is a convenience wrapper that runs the parallel
-// 3-D DFT of the map (step a) on the cluster and returns both the
-// spectrum and its simulated cost, ready to feed NewRefiner and
-// ParallelOptions.DFT3DSecs.
-func Transform3DOnCluster(cl *cluster.Cluster, g *volume.Grid, readSecs float64) (res parfft.Result) {
-	return parfft.Transform3D(cl, g, readSecs)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -166,27 +165,23 @@ func (r *Refiner) RefineView(v *View, init geom.Euler) Result {
 }
 
 // refineViewWith is RefineView bound to caller-owned scratch (one per
-// worker in the batch paths).
+// worker in GlobalSearch's pool).
 func (r *Refiner) refineViewWith(v *View, init geom.Euler, sc *matchScratch) Result {
-	return r.refineViewRange(v, Result{Orient: init}, 0, len(r.cfg.Schedule), sc, "")
+	return r.refineViewRange(v, Result{Orient: init}, 0, len(r.cfg.Schedule), sc, r.cfg.Search)
 }
 
 // refineViewRange runs schedule levels [start, stop) for one view,
 // continuing from the accumulated result res. The view's band must
 // already reflect every shift recorded in res.PerLevel (true trivially
 // for a fresh view with an empty prior, and restored for a checkpointed
-// view by replaying res.PerLevel[...].Shifts through ApplyShift).
-// res.PerLevel is cloned before appending so priors shared across runs
-// are never mutated. force, when non-empty, overrides the configured
-// per-level search mode (the exhaustive oracle's only difference).
-func (r *Refiner) refineViewRange(v *View, res Result, start, stop int, sc *matchScratch, force SearchMode) Result {
+// view by the stream's FFT stage, which replays res.PerLevel[...].Shifts
+// through the matcher's applyShift). res.PerLevel is cloned before appending so priors shared across runs
+// are never mutated. mode is the orientation search of every level:
+// Config.Search everywhere but the exhaustive oracle.
+func (r *Refiner) refineViewRange(v *View, res Result, start, stop int, sc *matchScratch, mode SearchMode) Result {
 	viewsRefined.Inc()
 	res.PerLevel = append([]LevelStats(nil), res.PerLevel...)
 	for li := start; li < stop; li++ {
-		mode := force
-		if mode == "" {
-			mode = r.cfg.searchModeAt(li)
-		}
 		rng := newSearchRNG(r.cfg.SearchSeed, li, res.Orient)
 		st := r.refineLevel(v.vd, &res, r.cfg.Schedule[li], sc, &rng, mode)
 		recordLevelStats(li, st)
@@ -215,23 +210,14 @@ func (r *Refiner) ExhaustiveRefine(v *View, init geom.Euler) Result {
 // when that counter does.
 func (r *Refiner) CutCacheStats() (hits, misses int64) { return 0, 0 }
 
-// ApplyShift bakes an additional centre shift into a prepared view's
-// band coefficients — the exported form of the step-l correction, used
-// to restore a checkpointed view: replaying a result's recorded
-// LevelStats.Shifts in order reproduces the band state of the original
-// run bit-for-bit (phase ramps are applied incrementally, so the replay
-// performs the identical float operations).
-func (r *Refiner) ApplyShift(v *View, dx, dy float64) {
-	r.m.applyShift(v.vd, dx, dy)
-}
-
 // refineLevel performs one schedule level, updating res in place.
 // Orientation search (steps f–j) and centre refinement (steps k–l)
 // are coupled — a mis-centred view biases the orientation search and
 // vice versa — so the level alternates the two until neither moves
 // (at most maxLevelIters rounds). mode selects how the orientation
-// window is searched: the flat exhaustive scan or the seeded adaptive
-// descent (rng carries the level's probe stream; the scan ignores it).
+// window is searched: SearchAdaptive is the seeded descent (rng carries
+// the level's probe stream), every other value — the zero value
+// included — the flat exhaustive scan, which ignores rng.
 //
 //repro:hotpath
 func (r *Refiner) refineLevel(vd *viewData, res *Result, lv Level, sc *matchScratch, rng *searchRNG, mode SearchMode) LevelStats {
@@ -339,14 +325,19 @@ func (r *Refiner) scanOrientations(vd *viewData, start geom.Euler, lv Level, n i
 // maxDryRounds is how many consecutive non-improving descent rounds
 // the adaptive search tolerates before stopping: each dry round still
 // draws fresh random probes, so the stop criterion is "neighborhood
-// plus ~maxDryRounds·SearchProbes window samples found nothing
+// plus ~maxDryRounds·searchProbes window samples found nothing
 // better", not merely "the 26 neighbors found nothing".
 const maxDryRounds = 4
+
+// searchProbes is how many random lattice probes the adaptive descent
+// adds to each neighborhood batch; more probes escape shallow local
+// minima at proportionally more distance evaluations.
+const searchProbes = 2
 
 // descendOrientations is the adaptive orientation search: seeded
 // stochastic hill-climbing over the level's orientation lattice
 // (step lv.RAngular per axis). Each round scores the 3×3×3
-// neighborhood of the current best plus SearchProbes random probes
+// neighborhood of the current best plus searchProbes random probes
 // within the window half-width — one batched kernel call over the
 // not-yet-cached candidates — and moves to the round's argmin. A
 // virtual window tracks the paper's sliding rule: when the best
@@ -366,7 +357,6 @@ func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, 
 	if h < 1 {
 		h = 1
 	}
-	probes := r.cfg.effSearchProbes()
 
 	baseD := r.m.distance(vd, start, n, sc)
 	st.Matchings++
@@ -399,7 +389,7 @@ func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, 
 	for dry := 0; dry < maxDryRounds; {
 		//replint:allow hotpathalloc appendLatticeNeighbors grows sc.keys, worker-owned scratch reused via [:0] that holds its 27+probes capacity after the first round
 		sc.keys = appendLatticeNeighbors(sc.keys[:0], best)
-		for p := 0; p < probes; p++ {
+		for p := 0; p < searchProbes; p++ {
 			sc.keys = append(sc.keys, orientKey{
 				best[0] + rng.offset(h),
 				best[1] + rng.offset(h),
@@ -537,43 +527,4 @@ func (r *Refiner) refineCenter(vd *viewData, o geom.Euler, lv Level, n int, st *
 		}
 	}
 	return bestDx, bestDy, bestD
-}
-
-// RefineBatch refines many views on a bounded worker pool (the
-// shared-memory analogue of the paper's view partitioning): workers
-// pull view indices from a shared counter, each worker owns one kernel
-// scratch for its whole run, and results land in input order
-// regardless of scheduling. inits must parallel views. workers ≤ 0
-// selects GOMAXPROCS.
-//
-// Cancelling ctx aborts the batch between views: indices not yet
-// started are skipped, in-flight views run to completion, and the
-// context's error is returned (the partial results are discarded). ctx
-// must be non-nil; use RefineAll when cancellation is not needed.
-func (r *Refiner) RefineBatch(ctx context.Context, views []*View, inits []geom.Euler, workers int) ([]Result, error) {
-	if len(views) != len(inits) {
-		return nil, fmt.Errorf("core: %d views but %d initial orientations", len(views), len(inits))
-	}
-	workers = poolWorkers(len(views), workers)
-	scratches := make([]*matchScratch, workers)
-	for w := range scratches {
-		scratches[w] = r.m.newScratch()
-	}
-	results := make([]Result, len(views))
-	runIndexedLabeled("core.refine.batch", len(views), workers, func(w, i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		results[i] = r.refineViewWith(views[i], inits[i], scratches[w])
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RefineAll is RefineBatch under its historical name, without
-// cancellation.
-func (r *Refiner) RefineAll(views []*View, inits []geom.Euler, workers int) ([]Result, error) {
-	return r.RefineBatch(context.Background(), views, inits, workers)
 }

@@ -186,41 +186,6 @@ func TestRefineWithNoise(t *testing.T) {
 	}
 }
 
-func TestRefineAllMatchesSerial(t *testing.T) {
-	l := 24
-	dft, ds := testSetup(t, l, 6, micrograph.GenParams{Seed: 14})
-	r, _ := NewRefiner(dft, quickConfig(l))
-	inits := ds.PerturbedOrientations(2, 15)
-	var fs []*View
-	for _, v := range ds.Views {
-		f, _ := r.PrepareView(v.Image, v.CTF)
-		fs = append(fs, f)
-	}
-	par, err := r.RefineAll(fs, inits, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range ds.Views {
-		// Views are stateful (centre shifts bake in), so the serial
-		// comparison needs freshly prepared copies.
-		f, _ := r.PrepareView(v.Image, v.CTF)
-		ser := r.RefineView(f, inits[i])
-		if par[i].Orient != ser.Orient || par[i].Center != ser.Center {
-			t.Fatalf("view %d: parallel %v/%v vs serial %v/%v",
-				i, par[i].Orient, par[i].Center, ser.Orient, ser.Center)
-		}
-	}
-}
-
-func TestRefineAllLengthMismatch(t *testing.T) {
-	l := 16
-	dft, _ := testSetup(t, l, 1, micrograph.GenParams{Seed: 16})
-	r, _ := NewRefiner(dft, quickConfig(l))
-	if _, err := r.RefineAll(make([]*View, 2), make([]geom.Euler, 3), 1); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	l := 16
 	truth := phantom.Asymmetric(l, 3, 1)

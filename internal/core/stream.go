@@ -25,11 +25,11 @@ func labeledStage(stage string, body func()) {
 	body()
 }
 
-// Streaming refinement. RefineBatch wants every view prepared up
-// front, which materializes all m view spectra at once; on
-// production-scale datasets (the paper's 4,422 views of 511² pixels)
-// that is gigabytes of complex coefficients that exist only to be
-// reduced to a band. RefineStream instead runs a bounded three-stage
+// Streaming refinement. Preparing every view up front materializes
+// all m view spectra at once; on production-scale datasets (the
+// paper's 4,422 views of 511² pixels) that is gigabytes of complex
+// coefficients that exist only to be reduced to a band. RefineStream —
+// the one many-view entry point — instead runs a bounded three-stage
 // pipeline
 //
 //	load → 2-D FFT + CTF + band extraction → refine
@@ -111,9 +111,9 @@ func streamShape(n int, opt StreamOptions) (fftWorkers, refineWorkers, depth int
 
 // RefineStream refines n views pulled on demand from src through the
 // bounded pipeline, returning results in input order. Results are
-// bit-identical to RefineBatch over the same views: per-view
-// refinement is deterministic and workers write only their own result
-// slot, so pipeline scheduling cannot leak into the output. The first
+// bit-identical to PrepareView + RefineView on each view in turn:
+// per-view refinement is deterministic and workers write only their
+// own result slot, so pipeline scheduling cannot leak into the output. The first
 // error (from src or from view preparation) cancels the pipeline and
 // is returned.
 //
@@ -278,7 +278,7 @@ func (r *Refiner) refineStreamRange(ctx context.Context, n int, src StreamSource
 					prior = priors[pv.i]
 					prior.Orient = pv.init
 				}
-				results[pv.i] = r.refineViewRange(pv.v, prior, start, stop, sc, "")
+				results[pv.i] = r.refineViewRange(pv.v, prior, start, stop, sc, r.cfg.Search)
 				streamViews.Inc()
 			}
 		})

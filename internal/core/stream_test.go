@@ -44,46 +44,46 @@ func datasetSource(ds *micrograph.Dataset, perturb geom.Euler) (int, StreamSourc
 	return len(views), SliceSource(views, ctfs, inits)
 }
 
-// TestRefineStreamMatchesBatch: the streaming pipeline must produce
-// bit-identical results to the prepare-everything-then-refine batch
-// path, for several pipeline shapes.
-func TestRefineStreamMatchesBatch(t *testing.T) {
-	r, ds := streamFixture(t, 6)
-	perturb := geom.Euler{Theta: 1.2, Phi: -0.8, Omega: 0.5}
-	n, src := datasetSource(ds, perturb)
-
-	views := make([]*View, n)
-	inits := make([]geom.Euler, n)
-	for i := 0; i < n; i++ {
-		it, _ := src(i)
-		v, err := r.PrepareView(it.Image, it.CTF)
+// TestRefineStreamMatchesSerial: the streaming pipeline must produce
+// results bit-identical to the serial form — PrepareView + RefineView,
+// one view at a time — for every pipeline shape and worker count, in
+// both search modes. PrepareView transforms through fourier.ImageDFT
+// and the stream through a reused ViewTransformer, so this also pins
+// the two view-transform paths to each other.
+func TestRefineStreamMatchesSerial(t *testing.T) {
+	l := 24
+	dft, ds := testSetup(t, l, 6, micrograph.GenParams{Seed: 14, CenterJitter: 1})
+	inits := ds.PerturbedOrientations(2, 15)
+	src := SliceSource(ds.Images(), ds.CTFs(), inits)
+	for _, mode := range []SearchMode{SearchAdaptive, SearchExhaustive} {
+		cfg := quickConfig(l)
+		cfg.Search = mode
+		cfg.SearchSeed = 77
+		r, err := NewRefiner(dft, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		views[i] = v
-		inits[i] = it.Init
-	}
-	want, err := r.RefineBatch(context.Background(), views, inits, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, opt := range []StreamOptions{
-		{},
-		{Depth: 1, FFTWorkers: 1, RefineWorkers: 1},
-		{Depth: 2, FFTWorkers: 3, RefineWorkers: 2},
-		{FFTWorkers: 8, RefineWorkers: 8},
-	} {
-		got, err := r.RefineStream(context.Background(), n, src, opt)
-		if err != nil {
-			t.Fatalf("opt %+v: %v", opt, err)
+		want := make([]Result, len(ds.Views))
+		for i, v := range ds.Views {
+			pv, err := r.PrepareView(v.Image, v.CTF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = r.RefineView(pv, inits[i])
 		}
-		if len(got) != n {
-			t.Fatalf("opt %+v: %d results, want %d", opt, len(got), n)
-		}
-		for i := range got {
-			if got[i].Orient != want[i].Orient || got[i].Center != want[i].Center || got[i].Distance != want[i].Distance {
-				t.Fatalf("opt %+v view %d: stream %+v vs batch %+v", opt, i, got[i], want[i])
+		for _, opt := range []StreamOptions{
+			{},
+			{Depth: 1, FFTWorkers: 1, RefineWorkers: 1},
+			{Depth: 2, FFTWorkers: 3, RefineWorkers: 2},
+			{FFTWorkers: 4, RefineWorkers: 4},
+			{FFTWorkers: 8, RefineWorkers: 8},
+		} {
+			got, err := r.RefineStream(context.Background(), len(ds.Views), src, opt)
+			if err != nil {
+				t.Fatalf("%s opt %+v: %v", mode, opt, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s opt %+v: stream results differ from serial RefineView", mode, opt)
 			}
 		}
 	}
@@ -158,27 +158,6 @@ func TestRefineStreamCancelNoLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: before %d, after %d", before, runtime.NumGoroutine())
-}
-
-// TestRefineBatchCancel: a cancelled context makes RefineBatch return
-// its error instead of results.
-func TestRefineBatchCancel(t *testing.T) {
-	r, ds := streamFixture(t, 3)
-	views := make([]*View, len(ds.Views))
-	inits := make([]geom.Euler, len(ds.Views))
-	for i, v := range ds.Views {
-		pv, err := r.PrepareView(v.Image, v.CTF)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views[i] = pv
-		inits[i] = v.TrueOrient
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := r.RefineBatch(ctx, views, inits, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
 }
 
 // TestRefineStreamLevelsResume: running the schedule one level at a

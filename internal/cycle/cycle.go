@@ -46,10 +46,6 @@ type Config struct {
 	Levels int
 	// Pad is the reference-map Fourier padding factor (0 selects 2).
 	Pad int
-	// MaskFrac scales the spherical mask applied to each cycle's
-	// reference map before matching, as a fraction of L (0 selects
-	// 0.45, the fraction the workload experiments use).
-	MaskFrac float64
 	// MaxCycles is the hard cap on cycles (≥1).
 	MaxCycles int
 	// PlateauEps is the minimum 0.5-crossing improvement (Å) that
@@ -68,14 +64,12 @@ type Config struct {
 	CTF bool
 	// Stream shapes each refinement pass's pipeline.
 	Stream core.StreamOptions
-	// ReconWorkers/ReconShards shape the sharded reconstruction (0
-	// selects the reconstruct defaults; shards change rounding, see
-	// reconstruct.DefaultShards).
-	ReconWorkers, ReconShards int
-	// FSCWorkers bounds FSC concurrency (0 selects GOMAXPROCS; the
-	// curve is bit-identical regardless).
-	FSCWorkers int
 }
+
+// maskFrac scales the spherical mask applied to each cycle's reference
+// map before matching, as a fraction of L — the fraction the workload
+// experiments use.
+const maskFrac = 0.45
 
 // normalized validates cfg and fills defaults.
 func (cfg Config) normalized() (Config, error) {
@@ -93,12 +87,6 @@ func (cfg Config) normalized() (Config, error) {
 	}
 	if cfg.Pad < 1 || cfg.Pad > 4 {
 		return cfg, fmt.Errorf("cycle: pad %d outside 1..4", cfg.Pad)
-	}
-	if cfg.MaskFrac == 0 {
-		cfg.MaskFrac = 0.45
-	}
-	if cfg.MaskFrac < 0 || cfg.MaskFrac > 1 {
-		return cfg, fmt.Errorf("cycle: mask fraction %g outside [0, 1]", cfg.MaskFrac)
 	}
 	if cfg.MaxCycles < 1 {
 		return cfg, fmt.Errorf("cycle: max cycles %d below 1", cfg.MaxCycles)
@@ -272,10 +260,7 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 		if st.LevelsDone != 0 {
 			return nil, fmt.Errorf("cycle: %d levels done but no results", st.LevelsDone)
 		}
-		results = make([]core.Result, n)
-		for i := range results {
-			results[i] = core.Result{Orient: ds.Inits[i]}
-		}
+		results = initialResults(ds)
 	} else if len(results) != n {
 		return nil, fmt.Errorf("cycle: %d views but %d resumed results", n, len(results))
 	}
@@ -310,7 +295,7 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 				// reconstructed from the rough initial orientations —
 				// never from partially refined results, so a resume into
 				// cycle 0 (at any level) rebuilds the identical reference.
-				ref, err = fullMap(ds, initialResults(ds, n), cfg)
+				ref, err = fullMap(ds, initialResults(ds), cfg)
 				if err != nil {
 					return nil, fmt.Errorf("cycle: initial reference: %w", err)
 				}
@@ -320,29 +305,15 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 				return nil, err
 			}
 			releaseStage()
-			src := core.SliceSource(ds.Views, ds.CTFs, ds.Inits)
-			for k := local; k < cfg.Levels; k++ {
-				if h.Drain != nil && h.Drain() {
-					out.Results = results
-					out.Parked = true
-					return out, nil
-				}
-				global := c*cfg.Levels + k
-				if h.OnLevelStart != nil {
-					if err := h.OnLevelStart(c, global); err != nil {
-						return nil, err
-					}
-				}
-				res, err := r.RefineStreamLevels(ctx, n, src, results, k, k+1, cfg.Stream)
-				if err != nil {
-					return nil, err
-				}
-				results = res
-				if h.OnLevel != nil {
-					if err := h.OnLevel(c, global, results); err != nil {
-						return nil, err
-					}
-				}
+			var parked bool
+			results, parked, err = RefinePass(ctx, r, core.SliceSource(ds.Views, ds.CTFs, ds.Inits), results, c, local, cfg.Levels, cfg.Stream, h)
+			if err != nil {
+				return nil, err
+			}
+			if parked {
+				out.Results = results
+				out.Parked = true
+				return out, nil
 			}
 		}
 		// When local == Levels the resume landed between this cycle's
@@ -376,7 +347,7 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 			return nil, fmt.Errorf("cycle: cycle %d half maps: %w", c, err)
 		}
 		releaseStage()
-		curve, err := fsc.ComputeParallel(odd, even, cfg.PixelA, cfg.FSCWorkers)
+		curve, err := fsc.ComputeParallel(odd, even, cfg.PixelA, 0)
 		if err != nil {
 			return nil, fmt.Errorf("cycle: cycle %d fsc: %w", c, err)
 		}
@@ -413,6 +384,41 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 	return out, nil
 }
 
+// RefinePass is the one level loop: it runs schedule levels
+// [from, levels) of cycle c on r, one RefineStreamLevels call per level
+// continuing from priors, and returns the per-view results after the
+// last completed level. Before each level it polls h.Drain — true parks
+// the pass at that checkpoint boundary (parked, with the results so
+// far) — and fires h.OnLevelStart; after each level it fires h.OnLevel,
+// the checkpoint hook. Both hooks see the job-global level index
+// c·levels + k. Run calls it once per cycle; the serving layer calls it
+// directly (c = 0) for a refine job, whose reference is not a
+// reconstruction. Only those three hooks are consulted.
+func RefinePass(ctx context.Context, r *core.Refiner, src core.StreamSource, priors []core.Result, c, from, levels int, opt core.StreamOptions, h Hooks) (results []core.Result, parked bool, err error) {
+	results = priors
+	for k := from; k < levels; k++ {
+		if h.Drain != nil && h.Drain() {
+			return results, true, nil
+		}
+		global := c*levels + k
+		if h.OnLevelStart != nil {
+			if err := h.OnLevelStart(c, global); err != nil {
+				return nil, false, err
+			}
+		}
+		results, err = r.RefineStreamLevels(ctx, len(priors), src, results, k, k+1, opt)
+		if err != nil {
+			return nil, false, err
+		}
+		if h.OnLevel != nil {
+			if err := h.OnLevel(c, global, results); err != nil {
+				return nil, false, err
+			}
+		}
+	}
+	return results, false, nil
+}
+
 // releaseStage collects the stage that just ended before the next one
 // allocates. Every stage boundary turns tens of MB of volume-sized
 // buffers into garbage at once (a refiner's padded transform, 8 shard
@@ -427,8 +433,8 @@ func releaseStage() { runtime.GC() }
 
 // initialResults are the priors of a fresh cycle 0: the rough initial
 // orientations with zero centre corrections.
-func initialResults(ds Dataset, n int) []core.Result {
-	results := make([]core.Result, n)
+func initialResults(ds Dataset) []core.Result {
+	results := make([]core.Result, len(ds.Inits))
 	for i := range results {
 		results[i] = core.Result{Orient: ds.Inits[i]}
 	}
@@ -440,7 +446,7 @@ func initialResults(ds Dataset, n int) []core.Result {
 // not corrupt the map the journal's digest describes.
 func newRefiner(ref *volume.Grid, cfg Config) (*core.Refiner, error) {
 	masked := ref.Clone()
-	masked.SphericalMask(cfg.MaskFrac * float64(cfg.L))
+	masked.SphericalMask(maskFrac * float64(cfg.L))
 	dft := fourier.NewVolumeDFTPadded(masked, cfg.Pad)
 	ccfg := core.DefaultConfig(cfg.L)
 	ccfg.Schedule = core.DefaultSchedule()[:cfg.Levels]
@@ -458,13 +464,10 @@ func newRefiner(ref *volume.Grid, cfg Config) (*core.Refiner, error) {
 	return r, nil
 }
 
-// reconOptions assembles the sharded-reconstruction options.
+// reconOptions assembles the sharded-reconstruction options: the
+// reconstruct defaults for workers and shards.
 func reconOptions(cfg Config) reconstruct.ParallelOptions {
-	return reconstruct.ParallelOptions{
-		Options: reconstruct.Options{WienerCTF: cfg.CTF},
-		Workers: cfg.ReconWorkers,
-		Shards:  cfg.ReconShards,
-	}
+	return reconstruct.ParallelOptions{Options: reconstruct.Options{WienerCTF: cfg.CTF}}
 }
 
 // fullMap reconstructs the full map from every view at the given

@@ -129,6 +129,42 @@ func TestRunHookOrder(t *testing.T) {
 	if !reflect.DeepEqual(trace, want) {
 		t.Fatalf("hook trace:\n got %v\nwant %v", trace, want)
 	}
+
+	// The exported pass on its own — what a refine job runs: the same
+	// two level hooks with the job-global index and none of the cycle
+	// hooks; a drain poll turning true parks it before the next level
+	// with the results so far.
+	ncfg, err := cfg.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newRefiner(out.Map, ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := core.SliceSource(ds.Views, ds.CTFs, ds.Inits)
+	for _, row := range []struct {
+		parkAt int // drain poll that turns true (0 = never)
+		want   []string
+	}{
+		{0, []string{"lstart1.2", "level1.2", "lstart1.3", "level1.3"}},
+		{2, []string{"lstart1.2", "level1.2"}},
+		{1, nil},
+	} {
+		trace = nil
+		polls := 0
+		h.Drain = func() bool { polls++; return polls == row.parkAt }
+		res, parked, err := RefinePass(context.Background(), r, src, initialResults(ds), 1, 0, cfg.Levels, cfg.Stream, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(trace, row.want) || parked != (row.parkAt > 0) {
+			t.Errorf("pass parked at poll %d: trace %v parked %v, want %v", row.parkAt, trace, parked, row.want)
+		}
+		if got := len(res[0].PerLevel); got != len(row.want)/2 {
+			t.Errorf("pass parked at poll %d: %d levels in the results, want %d", row.parkAt, got, len(row.want)/2)
+		}
+	}
 }
 
 // TestRunResumeEveryCheckpoint is the tentpole resume pin: park the run
@@ -236,7 +272,6 @@ func TestRunConfigValidation(t *testing.T) {
 		func(c *Config) { c.Levels = 0 },
 		func(c *Config) { c.Levels = len(core.DefaultSchedule()) + 1 },
 		func(c *Config) { c.Pad = 9 },
-		func(c *Config) { c.MaskFrac = 2 },
 		func(c *Config) { c.MaxCycles = 0 },
 		func(c *Config) { c.PlateauEps = -1 },
 	} {

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -24,7 +22,6 @@ import (
 func (m *Manager) runCycleJob(worker int, jb *job) {
 	ds := jb.wspec.Build()
 	inits := ds.PerturbedOrientations(jb.spec.InitError, jb.spec.InitSeed)
-	n := len(ds.Views)
 	cds := cycle.Dataset{Views: ds.Images(), Inits: inits}
 	if ds.HasCTF {
 		cds.CTFs = ds.CTFs()
@@ -58,7 +55,7 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 	// Everything (results, history, map artifact) is replayed — only the
 	// terminal record is missing.
 	if stopped != "" {
-		m.finish(jb, StateDone, "", summarize(st.Results, ds.TrueOrientations()))
+		m.conclude(jb, ds, st.Results, false, nil)
 		return
 	}
 
@@ -67,23 +64,24 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 	// content digest before trusting it.
 	if c := len(st.History); c > 0 && st.LevelsDone < (c+1)*jb.spec.Levels {
 		if lastCycle != c-1 {
-			m.finish(jb, StateFailed, fmt.Sprintf("resume: journal has map for cycle %d, need %d", lastCycle, c-1), nil)
+			m.conclude(jb, ds, nil, false, fmt.Errorf("resume: journal has map for cycle %d, need %d", lastCycle, c-1))
 			return
 		}
 		ref, err := loadMapArtifact(lastPath, lastDigest)
 		if err != nil {
-			m.finish(jb, StateFailed, fmt.Sprintf("resume: %v", err), nil)
+			m.conclude(jb, ds, nil, false, fmt.Errorf("resume: %w", err))
 			return
 		}
 		st.Ref = ref
 	}
 
-	// lastLevelStart carries the level's start tick from OnLevelStart
-	// to OnLevel; hooks run sequentially on this goroutine.
-	var lastLevelStart float64
-
+	// The level loop's hooks are the refine job's; the cycle's own three
+	// follow.
+	lv := m.levelHooks(worker, jb)
 	h := cycle.Hooks{
-		Drain: m.drainRequested,
+		Drain:        lv.Drain,
+		OnLevelStart: lv.OnLevelStart,
+		OnLevel:      lv.OnLevel,
 		OnCycleStart: func(c int) error {
 			ts := m.clock()
 			gaugeCycleNow.Set(int64(c))
@@ -105,18 +103,6 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 				jb.cyclesStarted = c + 1
 			}
 			return nil
-		},
-		OnLevelStart: func(c, global int) error {
-			lastLevelStart = m.clock()
-			obs.Emit(evLevelStart, jb.id, global, lastLevelStart, [obs.EventFieldsMax]obs.EventField{
-				{Key: "views", Value: int64(n)},
-				{Key: "cycle", Value: int64(c)},
-			})
-			return nil
-		},
-		OnLevel: func(c, global int, results []core.Result) error {
-			span := fmt.Sprintf("%s C%d L%d", jb.id, c, global%jb.spec.Levels)
-			return m.checkpointLevel(worker, jb, span, global, lastLevelStart, results)
 		},
 		OnMap: func(c int, g *volume.Grid) error {
 			ts := m.clock()
@@ -194,18 +180,10 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 	}
 
 	out, err := cycle.Run(jb.ctx, cds, cfg, st, h)
-	switch {
-	case err != nil:
-		if errors.Is(err, context.Canceled) {
-			m.finish(jb, StateCancelled, "cancelled while running", nil)
-		} else {
-			m.finish(jb, StateFailed, err.Error(), nil)
-		}
-	case out.Parked:
-		m.park(jb)
-	default:
-		m.finish(jb, StateDone, "", summarize(out.Results, ds.TrueOrientations()))
+	if err != nil {
+		out = &cycle.Outcome{}
 	}
+	m.conclude(jb, ds, out.Results, out.Parked, err)
 }
 
 // artifactDir resolves where cycle map artifacts land.

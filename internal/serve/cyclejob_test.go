@@ -36,15 +36,20 @@ func TestCycleSpecNormalize(t *testing.T) {
 		{Type: TypeCycle, Dataset: "asymmetric", MaxCycles: 65},
 		{Type: TypeCycle, Dataset: "asymmetric", PlateauEps: -0.5},
 		{Type: TypeCycle, Dataset: "asymmetric", PlateauWindow: -2},
-		{Dataset: "asymmetric", MaxCycles: 3},     // cycle knob on a refine job
-		{Dataset: "asymmetric", PlateauEps: 0.1},  // ditto
-		{Dataset: "asymmetric", PlateauWindow: 1}, // ditto
+		{Type: TypeCycle, Dataset: "asymmetric", Views: 1}, // no odd/even halves
+		{Dataset: "asymmetric", MaxCycles: 3},              // cycle knob on a refine job
+		{Dataset: "asymmetric", PlateauEps: 0.1},           // ditto
+		{Dataset: "asymmetric", PlateauWindow: 1},          // ditto
 		{Type: TypeRefine, Dataset: "asymmetric", MaxCycles: 1},
 	}
 	for i, s := range bad {
 		if _, _, err := s.normalize(); err == nil {
 			t.Errorf("bad spec %d accepted: %+v", i, s)
 		}
+	}
+	// One view is still a valid refine job.
+	if _, _, err := (JobSpec{Dataset: "asymmetric", Views: 1}).normalize(); err != nil {
+		t.Errorf("one-view refine job rejected: %v", err)
 	}
 }
 

@@ -3,6 +3,8 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -538,5 +540,77 @@ func TestManagerObsEquivalence(t *testing.T) {
 	}
 	if !bytes.Equal(onJournal, offJournal) {
 		t.Fatalf("journal bytes differ: %d vs %d", len(onJournal), len(offJournal))
+	}
+}
+
+// jobStreamsHash runs one job to done on the default logical clock with
+// events on and hashes everything the executor wrote: the journal bytes
+// and the full event JSONL. The test runs inside a temp dir with a
+// relative journal path so the journaled map_path is the artifact's
+// base name, not a machine-dependent temp path.
+func jobStreamsHash(t *testing.T, spec JobSpec) string {
+	t.Helper()
+	l := withEvents(t, 4096)
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
+	j, err := OpenJournal("jobs.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(Options{Stream: tinyStream(), Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	st, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, st.ID, StateDone)
+	m.Drain()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile("jobs.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(journal)
+	h.Write([]byte{0})
+	if err := l.WriteJSONL(h); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestJobsBitIdenticalToParent: moving both job types onto the one
+// level loop (cycle.RefinePass) did not move a byte of what an executor
+// writes. The hashes were recorded at the commit before the move
+// (8127939), where serve's refine path had its own copy of the loop.
+func TestJobsBitIdenticalToParent(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		spec   JobSpec
+		golden string
+	}{
+		{"refine", tinySpec(), "e5c7fafeaa88c84461b20f2e96992416711c4bcfc5c138a9cc6aed67cca83483"},
+		{"cycle", tinyCycleSpec(), "fc38f0863d78a7f43cb97edc86e73c96f382da6735318a53d5c3dcfa71d2737a"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := jobStreamsHash(t, c.spec); got != c.golden {
+				t.Errorf("journal+event hash %s, want %s", got, c.golden)
+			}
+		})
 	}
 }

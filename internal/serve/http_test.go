@@ -211,7 +211,12 @@ func TestHTTPSubmitBodyLimit(t *testing.T) {
 
 // TestHTTPErrors: the 400/404/409 mappings.
 func TestHTTPErrors(t *testing.T) {
-	m, err := NewManager(Options{Stream: tinyStream()})
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "jobs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	m, err := NewManager(Options{Stream: tinyStream(), Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +234,17 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if resp := getJSON(t, ts, "/jobs/job-999999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET unknown job: %d", resp.StatusCode)
+	}
+	// A one-view cycle job has no odd/even halves: refused at admission,
+	// not failed on the executor after being journaled.
+	if resp, data := postJob(t, ts, `{"type":"cycle","dataset":"asymmetric","scale":2.5,"views":1}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("one-view cycle job: %d %s", resp.StatusCode, data)
+	}
+	m.mu.Lock()
+	queued := m.queued
+	m.mu.Unlock()
+	if queued != 0 || len(m.List()) != 0 || j.Size() != 0 {
+		t.Fatalf("rejected POSTs left queued=%d jobs=%d journal_bytes=%d, want all 0", queued, len(m.List()), j.Size())
 	}
 
 	// Cancel flow: DELETE a pending job, then DELETE again → 409.

@@ -19,6 +19,13 @@
 // centre-shift increments applied to every view's band, which is
 // exactly the state RefineStreamLevels needs to resume the schedule
 // bit-identically after a crash (see internal/core).
+//
+// The level loop is not here. Both job types run cycle.RefinePass — a
+// refine job directly, on a refiner over the dataset's truth map; a
+// cycle job through cycle.Run — with the same three hooks
+// (Manager.levelHooks: drain poll, level_start event, level
+// checkpoint), and Manager.conclude is the one place a finished run
+// becomes cancelled, failed, parked or done.
 package serve
 
 import (
@@ -170,6 +177,9 @@ func (s JobSpec) normalize() (JobSpec, workload.DatasetSpec, error) {
 			return s, wspec, fmt.Errorf("serve: cycle parameters on a %s job", TypeRefine)
 		}
 	case TypeCycle:
+		if s.Views < 2 {
+			return s, wspec, fmt.Errorf("serve: cycle job resolves to %d views, need at least 2 for odd/even halves", s.Views)
+		}
 		if s.MaxCycles == 0 {
 			s.MaxCycles = 4
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cycle"
 	"repro/internal/fourier"
+	"repro/internal/micrograph"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -424,10 +425,11 @@ func (m *Manager) executor(worker int) {
 	}
 }
 
-// runJob executes one job level by level, checkpointing after each.
-// The dataset, refiner and initial orientations are rebuilt from the
-// spec's seeds on every (re)start; recorded shift increments replayed
-// by RefineStreamLevels restore mid-schedule state bit-identically.
+// runJob executes one refine job: the one level loop, cycle.RefinePass,
+// on a refiner over the dataset's truth map. The dataset, refiner and
+// initial orientations are rebuilt from the spec's seeds on every
+// (re)start; recorded shift increments replayed by RefineStreamLevels
+// restore mid-schedule state bit-identically.
 func (m *Manager) runJob(worker int, jb *job) {
 	ds := jb.wspec.Build()
 	inits := ds.PerturbedOrientations(jb.spec.InitError, jb.spec.InitSeed)
@@ -440,48 +442,69 @@ func (m *Manager) runJob(worker int, jb *job) {
 	cfg.SearchSeed = jb.spec.SearchSeed
 	r, err := core.NewRefiner(dft, cfg)
 	if err != nil {
-		m.finish(jb, StateFailed, fmt.Sprintf("building refiner: %v", err), nil)
+		m.conclude(jb, ds, nil, false, fmt.Errorf("building refiner: %w", err))
 		return
 	}
-	n := len(ds.Views)
-	src := core.SliceSource(ds.Images(), ds.CTFs(), inits)
 
 	m.mu.Lock()
 	start := jb.levelsDone
 	priors := jb.results
 	m.mu.Unlock()
 	if priors == nil {
-		priors = make([]core.Result, n)
+		priors = make([]core.Result, len(inits))
 		for i := range priors {
 			priors[i] = core.Result{Orient: inits[i]}
 		}
 	}
+	src := core.SliceSource(ds.Images(), ds.CTFs(), inits)
+	results, parked, err := cycle.RefinePass(jb.ctx, r, src, priors, 0, start, jb.spec.Levels, m.opt.Stream, m.levelHooks(worker, jb))
+	m.conclude(jb, ds, results, parked, err)
+}
 
-	for k := start; k < jb.spec.Levels; k++ {
-		if m.drainRequested() {
-			m.park(jb)
-			return
-		}
-		t0 := m.clock()
-		obs.Emit(evLevelStart, jb.id, k, t0, [obs.EventFieldsMax]obs.EventField{
-			{Key: "views", Value: int64(n)},
-		})
-		res, err := r.RefineStreamLevels(jb.ctx, n, src, priors, k, k+1, m.opt.Stream)
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				m.finish(jb, StateCancelled, "cancelled while running", nil)
-			} else {
-				m.finish(jb, StateFailed, fmt.Sprintf("level %d: %v", k, err), nil)
+// levelHooks supplies the level loop's three hooks for either job type:
+// the drain poll, the level_start event, and the level checkpoint. A
+// cycle job's events carry the cycle index and its spans are named per
+// cycle; nothing else differs.
+func (m *Manager) levelHooks(worker int, jb *job) cycle.Hooks {
+	cyc := jb.spec.Type == TypeCycle
+	// t0 carries the level's start tick from OnLevelStart to OnLevel;
+	// hooks run sequentially on the executor goroutine.
+	var t0 float64
+	return cycle.Hooks{
+		Drain: m.drainRequested,
+		OnLevelStart: func(c, global int) error {
+			t0 = m.clock()
+			fields := [obs.EventFieldsMax]obs.EventField{{Key: "views", Value: int64(jb.spec.Views)}}
+			if cyc {
+				fields[1] = obs.EventField{Key: "cycle", Value: int64(c)}
 			}
-			return
-		}
-		priors = res
-		if err := m.checkpointLevel(worker, jb, fmt.Sprintf("%s L%d", jb.id, k), k, t0, priors); err != nil {
-			m.finish(jb, StateFailed, fmt.Sprintf("journaling level %d: %v", k, err), nil)
-			return
-		}
+			obs.Emit(evLevelStart, jb.id, global, t0, fields)
+			return nil
+		},
+		OnLevel: func(c, global int, results []core.Result) error {
+			span := fmt.Sprintf("%s L%d", jb.id, global)
+			if cyc {
+				span = fmt.Sprintf("%s C%d L%d", jb.id, c, global%jb.spec.Levels)
+			}
+			return m.checkpointLevel(worker, jb, span, global, t0, results)
+		},
 	}
-	m.finish(jb, StateDone, "", summarize(priors, ds.TrueOrientations()))
+}
+
+// conclude maps how a job's run ended — a pass's or a cycle run's
+// (results, parked, err) — to its next state: cancelled, failed, parked
+// for a restart, or done with a summary against the dataset's truth.
+func (m *Manager) conclude(jb *job, ds *micrograph.Dataset, results []core.Result, parked bool, err error) {
+	switch {
+	case errors.Is(err, context.Canceled):
+		m.finish(jb, StateCancelled, "cancelled while running", nil)
+	case err != nil:
+		m.finish(jb, StateFailed, err.Error(), nil)
+	case parked:
+		m.park(jb)
+	default:
+		m.finish(jb, StateDone, "", summarize(results, ds.TrueOrientations()))
+	}
 }
 
 // checkpointLevel closes out one completed schedule level of a refine

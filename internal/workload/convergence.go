@@ -1,17 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/core"
-	"repro/internal/ctf"
-	"repro/internal/fourier"
-	"repro/internal/fsc"
-	"repro/internal/geom"
-	"repro/internal/reconstruct"
-	"repro/internal/volume"
-)
+import "fmt"
 
 // CycleOutcome records the state after one refine→reconstruct cycle.
 type CycleOutcome struct {
@@ -53,83 +42,22 @@ func RunConvergence(spec DatasetSpec, opt FSCOptions, maxCycles int) (*Convergen
 	}
 	opt.setDefaults()
 	ds := spec.Build()
-	orients := ds.PerturbedOrientations(spec.InitError, spec.Seed+1)
-	centers := make([][2]float64, len(ds.Views))
-	var ctfs []ctf.Params
-	if ds.HasCTF {
-		ctfs = ds.CTFs()
-	}
+	loop := newOuterLoop(ds, ds.PerturbedOrientations(spec.InitError, spec.Seed+1), opt)
 	out := &ConvergenceResult{Spec: spec}
-	recOpt := reconstruct.Options{WienerCTF: ds.HasCTF}
-
-	for cycle := 0; cycle < maxCycles; cycle++ {
-		ref, err := reconstruct.FromViews(ds.Images(), orients, centers, ctfs, recOpt)
-		if err != nil {
+	for cycle := 1; cycle <= maxCycles; cycle++ {
+		if _, err := loop.step(nil); err != nil {
 			return nil, err
 		}
-		ref.SphericalMask(0.45 * float64(ds.L))
-		dft := fourier.NewVolumeDFTPadded(ref, opt.Pad)
-		cfg := core.DefaultConfig(ds.L)
-		if ds.HasCTF {
-			cfg.CorrectCTF = true
-			cfg.CTFMode = ctf.PhaseFlip
-			cfg.CTFWeightCuts = true
-		}
-		r, err := core.NewRefiner(dft, cfg)
+		a, err := loop.assess()
 		if err != nil {
 			return nil, err
-		}
-		views := make([]*core.View, len(ds.Views))
-		for i, v := range ds.Views {
-			im := v.Image
-			if centers[i][0] != 0 || centers[i][1] != 0 {
-				f := fourier.ImageDFT(im)
-				fourier.ShiftPhase(f, centers[i][0], centers[i][1])
-				im = fourier.InverseImageDFT(f)
-			}
-			var p ctf.Params
-			if ctfs != nil {
-				p = ctfs[i]
-			}
-			views[i], err = r.PrepareView(im, p)
-			if err != nil {
-				return nil, err
-			}
-		}
-		results, err := r.RefineAll(views, orients, opt.Workers)
-		if err != nil {
-			return nil, err
-		}
-		for i, res := range results {
-			orients[i] = res.Orient
-			centers[i][0] += res.Center[0]
-			centers[i][1] += res.Center[1]
-		}
-
-		// Assess the cycle.
-		full, err := reconstruct.FromViews(ds.Images(), orients, centers, ctfs, recOpt)
-		if err != nil {
-			return nil, err
-		}
-		odd, even, err := reconstruct.SplitHalves(ds.Images(), orients, centers, ctfs, recOpt)
-		if err != nil {
-			return nil, err
-		}
-		curve, err := fsc.Compute(odd, even, spec.PixelA)
-		if err != nil {
-			return nil, err
-		}
-		var angSum, cenSum float64
-		for i, v := range ds.Views {
-			angSum += geom.AngularDistance(orients[i], v.TrueOrient)
-			cenSum += math.Hypot(centers[i][0]+v.TrueCenter[0], centers[i][1]+v.TrueCenter[1])
 		}
 		out.Cycles = append(out.Cycles, CycleOutcome{
-			Cycle:       cycle + 1,
-			ResolutionA: curve.ResolutionAt(0.5),
-			TruthCC:     volume.Correlation(ds.Truth, full),
-			MeanAngErr:  angSum / float64(len(ds.Views)),
-			MeanCenErr:  cenSum / float64(len(ds.Views)),
+			Cycle:       cycle,
+			ResolutionA: a.ResolutionA,
+			TruthCC:     a.TruthCC,
+			MeanAngErr:  a.MeanAngErr,
+			MeanCenErr:  a.MeanCenErr,
 		})
 	}
 	return out, nil

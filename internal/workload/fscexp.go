@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -101,12 +102,12 @@ func RunFSC(spec DatasetSpec, opt FSCOptions) (*FSCExperiment, error) {
 
 	exp := &FSCExperiment{Spec: spec, Truth: ds.Truth}
 
-	oldOut, err := runMethod(ds, spec, inits, opt, legacySchedule(opt), false)
+	oldOut, err := runMethod(ds, inits, opt, legacySchedule(opt), false)
 	if err != nil {
 		return nil, fmt.Errorf("workload: old method: %w", err)
 	}
 	exp.Old = *oldOut
-	newOut, err := runMethod(ds, spec, inits, opt, core.DefaultSchedule(), true)
+	newOut, err := runMethod(ds, inits, opt, core.DefaultSchedule(), true)
 	if err != nil {
 		return nil, fmt.Errorf("workload: new method: %w", err)
 	}
@@ -137,112 +138,147 @@ func legacySchedule(opt FSCOptions) []core.Level {
 // runMethod iterates refine→reconstruct with the given schedule; the
 // legacy and new methods differ in how deep that schedule goes and in
 // whether centres are interpolated below the search grid.
-func runMethod(ds *micrograph.Dataset, spec DatasetSpec, inits []geom.Euler, opt FSCOptions, schedule []core.Level, parabolic bool) (*MethodOutcome, error) {
-	l := ds.L
-	orients := append([]geom.Euler(nil), inits...)
-	centers := make([][2]float64, len(ds.Views))
+func runMethod(ds *micrograph.Dataset, inits []geom.Euler, opt FSCOptions, schedule []core.Level, parabolic bool) (*MethodOutcome, error) {
+	loop := newOuterLoop(ds, inits, opt)
 	var perLevel []LevelAgg
-
-	var ctfs []ctf.Params
-	if ds.HasCTF {
-		ctfs = ds.CTFs()
-	}
-
 	for cycle := 0; cycle < opt.Cycles; cycle++ {
-		// Step C of the previous cycle: reconstruct the current map
-		// from the current orientations and centres.
-		ref, err := reconstruct.FromViews(ds.Images(), orients, centers, ctfs,
-			reconstruct.Options{WienerCTF: ds.HasCTF})
-		if err != nil {
-			return nil, err
-		}
-		ref.SphericalMask(0.45 * float64(l))
-		dft := fourier.NewVolumeDFTPadded(ref, opt.Pad)
-
-		cfg := core.DefaultConfig(l)
-		cfg.Schedule = schedule
-		cfg.ParabolicCenter = parabolic
-		if cycle < len(opt.RMapFracPerCycle) {
-			f := opt.RMapFracPerCycle[cycle]
-			if f > 0 && f <= 1 {
-				cfg.RMap *= f
+		results, err := loop.step(func(cfg *core.Config) {
+			cfg.Schedule = schedule
+			cfg.ParabolicCenter = parabolic
+			if cycle < len(opt.RMapFracPerCycle) {
+				if f := opt.RMapFracPerCycle[cycle]; f > 0 && f <= 1 {
+					cfg.RMap *= f
+				}
 			}
-		}
-		if ds.HasCTF {
-			cfg.CorrectCTF = true
-			cfg.CTFMode = ctf.PhaseFlip
-			cfg.CTFWeightCuts = true
-		}
-		r, err := core.NewRefiner(dft, cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Prepare views already corrected to the centres found so far:
-		// refinement then reports the *incremental* correction.
-		views := make([]*core.View, len(ds.Views))
-		for i, v := range ds.Views {
-			im := v.Image
-			if centers[i][0] != 0 || centers[i][1] != 0 {
-				f := fourier.ImageDFT(im)
-				fourier.ShiftPhase(f, centers[i][0], centers[i][1])
-				im = fourier.InverseImageDFT(f)
-			}
-			var p ctf.Params
-			if ctfs != nil {
-				p = ctfs[i]
-			}
-			pv, err := r.PrepareView(im, p)
-			if err != nil {
-				return nil, err
-			}
-			views[i] = pv
-		}
-		results, err := r.RefineAll(views, orients, opt.Workers)
+		})
 		if err != nil {
 			return nil, err
 		}
 		perLevel = aggregate(schedule, results)
-		for i, res := range results {
-			orients[i] = res.Orient
-			centers[i][0] += res.Center[0]
-			centers[i][1] += res.Center[1]
-		}
 	}
-
-	out := &MethodOutcome{Orients: orients, Centers: centers, PerLevel: perLevel}
-
-	// Final full and half-map reconstructions.
-	full, err := reconstruct.FromViews(ds.Images(), orients, centers, ctfs,
-		reconstruct.Options{WienerCTF: ds.HasCTF})
+	out, err := loop.assess()
 	if err != nil {
 		return nil, err
 	}
-	out.Map = full
-	odd, even, err := reconstruct.SplitHalves(ds.Images(), orients, centers, ctfs,
-		reconstruct.Options{WienerCTF: ds.HasCTF})
-	if err != nil {
-		return nil, err
-	}
-	curve, err := fsc.Compute(odd, even, spec.PixelA)
-	if err != nil {
-		return nil, err
-	}
-	out.Curve = curve
-	out.ResolutionA = curve.ResolutionAt(0.5)
-	out.TruthCC = volume.Correlation(ds.Truth, full)
-
-	// Ground-truth errors (available only because the data is
-	// synthetic).
-	var angSum, cenSum float64
-	for i, v := range ds.Views {
-		angSum += geom.AngularDistance(orients[i], v.TrueOrient)
-		dx := centers[i][0] + v.TrueCenter[0]
-		dy := centers[i][1] + v.TrueCenter[1]
-		cenSum += math.Hypot(dx, dy)
-	}
-	out.MeanAngErr = angSum / float64(len(ds.Views))
-	out.MeanCenErr = cenSum / float64(len(ds.Views))
+	out.PerLevel = perLevel
 	return out, nil
+}
+
+// outerLoop is the state the refine↔reconstruct experiments iterate
+// (steps B and C of the structure-determination procedure): the
+// dataset and the current per-view orientations and accumulated centre
+// corrections. RunFSC's two methods and RunConvergence share its one
+// cycle step and one assessment.
+type outerLoop struct {
+	ds      *micrograph.Dataset
+	images  []*volume.Image
+	ctfs    []ctf.Params // nil when the dataset carries no CTF
+	recOpt  reconstruct.Options
+	opt     FSCOptions
+	orients []geom.Euler
+	centers [][2]float64
+}
+
+func newOuterLoop(ds *micrograph.Dataset, inits []geom.Euler, opt FSCOptions) *outerLoop {
+	o := &outerLoop{
+		ds:      ds,
+		images:  ds.Images(),
+		recOpt:  reconstruct.Options{WienerCTF: ds.HasCTF},
+		opt:     opt,
+		orients: append([]geom.Euler(nil), inits...),
+		centers: make([][2]float64, len(ds.Views)),
+	}
+	if ds.HasCTF {
+		o.ctfs = ds.CTFs()
+	}
+	return o
+}
+
+// step runs one cycle: reconstruct the reference from the current
+// solution (step C of the previous cycle), mask it, take its padded
+// transform, refine every view against it (step B), and fold the
+// results into the solution. tune, when non-nil, adjusts the refiner
+// configuration for this cycle. It returns the pass's per-view results.
+func (o *outerLoop) step(tune func(*core.Config)) ([]core.Result, error) {
+	l := o.ds.L
+	ref, err := reconstruct.FromViews(o.images, o.orients, o.centers, o.ctfs, o.recOpt)
+	if err != nil {
+		return nil, err
+	}
+	ref.SphericalMask(0.45 * float64(l))
+	cfg := core.DefaultConfig(l)
+	if o.ds.HasCTF {
+		cfg.CorrectCTF = true
+		cfg.CTFMode = ctf.PhaseFlip
+		cfg.CTFWeightCuts = true
+	}
+	if tune != nil {
+		tune(&cfg)
+	}
+	r, err := core.NewRefiner(fourier.NewVolumeDFTPadded(ref, o.opt.Pad), cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Views enter already corrected to the centres found so far, so
+	// refinement reports the *incremental* correction.
+	src := func(i int) (core.StreamItem, error) {
+		it := core.StreamItem{Image: o.images[i], Init: o.orients[i]}
+		if c := o.centers[i]; c[0] != 0 || c[1] != 0 {
+			f := fourier.ImageDFT(it.Image)
+			fourier.ShiftPhase(f, c[0], c[1])
+			it.Image = fourier.InverseImageDFT(f)
+		}
+		if o.ctfs != nil {
+			it.CTF = o.ctfs[i]
+		}
+		return it, nil
+	}
+	stream := core.StreamOptions{FFTWorkers: o.opt.Workers, RefineWorkers: o.opt.Workers}
+	results, err := r.RefineStream(context.Background(), len(o.images), src, stream)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		o.orients[i] = res.Orient
+		o.centers[i][0] += res.Center[0]
+		o.centers[i][1] += res.Center[1]
+	}
+	return results, nil
+}
+
+// assess reconstructs the full and odd/even half maps from the current
+// solution and scores them: half-map FSC, correlation with the
+// ground-truth phantom, and mean orientation/centre errors (available
+// only because the data is synthetic). PerLevel is left to the caller.
+func (o *outerLoop) assess() (*MethodOutcome, error) {
+	full, err := reconstruct.FromViews(o.images, o.orients, o.centers, o.ctfs, o.recOpt)
+	if err != nil {
+		return nil, err
+	}
+	odd, even, err := reconstruct.SplitHalves(o.images, o.orients, o.centers, o.ctfs, o.recOpt)
+	if err != nil {
+		return nil, err
+	}
+	curve, err := fsc.Compute(odd, even, o.ds.PixelA)
+	if err != nil {
+		return nil, err
+	}
+	var angSum, cenSum float64
+	for i, v := range o.ds.Views {
+		angSum += geom.AngularDistance(o.orients[i], v.TrueOrient)
+		cenSum += math.Hypot(o.centers[i][0]+v.TrueCenter[0], o.centers[i][1]+v.TrueCenter[1])
+	}
+	n := float64(len(o.ds.Views))
+	return &MethodOutcome{
+		Orients:     o.orients,
+		Centers:     o.centers,
+		Map:         full,
+		Curve:       curve,
+		ResolutionA: curve.ResolutionAt(0.5),
+		TruthCC:     volume.Correlation(o.ds.Truth, full),
+		MeanAngErr:  angSum / n,
+		MeanCenErr:  cenSum / n,
+	}, nil
 }
 
 func aggregate(schedule []core.Level, results []core.Result) []LevelAgg {
