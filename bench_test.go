@@ -10,7 +10,6 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/brick"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -333,6 +332,17 @@ func BenchmarkAblationMultiRes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// The flat strawman of §4: one exhaustive level at the final
+		// step over the whole ±2° domain, no laddering, no slides.
+		flat, err := core.NewRefiner(dft, core.Config{
+			RMap:           cfg.RMap,
+			Schedule:       []core.Level{{RAngular: 0.1, WindowHalf: 2}},
+			Interp:         fourier.Trilinear,
+			NormalizeScale: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		multiMatch, flatMatch = 0, 0
 		multiErr, flatErr = 0, 0
 		inits := ds.PerturbedOrientations(2, 9)
@@ -342,12 +352,10 @@ func BenchmarkAblationMultiRes(b *testing.B) {
 			multiMatch += res.TotalMatchings()
 			multiErr += geom.AngularDistance(res.Orient, v.TrueOrient)
 
-			best, n, err := baseline.FlatSearch(dft, v.Image, ctf.Params{}, inits[j], 2, 0.1, 0.8*float64(ds.L)/2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			flatMatch += n
-			flatErr += geom.AngularDistance(best, v.TrueOrient)
+			fv, _ := flat.PrepareView(v.Image, v.CTF)
+			res = flat.RefineView(fv, inits[j])
+			flatMatch += res.TotalMatchings()
+			flatErr += geom.AngularDistance(res.Orient, v.TrueOrient)
 		}
 	}
 	nv := float64(len(ds.Views))

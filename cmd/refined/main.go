@@ -45,6 +45,28 @@ func main() {
 	}
 }
 
+// requestReadTimeout bounds how long a client may take to send a
+// request's headers, and separately the body of a non-GET request.
+const requestReadTimeout = 10 * time.Second
+
+// newServer puts the daemon's read deadlines around h. The body
+// deadline is set per request and on non-GET routes only, so a GET
+// /events stream never carries one; Server.ReadTimeout would put one on
+// every request and leave the stream's survival to net/http clearing
+// it when its background read starts, and would double as the
+// keep-alive idle timeout.
+func newServer(h http.Handler, readTimeout time.Duration) *http.Server {
+	bounded := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			if err := http.NewResponseController(w).SetReadDeadline(time.Now().Add(readTimeout)); err != nil {
+				log.Printf("setting read deadline: %v", err)
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
+	return &http.Server{Handler: bounded, ReadHeaderTimeout: readTimeout}
+}
+
 func run() error {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
@@ -127,7 +149,7 @@ func run() error {
 		handler = mux
 		log.Printf("pprof mounted at /debug/pprof/")
 	}
-	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	srv := newServer(handler, requestReadTimeout)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {

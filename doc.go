@@ -10,10 +10,12 @@
 // are the numerical substrates; internal/cluster and parfft simulate
 // the distributed-memory machine of the paper's evaluation;
 // internal/phantom and micrograph synthesize the experimental data;
-// internal/baseline and symmetry provide the comparison methods and
-// the symmetry-group detector; internal/workload drives every table
-// and figure of the paper. Executables are under cmd/ and runnable
-// examples under examples/.
+// internal/symmetry is the symmetry-group detector; internal/workload
+// drives every table and figure of the paper, the legacy-schedule
+// comparison included; internal/cycle and serve run the whole
+// refine → reconstruct → FSC loop as journaled jobs. Executables are
+// under cmd/ (refined, repstat, tables, replint, benchcycle) and
+// runnable examples under examples/.
 //
 // The benchmarks in this package (bench_test.go) regenerate each table
 // and figure of the paper's evaluation at simulator scale; run

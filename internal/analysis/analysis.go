@@ -85,9 +85,9 @@ func DefaultConfig() *Config {
 		SimclockPaths: []string{"internal/parfft", "internal/cluster", "internal/core", "internal/serve", "internal/cycle"},
 		NumericPaths: []string{
 			"internal/fft", "internal/fourier", "internal/core", "internal/parfft",
-			"internal/cluster", "internal/reconstruct", "internal/align", "internal/fsc",
-			"internal/brick", "internal/volume", "internal/geom", "internal/baseline",
-			"internal/symmetry", "internal/workload", "internal/cycle",
+			"internal/cluster", "internal/reconstruct", "internal/fsc", "internal/brick",
+			"internal/volume", "internal/geom", "internal/symmetry", "internal/workload",
+			"internal/cycle",
 		},
 		ConcurrencyPaths: []string{"internal/serve", "internal/pool", "internal/cluster", "internal/parfft"},
 	}

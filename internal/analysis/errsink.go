@@ -19,7 +19,7 @@ import (
 // and the never-failing in-memory writers bytes.Buffer and
 // strings.Builder. Deferred calls are also skipped — `defer f.Close()`
 // on read paths is accepted idiom; write paths should check Close
-// explicitly (see internal/micrograph/io.go for the pattern).
+// explicitly (see the -events-out write in cmd/refined for the pattern).
 var ErrSink = &Analyzer{
 	Name: "errsink",
 	Doc: "error returns may not be silently discarded outside _test.go; " +

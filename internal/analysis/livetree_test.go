@@ -1,7 +1,11 @@
 package analysis
 
 import (
+	"go/parser"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -66,5 +70,91 @@ func TestPoolCtxLeakNegative(t *testing.T) {
 	findings := Run(loader.Fset, []*Package{pkg}, []*Analyzer{CtxLeak}, DefaultConfig())
 	for _, f := range findings {
 		t.Errorf("unexpected ctxleak finding in internal/pool: %s", f)
+	}
+}
+
+// unreachableAllowed names the internal packages that may exist
+// without any command importing them, each with the reason it stays.
+var unreachableAllowed = map[string]string{
+	"internal/brick": "sole implementation behind EXPERIMENTS §6 (replication vs shared virtual memory), measured by BenchmarkAblationReplication",
+}
+
+// TestInternalPackagesReachable holds the tree to one rule: an
+// internal package exists only if some command under cmd/ imports it,
+// directly or transitively, from non-test code — or it is listed in
+// unreachableAllowed with the reason. A package only tests, benchmarks
+// or examples reach is a second toolchain nobody runs.
+func TestInternalPackagesReachable(t *testing.T) {
+	// The loader's discovery pass already knows every package directory
+	// (testdata and dot-directories skipped); nothing is type-checked.
+	loader := loadLiveTree(t)
+	module := loader.base + "/"
+
+	// imports maps a module-relative package to the module-relative
+	// packages its non-test files import.
+	imports := map[string][]string{}
+	for path, dir := range loader.dirs {
+		pkg := strings.TrimPrefix(path, module)
+		imports[pkg] = nil
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(loader.Fset, file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				p, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rel, ok := strings.CutPrefix(p, module); ok {
+					imports[pkg] = append(imports[pkg], rel)
+				}
+			}
+		}
+	}
+
+	reached := map[string]bool{}
+	var visit func(pkg string)
+	visit = func(pkg string) {
+		if reached[pkg] {
+			return
+		}
+		reached[pkg] = true
+		for _, imp := range imports[pkg] {
+			visit(imp)
+		}
+	}
+	for pkg := range imports {
+		if strings.HasPrefix(pkg, "cmd/") {
+			visit(pkg)
+		}
+	}
+	if len(reached) == 0 {
+		t.Fatal("no command packages found under cmd/")
+	}
+
+	for pkg := range imports {
+		if !strings.HasPrefix(pkg, "internal/") {
+			continue
+		}
+		_, allowed := unreachableAllowed[pkg]
+		switch {
+		case !reached[pkg] && !allowed:
+			t.Errorf("%s is imported by no command under cmd/: delete it, or list it in unreachableAllowed with the reason it stays", pkg)
+		case reached[pkg] && allowed:
+			t.Errorf("%s is reachable from cmd/ again: drop its unreachableAllowed entry", pkg)
+		}
+	}
+	for pkg := range unreachableAllowed {
+		if _, ok := imports[pkg]; !ok {
+			t.Errorf("unreachableAllowed lists %s, which no longer exists", pkg)
+		}
 	}
 }

@@ -162,10 +162,6 @@ func TestHalfBandMatchesFullDisc(t *testing.T) {
 						if d := friedelRel(a, b, floor); d > tol {
 							t.Fatalf("%s level %d distance at %v: half %.17g, full %.17g (rel %.3g)", stage, li, o, a, b, d)
 						}
-						a, b = half.magDistance(hv, o, nh, hs), full.magDistance(fv, o, nf, fs)
-						if d := friedelRel(a, b, energy); d > tol {
-							t.Fatalf("%s level %d magDistance at %v: half %.17g, full %.17g (rel %.3g)", stage, li, o, a, b, d)
-						}
 						hc, fc := make([]complex128, nh), make([]complex128, nf)
 						half.sampleCut(hc, hv.refW, o)
 						full.sampleCut(fc, fv.refW, o)

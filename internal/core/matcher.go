@@ -491,32 +491,3 @@ func viewFFTFlops(l int) float64 {
 	}
 	return 2 * float64(l) * 5 * float64(l) * math.Log2(float64(l))
 }
-
-// magDistance is the translation-invariant variant of distance used by
-// the ab-initio coarse scan: it correlates coefficient magnitudes
-// |F| vs |C|, which are unaffected by centre error (a shift is a pure
-// phase ramp). Less discriminative than phase-aware matching, but a
-// mis-centred view cannot derail it; the subsequent refinement stage
-// recovers the centre and switches back to the full metric. It shares
-// the fused cut construction with the primary metric.
-//
-//repro:hotpath
-func (m *matcher) magDistance(vd *viewData, o geom.Euler, n int, sc *matchScratch) float64 {
-	cut := sc.cut[:n]
-	m.sampleCut(cut, vd.refW, o)
-	wt := m.wt
-	vals := vd.vals
-	var ec, cross float64
-	for i, c := range cut {
-		cm2 := real(c)*real(c) + imag(c)*imag(c)
-		fv := vals[i]
-		fm2 := real(fv)*real(fv) + imag(fv)*imag(fv)
-		ec += wt[i] * cm2
-		cross += wt[i] * math.Sqrt(fm2*cm2)
-	}
-	ef := vd.prefixE[n]
-	if ec == 0 || cross <= 0 {
-		return ef * m.invL2
-	}
-	return (ef - cross*cross/ec) * m.invL2
-}

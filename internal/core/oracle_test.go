@@ -113,33 +113,6 @@ func oracleShiftedDistance(m *matcher, vd *viewData, cut []complex128, dx, dy fl
 	return d * m.invL2
 }
 
-func oracleMagDistance(m *matcher, vd *viewData, o geom.Euler, n int) float64 {
-	rot := o.Matrix()
-	xa, ya := rot.Col(0), rot.Col(1)
-	var ec, cross, ef float64
-	for i, e := range m.band[:n] {
-		f3 := geom.Vec3{
-			X: xa.X*float64(e.h) + ya.X*float64(e.k),
-			Y: xa.Y*float64(e.h) + ya.Y*float64(e.k),
-			Z: xa.Z*float64(e.h) + ya.Z*float64(e.k),
-		}
-		c := m.dft.Sample(f3, m.cfg.Interp)
-		if vd.refW != nil {
-			c *= complex(vd.refW[i], 0)
-		}
-		cm := math.Hypot(real(c), imag(c))
-		fv := vd.vals[i]
-		fm := math.Hypot(real(fv), imag(fv))
-		ec += e.weight * cm * cm
-		ef += e.weight * fm * fm
-		cross += e.weight * fm * cm
-	}
-	if ec == 0 || cross <= 0 {
-		return ef * m.invL2
-	}
-	return (ef - cross*cross/ec) * m.invL2
-}
-
 // oracleFixture builds a refiner + prepared view over a randomized
 // configuration axis: normalization, interpolation and CTF cut
 // weighting all covered.
@@ -205,11 +178,6 @@ func TestFusedDistanceMatchesOracle(t *testing.T) {
 				if relDiff(got, want) > 1e-12 {
 					t.Fatalf("orient %v n=%d: fused %.17g, oracle %.17g", o, n, got, want)
 				}
-				gotMag := r.m.magDistance(vd, o, n, sc)
-				wantMag := oracleMagDistance(r.m, vd, o, n)
-				if relDiff(gotMag, wantMag) > 1e-12 {
-					t.Fatalf("orient %v n=%d: fused mag %.17g, oracle %.17g", o, n, gotMag, wantMag)
-				}
 			}
 		})
 	}
@@ -271,6 +239,18 @@ func TestDistanceWindowMatchesScalar(t *testing.T) {
 			t.Fatalf("window slot %d (%v): batched %.17g, oracle %.17g", i, o, dst[i], wantOracle)
 		}
 	}
+}
+
+// clone deep-copies the per-view matching state.
+func (vd *viewData) clone() *viewData {
+	out := &viewData{
+		vals:    append([]complex128(nil), vd.vals...),
+		prefixE: append([]float64(nil), vd.prefixE...),
+	}
+	if vd.refW != nil {
+		out.refW = append([]float64(nil), vd.refW...)
+	}
+	return out
 }
 
 // TestApplyShiftEquivalentToShiftedDistance: baking a shift into the

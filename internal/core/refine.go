@@ -159,14 +159,7 @@ func chebyshevGT(a, b orientKey, h int64) bool {
 // the refined orientation, centre offset and per-level statistics.
 func (r *Refiner) RefineView(v *View, init geom.Euler) Result {
 	sc := r.getScratch()
-	res := r.refineViewWith(v, init, sc)
-	r.putScratch(sc)
-	return res
-}
-
-// refineViewWith is RefineView bound to caller-owned scratch (one per
-// worker in GlobalSearch's pool).
-func (r *Refiner) refineViewWith(v *View, init geom.Euler, sc *matchScratch) Result {
+	defer r.putScratch(sc)
 	return r.refineViewRange(v, Result{Orient: init}, 0, len(r.cfg.Schedule), sc, r.cfg.Search)
 }
 
@@ -193,8 +186,8 @@ func (r *Refiner) refineViewRange(v *View, res Result, start, stop int, sc *matc
 // ExhaustiveRefine runs the full multi-resolution refinement with the
 // paper's flat sliding-window scan forced at every level, regardless
 // of Config.Search. It is kept as the correctness reference the
-// adaptive descent is validated against (the oracle test suite and the
-// bench smoke gate); production callers wanting this behaviour must
+// adaptive descent is validated against (the oracle test suite and
+// TestAdaptiveSmokePin); production callers wanting this behaviour must
 // configure Search: SearchExhaustive instead.
 //
 //repro:oracle

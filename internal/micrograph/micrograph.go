@@ -192,29 +192,3 @@ func (ds *Dataset) CTFs() []ctf.Params {
 	}
 	return out
 }
-
-// TiltSeries synthesizes a single-axis tilt series of the truth map:
-// views at the given tilt angles (degrees) about the Y axis, exactly
-// as computed tomography acquires them. This is the §2 contrast case —
-// "the orientations and centers of the 2D images are known in CAT" —
-// so the views carry exact orientations and no centre jitter, and
-// reconstruction needs no orientation search at all. Real tilt stages
-// cannot reach ±90°, so a limited angular range leaves the classical
-// missing wedge in Fourier space.
-func TiltSeries(truth *volume.Grid, tiltsDeg []float64, pixelA, snr float64, seed int64) *Dataset {
-	rng := rand.New(rand.NewSource(seed))
-	ds := &Dataset{L: truth.L, PixelA: pixelA, Truth: truth}
-	for _, tilt := range tiltsDeg {
-		o := geom.Euler{Theta: tilt, Phi: 0, Omega: 0}
-		im := projection.Real(truth, o)
-		if snr > 0 {
-			addNoise(im, snr, rng)
-		}
-		ds.Views = append(ds.Views, &View{
-			Image:      im,
-			TrueOrient: o,
-			CTF:        ctf.Typical(pixelA),
-		})
-	}
-	return ds
-}

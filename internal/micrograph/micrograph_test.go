@@ -8,7 +8,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/phantom"
 	"repro/internal/projection"
-	"repro/internal/reconstruct"
 	"repro/internal/volume"
 )
 
@@ -192,67 +191,4 @@ func TestViewAxisPerturbationIsSmall(t *testing.T) {
 			t.Fatalf("view %d initial orientation %g° off", i, d)
 		}
 	}
-}
-
-func TestTiltSeriesOrientationsExact(t *testing.T) {
-	truth := phantom.Asymmetric(20, 5, 1)
-	tilts := []float64{-60, -30, 0, 30, 60}
-	ds := TiltSeries(truth, tilts, 2.5, 0, 1)
-	if len(ds.Views) != len(tilts) {
-		t.Fatalf("%d views, want %d", len(ds.Views), len(tilts))
-	}
-	for i, v := range ds.Views {
-		if v.TrueOrient.Theta != tilts[i] || v.TrueOrient.Phi != 0 || v.TrueOrient.Omega != 0 {
-			t.Fatalf("view %d orientation %v", i, v.TrueOrient)
-		}
-		if v.TrueCenter != [2]float64{0, 0} {
-			t.Fatal("tilt series must have exact centres")
-		}
-		// The zero-tilt view is the straight z-projection.
-		if tilts[i] == 0 {
-			want := projection.Real(truth, geom.Euler{})
-			if cc := volume.ImageCorrelation(v.Image, want); cc < 1-1e-9 {
-				t.Fatalf("zero-tilt view is not the direct projection (cc=%g)", cc)
-			}
-		}
-	}
-}
-
-func TestTiltSeriesMissingWedge(t *testing.T) {
-	// §2: in CAT orientations are known, so reconstruction needs no
-	// search — but a limited tilt range leaves a missing wedge that
-	// degrades the map anisotropically. A full ±90° series must beat
-	// a ±45° series against the ground truth.
-	truth := phantom.Asymmetric(24, 8, 1)
-	truth.SphericalMask(9)
-	full := tiltRange(-90, 90, 5)
-	limited := tiltRange(-45, 45, 5)
-	recFull := reconstructTilt(t, truth, full)
-	recLim := reconstructTilt(t, truth, limited)
-	ccFull := volume.Correlation(truth, recFull)
-	ccLim := volume.Correlation(truth, recLim)
-	if ccFull <= ccLim {
-		t.Fatalf("missing wedge did not hurt: full %.4f vs limited %.4f", ccFull, ccLim)
-	}
-	if ccFull < 0.9 {
-		t.Fatalf("known-orientation tomographic reconstruction only %.4f", ccFull)
-	}
-}
-
-func tiltRange(lo, hi, step float64) []float64 {
-	var out []float64
-	for a := lo; a <= hi+1e-9; a += step {
-		out = append(out, a)
-	}
-	return out
-}
-
-func reconstructTilt(t *testing.T, truth *volume.Grid, tilts []float64) *volume.Grid {
-	t.Helper()
-	ds := TiltSeries(truth, tilts, 2.5, 0, 2)
-	rec, err := reconstruct.FromViews(ds.Images(), ds.TrueOrientations(), nil, nil, reconstruct.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec
 }

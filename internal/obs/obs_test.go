@@ -197,6 +197,44 @@ func TestTraceTimeOffset(t *testing.T) {
 	}
 }
 
+// TestTraceKeepsNewest: a trace is a ring of the newest traceCap
+// events — a daemon that traces from boot must not grow without limit.
+// The oldest events are the ones dropped, the retained ones still come
+// back in the deterministic sorted order, and the export says how many
+// are gone.
+func TestTraceKeepsNewest(t *testing.T) {
+	tr := StartTrace()
+	const extra = 10
+	for i := 0; i < traceCap+extra; i++ {
+		Span(0, 0, "s", "test", float64(i), float64(i)+0.5)
+	}
+	EndTrace()
+	ev := tr.Events()
+	if len(ev) != traceCap {
+		t.Fatalf("retained %d events, want traceCap = %d", len(ev), traceCap)
+	}
+	for i, e := range ev {
+		if want := float64(i + extra); e.Start != want {
+			t.Fatalf("event %d starts at %g, want %g (oldest %d dropped, rest in order)", i, e.Start, want, extra)
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Metadata struct {
+			Dropped int64 `json:"dropped_events"`
+		} `json:"metadata"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("exporter emitted invalid JSON: %v", err)
+	}
+	if doc.Metadata.Dropped != extra {
+		t.Errorf("export reports %d dropped events, want %d", doc.Metadata.Dropped, extra)
+	}
+}
+
 func TestWriteChromeTrace(t *testing.T) {
 	tr := StartTrace()
 	Span(0, 0, "a.3 fft2d", "parfft", 0, 0.5)

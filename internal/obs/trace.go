@@ -35,12 +35,19 @@ type Arg struct {
 	Value int64
 }
 
-// Trace accumulates events. All methods are safe for concurrent use by
-// the simulated nodes' goroutines.
+// traceCap bounds a trace: a long-lived recorder (the refined daemon
+// traces from boot) keeps the newest traceCap events and counts the
+// rest as dropped. At 128 bytes an event that is 2 MiB.
+const traceCap = 1 << 14
+
+// Trace accumulates events, keeping the newest traceCap. All methods
+// are safe for concurrent use by the simulated nodes' goroutines.
 type Trace struct {
-	mu     sync.Mutex
-	events []Event
-	offset float64
+	mu      sync.Mutex
+	events  []Event // grows to traceCap once, then overwrites in place
+	head    int     // slot of the oldest event once the ring is full
+	dropped int64   // events overwritten so far
+	offset  float64
 }
 
 // active is the currently recording trace, or nil. A plain atomic
@@ -81,17 +88,31 @@ func (t *Trace) record(e Event) {
 	t.mu.Lock()
 	e.Start += t.offset
 	e.End += t.offset
-	t.events = append(t.events, e)
+	if len(t.events) < traceCap {
+		t.events = append(t.events, e)
+	} else {
+		t.events[t.head] = e
+		t.head = (t.head + 1) % traceCap
+		t.dropped++
+	}
 	t.mu.Unlock()
 }
 
-// Events returns a copy of the recorded events sorted by
+// Events returns a copy of the retained events sorted by
 // (Pid, Tid, Start, End, Name) — a deterministic order regardless of
 // the goroutine interleaving that recorded them.
 func (t *Trace) Events() []Event {
+	ev, _ := t.snapshot()
+	return ev
+}
+
+// snapshot is Events plus the number of older events the ring has
+// overwritten, read under one lock so the two agree.
+func (t *Trace) snapshot() ([]Event, int64) {
 	t.mu.Lock()
 	ev := make([]Event, len(t.events))
 	copy(ev, t.events)
+	dropped := t.dropped
 	t.mu.Unlock()
 	sort.Slice(ev, func(i, j int) bool {
 		a, b := &ev[i], &ev[j]
@@ -109,7 +130,7 @@ func (t *Trace) Events() []Event {
 		}
 		return a.Name < b.Name
 	})
-	return ev
+	return ev, dropped
 }
 
 // Span records a complete span on the active trace, if one is
@@ -202,12 +223,13 @@ func (h *SpanHandle) End(end float64) {
 // format ({"traceEvents": [...]}), with timestamps in microseconds of
 // simulated time and a metadata record naming each pid "node <rank>".
 // Events are emitted in the deterministic Events() order, so the same
-// run produces byte-identical files.
+// run produces byte-identical files. The "metadata" object carries
+// dropped_events, the number of older events the ring no longer holds.
 func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	if t == nil {
 		return errors.New("obs: WriteChromeTrace on nil trace")
 	}
-	ev := t.Events()
+	ev, dropped := t.snapshot()
 	var bw bytes.Buffer
 	put := func(s string) { bw.WriteString(s) }
 	putInt := func(v int64) {
@@ -277,7 +299,10 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 		}
 		put(`}`)
 	}
-	put("\n]}\n")
+	put("\n]")
+	put(`,"metadata":{"dropped_events":`)
+	putInt(dropped)
+	put("}}\n")
 	_, err := w.Write(bw.Bytes())
 	return err
 }

@@ -235,35 +235,6 @@ func Transform3D(c *cluster.Cluster, g *volume.Grid, readSecs float64) Result {
 	return Result{DFT: centred, Stats: stats, Elapsed: cluster.MaxElapsed(stats)}
 }
 
-// Transform3DPadded runs the cluster transform on g embedded centrally
-// in a (pad·l)³ zero box, producing the oversampled spectrum the
-// matcher samples (the counterpart of fourier.NewVolumeDFTPadded, but
-// with the slab DFT's simulated cost of transforming the padded map).
-// The returned DFT addresses image frequencies of the original l-box:
-// SrcL is fixed to l.
-func Transform3DPadded(c *cluster.Cluster, g *volume.Grid, pad int, readSecs float64) Result {
-	if pad < 1 {
-		panic("parfft: pad must be ≥ 1")
-	}
-	if pad == 1 {
-		return Transform3D(c, g, readSecs)
-	}
-	l := g.L
-	bl := pad * l
-	pg := volume.NewGrid(bl)
-	off := bl/2 - l/2 // maps voxel l/2 (particle origin) onto bl/2
-	for x := 0; x < l; x++ {
-		for y := 0; y < l; y++ {
-			base := ((x+off)*bl + y + off) * bl
-			srcBase := (x*l + y) * l
-			copy(pg.Data[base+off:base+off+l], g.Data[srcBase:srcBase+l])
-		}
-	}
-	r := Transform3D(c, pg, readSecs)
-	r.DFT.SrcL = l
-	return r
-}
-
 // applyRamp converts an origin-at-0 spectrum to the centred
 // convention (multiply coefficient f by exp(+2πi·Σf·(l/2)/l)).
 func applyRamp(v *fourier.VolumeDFT) {

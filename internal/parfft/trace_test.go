@@ -96,16 +96,3 @@ func TestTracingLeavesTimingsIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestTransform3DPadded: the padded cluster transform must address
-// image frequencies of the original box (SrcL = l) on a pad·l lattice.
-func TestTransform3DPadded(t *testing.T) {
-	g := phantom.Asymmetric(8, 3, 1)
-	res := Transform3DPadded(cluster.New(2, cluster.SP2), g, 2, 0)
-	if res.DFT.L != 16 || res.DFT.SrcL != 8 {
-		t.Fatalf("padded DFT lattice L=%d SrcL=%d, want 16/8", res.DFT.L, res.DFT.SrcL)
-	}
-	if res.Elapsed <= 0 {
-		t.Fatal("padded transform reported zero simulated time")
-	}
-}

@@ -118,6 +118,29 @@ func TestShardedBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestShardedInsertAllocFree: once the shard scratch is warm, inserting
+// a view through the fused kernel (phase ramp, Wiener CTF weighting,
+// scatter) allocates nothing.
+func TestShardedInsertAllocFree(t *testing.T) {
+	l := 32
+	ds, centers, ctfs := ctfDataset(t, l, 16, 31)
+	rec := NewSharded(l, ParallelOptions{Options: Options{WienerCTF: true}, Workers: 1})
+	i := 0
+	insert := func() {
+		j := i % len(ds.Views)
+		if err := rec.Insert(ds.Views[j].Image, ds.Views[j].TrueOrient, centers[j], ctfs[j]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range ds.Views {
+		insert()
+	}
+	if allocs := testing.AllocsPerRun(64, insert); allocs != 0 {
+		t.Errorf("%g allocations per warm insert, want 0", allocs)
+	}
+}
+
 // TestInsertStreamMatchesBatch pins the stream/batch stripe identity:
 // the same view sequence through InsertStream and InsertViews lands in
 // bit-identical accumulators.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 
 	"repro/internal/obs"
 )
@@ -24,6 +25,7 @@ import (
 //	GET    /jobs/{id}/events — one job's event stream
 //
 // Error mapping: invalid spec → 400, spec body over maxSpecBytes → 413,
+// spec body slower than the server's read deadline → 408,
 // unknown job → 404, queue full →
 // 429 with Retry-After (the client should back off and retry — the
 // job was not accepted), draining → 503, cancel of a finished job →
@@ -105,8 +107,13 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&spec); err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		switch {
+		case errors.As(err, &tooBig):
 			code = http.StatusRequestEntityTooLarge
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			// The server's read deadline (set by the command, which
+			// owns the wall clock) ran out mid-body.
+			code = http.StatusRequestTimeout
 		}
 		writeJSON(m, w, code, errorBody{Error: fmt.Sprintf("serve: decoding job spec: %v", err)})
 		return

@@ -24,7 +24,7 @@ type FSCOptions struct {
 	// Workers bounds refinement concurrency; ≤0 uses GOMAXPROCS.
 	Workers int
 	// OldFloorAngular / OldFloorCenter set the legacy method's
-	// accuracy floor (see baseline.OldConfig). Zeros select 1° and
+	// accuracy floor (see legacySchedule). Zeros select 1° and
 	// 1 px — the accuracy regime of symmetry-exploiting programs in
 	// routine use before sub-degree refinement.
 	OldFloorAngular, OldFloorCenter float64
@@ -115,8 +115,9 @@ func RunFSC(spec DatasetSpec, opt FSCOptions) (*FSCExperiment, error) {
 	return exp, nil
 }
 
-// legacySchedule truncates the default schedule at the legacy floors,
-// mirroring baseline.OldRefine.
+// legacySchedule is the "old method" of Figs. 5–6: the default
+// schedule truncated at the legacy angular floor, with centre steps no
+// finer than the legacy centre floor.
 func legacySchedule(opt FSCOptions) []core.Level {
 	var out []core.Level
 	for _, lv := range core.DefaultSchedule() {

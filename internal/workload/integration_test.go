@@ -95,32 +95,3 @@ func TestFullPipelineFromMicrograph(t *testing.T) {
 		t.Fatalf("low-frequency half-map agreement only %.3f", curve.Points[0].CC)
 	}
 }
-
-// TestGlobalSearchIntegration checks that orientation assignment works
-// with *no* initial estimates through the workload-scale pipeline.
-func TestGlobalSearchIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("global search integration test")
-	}
-	const l = 24
-	truth := phantom.Asymmetric(l, 8, 1)
-	truth.SphericalMask(0.4 * l)
-	ds := micrograph.Generate(truth, micrograph.GenParams{NumViews: 4, PixelA: 2.5, Seed: 44})
-	dft := fourier.NewVolumeDFTPadded(truth, 2)
-	cfg := core.DefaultConfig(l)
-	cfg.Schedule = core.DefaultSchedule()[:2]
-	r, err := core.NewRefiner(dft, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range ds.Views {
-		pv, _ := r.PrepareView(v.Image, v.CTF)
-		res, err := r.GlobalSearch(pv, core.DefaultGlobalSearchConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := geom.AngularDistance(res.Orient, v.TrueOrient); d > 2 {
-			t.Errorf("view %d: ab-initio error %.2f°", i, d)
-		}
-	}
-}

@@ -107,10 +107,10 @@ func AsymmetricSpec() DatasetSpec {
 	}
 }
 
-// SpecByName resolves a dataset name to its spec — the single
-// name→spec mapping shared by cmd/simulate and the refinement job
-// service. Both the short names ("sindbis") and the spec's own Name
-// field ("sindbis-like") are accepted.
+// SpecByName resolves a dataset name to its spec — the name→spec
+// mapping of the refinement job service. Both the short names
+// ("sindbis") and the spec's own Name field ("sindbis-like") are
+// accepted.
 func SpecByName(name string) (DatasetSpec, error) {
 	switch name {
 	case "sindbis", "sindbis-like":
