@@ -58,20 +58,34 @@ func TestAdaptiveMatchesExhaustiveOracleSingleLevel(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSmokePin pins one whole refinement across commits: on
-// this fixture the adaptive search spends 635 distance evaluations
-// where the exhaustive scan spends 6 861, and ends 0.07511500290980702°
-// from the truth. A changed value means the search trajectory changed,
-// not noise; a seeded rerun must be identical in every field.
-func TestAdaptiveSmokePin(t *testing.T) {
+// smokeFixture is the clean single-view fixture of the trajectory
+// tests: an asymmetric phantom, one noise-free centred view, and the
+// production configuration over the given schedule.
+func smokeFixture(t *testing.T, schedule []Level) (*Refiner, *micrograph.View) {
+	t.Helper()
 	const l = 32
 	truth := phantom.Asymmetric(l, 8, 1)
 	truth.SphericalMask(13)
 	v := micrograph.Generate(truth, micrograph.GenParams{NumViews: 1, PixelA: 2.5, Seed: 2}).Views[0]
-	r, err := NewRefiner(fourier.NewVolumeDFTPadded(truth, 2), DefaultConfig(l))
+	cfg := DefaultConfig(l)
+	cfg.Schedule = schedule
+	r, err := NewRefiner(fourier.NewVolumeDFTPadded(truth, 2), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r, v
+}
+
+// TestAdaptiveSmokePin pins one whole refinement across commits: on
+// this fixture the adaptive search spends 664 distance evaluations
+// where the exhaustive scan spends 6 861, and ends 0.07511500290980702°
+// from the truth. A changed value means the search trajectory changed,
+// not noise; a seeded rerun must be identical in every field. (664 was
+// derived in PR 22 on parent c861f40; it was 635 before the descent's
+// pattern move — a clean converging view pays one failed extension per
+// move — with the same end point.)
+func TestAdaptiveSmokePin(t *testing.T) {
+	r, v := smokeFixture(t, DefaultSchedule())
 	init := v.TrueOrient.Add(geom.Euler{Theta: 1.5, Phi: -1, Omega: 0.7})
 	refine := func(search func(*View, geom.Euler) Result) Result {
 		// Fresh view state per run: refinement bakes centre shifts
@@ -86,7 +100,7 @@ func TestAdaptiveSmokePin(t *testing.T) {
 	if again := refine(r.RefineView); !reflect.DeepEqual(res, again) {
 		t.Error("seeded adaptive rerun is not identical")
 	}
-	if got, want := res.TotalMatchings(), 635; got != want {
+	if got, want := res.TotalMatchings(), 664; got != want {
 		t.Errorf("adaptive search: %d distance evaluations, want %d", got, want)
 	}
 	oracle := refine(r.ExhaustiveRefine)
@@ -96,6 +110,8 @@ func TestAdaptiveSmokePin(t *testing.T) {
 	if got, want := geom.AngularDistance(res.Orient, v.TrueOrient), 0.07511500290980702; got != want {
 		t.Errorf("final error %.17g°, want %.17g°", got, want)
 	}
+	t.Logf("adaptive %d vs exhaustive %d evaluations, final error %.17g°",
+		res.TotalMatchings(), oracle.TotalMatchings(), geom.AngularDistance(res.Orient, v.TrueOrient))
 }
 
 // TestAdaptiveMatchesExhaustiveOracleSchedule: across the full
@@ -277,6 +293,42 @@ func TestAdaptiveVirtualWindowSlides(t *testing.T) {
 	}
 }
 
+// TestDescentPatternMoveReachesDistantMinimum: at the 0.01° level alone,
+// from starts 0.47–1.0° off (12–25 window half-widths), the descent
+// must arrive — all three starts on the same converged lattice cell —
+// because its neighbourhood ran dry, not because the slide budget ran
+// out. One cell per round cannot: without the pattern move the three
+// starts spend 672 / 616 / 665 evaluations, two of them end at the
+// slide cap, and they stop 0.131° / 0.038° / 0.450° from the truth.
+func TestDescentPatternMoveReachesDistantMinimum(t *testing.T) {
+	r, v := smokeFixture(t, []Level{{RAngular: 0.01, WindowHalf: 0.04}})
+	var cells []orientKey
+	for _, off := range []geom.Euler{
+		{Theta: 0.6},
+		{Theta: 0.3, Phi: -0.3, Omega: 0.2},
+		{Omega: 1.0},
+	} {
+		pv, err := r.PrepareView(v.Image, v.CTF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := r.RefineView(pv, v.TrueOrient.Add(off))
+		st := res.PerLevel[0]
+		t.Logf("start +%v: %d evaluations, %d slides, %d moves, %.4g° from truth",
+			off, st.Matchings, st.Slides, st.DescentMoves, geom.AngularDistance(res.Orient, v.TrueOrient))
+		if st.Slides >= r.cfg.MaxSlides {
+			t.Errorf("start +%v: level ended at the slide cap (%d slides)", off, st.Slides)
+		}
+		if st.Matchings > 450 {
+			t.Errorf("start +%v: %d evaluations, want ≤ 450", off, st.Matchings)
+		}
+		cells = append(cells, keyOf(res.Orient, 0.01))
+	}
+	if cells[0] != cells[1] || cells[0] != cells[2] {
+		t.Errorf("starts converged to different lattice cells: %v", cells)
+	}
+}
+
 // TestSearchConfigValidate: unknown search modes are rejected up front.
 func TestSearchConfigValidate(t *testing.T) {
 	cfg := DefaultConfig(16)
@@ -345,18 +397,21 @@ func adaptiveRunHash(t *testing.T, m int, withCTF bool) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestAdaptiveBitIdenticalToParent: deleting the shared cut cache did
-// not move the adaptive search by a bit. The hashes were recorded at
-// the commit before the deletion (62135f7), where lattice cuts came
-// from that cache: once unweighted, once with CTF-weighted cuts.
+// TestAdaptiveBitIdenticalToParent pins the adaptive search's whole
+// output on 8 views, once unweighted and once with CTF-weighted cuts,
+// so a change that means to leave the trajectory alone can show it did.
+// The hashes were re-derived in PR 22 (on parent c861f40), which
+// changed the trajectory by design (the descent's pattern move); until
+// then they were 9f43b51a…5d44 and 1bdd3ccf…9659, recorded at 62135f7
+// and held across the deletion of the shared cut cache.
 func TestAdaptiveBitIdenticalToParent(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		withCTF bool
 		golden  string
 	}{
-		{"unweighted", false, "9f43b51a5bd7aed08e0c7c1d27fc6fa147a3b058dcc41a5aedff826df7c95d44"},
-		{"ctf-weighted", true, "1bdd3ccf88060327bc57701c118b949cabd3759cfd190b0a543401f3eea69659"},
+		{"unweighted", false, "a75f2b8c7d81dc01e37102e15559c2a47f086039580ec9380b7affddd808c8f4"},
+		{"ctf-weighted", true, "e883ed858a635f0528e261e0b92676c5b23c8cbebbfe309740e72b4825330699"},
 	} {
 		if got := adaptiveRunHash(t, 8, c.withCTF); got != c.golden {
 			t.Errorf("%s: adaptive run hash %s, want %s", c.name, got, c.golden)

@@ -88,14 +88,16 @@ const (
 	// resolves to, so hand-built Configs keep their historical
 	// behaviour.
 	SearchExhaustive SearchMode = "exhaustive"
-	// SearchAdaptive replaces the flat scan with seeded stochastic
-	// hill-climbing over the level's orientation lattice: only the
-	// neighborhood of the current best (plus a few random probes) is
-	// scored per move, cutting distance evaluations by an order of
-	// magnitude once a view is converging. Results are deterministic —
-	// the probe streams derive from Config.SearchSeed, never global
-	// rand — and the flat scan remains available as the correctness
-	// oracle (Refiner.ExhaustiveRefine).
+	// SearchAdaptive replaces the flat scan with a seeded pattern search
+	// over the level's orientation lattice: each round scores only the
+	// neighborhood of the current best (plus a few random probes), and a
+	// round that moved is extended along its own direction at doubling
+	// strides while the distance keeps falling — an order of magnitude
+	// fewer distance evaluations than the scan once a view is
+	// converging, and a distant minimum is reached rather than crawled
+	// toward. Results are deterministic — the probe streams derive from
+	// Config.SearchSeed, never global rand — and the flat scan remains
+	// available as the correctness oracle (Refiner.ExhaustiveRefine).
 	SearchAdaptive SearchMode = "adaptive"
 )
 
@@ -216,14 +218,19 @@ type LevelStats struct {
 	// (each is one "matching operation": construct a cut, compute the
 	// distance — paper §4).
 	Matchings int
-	// Slides is how many times the sliding window was re-centred. The
-	// adaptive descent counts slides of its virtual window — each time
-	// the best orientation wanders more than the window half-width from
-	// the current centre — so the field means the same thing in both
-	// search modes.
+	// Slides is how many times the sliding window was re-centred, at
+	// most Config.MaxSlides in either search mode. The adaptive descent
+	// counts recentres of its virtual window: once per round whose best
+	// orientation ends more than the window half-width from the current
+	// centre. Under the flat scan one slide carries the window exactly
+	// one half-width; under the descent one recentre may carry it
+	// further, because a round's pattern move can cross several
+	// half-widths before the window rule is applied.
 	Slides int
-	// DescentMoves is how many times the adaptive descent moved its
-	// best orientation (0 under the exhaustive scan).
+	// DescentMoves is how many rounds of the adaptive descent moved its
+	// best orientation (0 under the exhaustive scan). A round counts
+	// once, whether it moved one cell or its pattern move carried the
+	// best many cells further.
 	DescentMoves int
 	// CenterEvals is the number of centre-shift distance evaluations.
 	CenterEvals int

@@ -18,6 +18,15 @@ var (
 	levelCenterEvals  = obs.NewCounterVec("core.level.center_evals", maxLevelCells)
 	levelCenterSlides = obs.NewCounterVec("core.level.center_slides", maxLevelCells)
 	levelDescentMoves = obs.NewCounterVec("core.level.descent_moves", maxLevelCells)
+	// levelSlideCapped counts views whose level ended with the slide
+	// budget spent: the search was truncated, not converged.
+	levelSlideCapped = obs.NewCounterVec("core.level.slide_capped", maxLevelCells)
+
+	// The descent's pattern move: candidates tried against extensions
+	// accepted. hits/evals is the useful-outcome ratio of the mechanism;
+	// a converging move costs one miss.
+	patternEvals = obs.NewCounter("core.search.pattern_evals")
+	patternHits  = obs.NewCounter("core.search.pattern_hits")
 
 	viewsRefined = obs.NewCounter("core.views_refined")
 	streamViews  = obs.NewCounter("core.stream.views")
@@ -25,7 +34,7 @@ var (
 
 // recordLevelStats folds one completed level's statistics into the
 // per-level counters.
-func recordLevelStats(li int, st LevelStats) {
+func (r *Refiner) recordLevelStats(li int, st LevelStats) {
 	if !obs.Enabled() {
 		return
 	}
@@ -34,4 +43,7 @@ func recordLevelStats(li int, st LevelStats) {
 	levelCenterEvals.Add(li, int64(st.CenterEvals))
 	levelCenterSlides.Add(li, int64(st.CenterSlides))
 	levelDescentMoves.Add(li, int64(st.DescentMoves))
+	if st.Slides >= r.cfg.MaxSlides {
+		levelSlideCapped.Inc(li)
+	}
 }

@@ -132,3 +132,37 @@ func TestLevelCountersRecord(t *testing.T) {
 		t.Fatalf("level-0 centre-eval counter moved %d, LevelStats says %d", got, st.CenterEvals)
 	}
 }
+
+// TestSearchHealthCountersRecord: the pattern-move counters move with
+// the descent — every accepted extension was first an attempt, and a
+// run of accepted extensions ends on a rejected one — and
+// core.level.slide_capped counts exactly the levels that spent the
+// whole slide budget.
+func TestSearchHealthCountersRecord(t *testing.T) {
+	r, v := smokeFixture(t, []Level{{RAngular: 0.01, WindowHalf: 0.04}})
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	run := func() LevelStats {
+		pv, err := r.PrepareView(v.Image, v.CTF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.RefineView(pv, v.TrueOrient.Add(geom.Euler{Omega: 1})).PerLevel[0]
+	}
+
+	evals, hits, capped := patternEvals.Value(), patternHits.Value(), levelSlideCapped.Value(0)
+	st := run()
+	evals, hits = patternEvals.Value()-evals, patternHits.Value()-hits
+	if hits == 0 || evals <= hits {
+		t.Errorf("pattern move: %d attempts, %d accepted", evals, hits)
+	}
+	if st.Slides >= r.cfg.MaxSlides || levelSlideCapped.Value(0) != capped {
+		t.Errorf("converged level (%d slides) counted as capped", st.Slides)
+	}
+
+	r.cfg.MaxSlides = 1
+	if st := run(); st.Slides != 1 || levelSlideCapped.Value(0) != capped+1 {
+		t.Errorf("level with its one slide spent (%d slides) moved slide_capped by %d, want 1",
+			st.Slides, levelSlideCapped.Value(0)-capped)
+	}
+}

@@ -190,7 +190,7 @@ func (r *Refiner) RefineOnCluster(
 			})
 			for i, q := range myIdx {
 				st := sts[i]
-				recordLevelStats(li, st)
+				r.recordLevelStats(li, st)
 				states[i].PerLevel = append(states[i].PerLevel, st)
 				n.Compute(float64(st.Matchings) * flopsPerMatch(band))
 				n.Compute(float64(st.CenterEvals) * 15 * float64(band))

@@ -177,7 +177,7 @@ func (r *Refiner) refineViewRange(v *View, res Result, start, stop int, sc *matc
 	for li := start; li < stop; li++ {
 		rng := newSearchRNG(r.cfg.SearchSeed, li, res.Orient)
 		st := r.refineLevel(v.vd, &res, r.cfg.Schedule[li], sc, &rng, mode)
-		recordLevelStats(li, st)
+		r.recordLevelStats(li, st)
 		res.PerLevel = append(res.PerLevel, st)
 	}
 	return res
@@ -256,7 +256,7 @@ func (r *Refiner) refineLevel(vd *viewData, res *Result, lv Level, sc *matchScra
 		var best geom.Euler
 		var bestD float64
 		if mode == SearchAdaptive {
-			//replint:allow hotpathalloc descendOrientations seeds sc.keys, worker-owned scratch reused via [:0] that holds its capacity across rounds; the search is alloc-free at steady state (benchmarked in cmd/benchkernel)
+			//replint:allow hotpathalloc descendOrientations seeds sc.keys, worker-owned scratch reused via [:0] that holds its capacity across rounds; the search is alloc-free at steady state (gated by TestAdaptiveStreamAllocsPerView)
 			best, bestD = r.descendOrientations(vd, res.Orient, lv, n, &st, sc, rng)
 		} else {
 			best, bestD = r.scanOrientations(vd, res.Orient, lv, n, &st, sc)
@@ -327,16 +327,22 @@ const maxDryRounds = 4
 // minima at proportionally more distance evaluations.
 const searchProbes = 2
 
-// descendOrientations is the adaptive orientation search: seeded
-// stochastic hill-climbing over the level's orientation lattice
-// (step lv.RAngular per axis). Each round scores the 3×3×3
-// neighborhood of the current best plus searchProbes random probes
-// within the window half-width — one batched kernel call over the
-// not-yet-cached candidates — and moves to the round's argmin. A
-// virtual window tracks the paper's sliding rule: when the best
-// wanders more than the window half-width from the current centre the
-// window recentres and counts a slide, bounded by MaxSlides exactly
-// like the flat scan.
+// descendOrientations is the adaptive orientation search: a seeded
+// pattern search (Hooke–Jeeves) over the level's orientation lattice
+// (step lv.RAngular per axis). Each round has two halves. The
+// exploratory half scores the 3×3×3 neighborhood of the current best
+// plus searchProbes random probes within the window half-width — one
+// batched kernel call over the not-yet-cached candidates — and moves to
+// the round's argmin. The pattern half follows a round that moved by
+// v = best − prev: it scores best + s·v for s = 1, 2, 4, …, one
+// candidate at a time, re-basing on every candidate that is strictly
+// better and stopping at the first that is not, so a straight slope
+// costs a logarithmic number of evaluations instead of a 27-candidate
+// round per cell. A virtual window then tracks the paper's sliding
+// rule once per round: when the best has wandered more than the window
+// half-width from the current centre the window recentres and counts
+// one slide — however far the pattern half carried it — bounded by
+// MaxSlides exactly like the flat scan.
 //
 // Candidates are global lattice cells (orientation = key · step), so
 // the per-level distance memo keys them exactly and a journaled
@@ -402,6 +408,27 @@ func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, 
 		}
 		dry = 0
 		st.DescentMoves++
+		// Pattern half: the round moved by v, so try the same direction
+		// again at doubling strides and keep going while the distance
+		// strictly falls — bestD decreases with every accepted step, so
+		// the loop ends even on a periodic landscape. The stride is
+		// capped at the wander the sliding rule still allows the level,
+		// h cells for each slide left in the budget: a pattern move is a
+		// shortcut through slides the level could still make, so a spent
+		// budget ends it. Nothing is drawn from rng.
+		v := orientKey{best[0] - prev[0], best[1] - prev[1], best[2] - prev[2]}
+		for s := int64(1); s <= h*int64(r.cfg.MaxSlides-st.Slides); s *= 2 {
+			k := orientKey{best[0] + s*v[0], best[1] + s*v[1], best[2] + s*v[2]}
+			sc.keys = append(sc.keys[:0], k)
+			r.scoreLatticeKeys(vd, step, n, st, sc)
+			patternEvals.Inc()
+			d := sc.cache[k]
+			if !(d < bestD) {
+				break
+			}
+			bestD, best = d, k
+			patternHits.Inc()
+		}
 		if chebyshevGT(best, center, h) {
 			if st.Slides >= r.cfg.MaxSlides {
 				break

@@ -594,18 +594,21 @@ func jobStreamsHash(t *testing.T, spec JobSpec) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestJobsBitIdenticalToParent: moving both job types onto the one
-// level loop (cycle.RefinePass) did not move a byte of what an executor
-// writes. The hashes were recorded at the commit before the move
-// (8127939), where serve's refine path had its own copy of the loop.
+// TestJobsBitIdenticalToParent pins every byte an executor writes — the
+// journal and the event stream of one refine and one cycle job — so an
+// executor refactor that means to change nothing can show it. The
+// hashes were re-derived in PR 22 (on parent c861f40), which changed
+// the search trajectory by design (the descent's pattern move); until
+// then they were e5c7fafe…3483 and fc38f086…737a, recorded at 8127939
+// and held across the move of both job types onto cycle.RefinePass.
 func TestJobsBitIdenticalToParent(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		spec   JobSpec
 		golden string
 	}{
-		{"refine", tinySpec(), "e5c7fafeaa88c84461b20f2e96992416711c4bcfc5c138a9cc6aed67cca83483"},
-		{"cycle", tinyCycleSpec(), "fc38f0863d78a7f43cb97edc86e73c96f382da6735318a53d5c3dcfa71d2737a"},
+		{"refine", tinySpec(), "61df1db9f0fd80b285a8e57582fb8f46a8dbf4256d740ef0d7c22193b9302605"},
+		{"cycle", tinyCycleSpec(), "de060cee179f629dae51f4db3286ac28bbde6611f17b8df75db4a944be30c58d"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if got := jobStreamsHash(t, c.spec); got != c.golden {

@@ -79,6 +79,7 @@ type LevelAgg struct {
 	RAngular       float64
 	MeanMatchings  float64
 	SlideViews     int // views whose window slid at least once
+	CappedViews    int // views that ended the level with the slide budget spent (Slides ≥ MaxSlides)
 	TotalSlides    int
 	MeanCenterEval float64
 }
@@ -143,7 +144,9 @@ func runMethod(ds *micrograph.Dataset, inits []geom.Euler, opt FSCOptions, sched
 	loop := newOuterLoop(ds, inits, opt)
 	var perLevel []LevelAgg
 	for cycle := 0; cycle < opt.Cycles; cycle++ {
+		var maxSlides int
 		results, err := loop.step(func(cfg *core.Config) {
+			maxSlides = cfg.MaxSlides
 			cfg.Schedule = schedule
 			cfg.ParabolicCenter = parabolic
 			if cycle < len(opt.RMapFracPerCycle) {
@@ -155,7 +158,7 @@ func runMethod(ds *micrograph.Dataset, inits []geom.Euler, opt FSCOptions, sched
 		if err != nil {
 			return nil, err
 		}
-		perLevel = aggregate(schedule, results)
+		perLevel = aggregate(schedule, maxSlides, results)
 	}
 	out, err := loop.assess()
 	if err != nil {
@@ -282,7 +285,7 @@ func (o *outerLoop) assess() (*MethodOutcome, error) {
 	}, nil
 }
 
-func aggregate(schedule []core.Level, results []core.Result) []LevelAgg {
+func aggregate(schedule []core.Level, maxSlides int, results []core.Result) []LevelAgg {
 	aggs := make([]LevelAgg, len(schedule))
 	for li := range schedule {
 		aggs[li].RAngular = schedule[li].RAngular
@@ -296,6 +299,9 @@ func aggregate(schedule []core.Level, results []core.Result) []LevelAgg {
 			aggs[li].MeanCenterEval += float64(st.CenterEvals)
 			if st.Slides > 0 {
 				aggs[li].SlideViews++
+			}
+			if st.Slides >= maxSlides {
+				aggs[li].CappedViews++
 			}
 			aggs[li].TotalSlides += st.Slides
 		}

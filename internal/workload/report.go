@@ -98,11 +98,11 @@ func WriteFSC(w io.Writer, exp *FSCExperiment) error {
 func WriteSliding(w io.Writer, name string, aggs []LevelAgg) error {
 	pr := &printer{w: w}
 	pr.printf("§5 — sliding-window statistics, %s (final cycle)\n", name)
-	pr.printf("%12s %16s %14s %14s %16s\n",
-		"r_angular", "matchings/view", "views w/slide", "total slides", "centre evals")
+	pr.printf("%12s %16s %14s %14s %14s %16s\n",
+		"r_angular", "matchings/view", "views w/slide", "views at cap", "total slides", "centre evals")
 	for _, a := range aggs {
-		pr.printf("%12.4g %16.1f %14d %14d %16.1f\n",
-			a.RAngular, a.MeanMatchings, a.SlideViews, a.TotalSlides, a.MeanCenterEval)
+		pr.printf("%12.4g %16.1f %14d %14d %14d %16.1f\n",
+			a.RAngular, a.MeanMatchings, a.SlideViews, a.CappedViews, a.TotalSlides, a.MeanCenterEval)
 	}
 	return pr.err
 }

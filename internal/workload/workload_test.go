@@ -102,6 +102,16 @@ func TestRunFSCSmall(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("empty report")
 	}
+	// The sliding table carries the truncation column, and a view at
+	// the slide cap is a view that slid.
+	if !bytes.Contains(buf.Bytes(), []byte("views at cap")) {
+		t.Errorf("sliding table has no \"views at cap\" column:\n%s", buf.String())
+	}
+	for _, a := range exp.New.PerLevel {
+		if a.CappedViews > a.SlideViews {
+			t.Errorf("level %g°: %d views at the slide cap but %d views slid", a.RAngular, a.CappedViews, a.SlideViews)
+		}
+	}
 }
 
 func TestRunTimingSmall(t *testing.T) {
