@@ -73,7 +73,7 @@ func benchmarkFSC(b *testing.B, spec workload.DatasetSpec) {
 	var exp *workload.FSCExperiment
 	for i := 0; i < b.N; i++ {
 		var err error
-		exp, err = workload.RunFSC(spec, workload.FSCOptions{})
+		exp, err = workload.RunFSC(spec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,8 +10,8 @@
 //	table1   Sindbis-like per-step timing table
 //	table2   reo-like per-step timing table
 //	sliding  §5 sliding-window activation statistics
-//	convergence  resolution/error trajectory across refine→reconstruct cycles
-//	plateau  cycles-to-plateau of the multi-cycle outer loop (internal/cycle)
+//	convergence  resolution/error trajectory across cycles of the outer loop (plateau rule off)
+//	plateau  cycles-to-plateau of the same outer loop (internal/cycle)
 //	depth    §5's closing question: accuracy/cost vs schedule depth
 //	cycle    §5 refinement vs reconstruction cycle shares
 //	symdetect §6 symmetry-group detection
@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -37,13 +38,25 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tables: ")
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the experiments args select to w; progress notes go to the
+// log. It is main without the process exit, so TestTablesGolden can
+// hold the output byte for byte.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
 	var (
-		exp   = flag.String("exp", "all", "experiment id (see doc comment)")
-		scale = flag.Float64("scale", 1, "shrink factor ≥1 for dataset size (quicker runs)")
-		outD  = flag.String("out", "", "directory for image artifacts (fig23 sections)")
-		p     = flag.Int("p", 16, "simulated processor count for timing tables")
+		exp   = fs.String("exp", "all", "experiment id (see doc comment)")
+		scale = fs.Float64("scale", 1, "shrink factor ≥1 for dataset size (quicker runs)")
+		outD  = fs.String("out", "", "directory for image artifacts (fig23 sections)")
+		p     = fs.Int("p", 16, "simulated processor count for timing tables")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
@@ -52,108 +65,122 @@ func main() {
 
 	// FSC experiments are shared between several ids; cache them.
 	var sindbisFSC, reoFSC *workload.FSCExperiment
-	getFSC := func(spec workload.DatasetSpec) *workload.FSCExperiment {
+	getFSC := func(spec workload.DatasetSpec) (*workload.FSCExperiment, error) {
 		cached := &sindbisFSC
 		if spec.Name == "reo-like" {
 			cached = &reoFSC
 		}
 		if *cached == nil {
 			log.Printf("running FSC experiment for %s (this is the long part)...", spec.Name)
-			e, err := workload.RunFSC(spec.Scaled(*scale), workload.FSCOptions{})
+			e, err := workload.RunFSC(spec.Scaled(*scale))
 			if err != nil {
-				log.Fatal(err)
+				return nil, err
 			}
 			*cached = e
 		}
-		return *cached
+		return *cached, nil
 	}
 
-	for _, id := range ids {
-		fmt.Printf("==== %s ====\n", id)
+	// one prints a single experiment's table.
+	one := func(id string) error {
+		sindbis := workload.SindbisSpec().Scaled(*scale * 1.5)
 		switch id {
 		case "fig1b":
-			must(workload.WriteViewCounts(os.Stdout, workload.ViewCounts([]float64{6, 3, 1, 0.1})))
+			return workload.WriteViewCounts(w, workload.ViewCounts([]float64{6, 3, 1, 0.1}))
 		case "opcount":
-			must(workload.WriteOpCount(os.Stdout, workload.OpCount(10, nil)))
-		case "fig5":
-			must(workload.WriteFSC(os.Stdout, getFSC(workload.SindbisSpec())))
-		case "fig6":
-			must(workload.WriteFSC(os.Stdout, getFSC(workload.ReoSpec())))
-		case "fig23":
-			e := getFSC(workload.SindbisSpec())
-			writeSections(*outD, e)
-		case "sliding":
-			e := getFSC(workload.SindbisSpec())
-			must(workload.WriteSliding(os.Stdout, e.Spec.Name, e.New.PerLevel))
-		case "table1":
-			runTiming(workload.SindbisSpec().Scaled(*scale), *p)
-		case "table2":
-			runTiming(workload.ReoSpec().Scaled(*scale), *p)
-		case "cycle":
-			t, err := workload.RunTiming(workload.SindbisSpec().Scaled(*scale*1.5), workload.TimingOptions{P: *p})
+			return workload.WriteOpCount(w, workload.OpCount(10, nil))
+		case "fig5", "fig6", "fig23", "sliding":
+			spec := workload.SindbisSpec()
+			if id == "fig6" {
+				spec = workload.ReoSpec()
+			}
+			e, err := getFSC(spec)
 			if err != nil {
-				log.Fatal(err)
+				return err
+			}
+			switch id {
+			case "fig23":
+				return writeSections(w, *outD, e)
+			case "sliding":
+				return workload.WriteSliding(w, e.Spec.Name, e.New.PerLevel)
+			}
+			return workload.WriteFSC(w, e)
+		case "table1":
+			return runTiming(w, workload.SindbisSpec().Scaled(*scale), *p)
+		case "table2":
+			return runTiming(w, workload.ReoSpec().Scaled(*scale), *p)
+		case "cycle":
+			t, err := workload.RunTiming(sindbis, workload.TimingOptions{P: *p})
+			if err != nil {
+				return err
 			}
 			cb := t.Cycle()
-			fmt.Printf("paper-scale cycle: refinement %.4g s, reconstruction %.4g s (%.1f%% of cycle; §5 reports <5%%)\n",
+			_, err = fmt.Fprintf(w, "paper-scale cycle: refinement %.4g s, reconstruction %.4g s (%.1f%% of cycle; §5 reports <5%%)\n",
 				cb.RefinementSecs, cb.ReconstructionSecs, 100*cb.ReconstructionShare)
+			return err
 		case "symdetect":
-			must(workload.WriteSymDetect(os.Stdout, workload.RunSymmetryDetection(32)))
+			return workload.WriteSymDetect(w, workload.RunSymmetryDetection(32))
 		case "plateau":
-			res, err := workload.RunCycleDriver(workload.SindbisSpec().Scaled(*scale*1.5), workload.CycleOptions{})
+			res, err := workload.RunCycleDriver(sindbis, workload.CycleOptions{})
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			must(workload.WritePlateau(os.Stdout, res))
+			return workload.WritePlateau(w, res)
 		case "depth":
-			spec := workload.SindbisSpec().Scaled(*scale * 1.5)
-			rows, err := workload.DepthStudy(spec)
+			rows, err := workload.DepthStudy(sindbis)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			must(workload.WriteDepthStudy(os.Stdout, spec, rows))
+			return workload.WriteDepthStudy(w, sindbis, rows)
 		case "convergence":
-			res, err := workload.RunConvergence(workload.SindbisSpec().Scaled(*scale*1.5), workload.FSCOptions{}, 4)
+			res, err := workload.RunConvergence(sindbis, 4)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			must(res.Write(os.Stdout))
-			fmt.Printf("converged (Δcc < 0.01 between final cycles): %t\n", res.Converged(0.01))
-		default:
-			log.Fatalf("unknown experiment %q", id)
+			if err := res.Write(w); err != nil {
+				return err
+			}
+			_, err = fmt.Fprintf(w, "converged (Δcc < 0.01 between final cycles): %t\n", res.Converged(0.01))
+			return err
 		}
-		fmt.Println()
+		return fmt.Errorf("unknown experiment %q", id)
 	}
+	for _, id := range ids {
+		if _, err := fmt.Fprintf(w, "==== %s ====\n", id); err != nil {
+			return err
+		}
+		if err := one(id); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// must aborts on a report-write error (the tables are the tool's
-// entire output, so a failed write is fatal).
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-func runTiming(spec workload.DatasetSpec, p int) {
+func runTiming(w io.Writer, spec workload.DatasetSpec, p int) error {
 	t, err := workload.RunTiming(spec, workload.TimingOptions{P: p})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	must(workload.WriteTiming(os.Stdout, t))
+	return workload.WriteTiming(w, t)
 }
 
 // writeSections exports the Figs. 2/3 artifacts: matched central
 // cross-sections of the truth, old-orientation and new-orientation
 // maps, plus summary statistics.
-func writeSections(dir string, e *workload.FSCExperiment) {
-	fmt.Printf("Figs. 2/3 — reconstructions with old vs new orientations (%s)\n", e.Spec.Name)
-	fmt.Printf("map correlation vs ground truth: old %.4f, new %.4f\n", e.Old.TruthCC, e.New.TruthCC)
+func writeSections(w io.Writer, dir string, e *workload.FSCExperiment) error {
+	if _, err := fmt.Fprintf(w, "Figs. 2/3 — reconstructions with old vs new orientations (%s)\n"+
+		"map correlation vs ground truth: old %.4f, new %.4f\n", e.Spec.Name, e.Old.TruthCC, e.New.TruthCC); err != nil {
+		return err
+	}
 	if dir == "" {
-		fmt.Println("(pass -out DIR to export PGM cross-sections)")
-		return
+		_, err := fmt.Fprintln(w, "(pass -out DIR to export PGM cross-sections)")
+		return err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	z := e.Truth.L / 2
 	for _, item := range []struct {
@@ -165,14 +192,18 @@ func writeSections(dir string, e *workload.FSCExperiment) {
 		path := filepath.Join(dir, fmt.Sprintf("fig2_%s_z%02d.pgm", item.name, z))
 		f, err := os.Create(path)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := item.m.ZSection(z).WritePGM(f); err != nil {
-			log.Fatal(err)
+		err = item.m.ZSection(z).WritePGM(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
+		if err == nil {
+			_, err = fmt.Fprintf(w, "wrote %s\n", path)
 		}
-		fmt.Printf("wrote %s\n", path)
+		if err != nil {
+			return err
+		}
 	}
+	return nil
 }

@@ -31,7 +31,7 @@ func main() {
 		spec.Name, spec.NumViews, spec.L, spec.L, spec.PixelA, spec.SNR)
 	fmt.Println("running old and new refinement (two refine→reconstruct cycles each)...")
 
-	exp, err := workload.RunFSC(spec, workload.FSCOptions{})
+	exp, err := workload.RunFSC(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,10 +6,9 @@ import (
 )
 
 // OracleGuard keeps the reference implementations ("oracles") out of
-// production code. PR 1 and PR 2 replaced the complex-FFT and
-// scalar-sampling paths with fused/real-input equivalents but kept the
-// originals — NewVolumeDFTComplex, ImageDFTComplex, VolumeDFT.Sample —
-// as the ground truth that equivalence tests compare against; later
+// production code. The scalar-sampling path was replaced early with a
+// fused equivalent, but the original — VolumeDFT.Sample — stayed as
+// the ground truth that equivalence tests compare against; later
 // kernels added their own (Refiner.ExhaustiveRefine, the serial
 // reconstructor, and core's newFullDiscMatcher, the pre-half-band
 // comparison band, which lives in a _test.go file and so cannot reach

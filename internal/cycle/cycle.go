@@ -62,6 +62,12 @@ type Config struct {
 	// during refinement and Wiener weighting during reconstruction —
 	// set it iff the dataset views carry CTF state.
 	CTF bool
+	// GridCenters, when set, leaves every level's centre on its search
+	// grid instead of interpolating below it (core.Config.ParabolicCenter
+	// off) — the grid-limited "old method" of the paper's Figs. 5–6. Only
+	// the experiments set it; no job spec, flag or environment variable
+	// reaches it.
+	GridCenters bool
 	// Stream shapes each refinement pass's pipeline.
 	Stream core.StreamOptions
 }
@@ -114,8 +120,8 @@ func (cfg Config) normalized() (Config, error) {
 type Dataset struct {
 	// Views are the experimental images E_q.
 	Views []*volume.Image
-	// CTFs carries per-view microscope state; nil when Config.CTF is
-	// unset.
+	// CTFs carries per-view microscope state, one per view; nil when the
+	// views carry none (Config.CTF unset).
 	CTFs []ctf.Params
 	// Inits are the rough initial orientations O_q^init — also the
 	// orientations the cycle-0 reference is reconstructed from.
@@ -130,7 +136,7 @@ func (ds Dataset) validate(cfg Config) error {
 	if len(ds.Inits) != len(ds.Views) {
 		return fmt.Errorf("cycle: %d views but %d initial orientations", len(ds.Views), len(ds.Inits))
 	}
-	if cfg.CTF && len(ds.CTFs) != len(ds.Views) {
+	if (cfg.CTF || len(ds.CTFs) != 0) && len(ds.CTFs) != len(ds.Views) {
 		return fmt.Errorf("cycle: %d views but %d CTF params", len(ds.Views), len(ds.CTFs))
 	}
 	for i, v := range ds.Views {
@@ -260,7 +266,7 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 		if st.LevelsDone != 0 {
 			return nil, fmt.Errorf("cycle: %d levels done but no results", st.LevelsDone)
 		}
-		results = initialResults(ds)
+		results = InitialResults(ds.Inits)
 	} else if len(results) != n {
 		return nil, fmt.Errorf("cycle: %d views but %d resumed results", n, len(results))
 	}
@@ -295,7 +301,7 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 				// reconstructed from the rough initial orientations —
 				// never from partially refined results, so a resume into
 				// cycle 0 (at any level) rebuilds the identical reference.
-				ref, err = fullMap(ds, initialResults(ds), cfg)
+				ref, err = fullMap(ds, InitialResults(ds.Inits), cfg)
 				if err != nil {
 					return nil, fmt.Errorf("cycle: initial reference: %w", err)
 				}
@@ -342,14 +348,9 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 			}
 		}
 		releaseStage()
-		odd, even, err := halfMaps(ds, results, cfg)
+		curve, err := HalfMapFSC(ds, results, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("cycle: cycle %d half maps: %w", c, err)
-		}
-		releaseStage()
-		curve, err := fsc.ComputeParallel(odd, even, cfg.PixelA, 0)
-		if err != nil {
-			return nil, fmt.Errorf("cycle: cycle %d fsc: %w", c, err)
+			return nil, fmt.Errorf("cycle: cycle %d %w", c, err)
 		}
 
 		resA := curve.ResolutionAt(0.5)
@@ -431,12 +432,12 @@ func RefinePass(ctx context.Context, r *core.Refiner, src core.StreamSource, pri
 // peak the largest single stage, not the sum of neighbours.
 func releaseStage() { runtime.GC() }
 
-// initialResults are the priors of a fresh cycle 0: the rough initial
-// orientations with zero centre corrections.
-func initialResults(ds Dataset) []core.Result {
-	results := make([]core.Result, len(ds.Inits))
+// InitialResults are the priors of a fresh refinement pass: the rough
+// initial orientations with zero centre corrections.
+func InitialResults(inits []geom.Euler) []core.Result {
+	results := make([]core.Result, len(inits))
 	for i := range results {
-		results[i] = core.Result{Orient: ds.Inits[i]}
+		results[i] = core.Result{Orient: inits[i]}
 	}
 	return results
 }
@@ -452,6 +453,7 @@ func newRefiner(ref *volume.Grid, cfg Config) (*core.Refiner, error) {
 	ccfg.Schedule = core.DefaultSchedule()[:cfg.Levels]
 	ccfg.Search = cfg.Search
 	ccfg.SearchSeed = cfg.SearchSeed
+	ccfg.ParabolicCenter = !cfg.GridCenters
 	if cfg.CTF {
 		ccfg.CorrectCTF = true
 		ccfg.CTFMode = ctf.PhaseFlip
@@ -479,12 +481,24 @@ func fullMap(ds Dataset, results []core.Result, cfg Config) (*volume.Grid, error
 	return reconstruct.FromViewsParallel(ds.Views, orients, centers, ds.CTFs, reconOptions(cfg)) //replint:allow simclock reconstruct's trace span reads wall time only for observability; map bytes are clock-independent
 }
 
-// halfMaps reconstructs the odd/even half maps (1-based view parity,
-// as in the paper's Fig. 4 procedure).
-func halfMaps(ds Dataset, results []core.Result, cfg Config) (*volume.Grid, *volume.Grid, error) {
+// HalfMapFSC is the paper's Fig. 4 assessment of a solution: reconstruct
+// the odd/even half maps (1-based view parity) from the given results
+// and correlate them shell by shell. Run calls it once per cycle; the
+// depth study calls it after every level. Of cfg it reads PixelA and
+// CTF.
+func HalfMapFSC(ds Dataset, results []core.Result, cfg Config) (*fsc.Curve, error) {
 	orients, centers := solutions(results)
 	// Same trace-span waiver as fullMap.
-	return reconstruct.SplitHalvesParallel(ds.Views, orients, centers, ds.CTFs, reconOptions(cfg)) //replint:allow simclock reconstruct's trace span reads wall time only for observability; map bytes are clock-independent
+	odd, even, err := reconstruct.SplitHalvesParallel(ds.Views, orients, centers, ds.CTFs, reconOptions(cfg)) //replint:allow simclock reconstruct's trace span reads wall time only for observability; map bytes are clock-independent
+	if err != nil {
+		return nil, fmt.Errorf("half maps: %w", err)
+	}
+	releaseStage()
+	curve, err := fsc.ComputeParallel(odd, even, cfg.PixelA, 0)
+	if err != nil {
+		return nil, fmt.Errorf("fsc: %w", err)
+	}
+	return curve, nil
 }
 
 // solutions splits results into the orientation and centre slices the

@@ -3,11 +3,13 @@ package cycle
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ctf"
+	"repro/internal/fourier"
 	"repro/internal/fsc"
 	"repro/internal/micrograph"
 	"repro/internal/phantom"
@@ -154,7 +156,7 @@ func TestRunHookOrder(t *testing.T) {
 		trace = nil
 		polls := 0
 		h.Drain = func() bool { polls++; return polls == row.parkAt }
-		res, parked, err := RefinePass(context.Background(), r, src, initialResults(ds), 1, 0, cfg.Levels, cfg.Stream, h)
+		res, parked, err := RefinePass(context.Background(), r, src, InitialResults(ds.Inits), 1, 0, cfg.Levels, cfg.Stream, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,6 +291,68 @@ func TestRunConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(ctx, Dataset{Views: ds.Views, Inits: ds.Inits[:2]}, cfg, State{}, Hooks{}); err == nil {
 		t.Error("mismatched inits accepted")
+	}
+	// CTF params are indexed per view whenever present, CTF on or off.
+	if _, err := Run(ctx, Dataset{Views: ds.Views, Inits: ds.Inits, CTFs: make([]ctf.Params, 2)}, cfg, State{}, Hooks{}); err == nil {
+		t.Error("short CTF params accepted with CTF off")
+	}
+}
+
+// TestGridCenters: the one switch the experiments' "old method" adds.
+// Unset, a run's results equal a pass on the refiner core.DefaultConfig
+// builds (sub-grid centre interpolation on, as before the field
+// existed); set, every centre of a 1 px level stays on the 1 px grid.
+func TestGridCenters(t *testing.T) {
+	ds, cfg := tinyRun(t, false)
+	cfg.Levels, cfg.MaxCycles = 1, 1
+	ctx := context.Background()
+	out, err := Run(ctx, ds, cfg, State{}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ncfg, err := cfg.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := fullMap(ds, InitialResults(ds.Inits), ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.SphericalMask(maskFrac * float64(cfg.L))
+	ccfg := core.DefaultConfig(cfg.L)
+	ccfg.Schedule = core.DefaultSchedule()[:1]
+	r, err := core.NewRefiner(fourier.NewVolumeDFTPadded(ref, ncfg.Pad), ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := r.RefineStream(ctx, len(ds.Views), core.SliceSource(ds.Views, nil, ds.Inits), cfg.Stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Results, want) {
+		t.Fatalf("zero GridCenters changed the results:\n got %+v\nwant %+v", out.Results, want)
+	}
+
+	cfg.GridCenters = true
+	grid, err := Run(ctx, ds, cfg, State{}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offGrid := func(res core.Result) bool {
+		return res.Center[0] != math.Round(res.Center[0]) || res.Center[1] != math.Round(res.Center[1])
+	}
+	interpolated := 0
+	for i := range grid.Results {
+		if offGrid(grid.Results[i]) {
+			t.Errorf("GridCenters: view %d centre %v is off the 1 px grid", i, grid.Results[i].Center)
+		}
+		if offGrid(out.Results[i]) {
+			interpolated++
+		}
+	}
+	if interpolated == 0 {
+		t.Error("no centre left the grid with GridCenters unset; the field changes nothing here")
 	}
 }
 

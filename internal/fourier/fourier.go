@@ -70,8 +70,7 @@ func NewVolumeDFTPadded(g *volume.Grid, pad int) *VolumeDFT {
 	bl := pad * l
 	// The padded cube is purely real, so the transform runs through the
 	// Hermitian-symmetry real-input path — half the floating-point work
-	// of the complex 3-D FFT. NewVolumeDFTComplex keeps the complex
-	// route as the reference implementation (and test oracle).
+	// of the complex 3-D FFT.
 	src := make([]float64, bl*bl*bl)
 	off := bl/2 - l/2 // maps voxel l/2 (particle origin) onto bl/2
 	for x := 0; x < l; x++ {
@@ -83,33 +82,6 @@ func NewVolumeDFTPadded(g *volume.Grid, pad int) *VolumeDFT {
 	}
 	data := make([]complex128, bl*bl*bl)
 	fft.NewRealPlan3D(bl, bl, bl).Forward(src, data)
-	applyCenterRamp3D(data, bl, +1)
-	return &VolumeDFT{L: bl, SrcL: l, Data: data}
-}
-
-// NewVolumeDFTComplex is the pre-real-path construction of the centred
-// padded spectrum, kept verbatim as the reference implementation for
-// oracle tests of the Hermitian-symmetry route.
-//
-//repro:oracle
-func NewVolumeDFTComplex(g *volume.Grid, pad int) *VolumeDFT {
-	if pad < 1 {
-		panic("fourier: pad must be ≥ 1")
-	}
-	l := g.L
-	bl := pad * l
-	data := make([]complex128, bl*bl*bl)
-	off := bl/2 - l/2
-	for x := 0; x < l; x++ {
-		for y := 0; y < l; y++ {
-			base := ((x+off)*bl + y + off) * bl
-			srcBase := (x*l + y) * l
-			for z := 0; z < l; z++ {
-				data[base+z+off] = complex(g.Data[srcBase+z], 0)
-			}
-		}
-	}
-	fft.NewPlan3D(bl, bl, bl).Forward(data)
 	applyCenterRamp3D(data, bl, +1)
 	return &VolumeDFT{L: bl, SrcL: l, Data: data}
 }
@@ -282,8 +254,7 @@ func (v *VolumeDFT) ExtractSliceInto(dst *volume.CImage, o geom.Euler, rmax floa
 
 // ImageDFT computes the centred 2-D DFT F of a view. Views are real,
 // so the transform runs through the Hermitian-symmetry real-input path
-// (about half the work of the complex 2-D FFT); ImageDFTComplex keeps
-// the complex route as the reference implementation.
+// (about half the work of the complex 2-D FFT).
 func ImageDFT(im *volume.Image) *volume.CImage {
 	c := volume.NewCImage(im.L)
 	ImageDFTInto(c, im)
@@ -296,18 +267,6 @@ func ImageDFT(im *volume.Image) *volume.CImage {
 // which additionally reuses the plan scratch and ramp table.
 func ImageDFTInto(dst *volume.CImage, im *volume.Image) {
 	NewViewTransformer(im.L).Transform(im, dst)
-}
-
-// ImageDFTComplex is the pre-real-path view transform, kept verbatim
-// as the reference implementation for oracle tests.
-//
-//repro:oracle
-func ImageDFTComplex(im *volume.Image) *volume.CImage {
-	l := im.L
-	c := im.Complex()
-	fft.NewPlan2D(l, l).Forward(c.Data)
-	applyCenterRamp2D(c.Data, l, +1)
-	return c
 }
 
 // ViewTransformer performs repeated centred 2-D DFTs of equally sized

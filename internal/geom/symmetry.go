@@ -223,34 +223,3 @@ func vecLess(a, b Vec3) bool {
 	}
 	return false
 }
-
-// Reduce maps an orientation into the asymmetric unit of the group:
-// it returns g·R for the group element g that takes the view axis to
-// its canonical representative. Refinement restricted to a known
-// symmetry searches only these reduced orientations (the "old method"
-// of the paper).
-func (g *Group) Reduce(e Euler) Euler {
-	r := e.Matrix()
-	axis := e.ViewAxis()
-	best := axis
-	bestElem := Identity3()
-	for _, elem := range g.Elements {
-		c := elem.Apply(axis)
-		if vecLess(best, c) {
-			best = c
-			bestElem = elem
-		}
-	}
-	return FromMatrix(bestElem.Mul(r))
-}
-
-// Orbit returns the orbit of orientation e under the group: all
-// equivalent orientations g·R(e).
-func (g *Group) Orbit(e Euler) []Euler {
-	r := e.Matrix()
-	out := make([]Euler, 0, g.Order())
-	for _, elem := range g.Elements {
-		out = append(out, FromMatrix(elem.Mul(r)))
-	}
-	return out
-}

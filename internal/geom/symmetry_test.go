@@ -138,49 +138,6 @@ func TestCanonicalIsOrbitInvariant(t *testing.T) {
 	}
 }
 
-func TestReducePreservesView(t *testing.T) {
-	// Reducing an orientation must map it to an equivalent view: the
-	// projection of an icosahedrally symmetric object is unchanged.
-	g := Icosahedral()
-	r := rand.New(rand.NewSource(13))
-	for i := 0; i < 100; i++ {
-		e := randEuler(r)
-		red := g.Reduce(e)
-		// red = g·e for some group element: check R_red · R_e^T ∈ G.
-		rel := red.Matrix().Mul(e.Matrix().Transpose())
-		found := false
-		for _, elem := range g.Elements {
-			d := rel.Mul(elem.Transpose())
-			if math.Abs(d.Trace()-3) < 1e-6 {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("Reduce(%v) = %v is not a symmetry mate", e, red)
-		}
-		if !g.InAsymmetricUnit(red.ViewAxis()) {
-			t.Fatalf("Reduce(%v) axis not in asymmetric unit", e)
-		}
-	}
-}
-
-func TestOrbitSize(t *testing.T) {
-	g := Icosahedral()
-	orb := g.Orbit(Euler{37, 111, 5})
-	if len(orb) != 60 {
-		t.Fatalf("orbit size %d, want 60", len(orb))
-	}
-	// All orbit members must be distinct orientations.
-	for i := range orb {
-		for j := i + 1; j < len(orb); j++ {
-			if AngularDistance(orb[i], orb[j]) < 1e-6 {
-				t.Fatalf("orbit members %d and %d coincide", i, j)
-			}
-		}
-	}
-}
-
 func randomDirection(r *rand.Rand) Vec3 {
 	for {
 		v := Vec3{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}

@@ -8,20 +8,6 @@ import (
 	"strconv"
 )
 
-// WriteText writes the current snapshot as "name value" lines, sorted
-// by name — greppable and diffable between runs.
-func WriteText(w io.Writer) error {
-	var buf bytes.Buffer
-	for _, m := range Snapshot() {
-		buf.WriteString(m.Name)
-		buf.WriteByte(' ')
-		buf.WriteString(strconv.FormatInt(m.Value, 10))
-		buf.WriteByte('\n')
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
 // metricsDoc is the JSON snapshot envelope. The schema version covers
 // the envelope shape, not the series set — new instruments may appear
 // between PRs without a bump.

@@ -185,18 +185,6 @@ func TestTraceInactiveIsNoop(t *testing.T) {
 	h.End(1)         // must not panic
 }
 
-func TestTraceTimeOffset(t *testing.T) {
-	tr := StartTrace()
-	defer EndTrace()
-	Span(0, 0, "first", "test", 0, 1)
-	tr.SetTimeOffset(10)
-	Span(0, 0, "second", "test", 0, 1)
-	ev := tr.Events()
-	if ev[0].Start != 0 || ev[1].Start != 10 || ev[1].End != 11 {
-		t.Fatalf("offset not applied: %+v", ev)
-	}
-}
-
 // TestTraceKeepsNewest: a trace is a ring of the newest traceCap
 // events — a daemon that traces from boot must not grow without limit.
 // The oldest events are the ones dropped, the retained ones still come
@@ -286,10 +274,10 @@ func TestWriteTextAndJSON(t *testing.T) {
 	c := NewCounter("test.export.counter")
 	withEnabled(t, func() { c.Add(5) })
 	var txt bytes.Buffer
-	if err := WriteText(&txt); err != nil {
+	if err := WriteProm(&txt); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(txt.String(), "test.export.counter 5\n") {
+	if !strings.Contains(txt.String(), "test_export_counter 5\n") {
 		t.Errorf("text export missing counter: %s", txt.String())
 	}
 	var js bytes.Buffer

@@ -47,7 +47,6 @@ type Trace struct {
 	events  []Event // grows to traceCap once, then overwrites in place
 	head    int     // slot of the oldest event once the ring is full
 	dropped int64   // events overwritten so far
-	offset  float64
 }
 
 // active is the currently recording trace, or nil. A plain atomic
@@ -71,23 +70,8 @@ func EndTrace() *Trace {
 // ActiveTrace returns the currently recording trace, or nil.
 func ActiveTrace() *Trace { return active.Load() }
 
-// SetTimeOffset shifts all subsequently recorded events by off
-// simulated seconds. The driver uses it to lay successive simulation
-// phases (slab FFT, then refinement) end-to-end on one timeline even
-// though each phase's cluster clock starts at zero.
-func (t *Trace) SetTimeOffset(off float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.offset = off
-	t.mu.Unlock()
-}
-
 func (t *Trace) record(e Event) {
 	t.mu.Lock()
-	e.Start += t.offset
-	e.End += t.offset
 	if len(t.events) < traceCap {
 		t.events = append(t.events, e)
 	} else {
@@ -142,15 +126,6 @@ func Span(pid, tid int, name, cat string, start, end float64) {
 		return
 	}
 	t.record(Event{Name: name, Cat: cat, Phase: "X", Pid: pid, Tid: tid, Start: start, End: end})
-}
-
-// SpanArgs is Span with up to two integer annotations.
-func SpanArgs(pid, tid int, name, cat string, start, end float64, args [2]Arg) {
-	t := active.Load()
-	if t == nil {
-		return
-	}
-	t.record(Event{Name: name, Cat: cat, Phase: "X", Pid: pid, Tid: tid, Start: start, End: end, Args: args})
 }
 
 // Instant records a zero-duration marker on the active trace.

@@ -249,8 +249,9 @@ func validateSet(views []*volume.Image, orients []geom.Euler, centers [][2]float
 	if centers != nil && len(centers) != len(views) {
 		return fmt.Errorf("reconstruct: %d views but %d centres", len(views), len(centers))
 	}
-	if opt.WienerCTF && len(ctfs) != len(views) {
-		return fmt.Errorf("reconstruct: WienerCTF needs per-view CTF params")
+	// ctfs are indexed per view whenever present, WienerCTF or not.
+	if (opt.WienerCTF || len(ctfs) != 0) && len(ctfs) != len(views) {
+		return fmt.Errorf("reconstruct: %d views but %d CTF params", len(views), len(ctfs))
 	}
 	l := views[0].L
 	for i, im := range views {

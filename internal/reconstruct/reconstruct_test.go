@@ -160,6 +160,16 @@ func TestInputValidation(t *testing.T) {
 	if _, err := FromViews([]*volume.Image{im}, []geom.Euler{{}, {}}, nil, nil, Options{}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
+	// ctfs are indexed per view whenever present, WienerCTF or not.
+	two := []*volume.Image{im, im}
+	for _, opt := range []Options{{}, {WienerCTF: true}} {
+		if _, err := FromViews(two, make([]geom.Euler, 2), nil, make([]ctf.Params, 1), opt); err == nil {
+			t.Fatalf("short CTF params accepted (WienerCTF %t)", opt.WienerCTF)
+		}
+		if _, _, err := SplitHalves(two, make([]geom.Euler, 2), nil, make([]ctf.Params, 1), opt); err == nil {
+			t.Fatalf("short CTF params accepted by SplitHalves (WienerCTF %t)", opt.WienerCTF)
+		}
+	}
 	rec := New(8, Options{})
 	if err := rec.Insert(volume.NewImage(10), geom.Euler{}, [2]float64{}, ctf.Params{}); err == nil {
 		t.Fatal("size mismatch accepted")

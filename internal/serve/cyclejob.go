@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/reconstruct"
 	"repro/internal/volume"
+	"repro/internal/workload"
 )
 
 // runCycleJob executes one cycle job through the internal/cycle driver,
@@ -22,13 +23,7 @@ import (
 func (m *Manager) runCycleJob(worker int, jb *job) {
 	ds := jb.wspec.Build()
 	inits := ds.PerturbedOrientations(jb.spec.InitError, jb.spec.InitSeed)
-	cds := cycle.Dataset{Views: ds.Images(), Inits: inits}
-	if ds.HasCTF {
-		cds.CTFs = ds.CTFs()
-	}
-	cfg := cycle.Config{
-		L:             ds.L,
-		PixelA:        ds.PixelA,
+	cds, cfg := workload.CycleInputs(ds, inits, cycle.Config{
 		Levels:        jb.spec.Levels,
 		Pad:           jb.spec.Pad,
 		MaxCycles:     jb.spec.MaxCycles,
@@ -36,9 +31,8 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 		PlateauWindow: jb.spec.PlateauWindow,
 		Search:        core.SearchMode(jb.spec.Search),
 		SearchSeed:    jb.spec.SearchSeed,
-		CTF:           ds.HasCTF,
 		Stream:        m.opt.Stream,
-	}
+	})
 
 	m.mu.Lock()
 	st := cycle.State{

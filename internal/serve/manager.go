@@ -451,10 +451,7 @@ func (m *Manager) runJob(worker int, jb *job) {
 	priors := jb.results
 	m.mu.Unlock()
 	if priors == nil {
-		priors = make([]core.Result, len(inits))
-		for i := range priors {
-			priors[i] = core.Result{Orient: inits[i]}
-		}
+		priors = cycle.InitialResults(inits)
 	}
 	src := core.SliceSource(ds.Images(), ds.CTFs(), inits)
 	results, parked, err := cycle.RefinePass(jb.ctx, r, src, priors, 0, start, jb.spec.Levels, m.opt.Stream, m.levelHooks(worker, jb))

@@ -13,10 +13,7 @@ import (
 // formats; a master node reads whole files and distributes segments,
 // exactly as §3 of the paper assumes.
 
-const (
-	gridMagic  = 0x4d504456 // "VDPM"
-	imageMagic = 0x4d494456 // "VDIM"
-)
+const gridMagic = 0x4d504456 // "VDPM"
 
 // WriteGrid serializes g to w.
 func (g *Grid) WriteTo(w io.Writer) (int64, error) {
@@ -51,41 +48,6 @@ func ReadGrid(r io.Reader) (*Grid, error) {
 		return nil, fmt.Errorf("volume: reading grid data: %w", err)
 	}
 	return g, nil
-}
-
-// WriteTo serializes im to w.
-func (im *Image) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	hdr := []uint32{imageMagic, uint32(im.L)}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return 0, err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, im.Data); err != nil {
-		return 0, err
-	}
-	n := int64(8 + 8*len(im.Data))
-	return n, bw.Flush()
-}
-
-// ReadImage deserializes an image written by Image.WriteTo.
-func ReadImage(r io.Reader) (*Image, error) {
-	br := bufio.NewReader(r)
-	var hdr [2]uint32
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("volume: reading image header: %w", err)
-	}
-	if hdr[0] != imageMagic {
-		return nil, fmt.Errorf("volume: bad image magic %#x", hdr[0])
-	}
-	l := int(hdr[1])
-	if l < 1 || l > 65536 {
-		return nil, fmt.Errorf("volume: implausible image size %d", l)
-	}
-	im := NewImage(l)
-	if err := binary.Read(br, binary.LittleEndian, im.Data); err != nil {
-		return nil, fmt.Errorf("volume: reading image data: %w", err)
-	}
-	return im, nil
 }
 
 // WritePGM renders the image as a binary 8-bit PGM, linearly mapping

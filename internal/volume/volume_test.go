@@ -144,24 +144,6 @@ func TestGridRoundTripIO(t *testing.T) {
 	}
 }
 
-func TestImageRoundTripIO(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	im := randomImage(r, 13)
-	var buf bytes.Buffer
-	if _, err := im.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadImage(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range im.Data {
-		if got.Data[i] != im.Data[i] {
-			t.Fatalf("pixel %d mismatch", i)
-		}
-	}
-}
-
 func TestReadGridRejectsGarbage(t *testing.T) {
 	if _, err := ReadGrid(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
 		t.Fatal("bad magic accepted")

@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"repro/internal/core"
+	"repro/internal/cycle"
+)
 
 // CycleOutcome records the state after one refine→reconstruct cycle.
 type CycleOutcome struct {
@@ -33,34 +36,21 @@ func (c *ConvergenceResult) Converged(tol float64) bool {
 	return c.Cycles[n-1].TruthCC-c.Cycles[n-2].TruthCC < tol
 }
 
-// RunConvergence iterates refine→reconstruct for maxCycles cycles with
-// the full schedule, recording the per-cycle assessment. Unlike
-// RunFSC it traces the trajectory rather than comparing methods.
-func RunConvergence(spec DatasetSpec, opt FSCOptions, maxCycles int) (*ConvergenceResult, error) {
-	if maxCycles < 1 {
-		return nil, fmt.Errorf("workload: maxCycles must be ≥ 1")
-	}
-	opt.setDefaults()
+// RunConvergence runs maxCycles cycles of the outer loop with the full
+// schedule and the plateau rule off, recording the per-cycle
+// assessment. Unlike RunFSC it traces the trajectory rather than
+// comparing methods.
+func RunConvergence(spec DatasetSpec, maxCycles int) (*ConvergenceResult, error) {
 	ds := spec.Build()
-	loop := newOuterLoop(ds, ds.PerturbedOrientations(spec.InitError, spec.Seed+1), opt)
-	out := &ConvergenceResult{Spec: spec}
-	for cycle := 1; cycle <= maxCycles; cycle++ {
-		if _, err := loop.step(nil); err != nil {
-			return nil, err
-		}
-		a, err := loop.assess()
-		if err != nil {
-			return nil, err
-		}
-		out.Cycles = append(out.Cycles, CycleOutcome{
-			Cycle:       cycle,
-			ResolutionA: a.ResolutionA,
-			TruthCC:     a.TruthCC,
-			MeanAngErr:  a.MeanAngErr,
-			MeanCenErr:  a.MeanCenErr,
-		})
+	run, err := runCycles(ds, ds.PerturbedOrientations(spec.InitError, spec.Seed+1), cycle.Config{
+		Levels:        len(core.DefaultSchedule()),
+		MaxCycles:     maxCycles,
+		PlateauWindow: -1,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &ConvergenceResult{Spec: spec, Cycles: run.Cycles}, nil
 }
 
 // WriteConvergence renders the per-cycle trajectory.

@@ -4,10 +4,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/cycle"
+	"repro/internal/fsc"
 	"repro/internal/geom"
+	"repro/internal/micrograph"
+	"repro/internal/volume"
 )
 
 // CycleOptions tunes the cycles-to-plateau experiment: the paper's
@@ -55,35 +59,91 @@ type CycleDriverResult struct {
 func RunCycleDriver(spec DatasetSpec, opt CycleOptions) (*CycleDriverResult, error) {
 	opt.setDefaults()
 	ds := spec.Build()
-	inits := ds.PerturbedOrientations(spec.InitError, spec.Seed+1)
-	cds := cycle.Dataset{Views: ds.Images(), Inits: inits}
-	if ds.HasCTF {
-		cds.CTFs = ds.CTFs()
-	}
-	cfg := cycle.Config{
-		L:             ds.L,
-		PixelA:        ds.PixelA,
+	run, err := runCycles(ds, ds.PerturbedOrientations(spec.InitError, spec.Seed+1), cycle.Config{
 		Levels:        opt.Levels,
 		MaxCycles:     opt.MaxCycles,
 		PlateauEps:    opt.PlateauEps,
 		PlateauWindow: opt.PlateauWindow,
-		CTF:           ds.HasCTF,
 		Stream:        opt.Stream,
-	}
-	out, err := cycle.Run(context.Background(), cds, cfg, cycle.State{}, cycle.Hooks{})
+	})
 	if err != nil {
-		return nil, fmt.Errorf("workload: cycle driver: %w", err)
-	}
-	var angSum float64
-	for i, res := range out.Results {
-		angSum += geom.AngularDistance(res.Orient, ds.Views[i].TrueOrient)
+		return nil, err
 	}
 	return &CycleDriverResult{
 		Spec:       spec,
-		History:    out.History,
-		Stopped:    out.Stopped,
-		MeanAngErr: angSum / float64(len(out.Results)),
+		History:    run.History,
+		Stopped:    run.Stopped,
+		MeanAngErr: run.Cycles[len(run.Cycles)-1].MeanAngErr,
 	}, nil
+}
+
+// CycleInputs turns a synthetic dataset and its initial orientations
+// into cycle.Run's inputs — the one place that is spelled, for the job
+// service and the experiments alike. cfg carries the caller's choices
+// (levels, cycle cap, plateau rule, search, stream shape); the
+// dataset's facts — box, pixel size, and CTF state iff the views carry
+// it — are written over it.
+func CycleInputs(ds *micrograph.Dataset, inits []geom.Euler, cfg cycle.Config) (cycle.Dataset, cycle.Config) {
+	cds := cycle.Dataset{Views: ds.Images(), Inits: inits}
+	if ds.HasCTF {
+		cds.CTFs = ds.CTFs()
+	}
+	cfg.L, cfg.PixelA, cfg.CTF = ds.L, ds.PixelA, ds.HasCTF
+	return cds, cfg
+}
+
+// cycleRun is one outer-loop run scored against the phantom: the
+// driver's outcome plus one CycleOutcome per completed cycle.
+type cycleRun struct {
+	*cycle.Outcome
+	Cycles []CycleOutcome
+}
+
+// runCycles is how every experiment runs the paper's outer loop: one
+// fresh cycle.Run over the dataset, with hooks that score each
+// completed cycle against the ground truth — mean errors of the pass's
+// last level (OnLevel), the full map's truth correlation (OnMap), the
+// FSC crossing (OnCycleEnd). The experiments differ only in cfg.
+func runCycles(ds *micrograph.Dataset, inits []geom.Euler, cfg cycle.Config) (*cycleRun, error) {
+	cds, cfg := CycleInputs(ds, inits, cfg)
+	run := &cycleRun{}
+	var (
+		last    []core.Result
+		truthCC float64
+	)
+	out, err := cycle.Run(context.Background(), cds, cfg, cycle.State{}, cycle.Hooks{
+		OnLevel: func(_, _ int, results []core.Result) error {
+			last = results
+			return nil
+		},
+		OnMap: func(_ int, m *volume.Grid) error {
+			truthCC = volume.Correlation(ds.Truth, m)
+			return nil
+		},
+		OnCycleEnd: func(rec cycle.CycleFSC, _ *fsc.Curve, _ string) error {
+			row := CycleOutcome{Cycle: rec.Cycle + 1, ResolutionA: rec.ResolutionA, TruthCC: truthCC}
+			row.MeanAngErr, row.MeanCenErr = meanErrors(ds, last)
+			run.Cycles = append(run.Cycles, row)
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("workload: cycle driver: %w", err)
+	}
+	run.Outcome = out
+	return run, nil
+}
+
+// meanErrors are the mean angular (degrees) and centre (pixels) errors
+// of a solution against the generator's ground truth — measures the
+// paper could not compute.
+func meanErrors(ds *micrograph.Dataset, results []core.Result) (ang, cen float64) {
+	for i, v := range ds.Views {
+		ang += geom.AngularDistance(results[i].Orient, v.TrueOrient)
+		cen += math.Hypot(results[i].Center[0]+v.TrueCenter[0], results[i].Center[1]+v.TrueCenter[1])
+	}
+	n := float64(len(ds.Views))
+	return ang / n, cen / n
 }
 
 // WritePlateau renders the cycles-to-plateau table: one row per cycle

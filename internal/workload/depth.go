@@ -1,14 +1,12 @@
 package workload
 
 import (
+	"context"
 	"io"
-	"math"
 
 	"repro/internal/core"
+	"repro/internal/cycle"
 	"repro/internal/fourier"
-	"repro/internal/fsc"
-	"repro/internal/geom"
-	"repro/internal/reconstruct"
 )
 
 // DepthRow is the outcome of refining with the schedule truncated at
@@ -28,59 +26,46 @@ type DepthRow struct {
 
 // DepthStudy answers the question the paper closes §5 with: "How fine
 // the angular resolution should be used ... does it make any sense to
-// refine the angles beyond 0.01°?" It refines the same dataset with
-// the schedule truncated at every depth and reports accuracy and cost
-// per depth; where the error plateaus, deeper refinement buys nothing.
+// refine the angles beyond 0.01°?" It refines the dataset once through
+// the full schedule and assesses after every level — a level's result
+// depends only on the schedule before it, so the state after level d is
+// the schedule truncated at depth d — reporting accuracy and cost per
+// depth; where the error plateaus, deeper refinement buys nothing.
 // Refinement runs against the ground-truth map so the answer isolates
 // the schedule from reference quality.
 func DepthStudy(spec DatasetSpec) ([]DepthRow, error) {
 	ds := spec.Build()
-	dft := fourier.NewVolumeDFTPadded(ds.Truth, 2)
+	r, err := core.NewRefiner(fourier.NewVolumeDFTPadded(ds.Truth, 2), core.DefaultConfig(spec.L))
+	if err != nil {
+		return nil, err
+	}
 	inits := ds.PerturbedOrientations(spec.InitError, spec.Seed+3)
+	images := ds.Images()
 	full := core.DefaultSchedule()
 
 	var rows []DepthRow
-	for depth := 1; depth <= len(full); depth++ {
-		cfg := core.DefaultConfig(spec.L)
-		cfg.Schedule = full[:depth]
-		r, err := core.NewRefiner(dft, cfg)
+	assess := func(_, level int, results []core.Result) error {
+		curve, err := cycle.HalfMapFSC(cycle.Dataset{Views: images}, results, cycle.Config{PixelA: spec.PixelA})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		orients := make([]geom.Euler, len(ds.Views))
-		centers := make([][2]float64, len(ds.Views))
-		var angSum, cenSum, matchSum float64
-		for i, v := range ds.Views {
-			pv, err := r.PrepareView(v.Image, v.CTF)
-			if err != nil {
-				return nil, err
-			}
-			res := r.RefineView(pv, inits[i])
-			orients[i] = res.Orient
-			centers[i] = res.Center
-			angSum += geom.AngularDistance(res.Orient, v.TrueOrient)
-			cenSum += math.Hypot(res.Center[0]+v.TrueCenter[0], res.Center[1]+v.TrueCenter[1])
+		var matchSum float64
+		for _, res := range results {
 			matchSum += float64(res.TotalMatchings())
 		}
-		odd, even, err := reconstruct.SplitHalves(ds.Images(), orients, centers, nil, reconstruct.Options{})
-		if err != nil {
-			return nil, err
-		}
-		curve, err := fsc.Compute(odd, even, spec.PixelA)
-		if err != nil {
-			return nil, err
-		}
-		n := float64(len(ds.Views))
-		rows = append(rows, DepthRow{
-			Levels:           depth,
-			FinestDeg:        full[depth-1].RAngular,
-			MeanAngErr:       angSum / n,
-			MeanCenErr:       cenSum / n,
+		row := DepthRow{
+			Levels:           level + 1,
+			FinestDeg:        full[level].RAngular,
 			ResolutionA:      curve.ResolutionAt(0.5),
-			MatchingsPerView: matchSum / n,
-		})
+			MatchingsPerView: matchSum / float64(len(results)),
+		}
+		row.MeanAngErr, row.MeanCenErr = meanErrors(ds, results)
+		rows = append(rows, row)
+		return nil
 	}
-	return rows, nil
+	_, _, err = cycle.RefinePass(context.Background(), r, core.SliceSource(images, nil, inits),
+		cycle.InitialResults(inits), 0, 0, len(full), core.StreamOptions{}, cycle.Hooks{OnLevel: assess})
+	return rows, err
 }
 
 // WriteDepthStudy renders the §5-question table.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 )
 
 func TestViewCounts(t *testing.T) {
@@ -74,7 +75,7 @@ func TestRunFSCSmall(t *testing.T) {
 		t.Skip("multi-cycle refinement experiment")
 	}
 	spec := SindbisSpec().Scaled(1.6) // l=30, m=50
-	exp, err := RunFSC(spec, FSCOptions{Cycles: 2})
+	exp, err := RunFSC(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +95,26 @@ func TestRunFSCSmall(t *testing.T) {
 	}
 	if exp.New.TruthCC <= exp.Old.TruthCC {
 		t.Errorf("truth cc: new %.4f vs old %.4f", exp.New.TruthCC, exp.Old.TruthCC)
+	}
+	// What separates the methods: the old one ran the 1° level only and
+	// left every centre on the 1 px search grid; the new one ran the full
+	// schedule and interpolated centres below it.
+	if got := len(exp.Old.PerLevel); got != 1 {
+		t.Errorf("old method ran %d levels per cycle, want 1", got)
+	}
+	if got, want := len(exp.New.PerLevel), len(core.DefaultSchedule()); got != want {
+		t.Errorf("new method ran %d levels per cycle, want %d", got, want)
+	}
+	onGrid := func(res core.Result) bool {
+		return res.Center[0] == math.Round(res.Center[0]) && res.Center[1] == math.Round(res.Center[1])
+	}
+	for i := range exp.Old.Results {
+		if !onGrid(exp.Old.Results[i]) {
+			t.Errorf("old method: view %d centre %v is off the 1 px grid", i, exp.Old.Results[i].Center)
+		}
+		if onGrid(exp.New.Results[i]) {
+			t.Errorf("new method: view %d centre %v is on the 1 px grid", i, exp.New.Results[i].Center)
+		}
 	}
 	// Report rendering must not crash and must include the crossings.
 	var buf bytes.Buffer
@@ -192,38 +213,12 @@ func TestReportViewCountsAndOpCount(t *testing.T) {
 	}
 }
 
-func TestRunFSCWithResolutionLadder(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-cycle refinement experiment")
-	}
-	spec := AsymmetricSpec().Scaled(1.6)
-	exp, err := RunFSC(spec, FSCOptions{
-		Cycles:           2,
-		RMapFracPerCycle: []float64{0.6, 1.0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At this scale both methods are limited by reference noise (the
-	// reference is reconstructed from imperfect orientations, not the
-	// ground truth), so assert the method ordering and sanity rather
-	// than absolute improvement.
-	if exp.New.MeanAngErr >= exp.Old.MeanAngErr {
-		t.Errorf("laddered: new %.2f° not better than old %.2f°",
-			exp.New.MeanAngErr, exp.Old.MeanAngErr)
-	}
-	if exp.New.ResolutionA <= 0 || exp.New.TruthCC <= 0 {
-		t.Errorf("invalid laddered outcome: res %.2f cc %.3f",
-			exp.New.ResolutionA, exp.New.TruthCC)
-	}
-}
-
 func TestRunConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cycle convergence experiment")
 	}
 	spec := SindbisSpec().Scaled(1.8)
-	res, err := RunConvergence(spec, FSCOptions{}, 3)
+	res, err := RunConvergence(spec, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +248,7 @@ func TestRunConvergence(t *testing.T) {
 }
 
 func TestRunConvergenceValidation(t *testing.T) {
-	if _, err := RunConvergence(SindbisSpec().Scaled(3), FSCOptions{}, 0); err == nil {
+	if _, err := RunConvergence(SindbisSpec().Scaled(3), 0); err == nil {
 		t.Fatal("zero cycles accepted")
 	}
 }
