@@ -546,21 +546,6 @@ func BenchmarkMatchKernelInstrumented(b *testing.B) {
 	}
 }
 
-// BenchmarkDistanceWindow times the batched sliding-window evaluation:
-// a 9×9×9 grid of candidate orientations scored in one call.
-func BenchmarkDistanceWindow(b *testing.B) {
-	r, pv, o := matchKernelSetup(b)
-	w := geom.CenteredWindow(o, 4, 1)
-	orients := w.Orientations()
-	dst := make([]float64, len(orients))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.DistanceWindow(pv, orients, dst)
-	}
-	b.ReportMetric(float64(len(orients)), "orients")
-}
-
 // BenchmarkReconstruction is the kernel benchmark for step C.
 func BenchmarkReconstruction(b *testing.B) {
 	truth := phantom.SindbisLike(32)

@@ -1,50 +1,38 @@
 // Command replint runs the project lint suite (internal/analysis)
-// over the module: seven analyzers that mechanically enforce the
+// over the module: five analyzers that mechanically enforce the
 // repository's determinism, oracle-separation, hot-path and
-// concurrency invariants — interprocedurally, over a whole-module
+// error-handling invariants — interprocedurally, over a whole-module
 // static call graph.
 //
 // Usage:
 //
-//	replint [-json] [-sarif file] [-baseline file] [-write-baseline] [-list] [./...]
+//	replint [-list] [./...]
 //
 // With no arguments (or "./...") the whole module containing the
 // current directory is analyzed. Findings print as
 //
 //	file:line:col: [analyzer] message
 //
-// and the exit status is 1 when any survive suppression and the
-// baseline, so the command gates CI directly. Packages the loader has
-// to skip (parse or type errors) are findings of the pseudo-analyzer
-// "load" — a partial analysis never passes silently.
+// with file relative to the module root, and the exit status is 1 when
+// any survive suppression, so the command gates CI directly. Packages
+// the loader has to skip (parse or type errors) are findings of the
+// pseudo-analyzer "load" — a partial analysis never passes silently.
 //
-//	-json            emit findings as a JSON array
-//	-sarif file      also write a SARIF 2.1.0 log ("-" for stdout)
-//	-baseline file   drop findings recorded in the baseline file
-//	                 (default replint.baseline at the module root,
-//	                 when present)
-//	-write-baseline  regenerate the baseline from current findings
-//	                 and exit 0; CI diffs the result against the
-//	                 checked-in copy
-//	-list            print the suite, sorted by analyzer name
+//	-list  print the suite, sorted by analyzer name
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/analysis"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	list := flag.Bool("list", false, "list the analyzers of the suite and exit")
-	sarifPath := flag.String("sarif", "", "write a SARIF 2.1.0 log to this file (\"-\" for stdout)")
-	baselinePath := flag.String("baseline", "", "baseline file of grandfathered findings (default: replint.baseline at the module root, when present)")
-	writeBaseline := flag.Bool("write-baseline", false, "regenerate the baseline file from current findings and exit")
 	flag.Parse()
 
 	if *list {
@@ -59,90 +47,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "replint:", err)
 		os.Exit(2)
 	}
-
-	bl := *baselinePath
-	if bl == "" {
-		if def := filepath.Join(root, "replint.baseline"); fileExists(def) || *writeBaseline {
-			bl = def
-		}
-	}
-
-	if *writeBaseline {
-		if bl == "" {
-			fmt.Fprintln(os.Stderr, "replint: -write-baseline needs a -baseline path")
-			os.Exit(2)
-		}
-		if err := os.WriteFile(bl, analysis.WriteBaseline(findings, root), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "replint:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("replint: wrote %d finding(s) to %s\n", len(findings), bl)
-		return
-	}
-
-	var absorbed []analysis.Finding
-	if bl != "" {
-		data, err := os.ReadFile(bl)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "replint:", err)
-			os.Exit(2)
-		}
-		findings, absorbed = analysis.ApplyBaseline(findings, analysis.ParseBaseline(data), root)
-	}
-
-	if *sarifPath != "" {
-		// The SARIF log carries the gating findings — what a reviewer
-		// should see inline — not the baseline-absorbed legacy ones.
-		data, err := analysis.SARIF(findings, analysis.All(), root)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "replint:", err)
-			os.Exit(2)
-		}
-		if *sarifPath == "-" {
-			fmt.Println(string(data))
-		} else if err := os.WriteFile(*sarifPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "replint:", err)
-			os.Exit(2)
-		}
-	}
-
-	if *jsonOut {
-		type jsonFinding struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Col      int    `json:"col"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				File: f.Pos.Filename, Line: f.Pos.Line, Col: f.Pos.Column,
-				Analyzer: f.Analyzer, Message: f.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "replint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(analysis.FormatBaselineLine(f, root))
-		}
-		if n := len(absorbed); n > 0 {
-			fmt.Fprintf(os.Stderr, "replint: %d finding(s) absorbed by baseline %s\n", n, bl)
-		}
+	for _, f := range findings {
+		fmt.Printf("%s:%d:%d: [%s] %s\n", relPath(root, f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 	}
 	if len(findings) > 0 {
 		os.Exit(1)
 	}
 }
 
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
+// relPath renders filename relative to root with forward slashes;
+// files outside root keep their absolute path.
+func relPath(root, filename string) string {
+	if filename == "" {
+		return "unknown"
+	}
+	if r, err := filepath.Rel(root, filename); err == nil && !strings.HasPrefix(r, "..") {
+		return filepath.ToSlash(r)
+	}
+	return filepath.ToSlash(filename)
 }
 
 func run() ([]analysis.Finding, string, error) {

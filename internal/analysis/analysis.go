@@ -3,7 +3,7 @@
 // mechanically enforces the invariants the reproduction's correctness
 // rests on but no compiler checks — simulated-clock determinism,
 // oracle/production separation, reproducible accumulation order,
-// allocation-free hot kernels, and goroutine/lock hygiene.
+// allocation-free hot kernels, and checked errors.
 //
 // Since PR 8 the suite is interprocedural: a whole-module call graph
 // (see callgraph.go) resolves static call edges, and the contract
@@ -72,24 +72,18 @@ type Config struct {
 	// order must be reproducible, where map iteration may not feed
 	// sums, appends or channel sends.
 	NumericPaths []string
-	// ConcurrencyPaths are the packages whose goroutines must be
-	// cancellable or joined (analyzer: ctxleak) — the long-lived
-	// worker fan-outs of the job service and the cluster/pool/parfft
-	// execution layers.
-	ConcurrencyPaths []string
 }
 
 // DefaultConfig returns the production scoping of the suite.
 func DefaultConfig() *Config {
 	return &Config{
-		SimclockPaths: []string{"internal/parfft", "internal/cluster", "internal/core", "internal/serve", "internal/cycle"},
+		SimclockPaths: []string{"internal/parfft", "internal/cluster", "internal/core", "internal/serve", "internal/cycle", "internal/workload"},
 		NumericPaths: []string{
 			"internal/fft", "internal/fourier", "internal/core", "internal/parfft",
 			"internal/cluster", "internal/reconstruct", "internal/fsc", "internal/brick",
 			"internal/volume", "internal/geom", "internal/symmetry", "internal/workload",
 			"internal/cycle",
 		},
-		ConcurrencyPaths: []string{"internal/serve", "internal/pool", "internal/cluster", "internal/parfft"},
 	}
 }
 
@@ -179,7 +173,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 // order (spread over several files) never leaks into -list output or
 // run order.
 var registry = []*Analyzer{
-	Simclock, OracleGuard, MapOrder, HotpathAlloc, ErrSink, CtxLeak, LockOrder,
+	Simclock, OracleGuard, MapOrder, HotpathAlloc, ErrSink,
 }
 
 // All returns the suite sorted by analyzer name — deterministic

@@ -126,8 +126,6 @@ func TestErrSinkFixture(t *testing.T)      { checkFixture(t, "errsink") }
 func TestServeFixture(t *testing.T)        { checkFixture(t, "serve") }
 func TestObsSpanFixture(t *testing.T)      { checkFixture(t, "obsspan") }
 func TestObsEventFixture(t *testing.T)     { checkFixture(t, "obsevent") }
-func TestCtxLeakFixture(t *testing.T)      { checkFixture(t, "ctxleak") }
-func TestLockOrderFixture(t *testing.T)    { checkFixture(t, "lockorder") }
 
 // TestSuppressionFixture asserts the waiver machinery directly: the
 // reasoned //replint:allow swallows its finding, the reason-less one is
@@ -160,7 +158,7 @@ func TestListOrder(t *testing.T) {
 	for _, a := range All() {
 		got = append(got, a.Name)
 	}
-	want := []string{"ctxleak", "errsink", "hotpathalloc", "lockorder", "maporder", "oracleguard", "simclock"}
+	want := []string{"errsink", "hotpathalloc", "maporder", "oracleguard", "simclock"}
 	if len(got) != len(want) {
 		t.Fatalf("suite = %v, want %v", got, want)
 	}

@@ -54,25 +54,6 @@ func TestLiveTreeClean(t *testing.T) {
 	}
 }
 
-// TestPoolCtxLeakNegative pins ctxleak's WaitGroup exemption against
-// the real bounded fan-out/fan-in loop: internal/pool launches plain
-// counting workers with no channel or context in sight, and only the
-// launcher-side wg.Wait makes that legal.
-func TestPoolCtxLeakNegative(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks part of the module")
-	}
-	loader := loadLiveTree(t)
-	pkg, err := loader.Load("repro/internal/pool")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := Run(loader.Fset, []*Package{pkg}, []*Analyzer{CtxLeak}, DefaultConfig())
-	for _, f := range findings {
-		t.Errorf("unexpected ctxleak finding in internal/pool: %s", f)
-	}
-}
-
 // unreachableAllowed names the internal packages that may exist
 // without any command importing them, each with the reason it stays.
 var unreachableAllowed = map[string]string{

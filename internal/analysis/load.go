@@ -208,9 +208,8 @@ func (l *Loader) Diagnostics() []LoadDiagnostic {
 }
 
 // DiagnosticFindings converts load diagnostics into findings of the
-// pseudo-analyzer "load", so every replint output mode (text, JSON,
-// SARIF, baseline) carries them and a partial analysis can never pass
-// as a clean one.
+// pseudo-analyzer "load", so replint prints them beside the analyzer
+// findings and a partial analysis can never pass as a clean one.
 func DiagnosticFindings(diags []LoadDiagnostic) []Finding {
 	out := make([]Finding, 0, len(diags))
 	for _, d := range diags {

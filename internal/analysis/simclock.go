@@ -8,7 +8,8 @@ import (
 
 // Simclock enforces the determinism contract of the simulated-cluster
 // packages (PR 2): every duration in internal/parfft, internal/cluster,
-// internal/core, internal/serve and internal/cycle must come from the
+// internal/core, internal/serve, internal/cycle and internal/workload
+// (whose priceOnCluster charges Tables 1–2) must come from the
 // rank-ordered simulated clock (cluster.Node.Clock/Compute/Sleep), and
 // every random draw from an explicitly seeded source — so wall-clock
 // time and the global math/rand state, both of which vary run to run

@@ -467,25 +467,16 @@ func BandSize(l int, cfg Config) int {
 
 // EstimateMatchFlops models the floating-point work of one matching
 // operation (one cut construction + distance) over a band of the
-// given size — used by the cluster cost model and the paper-scale
-// timing extrapolations.
-func EstimateMatchFlops(bandSize int) float64 { return flopsPerMatch(bandSize) }
-
-// EstimateViewFFTFlops models step d (the 2-D DFT of one l×l view).
-func EstimateViewFFTFlops(l int) float64 { return viewFFTFlops(l) }
-
-// flopsPerMatch estimates the floating-point work of one matching
-// operation (one cut construction + distance) for cost modeling:
-// ~8 trilinear corner fetches with complex weighting plus the
-// distance accumulation, per band coefficient.
-func flopsPerMatch(bandSize int) float64 {
+// given size — ~8 trilinear corner fetches with complex weighting plus
+// the distance accumulation, per band coefficient — for the simulated
+// cluster's cost model and the paper-scale timing extrapolations.
+func EstimateMatchFlops(bandSize int) float64 {
 	const perCoeff = 60.0
 	return perCoeff * float64(bandSize)
 }
 
-// viewFFTFlops models step d (2-D DFT of one view) for cost
-// accounting.
-func viewFFTFlops(l int) float64 {
+// EstimateViewFFTFlops models step d (the 2-D DFT of one l×l view).
+func EstimateViewFFTFlops(l int) float64 {
 	if l < 2 {
 		return 0
 	}

@@ -5,12 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cluster"
-	"repro/internal/ctf"
 	"repro/internal/geom"
-	"repro/internal/micrograph"
 	"repro/internal/obs"
-	"repro/internal/volume"
 )
 
 // The determinism contract under instrumentation: enabling counters,
@@ -19,20 +15,6 @@ import (
 // bit-identical. Instruments only read the
 // simulated clock and bump atomics — these tests pin that property
 // (and run under -race in CI, exercising the concurrent bumps).
-
-// clusterInputs splits a dataset into the parallel-pass argument
-// slices with perturbed initial orientations.
-func clusterInputs(ds *micrograph.Dataset, perturb geom.Euler) ([]*volume.Image, []ctf.Params, []geom.Euler) {
-	images := make([]*volume.Image, len(ds.Views))
-	ctfs := make([]ctf.Params, len(ds.Views))
-	inits := make([]geom.Euler, len(ds.Views))
-	for i, v := range ds.Views {
-		images[i] = v.Image
-		ctfs[i] = v.CTF
-		inits[i] = v.TrueOrient.Add(perturb)
-	}
-	return images, ctfs, inits
-}
 
 func TestRefineStreamBitIdenticalUnderObs(t *testing.T) {
 	r, ds := streamFixture(t, 5)
@@ -57,53 +39,6 @@ func TestRefineStreamBitIdenticalUnderObs(t *testing.T) {
 
 	if !reflect.DeepEqual(plain, instrumented) {
 		t.Fatal("RefineStream results differ under instrumentation")
-	}
-}
-
-// TestRefineOnClusterTimingsBitIdenticalUnderObs: the simulated-clock
-// totals (per-step makespans and per-view results) must not move when
-// the full instrumentation — counters, spans, stage labels — records
-// the run.
-func TestRefineOnClusterTimingsBitIdenticalUnderObs(t *testing.T) {
-	r, ds := streamFixture(t, 6)
-	perturb := geom.Euler{Theta: 0.7, Phi: 0.2, Omega: -0.4}
-	images, ctfs, inits := clusterInputs(ds, perturb)
-	opt := DefaultParallelOptions()
-
-	run := func() ([]Result, StepTimes) {
-		cl := cluster.New(3, cluster.SP2)
-		res, times, err := r.RefineOnCluster(cl, images, ctfs, inits, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, times
-	}
-
-	prev := obs.SetEnabled(false)
-	defer obs.SetEnabled(prev)
-	plainRes, plainTimes := run()
-
-	obs.SetEnabled(true)
-	tr := obs.StartTrace()
-	obs.StartEvents(1024)
-	instRes, instTimes := run()
-	obs.EndTrace()
-	obs.StopEvents()
-
-	if plainTimes != instTimes {
-		t.Fatalf("simulated step times differ under instrumentation:\n  plain        %+v\n  instrumented %+v",
-			plainTimes, instTimes)
-	}
-	if !reflect.DeepEqual(plainRes, instRes) {
-		t.Fatal("RefineOnCluster results differ under instrumentation")
-	}
-	// And the trace actually recorded the refinement phases.
-	cats := map[string]int{}
-	for _, e := range tr.Events() {
-		cats[e.Cat]++
-	}
-	if cats["refine"] == 0 {
-		t.Fatal("trace recorded no refine-phase events")
 	}
 }
 

@@ -106,19 +106,6 @@ func (r *Refiner) Distance(v *View, o geom.Euler) float64 {
 	return d
 }
 
-// DistanceWindow evaluates the matching distance at every orientation,
-// writing dst[i] for orients[i] — the batched kernel behind the
-// sliding-window search, exposed for callers scoring whole candidate
-// grids. dst must have length len(orients).
-func (r *Refiner) DistanceWindow(v *View, orients []geom.Euler, dst []float64) {
-	if len(dst) != len(orients) {
-		panic(fmt.Sprintf("core: DistanceWindow dst length %d, orients length %d", len(dst), len(orients)))
-	}
-	sc := r.getScratch()
-	r.m.distanceWindow(v.vd, orients, len(r.m.band), sc, dst)
-	r.putScratch(sc)
-}
-
 // orientKey quantizes an orientation to the level grid for caching
 // distance evaluations across window slides.
 type orientKey [3]int64

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/ctf"
 	"repro/internal/fourier"
 	"repro/internal/geom"
@@ -264,101 +263,5 @@ func TestWeightingChangesBand(t *testing.T) {
 	full := BandSize(32, Config{RMap: 8, Schedule: DefaultSchedule()})
 	if n >= full {
 		t.Fatal("zero-weight coefficients not dropped")
-	}
-}
-
-func TestRefineOnClusterMatchesSerial(t *testing.T) {
-	l := 24
-	dft, ds := testSetup(t, l, 5, micrograph.GenParams{Seed: 19})
-	cfg := quickConfig(l)
-	r, _ := NewRefiner(dft, cfg)
-	inits := ds.PerturbedOrientations(2, 20)
-
-	cl := cluster.New(3, cluster.SP2)
-	var ctfs []ctf.Params
-	for _, v := range ds.Views {
-		ctfs = append(ctfs, v.CTF)
-	}
-	par, times, err := r.RefineOnCluster(cl, ds.Images(), ctfs, inits, DefaultParallelOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range ds.Views {
-		f, _ := r.PrepareView(v.Image, v.CTF)
-		ser := r.RefineView(f, inits[i])
-		if par[i].Orient != ser.Orient {
-			t.Fatalf("view %d: cluster %v vs serial %v", i, par[i].Orient, ser.Orient)
-		}
-	}
-	if times.Total <= 0 || times.Refinement <= 0 {
-		t.Fatalf("times not populated: %+v", times)
-	}
-	// The paper's headline observation: matching dominates the cycle.
-	if times.Refinement < times.FFTAnalysis {
-		t.Errorf("refinement (%.3gs) should dominate FFT analysis (%.3gs)", times.Refinement, times.FFTAnalysis)
-	}
-}
-
-func TestRefineOnClusterInvariantToNodeCount(t *testing.T) {
-	// View refinements are independent, so the refined orientations
-	// must be bit-identical whether 1, 2 or 5 nodes process them.
-	l := 20
-	dft, ds := testSetup(t, l, 5, micrograph.GenParams{Seed: 25})
-	cfg := quickConfig(l)
-	cfg.Schedule = cfg.Schedule[:1]
-	r, _ := NewRefiner(dft, cfg)
-	inits := ds.PerturbedOrientations(2, 26)
-	var ref []Result
-	for _, p := range []int{1, 2, 5} {
-		res, _, err := r.RefineOnCluster(cluster.New(p, cluster.SP2), ds.Images(), nil, inits, DefaultParallelOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		for i := range res {
-			if res[i].Orient != ref[i].Orient || res[i].Center != ref[i].Center {
-				t.Fatalf("P=%d: view %d differs from P=1 run", p, i)
-			}
-		}
-	}
-}
-
-func TestRefineOnClusterMoreNodesFaster(t *testing.T) {
-	l := 20
-	dft, ds := testSetup(t, l, 8, micrograph.GenParams{Seed: 27})
-	cfg := quickConfig(l)
-	cfg.Schedule = cfg.Schedule[:1]
-	r, _ := NewRefiner(dft, cfg)
-	inits := ds.PerturbedOrientations(2, 28)
-	_, t1, err := r.RefineOnCluster(cluster.New(1, cluster.SP2), ds.Images(), nil, inits, DefaultParallelOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, t4, err := r.RefineOnCluster(cluster.New(4, cluster.SP2), ds.Images(), nil, inits, DefaultParallelOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t4.Refinement >= t1.Refinement {
-		t.Fatalf("4 nodes (%gs) not faster than 1 (%gs)", t4.Refinement, t1.Refinement)
-	}
-}
-
-func TestRefineOnClusterValidation(t *testing.T) {
-	l := 16
-	dft, ds := testSetup(t, l, 2, micrograph.GenParams{Seed: 29})
-	r, _ := NewRefiner(dft, quickConfig(l))
-	cl := cluster.New(2, cluster.SP2)
-	if _, _, err := r.RefineOnCluster(cl, ds.Images(), nil, make([]geom.Euler, 1), DefaultParallelOptions()); err == nil {
-		t.Fatal("orientation count mismatch accepted")
-	}
-	if _, _, err := r.RefineOnCluster(cl, ds.Images(), make([]ctf.Params, 1), make([]geom.Euler, 2), DefaultParallelOptions()); err == nil {
-		t.Fatal("CTF count mismatch accepted")
-	}
-	big := []*volume.Image{volume.NewImage(l + 2), volume.NewImage(l + 2)}
-	if _, _, err := r.RefineOnCluster(cl, big, nil, make([]geom.Euler, 2), DefaultParallelOptions()); err == nil {
-		t.Fatal("view size mismatch accepted")
 	}
 }

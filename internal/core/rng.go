@@ -10,8 +10,8 @@ import (
 // stream seeded from the job-level search seed, the schedule level, and
 // the exact bits of the orientation the level starts from. Seeding from
 // the level-entry state rather than a view index makes every entry
-// point — RefineView, RefineStream(Levels), RefineOnCluster —
-// produce bit-identical descents for the same view,
+// point — RefineView, RefineStream, RefineStreamLevels — produce
+// bit-identical descents for the same view,
 // including a resume from a checkpoint journal: the journal round-trips
 // the entry orientation exactly, so the resumed level reconstructs the
 // identical probe stream. The global math/rand is never touched (the

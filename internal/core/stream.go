@@ -10,6 +10,7 @@ import (
 	"repro/internal/fourier"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/volume"
 )
 
@@ -100,8 +101,8 @@ func StreamShape(opt StreamOptions) (fftWorkers, refineWorkers, depth int) {
 // streamShape defaults the pipeline shape for a stream of n views:
 // worker counts clamp to n, depth to twice the larger worker count.
 func streamShape(n int, opt StreamOptions) (fftWorkers, refineWorkers, depth int) {
-	fftWorkers = poolWorkers(n, opt.FFTWorkers)
-	refineWorkers = poolWorkers(n, opt.RefineWorkers)
+	fftWorkers = pool.Workers(n, opt.FFTWorkers)
+	refineWorkers = pool.Workers(n, opt.RefineWorkers)
 	depth = opt.Depth
 	if depth <= 0 {
 		depth = 2 * max(fftWorkers, refineWorkers)

@@ -19,15 +19,6 @@ func (a Vec3) Scale(s float64) Vec3 { return Vec3{s * a.X, s * a.Y, s * a.Z} }
 // Dot returns the inner product a·b.
 func (a Vec3) Dot(b Vec3) float64 { return a.X*b.X + a.Y*b.Y + a.Z*b.Z }
 
-// Cross returns the vector product a×b.
-func (a Vec3) Cross(b Vec3) Vec3 {
-	return Vec3{
-		a.Y*b.Z - a.Z*b.Y,
-		a.Z*b.X - a.X*b.Z,
-		a.X*b.Y - a.Y*b.X,
-	}
-}
-
 // Norm returns the Euclidean length of a.
 func (a Vec3) Norm() float64 { return math.Sqrt(a.Dot(a)) }
 

@@ -20,7 +20,8 @@
 // is still charged deterministically: Node.Compute is called with the
 // same analytic flop counts, outside the pools, exactly as the serial
 // schedule would. Simulated timings are therefore bit-identical for
-// any GOMAXPROCS (the same contract as core.RefineOnCluster). The a.3
+// any GOMAXPROCS (the same contract as workload's pricing of a
+// refinement pass, which charges from the pass's statistics). The a.3
 // transforms additionally use the real-input 2-D FFT path — the slab
 // planes of a density map are purely real — which roughly halves their
 // host-side cost without touching the cost model.

@@ -1,8 +1,9 @@
 // Package pool provides the one concurrency primitive shared by every
 // compute-bound fan-out in the system: a bounded worker pool handing
-// out indices through an atomic counter. It sits below both the
-// orientation-refinement batch paths (internal/core) and the parallel
-// slab DFT (internal/parfft), which cannot import each other.
+// out indices through an atomic counter. It sits below the real-input
+// 3-D FFT (internal/fft), the parallel slab DFT (internal/parfft), the
+// sharded reconstruction (internal/reconstruct) and FSC
+// (internal/fsc); internal/core uses Workers to size its stream stages.
 //
 // Determinism contract: fn(worker, i) is called exactly once for every
 // i in [0, n), and callers obtain input-order results by writing only

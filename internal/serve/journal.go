@@ -30,8 +30,12 @@ import (
 //	              ended here, why
 //	terminal    — the job reached done/failed/cancelled
 //
-// Replay tolerates a torn final line (a crash mid-append) by ignoring
-// it; a malformed line anywhere earlier is corruption and an error.
+// A record counts only once its '\n' is on disk: append writes the
+// record and its newline in one Write before the fsync that
+// acknowledges it. Replay therefore ignores an unterminated final line
+// (a crash mid-append), and OpenJournal cuts it off so the next record
+// starts a line of its own; a malformed line anywhere earlier is
+// corruption and an error.
 // Because core.Result and fsc/cycle records round-trip through
 // encoding/json without losing a bit (float64 fields only), a journal
 // resume reproduces the uninterrupted run exactly.
@@ -96,7 +100,8 @@ type Journal struct {
 }
 
 // OpenJournal opens (creating if absent) the journal at path, replays
-// its records, and positions the file for appending.
+// its records, truncates an unterminated final line, and positions the
+// file for appending.
 func OpenJournal(path string) (*Journal, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -106,11 +111,17 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: journal %s: %w", path, err)
 	}
+	keep := bytes.LastIndexByte(data, '\n') + 1
+	if keep < len(data) {
+		if err := os.Truncate(path, int64(keep)); err != nil {
+			return nil, fmt.Errorf("serve: truncating torn journal tail: %w", err)
+		}
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("serve: opening journal: %w", err)
 	}
-	return &Journal{f: f, path: path, bytes: int64(len(data)), replay: replay}, nil
+	return &Journal{f: f, path: path, bytes: int64(keep), replay: replay}, nil
 }
 
 // Replay returns the per-job state reconstructed at open, in first-
@@ -120,9 +131,10 @@ func (j *Journal) Replay() []JobReplay { return j.replay }
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Size returns the journal's on-disk size in bytes: what was replayed
-// at open plus everything appended since. The manager mirrors it into
-// the serve.journal.bytes gauge after each checkpoint.
+// Size returns the journal's on-disk size in bytes: what was kept at
+// open (a torn tail is truncated) plus everything appended since. The
+// manager mirrors it into the serve.journal.bytes gauge after each
+// checkpoint.
 func (j *Journal) Size() int64 { return j.bytes }
 
 // Close closes the underlying file.
@@ -186,28 +198,24 @@ func (j *Journal) Terminal(id string, state State, errMsg string, sum *Summary) 
 	return j.append(journalRecord{Kind: "terminal", ID: id, State: state, Error: errMsg, Summary: sum})
 }
 
-// replayJournal folds the journal bytes into per-job state. The final
-// line may be torn (no trailing newline, or unparseable without one) —
-// the record it would have described was never acknowledged, so it is
-// dropped. A malformed interior line is an error.
+// replayJournal folds the journal bytes into per-job state. Only
+// '\n'-terminated lines are records: an unterminated final line was
+// never acknowledged, so it is dropped even when it parses. A malformed
+// terminated line is an error.
 func replayJournal(data []byte) ([]JobReplay, error) {
 	var (
 		order []string
 		jobs  = map[string]*JobReplay{}
 	)
 	lines := bytes.Split(data, []byte("\n"))
-	// A well-formed journal ends with '\n', so the last split element
-	// is empty; anything else there is a torn tail.
-	last := len(lines) - 1
-	for i, line := range lines {
+	// The last split element follows the last '\n': empty for a
+	// well-formed journal, a torn tail otherwise.
+	for i, line := range lines[:len(lines)-1] {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		var rec journalRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			if i == last {
-				break // torn tail from a crash mid-append
-			}
 			return nil, fmt.Errorf("journal line %d: %w", i+1, err)
 		}
 		jb := jobs[rec.ID]

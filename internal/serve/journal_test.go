@@ -120,6 +120,121 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalTornTailThenAppend: a restart after a crash mid-append
+// must leave a journal the next restart can read. The unterminated tail
+// is never applied — not even a complete record missing only its '\n',
+// which was never acknowledged — and the next append starts a fresh
+// line instead of merging into the tail.
+func TestJournalTornTailThenAppend(t *testing.T) {
+	spec := JobSpec{Dataset: "asymmetric", Views: 2, Levels: 1, Pad: 2, InitError: 2}
+	for _, c := range []struct{ name, tail string }{
+		{"torn fragment", `{"kind":"level","id":"job-000001","lev`},
+		{"unterminated record", `{"kind":"terminal","id":"job-000001","state":"done"}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "jobs.jsonl")
+			j, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Submit("job-000001", spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(c.tail); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			j2, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j2.Submit("job-000002", spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := j2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j3, err := OpenJournal(path)
+			if err != nil {
+				t.Fatalf("restart after torn tail + append: %v", err)
+			}
+			defer func() {
+				if err := j3.Close(); err != nil {
+					t.Error(err)
+				}
+			}()
+			want := []JobReplay{
+				{ID: "job-000001", Spec: spec, State: StatePending, LastMapCycle: -1},
+				{ID: "job-000002", Spec: spec, State: StatePending, LastMapCycle: -1},
+			}
+			if got := j3.Replay(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("replay mismatch:\ngot  %+v\nwant %+v", got, want)
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() != j3.Size() {
+				t.Fatalf("Size() %d, file %v (%v)", j3.Size(), fi.Size(), err)
+			}
+		})
+	}
+}
+
+// FuzzJournalReplay: replay never panics on arbitrary bytes, and any
+// file OpenJournal accepts stays appendable — one more submit, a close
+// and a reopen replay exactly one more job.
+func FuzzJournalReplay(f *testing.F) {
+	valid := `{"kind":"submit","id":"job-000001","spec":{"dataset":"asymmetric"}}` + "\n" +
+		`{"kind":"level","id":"job-000001","level":0,"results":[{"orient":{"theta":1,"phi":2,"omega":3}}]}` + "\n" +
+		`{"kind":"terminal","id":"job-000001","state":"done"}` + "\n"
+	f.Add([]byte(valid))
+	f.Add([]byte(valid + `{"kind":"submit","id":"job-0000`))
+	f.Add([]byte(`{"kind":"submit","id":"job-000001","spec":{"dataset":"asymmetric"}}` + "\nnot json\n" +
+		`{"kind":"terminal","id":"job-000001","state":"done"}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = replayJournal(data)
+
+		path := filepath.Join(t.TempDir(), "jobs.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path)
+		if err != nil {
+			return // rejected as corrupt: nothing more to hold
+		}
+		n := len(j.Replay())
+		seen := map[string]bool{}
+		for _, rp := range j.Replay() {
+			seen[rp.ID] = true
+		}
+		id := "job-fuzz"
+		for seen[id] {
+			id += "x"
+		}
+		if err := j.Submit(id, JobSpec{Dataset: "asymmetric"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("accepted journal unreadable after one append: %v", err)
+		}
+		defer j2.Close()
+		if got := len(j2.Replay()); got != n+1 {
+			t.Fatalf("replayed %d jobs after appending to %d", got, n)
+		}
+	})
+}
+
 // TestJournalMalformedMiddle: a garbage line that is not the torn tail
 // is corruption, not a crash artifact — it must fail the open.
 func TestJournalMalformedMiddle(t *testing.T) {

@@ -76,18 +76,6 @@ func TestCImageAccessors(t *testing.T) {
 	}
 }
 
-func TestImageComplexRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(20))
-	im := randomImage(r, 6)
-	c := im.Complex()
-	back := c.Real()
-	for i := range im.Data {
-		if back.Data[i] != im.Data[i] {
-			t.Fatal("Complex/Real round trip lost data")
-		}
-	}
-}
-
 func TestAddGridAndScale(t *testing.T) {
 	a := NewGrid(3)
 	b := NewGrid(3)

@@ -173,15 +173,6 @@ func (im *CImage) Clone() *CImage {
 	return c
 }
 
-// Complex converts a real image to complex form.
-func (im *Image) Complex() *CImage {
-	c := NewCImage(im.L)
-	for i, v := range im.Data {
-		c.Data[i] = complex(v, 0)
-	}
-	return c
-}
-
 // Real extracts the real part of a complex image.
 func (im *CImage) Real() *Image {
 	r := NewImage(im.L)

@@ -1,13 +1,22 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fourier"
+	"repro/internal/obs"
 	"repro/internal/parfft"
+)
+
+// The paper's I/O assumptions: views and maps are read by the master at
+// a 1999-era sequential disk rate, views stored at 2 bytes per pixel.
+const (
+	diskBytesPerSec = 20e6
+	bytesPerPixel   = 2
 )
 
 // TimingRow is one column of the paper's Tables 1 and 2: the simulated
@@ -52,8 +61,6 @@ type TimingOptions struct {
 	P int
 	// Model is the machine cost model; zero value selects cluster.SP2.
 	Model cluster.CostModel
-	// DiskBytesPerSec models the master's file reads; 0 selects 20 MB/s.
-	DiskBytesPerSec float64
 	// Pad is the matching spectrum oversampling; 0 selects 2.
 	Pad int
 }
@@ -65,19 +72,18 @@ func (o *TimingOptions) setDefaults() {
 	if o.Model == (cluster.CostModel{}) {
 		o.Model = cluster.SP2
 	}
-	if o.DiskBytesPerSec <= 0 {
-		o.DiskBytesPerSec = 20e6
-	}
 	if o.Pad <= 0 {
 		o.Pad = 2
 	}
 }
 
-// RunTiming reproduces Tables 1–2 for a dataset: it executes one
-// refinement pass per angular resolution of the default schedule on
-// the simulated cluster (each pass starting from the previous pass's
-// orientations, exactly as consecutive production runs would), and
-// reports per-step simulated times at both simulator and paper scale.
+// RunTiming reproduces Tables 1–2 for a dataset: it runs one
+// refinement pass per angular resolution of the default schedule
+// through the production entry point, core.RefineStream (each pass
+// starting from the previous pass's orientations, exactly as
+// consecutive production runs would), prices each pass on the simulated
+// cluster, and reports per-step simulated times at both simulator and
+// paper scale.
 func RunTiming(spec DatasetSpec, opt TimingOptions) (*TimingTable, error) {
 	opt.setDefaults()
 	ds := spec.Build()
@@ -86,7 +92,7 @@ func RunTiming(spec DatasetSpec, opt TimingOptions) (*TimingTable, error) {
 	// Step a once per pass in the paper; the map transform is the
 	// same for every pass here, so time it once and reuse.
 	cl := cluster.New(opt.P, opt.Model)
-	mapReadSecs := float64(8*spec.L*spec.L*spec.L) / opt.DiskBytesPerSec
+	mapReadSecs := float64(8*spec.L*spec.L*spec.L) / diskBytesPerSec
 	ft := parfft.Transform3D(cl, truth, mapReadSecs)
 	dft3dSecs := ft.Elapsed
 	// Matching uses an oversampled spectrum for accuracy (the timing
@@ -108,22 +114,18 @@ func RunTiming(spec DatasetSpec, opt TimingOptions) (*TimingTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		popt := core.DefaultParallelOptions()
-		popt.ReadBytesPerSec = opt.DiskBytesPerSec
-		popt.DFT3DSecs = dft3dSecs
-		results, times, err := r.RefineOnCluster(cluster.New(opt.P, opt.Model), images, nil, orients, popt)
+		results, err := r.RefineStream(context.Background(), len(images),
+			core.SliceSource(images, nil, orients), core.StreamOptions{})
 		if err != nil {
 			return nil, err
 		}
 		row := TimingRow{
 			RAngular:    lv.RAngular,
 			SearchRange: 2*int(math.Round(lv.WindowHalf/lv.RAngular)) + 1,
-			DFT3D:       times.DFT3D,
-			ReadImages:  times.ReadImages,
-			FFTAnalysis: times.FFTAnalysis,
-			Refinement:  times.Refinement,
-			Total:       times.Total,
+			DFT3D:       dft3dSecs,
 		}
+		row.ReadImages, row.FFTAnalysis, row.Refinement = priceOnCluster(cluster.New(opt.P, opt.Model), spec.L, cfg, results)
+		row.Total = row.DFT3D + row.ReadImages + row.FFTAnalysis + row.Refinement
 		var matchSum float64
 		for i, res := range results {
 			orients[i] = res.Orient
@@ -144,6 +146,97 @@ func RunTiming(spec DatasetSpec, opt TimingOptions) (*TimingTable, error) {
 	}
 	table.ReconSecs = paperReconSecs(spec, opt)
 	return table.validate()
+}
+
+// priceOnCluster charges one refinement pass (steps b–o) to the
+// simulated cluster and returns the makespans of steps b–c (read and
+// scatter), d–e (view FFT and CTF) and f–n (refinement). The master
+// reads every view and scatters view q to rank q mod P; each node
+// transforms its views, synchronizes, charges every level's matchings
+// and centre evaluations from the views' PerLevel statistics with a
+// barrier per level (step m), and the results are gathered on the
+// master (step o). Matchings are charged at the paper's full-disc band,
+// not the half band the matcher compares.
+func priceOnCluster(cl *cluster.Cluster, l int, cfg core.Config, results []core.Result) (read, fft, refine float64) {
+	m, p := len(results), cl.P
+	band := core.BandSize(l, cfg)
+	viewBytes := l * l * bytesPerPixel
+	levelNames := make([]string, len(cfg.Schedule))
+	for li := range levelNames {
+		levelNames[li] = fmt.Sprintf("refine L%d", li)
+	}
+	// Per-rank clock after steps b–c, d–e and f–n.
+	marks := make([][3]float64, p)
+
+	cl.Run(func(n *cluster.Node) {
+		rank := n.Rank
+		mark := n.Clock()
+		stage := func(name string) {
+			now := n.Clock()
+			obs.Span(rank, 0, name, "refine", mark, now)
+			mark = now
+		}
+		var owned []int
+		for q := rank; q < m; q += p {
+			owned = append(owned, q)
+		}
+		if rank == 0 {
+			n.Sleep(float64(m*viewBytes) / diskBytesPerSec)
+		}
+		n.Scatter("views", 0, make([]interface{}, p), len(owned)*viewBytes)
+		marks[rank][0] = n.Clock()
+		stage("b-c read+scatter")
+
+		for _, q := range owned {
+			n.Compute(core.EstimateViewFFTFlops(l))
+			if cfg.CorrectCTF {
+				n.Compute(20 * float64(l*l))
+			}
+			sp := obs.StartSpan(rank, 0, "fft", "refine", mark)
+			sp.SetArg("view", int64(q))
+			mark = n.Clock()
+			sp.End(mark)
+		}
+		n.Barrier("post-fft")
+		marks[rank][1] = n.Clock()
+		stage("post-fft barrier")
+
+		for li := range cfg.Schedule {
+			for _, q := range owned {
+				st := results[q].PerLevel[li]
+				n.Compute(float64(st.Matchings) * core.EstimateMatchFlops(band))
+				n.Compute(float64(st.CenterEvals) * 15 * float64(band))
+				sp := obs.StartSpan(rank, 0, levelNames[li], "refine", mark)
+				sp.SetArg("view", int64(q))
+				sp.SetArg("matchings", int64(st.Matchings))
+				mark = n.Clock()
+				sp.End(mark)
+				if st.Slides > 0 {
+					obs.Instant(rank, 0, "slide", "refine", mark, [2]obs.Arg{
+						{Key: "view", Value: int64(q)},
+						{Key: "count", Value: int64(st.Slides)},
+					})
+				}
+			}
+			n.Barrier("level")
+			stage("level barrier")
+		}
+		marks[rank][2] = n.Clock()
+
+		n.Gather("results", 0, nil, len(owned)*64)
+		stage("gather")
+	})
+
+	for _, mk := range marks {
+		read = max(read, mk[0])
+	}
+	for _, mk := range marks {
+		fft = max(fft, mk[1]-read)
+	}
+	for _, mk := range marks {
+		refine = max(refine, mk[2]-(read+fft))
+	}
+	return read, fft, refine
 }
 
 // paperScaleRow prices one pass at the paper's dataset dimensions: the
@@ -169,8 +262,8 @@ func paperScaleRow(spec DatasetSpec, opt TimingOptions, lv core.Level, measured 
 		SlideViews:    measured.SlideViews,
 	}
 	row.DFT3D = parfft.ModelTime(opt.Model, pl, opt.P,
-		float64(8*pl*pl*pl)/opt.DiskBytesPerSec)
-	row.ReadImages = pm * float64(pl*pl) * 2 / opt.DiskBytesPerSec
+		float64(8*pl*pl*pl)/diskBytesPerSec)
+	row.ReadImages = pm * float64(pl*pl) * bytesPerPixel / diskBytesPerSec
 	row.FFTAnalysis = perNode * core.EstimateViewFFTFlops(pl) / opt.Model.FlopsPerSec
 	row.Refinement = perNode * measured.MeanMatchings *
 		core.EstimateMatchFlops(int(bandAtLevel)) / opt.Model.FlopsPerSec
