@@ -400,18 +400,21 @@ func adaptiveRunHash(t *testing.T, m int, withCTF bool) string {
 // TestAdaptiveBitIdenticalToParent pins the adaptive search's whole
 // output on 8 views, once unweighted and once with CTF-weighted cuts,
 // so a change that means to leave the trajectory alone can show it did.
-// The hashes were re-derived in PR 22 (on parent c861f40), which
-// changed the trajectory by design (the descent's pattern move); until
-// then they were 9f43b51a…5d44 and 1bdd3ccf…9659, recorded at 62135f7
-// and held across the deletion of the shared cut cache.
+// The hashes were last re-derived on parent 6bc0b2e, when centre
+// distances moved to the cross-spectrum and separable phase-ramp tables:
+// every centre distance and baked shift rounds differently (≤ 1e-13
+// relative), so the hashed float64 bits move while the search counts
+// do not. Before that they were a75f2b8c…c8f4 and e883ed85…0699, from
+// the descent's pattern move (derived on c861f40), and before that
+// 9f43b51a…5d44 and 1bdd3ccf…9659, recorded at 62135f7.
 func TestAdaptiveBitIdenticalToParent(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		withCTF bool
 		golden  string
 	}{
-		{"unweighted", false, "a75f2b8c7d81dc01e37102e15559c2a47f086039580ec9380b7affddd808c8f4"},
-		{"ctf-weighted", true, "e883ed858a635f0528e261e0b92676c5b23c8cbebbfe309740e72b4825330699"},
+		{"unweighted", false, "c488e04a5432fa2f608c2d5d217c544605216049b483a956f8eb456e696bdf4e"},
+		{"ctf-weighted", true, "b522d3314efd28878ad3b203b3435036b9e9d32ad83a1c12c08314946947e45a"},
 	} {
 		if got := adaptiveRunHash(t, 8, c.withCTF); got != c.golden {
 			t.Errorf("%s: adaptive run hash %s, want %s", c.name, got, c.golden)

@@ -46,6 +46,10 @@ type matcher struct {
 	// loops read three flat float64 slices (frequencies pre-converted
 	// from int) instead of an array of mixed-field structs.
 	fh, fk, wt []float64
+	// hi, ki index each entry's h and k into the separable phase-ramp
+	// tables of a centre shift, which span −rampR…rampR: hi = h + rampR.
+	hi, ki []int32
+	rampR  int
 	// invL2 normalizes distances to the paper's 1/l² scale.
 	invL2 float64
 }
@@ -88,7 +92,9 @@ func newMatcher(dft *fourier.VolumeDFT, cfg Config) *matcher {
 
 // finishBand turns the enumerated band positions into the matcher's
 // working layout: spectral weights applied, entries sorted by
-// (radius, h, k), and the structure-of-arrays mirror filled.
+// (radius, h, k), and the structure-of-arrays mirror and phase-ramp
+// table indices filled. Every entry has |h|, |k| ≤ r ≤ rmax, so tables
+// spanning −⌊rmax⌋…⌊rmax⌋ cover the half band and the full disc alike.
 func (m *matcher) finishBand(rmax float64) {
 	if m.cfg.SpectralWeight && m.dft.Data != nil {
 		power := radialPower(m.dft, rmax)
@@ -119,10 +125,15 @@ func (m *matcher) finishBand(rmax float64) {
 	m.fh = make([]float64, len(m.band))
 	m.fk = make([]float64, len(m.band))
 	m.wt = make([]float64, len(m.band))
+	m.hi = make([]int32, len(m.band))
+	m.ki = make([]int32, len(m.band))
+	m.rampR = int(rmax)
 	for i, e := range m.band {
 		m.fh[i] = float64(e.h)
 		m.fk[i] = float64(e.k)
 		m.wt[i] = e.weight
+		m.hi[i] = int32(e.h + m.rampR)
+		m.ki[i] = int32(e.k + m.rampR)
 	}
 }
 
@@ -169,13 +180,14 @@ func (m *matcher) prefixLen(rmax float64) int {
 // goroutine must own its scratch (the matcher itself stays read-only
 // and shared).
 type matchScratch struct {
-	cut       []complex128          // candidate cut being scored
-	centerCut []complex128          // fixed best cut during centre refinement
-	orients   []geom.Euler          // current window grid
-	pending   []geom.Euler          // uncached candidates, scored as one batch
-	keys      []orientKey           // adaptive candidate batch (lattice keys)
-	dists     []float64             // batched distances for pending
-	cache     map[orientKey]float64 // per-level distance memo across window slides
+	cut     []complex128          // candidate cut being scored
+	cross   []complex128          // centre refinement's cross-spectrum w·conj(C)·F
+	ramp    shiftRamp             // phase-ramp tables of the shift being scored
+	orients []geom.Euler          // current window grid
+	pending []geom.Euler          // uncached candidates, scored as one batch
+	keys    []orientKey           // adaptive candidate batch (lattice keys)
+	dists   []float64             // batched distances for pending
+	cache   map[orientKey]float64 // per-level distance memo across window slides
 }
 
 // growDists returns a length-n distance buffer, growing the backing
@@ -197,9 +209,10 @@ func (sc *matchScratch) growDists(n int) []float64 {
 func (m *matcher) newScratch() *matchScratch {
 	n := len(m.band)
 	return &matchScratch{
-		cut:       make([]complex128, n),
-		centerCut: make([]complex128, n),
-		cache:     make(map[orientKey]float64, 256),
+		cut:   make([]complex128, n),
+		cross: make([]complex128, n),
+		ramp:  m.newRamp(),
+		cache: make(map[orientKey]float64, 256),
 	}
 }
 
@@ -386,57 +399,97 @@ func (m *matcher) distanceWindow(vd *viewData, orients []geom.Euler, n int, sc *
 	}
 }
 
-// shiftedDistance evaluates the distance between the view shifted by
-// (dx, dy) pixels — applied as a phase ramp on the band coefficients —
-// and a fixed cut (step k's d(E_i, C_µ)).
+// shiftRamp holds the phase ramp of one centre shift (dx, dy) in the
+// shift theorem's separable form, x[h+R] = e^{−2πi·h·dx/l} and
+// y[k+R] = e^{−2πi·k·dy/l} for R = matcher.rampR, so band entry i is
+// shifted by x[hi[i]]·y[ki[i]].
+type shiftRamp struct{ x, y []complex128 }
+
+// newRamp allocates ramp tables spanning the matcher's band, both in
+// one backing array.
+func (m *matcher) newRamp() shiftRamp {
+	n := 2*m.rampR + 1
+	buf := make([]complex128, 2*n)
+	return shiftRamp{x: buf[:n:n], y: buf[n:]}
+}
+
+// fillRamp tabulates the ramp of shift (dx, dy): 2(R+1) Sincos calls,
+// the negative frequencies being the conjugate mirror of the positive
+// ones, instead of one call per band coefficient.
 //
 //repro:hotpath
-func (m *matcher) shiftedDistance(vd *viewData, cut []complex128, dx, dy float64) float64 {
-	matchShiftedEvals.Inc()
+func (m *matcher) fillRamp(rp *shiftRamp, dx, dy float64) {
+	r := m.rampR
 	twoPiOverL := 2 * math.Pi / float64(m.l)
-	n := len(cut)
+	for j := 0; j <= r; j++ {
+		s, c := math.Sincos(-twoPiOverL * float64(j) * dx)
+		rp.x[r+j], rp.x[r-j] = complex(c, s), complex(c, -s)
+		s, c = math.Sincos(-twoPiOverL * float64(j) * dy)
+		rp.y[r+j], rp.y[r-j] = complex(c, s), complex(c, -s)
+	}
+}
+
+// crossSpectrum prepares the centre search against one fixed cut: it
+// fills g[i] = w_i·conj(C_i)·F_i over the leading len(cut) band entries
+// and returns the cut energy E_C = Σ w_i·|C_i|². Neither depends on the
+// shift, so the centre box computes them once per search.
+//
+//repro:hotpath
+func (m *matcher) crossSpectrum(vd *viewData, cut, g []complex128) float64 {
+	wt, vals := m.wt, vd.vals
+	var ec float64
+	for i, c := range cut {
+		w, f := wt[i], vals[i]
+		cr, ci := real(c), imag(c)
+		ec += w * (cr*cr + ci*ci)
+		g[i] = complex(w*(cr*real(f)+ci*imag(f)), w*(cr*imag(f)-ci*real(f)))
+	}
+	return ec
+}
+
+// centerDistance evaluates step k's d(E_i, C_µ): the view shifted by
+// (dx, dy) pixels against the fixed cut whose cross-spectrum g and
+// energy ec crossSpectrum prepared. The shifted view is F·x[h]·y[k], so
+// ⟨F_shifted, C⟩ = Σ Re(g·x[h]·y[k]), and a phase ramp leaves the view
+// energy E_F unchanged. The least-squares metric is then
+// (E_F − cross²/E_C)/l², the raw one (E_F + E_C − 2·cross)/l² — both
+// the same quantities distanceToCut forms, expanded for a shifted view.
+//
+//repro:hotpath
+func (m *matcher) centerDistance(vd *viewData, g []complex128, ec, dx, dy float64, rp *shiftRamp) float64 {
+	matchShiftedEvals.Inc()
+	m.fillRamp(rp, dx, dy)
+	n := len(g)
 	energy := vd.prefixE[n]
-	fh, fk, wt := m.fh, m.fk, m.wt
-	vals := vd.vals
+	hi, ki := m.hi[:n], m.ki[:n]
+	x, y := rp.x, rp.y
+	var cross float64
+	for i, gv := range g {
+		xv, yv := x[hi[i]], y[ki[i]]
+		pr := real(xv)*real(yv) - imag(xv)*imag(yv)
+		pi := real(xv)*imag(yv) + imag(xv)*real(yv)
+		cross += real(gv)*pr - imag(gv)*pi
+	}
 	if m.cfg.NormalizeScale {
-		var ec, cross float64
-		for i, c := range cut {
-			angle := -twoPiOverL * (fh[i]*dx + fk[i]*dy)
-			s, cph := math.Sincos(angle)
-			fv := vals[i]
-			fr := real(fv)*cph - imag(fv)*s
-			fi := real(fv)*s + imag(fv)*cph
-			ec += wt[i] * (real(c)*real(c) + imag(c)*imag(c))
-			cross += wt[i] * (fr*real(c) + fi*imag(c))
-		}
 		if ec == 0 || cross <= 0 {
+			// As in distanceToCut: the best non-negative scale is 0.
 			return energy * m.invL2
 		}
 		return (energy - cross*cross/ec) * m.invL2
 	}
-	var d float64
-	for i, c := range cut {
-		angle := -twoPiOverL * (fh[i]*dx + fk[i]*dy)
-		s, cph := math.Sincos(angle)
-		fv := vals[i]
-		fr := real(fv)*cph - imag(fv)*s
-		fi := real(fv)*s + imag(fv)*cph
-		dr, di := fr-real(c), fi-imag(c)
-		d += wt[i] * (dr*dr + di*di)
-	}
-	return d * m.invL2
+	return (energy + ec - 2*cross) * m.invL2
 }
 
 // applyShift bakes a centre shift into the view's band coefficients
-// (step l: "correct E_q to account for the new center").
-func (m *matcher) applyShift(vd *viewData, dx, dy float64) {
-	twoPiOverL := 2 * math.Pi / float64(m.l)
-	fh, fk := m.fh, m.fk
-	for i := range vd.vals {
-		angle := -twoPiOverL * (fh[i]*dx + fk[i]*dy)
-		s, cph := math.Sincos(angle)
-		fv := vd.vals[i]
-		vd.vals[i] = complex(real(fv)*cph-imag(fv)*s, real(fv)*s+imag(fv)*cph)
+// (step l: "correct E_q to account for the new center") through the
+// same ramp tables the centre box scores with. rp is caller scratch.
+//
+//repro:hotpath
+func (m *matcher) applyShift(vd *viewData, dx, dy float64, rp *shiftRamp) {
+	m.fillRamp(rp, dx, dy)
+	x, y := rp.x, rp.y
+	for i, f := range vd.vals {
+		vd.vals[i] = f * (x[m.hi[i]] * y[m.ki[i]])
 	}
 	vd.rebuildEnergy(m.band)
 }

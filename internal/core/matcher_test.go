@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 	"testing/quick"
 
@@ -111,18 +112,30 @@ func TestPrefixLen(t *testing.T) {
 func TestApplyShiftPreservesPrefixEnergyConsistency(t *testing.T) {
 	r, ds := matcherFixture(t, DefaultConfig(20))
 	pv, _ := r.PrepareView(ds.Views[0].Image, ds.Views[0].CTF)
+	orig := append([]complex128(nil), pv.vd.vals...)
 	before := pv.vd.prefixE[len(pv.vd.prefixE)-1]
-	r.m.applyShift(pv.vd, 1.3, -0.4)
+	rp := r.m.newRamp()
+	const dx, dy = 1.3, -0.4
+	r.m.applyShift(pv.vd, dx, dy, &rp)
 	after := pv.vd.prefixE[len(pv.vd.prefixE)-1]
 	// A phase ramp is unitary per coefficient: total band energy is
 	// unchanged.
-	if math.Abs(before-after) > 1e-9*before {
+	if math.Abs(before-after) > 1e-12*before {
 		t.Fatalf("shift changed band energy: %g -> %g", before, after)
 	}
 	// And prefix sums must remain monotone and consistent.
 	for i := 1; i < len(pv.vd.prefixE); i++ {
 		if pv.vd.prefixE[i] < pv.vd.prefixE[i-1] {
 			t.Fatal("prefix energies not monotone")
+		}
+	}
+	// The separable tables reproduce the per-coefficient ramp
+	// e^{−2πi(h·dx + k·dy)/l}.
+	for i, e := range r.m.band {
+		s, c := math.Sincos(-2 * math.Pi / float64(r.m.l) * (float64(e.h)*dx + float64(e.k)*dy))
+		want := orig[i] * complex(c, s)
+		if d := cmplx.Abs(pv.vd.vals[i] - want); d > 1e-12*cmplx.Abs(orig[i]) {
+			t.Fatalf("entry %d (h=%d, k=%d): table ramp %v, per-coefficient ramp %v", i, e.h, e.k, pv.vd.vals[i], want)
 		}
 	}
 }
@@ -134,13 +147,56 @@ func TestShiftedDistanceAgreesWithAppliedShift(t *testing.T) {
 	n := len(r.m.band)
 	cut := make([]complex128, n)
 	r.m.sampleCut(cut, pv.vd.refW, v.TrueOrient)
-	want := r.m.shiftedDistance(pv.vd, cut, 0.7, -1.1)
-	r.m.applyShift(pv.vd, 0.7, -1.1)
-	got := r.m.shiftedDistance(pv.vd, cut, 0, 0)
-	if math.Abs(want-got) > 1e-9*(1+want) {
-		t.Fatalf("shiftedDistance %g != distance after applyShift %g", want, got)
+	want := centerDistanceAt(r.m, pv.vd, cut, 0.7, -1.1)
+	rp := r.m.newRamp()
+	r.m.applyShift(pv.vd, 0.7, -1.1, &rp)
+	got := centerDistanceAt(r.m, pv.vd, cut, 0, 0)
+	if math.Abs(want-got) > 1e-12*(1+want) {
+		t.Fatalf("centre distance at the shift %g != at zero after applyShift %g", want, got)
 	}
 }
+
+// BenchmarkCenterKernel times one centre evaluation — the ramp-table
+// fill plus one pass over the cross-spectrum — at l = 48 over the full
+// band: the per-point cost of the centre box (steps k–l), beside
+// BenchmarkMatchKernel's per-orientation cost. The cross-spectrum is
+// formed once per search and stays outside the loop. It must stay at
+// 0 allocs/op.
+func BenchmarkCenterKernel(b *testing.B) {
+	const l = 48
+	dft, ds := testSetup(b, l, 1, micrograph.GenParams{Seed: 2})
+	r, err := NewRefiner(dft, DefaultConfig(l))
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := ds.Views[0]
+	pv, err := r.PrepareView(v.Image, v.CTF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := r.m.newScratch()
+	n := len(r.m.band)
+	r.m.sampleCut(sc.cut[:n], pv.vd.refW, v.TrueOrient)
+	g := sc.cross[:n]
+	ec := r.m.crossSpectrum(pv.vd, sc.cut[:n], g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var acc float64
+	for i := 0; i < b.N; i++ {
+		// Walk a 3×3 box of 0.01 px steps, as the 0.01° level does.
+		dx, dy := 0.01*float64(i%3-1), 0.01*float64(i/3%3-1)
+		acc += r.m.centerDistance(pv.vd, g, ec, dx, dy, &sc.ramp)
+	}
+	b.StopTimer()
+	centerSink = acc
+	b.ReportMetric(float64(n), "half-band-coeffs")
+	if a := testing.AllocsPerRun(100, func() { centerSink += r.m.centerDistance(pv.vd, g, ec, 0.01, -0.01, &sc.ramp) }); a != 0 {
+		b.Fatalf("centre kernel allocates %v/op, want 0", a)
+	}
+}
+
+// centerSink keeps BenchmarkCenterKernel's result live.
+var centerSink float64
 
 func TestWeightingAffectsDistanceOrdering(t *testing.T) {
 	// A weighting that kills the high frequencies makes the distance

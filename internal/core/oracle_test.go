@@ -113,6 +113,27 @@ func oracleShiftedDistance(m *matcher, vd *viewData, cut []complex128, dx, dy fl
 	return d * m.invL2
 }
 
+// centerDistanceAt scores one centre shift against cut through the
+// production path: the cross-spectrum refineCenter forms once per
+// search, then one ramp-table evaluation.
+func centerDistanceAt(m *matcher, vd *viewData, cut []complex128, dx, dy float64) float64 {
+	g := make([]complex128, len(cut))
+	rp := m.newRamp()
+	return m.centerDistance(vd, g, m.crossSpectrum(vd, cut, g), dx, dy, &rp)
+}
+
+// centerRel is the comparison rule for centre distances. The
+// least-squares metric keeps relDiff. The raw metric is formed as
+// E_F + E_C − 2·cross, which cancels near a match, so its rounding
+// lives on the scale of the band energy E/l² rather than of the result
+// (the floor friedelRel takes).
+func centerRel(m *matcher, vd *viewData, n int, a, b float64) float64 {
+	if m.cfg.NormalizeScale {
+		return relDiff(a, b)
+	}
+	return friedelRel(a, b, vd.prefixE[n]*m.invL2)
+}
+
 // oracleFixture builds a refiner + prepared view over a randomized
 // configuration axis: normalization, interpolation and CTF cut
 // weighting all covered.
@@ -183,21 +204,19 @@ func TestFusedDistanceMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestFusedShiftedDistanceMatchesOracle covers the phase-ramp path and
-// the fused cut construction against the scalar cut sampler.
+// TestFusedShiftedDistanceMatchesOracle holds the centre kernel — the
+// cross-spectrum plus separable ramp tables — and the fused cut
+// construction to the per-coefficient phase ramp over the scalar cut
+// sampler: random band prefixes and shifts within ±2 px, then every
+// schedule level's prefix at the ±2 px corners and edges and at the
+// level's own centre step.
 func TestFusedShiftedDistanceMatchesOracle(t *testing.T) {
 	for name, cfg := range oracleConfigs() {
 		t.Run(name, func(t *testing.T) {
 			r, vd, _ := oracleFixture(t, cfg, 37)
 			rng := rand.New(rand.NewSource(9))
-			full := len(r.m.band)
-			for trial := 0; trial < 60; trial++ {
-				o := geom.Euler{
-					Theta: rng.Float64() * 180,
-					Phi:   rng.Float64() * 360,
-					Omega: rng.Float64() * 360,
-				}
-				n := 1 + rng.Intn(full)
+			check := func(o geom.Euler, n int, dx, dy float64) {
+				t.Helper()
 				cut := make([]complex128, n)
 				r.m.sampleCut(cut, vd.refW, o)
 				wantCut := oracleCutValues(r.m, vd, o, n)
@@ -206,12 +225,24 @@ func TestFusedShiftedDistanceMatchesOracle(t *testing.T) {
 						t.Fatalf("cut %d at %v: fused %v, oracle %v", i, o, cut[i], wantCut[i])
 					}
 				}
-				dx := (rng.Float64() - 0.5) * 4
-				dy := (rng.Float64() - 0.5) * 4
-				got := r.m.shiftedDistance(vd, cut, dx, dy)
+				got := centerDistanceAt(r.m, vd, cut, dx, dy)
 				want := oracleShiftedDistance(r.m, vd, wantCut, dx, dy)
-				if relDiff(got, want) > 1e-12 {
-					t.Fatalf("shift (%g,%g) n=%d: fused %.17g, oracle %.17g", dx, dy, n, got, want)
+				if d := centerRel(r.m, vd, n, got, want); d > 1e-12 {
+					t.Fatalf("shift (%g,%g) n=%d: kernel %.17g, oracle %.17g (rel %.3g)", dx, dy, n, got, want, d)
+				}
+			}
+			randomOrient := func() geom.Euler {
+				return geom.Euler{Theta: rng.Float64() * 180, Phi: rng.Float64() * 360, Omega: rng.Float64() * 360}
+			}
+			full := len(r.m.band)
+			for trial := 0; trial < 60; trial++ {
+				check(randomOrient(), 1+rng.Intn(full), (rng.Float64()-0.5)*4, (rng.Float64()-0.5)*4)
+			}
+			for _, lv := range r.cfg.Schedule {
+				n := r.m.prefixLen(lv.effRMapFrac() * r.cfg.RMap)
+				o := randomOrient()
+				for _, s := range [][2]float64{{2, 2}, {-2, 2}, {2, -2}, {-2, -2}, {2, 0}, {0, -2}, {lv.CenterDelta, -lv.CenterDelta}} {
+					check(o, n, s[0], s[1])
 				}
 			}
 		})
@@ -254,30 +285,34 @@ func (vd *viewData) clone() *viewData {
 }
 
 // TestApplyShiftEquivalentToShiftedDistance: baking a shift into the
-// view then evaluating the plain distance must agree with evaluating
-// shiftedDistance at that shift against the same cut.
+// view and then scoring it unshifted must agree with scoring the
+// unshifted view at that shift against the same cut, at every schedule
+// level's band prefix and for shifts within ±2 px.
 func TestApplyShiftEquivalentToShiftedDistance(t *testing.T) {
 	for name, cfg := range oracleConfigs() {
 		t.Run(name, func(t *testing.T) {
 			r, vd, _ := oracleFixture(t, cfg, 53)
 			rng := rand.New(rand.NewSource(17))
-			n := len(r.m.band)
+			rp := r.m.newRamp()
 			for trial := 0; trial < 20; trial++ {
 				o := geom.Euler{
 					Theta: rng.Float64() * 180,
 					Phi:   rng.Float64() * 360,
 					Omega: rng.Float64() * 360,
 				}
-				dx := (rng.Float64() - 0.5) * 3
-				dy := (rng.Float64() - 0.5) * 3
-				cut := make([]complex128, n)
-				r.m.sampleCut(cut, vd.refW, o)
-				want := r.m.shiftedDistance(vd, cut, dx, dy)
+				dx := (rng.Float64() - 0.5) * 4
+				dy := (rng.Float64() - 0.5) * 4
 				shiftedVd := vd.clone()
-				r.m.applyShift(shiftedVd, dx, dy)
-				got := r.m.shiftedDistance(shiftedVd, cut, 0, 0)
-				if relDiff(got, want) > 1e-9 {
-					t.Fatalf("applyShift(%g,%g)+distance %.17g != shiftedDistance %.17g", dx, dy, got, want)
+				r.m.applyShift(shiftedVd, dx, dy, &rp)
+				for _, lv := range r.cfg.Schedule {
+					n := r.m.prefixLen(lv.effRMapFrac() * r.cfg.RMap)
+					cut := make([]complex128, n)
+					r.m.sampleCut(cut, vd.refW, o)
+					want := centerDistanceAt(r.m, vd, cut, dx, dy)
+					got := centerDistanceAt(r.m, shiftedVd, cut, 0, 0)
+					if d := centerRel(r.m, vd, n, got, want); d > 1e-12 {
+						t.Fatalf("n=%d: applyShift(%g,%g) then zero shift %.17g != shift in the kernel %.17g (rel %.3g)", n, dx, dy, got, want, d)
+					}
 				}
 			}
 		})
@@ -340,6 +375,7 @@ func oracleRefineLevel(r *Refiner, vd *viewData, res *Result, lv Level) {
 		n = len(r.m.band)
 	}
 	cache := make(map[orientKey]float64)
+	ramp := r.m.newRamp()
 	eval := func(o geom.Euler) float64 {
 		k := keyOf(o, lv.RAngular)
 		if d, ok := cache[k]; ok {
@@ -354,7 +390,7 @@ func oracleRefineLevel(r *Refiner, vd *viewData, res *Result, lv Level) {
 		if lv.CenterDelta > 0 && lv.CenterHalf > 0 {
 			dx, dy, d := oracleRefineCenter(r, vd, res.Orient, lv, n)
 			if dx != 0 || dy != 0 {
-				r.m.applyShift(vd, dx, dy)
+				r.m.applyShift(vd, dx, dy, &ramp)
 				res.Center[0] += dx
 				res.Center[1] += dy
 				res.Distance = d

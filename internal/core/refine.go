@@ -220,7 +220,7 @@ func (r *Refiner) refineLevel(vd *viewData, res *Result, lv Level, sc *matchScra
 		if lv.CenterDelta > 0 && lv.CenterHalf > 0 {
 			dx, dy, d := r.refineCenter(vd, res.Orient, lv, n, &st, sc)
 			if dx != 0 || dy != 0 {
-				r.m.applyShift(vd, dx, dy)
+				r.m.applyShift(vd, dx, dy, &sc.ramp)
 				//replint:allow hotpathalloc shift increments must be recorded for checkpoint replay; at most maxLevelIters tiny entries per level
 				st.Shifts = append(st.Shifts, [2]float64{dx, dy})
 				res.Center[0] += dx
@@ -474,11 +474,17 @@ func (r *Refiner) scorePending(vd *viewData, step float64, n int, st *LevelStats
 
 // refineCenter performs the sliding-box centre search (step k) against
 // the cut at orientation o, returning the best shift and its distance.
+// The cut is fixed for the whole search, so its cross-spectrum with the
+// view is formed once and every box point costs one ramp-table fill and
+// one pass over it (centerDistance).
 func (r *Refiner) refineCenter(vd *viewData, o geom.Euler, lv Level, n int, st *LevelStats, sc *matchScratch) (float64, float64, float64) {
-	cut := sc.centerCut[:n]
+	cut := sc.cut[:n]
 	r.m.sampleCut(cut, vd.refW, o)
+	g := sc.cross[:n]
+	ec := r.m.crossSpectrum(vd, cut, g)
+	at := func(dx, dy float64) float64 { return r.m.centerDistance(vd, g, ec, dx, dy, &sc.ramp) }
 	bestDx, bestDy := 0.0, 0.0
-	bestD := r.m.shiftedDistance(vd, cut, 0, 0)
+	bestD := at(0, 0)
 	st.CenterEvals++
 	for {
 		cx, cy := bestDx, bestDy
@@ -490,7 +496,7 @@ func (r *Refiner) refineCenter(vd *viewData, o geom.Euler, lv Level, n int, st *
 				}
 				dx := cx + float64(i)*lv.CenterDelta
 				dy := cy + float64(j)*lv.CenterDelta
-				d := r.m.shiftedDistance(vd, cut, dx, dy)
+				d := at(dx, dy)
 				st.CenterEvals++
 				if d < bestD {
 					bestD, bestDx, bestDy = d, dx, dy
@@ -512,8 +518,8 @@ func (r *Refiner) refineCenter(vd *viewData, o geom.Euler, lv Level, n int, st *
 	if r.cfg.ParabolicCenter && bestD < math.Inf(1) {
 		delta := lv.CenterDelta
 		refineAxis := func(dxOff, dyOff float64) float64 {
-			dm := r.m.shiftedDistance(vd, cut, bestDx-dxOff*delta, bestDy-dyOff*delta)
-			dp := r.m.shiftedDistance(vd, cut, bestDx+dxOff*delta, bestDy+dyOff*delta)
+			dm := at(bestDx-dxOff*delta, bestDy-dyOff*delta)
+			dp := at(bestDx+dxOff*delta, bestDy+dyOff*delta)
 			st.CenterEvals += 2
 			den := dm - 2*bestD + dp
 			if den <= 0 {
@@ -525,7 +531,7 @@ func (r *Refiner) refineCenter(vd *viewData, o geom.Euler, lv Level, n int, st *
 		ox := refineAxis(1, 0)
 		oy := refineAxis(0, 1)
 		if ox != 0 || oy != 0 {
-			if d := r.m.shiftedDistance(vd, cut, bestDx+ox, bestDy+oy); d < bestD {
+			if d := at(bestDx+ox, bestDy+oy); d < bestD {
 				bestDx += ox
 				bestDy += oy
 				bestD = d

@@ -227,6 +227,7 @@ func (r *Refiner) refineStreamRange(ctx context.Context, n int, src StreamSource
 			defer fftWG.Done()
 			trans := fourier.NewViewTransformer(r.m.l)
 			buf := volume.NewCImage(r.m.l)
+			ramp := r.m.newRamp()
 			for lv := range loaded {
 				if cancelled() {
 					return
@@ -240,7 +241,7 @@ func (r *Refiner) refineStreamRange(ctx context.Context, n int, src StreamSource
 				if priors != nil {
 					for _, st := range priors[lv.i].PerLevel {
 						for _, s := range st.Shifts {
-							r.m.applyShift(v.vd, s[0], s[1])
+							r.m.applyShift(v.vd, s[0], s[1], &ramp)
 						}
 					}
 					init = priors[lv.i].Orient

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -131,6 +132,88 @@ func cycleFingerprint(t *testing.T, m *Manager, id string) string {
 		s += fmt.Sprintf("|%x,%x,%x,%x,%x", r.Orient.Theta, r.Orient.Phi, r.Orient.Omega, r.Center[0], r.Center[1])
 	}
 	return s
+}
+
+// TestManagerCycleResumeDamagedArtifact: a job resuming inside cycle 1
+// reloads cycle 0's map artifact. When that file is damaged — here an
+// 8-byte header claiming a 2048³ grid, which the reader once tried to
+// allocate in full and died of — the job ends failed with the reload
+// error, and the manager goes on serving other jobs.
+func TestManagerCycleResumeDamagedArtifact(t *testing.T) {
+	refDir := t.TempDir()
+	refPath := filepath.Join(refDir, "jobs.jsonl")
+	j, err := OpenJournal(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(Options{Stream: tinyStream(), Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	st, err := m.Submit(tinyCycleSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, st.ID, StateDone)
+	m.Drain()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keep the journal up to cycle 0's cycle_end: the restart resumes
+	// inside cycle 1's refinement and needs cycle 0's map.
+	lines := strings.SplitAfter(string(data), "\n")
+	keep := 0
+	for i, ln := range lines {
+		if strings.Contains(ln, `"kind":"cycle_end"`) {
+			keep = i + 1
+			break
+		}
+	}
+	if keep == 0 {
+		t.Fatal("reference journal has no cycle_end record")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.jsonl")
+	if err := os.WriteFile(path, []byte(strings.Join(lines[:keep], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	artifact := filepath.Join(refDir, st.ID+".cycle-0.map")
+	hdr := make([]byte, 8)
+	binary.LittleEndian.PutUint32(hdr, 0x4d504456) // the grid file magic
+	binary.LittleEndian.PutUint32(hdr[4:], 2048)
+	if err := os.WriteFile(artifact, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	jp, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := jp.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	mp, err := NewManager(Options{Stream: tinyStream(), Journal: jp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp.Start()
+	defer mp.Drain()
+	failed := waitState(t, mp, st.ID, StateFailed)
+	if !strings.Contains(failed.Error, "reloading map artifact") || !strings.Contains(failed.Error, "2048³") {
+		t.Fatalf("failed job error %q, want the artifact reload error", failed.Error)
+	}
+	next, err := mp.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, mp, next.ID, StateDone)
 }
 
 // TestManagerCycleKillResume is the acceptance pin: a cycle job killed

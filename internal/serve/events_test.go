@@ -597,18 +597,21 @@ func jobStreamsHash(t *testing.T, spec JobSpec) string {
 // TestJobsBitIdenticalToParent pins every byte an executor writes — the
 // journal and the event stream of one refine and one cycle job — so an
 // executor refactor that means to change nothing can show it. The
-// hashes were re-derived in PR 22 (on parent c861f40), which changed
-// the search trajectory by design (the descent's pattern move); until
-// then they were e5c7fafe…3483 and fc38f086…737a, recorded at 8127939
-// and held across the move of both job types onto cycle.RefinePass.
+// hashes were last re-derived on parent 6bc0b2e, when centre distances
+// moved to the cross-spectrum and separable phase-ramp tables: the
+// journaled centres, distances and FSC crossings change in their last
+// digits, while every journaled count and orientation is the parent's.
+// Before that they were 61df1db9…2605 and de060cee…c58d, from the
+// descent's pattern move (derived on c861f40), and before that
+// e5c7fafe…3483 and fc38f086…737a, recorded at 8127939.
 func TestJobsBitIdenticalToParent(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		spec   JobSpec
 		golden string
 	}{
-		{"refine", tinySpec(), "61df1db9f0fd80b285a8e57582fb8f46a8dbf4256d740ef0d7c22193b9302605"},
-		{"cycle", tinyCycleSpec(), "de060cee179f629dae51f4db3286ac28bbde6611f17b8df75db4a944be30c58d"},
+		{"refine", tinySpec(), "198fa774cf62db0843045f9d7f8e45a734145f9abd617209f629adb22bd1935e"},
+		{"cycle", tinyCycleSpec(), "4301573238e525fe60468a274a799ac396fe0d316684f6f9ab604c9858b5b093"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if got := jobStreamsHash(t, c.spec); got != c.golden {

@@ -2,6 +2,7 @@ package volume
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -40,12 +41,33 @@ func WriteGridFile(path string, g *Grid) (err error) {
 	return nil
 }
 
-// ReadGridFile deserializes a grid written by WriteGridFile.
+// ReadGridFile deserializes a grid written by WriteGridFile. The file
+// must be exactly as long as its header's grid size implies; that is
+// checked before any sample is read, so a damaged header, a truncated
+// file or trailing bytes cost an error, never an allocation.
 func ReadGridFile(path string) (*Grid, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("volume: reading grid file: %w", err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("volume: reading grid file: %w", err)
+	}
+	var hdr [gridHeaderLen]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return nil, fmt.Errorf("volume: reading grid file %s header: %w", path, err)
+	}
+	l, err := parseGridHeader(hdr)
+	if err != nil {
+		return nil, fmt.Errorf("volume: reading grid file %s: %w", path, err)
+	}
+	if want := gridBytes(l); fi.Size() != want {
+		return nil, fmt.Errorf("volume: grid file %s holds %d bytes, a %d³ grid takes %d", path, fi.Size(), l, want)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("volume: reading grid file: %w", err)
+	}
 	return ReadGrid(f)
 }

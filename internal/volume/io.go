@@ -29,25 +29,72 @@ func (g *Grid) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadGrid deserializes a grid written by Grid.WriteTo.
+// gridHeaderLen is the byte length of the header: magic, then size.
+const gridHeaderLen = 8
+
+// readChunk is how many samples ReadGrid decodes per read.
+const readChunk = 1 << 13
+
+// parseGridHeader validates a header and returns the grid size l it
+// declares.
+func parseGridHeader(hdr [gridHeaderLen]byte) (int, error) {
+	if magic := binary.LittleEndian.Uint32(hdr[:4]); magic != gridMagic {
+		return 0, fmt.Errorf("volume: bad grid magic %#x", magic)
+	}
+	l := int(binary.LittleEndian.Uint32(hdr[4:]))
+	if l < 1 || l > 4096 {
+		return 0, fmt.Errorf("volume: implausible grid size %d", l)
+	}
+	return l, nil
+}
+
+// gridBytes is the serialized length of an l³ grid.
+func gridBytes(l int) int64 { return gridHeaderLen + 8*int64(l)*int64(l)*int64(l) }
+
+// ReadGrid deserializes a grid written by Grid.WriteTo. Samples are
+// decoded readChunk at a time, so memory grows with the bytes actually
+// present rather than with the size the header claims: a damaged header
+// is an error, not an allocation of up to 4096³ samples. Bytes after
+// the last sample are an error too.
 func ReadGrid(r io.Reader) (*Grid, error) {
 	br := bufio.NewReader(r)
-	var hdr [2]uint32
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+	var hdr [gridHeaderLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("volume: reading grid header: %w", err)
 	}
-	if hdr[0] != gridMagic {
-		return nil, fmt.Errorf("volume: bad grid magic %#x", hdr[0])
+	l, err := parseGridHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
-	l := int(hdr[1])
-	if l < 1 || l > 4096 {
-		return nil, fmt.Errorf("volume: implausible grid size %d", l)
+	n := l * l * l
+	var data []float64
+	var buf [8 * readChunk]byte
+	for len(data) < n {
+		k := min(n-len(data), readChunk)
+		if _, err := io.ReadFull(br, buf[:8*k]); err != nil {
+			return nil, fmt.Errorf("volume: reading grid data (%d of %d samples): %w", len(data), n, err)
+		}
+		if len(data)+k > cap(data) {
+			// Double, capped at n: never more than twice the samples
+			// read, and no more garbage than one full-size buffer.
+			grown := make([]float64, len(data), min(n, max(2*cap(data), readChunk)))
+			copy(grown, data)
+			data = grown
+		}
+		start := len(data)
+		data = data[:start+k]
+		for i := range k {
+			data[start+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		}
 	}
-	g := NewGrid(l)
-	if err := binary.Read(br, binary.LittleEndian, g.Data); err != nil {
+	switch _, err := br.ReadByte(); err {
+	case io.EOF:
+		return &Grid{L: l, Data: data}, nil
+	case nil:
+		return nil, fmt.Errorf("volume: trailing bytes after a %d³ grid", l)
+	default:
 		return nil, fmt.Errorf("volume: reading grid data: %w", err)
 	}
-	return g, nil
 }
 
 // WritePGM renders the image as a binary 8-bit PGM, linearly mapping
