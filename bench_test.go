@@ -417,18 +417,15 @@ func BenchmarkAblationReplication(b *testing.B) {
 		// Replicated: one all-gather of the full spectrum.
 		replicated = model.MessageTime(len(dft.Data) * 16)
 		// On demand: the same slice workload through a small cache.
-		cl := cluster.New(1, model)
-		cl.Run(func(n *cluster.Node) {
-			c, err := brick.NewClient(store, n, model, 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, o := range orients {
-				c.ExtractSlice(o, 9, fourier.Trilinear)
-			}
-			onDemand = n.Clock()
-			hitRate = c.HitRate()
-		})
+		c, err := brick.NewClient(store, model, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, o := range orients {
+			c.ExtractSlice(o, 9, fourier.Trilinear)
+		}
+		onDemand = c.CommSecs
+		hitRate = c.HitRate()
 	}
 	b.ReportMetric(replicated, "replicatedSecs")
 	b.ReportMetric(onDemand, "onDemandSecs")
@@ -439,18 +436,17 @@ func BenchmarkAblationReplication(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelDFTScaling measures the slab-decomposed 3-D DFT on
+// BenchmarkParallelDFTScaling prices the slab-decomposed 3-D DFT on
 // increasing simulated node counts (step a of the algorithm).
 func BenchmarkParallelDFTScaling(b *testing.B) {
 	// A map large enough that per-node FFT work dominates the
 	// all-gather; small maps are communication-bound and show no
 	// speedup (which parfft.ModelTime also predicts).
-	g := phantom.SindbisLike(64)
+	const l = 64
 	var t1, t8 float64
 	for i := 0; i < b.N; i++ {
-		r1 := parfft.Transform3D(cluster.New(1, cluster.SP2), g, 0)
-		r8 := parfft.Transform3D(cluster.New(8, cluster.SP2), g, 0)
-		t1, t8 = r1.Elapsed, r8.Elapsed
+		t1 = parfft.Price(cluster.New(1, cluster.SP2), l, 0)
+		t8 = parfft.Price(cluster.New(8, cluster.SP2), l, 0)
 	}
 	b.ReportMetric(t1, "P1secs")
 	b.ReportMetric(t8, "P8secs")

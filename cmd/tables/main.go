@@ -57,6 +57,9 @@ func run(w io.Writer, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *p < 1 {
+		return fmt.Errorf("-p %d: the simulated machine needs at least one processor", *p)
+	}
 
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {

@@ -7,8 +7,9 @@
 // The implementation lives under internal/ (see DESIGN.md for the full
 // inventory): internal/core is the refinement algorithm itself;
 // internal/fft, fourier, volume, projection, ctf, reconstruct and fsc
-// are the numerical substrates; internal/cluster and parfft simulate
-// the distributed-memory machine of the paper's evaluation;
+// are the numerical substrates; internal/cluster and parfft price the
+// paper's program on the distributed-memory machine of its evaluation
+// (a ledger of per-node simulated clocks, not an executor);
 // internal/phantom and micrograph synthesize the experimental data;
 // internal/symmetry is the symmetry-group detector; internal/workload
 // drives every table and figure of the paper, the legacy-schedule

@@ -7,10 +7,11 @@ import (
 )
 
 // Simclock enforces the determinism contract of the simulated-cluster
-// packages (PR 2): every duration in internal/parfft, internal/cluster,
+// packages: every duration in internal/parfft, internal/cluster,
 // internal/core, internal/serve, internal/cycle and internal/workload
 // (whose priceOnCluster charges Tables 1–2) must come from the
-// rank-ordered simulated clock (cluster.Node.Clock/Compute/Sleep), and
+// per-rank clocks of the cluster ledger (cluster.Cluster.Clock/
+// Compute/Sleep), and
 // every random draw from an explicitly seeded source — so wall-clock
 // time and the global math/rand state, both of which vary run to run
 // and with GOMAXPROCS, are banned outright.
@@ -98,7 +99,7 @@ func runSimclock(pass *Pass) {
 				switch desc := clockSinkAt(pkg.Info, id); {
 				case desc == "":
 				case desc[0] == 't':
-					pass.Reportf(id.Pos(), "%s reads the wall clock; simulated-clock packages must charge cluster.Node time instead", desc)
+					pass.Reportf(id.Pos(), "%s reads the wall clock; simulated-clock packages must charge the cluster ledger instead", desc)
 				default:
 					pass.Reportf(id.Pos(), "%s draws from the global source; use an explicitly seeded rand.New(rand.NewSource(...))", desc)
 				}
@@ -150,7 +151,7 @@ func runSimclock(pass *Pass) {
 			}
 			chain := Chain(pred, root.Obj, n.Obj)
 			pass.Reportf(chain[0].Site,
-				"%s reaches %s through %s (call chain %s); simulated-clock packages must charge cluster.Node time and use seeded sources only",
+				"%s reaches %s through %s (call chain %s); simulated-clock packages must charge the cluster ledger and use seeded sources only",
 				FuncName(root.Obj), s[0].desc, FuncName(n.Obj), FormatChain(root.Obj, chain))
 			break // one chain per scoped function keeps the signal readable
 		}

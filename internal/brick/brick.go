@@ -6,11 +6,12 @@
 // of the paper's ref. [6]).
 //
 // A Store partitions the centred spectrum into cubic bricks; a Client
-// on each simulated node fetches bricks on demand over the modeled
-// network (one-sided gets) and keeps an LRU cache. Running the same
-// central-section extractions through a Client and through a local
-// replica turns the paper's qualitative communication-cost argument
-// into a measured comparison (see BenchmarkAblationReplication).
+// stands for one simulated node that fetches bricks on demand over the
+// modeled network (one-sided gets), keeps an LRU cache, and adds up the
+// modeled seconds its misses cost. Running the same central-section
+// extractions through a Client and through a local replica turns the
+// paper's qualitative communication-cost argument into a measured
+// comparison (see BenchmarkAblationReplication).
 package brick
 
 import (
@@ -83,7 +84,6 @@ func (s *Store) fetch(id brickID) []complex128 {
 // for concurrent use (each simulated node owns one).
 type Client struct {
 	store *Store
-	node  *cluster.Node
 	model cluster.CostModel
 
 	capacity int
@@ -92,6 +92,9 @@ type Client struct {
 
 	// Hits and Misses count brick lookups.
 	Hits, Misses int64
+	// CommSecs is the simulated time the misses cost: one modeled
+	// message of BrickBytes per miss.
+	CommSecs float64
 }
 
 type cacheEntry struct {
@@ -99,16 +102,15 @@ type cacheEntry struct {
 	data []complex128
 }
 
-// NewClient attaches a client with the given cache capacity (in
-// bricks) to a simulated node; each miss charges the node the modeled
-// one-sided fetch time of one brick.
-func NewClient(s *Store, node *cluster.Node, model cluster.CostModel, capacity int) (*Client, error) {
+// NewClient creates a client with the given cache capacity (in
+// bricks); each miss adds the modeled one-sided fetch time of one brick
+// to CommSecs.
+func NewClient(s *Store, model cluster.CostModel, capacity int) (*Client, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("brick: cache capacity must be ≥ 1, got %d", capacity)
 	}
 	return &Client{
 		store:    s,
-		node:     node,
 		model:    model,
 		capacity: capacity,
 		cache:    map[brickID]*list.Element{},
@@ -124,9 +126,7 @@ func (c *Client) brick(id brickID) []complex128 {
 		return el.Value.(*cacheEntry).data
 	}
 	c.Misses++
-	if c.node != nil {
-		c.node.ChargeComm(c.model.MessageTime(c.store.BrickBytes()))
-	}
+	c.CommSecs += c.model.MessageTime(c.store.BrickBytes())
 	data := c.store.fetch(id)
 	el := c.lru.PushFront(&cacheEntry{id: id, data: data})
 	c.cache[id] = el

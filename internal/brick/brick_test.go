@@ -1,6 +1,7 @@
 package brick
 
 import (
+	"math"
 	"math/cmplx"
 	"testing"
 
@@ -23,7 +24,7 @@ func testStore(t testing.TB, l, edge int) (*Store, *fourier.VolumeDFT) {
 
 func TestClientSampleMatchesDirect(t *testing.T) {
 	s, dft := testStore(t, 16, 8)
-	c, err := NewClient(s, nil, cluster.SP2, 64)
+	c, err := NewClient(s, cluster.SP2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestClientSampleMatchesDirect(t *testing.T) {
 
 func TestClientSliceMatchesDirect(t *testing.T) {
 	s, dft := testStore(t, 16, 8)
-	c, _ := NewClient(s, nil, cluster.SP2, 128)
+	c, _ := NewClient(s, cluster.SP2, 128)
 	o := geom.Euler{Theta: 40, Phi: 120, Omega: 30}
 	want := dft.ExtractSlice(o, 6, fourier.Trilinear)
 	got := c.ExtractSlice(o, 6, fourier.Trilinear)
@@ -58,7 +59,7 @@ func TestClientSliceMatchesDirect(t *testing.T) {
 
 func TestCacheHitsAndEviction(t *testing.T) {
 	s, _ := testStore(t, 16, 8)
-	c, _ := NewClient(s, nil, cluster.SP2, 2)
+	c, _ := NewClient(s, cluster.SP2, 2)
 	f := geom.Vec3{X: 1, Y: 1, Z: 1}
 	c.Sample(f, fourier.Nearest)
 	missesAfterFirst := c.Misses
@@ -88,26 +89,22 @@ func TestCacheHitsAndEviction(t *testing.T) {
 
 func TestMissChargesSimulatedTime(t *testing.T) {
 	s, _ := testStore(t, 16, 8)
-	cl := cluster.New(1, cluster.SP2)
-	var elapsed float64
-	var hitRate float64
-	cl.Run(func(n *cluster.Node) {
-		c, _ := NewClient(s, n, cluster.SP2, 64)
-		// Two slices at the same orientation: the second is all hits.
-		c.ExtractSlice(geom.Euler{Theta: 30}, 6, fourier.Trilinear)
-		afterFirst := n.Clock()
-		c.ExtractSlice(geom.Euler{Theta: 30}, 6, fourier.Trilinear)
-		if n.Clock() != afterFirst {
-			t.Error("cached slice charged communication time")
-		}
-		elapsed = n.Clock()
-		hitRate = c.HitRate()
-	})
-	if elapsed <= 0 {
+	c, _ := NewClient(s, cluster.SP2, 64)
+	// Two slices at the same orientation: the second is all hits.
+	c.ExtractSlice(geom.Euler{Theta: 30}, 6, fourier.Trilinear)
+	afterFirst := c.CommSecs
+	c.ExtractSlice(geom.Euler{Theta: 30}, 6, fourier.Trilinear)
+	if c.CommSecs != afterFirst {
+		t.Error("cached slice charged communication time")
+	}
+	if c.CommSecs <= 0 {
 		t.Fatal("brick misses charged no simulated time")
 	}
-	if hitRate < 0.5 {
-		t.Fatalf("hit rate %.2f unexpectedly low for repeated slices", hitRate)
+	if want := float64(c.Misses) * cluster.SP2.MessageTime(s.BrickBytes()); math.Abs(c.CommSecs-want) > 1e-12*want {
+		t.Fatalf("%d misses charged %g s, want %g", c.Misses, c.CommSecs, want)
+	}
+	if hr := c.HitRate(); hr < 0.5 {
+		t.Fatalf("hit rate %.2f unexpectedly low for repeated slices", hr)
 	}
 }
 
@@ -127,17 +124,12 @@ func TestReplicatedVsOnDemandTiming(t *testing.T) {
 	repl := float64(1) * model.MessageTime(len(dft.Data)*16)
 
 	// On demand with a cache far smaller than the spectrum.
-	cl := cluster.New(1, model)
-	var onDemand float64
-	cl.Run(func(n *cluster.Node) {
-		c, _ := NewClient(s, n, model, 4)
-		for _, o := range orients {
-			c.ExtractSlice(o, 9, fourier.Trilinear)
-		}
-		onDemand = n.Clock()
-	})
-	if onDemand <= repl {
-		t.Fatalf("on-demand bricks (%.4gs) beat replication (%.4gs) — cost model inverted?", onDemand, repl)
+	c, _ := NewClient(s, model, 4)
+	for _, o := range orients {
+		c.ExtractSlice(o, 9, fourier.Trilinear)
+	}
+	if c.CommSecs <= repl {
+		t.Fatalf("on-demand bricks (%.4gs) beat replication (%.4gs) — cost model inverted?", c.CommSecs, repl)
 	}
 }
 
@@ -153,7 +145,7 @@ func TestStoreValidation(t *testing.T) {
 	if s.Edge != dft.L {
 		t.Fatalf("oversized edge not clamped: %d", s.Edge)
 	}
-	if _, err := NewClient(s, nil, cluster.SP2, 0); err == nil {
+	if _, err := NewClient(s, cluster.SP2, 0); err == nil {
 		t.Fatal("capacity 0 accepted")
 	}
 }

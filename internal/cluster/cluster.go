@@ -1,21 +1,20 @@
-// Package cluster simulates the distributed-memory parallel machine
-// the paper ran on (a 64-node IBM SP2 programmed with MPI). Nodes are
-// goroutines, links are channels, and every communication and compute
-// operation advances a per-node simulated clock through an analytic
-// LogP-style cost model, so programs built on this package really run
-// in parallel (data actually moves) while also reporting the timing a
-// message-passing machine of the configured speed would exhibit.
+// Package cluster prices programs on the distributed-memory parallel
+// machine the paper ran on (a 64-node IBM SP2 programmed with MPI). It
+// is a ledger, not an executor: a Cluster holds one simulated clock per
+// rank, and a caller charges it the computation and communication its
+// algorithm would perform, phase by phase in rank order, through an
+// analytic LogP-style cost model. Nothing runs on the simulated nodes
+// and no data moves; the ledger only adds up what the moves would cost.
 //
 // The simulated clock is what reproduces the *shape* of the paper's
 // Tables 1 and 2 on modern hardware: wall-clock time of the host
 // machine is irrelevant; the reported seconds come from the cost
-// model.
+// model. Because every charge is a sequential float operation in a
+// fixed order, a priced program reports the same bits on every run and
+// every host.
 package cluster
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // CostModel describes the communication and computation speed of the
 // simulated machine.
@@ -25,7 +24,7 @@ type CostModel struct {
 	// BytesPerSec is the link bandwidth.
 	BytesPerSec float64
 	// FlopsPerSec is the per-node computation rate used by
-	// Node.Compute.
+	// Cluster.Compute.
 	FlopsPerSec float64
 }
 
@@ -38,47 +37,29 @@ func (m CostModel) MessageTime(bytes int) float64 {
 	return m.LatencySec + float64(bytes)/m.BytesPerSec
 }
 
-// Cluster is a set of P simulated nodes. Create one with New, then
-// Run an SPMD function on it.
+// Cluster is the ledger of P simulated nodes: per-rank clocks, the
+// share of each clock spent communicating, and the traffic each rank
+// sent. Create one with New; every clock starts at zero.
 type Cluster struct {
 	P     int
 	Model CostModel
 
-	links []chan message // links[dst*P+src]
-	rvs   map[string]*rendezvous
-	mu    sync.Mutex
+	clock []float64 // simulated seconds since New
+	comm  []float64 // portion of clock spent communicating
+	sent  []int64   // bytes sent
+	msgs  []int64   // messages sent
 }
 
-type message struct {
-	tag     int
-	data    interface{}
-	arrival float64 // simulated time at which the message is available
-}
-
-// New creates a cluster of p nodes with the given cost model.
+// New creates a ledger of p nodes with the given cost model.
 func New(p int, model CostModel) *Cluster {
 	if p < 1 {
 		panic(fmt.Sprintf("cluster: invalid node count %d", p))
 	}
-	c := &Cluster{P: p, Model: model, rvs: map[string]*rendezvous{}}
-	c.links = make([]chan message, p*p)
-	for i := range c.links {
-		c.links[i] = make(chan message, 64)
+	return &Cluster{
+		P: p, Model: model,
+		clock: make([]float64, p), comm: make([]float64, p),
+		sent: make([]int64, p), msgs: make([]int64, p),
 	}
-	return c
-}
-
-// Node is the per-rank handle passed to the SPMD function. It is owned
-// by a single goroutine.
-type Node struct {
-	Rank int
-	c    *Cluster
-
-	clock   float64 // simulated seconds since Run started
-	comm    float64 // portion of clock spent communicating
-	sent    int64   // bytes sent
-	nMsgs   int64
-	stopped bool
 }
 
 // Stats summarizes one node's simulated execution.
@@ -91,164 +72,40 @@ type Stats struct {
 	Messages    int64
 }
 
-// Run executes fn on every rank concurrently and returns per-node
-// statistics. The simulated elapsed time of the program is the maximum
-// Stats.Elapsed. Run may be called repeatedly; each call starts
-// clocks at zero.
-func (c *Cluster) Run(fn func(*Node)) []Stats {
-	clusterRuns.Inc()
+// Stats returns every rank's summary, indexed by rank.
+func (c *Cluster) Stats() []Stats {
 	stats := make([]Stats, c.P)
-	var wg sync.WaitGroup
-	for r := 0; r < c.P; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			n := &Node{Rank: rank, c: c}
-			fn(n)
-			stats[rank] = Stats{
-				Rank:        rank,
-				Elapsed:     n.clock,
-				CommTime:    n.comm,
-				ComputeTime: n.clock - n.comm,
-				BytesSent:   n.sent,
-				Messages:    n.nMsgs,
-			}
-		}(r)
+	for r := range stats {
+		stats[r] = Stats{
+			Rank:        r,
+			Elapsed:     c.clock[r],
+			CommTime:    c.comm[r],
+			ComputeTime: c.clock[r] - c.comm[r],
+			BytesSent:   c.sent[r],
+			Messages:    c.msgs[r],
+		}
 	}
-	wg.Wait()
 	return stats
 }
 
-// MaxElapsed returns the simulated makespan of a Run result.
-func MaxElapsed(stats []Stats) float64 {
+// MaxElapsed returns the simulated makespan: the latest rank clock.
+func (c *Cluster) MaxElapsed() float64 {
 	m := 0.0
-	for _, s := range stats {
-		if s.Elapsed > m {
-			m = s.Elapsed
-		}
+	for _, t := range c.clock {
+		m = max(m, t)
 	}
 	return m
 }
 
-// Clock returns the node's current simulated time in seconds.
-func (n *Node) Clock() float64 { return n.clock }
+// Clock returns the rank's current simulated time in seconds.
+func (c *Cluster) Clock(rank int) float64 { return c.clock[rank] }
 
-// Compute advances the node's clock by the time the modeled CPU needs
+// Compute advances the rank's clock by the time the modeled CPU needs
 // for the given number of floating-point operations.
-func (n *Node) Compute(flops float64) {
-	n.clock += flops / n.c.Model.FlopsPerSec
+func (c *Cluster) Compute(rank int, flops float64) {
+	c.clock[rank] += flops / c.Model.FlopsPerSec
 }
 
-// Sleep advances the node's clock by the given simulated seconds
+// Sleep advances the rank's clock by the given simulated seconds
 // (e.g. modeled disk I/O time).
-func (n *Node) Sleep(sec float64) { n.clock += sec }
-
-// ChargeComm advances the node's clock by the given simulated seconds,
-// attributing them to communication. It models one-sided remote
-// accesses (get/put) that need no active peer — the primitive behind
-// demand-paged "shared virtual memory" designs.
-func (n *Node) ChargeComm(sec float64) {
-	n.clock += sec
-	n.comm += sec
-	n.nMsgs++
-	clusterOneSided.Inc()
-}
-
-// Send transmits data of the given serialized size to rank dst with a
-// tag. Data is passed by reference — simulated programs must treat
-// received slices as owned by the receiver and must not mutate shared
-// buffers after sending, just as MPI programs must not reuse a buffer
-// before the send completes.
-func (n *Node) Send(dst, tag int, data interface{}, bytes int) {
-	if dst < 0 || dst >= n.c.P {
-		panic(fmt.Sprintf("cluster: send to invalid rank %d", dst))
-	}
-	cost := n.c.Model.MessageTime(bytes)
-	n.clock += cost
-	n.comm += cost
-	n.sent += int64(bytes)
-	n.nMsgs++
-	clusterMessages.Inc()
-	clusterBytes.Add(int64(bytes))
-	clusterMessageSize.Observe(int64(bytes))
-	n.c.links[dst*n.c.P+n.Rank] <- message{tag: tag, data: data, arrival: n.clock}
-}
-
-// Recv blocks until a message with the tag arrives from rank src and
-// returns its payload, advancing the clock to the message arrival
-// time if that is later than now.
-func (n *Node) Recv(src, tag int) interface{} {
-	if src < 0 || src >= n.c.P {
-		panic(fmt.Sprintf("cluster: recv from invalid rank %d", src))
-	}
-	link := n.c.links[n.Rank*n.c.P+src]
-	msg := <-link
-	if msg.tag != tag {
-		panic(fmt.Sprintf("cluster: rank %d expected tag %d from %d, got %d (out-of-order traffic on one link)",
-			n.Rank, tag, src, msg.tag))
-	}
-	before := n.clock
-	if msg.arrival > n.clock {
-		n.clock = msg.arrival
-	}
-	n.comm += n.clock - before
-	return msg.data
-}
-
-// rendezvous implements a reusable all-ranks synchronization point
-// that exchanges one value per rank and the maximum entry clock.
-type rendezvous struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	gen    int
-	count  int
-	slots  []interface{}
-	clocks []float64
-	// published results of the completed generation
-	outSlots []interface{}
-	outMax   float64
-}
-
-func (c *Cluster) rendezvousFor(name string) *rendezvous {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rv, ok := c.rvs[name]
-	if !ok {
-		rv = &rendezvous{slots: make([]interface{}, c.P), clocks: make([]float64, c.P)}
-		rv.cond = sync.NewCond(&rv.mu)
-		c.rvs[name] = rv
-	}
-	return rv
-}
-
-// exchange blocks until all P ranks have called it with the same name,
-// then returns every rank's value and the maximum entry clock.
-func (n *Node) exchange(name string, value interface{}) ([]interface{}, float64) {
-	clusterExchanges.Inc()
-	rv := n.c.rendezvousFor(name)
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	gen := rv.gen
-	rv.slots[n.Rank] = value
-	rv.clocks[n.Rank] = n.clock
-	rv.count++
-	if rv.count == n.c.P {
-		// Last arrival publishes and opens the next generation.
-		rv.outSlots = append([]interface{}(nil), rv.slots...)
-		max := rv.clocks[0]
-		for _, t := range rv.clocks[1:] {
-			if t > max {
-				max = t
-			}
-		}
-		rv.outMax = max
-		rv.count = 0
-		rv.gen++
-		rv.cond.Broadcast()
-		return rv.outSlots, rv.outMax
-	}
-	for rv.gen == gen {
-		rv.cond.Wait()
-	}
-	return rv.outSlots, rv.outMax
-}
+func (c *Cluster) Sleep(rank int, sec float64) { c.clock[rank] += sec }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 )
 
@@ -10,33 +9,16 @@ func testModel() CostModel {
 	return CostModel{LatencySec: 1e-5, BytesPerSec: 1e8, FlopsPerSec: 1e8}
 }
 
-func TestPointToPoint(t *testing.T) {
-	c := New(2, testModel())
-	stats := c.Run(func(n *Node) {
-		if n.Rank == 0 {
-			n.Send(1, 7, []float64{1, 2, 3}, 24)
-		} else {
-			got := n.Recv(0, 7).([]float64)
-			if len(got) != 3 || got[2] != 3 {
-				t.Error("payload corrupted")
-			}
-		}
-	})
-	// Receiver's clock must include latency + transfer time.
-	want := testModel().MessageTime(24)
-	if stats[1].Elapsed < want {
-		t.Errorf("receiver elapsed %g < message time %g", stats[1].Elapsed, want)
-	}
-	if stats[0].BytesSent != 24 || stats[0].Messages != 1 {
-		t.Errorf("sender stats: %+v", stats[0])
-	}
-}
+// size gives every rank the same message size.
+func size(bytes int) func(int) int { return func(int) int { return bytes } }
+
+// sizes gives rank r the message size bytes[r].
+func sizes(bytes []int) func(int) int { return func(r int) int { return bytes[r] } }
 
 func TestComputeAdvancesClock(t *testing.T) {
 	c := New(1, testModel())
-	stats := c.Run(func(n *Node) {
-		n.Compute(1e8) // exactly one second at 1e8 flop/s
-	})
+	c.Compute(0, 1e8) // exactly one second at 1e8 flop/s
+	stats := c.Stats()
 	if math.Abs(stats[0].Elapsed-1) > 1e-12 {
 		t.Fatalf("elapsed %g, want 1", stats[0].Elapsed)
 	}
@@ -47,14 +29,16 @@ func TestComputeAdvancesClock(t *testing.T) {
 
 func TestBarrierSynchronizesClocks(t *testing.T) {
 	c := New(4, testModel())
-	stats := c.Run(func(n *Node) {
-		n.Compute(float64(n.Rank) * 1e8) // rank r works r seconds
-		n.Barrier("sync")
-	})
-	// All clocks must be ≥ the slowest rank (3 s).
+	for r := 0; r < c.P; r++ {
+		c.Compute(r, float64(r)*1e8) // rank r works r seconds
+	}
+	// All clocks meet past the slowest rank (3 s) by two tree rounds.
+	want := c.Clock(3) + 2*testModel().LatencySec
+	c.Barrier()
+	stats := c.Stats()
 	for _, s := range stats {
-		if s.Elapsed < 3 {
-			t.Fatalf("rank %d elapsed %g, want ≥3", s.Rank, s.Elapsed)
+		if s.Elapsed != want {
+			t.Fatalf("rank %d elapsed %.17g, want %.17g", s.Rank, s.Elapsed, want)
 		}
 	}
 	// The slow rank's wait is attributed to comm on fast ranks.
@@ -63,109 +47,102 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	c := New(5, testModel())
-	c.Run(func(n *Node) {
-		var v interface{}
-		if n.Rank == 2 {
-			v = "payload"
-		}
-		got := n.Bcast("b", 2, v, 8)
-		if got.(string) != "payload" {
-			t.Errorf("rank %d got %v", n.Rank, got)
-		}
-	})
-}
-
+// TestAllGather: each rank leaves at the latest entry plus P−1 ring
+// messages of its own contribution size, and sends that many bytes.
 func TestAllGather(t *testing.T) {
-	c := New(4, testModel())
-	c.Run(func(n *Node) {
-		all := n.AllGather("ag", n.Rank*10, 8)
-		for i, v := range all {
-			if v.(int) != i*10 {
-				t.Errorf("rank %d: slot %d = %v", n.Rank, i, v)
-			}
+	m := testModel()
+	c := New(4, m)
+	for r := 0; r < c.P; r++ {
+		c.Sleep(r, float64(r))
+	}
+	bytes := []int{8, 16, 24, 32}
+	c.AllGather(sizes(bytes))
+	for _, s := range c.Stats() {
+		if want := 3 + 3*m.MessageTime(bytes[s.Rank]); s.Elapsed != want {
+			t.Errorf("rank %d clock %.17g, want %.17g", s.Rank, s.Elapsed, want)
 		}
-	})
+		if s.BytesSent != int64(3*bytes[s.Rank]) || s.Messages != 3 {
+			t.Errorf("rank %d sent %d bytes in %d messages", s.Rank, s.BytesSent, s.Messages)
+		}
+	}
 }
 
+// TestAllToAll: from equal entry clocks, every rank pays the same P−1
+// messages, all of it communication.
 func TestAllToAll(t *testing.T) {
-	c := New(3, testModel())
-	c.Run(func(n *Node) {
-		parts := make([]interface{}, 3)
-		for i := range parts {
-			parts[i] = n.Rank*100 + i // destined for rank i
+	m := testModel()
+	c := New(3, m)
+	c.AllToAll(size(8))
+	for _, s := range c.Stats() {
+		if want := 2 * m.MessageTime(8); s.Elapsed != want || s.CommTime != want {
+			t.Errorf("rank %d: elapsed %g comm %g, want %g", s.Rank, s.Elapsed, s.CommTime, want)
 		}
-		got := n.AllToAll("a2a", parts, 8)
-		for src, v := range got {
-			want := src*100 + n.Rank
-			if v.(int) != want {
-				t.Errorf("rank %d from %d: got %v want %d", n.Rank, src, v, want)
-			}
-		}
-	})
+	}
 }
 
+// TestScatterGather: the root serves the scatter sequentially, then
+// receives the gather sequentially after the latest entry; every other
+// rank pays one gather message from its own clock.
 func TestScatterGather(t *testing.T) {
-	c := New(4, testModel())
-	c.Run(func(n *Node) {
-		var parts []interface{}
-		if n.Rank == 0 {
-			parts = []interface{}{"a", "b", "c", "d"}
+	m := testModel()
+	c := New(4, m)
+	c.Scatter(0, size(8))
+	c.Gather(0, size(8))
+	msg := m.MessageTime(8)
+	for _, s := range c.Stats() {
+		want := float64(s.Rank)*msg + msg
+		wantMsgs := int64(1)
+		if s.Rank == 0 {
+			want = 3*msg + 3*msg
+			wantMsgs = 3
 		}
-		mine := n.Scatter("s", 0, parts, 8).(string)
-		want := string(rune('a' + n.Rank))
-		if mine != want {
-			t.Errorf("rank %d scattered %q, want %q", n.Rank, mine, want)
+		if s.Elapsed != want {
+			t.Errorf("rank %d clock %.17g, want %.17g", s.Rank, s.Elapsed, want)
 		}
-		all := n.Gather("g", 0, mine+"!", 8)
-		if n.Rank == 0 {
-			for i, v := range all {
-				if v.(string) != string(rune('a'+i))+"!" {
-					t.Errorf("gather slot %d = %v", i, v)
-				}
-			}
-		} else if all != nil {
-			t.Errorf("non-root rank %d got gather result", n.Rank)
+		if s.Messages != wantMsgs || s.BytesSent != 8*wantMsgs {
+			t.Errorf("rank %d sent %d bytes in %d messages", s.Rank, s.BytesSent, s.Messages)
 		}
-	})
+	}
 }
 
-func TestReduceMaxSum(t *testing.T) {
-	c := New(6, testModel())
-	c.Run(func(n *Node) {
-		if got := n.ReduceMax("m", float64(n.Rank)); got != 5 {
-			t.Errorf("ReduceMax = %g", got)
-		}
-		if got := n.ReduceSum("s", 1); got != 6 {
-			t.Errorf("ReduceSum = %g", got)
-		}
-	})
-}
-
+// TestCollectivesInLoop: repeated collectives keep accumulating on the
+// same clocks — fifty barriers on three ranks cost fifty two-round
+// latencies, all of it communication.
 func TestCollectivesInLoop(t *testing.T) {
-	// Repeated collectives under the same name must work via
-	// generations.
-	c := New(3, testModel())
-	c.Run(func(n *Node) {
-		for i := 0; i < 50; i++ {
-			sum := n.ReduceSum("loop", float64(i))
-			if sum != float64(3*i) {
-				t.Errorf("iteration %d: sum %g", i, sum)
-				return
+	m := testModel()
+	c := New(3, m)
+	want := 0.0
+	for i := 0; i < 50; i++ {
+		c.Barrier()
+		want += 2 * m.LatencySec
+		for r := 0; r < c.P; r++ {
+			if got := c.Clock(r); got != want {
+				t.Fatalf("iteration %d rank %d: clock %.17g, want %.17g", i, r, got, want)
 			}
 		}
-	})
+	}
+	for _, s := range c.Stats() {
+		if s.CommTime != s.Elapsed {
+			t.Fatalf("rank %d comm %g of %g", s.Rank, s.CommTime, s.Elapsed)
+		}
+	}
 }
 
+// TestAllRanksRun: the ledger keeps one clock per rank, charges land
+// only on the rank named, and Stats reports every rank in rank order.
 func TestAllRanksRun(t *testing.T) {
-	var count int64
 	c := New(8, testModel())
-	c.Run(func(n *Node) {
-		atomic.AddInt64(&count, 1)
-	})
-	if count != 8 {
-		t.Fatalf("%d ranks ran, want 8", count)
+	for r := 0; r < c.P; r++ {
+		c.Sleep(r, float64(r+1))
+	}
+	stats := c.Stats()
+	if len(stats) != 8 {
+		t.Fatalf("%d ranks reported, want 8", len(stats))
+	}
+	for r, s := range stats {
+		if s.Rank != r || s.Elapsed != float64(r+1) || s.CommTime != 0 {
+			t.Fatalf("rank %d stats %+v", r, s)
+		}
 	}
 }
 
@@ -173,13 +150,8 @@ func TestScatterTimingMonotoneInRank(t *testing.T) {
 	// The master-distributes model serves ranks sequentially: later
 	// ranks wait longer.
 	c := New(4, testModel())
-	stats := c.Run(func(n *Node) {
-		var parts []interface{}
-		if n.Rank == 0 {
-			parts = []interface{}{0, 1, 2, 3}
-		}
-		n.Scatter("st", 0, parts, 1000)
-	})
+	c.Scatter(0, size(1000))
+	stats := c.Stats()
 	if !(stats[1].Elapsed < stats[2].Elapsed && stats[2].Elapsed < stats[3].Elapsed) {
 		t.Fatalf("scatter service times not monotone: %v %v %v",
 			stats[1].Elapsed, stats[2].Elapsed, stats[3].Elapsed)
@@ -194,22 +166,24 @@ func TestMessageTimeModel(t *testing.T) {
 }
 
 func TestMaxElapsed(t *testing.T) {
-	s := []Stats{{Elapsed: 1}, {Elapsed: 7}, {Elapsed: 3}}
-	if MaxElapsed(s) != 7 {
+	c := New(3, testModel())
+	for r, s := range []float64{1, 7, 3} {
+		c.Sleep(r, s)
+	}
+	if c.MaxElapsed() != 7 {
 		t.Fatal("MaxElapsed wrong")
 	}
 }
 
+// TestSingleNodeCollectives: on one node every collective is free.
 func TestSingleNodeCollectives(t *testing.T) {
 	c := New(1, testModel())
-	c.Run(func(n *Node) {
-		n.Barrier("b")
-		if got := n.Bcast("bc", 0, 42, 8).(int); got != 42 {
-			t.Errorf("bcast on P=1: %d", got)
-		}
-		all := n.AllGather("ag", 9, 8)
-		if len(all) != 1 || all[0].(int) != 9 {
-			t.Errorf("allgather on P=1: %v", all)
-		}
-	})
+	c.Barrier()
+	c.Scatter(0, size(8))
+	c.Gather(0, size(8))
+	c.AllToAll(size(8))
+	c.AllGather(size(8))
+	if s := c.Stats()[0]; s != (Stats{}) {
+		t.Fatalf("single-node collectives charged: %+v", s)
+	}
 }

@@ -1,18 +1,18 @@
 package cluster
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Collectives. Every rank must call the same collective in the same
-// order; calls are matched by an internal sequence name. Timing
-// follows standard algorithm models: binomial trees for barrier and
-// broadcast (⌈log₂P⌉ rounds), a ring for all-gather and all-to-all
-// (P−1 rounds), and sequential root service for scatter/gather —
-// consistent with the master-node I/O distribution scheme of §3 of
-// the paper ("a master node typically reads an entire data file and
-// distributes data segments to the nodes as needed").
+// Collectives. A collective involves every rank: each rank enters it
+// at its own clock, and leaves at the latest entry clock plus the
+// algorithm's cost, the wait counted as communication. Each takes the
+// per-rank message size, bytes(r) for rank r, as an MPI program's ranks
+// would each pass their own count. Timing follows standard algorithm
+// models: a binomial tree for the barrier (⌈log₂P⌉ rounds), a ring for
+// all-gather and all-to-all (P−1 rounds), and sequential root service
+// for scatter/gather — consistent with the master-node I/O
+// distribution scheme of §3 of the paper ("a master node typically
+// reads an entire data file and distributes data segments to the nodes
+// as needed").
 
 func logRounds(p int) float64 {
 	if p <= 1 {
@@ -21,140 +21,82 @@ func logRounds(p int) float64 {
 	return math.Ceil(math.Log2(float64(p)))
 }
 
-// chargeComm advances the node clock by sec, attributing it to
-// communication.
-func (n *Node) chargeComm(sec float64) {
-	n.clock += sec
-	n.comm += sec
-}
-
-// syncTo raises the node clock to at least t, attributing the wait to
-// communication.
-func (n *Node) syncTo(t float64) {
-	if t > n.clock {
-		n.comm += t - n.clock
-		n.clock = t
+// syncTo raises the rank's clock to at least t, attributing the wait
+// to communication.
+func (c *Cluster) syncTo(rank int, t float64) {
+	if t > c.clock[rank] {
+		c.comm[rank] += t - c.clock[rank]
+		c.clock[rank] = t
 	}
 }
 
-// Barrier blocks until every rank arrives; clocks synchronize to the
-// latest arrival plus a ⌈log₂P⌉-round latency cost.
-func (n *Node) Barrier(name string) {
-	_, max := n.exchange("barrier:"+name, nil)
-	n.syncTo(max + logRounds(n.c.P)*n.c.Model.LatencySec)
+// send records n messages of the given size sent by the rank.
+func (c *Cluster) send(rank, n, bytes int) {
+	c.sent[rank] += int64(bytes) * int64(n)
+	c.msgs[rank] += int64(n)
 }
 
-// Bcast distributes the root's value to every rank. bytes is the
-// serialized payload size. Returns the root's value on every rank.
-func (n *Node) Bcast(name string, root int, value interface{}, bytes int) interface{} {
-	slots, max := n.exchange("bcast:"+name, value)
-	cost := logRounds(n.c.P) * n.c.Model.MessageTime(bytes)
-	n.syncTo(max + cost)
-	if n.Rank == root {
-		n.sent += int64(bytes)
-		n.nMsgs++
+// Barrier synchronizes every clock to the latest arrival plus a
+// ⌈log₂P⌉-round latency cost.
+func (c *Cluster) Barrier() {
+	t := c.MaxElapsed() + logRounds(c.P)*c.Model.LatencySec
+	for r := range c.clock {
+		c.syncTo(r, t)
 	}
-	return slots[root]
 }
 
-// AllGather collects one value from every rank and returns the full
-// slice, indexed by rank, on every rank. bytesEach is the per-rank
-// contribution size; the ring algorithm costs (P−1) messages of that
-// size.
-func (n *Node) AllGather(name string, value interface{}, bytesEach int) []interface{} {
-	slots, max := n.exchange("allgather:"+name, value)
-	cost := float64(n.c.P-1) * n.c.Model.MessageTime(bytesEach)
-	n.syncTo(max + cost)
-	n.sent += int64(bytesEach) * int64(n.c.P-1)
-	n.nMsgs += int64(n.c.P - 1)
-	return slots
+// AllGather replicates one contribution from every rank on every rank.
+// The ring algorithm costs each rank P−1 messages of its own
+// contribution size bytes(r).
+func (c *Cluster) AllGather(bytes func(rank int) int) {
+	t := c.MaxElapsed()
+	for r := range c.clock {
+		b := bytes(r)
+		c.syncTo(r, t+float64(c.P-1)*c.Model.MessageTime(b))
+		c.send(r, c.P-1, b)
+	}
 }
 
-// AllToAll exchanges a distinct value with every rank: parts[i] goes
-// to rank i, and the result's element i came from rank i. This is the
-// "global exchange" of the slab-decomposed 3-D DFT (paper step a.4).
-// bytesEach is the size of one part.
-func (n *Node) AllToAll(name string, parts []interface{}, bytesEach int) []interface{} {
-	if len(parts) != n.c.P {
-		panic(fmt.Sprintf("cluster: AllToAll needs %d parts, got %d", n.c.P, len(parts)))
-	}
-	slots, max := n.exchange("alltoall:"+name, parts)
-	cost := float64(n.c.P-1) * n.c.Model.MessageTime(bytesEach)
-	n.syncTo(max + cost)
-	n.sent += int64(bytesEach) * int64(n.c.P-1)
-	n.nMsgs += int64(n.c.P - 1)
-	out := make([]interface{}, n.c.P)
-	for src, s := range slots {
-		theirParts := s.([]interface{})
-		out[src] = theirParts[n.Rank]
-	}
-	return out
-}
+// AllToAll exchanges a distinct part with every rank, bytes(r) being
+// the size of one of rank r's parts. This is the "global exchange" of
+// the slab-decomposed 3-D DFT (paper step a.4); its ring costs what
+// AllGather's does.
+func (c *Cluster) AllToAll(bytes func(rank int) int) { c.AllGather(bytes) }
 
-// Scatter hands parts[i] (prepared on the root) to rank i. The root
-// serves receivers sequentially, so rank i pays i+1 message times —
-// the master-reads-and-distributes pattern of the paper. bytesEach is
-// the size of one part.
-func (n *Node) Scatter(name string, root int, parts []interface{}, bytesEach int) interface{} {
-	if n.Rank == root && len(parts) != n.c.P {
-		panic(fmt.Sprintf("cluster: Scatter needs %d parts, got %d", n.c.P, len(parts)))
-	}
-	var contrib interface{}
-	if n.Rank == root {
-		contrib = parts
-	}
-	slots, max := n.exchange("scatter:"+name, contrib)
-	rootParts := slots[root].([]interface{})
-	// Rank order relative to root determines service position.
-	pos := (n.Rank - root + n.c.P) % n.c.P
-	if pos == 0 {
-		// Root pays for sending everything.
-		n.syncTo(max + float64(n.c.P-1)*n.c.Model.MessageTime(bytesEach))
-		n.sent += int64(bytesEach) * int64(n.c.P-1)
-		n.nMsgs += int64(n.c.P - 1)
-	} else {
-		n.syncTo(max + float64(pos)*n.c.Model.MessageTime(bytesEach))
-	}
-	return rootParts[n.Rank]
-}
-
-// Gather collects one value from every rank onto the root, which
-// receives them sequentially. Non-root ranks receive nil. bytesEach is
-// the size of one contribution.
-func (n *Node) Gather(name string, root int, value interface{}, bytesEach int) []interface{} {
-	slots, max := n.exchange("gather:"+name, value)
-	if n.Rank == root {
-		n.syncTo(max + float64(n.c.P-1)*n.c.Model.MessageTime(bytesEach))
-		return slots
-	}
-	n.chargeComm(n.c.Model.MessageTime(bytesEach))
-	n.sent += int64(bytesEach)
-	n.nMsgs++
-	_ = max
-	return nil
-}
-
-// ReduceMax returns the maximum of every rank's value on all ranks,
-// with all-reduce (tree) timing.
-func (n *Node) ReduceMax(name string, value float64) float64 {
-	slots, max := n.exchange("reducemax:"+name, value)
-	n.syncTo(max + 2*logRounds(n.c.P)*n.c.Model.LatencySec)
-	out := math.Inf(-1)
-	for _, s := range slots {
-		if v := s.(float64); v > out {
-			out = v
+// Scatter hands one part from the root to every rank. The root serves
+// receivers sequentially, so the rank at distance i from the root pays
+// i message times of its own part size bytes(r), and the root pays P−1
+// of bytes(root) — the master-reads-and-distributes pattern of the
+// paper.
+func (c *Cluster) Scatter(root int, bytes func(rank int) int) {
+	t := c.MaxElapsed()
+	for r := range c.clock {
+		b := bytes(r)
+		pos := (r - root + c.P) % c.P
+		if pos == 0 {
+			c.syncTo(r, t+float64(c.P-1)*c.Model.MessageTime(b))
+			c.send(r, c.P-1, b)
+		} else {
+			c.syncTo(r, t+float64(pos)*c.Model.MessageTime(b))
 		}
 	}
-	return out
 }
 
-// ReduceSum returns the sum of every rank's value on all ranks.
-func (n *Node) ReduceSum(name string, value float64) float64 {
-	slots, max := n.exchange("reducesum:"+name, value)
-	n.syncTo(max + 2*logRounds(n.c.P)*n.c.Model.LatencySec)
-	var out float64
-	for _, s := range slots {
-		out += s.(float64)
+// Gather collects one contribution from every rank onto the root,
+// which receives them sequentially: the root pays P−1 message times of
+// bytes(root) after the latest entry, every other rank one message of
+// its own bytes(r) from its own clock.
+func (c *Cluster) Gather(root int, bytes func(rank int) int) {
+	t := c.MaxElapsed()
+	for r := range c.clock {
+		b := bytes(r)
+		if r == root {
+			c.syncTo(r, t+float64(c.P-1)*c.Model.MessageTime(b))
+			continue
+		}
+		cost := c.Model.MessageTime(b)
+		c.clock[r] += cost
+		c.comm[r] += cost
+		c.send(r, 1, b)
 	}
-	return out
 }

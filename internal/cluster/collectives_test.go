@@ -4,8 +4,9 @@ import (
 	"testing"
 )
 
-// partition mirrors parfft.Partition (kept local to avoid an import
-// cycle): n items into p contiguous ranges, range i = [zs[i], zs[i+1]).
+// partition mirrors the slab partition of package parfft (kept local to
+// avoid an import cycle): n items into p contiguous ranges, range i =
+// [zs[i], zs[i+1]).
 func partition(n, p int) []int {
 	zs := make([]int, p+1)
 	for i := 0; i <= p; i++ {
@@ -14,148 +15,110 @@ func partition(n, p int) []int {
 	return zs
 }
 
-// TestAllToAllUnevenPartitions drives the collective with the exact
-// payload shape of the slab DFT's global exchange (step a.4) when l is
-// not divisible by P: ranks own slabs of different sizes, so the
-// blocks moving between each pair differ in length. Every element must
-// land at the right rank in the right order.
+// TestAllToAllUnevenPartitions prices the slab DFT's global exchange
+// (step a.4) when l is not divisible by P: ranks own slabs of different
+// sizes, so each leaves the ring at the latest entry plus P−1 messages
+// of its own part size, and bigger slabs leave later.
 func TestAllToAllUnevenPartitions(t *testing.T) {
 	const l, p = 10, 4 // slabs of 2 or 3 planes
 	zs := partition(l, p)
-	c := New(p, testModel())
-	c.Run(func(n *Node) {
-		mine := zs[n.Rank+1] - zs[n.Rank]
-		parts := make([]interface{}, p)
-		for j := 0; j < p; j++ {
-			theirs := zs[j+1] - zs[j]
-			block := make([]complex128, mine*theirs)
-			for i := range block {
-				block[i] = complex(float64(n.Rank), float64(j*1000+i))
-			}
-			parts[j] = block
+	m := testModel()
+	c := New(p, m)
+	bytes := make([]int, p)
+	for r := range bytes {
+		c.Sleep(r, float64(p-r)) // rank 0 enters last, at 4 s
+		bytes[r] = 16 * (zs[r+1] - zs[r])
+	}
+	c.AllToAll(sizes(bytes))
+	for _, s := range c.Stats() {
+		if want := 4 + float64(p-1)*m.MessageTime(bytes[s.Rank]); s.Elapsed != want {
+			t.Errorf("rank %d clock %.17g, want %.17g", s.Rank, s.Elapsed, want)
 		}
-		got := n.AllToAll("uneven", parts, 16*mine)
-		for src := 0; src < p; src++ {
-			srcN := zs[src+1] - zs[src]
-			block := got[src].([]complex128)
-			if len(block) != srcN*mine {
-				t.Errorf("rank %d from %d: block length %d, want %d", n.Rank, src, len(block), srcN*mine)
-				continue
-			}
-			for i, v := range block {
-				if real(v) != float64(src) || imag(v) != float64(n.Rank*1000+i) {
-					t.Errorf("rank %d from %d element %d corrupted: %v", n.Rank, src, i, v)
-					break
-				}
-			}
+		if s.BytesSent != int64((p-1)*bytes[s.Rank]) {
+			t.Errorf("rank %d sent %d bytes, want %d", s.Rank, s.BytesSent, (p-1)*bytes[s.Rank])
 		}
-	})
+	}
+	if c.Clock(0) >= c.Clock(3) {
+		t.Fatalf("2-plane rank 0 (%g) does not finish before 3-plane rank 3 (%g)", c.Clock(0), c.Clock(3))
+	}
 }
 
 // TestAllToAllMorePartsThanItems is the P > l degenerate case: some
-// ranks own zero planes and exchange zero-length blocks. The
-// collective must still complete and deliver empty (but non-nil)
-// payloads.
+// ranks own zero planes and exchange zero-length parts. They still pay
+// the ring's P−1 latencies.
 func TestAllToAllMorePartsThanItems(t *testing.T) {
 	const l, p = 3, 5
 	zs := partition(l, p)
-	c := New(p, testModel())
-	c.Run(func(n *Node) {
-		mine := zs[n.Rank+1] - zs[n.Rank]
-		parts := make([]interface{}, p)
-		for j := 0; j < p; j++ {
-			block := make([]int, mine)
-			for i := range block {
-				block[i] = n.Rank*10 + j
-			}
-			parts[j] = block
+	m := testModel()
+	c := New(p, m)
+	bytes := make([]int, p)
+	for r := range bytes {
+		bytes[r] = 8 * (zs[r+1] - zs[r])
+	}
+	c.AllToAll(sizes(bytes))
+	for _, s := range c.Stats() {
+		if want := float64(p-1) * m.MessageTime(bytes[s.Rank]); s.Elapsed != want {
+			t.Errorf("rank %d clock %.17g, want %.17g", s.Rank, s.Elapsed, want)
 		}
-		got := n.AllToAll("degenerate", parts, 8*mine)
-		for src := 0; src < p; src++ {
-			srcN := zs[src+1] - zs[src]
-			block := got[src].([]int)
-			if len(block) != srcN {
-				t.Errorf("rank %d from %d: %d items, want %d", n.Rank, src, len(block), srcN)
-			}
-			for _, v := range block {
-				if v != src*10+n.Rank {
-					t.Errorf("rank %d from %d: bad element %d", n.Rank, src, v)
-				}
-			}
+		if bytes[s.Rank] == 0 && (s.Elapsed != float64(p-1)*m.LatencySec || s.BytesSent != 0 || s.Messages != p-1) {
+			t.Errorf("empty rank %d: %+v", s.Rank, s)
 		}
-	})
+	}
 }
 
-// TestAllGatherUnevenContributions reassembles a full array from
-// uneven per-rank slices — the step a.6 replication under uneven
-// slabs — and checks order and completeness on every rank.
+// TestAllGatherUnevenContributions prices the step a.6 replication
+// under uneven slabs: the bytes the ranks send add up to P−1 copies of
+// the whole array, and each rank's clock follows its own slice.
 func TestAllGatherUnevenContributions(t *testing.T) {
 	const l, p = 11, 3
 	zs := partition(l, p)
-	c := New(p, testModel())
-	c.Run(func(n *Node) {
-		mine := make([]int, zs[n.Rank+1]-zs[n.Rank])
-		for i := range mine {
-			mine[i] = zs[n.Rank] + i
+	m := testModel()
+	c := New(p, m)
+	bytes := make([]int, p)
+	for r := range bytes {
+		bytes[r] = 8 * (zs[r+1] - zs[r])
+	}
+	c.AllGather(sizes(bytes))
+	var total int64
+	for _, s := range c.Stats() {
+		total += s.BytesSent
+		if want := float64(p-1) * m.MessageTime(bytes[s.Rank]); s.Elapsed != want {
+			t.Errorf("rank %d clock %.17g, want %.17g", s.Rank, s.Elapsed, want)
 		}
-		slots := n.AllGather("uneven", mine, 8*len(mine))
-		var full []int
-		for _, s := range slots {
-			full = append(full, s.([]int)...)
-		}
-		if len(full) != l {
-			t.Fatalf("rank %d assembled %d items, want %d", n.Rank, len(full), l)
-		}
-		for i, v := range full {
-			if v != i {
-				t.Fatalf("rank %d: item %d = %d", n.Rank, i, v)
-			}
-		}
-	})
+	}
+	if total != int64((p-1)*8*l) {
+		t.Fatalf("ranks sent %d bytes, want %d", total, (p-1)*8*l)
+	}
 }
 
 // TestAllToAllAllGatherSingleNode: P = 1 collectives are pure
 // self-delivery with no communication rounds charged.
 func TestAllToAllAllGatherSingleNode(t *testing.T) {
 	c := New(1, testModel())
-	stats := c.Run(func(n *Node) {
-		got := n.AllToAll("self", []interface{}{42}, 8)
-		if len(got) != 1 || got[0].(int) != 42 {
-			t.Errorf("single-node AllToAll: %v", got)
-		}
-		all := n.AllGather("self", "x", 8)
-		if len(all) != 1 || all[0].(string) != "x" {
-			t.Errorf("single-node AllGather: %v", all)
-		}
-	})
+	c.Sleep(0, 1)
+	c.AllToAll(size(8))
+	c.AllGather(size(8))
 	// Ring algorithms cost P−1 = 0 rounds: no time, no messages.
-	if s := stats[0]; s.CommTime != 0 || s.Messages != 0 || s.BytesSent != 0 {
+	if s := c.Stats()[0]; s.Elapsed != 1 || s.CommTime != 0 || s.Messages != 0 || s.BytesSent != 0 {
 		t.Fatalf("single-node collectives charged communication: %+v", s)
 	}
 }
 
-// TestCollectiveTimingSynchronized: after an all-to-all, every rank's
-// clock is the same analytic value — max entry time plus P−1 ring
-// messages — regardless of which goroutine arrived last.
+// TestCollectiveTimingSynchronized: after an all-to-all of equal parts,
+// every rank's clock is the same analytic value — max entry time plus
+// P−1 ring messages.
 func TestCollectiveTimingSynchronized(t *testing.T) {
 	const p = 4
 	m := testModel()
 	c := New(p, m)
-	clocks := make([]float64, p)
-	c.Run(func(n *Node) {
-		// Stagger entry: rank r computes r "seconds" first.
-		n.Sleep(float64(n.Rank))
-		parts := make([]interface{}, p)
-		for i := range parts {
-			parts[i] = 0
-		}
-		n.AllToAll("sync", parts, 100)
-		clocks[n.Rank] = n.Clock()
-	})
+	for r := 0; r < p; r++ {
+		c.Sleep(r, float64(r)) // stagger entry: rank r arrives at r s
+	}
+	c.AllToAll(size(100))
 	want := float64(p-1) + float64(p-1)*m.MessageTime(100)
-	for r, got := range clocks {
-		if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("rank %d clock %g, want %g", r, got, want)
+	for r := 0; r < p; r++ {
+		if got := c.Clock(r); got != want {
+			t.Fatalf("rank %d clock %.17g, want %.17g", r, got, want)
 		}
 	}
 }
@@ -166,21 +129,7 @@ func TestScatterNonZeroRoot(t *testing.T) {
 	const p, root = 4, 2
 	m := testModel()
 	c := New(p, m)
-	clocks := make([]float64, p)
-	c.Run(func(n *Node) {
-		var parts []interface{}
-		if n.Rank == root {
-			parts = make([]interface{}, p)
-			for i := range parts {
-				parts[i] = i * i
-			}
-		}
-		got := n.Scatter("rooted", root, parts, 64).(int)
-		if got != n.Rank*n.Rank {
-			t.Errorf("rank %d scattered %d", n.Rank, got)
-		}
-		clocks[n.Rank] = n.Clock()
-	})
+	c.Scatter(root, size(64))
 	msg := m.MessageTime(64)
 	for r := 0; r < p; r++ {
 		pos := (r - root + p) % p
@@ -188,8 +137,8 @@ func TestScatterNonZeroRoot(t *testing.T) {
 		if pos == 0 {
 			want = float64(p-1) * msg // root pays for serving everyone
 		}
-		if diff := clocks[r] - want; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("rank %d clock %g, want %g", r, clocks[r], want)
+		if got := c.Clock(r); got != want {
+			t.Fatalf("rank %d clock %.17g, want %.17g", r, got, want)
 		}
 	}
 }
@@ -199,14 +148,8 @@ func TestScatterNonZeroRoot(t *testing.T) {
 func TestAllToAllStatsAccounting(t *testing.T) {
 	const p, bytesEach = 3, 128
 	c := New(p, testModel())
-	stats := c.Run(func(n *Node) {
-		parts := make([]interface{}, p)
-		for i := range parts {
-			parts[i] = i
-		}
-		n.AllToAll("stats", parts, bytesEach)
-	})
-	for _, s := range stats {
+	c.AllToAll(size(bytesEach))
+	for _, s := range c.Stats() {
 		if s.Messages != p-1 {
 			t.Errorf("rank %d sent %d messages, want %d", s.Rank, s.Messages, p-1)
 		}

@@ -24,9 +24,9 @@ import (
 //
 // Both halve the floating-point work relative to the equivalent
 // complex transform while still producing the full spectrum in the
-// standard layout, so callers (centred image/volume transforms in
-// internal/fourier, the slab DFT in internal/parfft) can switch paths
-// without touching any downstream indexing.
+// standard layout, so callers (the centred image and volume transforms
+// of internal/fourier) can switch paths without touching any
+// downstream indexing.
 
 // realTables is the immutable shared state of the even-length packing
 // trick: the unpack twiddles exp(−2πi·k/n). Cached globally like

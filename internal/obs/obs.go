@@ -1,10 +1,11 @@
 // Package obs is the project's zero-dependency instrumentation layer:
 // atomic counters, power-of-two-bucket histograms, and a simulated-clock
 // span trace (trace.go). It is built for the repo's determinism
-// contract — instruments only ever *read* the simulated cluster clock
-// and bump atomics, so enabling full instrumentation leaves refinement
-// output and simulated timings bit-identical (asserted in
-// internal/core and internal/parfft tests).
+// contract — instruments only ever *read* the per-rank clocks of the
+// simulated cluster's ledger and bump atomics, so enabling full
+// instrumentation leaves refinement output and simulated timings
+// bit-identical (asserted in internal/core, internal/parfft and
+// internal/workload tests).
 //
 // Cost model: every instrument call starts with one atomic load of the
 // global enabled flag and returns immediately when it is false, so the

@@ -41,7 +41,7 @@ type Arg struct {
 const traceCap = 1 << 14
 
 // Trace accumulates events, keeping the newest traceCap. All methods
-// are safe for concurrent use by the simulated nodes' goroutines.
+// are safe for concurrent use.
 type Trace struct {
 	mu      sync.Mutex
 	events  []Event // grows to traceCap once, then overwrites in place

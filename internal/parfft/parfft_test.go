@@ -1,31 +1,20 @@
 package parfft
 
 import (
-	"math/cmplx"
-	"math/rand"
-	"runtime"
+	"bufio"
+	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/fourier"
-	"repro/internal/volume"
 )
 
 func testModel() cluster.CostModel {
 	return cluster.CostModel{LatencySec: 1e-5, BytesPerSec: 1e8, FlopsPerSec: 1e8}
 }
 
-func randomGrid(l int, seed int64) *volume.Grid {
-	r := rand.New(rand.NewSource(seed))
-	g := volume.NewGrid(l)
-	for i := range g.Data {
-		g.Data[i] = r.NormFloat64()
-	}
-	return g
-}
-
 func TestPartition(t *testing.T) {
-	zs := Partition(10, 4)
+	zs := partition(10, 4)
 	if zs[0] != 0 || zs[4] != 10 {
 		t.Fatalf("partition endpoints wrong: %v", zs)
 	}
@@ -36,7 +25,7 @@ func TestPartition(t *testing.T) {
 		}
 	}
 	// More parts than items: all sizes 0 or 1.
-	zs = Partition(3, 5)
+	zs = partition(3, 5)
 	for i := 0; i < 5; i++ {
 		if n := zs[i+1] - zs[i]; n < 0 || n > 1 {
 			t.Fatalf("partition %v has bad part size", zs)
@@ -44,38 +33,96 @@ func TestPartition(t *testing.T) {
 	}
 }
 
-func TestTransform3DMatchesSerial(t *testing.T) {
-	for _, tc := range []struct{ l, p int }{
-		{8, 1}, {8, 2}, {8, 3}, {8, 4}, {12, 5}, {16, 4}, {6, 8},
-	} {
-		g := randomGrid(tc.l, int64(tc.l*100+tc.p))
-		want := fourier.NewVolumeDFT(g)
-		c := cluster.New(tc.p, testModel())
-		res := Transform3D(c, g, 0)
-		if res.DFT.L != tc.l {
-			t.Fatalf("l=%d p=%d: result size %d", tc.l, tc.p, res.DFT.L)
+// TestPriceMatchesExecutor pins Price to the slab-decomposed 3-D FFT
+// that step a used to execute on goroutine nodes (Transform3D,
+// recorded at commit ad57687 on the SP2 model and removed after it):
+// testdata/executor_stats.txt holds that executor's per-rank Stats as
+// "l P read rank Elapsed CommTime BytesSent Messages", over l ∈ {8, 16,
+// 18, 56} × P ∈ {1, 3, 7, 16} × read ∈ {0, 0.25} — uneven slabs and
+// P > l included. Every value must match to the last bit.
+func TestPriceMatchesExecutor(t *testing.T) {
+	f, err := os.Open("testdata/executor_stats.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	type run struct {
+		l, p int
+		read float64
+	}
+	want := map[run][]cluster.Stats{}
+	var order []run
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		var k run
+		var s cluster.Stats
+		if _, err := fmt.Sscan(sc.Text(), &k.l, &k.p, &k.read, &s.Rank, &s.Elapsed, &s.CommTime, &s.BytesSent, &s.Messages); err != nil {
+			t.Fatalf("parsing %q: %v", sc.Text(), err)
 		}
-		for i := range want.Data {
-			if cmplx.Abs(res.DFT.Data[i]-want.Data[i]) > 1e-9 {
-				t.Fatalf("l=%d p=%d: coefficient %d differs: %v vs %v",
-					tc.l, tc.p, i, res.DFT.Data[i], want.Data[i])
+		if _, seen := want[k]; !seen {
+			order = append(order, k)
+		}
+		want[k] = append(want[k], s)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 32 {
+		t.Fatalf("%d recorded runs, want 32", len(order))
+	}
+	for _, k := range order {
+		c := cluster.New(k.p, cluster.SP2)
+		makespan := Price(c, k.l, k.read)
+		got := c.Stats()
+		if len(got) != len(want[k]) {
+			t.Fatalf("%+v: %d ranks, recorded %d", k, len(got), len(want[k]))
+		}
+		var wantSpan float64
+		for r, w := range want[k] {
+			g := got[r]
+			if g.Rank != w.Rank || g.Elapsed != w.Elapsed || g.CommTime != w.CommTime ||
+				g.BytesSent != w.BytesSent || g.Messages != w.Messages {
+				t.Errorf("%+v rank %d:\n  got  %+v\n  want %+v", k, r, g, w)
+			}
+			wantSpan = max(wantSpan, w.Elapsed)
+		}
+		if makespan != wantSpan {
+			t.Errorf("%+v: makespan %.17g, recorded %.17g", k, makespan, wantSpan)
+		}
+	}
+}
+
+// TestPriceEqualsModelTimeWhenPDividesL: with even slabs the closed
+// form and the ledger make the same float operations in the same order,
+// so they agree exactly, not to a tolerance.
+func TestPriceEqualsModelTimeWhenPDividesL(t *testing.T) {
+	for _, tc := range []struct{ l, p int }{
+		{8, 1}, {8, 4}, {16, 16}, {18, 3}, {48, 16}, {56, 7}, {64, 8}, {128, 16}, {221, 13}, {511, 7},
+	} {
+		for _, model := range []cluster.CostModel{cluster.SP2, testModel()} {
+			for _, read := range []float64{0, 0.25} {
+				got := Price(cluster.New(tc.p, model), tc.l, read)
+				if want := ModelTime(model, tc.l, tc.p, read); got != want {
+					t.Errorf("l=%d P=%d read=%g %+v: Price %.17g, ModelTime %.17g",
+						tc.l, tc.p, read, model, got, want)
+				}
 			}
 		}
 	}
 }
 
 func TestTransform3DElapsedPositive(t *testing.T) {
-	g := randomGrid(8, 1)
 	c := cluster.New(4, testModel())
-	res := Transform3D(c, g, 0.5)
-	if res.Elapsed <= 0.5 {
-		t.Fatalf("elapsed %g must exceed the modeled read time", res.Elapsed)
+	elapsed := Price(c, 8, 0.5)
+	if elapsed <= 0.5 {
+		t.Fatalf("elapsed %g must exceed the modeled read time", elapsed)
 	}
-	if len(res.Stats) != 4 {
-		t.Fatalf("stats for %d ranks, want 4", len(res.Stats))
+	stats := c.Stats()
+	if len(stats) != 4 {
+		t.Fatalf("stats for %d ranks, want 4", len(stats))
 	}
 	// Every node must have communicated (scatter + exchange + gather).
-	for _, s := range res.Stats {
+	for _, s := range stats {
 		if s.CommTime <= 0 {
 			t.Errorf("rank %d has zero comm time", s.Rank)
 		}
@@ -101,44 +148,17 @@ func TestModelTimeScaling(t *testing.T) {
 	}
 }
 
-// TestTransform3DClockIndependentOfGOMAXPROCS: the real-core worker
-// pools inside each node must not leak into the cost model — the
-// simulated timing is charged in deterministic rank order, so Elapsed
-// and every coefficient are bit-identical whether the host runs the
-// slab work on one core or many.
-func TestTransform3DClockIndependentOfGOMAXPROCS(t *testing.T) {
-	g := randomGrid(12, 9)
-	prev := runtime.GOMAXPROCS(1)
-	serial := Transform3D(cluster.New(4, testModel()), g, 0.25)
-	runtime.GOMAXPROCS(8)
-	wide := Transform3D(cluster.New(4, testModel()), g, 0.25)
-	runtime.GOMAXPROCS(prev)
-	if serial.Elapsed != wide.Elapsed {
-		t.Fatalf("simulated time depends on GOMAXPROCS: %g vs %g", serial.Elapsed, wide.Elapsed)
-	}
-	for r := range serial.Stats {
-		if serial.Stats[r] != wide.Stats[r] {
-			t.Fatalf("rank %d stats differ across GOMAXPROCS: %+v vs %+v",
-				r, serial.Stats[r], wide.Stats[r])
-		}
-	}
-	for i := range serial.DFT.Data {
-		if serial.DFT.Data[i] != wide.DFT.Data[i] {
-			t.Fatal("spectrum depends on GOMAXPROCS")
-		}
-	}
-}
-
+// TestTransform3DDeterministic: pricing the same transform on two fresh
+// ledgers gives the same per-rank Stats.
 func TestTransform3DDeterministic(t *testing.T) {
-	g := randomGrid(8, 42)
-	a := Transform3D(cluster.New(3, testModel()), g, 0)
-	b := Transform3D(cluster.New(3, testModel()), g, 0)
-	for i := range a.DFT.Data {
-		if a.DFT.Data[i] != b.DFT.Data[i] {
-			t.Fatal("transform not deterministic")
-		}
+	a, b := cluster.New(3, testModel()), cluster.New(3, testModel())
+	if Price(a, 8, 0) != Price(b, 8, 0) {
+		t.Fatal("simulated time not deterministic")
 	}
-	if a.Elapsed != b.Elapsed {
-		t.Fatalf("simulated time not deterministic: %g vs %g", a.Elapsed, b.Elapsed)
+	sa, sb := a.Stats(), b.Stats()
+	for r := range sa {
+		if sa[r] != sb[r] {
+			t.Fatalf("rank %d stats differ: %+v vs %+v", r, sa[r], sb[r])
+		}
 	}
 }

@@ -6,22 +6,20 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/phantom"
 )
 
 // TestStageSpansTileNodeClock: the six stage spans of every node must
 // tile [0, Stats.Elapsed] on the simulated clock — contiguous,
 // in-order, and ending exactly (same float64) at the node's reported
 // elapsed time. The stage marks telescope (each span starts at the
-// previous span's end and reads n.Clock() for its own end), so this is
-// an exact identity, not a tolerance check.
+// previous span's end and reads the rank's clock for its own end), so
+// this is an exact identity, not a tolerance check.
 func TestStageSpansTileNodeClock(t *testing.T) {
-	g := phantom.Asymmetric(16, 5, 1)
 	c := cluster.New(4, cluster.SP2)
 
 	tr := obs.StartTrace()
 	defer obs.EndTrace()
-	res := Transform3D(c, g, 0.25)
+	Price(c, 16, 0.25)
 	obs.EndTrace()
 
 	wantStages := []string{"a.1 read", "a.2 scatter", "a.3 fft2d", "a.4 exchange", "a.5 fftz", "a.6 allgather"}
@@ -35,7 +33,7 @@ func TestStageSpansTileNodeClock(t *testing.T) {
 	if len(perNode) != c.P {
 		t.Fatalf("spans cover %d nodes, want %d", len(perNode), c.P)
 	}
-	for _, st := range res.Stats {
+	for _, st := range c.Stats() {
 		ev := perNode[st.Rank]
 		if len(ev) != len(wantStages) {
 			t.Fatalf("rank %d: %d spans, want %d", st.Rank, len(ev), len(wantStages))
@@ -74,25 +72,18 @@ func TestStageSpansTileNodeClock(t *testing.T) {
 // TestTracingLeavesTimingsIdentical: recording a trace must not change
 // the simulated timings — spans only *read* the clock.
 func TestTracingLeavesTimingsIdentical(t *testing.T) {
-	g := phantom.Asymmetric(16, 5, 1)
-
-	base := Transform3D(cluster.New(4, cluster.SP2), g, 0.1)
+	base := cluster.New(4, cluster.SP2)
+	Price(base, 16, 0.1)
+	traced := cluster.New(4, cluster.SP2)
 	obs.StartTrace()
-	traced := Transform3D(cluster.New(4, cluster.SP2), g, 0.1)
+	Price(traced, 16, 0.1)
 	obs.EndTrace()
 
-	if base.Elapsed != traced.Elapsed {
-		t.Fatalf("tracing changed makespan: %.17g vs %.17g", base.Elapsed, traced.Elapsed)
-	}
-	for i := range base.Stats {
-		if base.Stats[i] != traced.Stats[i] {
+	bs, ts := base.Stats(), traced.Stats()
+	for i := range bs {
+		if bs[i] != ts[i] {
 			t.Fatalf("rank %d stats changed under tracing:\n  base   %+v\n  traced %+v",
-				i, base.Stats[i], traced.Stats[i])
-		}
-	}
-	for i := range base.DFT.Data {
-		if base.DFT.Data[i] != traced.DFT.Data[i] {
-			t.Fatalf("tracing changed DFT output at %d", i)
+				i, bs[i], ts[i])
 		}
 	}
 }

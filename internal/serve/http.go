@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 
@@ -99,12 +100,20 @@ func NewHandler(m *Manager) http.Handler {
 // arbitrarily long token.
 const maxSpecBytes = 1 << 20
 
-// handleSubmit decodes, validates and enqueues a job spec.
-func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+// decodeSpec reads one JobSpec from a request body; a field JobSpec
+// does not have is an error, not silently dropped.
+func decodeSpec(body io.Reader) (JobSpec, error) {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+// handleSubmit decodes, validates and enqueues a job spec.
+func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		switch {

@@ -87,17 +87,14 @@ func (o *TimingOptions) setDefaults() {
 func RunTiming(spec DatasetSpec, opt TimingOptions) (*TimingTable, error) {
 	opt.setDefaults()
 	ds := spec.Build()
-	truth := ds.Truth
 
 	// Step a once per pass in the paper; the map transform is the
-	// same for every pass here, so time it once and reuse.
-	cl := cluster.New(opt.P, opt.Model)
+	// same for every pass here, so price it once and reuse.
 	mapReadSecs := float64(8*spec.L*spec.L*spec.L) / diskBytesPerSec
-	ft := parfft.Transform3D(cl, truth, mapReadSecs)
-	dft3dSecs := ft.Elapsed
-	// Matching uses an oversampled spectrum for accuracy (the timing
-	// of step a is reported for the unpadded production transform).
-	dft := fourier.NewVolumeDFTPadded(truth, opt.Pad)
+	dft3dSecs := parfft.Price(cluster.New(opt.P, opt.Model), spec.L, mapReadSecs)
+	// Matching uses an oversampled spectrum for accuracy (step a is
+	// priced for the unpadded transform of the paper).
+	dft := fourier.NewVolumeDFTPadded(ds.Truth, opt.Pad)
 
 	table := &TimingTable{Spec: spec, P: opt.P}
 	orients := ds.PerturbedOrientations(spec.InitError, spec.Seed+2)
@@ -156,7 +153,7 @@ func RunTiming(spec DatasetSpec, opt TimingOptions) (*TimingTable, error) {
 // and centre evaluations from the views' PerLevel statistics with a
 // barrier per level (step m), and the results are gathered on the
 // master (step o). Matchings are charged at the paper's full-disc band,
-// not the half band the matcher compares.
+// not the half band the matcher compares. The ledger cl must be fresh.
 func priceOnCluster(cl *cluster.Cluster, l int, cfg core.Config, results []core.Result) (read, fft, refine float64) {
 	m, p := len(results), cl.P
 	band := core.BandSize(l, cfg)
@@ -165,77 +162,65 @@ func priceOnCluster(cl *cluster.Cluster, l int, cfg core.Config, results []core.
 	for li := range levelNames {
 		levelNames[li] = fmt.Sprintf("refine L%d", li)
 	}
-	// Per-rank clock after steps b–c, d–e and f–n.
-	marks := make([][3]float64, p)
+	owned := make([]int, p) // views per rank
+	for q := 0; q < m; q++ {
+		owned[q%p]++
+	}
+	// Each rank's spans telescope from mark, its last span end.
+	mark := make([]float64, p)
+	stage := func(name string) {
+		for r := range mark {
+			now := cl.Clock(r)
+			obs.Span(r, 0, name, "refine", mark[r], now)
+			mark[r] = now
+		}
+	}
 
-	cl.Run(func(n *cluster.Node) {
-		rank := n.Rank
-		mark := n.Clock()
-		stage := func(name string) {
-			now := n.Clock()
-			obs.Span(rank, 0, name, "refine", mark, now)
-			mark = now
-		}
-		var owned []int
-		for q := rank; q < m; q += p {
-			owned = append(owned, q)
-		}
-		if rank == 0 {
-			n.Sleep(float64(m*viewBytes) / diskBytesPerSec)
-		}
-		n.Scatter("views", 0, make([]interface{}, p), len(owned)*viewBytes)
-		marks[rank][0] = n.Clock()
-		stage("b-c read+scatter")
+	cl.Sleep(0, float64(m*viewBytes)/diskBytesPerSec)
+	cl.Scatter(0, func(r int) int { return owned[r] * viewBytes })
+	read = cl.MaxElapsed()
+	stage("b-c read+scatter")
 
-		for _, q := range owned {
-			n.Compute(core.EstimateViewFFTFlops(l))
-			if cfg.CorrectCTF {
-				n.Compute(20 * float64(l*l))
-			}
-			sp := obs.StartSpan(rank, 0, "fft", "refine", mark)
+	for q := 0; q < m; q++ {
+		r := q % p
+		cl.Compute(r, core.EstimateViewFFTFlops(l))
+		if cfg.CorrectCTF {
+			cl.Compute(r, 20*float64(l*l))
+		}
+		sp := obs.StartSpan(r, 0, "fft", "refine", mark[r])
+		sp.SetArg("view", int64(q))
+		mark[r] = cl.Clock(r)
+		sp.End(mark[r])
+	}
+	cl.Barrier()
+	fft = cl.MaxElapsed() - read
+	stage("post-fft barrier")
+
+	for li := range cfg.Schedule {
+		for q := 0; q < m; q++ {
+			r := q % p
+			st := results[q].PerLevel[li]
+			cl.Compute(r, float64(st.Matchings)*core.EstimateMatchFlops(band))
+			cl.Compute(r, float64(st.CenterEvals)*15*float64(band))
+			sp := obs.StartSpan(r, 0, levelNames[li], "refine", mark[r])
 			sp.SetArg("view", int64(q))
-			mark = n.Clock()
-			sp.End(mark)
-		}
-		n.Barrier("post-fft")
-		marks[rank][1] = n.Clock()
-		stage("post-fft barrier")
-
-		for li := range cfg.Schedule {
-			for _, q := range owned {
-				st := results[q].PerLevel[li]
-				n.Compute(float64(st.Matchings) * core.EstimateMatchFlops(band))
-				n.Compute(float64(st.CenterEvals) * 15 * float64(band))
-				sp := obs.StartSpan(rank, 0, levelNames[li], "refine", mark)
-				sp.SetArg("view", int64(q))
-				sp.SetArg("matchings", int64(st.Matchings))
-				mark = n.Clock()
-				sp.End(mark)
-				if st.Slides > 0 {
-					obs.Instant(rank, 0, "slide", "refine", mark, [2]obs.Arg{
-						{Key: "view", Value: int64(q)},
-						{Key: "count", Value: int64(st.Slides)},
-					})
-				}
+			sp.SetArg("matchings", int64(st.Matchings))
+			mark[r] = cl.Clock(r)
+			sp.End(mark[r])
+			if st.Slides > 0 {
+				obs.Instant(r, 0, "slide", "refine", mark[r], [2]obs.Arg{
+					{Key: "view", Value: int64(q)},
+					{Key: "count", Value: int64(st.Slides)},
+				})
 			}
-			n.Barrier("level")
-			stage("level barrier")
 		}
-		marks[rank][2] = n.Clock()
+		cl.Barrier()
+		stage("level barrier")
+	}
+	refine = cl.MaxElapsed() - (read + fft)
 
-		n.Gather("results", 0, nil, len(owned)*64)
-		stage("gather")
-	})
-
-	for _, mk := range marks {
-		read = max(read, mk[0])
-	}
-	for _, mk := range marks {
-		fft = max(fft, mk[1]-read)
-	}
-	for _, mk := range marks {
-		refine = max(refine, mk[2]-(read+fft))
-	}
+	cl.Gather(0, func(r int) int { return owned[r] * 64 })
+	stage("gather")
 	return read, fft, refine
 }
 
