@@ -159,19 +159,22 @@ func BenchmarkSlidingWindowStats(b *testing.B) {
 		b.Fatal(err)
 	}
 	inits := ds.PerturbedOrientations(spec.InitError, 3)
-	var slides, matchings int
+	results := make([]core.Result, len(ds.Views))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slides, matchings = 0, 0
 		for j, v := range ds.Views {
 			pv, err := r.PrepareView(v.Image, v.CTF)
 			if err != nil {
 				b.Fatal(err)
 			}
-			res := r.RefineView(pv, inits[j])
-			slides += res.TotalSlides()
-			matchings += res.TotalMatchings()
+			results[j] = r.RefineView(pv, inits[j])
 		}
+	}
+	var slides, matchings int
+	for li := range cfg.Schedule {
+		sum := core.Summarize(results, li, r.MaxSlides())
+		slides += sum.Slides
+		matchings += sum.Matchings
 	}
 	n := float64(len(ds.Views))
 	b.ReportMetric(float64(slides)/n, "slides/view")

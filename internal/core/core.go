@@ -273,11 +273,52 @@ func (r *Result) TotalMatchings() int {
 	return n
 }
 
-// TotalSlides sums window slides across levels.
-func (r *Result) TotalSlides() int {
-	n := 0
-	for _, s := range r.PerLevel {
-		n += s.Slides
+// LevelSummary is one schedule level's work over the views that ran
+// it: the record behind the level_end event, a job's per-level status
+// and the §5 sliding-window statistics.
+type LevelSummary struct {
+	Views        int `json:"views"`
+	Matchings    int `json:"matchings"`
+	CenterEvals  int `json:"center_evals"`
+	Slides       int `json:"slides"`
+	CenterSlides int `json:"center_slides"`
+	DescentMoves int `json:"descent_moves"`
+	Shifts       int `json:"shifts"`
+	// SlideViews counts views whose window slid at least once.
+	SlideViews int `json:"slide_views"`
+	// SlideCapped and CenterCapped count views that ended the level
+	// with the window's (centre box's) slide budget spent: the search
+	// was truncated, not converged.
+	SlideCapped  int `json:"slide_capped"`
+	CenterCapped int `json:"center_capped"`
+}
+
+// Summarize folds level (an index into Result.PerLevel) over results,
+// skipping views that have not run it; maxSlides is the refiner's
+// Config.MaxSlides.
+func Summarize(results []Result, level, maxSlides int) LevelSummary {
+	var s LevelSummary
+	for i := range results {
+		if level >= len(results[i].PerLevel) {
+			continue
+		}
+		st := &results[i].PerLevel[level]
+		s.Views++
+		s.Matchings += st.Matchings
+		s.CenterEvals += st.CenterEvals
+		s.Slides += st.Slides
+		s.CenterSlides += st.CenterSlides
+		s.DescentMoves += st.DescentMoves
+		s.Shifts += len(st.Shifts)
+		if st.Slides > 0 {
+			s.SlideViews++
+		}
+		if st.Slides >= maxSlides {
+			s.SlideCapped++
+		}
+		if st.CenterSlides >= maxSlides {
+			s.CenterCapped++
+		}
 	}
-	return n
+	return s
 }

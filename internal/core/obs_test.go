@@ -42,15 +42,10 @@ func TestRefineStreamBitIdenticalUnderObs(t *testing.T) {
 	}
 }
 
-// TestLevelCountersRecord: one refinement moves the per-level counter
-// vectors by exactly the LevelStats the result reports.
+// TestLevelCountersRecord: one refinement's level summary carries
+// exactly the LevelStats the result reports.
 func TestLevelCountersRecord(t *testing.T) {
 	r, ds := streamFixture(t, 1)
-	prev := obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
-
-	before := levelMatchings.Value(0)
-	beforeEvals := levelCenterEvals.Value(0)
 	pv, err := r.PrepareView(ds.Views[0].Image, ds.Views[0].CTF)
 	if err != nil {
 		t.Fatal(err)
@@ -60,44 +55,45 @@ func TestLevelCountersRecord(t *testing.T) {
 		t.Fatal("no per-level stats")
 	}
 	st := res.PerLevel[0]
-	if got := levelMatchings.Value(0) - before; got != int64(st.Matchings) {
-		t.Fatalf("level-0 matchings counter moved %d, LevelStats says %d", got, st.Matchings)
+	sum := Summarize([]Result{res}, 0, r.MaxSlides())
+	if sum.Views != 1 || sum.Matchings != st.Matchings {
+		t.Fatalf("level-0 summary %d views, %d matchings; LevelStats says %d", sum.Views, sum.Matchings, st.Matchings)
 	}
-	if got := levelCenterEvals.Value(0) - beforeEvals; got != int64(st.CenterEvals) {
-		t.Fatalf("level-0 centre-eval counter moved %d, LevelStats says %d", got, st.CenterEvals)
+	if sum.CenterEvals != st.CenterEvals {
+		t.Fatalf("level-0 summary %d centre evals, LevelStats says %d", sum.CenterEvals, st.CenterEvals)
 	}
 }
 
 // TestSearchHealthCountersRecord: the pattern-move counters move with
 // the descent — every accepted extension was first an attempt, and a
-// run of accepted extensions ends on a rejected one — and
-// core.level.slide_capped counts exactly the levels that spent the
-// whole slide budget.
+// run of accepted extensions ends on a rejected one — and the level
+// summary's SlideCapped counts exactly the levels that spent the whole
+// slide budget.
 func TestSearchHealthCountersRecord(t *testing.T) {
 	r, v := smokeFixture(t, []Level{{RAngular: 0.01, WindowHalf: 0.04}})
 	prev := obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
-	run := func() LevelStats {
+	run := func() Result {
 		pv, err := r.PrepareView(v.Image, v.CTF)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.RefineView(pv, v.TrueOrient.Add(geom.Euler{Omega: 1})).PerLevel[0]
+		return r.RefineView(pv, v.TrueOrient.Add(geom.Euler{Omega: 1}))
 	}
 
-	evals, hits, capped := patternEvals.Value(), patternHits.Value(), levelSlideCapped.Value(0)
-	st := run()
+	evals, hits := patternEvals.Value(), patternHits.Value()
+	res := run()
 	evals, hits = patternEvals.Value()-evals, patternHits.Value()-hits
 	if hits == 0 || evals <= hits {
 		t.Errorf("pattern move: %d attempts, %d accepted", evals, hits)
 	}
-	if st.Slides >= r.cfg.MaxSlides || levelSlideCapped.Value(0) != capped {
+	if st, sum := res.PerLevel[0], Summarize([]Result{res}, 0, r.MaxSlides()); st.Slides >= r.MaxSlides() || sum.SlideCapped != 0 {
 		t.Errorf("converged level (%d slides) counted as capped", st.Slides)
 	}
 
 	r.cfg.MaxSlides = 1
-	if st := run(); st.Slides != 1 || levelSlideCapped.Value(0) != capped+1 {
-		t.Errorf("level with its one slide spent (%d slides) moved slide_capped by %d, want 1",
-			st.Slides, levelSlideCapped.Value(0)-capped)
+	res = run()
+	if st, sum := res.PerLevel[0], Summarize([]Result{res}, 0, r.MaxSlides()); st.Slides != 1 || sum.SlideCapped != 1 {
+		t.Errorf("level with its one slide spent (%d slides) has SlideCapped %d, want 1", st.Slides, sum.SlideCapped)
 	}
 }

@@ -63,6 +63,10 @@ func (r *Refiner) putScratch(sc *matchScratch) { r.scratchPool.Put(sc) }
 // the package-level BandSize.
 func (r *Refiner) BandSize() int { return len(r.m.band) }
 
+// MaxSlides returns the refiner's Config.MaxSlides, the cap Summarize
+// tests its views against.
+func (r *Refiner) MaxSlides() int { return r.cfg.MaxSlides }
+
 // View is a prepared experimental view: transformed, CTF-corrected and
 // reduced to the matcher's comparison band. Views are mutated by
 // refinement (centre shifts are baked in), so refine each view once.
@@ -164,7 +168,6 @@ func (r *Refiner) refineViewRange(v *View, res Result, start, stop int, sc *matc
 	for li := start; li < stop; li++ {
 		rng := newSearchRNG(r.cfg.SearchSeed, li, res.Orient)
 		st := r.refineLevel(v.vd, &res, r.cfg.Schedule[li], sc, &rng, mode)
-		r.recordLevelStats(li, st)
 		res.PerLevel = append(res.PerLevel, st)
 	}
 	return res

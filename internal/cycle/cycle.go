@@ -203,8 +203,9 @@ type Hooks struct {
 	// journal-facing level index c·Levels + k.
 	OnLevelStart func(c, global int) error
 	// OnLevel fires after each completed refinement level with the
-	// cumulative per-view results — the checkpoint hook.
-	OnLevel func(c, global int, results []core.Result) error
+	// cumulative per-view results — the checkpoint hook — and the
+	// level's summary over them.
+	OnLevel func(c, global int, results []core.Result, sum core.LevelSummary) error
 	// OnMap fires after cycle c's full-map reconstruction, before the
 	// FSC — the artifact hook. m is the map the next cycle will use as
 	// its reference; the hook must not mutate it.
@@ -391,8 +392,8 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 // last completed level. Before each level it polls h.Drain — true parks
 // the pass at that checkpoint boundary (parked, with the results so
 // far) — and fires h.OnLevelStart; after each level it fires h.OnLevel,
-// the checkpoint hook. Both hooks see the job-global level index
-// c·levels + k. Run calls it once per cycle; the serving layer calls it
+// the checkpoint hook, with the level's core.Summarize. Both hooks see
+// the job-global level index c·levels + k. Run calls it once per cycle; the serving layer calls it
 // directly (c = 0) for a refine job, whose reference is not a
 // reconstruction. Only those three hooks are consulted.
 func RefinePass(ctx context.Context, r *core.Refiner, src core.StreamSource, priors []core.Result, c, from, levels int, opt core.StreamOptions, h Hooks) (results []core.Result, parked bool, err error) {
@@ -412,7 +413,7 @@ func RefinePass(ctx context.Context, r *core.Refiner, src core.StreamSource, pri
 			return nil, false, err
 		}
 		if h.OnLevel != nil {
-			if err := h.OnLevel(c, global, results); err != nil {
+			if err := h.OnLevel(c, global, results, core.Summarize(results, global, r.MaxSlides())); err != nil {
 				return nil, false, err
 			}
 		}

@@ -97,12 +97,16 @@ func TestRunDeterministic(t *testing.T) {
 // the serving layer journals.
 func TestRunHookOrder(t *testing.T) {
 	ds, cfg := tinyRun(t, false)
-	var trace []string
+	var (
+		trace []string
+		sums  []core.LevelSummary
+	)
 	h := Hooks{
 		OnCycleStart: func(c int) error { trace = append(trace, fmt.Sprintf("start%d", c)); return nil },
 		OnLevelStart: func(c, g int) error { trace = append(trace, fmt.Sprintf("lstart%d.%d", c, g)); return nil },
-		OnLevel: func(c, g int, results []core.Result) error {
+		OnLevel: func(c, g int, results []core.Result, sum core.LevelSummary) error {
 			trace = append(trace, fmt.Sprintf("level%d.%d", c, g))
+			sums = append(sums, sum)
 			return nil
 		},
 		OnMap: func(c int, m *volume.Grid) error { trace = append(trace, fmt.Sprintf("map%d", c)); return nil },
@@ -130,6 +134,12 @@ func TestRunHookOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(trace, want) {
 		t.Fatalf("hook trace:\n got %v\nwant %v", trace, want)
+	}
+	// Every level's summary covers every view.
+	for g, sum := range sums {
+		if sum.Views != len(ds.Views) || sum.Matchings == 0 {
+			t.Errorf("level %d summary %+v over %d views", g, sum, len(ds.Views))
+		}
 	}
 
 	// The exported pass on its own — what a refine job runs: the same
@@ -195,7 +205,7 @@ func TestRunResumeEveryCheckpoint(t *testing.T) {
 		)
 		h := Hooks{
 			Drain: func() bool { polls++; return polls >= park },
-			OnLevel: func(c, g int, res []core.Result) error {
+			OnLevel: func(c, g int, res []core.Result, _ core.LevelSummary) error {
 				levelsDone = g + 1
 				results = append([]core.Result(nil), res...)
 				return nil
@@ -371,7 +381,7 @@ func TestRunHookErrorAborts(t *testing.T) {
 	ds, cfg := tinyRun(t, false)
 	boom := fmt.Errorf("journal full")
 	_, err := Run(context.Background(), ds, cfg, State{}, Hooks{
-		OnLevel: func(c, g int, results []core.Result) error { return boom },
+		OnLevel: func(c, g int, results []core.Result, _ core.LevelSummary) error { return boom },
 	})
 	if err == nil || err.Error() != boom.Error() {
 		t.Fatalf("got %v, want %v", err, boom)

@@ -111,8 +111,8 @@ func TestManagerCycleJob(t *testing.T) {
 }
 
 // cycleFingerprint condenses a finished cycle job for bit-identity
-// comparison: final map digest, per-cycle FSC records, and per-view
-// results.
+// comparison: final map digest, per-cycle FSC records, per-view
+// results, and the per-level summaries GET /jobs/{id} reports.
 func cycleFingerprint(t *testing.T, m *Manager, id string) string {
 	t.Helper()
 	st, err := m.Get(id)
@@ -128,6 +128,7 @@ func cycleFingerprint(t *testing.T, m *Manager, id string) string {
 		s += fmt.Sprintf("|%d:%x:%x:%v:%d", rec.Cycle, rec.ResolutionA, rec.MeanCC, rec.Improved, rec.Plateau)
 	}
 	s += "|" + st.Cycle.Stopped
+	s += fmt.Sprintf("|%+v", st.Levels)
 	for _, r := range res {
 		s += fmt.Sprintf("|%x,%x,%x,%x,%x", r.Orient.Theta, r.Orient.Phi, r.Orient.Omega, r.Center[0], r.Center[1])
 	}

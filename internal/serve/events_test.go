@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -345,6 +346,66 @@ func TestEventsLongPoll(t *testing.T) {
 	defer obs.StartEvents(16) // keep the cleanup's Stop balanced
 	if resp := getJSON(t, ts, "/events", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("events without active log: %d", resp.StatusCode)
+	}
+}
+
+// TestEventsCursorFromPreviousProcess: the event log restarts at seq 1
+// with the daemon, so a client reconnecting after a restart carries a
+// Last-Event-ID past this process's head. Both the long poll and the
+// per-job SSE stream replay this process's log from seq 1 instead of
+// blocking (poll) or ending empty (SSE, which the client would then
+// reconnect to forever).
+func TestEventsCursorFromPreviousProcess(t *testing.T) {
+	l := withEvents(t, 1024)
+	m, err := NewManager(Options{Stream: tinyStream()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	defer m.Drain()
+	ts := httptest.NewServer(NewHandler(m))
+	defer ts.Close()
+
+	st, err := m.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, st.ID, StateDone)
+	stale := strconv.FormatUint(l.LastSeq()+1000, 10)
+	client := &http.Client{Timeout: time.Second}
+	get := func(path string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Last-Event-ID", stale)
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("GET %s with Last-Event-ID %s: %v", path, stale, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s with Last-Event-ID %s: %v", path, stale, err)
+		}
+		return body
+	}
+
+	var poll pollBody
+	if err := json.Unmarshal(get("/jobs/"+st.ID+"/events?poll=1"), &poll); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(poll.Events); n == 0 || poll.Events[0].Kind != evAdmit || poll.Events[n-1].Kind != string(StateDone) {
+		t.Fatalf("poll from a stale cursor: %d events %v, want admit … done", n, jobKinds(poll.Events, st.ID))
+	}
+	if poll.Next != l.LastSeq() {
+		t.Fatalf("poll cursor %d, log head %d", poll.Next, l.LastSeq())
+	}
+
+	frames := readFrames(t, bufio.NewReader(bytes.NewReader(get("/jobs/"+st.ID+"/events"))), 0)
+	if n := len(frames); n != len(poll.Events) || frames[0].Event != evAdmit || frames[n-1].Event != string(StateDone) {
+		t.Fatalf("SSE from a stale cursor: %d frames, want the %d polled events admit … done", n, len(poll.Events))
 	}
 }
 

@@ -32,19 +32,22 @@ import (
 // inside the serve package's simulated-clock contract.
 
 // eventCursor extracts the resume cursor: Last-Event-ID (the SSE
-// reconnect convention) wins over an explicit ?since= parameter.
-func eventCursor(r *http.Request) uint64 {
-	if id := r.Header.Get("Last-Event-ID"); id != "" {
-		if n, err := strconv.ParseUint(id, 10, 64); err == nil {
-			return n
+// reconnect convention) wins over an explicit ?since= parameter. The
+// log restarts at seq 1 with the process, so a cursor past its head
+// was issued by a previous daemon: it restarts at 0 and the stream
+// replays this process's log rather than waiting for a seq that
+// already passed.
+func eventCursor(r *http.Request, l *obs.EventLog) uint64 {
+	n, err := strconv.ParseUint(r.Header.Get("Last-Event-ID"), 10, 64)
+	if err != nil {
+		if n, err = strconv.ParseUint(r.URL.Query().Get("since"), 10, 64); err != nil {
+			n = 0
 		}
 	}
-	if s := r.URL.Query().Get("since"); s != "" {
-		if n, err := strconv.ParseUint(s, 10, 64); err == nil {
-			return n
-		}
+	if n > l.LastSeq() {
+		return 0
 	}
-	return 0
+	return n
 }
 
 // filterJob keeps the records for one job, in place. The cursor must
@@ -92,7 +95,7 @@ type pollBody struct {
 }
 
 func handleEventsPoll(m *Manager, l *obs.EventLog, w http.ResponseWriter, r *http.Request, jobID string) {
-	after := eventCursor(r)
+	after := eventCursor(r, l)
 	for {
 		evs, dropped := l.Since(after)
 		if len(evs) > 0 || dropped > 0 {
@@ -128,7 +131,7 @@ func handleEventsSSE(m *Manager, l *obs.EventLog, w http.ResponseWriter, r *http
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	after := eventCursor(r)
+	after := eventCursor(r, l)
 	var buf bytes.Buffer
 	for {
 		evs, dropped := l.Since(after)

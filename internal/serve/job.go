@@ -264,6 +264,10 @@ type JobStatus struct {
 	Error string `json:"error,omitempty"`
 	// Summary is present once the job is done.
 	Summary *Summary `json:"summary,omitempty"`
+	// Levels holds the latest summary of each completed schedule level
+	// (a cycle job's from its most recent cycle): this job's search
+	// health, e.g. how many views ended a level at the slide cap.
+	Levels []core.LevelSummary `json:"levels,omitempty"`
 	// Cycle is present on cycle jobs: the outer-loop progress.
 	Cycle *CycleStatus `json:"cycle,omitempty"`
 }

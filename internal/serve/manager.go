@@ -84,6 +84,9 @@ type job struct {
 	results    []core.Result
 	errMsg     string
 	summary    *Summary
+	// levels holds the latest summary of each schedule level (a cycle
+	// job overwrites cycle c−1's with cycle c's).
+	levels []core.LevelSummary
 
 	// Cycle-job state, mirroring the journal's cycle records.
 	cyclesStarted int
@@ -191,7 +194,7 @@ func (m *Manager) reviveJob(rp JobReplay) (*job, error) {
 		return nil, fmt.Errorf("serve: journaled job %s: %w", rp.ID, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &job{
+	jb := &job{
 		id:          rp.ID,
 		spec:        spec,
 		wspec:       wspec,
@@ -211,7 +214,25 @@ func (m *Manager) reviveJob(rp JobReplay) (*job, error) {
 		lastMapCycle:  rp.LastMapCycle,
 		lastMapPath:   rp.LastMapPath,
 		lastMapDigest: rp.LastMapDigest,
-	}, nil
+	}
+	// The summaries are not journaled: refold them from the results
+	// with the MaxSlides both job types' refiners are built with.
+	maxSlides := core.DefaultConfig(wspec.L).MaxSlides
+	for g := 0; g < rp.LevelsDone; g++ {
+		jb.noteLevel(g, core.Summarize(rp.Results, g, maxSlides))
+	}
+	return jb, nil
+}
+
+// noteLevel records the summary of job-global level g as its schedule
+// level's latest. Levels arrive in order, so a level either extends
+// the record or overwrites a previous cycle's entry.
+func (jb *job) noteLevel(g int, sum core.LevelSummary) {
+	if k := g % jb.spec.Levels; k < len(jb.levels) {
+		jb.levels[k] = sum
+	} else {
+		jb.levels = append(jb.levels, sum)
+	}
 }
 
 // Shape returns the resolved stream-pipeline shape jobs run with.
@@ -478,12 +499,12 @@ func (m *Manager) levelHooks(worker int, jb *job) cycle.Hooks {
 			obs.Emit(evLevelStart, jb.id, global, t0, fields)
 			return nil
 		},
-		OnLevel: func(c, global int, results []core.Result) error {
+		OnLevel: func(c, global int, results []core.Result, sum core.LevelSummary) error {
 			span := fmt.Sprintf("%s L%d", jb.id, global)
 			if cyc {
 				span = fmt.Sprintf("%s C%d L%d", jb.id, c, global%jb.spec.Levels)
 			}
-			return m.checkpointLevel(worker, jb, span, global, t0, results)
+			return m.checkpointLevel(worker, jb, span, global, t0, results, sum)
 		},
 	}
 }
@@ -509,21 +530,23 @@ func (m *Manager) conclude(jb *job, ds *micrograph.Dataset, results []core.Resul
 // span and level_end event, the job's resumable state, the fsynced
 // journal record with its checkpoint event, and last the OnLevel
 // callback. A journal error is returned before OnLevel runs.
-func (m *Manager) checkpointLevel(worker int, jb *job, span string, level int, t0 float64, results []core.Result) error {
+func (m *Manager) checkpointLevel(worker int, jb *job, span string, level int, t0 float64, results []core.Result, sum core.LevelSummary) error {
 	t1 := m.clock()
 	obs.Span(0, worker, span, "serve.level", t0, t1)
 	levelTicks.Observe(int64(t1 - t0))
-	evals, slides, shifts := levelTotals(results, level)
+	// level_end's totals: distance evaluations and re-centres, window
+	// and centre together, and centre-shift increments applied.
 	obs.Emit(evLevelEnd, jb.id, level, t1, [obs.EventFieldsMax]obs.EventField{
-		{Key: "evals", Value: evals},
-		{Key: "slides", Value: slides},
-		{Key: "shifts", Value: shifts},
+		{Key: "evals", Value: int64(sum.Matchings + sum.CenterEvals)},
+		{Key: "slides", Value: int64(sum.Slides + sum.CenterSlides)},
+		{Key: "shifts", Value: int64(sum.Shifts)},
 		{Key: "ticks", Value: int64(t1 - t0)},
 	})
 	levelsDone.Inc()
 	m.mu.Lock()
 	jb.levelsDone = level + 1
 	jb.results = results
+	jb.noteLevel(level, sum)
 	var jerr error
 	if m.opt.Journal != nil {
 		jerr = m.opt.Journal.Level(jb.id, level, results)
@@ -542,22 +565,6 @@ func (m *Manager) checkpointLevel(worker int, jb *job, span string, level int, t
 		m.opt.OnLevel(jb.id, level)
 	}
 	return nil
-}
-
-// levelTotals aggregates one completed level's per-view work counters
-// for the level_end event: total distance evaluations (window +
-// centre), window re-centres, and centre-shift increments applied.
-func levelTotals(results []core.Result, level int) (evals, slides, shifts int64) {
-	for i := range results {
-		if level >= len(results[i].PerLevel) {
-			continue
-		}
-		st := results[i].PerLevel[level]
-		evals += int64(st.Matchings) + int64(st.CenterEvals)
-		slides += int64(st.Slides) + int64(st.CenterSlides)
-		shifts += int64(len(st.Shifts))
-	}
-	return evals, slides, shifts
 }
 
 // park returns a running job to pending at a drain checkpoint; the
@@ -622,6 +629,7 @@ func (m *Manager) statusLocked(jb *job) JobStatus {
 		Resumed:     jb.resumed,
 		Error:       jb.errMsg,
 		Summary:     jb.summary,
+		Levels:      append([]core.LevelSummary(nil), jb.levels...),
 	}
 	if jb.spec.Type == TypeCycle {
 		cs := &CycleStatus{

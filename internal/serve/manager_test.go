@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -182,6 +183,51 @@ func TestManagerKillResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resumed.Summary, want.Summary) {
 		t.Fatalf("summary diverged: %+v vs %+v", resumed.Summary, want.Summary)
+	}
+	if len(want.Levels) != 2 || !reflect.DeepEqual(resumed.Levels, want.Levels) {
+		t.Fatalf("level summaries diverged: %+v vs %+v", resumed.Levels, want.Levels)
+	}
+}
+
+// TestLevelSummaryPerJob: a job's per-level summaries are its own.
+// The second of two different jobs in one manager reports, on
+// GET /jobs/{id}, the levels the same spec reports alone in a fresh
+// manager — no count leaks in from the job before it.
+func TestLevelSummaryPerJob(t *testing.T) {
+	levels := func(specs ...JobSpec) []core.LevelSummary {
+		t.Helper()
+		m, err := NewManager(Options{Stream: tinyStream()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Start()
+		defer m.Drain()
+		ts := httptest.NewServer(NewHandler(m))
+		defer ts.Close()
+		var id string
+		for _, spec := range specs {
+			st, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, m, st.ID, StateDone)
+			id = st.ID
+		}
+		var body struct {
+			Levels []core.LevelSummary `json:"levels"`
+		}
+		getJSON(t, ts, "/jobs/"+id, &body)
+		return body.Levels
+	}
+	first := tinySpec()
+	first.Levels, first.InitSeed = 3, 5
+	shared := levels(first, tinyCycleSpec())
+	alone := levels(tinyCycleSpec())
+	if len(alone) != tinyCycleSpec().Levels || alone[0].Views != tinyCycleSpec().Views || alone[0].Matchings == 0 {
+		t.Fatalf("cycle job alone reports levels %+v", alone)
+	}
+	if !reflect.DeepEqual(shared, alone) {
+		t.Fatalf("second job's levels %+v, same spec alone %+v", shared, alone)
 	}
 }
 

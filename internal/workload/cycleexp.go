@@ -97,23 +97,27 @@ func CycleInputs(ds *micrograph.Dataset, inits []geom.Euler, cfg cycle.Config) (
 type cycleRun struct {
 	*cycle.Outcome
 	Cycles []CycleOutcome
+	// Levels is the final cycle's summary of each schedule level.
+	Levels []core.LevelSummary
 }
 
 // runCycles is how every experiment runs the paper's outer loop: one
 // fresh cycle.Run over the dataset, with hooks that score each
 // completed cycle against the ground truth — mean errors of the pass's
-// last level (OnLevel), the full map's truth correlation (OnMap), the
-// FSC crossing (OnCycleEnd). The experiments differ only in cfg.
+// last level (OnLevel, which also keeps each schedule level's latest
+// summary), the full map's truth correlation (OnMap), the FSC crossing
+// (OnCycleEnd). The experiments differ only in cfg.
 func runCycles(ds *micrograph.Dataset, inits []geom.Euler, cfg cycle.Config) (*cycleRun, error) {
 	cds, cfg := CycleInputs(ds, inits, cfg)
-	run := &cycleRun{}
+	run := &cycleRun{Levels: make([]core.LevelSummary, cfg.Levels)}
 	var (
 		last    []core.Result
 		truthCC float64
 	)
 	out, err := cycle.Run(context.Background(), cds, cfg, cycle.State{}, cycle.Hooks{
-		OnLevel: func(_, _ int, results []core.Result) error {
+		OnLevel: func(_, global int, results []core.Result, sum core.LevelSummary) error {
 			last = results
+			run.Levels[global%cfg.Levels] = sum
 			return nil
 		},
 		OnMap: func(_ int, m *volume.Grid) error {

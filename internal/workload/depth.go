@@ -44,20 +44,18 @@ func DepthStudy(spec DatasetSpec) ([]DepthRow, error) {
 	full := core.DefaultSchedule()
 
 	var rows []DepthRow
-	assess := func(_, level int, results []core.Result) error {
+	matchings := 0 // over levels 0…level
+	assess := func(_, level int, results []core.Result, sum core.LevelSummary) error {
 		curve, err := cycle.HalfMapFSC(cycle.Dataset{Views: images}, results, cycle.Config{PixelA: spec.PixelA})
 		if err != nil {
 			return err
 		}
-		var matchSum float64
-		for _, res := range results {
-			matchSum += float64(res.TotalMatchings())
-		}
+		matchings += sum.Matchings
 		row := DepthRow{
 			Levels:           level + 1,
 			FinestDeg:        full[level].RAngular,
 			ResolutionA:      curve.ResolutionAt(0.5),
-			MatchingsPerView: matchSum / float64(len(results)),
+			MatchingsPerView: float64(matchings) / float64(len(results)),
 		}
 		row.MeanAngErr, row.MeanCenErr = meanErrors(ds, results)
 		rows = append(rows, row)

@@ -30,18 +30,9 @@ type MethodOutcome struct {
 	Map *volume.Grid
 	// Curve is the odd/even half-map FSC.
 	Curve *fsc.Curve
-	// PerLevel aggregates refinement work (final cycle only).
-	PerLevel []LevelAgg
-}
-
-// LevelAgg aggregates per-level refinement statistics over all views.
-type LevelAgg struct {
-	RAngular       float64
-	MeanMatchings  float64
-	SlideViews     int // views whose window slid at least once
-	CappedViews    int // views that ended the level with the slide budget spent (Slides ≥ MaxSlides)
-	TotalSlides    int
-	MeanCenterEval float64
+	// PerLevel summarizes each schedule level's work (final cycle
+	// only).
+	PerLevel []core.LevelSummary
 }
 
 // FSCExperiment is the complete Figs. 2/3/5/6 result for one dataset:
@@ -90,36 +81,6 @@ func fscMethod(ds *micrograph.Dataset, inits []geom.Euler, levels int, gridCente
 		Results:      run.Results,
 		Map:          run.Map,
 		Curve:        run.Curve,
-		PerLevel:     aggregate(core.DefaultSchedule()[:levels], core.DefaultConfig(ds.L).MaxSlides, run.Results),
+		PerLevel:     run.Levels,
 	}, nil
-}
-
-// aggregate folds the final pass of every view — the last len(schedule)
-// entries of its chronological PerLevel — into per-level statistics.
-func aggregate(schedule []core.Level, maxSlides int, results []core.Result) []LevelAgg {
-	aggs := make([]LevelAgg, len(schedule))
-	for li := range schedule {
-		aggs[li].RAngular = schedule[li].RAngular
-	}
-	for _, res := range results {
-		for li, st := range res.PerLevel[len(res.PerLevel)-len(aggs):] {
-			aggs[li].MeanMatchings += float64(st.Matchings)
-			aggs[li].MeanCenterEval += float64(st.CenterEvals)
-			if st.Slides > 0 {
-				aggs[li].SlideViews++
-			}
-			if st.Slides >= maxSlides {
-				aggs[li].CappedViews++
-			}
-			aggs[li].TotalSlides += st.Slides
-		}
-	}
-	n := float64(len(results))
-	if n > 0 {
-		for li := range aggs {
-			aggs[li].MeanMatchings /= n
-			aggs[li].MeanCenterEval /= n
-		}
-	}
-	return aggs
 }

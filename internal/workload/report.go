@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Report renders experiment results as the plain-text tables the
@@ -94,15 +96,17 @@ func WriteFSC(w io.Writer, exp *FSCExperiment) error {
 	return pr.err
 }
 
-// WriteSliding renders the §5 sliding-window activation statistics.
-func WriteSliding(w io.Writer, name string, aggs []LevelAgg) error {
+// WriteSliding renders the §5 sliding-window activation statistics:
+// one row per level of the default schedule's prefix that sums covers.
+func WriteSliding(w io.Writer, name string, sums []core.LevelSummary) error {
 	pr := &printer{w: w}
 	pr.printf("§5 — sliding-window statistics, %s (final cycle)\n", name)
 	pr.printf("%12s %16s %14s %14s %14s %16s\n",
 		"r_angular", "matchings/view", "views w/slide", "views at cap", "total slides", "centre evals")
-	for _, a := range aggs {
+	for li, s := range sums {
+		n := float64(s.Views)
 		pr.printf("%12.4g %16.1f %14d %14d %14d %16.1f\n",
-			a.RAngular, a.MeanMatchings, a.SlideViews, a.CappedViews, a.TotalSlides, a.MeanCenterEval)
+			core.DefaultSchedule()[li].RAngular, float64(s.Matchings)/n, s.SlideViews, s.SlideCapped, s.Slides, float64(s.CenterEvals)/n)
 	}
 	return pr.err
 }

@@ -123,16 +123,12 @@ func RunTiming(spec DatasetSpec, opt TimingOptions) (*TimingTable, error) {
 		}
 		row.ReadImages, row.FFTAnalysis, row.Refinement = priceOnCluster(cluster.New(opt.P, opt.Model), spec.L, cfg, results)
 		row.Total = row.DFT3D + row.ReadImages + row.FFTAnalysis + row.Refinement
-		var matchSum float64
 		for i, res := range results {
 			orients[i] = res.Orient
-			st := res.PerLevel[0]
-			matchSum += float64(st.Matchings)
-			if st.Slides > 0 {
-				row.SlideViews++
-			}
 		}
-		row.MeanMatchings = matchSum / float64(len(results))
+		sum := core.Summarize(results, 0, cfg.MaxSlides)
+		row.MeanMatchings = float64(sum.Matchings) / float64(sum.Views)
+		row.SlideViews = sum.SlideViews
 		if row.Total > 0 {
 			row.RefinementShare = row.Refinement / row.Total
 		}

@@ -128,9 +128,9 @@ func TestRunFSCSmall(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte("views at cap")) {
 		t.Errorf("sliding table has no \"views at cap\" column:\n%s", buf.String())
 	}
-	for _, a := range exp.New.PerLevel {
-		if a.CappedViews > a.SlideViews {
-			t.Errorf("level %g°: %d views at the slide cap but %d views slid", a.RAngular, a.CappedViews, a.SlideViews)
+	for li, s := range exp.New.PerLevel {
+		if s.SlideCapped > s.SlideViews {
+			t.Errorf("level %d: %d views at the slide cap but %d views slid", li, s.SlideCapped, s.SlideViews)
 		}
 	}
 }
