@@ -423,12 +423,13 @@ func RefinePass(ctx context.Context, r *core.Refiner, src core.StreamSource, pri
 
 // releaseStage collects the stage that just ended before the next one
 // allocates. Every stage boundary turns tens of MB of volume-sized
-// buffers into garbage at once (a refiner's padded transform, 8 shard
-// accumulators per reconstruction), and the stages between two
-// boundaries allocate almost nothing, so the pacer alone sees the
-// bursts late: whether its concurrent mark finished before the next
-// burst decided if the dead buffers counted as live, and the same job
-// peaked at 75 or 110 MB from one run to the next. A collection here
+// buffers into garbage at once (a refiner's padded transform, an
+// accumulator pair and its spectrum per reconstruction), and the
+// stages between two boundaries allocate almost nothing, so the pacer
+// alone sees the bursts late: whether its concurrent mark finished
+// before the next burst decided if the dead buffers counted as live,
+// and the same job peaked at 75 or 110 MB from one run to the next
+// (with eight shard accumulators per reconstruction). A collection here
 // costs a few ms against a refinement pass of seconds and makes the
 // peak the largest single stage, not the sum of neighbours.
 func releaseStage() { runtime.GC() }
@@ -467,8 +468,8 @@ func newRefiner(ref *volume.Grid, cfg Config) (*core.Refiner, error) {
 	return r, nil
 }
 
-// reconOptions assembles the sharded-reconstruction options: the
-// reconstruct defaults for workers and shards.
+// reconOptions assembles the reconstruction options: the reconstruct
+// default for workers.
 func reconOptions(cfg Config) reconstruct.ParallelOptions {
 	return reconstruct.ParallelOptions{Options: reconstruct.Options{WienerCTF: cfg.CTF}}
 }
@@ -477,9 +478,7 @@ func reconOptions(cfg Config) reconstruct.ParallelOptions {
 // results' orientations and accumulated centre corrections.
 func fullMap(ds Dataset, results []core.Result, cfg Config) (*volume.Grid, error) {
 	orients, centers := solutions(results)
-	// reconstruct.Sharded.Finish stamps an optional wall-clock trace
-	// span when instrumentation is active; the map bytes are unaffected.
-	return reconstruct.FromViewsParallel(ds.Views, orients, centers, ds.CTFs, reconOptions(cfg)) //replint:allow simclock reconstruct's trace span reads wall time only for observability; map bytes are clock-independent
+	return reconstruct.FromViewsParallel(ds.Views, orients, centers, ds.CTFs, reconOptions(cfg))
 }
 
 // HalfMapFSC is the paper's Fig. 4 assessment of a solution: reconstruct
@@ -489,8 +488,7 @@ func fullMap(ds Dataset, results []core.Result, cfg Config) (*volume.Grid, error
 // CTF.
 func HalfMapFSC(ds Dataset, results []core.Result, cfg Config) (*fsc.Curve, error) {
 	orients, centers := solutions(results)
-	// Same trace-span waiver as fullMap.
-	odd, even, err := reconstruct.SplitHalvesParallel(ds.Views, orients, centers, ds.CTFs, reconOptions(cfg)) //replint:allow simclock reconstruct's trace span reads wall time only for observability; map bytes are clock-independent
+	odd, even, err := reconstruct.SplitHalvesParallel(ds.Views, orients, centers, ds.CTFs, reconOptions(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("half maps: %w", err)
 	}

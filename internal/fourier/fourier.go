@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/fft"
 	"repro/internal/geom"
+	"repro/internal/pool"
 	"repro/internal/volume"
 )
 
@@ -82,7 +83,10 @@ func NewVolumeDFTPadded(g *volume.Grid, pad int) *VolumeDFT {
 	}
 	data := make([]complex128, bl*bl*bl)
 	fft.NewRealPlan3D(bl, bl, bl).Forward(src, data)
-	applyCenterRamp3D(data, bl, +1)
+	ramp := centerRamp(bl, +1)
+	for x := 0; x < bl; x++ {
+		rampPlane(data, ramp, x, bl)
+	}
 	return &VolumeDFT{L: bl, SrcL: l, Data: data}
 }
 
@@ -99,24 +103,63 @@ func (v *VolumeDFT) Grid() *volume.Grid {
 
 // GridFromSpectrum is Grid for a caller that owns the centred spectrum
 // and is done with it: data (bl³ coefficients of an l-voxel map padded
-// to bl) is inverse-transformed in place — it holds the real-space
-// cube afterwards, not the spectrum — which saves the bl³ copy Grid
-// makes to protect its receiver.
+// to bl) is the inverse transform's scratch and is clobbered, which
+// saves the bl³ copy Grid makes to protect its receiver.
 func GridFromSpectrum(data []complex128, bl, l int) *volume.Grid {
+	return gridFromSpectrum(data, bl, l, 0)
+}
+
+// gridFromSpectrum runs the z, y and x line passes of fft.Plan3D's
+// inverse on internal/pool (workers ≤ 0: GOMAXPROCS), one item per
+// x-plane for z and y and per cropped y for x, with a plan and a line
+// buffer per worker. Every line goes through the same Plan.Inverse in
+// the same pass order as the serial transform, so the map is
+// bit-identical to it at any worker count. The centring ramp is applied
+// plane by plane in the z pass, and the x pass transforms only the
+// lines the crop reads.
+func gridFromSpectrum(data []complex128, bl, l, workers int) *volume.Grid {
 	if len(data) != bl*bl*bl {
 		panic("fourier: spectrum length is not bl³")
 	}
-	applyCenterRamp3D(data, bl, -1)
-	fft.NewPlan3D(bl, bl, bl).Inverse(data)
-	off := bl/2 - l/2
-	g := volume.NewGrid(l)
-	for x := 0; x < l; x++ {
-		for y := 0; y < l; y++ {
-			for z := 0; z < l; z++ {
-				g.Set(x, y, z, real(data[((x+off)*bl+y+off)*bl+z+off]))
+	nw := pool.Workers(bl, workers)
+	plans, lines := make([]*fft.Plan, nw), make([][]complex128, nw)
+	for w := range plans {
+		plans[w], lines[w] = fft.NewPlan(bl), make([]complex128, bl)
+	}
+	ramp := centerRamp(bl, -1)
+	pool.RunIndexedLabeled("fourier.inverse.z", bl, nw, func(w, x int) {
+		rampPlane(data, ramp, x, bl)
+		for i := x * bl; i < (x+1)*bl; i++ {
+			plans[w].Inverse(data[i*bl : (i+1)*bl])
+		}
+	})
+	pool.RunIndexedLabeled("fourier.inverse.y", bl, nw, func(w, x int) {
+		line, base := lines[w], x*bl*bl
+		for z := 0; z < bl; z++ {
+			for y := range line {
+				line[y] = data[base+y*bl+z]
+			}
+			plans[w].Inverse(line)
+			for y, v := range line {
+				data[base+y*bl+z] = v
 			}
 		}
-	}
+	})
+	off := bl/2 - l/2
+	g := volume.NewGrid(l)
+	pool.RunIndexedLabeled("fourier.inverse.x", l, nw, func(w, y int) {
+		line := lines[w]
+		for z := 0; z < l; z++ {
+			yz := (y+off)*bl + z + off
+			for x := range line {
+				line[x] = data[x*bl*bl+yz]
+			}
+			plans[w].Inverse(line)
+			for x := 0; x < l; x++ {
+				g.Data[(x*l+y)*l+z] = real(line[x+off])
+			}
+		}
+	})
 	return g
 }
 
@@ -329,19 +372,16 @@ func ShiftPhase(f *volume.CImage, dx, dy float64) {
 	}
 }
 
-// applyCenterRamp3D multiplies coefficient (fx,fy,fz) by
-// exp(sign·2πi·(fx+fy+fz)·c/l) with c = l/2, converting between
-// index-0-origin and centred spectra.
-func applyCenterRamp3D(data []complex128, l int, sign float64) {
-	ramp := centerRamp(l, sign)
-	for x := 0; x < l; x++ {
-		rx := ramp[x]
-		for y := 0; y < l; y++ {
-			rxy := rx * ramp[y]
-			base := (x*l + y) * l
-			for z := 0; z < l; z++ {
-				data[base+z] *= rxy * ramp[z]
-			}
+// rampPlane multiplies coefficient (fx,fy,fz) of x-plane x by
+// ramp[fx]·ramp[fy]·ramp[fz], where ramp = centerRamp(l, sign)
+// converts between index-0-origin and centred spectra.
+func rampPlane(data, ramp []complex128, x, l int) {
+	rx := ramp[x]
+	for y := 0; y < l; y++ {
+		rxy := rx * ramp[y]
+		base := (x*l + y) * l
+		for z := 0; z < l; z++ {
+			data[base+z] *= rxy * ramp[z]
 		}
 	}
 }

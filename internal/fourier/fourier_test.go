@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fft"
 	"repro/internal/geom"
 	"repro/internal/volume"
 )
@@ -230,5 +231,42 @@ func TestLowPassRemovesHighFrequencies(t *testing.T) {
 	}
 	if v.Data[0] == 0 {
 		t.Fatal("DC removed by LowPass")
+	}
+}
+
+// TestGridFromSpectrumMatchesSerialInverse pins the pooled inverse to
+// the serial one bit for bit: centring ramp, fft.Plan3D.Inverse, crop.
+// Boxes 16, 40 and 48 run the smooth kernels, 22 = 2·11 runs Bluestein,
+// and the padded cases (48 → 24, 22 → 11) take the cropped x pass.
+func TestGridFromSpectrumMatchesSerialInverse(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, c := range []struct{ bl, l int }{{16, 16}, {40, 40}, {48, 48}, {22, 22}, {48, 24}, {22, 11}} {
+		spec := make([]complex128, c.bl*c.bl*c.bl)
+		for i := range spec {
+			spec[i] = complex(r.NormFloat64(), r.NormFloat64())
+		}
+		ref := append([]complex128(nil), spec...)
+		ramp := centerRamp(c.bl, -1)
+		for x := 0; x < c.bl; x++ {
+			rampPlane(ref, ramp, x, c.bl)
+		}
+		fft.NewPlan3D(c.bl, c.bl, c.bl).Inverse(ref)
+		off := c.bl/2 - c.l/2
+		want := volume.NewGrid(c.l)
+		for x := 0; x < c.l; x++ {
+			for y := 0; y < c.l; y++ {
+				for z := 0; z < c.l; z++ {
+					want.Set(x, y, z, real(ref[((x+off)*c.bl+y+off)*c.bl+z+off]))
+				}
+			}
+		}
+		for _, w := range []int{1, 2, 3, 8} {
+			got := gridFromSpectrum(append([]complex128(nil), spec...), c.bl, c.l, w)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("box %d → %d, workers %d: voxel %d is %v, serial inverse %v", c.bl, c.l, w, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
 	}
 }

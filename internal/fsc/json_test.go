@@ -91,3 +91,51 @@ func TestCurveJSONRejects(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCurveJSON: whatever bytes reach the curve decoder,
+// UnmarshalJSON, ResolutionAt(0.5) and MeanCC never panic, and every
+// accepted curve re-marshals and decodes again to identical Points,
+// bit for bit.
+func FuzzCurveJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"pixel_a":2,"points":[{"shell":1,"freq_per_a":0.5,"resolution_a":2,"cc":0.75}]}`,
+		`{"pixel_a":2.8000000000000003,"points":[{"shell":1,"freq_per_a":0.1,"resolution_a":10,"cc":0.9999999999999999},{"shell":2,"freq_per_a":0.2,"resolution_a":5,"cc":-0.3},{"shell":3,"freq_per_a":0.25,"resolution_a":4,"cc":5e-324}]}`,
+		`{"pixel_a":1,"points":[]}`,
+		`{"pixel_a":1,"points":null}`,
+		`{"pixel_a":-1}`,
+		`{"pixel_a":0,"points":[{"shell":1,"cc":0.5}]}`,
+		`{"points":[{"shell":1,"cc":0.5},{"shell":2,"cc":0.5}],"pixel_a":1e308}`,
+		`{"PIXEL_A":3,"points":[{"shell":-7,"freq_per_a":-0,"resolution_a":1e-300,"cc":1e300}]}`,
+		`[1,2,3]`,
+		`null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c Curve
+		if err := json.Unmarshal(data, &c); err != nil {
+			return
+		}
+		c.ResolutionAt(0.5)
+		c.MeanCC()
+		raw, err := json.Marshal(&c)
+		if err != nil {
+			t.Fatalf("accepted curve %+v does not marshal: %v", c, err)
+		}
+		var back Curve
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("re-marshaled curve %s rejected: %v", raw, err)
+		}
+		same := (back.Points == nil) == (c.Points == nil) && len(back.Points) == len(c.Points) &&
+			math.Float64bits(back.PixelA) == math.Float64bits(c.PixelA)
+		for i := 0; same && i < len(c.Points); i++ {
+			p, q := c.Points[i], back.Points[i]
+			same = p.Shell == q.Shell && math.Float64bits(p.FreqPerA) == math.Float64bits(q.FreqPerA) &&
+				math.Float64bits(p.ResolutionA) == math.Float64bits(q.ResolutionA) &&
+				math.Float64bits(p.CC) == math.Float64bits(q.CC)
+		}
+		if !same {
+			t.Fatalf("round trip of %s drifted:\n got %+v\nwant %+v", raw, back, c)
+		}
+	})
+}

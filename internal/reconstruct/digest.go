@@ -17,14 +17,18 @@ import (
 // journal's proof that a resumed cycle reloaded exactly the map the
 // crashed run wrote.
 //
-// The sharded kernel accumulates in fixed shard-then-view order, so
-// parallel reconstructions digest identically across worker counts and
-// across the batch/stream entry points (pinned by TestMapDigestStable).
-// The serial //repro:oracle path is NOT digest-identical to the
-// parallel kernel: it sums contributions in global view order, and
-// float addition does not commute at the last bit (the kernels agree
-// to ≤1e-12, see TestParallelMatchesSerial). Compare serial and
-// parallel maps with a tolerance, not with this digest.
+// The parallel kernel sums every voxel's contributions in view order,
+// whichever slab worker owns the voxel, so parallel reconstructions
+// digest identically across worker counts and across Insert and
+// InsertViews (pinned by TestMapDigestStable). The serial
+// //repro:oracle path sums in the same order but is NOT
+// digest-identical to the parallel kernel once centres or CTFs are in
+// play: it computes exp(i(θh+θk)) where the kernel multiplies separable
+// exp(iθh)·exp(iθk) ramps, and evaluates the CTF per coefficient where
+// the kernel reuses one value per radius h²+k², both of which differ in
+// the last bit (the kernels agree to ≤1e-12, see
+// TestShardedMatchesSerialOracle). Compare serial and parallel maps
+// with a tolerance, not with this digest.
 func MapDigest(g *volume.Grid) string {
 	h := sha256.New()
 	var buf [8]byte

@@ -10,11 +10,11 @@ import (
 
 // TestMapDigestStable pins the property the cycle journal depends on:
 // the digest of a parallel reconstruction is identical across worker
-// counts and across the batch/stream entry points — i.e. "parallel and
-// serial execution of the parallel kernel" digest identically. (The
-// serial //repro:oracle sums in a different order and agrees only to
-// ≤1e-12; see the MapDigest doc comment and
-// TestShardedMatchesSerialOracle.)
+// counts and across the Insert/InsertViews entry points — i.e.
+// "parallel and serial execution of the parallel kernel" digest
+// identically. (The serial //repro:oracle computes the centre ramp and
+// the CTF differently and agrees only to ≤1e-12; see the MapDigest doc
+// comment and TestShardedMatchesSerialOracle.)
 func TestMapDigestStable(t *testing.T) {
 	l := 16
 	ds, centers, ctfs := ctfDataset(t, l, 18, 41)
@@ -34,17 +34,15 @@ func TestMapDigestStable(t *testing.T) {
 		}
 	}
 
-	// Stream entry point, different depth: same digest.
+	// One view at a time: same digest.
 	s := NewSharded(l, ParallelOptions{Options: opt, Workers: 3})
-	st := s.InsertStream(2)
 	for i, v := range ds.Views {
-		if err := st.Insert(ViewTask{Image: v.Image, Orient: v.TrueOrient, Center: centers[i], CTF: ctfs[i]}); err != nil {
+		if err := s.Insert(v.Image, v.TrueOrient, centers[i], ctfs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st.Close()
 	if d := MapDigest(s.Finish()); d != ref {
-		t.Fatalf("stream digest %s differs from batch %s", d, ref)
+		t.Fatalf("one-at-a-time digest %s differs from batch %s", d, ref)
 	}
 }
 

@@ -1,24 +1,11 @@
 package reconstruct
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Reconstruction traffic (§10 conventions): views_inserted and
-// coeffs_spread bump once per fused insert (one atomic add each, and
-// nothing when instrumentation is off), and Finish brackets the shard
-// merge with a "shard-merge" trace span. reconstruct is not one of the
-// simulated-clock packages, so the span reads the wall clock relative
-// to a process-local epoch — one timeline per run, lane pid 0.
+// coeffs_spread bump once per prepared view (one atomic add each, and
+// nothing when instrumentation is off).
 var (
 	viewsInserted = obs.NewCounter("reconstruct.views_inserted")
 	coeffsSpread  = obs.NewCounter("reconstruct.coeffs_spread")
 )
-
-var epoch = time.Now()
-
-// wallSeconds is the span time base: seconds since the package was
-// initialized.
-func wallSeconds(t time.Time) float64 { return t.Sub(epoch).Seconds() }

@@ -4,42 +4,27 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sync"
-	"time"
 
 	"repro/internal/ctf"
 	"repro/internal/fft"
 	"repro/internal/fourier"
 	"repro/internal/geom"
-	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/volume"
 )
 
-// DefaultShards is the accumulator shard count used when
-// ParallelOptions.Shards is not set. It is a fixed constant — not
-// GOMAXPROCS — because the shard count determines the floating-point
-// summation grouping: views are striped over shards by insertion
-// index, each shard keeps its own running num/den sums, and Finish
-// merges the shards in index order. With the count pinned, the output
-// is bit-identical on every machine and at every worker count; only
-// changing Shards (or the view order) can move the last bits.
-const DefaultShards = 8
+// insertChunk is how many views InsertViews prepares before it
+// scatters them. It bounds the prepared-coefficient buffer (24 bytes
+// per band coefficient per view) and never affects the output.
+const insertChunk = 32
 
 // ParallelOptions extends Options with the execution shape of the
-// sharded kernel.
+// parallel kernel.
 type ParallelOptions struct {
 	Options
-	// Workers bounds the insertion and merge parallelism; ≤0 selects
-	// GOMAXPROCS. Workers never affects the result, only wall time.
+	// Workers bounds the insertion parallelism; ≤0 selects GOMAXPROCS.
+	// Workers never affects the result, only wall time.
 	Workers int
-	// Shards is the number of accumulator shards; ≤0 selects
-	// DefaultShards. Each shard owns full num/den volumes (24·l³ bytes)
-	// plus the per-view scratch, so memory grows linearly with Shards
-	// while attainable speedup is capped at min(Shards, Workers).
-	// Unlike Workers, changing Shards regroups the accumulation sums
-	// and perturbs the output at the rounding level (~1e-16 relative).
-	Shards int
 }
 
 // ViewTask is one view queued for insertion: the image, its refined
@@ -52,39 +37,47 @@ type ViewTask struct {
 	CTF    ctf.Params
 }
 
-// Sharded is the parallel reconstruction kernel: views are striped
-// over a fixed set of accumulator shards, each shard accumulates its
-// views in arrival order through the fused insert path, and Finish
-// merges the shards in index order. Results are bit-identical across
-// GOMAXPROCS and across the batch/streaming entry points, and agree
-// with the serial Reconstructor oracle to ≤1e-12.
+// Sharded is the parallel reconstruction kernel. It owns one num/den
+// accumulator pair and inserts views in two phases per chunk of views:
+// prepare (parallel over views) transforms each view and writes its
+// weighted band coefficients, and scatter (parallel over contiguous
+// x-plane slabs) spreads them onto the lattice, each slab writing only
+// the corners whose x index it owns and walking the views in order. So
+// every voxel sums its contributions in view order, whatever the worker
+// count or chunking. The name predates the single accumulator; the
+// benchmark harness calls NewSharded.
 //
-// The batch entry points (Insert, InsertViews, Finish) may be called
-// from one goroutine at a time; InsertStream returns a handle whose
-// sends run concurrently with the shard workers.
+// Results are bit-identical across worker counts and across Insert and
+// InsertViews, and agree with the serial Reconstructor oracle to
+// ≤1e-12. Methods may be called from one goroutine at a time.
 type Sharded struct {
 	l       int
+	ri      int
 	opt     Options
 	workers int
-	acc     []*shardAccum
+	num     []complex128
+	den     []float64
 	wrapTab []int32 // wrapTab[i+l] = wrap(i, l) for i ∈ [−l, l+1]
-	n       int     // views dispatched (stripe counter)
+	kMax    []int   // band row h spans k ∈ [−kMax[h+ri], kMax[h+ri]]
+	nBand   int     // coefficients per view
+
+	preps []*viewPrep    // one per prepare worker
+	band  []weighted     // nBand prepared coefficients per chunk slot
+	axes  [][2]geom.Vec3 // image axes x̂', ŷ' per chunk slot
+	n     int            // views inserted
 }
 
-// shardAccum is one accumulator shard plus the scratch the fused
-// insert path reuses across views: the real-input FFT transformer, the
-// spectrum buffer, the separable phase-ramp tables, and the memoized
-// CTF profile of the last-seen parameter set.
-type shardAccum struct {
-	l       int
-	ri      int
-	r2      float64
-	wiener  bool
-	wrapTab []int32
+// weighted is one prepared band coefficient: the view's coefficient
+// after phase ramp and CTF weighting, and its weight in den.
+type weighted struct {
+	val complex128
+	w   float64
+}
 
-	num []complex128
-	den []float64
-
+// viewPrep is one prepare worker's scratch: the real-input FFT
+// transformer, the spectrum buffer, the separable phase-ramp tables,
+// and the memoized CTF profile of the last-seen parameter set.
+type viewPrep struct {
 	tx           *fourier.ViewTransformer
 	spec         *volume.CImage
 	rampH, rampK []complex128
@@ -97,9 +90,6 @@ type shardAccum struct {
 	ctfValid  bool
 	ctfTab    []float64
 	ctfSet    []bool
-
-	views  int64
-	coeffs int64
 }
 
 // NewSharded creates a parallel reconstructor for l×l views and an l³
@@ -108,49 +98,50 @@ func NewSharded(l int, opt ParallelOptions) *Sharded {
 	if l < 2 {
 		panic(fmt.Sprintf("reconstruct: invalid size %d", l))
 	}
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = DefaultShards
-	}
 	o := opt.Options.normalized(l)
-	wrapTab := make([]int32, 2*l+2)
-	for i := range wrapTab {
-		wrapTab[i] = int32(wrap(i-l, l))
-	}
+	ri := int(o.RMax)
 	s := &Sharded{
 		l:       l,
+		ri:      ri,
 		opt:     o,
 		workers: opt.Workers,
-		acc:     make([]*shardAccum, shards),
-		wrapTab: wrapTab,
+		num:     make([]complex128, l*l*l),
+		den:     make([]float64, l*l*l),
+		wrapTab: make([]int32, 2*l+2),
+		kMax:    make([]int, 2*ri+1),
+		preps:   make([]*viewPrep, pool.Workers(insertChunk, opt.Workers)),
 	}
-	ri := int(o.RMax)
+	for i := range s.wrapTab {
+		s.wrapTab[i] = int32(wrap(i-l, l))
+	}
+	// The band is the disc h²+k² ≤ RMax²; row h is a symmetric k run.
+	r2 := o.RMax * o.RMax
+	for h := -ri; h <= ri; h++ {
+		fh, k := float64(h), ri
+		for fh*fh+float64(k)*float64(k) > r2 {
+			k--
+		}
+		s.kMax[h+ri] = k
+		s.nBand += 2*k + 1
+	}
 	maxSS := 2*ri*ri + 1
-	for i := range s.acc {
-		s.acc[i] = &shardAccum{
-			l:       l,
-			ri:      ri,
-			r2:      o.RMax * o.RMax,
-			wiener:  o.WienerCTF,
-			wrapTab: wrapTab,
-			num:     make([]complex128, l*l*l),
-			den:     make([]float64, l*l*l),
-			tx:      fourier.NewViewTransformer(l),
-			spec:    volume.NewCImage(l),
-			rampH:   make([]complex128, l),
-			rampK:   make([]complex128, l),
-			ctfTab:  make([]float64, maxSS),
-			ctfSet:  make([]bool, maxSS),
+	for i := range s.preps {
+		s.preps[i] = &viewPrep{
+			tx:     fourier.NewViewTransformer(l),
+			spec:   volume.NewCImage(l),
+			rampH:  make([]complex128, l),
+			rampK:  make([]complex128, l),
+			ctfTab: make([]float64, maxSS),
+			ctfSet: make([]bool, maxSS),
 		}
 	}
 	return s
 }
 
-// Views returns how many views have been inserted (or, with an open
-// stream, dispatched).
+// Views returns how many views have been inserted.
 func (s *Sharded) Views() int { return s.n }
 
-// validate rejects a task the fused kernel cannot take; it runs on the
+// validate rejects a task the kernel cannot take; it runs on the
 // caller's goroutine so errors are synchronous and deterministic.
 func (s *Sharded) validate(t ViewTask) error {
 	if t.Image.L != s.l {
@@ -159,187 +150,198 @@ func (s *Sharded) validate(t ViewTask) error {
 	return checkCenter(t.Center)
 }
 
-// Insert adds one view synchronously on the calling goroutine,
-// striping it onto the next shard. Interleaving Insert and InsertViews
-// calls is fine; both advance the same stripe counter.
+// reserve sizes the chunk buffers for n views.
+func (s *Sharded) reserve(n int) {
+	if len(s.axes) < n {
+		s.axes = make([][2]geom.Vec3, n)
+		s.band = make([]weighted, n*s.nBand)
+	}
+}
+
+// Insert adds one view synchronously on the calling goroutine; it is
+// InsertViews on a one-view batch.
 func (s *Sharded) Insert(im *volume.Image, o geom.Euler, center [2]float64, p ctf.Params) error {
 	t := ViewTask{Image: im, Orient: o, Center: center, CTF: p}
 	if err := s.validate(t); err != nil {
 		return err
 	}
-	s.acc[s.n%len(s.acc)].insert(t)
+	s.reserve(1)
+	s.prepare(s.preps[0], t, 0)
+	s.scatter(1, 0, s.l)
 	s.n++
 	return nil
 }
 
 // InsertViews adds a batch of views on a worker pool. Every task is
 // validated before any is inserted, so a failed call leaves the
-// accumulation state untouched. Tasks are striped over the shards by
-// their position in the overall insertion sequence, and each shard
-// processes its stripe in order on a single worker — which is what
-// makes the result independent of scheduling.
+// accumulation state untouched. Each chunk of views is prepared in
+// parallel, then scattered by x-plane slab; a slab visits the chunk's
+// views in order, which is what makes the result independent of
+// scheduling.
 func (s *Sharded) InsertViews(tasks []ViewTask) error {
 	for i := range tasks {
 		if err := s.validate(tasks[i]); err != nil {
 			return fmt.Errorf("view %d: %w", i, err)
 		}
 	}
-	shards := len(s.acc)
-	base := s.n
-	pool.RunIndexedLabeled("reconstruct.insert", shards, s.workers, func(_, sd int) {
-		a := s.acc[sd]
-		// The first batch index landing on shard sd: global index
-		// base+i hits sd when (base+i) ≡ sd (mod shards).
-		start := ((sd-base)%shards + shards) % shards
-		for i := start; i < len(tasks); i += shards {
-			a.insert(tasks[i])
-		}
-	})
+	s.reserve(min(len(tasks), insertChunk))
+	slabs := pool.Workers(s.l, s.workers)
+	for lo := 0; lo < len(tasks); lo += insertChunk {
+		chunk := tasks[lo:min(lo+insertChunk, len(tasks))]
+		pool.RunIndexedLabeled("reconstruct.prepare", len(chunk), len(s.preps), func(w, i int) {
+			s.prepare(s.preps[w], chunk[i], i)
+		})
+		pool.RunIndexedLabeled("reconstruct.scatter", slabs, slabs, func(_, sl int) {
+			s.scatter(len(chunk), sl*s.l/slabs, (sl+1)*s.l/slabs)
+		})
+	}
 	s.n += len(tasks)
 	return nil
 }
 
-// Finish merges the shards in fixed index order and runs the shared
-// normalize/Hermitianize/inverse-transform back half. Accumulation
-// state is not mutated; the reconstructor may continue inserting views
-// afterwards, and repeated calls return identical maps.
+// Finish normalizes the one accumulator pair, Hermitianizes and
+// inverse-transforms. Accumulation state is not mutated; the
+// reconstructor may continue inserting views afterwards, and repeated
+// calls return identical maps.
 func (s *Sharded) Finish() *volume.Grid {
-	l := s.l
-	num := make([]complex128, l*l*l)
-	den := make([]float64, l*l*l)
-	var t0 time.Time
-	tracing := obs.ActiveTrace() != nil
-	if tracing {
-		t0 = time.Now()
-	}
-	// Merge parallelism partitions voxels (by x-plane), never shards:
-	// each voxel's sum runs over the shards in index order regardless
-	// of which worker owns its plane.
-	pool.RunIndexedLabeled("reconstruct.merge", l, s.workers, func(_, x int) {
-		lo, hi := x*l*l, (x+1)*l*l
-		dstN, dstD := num[lo:hi], den[lo:hi]
-		for _, a := range s.acc {
-			srcN, srcD := a.num[lo:hi], a.den[lo:hi]
-			for i := range dstN {
-				dstN[i] += srcN[i]
-				dstD[i] += srcD[i]
-			}
-		}
-	})
-	if tracing {
-		obs.Span(0, 0, "shard-merge", "reconstruct", wallSeconds(t0), wallSeconds(time.Now()))
-	}
-	return finishVolume(l, s.opt, num, den)
+	return finishVolume(s.l, s.opt, s.num, s.den)
 }
 
-// insert is the fused per-view path: one real-input 2-D DFT into
-// per-shard scratch, phase ramp and CTF weighting applied per used
-// coefficient from tabulated values, and the trilinear scatter inlined
-// with table-wrapped indices. It allocates nothing in steady state.
+// prepare writes the weighted band coefficients of one view into chunk
+// slot: one real-input 2-D DFT into worker scratch, then the phase ramp
+// and CTF weighting applied per band coefficient from tabulated
+// values. It allocates nothing.
+//
+//repro:hotpath
+func (s *Sharded) prepare(p *viewPrep, t ViewTask, slot int) {
+	l := s.l
+	p.tx.Transform(t.Image, p.spec)
+	shift := t.Center[0] != 0 || t.Center[1] != 0
+	if shift {
+		fillShiftRamp(p.rampH, t.Center[0], l)
+		fillShiftRamp(p.rampK, t.Center[1], l)
+	}
+	wiener := s.opt.WienerCTF
+	if wiener && (!p.ctfValid || t.CTF != p.ctfParams) {
+		clear(p.ctfSet)
+		p.ctfParams, p.ctfValid = t.CTF, true
+	}
+	rot := t.Orient.Matrix()
+	s.axes[slot] = [2]geom.Vec3{rot.Col(0), rot.Col(1)}
+	dst := s.band[slot*s.nBand : (slot+1)*s.nBand]
+	wt := s.wrapTab
+	spec := p.spec.Data
+	j := 0
+	for h := -s.ri; h <= s.ri; h++ {
+		hw := int(wt[h+l])
+		row := hw * l
+		var rh complex128
+		if shift {
+			rh = p.rampH[hw]
+		}
+		km := s.kMax[h+s.ri]
+		for k := -km; k <= km; k++ {
+			kw := int(wt[k+l])
+			val := spec[row+kw]
+			if shift {
+				val *= rh * p.rampK[kw]
+			}
+			w := 1.0
+			if wiener {
+				ss := h*h + k*k
+				c := p.ctfTab[ss]
+				if !p.ctfSet[ss] {
+					c = t.CTF.Eval(t.CTF.FreqOfBin(h, k, l))
+					p.ctfTab[ss], p.ctfSet[ss] = c, true
+				}
+				val *= complex(c, 0)
+				w = c * c
+			}
+			dst[j] = weighted{val, w}
+			j++
+		}
+	}
+	viewsInserted.Inc()
+	coeffsSpread.Add(int64(s.nBand))
+}
+
+// scatter spreads the first n prepared views of the chunk onto the
+// lattice planes x ∈ [lo, hi), trilinearly, views in slot order and
+// each view's coefficients in band order — so a voxel receives its
+// contributions in the same order whichever slab owns it.
 //
 // The scatter needs no bounds check: the rotation is orthonormal, so
 // |pt| = √(h²+k²) ≤ RMax ≤ l/2, and the wrap table covers the one-cell
 // overshoot floor/+1 can produce at the Nyquist boundary.
 //
 //repro:hotpath
-func (a *shardAccum) insert(t ViewTask) {
-	l := a.l
-	a.tx.Transform(t.Image, a.spec)
-	shift := t.Center[0] != 0 || t.Center[1] != 0
-	if shift {
-		fillShiftRamp(a.rampH, t.Center[0], l)
-		fillShiftRamp(a.rampK, t.Center[1], l)
-	}
-	if a.wiener && (!a.ctfValid || t.CTF != a.ctfParams) {
-		for i := range a.ctfSet {
-			a.ctfSet[i] = false
-		}
-		a.ctfParams, a.ctfValid = t.CTF, true
-	}
-	rot := t.Orient.Matrix()
-	xa, ya := rot.Col(0), rot.Col(1)
-	wt := a.wrapTab
-	spec := a.spec.Data
-	num, den := a.num, a.den
-	ri, r2 := a.ri, a.r2
-	cnt := 0
-	for h := -ri; h <= ri; h++ {
-		fh := float64(h)
-		hw := int(wt[h+l])
-		row := hw * l
-		var rh complex128
-		if shift {
-			rh = a.rampH[hw]
-		}
-		hx, hy, hz := xa.X*fh, xa.Y*fh, xa.Z*fh
-		for k := -ri; k <= ri; k++ {
-			fk := float64(k)
-			if fh*fh+fk*fk > r2 {
-				continue
-			}
-			kw := int(wt[k+l])
-			val := spec[row+kw]
-			if shift {
-				val *= rh * a.rampK[kw]
-			}
-			w := 1.0
-			if a.wiener {
-				ss := h*h + k*k
-				c := a.ctfTab[ss]
-				if !a.ctfSet[ss] {
-					c = t.CTF.Eval(t.CTF.FreqOfBin(h, k, l))
-					a.ctfTab[ss], a.ctfSet[ss] = c, true
+func (s *Sharded) scatter(n, lo, hi int) {
+	l := s.l
+	wt := s.wrapTab
+	num, den := s.num, s.den
+	for v := 0; v < n; v++ {
+		xa, ya := s.axes[v][0], s.axes[v][1]
+		src := s.band[v*s.nBand : (v+1)*s.nBand]
+		j := 0
+		for h := -s.ri; h <= s.ri; h++ {
+			fh := float64(h)
+			hx, hy, hz := xa.X*fh, xa.Y*fh, xa.Z*fh
+			km := s.kMax[h+s.ri]
+			for k := -km; k <= km; k++ {
+				c := &src[j]
+				j++
+				fk := float64(k)
+				px := hx + ya.X*fk
+				x0 := int(math.Floor(px))
+				x0w, x1w := int(wt[x0+l]), int(wt[x0+1+l])
+				own0, own1 := x0w >= lo && x0w < hi, x1w >= lo && x1w < hi
+				if !own0 && !own1 {
+					continue
 				}
-				val *= complex(c, 0)
-				w = c * c
+				py := hy + ya.Y*fk
+				pz := hz + ya.Z*fk
+				y0 := int(math.Floor(py))
+				z0 := int(math.Floor(pz))
+				fx, fy, fz := px-float64(x0), py-float64(y0), pz-float64(z0)
+				gx, gy, gz := 1-fx, 1-fy, 1-fz
+				y0w, y1w := int(wt[y0+l]), int(wt[y0+1+l])
+				z0w, z1w := int(wt[z0+l]), int(wt[z0+1+l])
+				val, w := c.val, c.w
+				// Unrolled 2×2 scatter per owned x plane. The weight
+				// products mirror the oracle's (wx·wy)·wz association
+				// exactly, so the scatter adds no rounding difference
+				// from the serial path.
+				if own0 {
+					b0, b1 := (x0w*l+y0w)*l, (x0w*l+y1w)*l
+					w00, w01 := gx*gy, gx*fy
+					c000, c001 := w00*gz, w00*fz
+					c010, c011 := w01*gz, w01*fz
+					num[b0+z0w] += val * complex(c000, 0)
+					den[b0+z0w] += c000 * w
+					num[b0+z1w] += val * complex(c001, 0)
+					den[b0+z1w] += c001 * w
+					num[b1+z0w] += val * complex(c010, 0)
+					den[b1+z0w] += c010 * w
+					num[b1+z1w] += val * complex(c011, 0)
+					den[b1+z1w] += c011 * w
+				}
+				if own1 {
+					b0, b1 := (x1w*l+y0w)*l, (x1w*l+y1w)*l
+					w10, w11 := fx*gy, fx*fy
+					c100, c101 := w10*gz, w10*fz
+					c110, c111 := w11*gz, w11*fz
+					num[b0+z0w] += val * complex(c100, 0)
+					den[b0+z0w] += c100 * w
+					num[b0+z1w] += val * complex(c101, 0)
+					den[b0+z1w] += c101 * w
+					num[b1+z0w] += val * complex(c110, 0)
+					den[b1+z0w] += c110 * w
+					num[b1+z1w] += val * complex(c111, 0)
+					den[b1+z1w] += c111 * w
+				}
 			}
-			px := hx + ya.X*fk
-			py := hy + ya.Y*fk
-			pz := hz + ya.Z*fk
-			x0 := int(math.Floor(px))
-			y0 := int(math.Floor(py))
-			z0 := int(math.Floor(pz))
-			fx, fy, fz := px-float64(x0), py-float64(y0), pz-float64(z0)
-			gx, gy, gz := 1-fx, 1-fy, 1-fz
-			x0w, x1w := int(wt[x0+l]), int(wt[x0+1+l])
-			y0w, y1w := int(wt[y0+l]), int(wt[y0+1+l])
-			z0w, z1w := int(wt[z0+l]), int(wt[z0+1+l])
-			b00 := (x0w*l + y0w) * l
-			b01 := (x0w*l + y1w) * l
-			b10 := (x1w*l + y0w) * l
-			b11 := (x1w*l + y1w) * l
-			w00, w01 := gx*gy, gx*fy
-			w10, w11 := fx*gy, fx*fy
-			// Unrolled 2×2×2 scatter. The weight products mirror the
-			// oracle's (wx·wy)·wz association exactly, so the only
-			// difference from the serial path is summation grouping.
-			c000, c001 := w00*gz, w00*fz
-			c010, c011 := w01*gz, w01*fz
-			c100, c101 := w10*gz, w10*fz
-			c110, c111 := w11*gz, w11*fz
-			num[b00+z0w] += val * complex(c000, 0)
-			den[b00+z0w] += c000 * w
-			num[b00+z1w] += val * complex(c001, 0)
-			den[b00+z1w] += c001 * w
-			num[b01+z0w] += val * complex(c010, 0)
-			den[b01+z0w] += c010 * w
-			num[b01+z1w] += val * complex(c011, 0)
-			den[b01+z1w] += c011 * w
-			num[b10+z0w] += val * complex(c100, 0)
-			den[b10+z0w] += c100 * w
-			num[b10+z1w] += val * complex(c101, 0)
-			den[b10+z1w] += c101 * w
-			num[b11+z0w] += val * complex(c110, 0)
-			den[b11+z0w] += c110 * w
-			num[b11+z1w] += val * complex(c111, 0)
-			den[b11+z1w] += c111 * w
-			cnt++
 		}
 	}
-	a.views++
-	a.coeffs += int64(cnt)
-	viewsInserted.Inc()
-	coeffsSpread.Add(int64(cnt))
 }
 
 // fillShiftRamp tabulates exp(−2πi·f·d/l) for every array index, the
@@ -353,75 +355,7 @@ func fillShiftRamp(dst []complex128, d float64, l int) {
 	}
 }
 
-// Stream is a bounded streaming inserter over a Sharded reconstructor:
-// one goroutine per shard drains a per-shard queue, so insertion
-// overlaps with whatever produces the views (decoding, refinement, an
-// HTTP body). Views are striped over the shards by arrival index —
-// exactly the stripe InsertViews uses — so a stream and a batch fed
-// the same view sequence produce bit-identical accumulators.
-//
-// Insert must be called from a single producer goroutine; Close waits
-// for the queues to drain. The parent Sharded must not be used until
-// Close returns.
-type Stream struct {
-	s      *Sharded
-	chs    []chan ViewTask
-	wg     sync.WaitGroup
-	closed bool
-}
-
-// InsertStream starts the shard workers and returns the stream handle.
-// depth is the per-shard queue depth; ≤0 selects 2. Concurrency is
-// min(Shards, GOMAXPROCS); the Workers option does not apply, since
-// each shard's order-preserving queue needs a dedicated consumer.
-func (s *Sharded) InsertStream(depth int) *Stream {
-	if depth <= 0 {
-		depth = 2
-	}
-	st := &Stream{s: s, chs: make([]chan ViewTask, len(s.acc))}
-	for i := range st.chs {
-		st.chs[i] = make(chan ViewTask, depth)
-		st.wg.Add(1)
-		go func(a *shardAccum, ch <-chan ViewTask) {
-			defer st.wg.Done()
-			for t := range ch {
-				a.insert(t)
-			}
-		}(s.acc[i], st.chs[i])
-	}
-	return st
-}
-
-// Insert validates the task synchronously and queues it on its shard,
-// blocking when the shard's queue is full (backpressure). A validation
-// error leaves the stream usable.
-func (st *Stream) Insert(t ViewTask) error {
-	if st.closed {
-		return fmt.Errorf("reconstruct: insert on closed stream")
-	}
-	if err := st.s.validate(t); err != nil {
-		return err
-	}
-	st.chs[st.s.n%len(st.chs)] <- t
-	st.s.n++
-	return nil
-}
-
-// Close drains the shard queues and stops the workers. It is
-// idempotent; the parent Sharded is safe to use (Finish, more inserts)
-// once Close returns.
-func (st *Stream) Close() {
-	if st.closed {
-		return
-	}
-	st.closed = true
-	for _, ch := range st.chs {
-		close(ch)
-	}
-	st.wg.Wait()
-}
-
-// FromViewsParallel reconstructs a map on the sharded kernel with an
+// FromViewsParallel reconstructs a map on the parallel kernel with an
 // explicit execution shape. ctfs may be nil when Options.WienerCTF is
 // off.
 func FromViewsParallel(views []*volume.Image, orients []geom.Euler, centers [][2]float64, ctfs []ctf.Params, opt ParallelOptions) (*volume.Grid, error) {
@@ -439,11 +373,10 @@ func FromViewsParallel(views []*volume.Image, orients []geom.Euler, centers [][2
 	return rec.Finish(), nil
 }
 
-// SplitHalvesParallel builds the odd and even half-maps in one pass
-// over the views: each view is routed to its half's streaming
-// reconstructor as it is visited, so no per-half argument slices are
-// materialized and both halves accumulate concurrently. Each half sees
-// its views in dataset order, so the outputs are bit-identical to
+// SplitHalvesParallel builds the odd and even half-maps: one pass over
+// the views routes each task to its half's list, and each half is one
+// InsertViews call, finished before the next half is built. Each half
+// sees its views in dataset order, so the outputs are bit-identical to
 // reconstructing the two subsets with FromViewsParallel.
 func SplitHalvesParallel(views []*volume.Image, orients []geom.Euler, centers [][2]float64, ctfs []ctf.Params, opt ParallelOptions) (*volume.Grid, *volume.Grid, error) {
 	if err := validateSet(views, orients, centers, ctfs, opt.Options); err != nil {
@@ -452,25 +385,18 @@ func SplitHalvesParallel(views []*volume.Image, orients []geom.Euler, centers []
 	if len(views) < 2 {
 		return nil, nil, fmt.Errorf("reconstruct: need at least 2 views to split")
 	}
-	odd := NewSharded(views[0].L, opt)
-	even := NewSharded(views[0].L, opt)
-	so := odd.InsertStream(0)
-	se := even.InsertStream(0)
+	// halves[0] holds views 1, 3, 5... in 1-based numbering.
+	halves := [2][]ViewTask{make([]ViewTask, 0, (len(views)+1)/2), make([]ViewTask, 0, len(views)/2)}
 	for i := range views {
-		t := taskAt(views, orients, centers, ctfs, i)
-		var err error
-		if i%2 == 0 { // view 1, 3, 5... in 1-based numbering
-			err = so.Insert(t)
-		} else {
-			err = se.Insert(t)
-		}
-		if err != nil { // unreachable: validateSet vetted every task
-			so.Close()
-			se.Close()
+		halves[i%2] = append(halves[i%2], taskAt(views, orients, centers, ctfs, i))
+	}
+	var maps [2]*volume.Grid
+	for i, tasks := range halves {
+		rec := NewSharded(views[0].L, opt)
+		if err := rec.InsertViews(tasks); err != nil { // unreachable: validateSet vetted every task
 			return nil, nil, err
 		}
+		maps[i] = rec.Finish()
 	}
-	so.Close()
-	se.Close()
-	return odd.Finish(), even.Finish(), nil
+	return maps[0], maps[1], nil
 }

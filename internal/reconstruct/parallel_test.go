@@ -2,6 +2,7 @@ package reconstruct
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/ctf"
@@ -78,7 +79,9 @@ func TestShardedMatchesSerialOracle(t *testing.T) {
 
 // TestShardedMatchesOracleNoCTF covers the plain (unweighted,
 // uncentred) path separately, where the oracle skips both the phase
-// ramp and the CTF branch.
+// ramp and the CTF branch. With neither, the kernel sums every voxel in
+// the oracle's order from the oracle's values, so the maps are
+// bit-identical.
 func TestShardedMatchesOracleNoCTF(t *testing.T) {
 	l := 24
 	ds := dataset(t, l, 40, micrograph.GenParams{Seed: 22})
@@ -92,8 +95,8 @@ func TestShardedMatchesOracleNoCTF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := maxRelDiff(oracle.Finish(), par); d > 1e-12 {
-		t.Fatalf("max rel diff %g", d)
+	if serial := oracle.Finish(); !gridsIdentical(serial, par) {
+		t.Fatalf("not bit-identical to the oracle: max rel diff %g", maxRelDiff(serial, par))
 	}
 }
 
@@ -141,58 +144,25 @@ func TestShardedInsertAllocFree(t *testing.T) {
 	}
 }
 
-// TestInsertStreamMatchesBatch pins the stream/batch stripe identity:
-// the same view sequence through InsertStream and InsertViews lands in
-// bit-identical accumulators.
-func TestInsertStreamMatchesBatch(t *testing.T) {
-	l := 16
-	ds, centers, ctfs := ctfDataset(t, l, 20, 24)
-	opt := ParallelOptions{Options: Options{WienerCTF: true}, Workers: 3}
-
-	batch := NewSharded(l, opt)
-	tasks := make([]ViewTask, len(ds.Views))
-	for i, v := range ds.Views {
-		tasks[i] = ViewTask{Image: v.Image, Orient: v.TrueOrient, Center: centers[i], CTF: ctfs[i]}
-	}
-	if err := batch.InsertViews(tasks); err != nil {
-		t.Fatal(err)
-	}
-
-	streamed := NewSharded(l, opt)
-	st := streamed.InsertStream(0)
-	for _, task := range tasks {
-		if err := st.Insert(task); err != nil {
-			t.Fatal(err)
+// TestInsertViewsValidation: a batch with a wrong-size view or a
+// non-finite centre is refused whole — no view of it is counted or
+// accumulated — and the reconstructor stays usable.
+func TestInsertViewsValidation(t *testing.T) {
+	s := NewSharded(16, ParallelOptions{})
+	good := ViewTask{Image: volume.NewImage(16)}
+	for _, bad := range []ViewTask{
+		{Image: volume.NewImage(8)},
+		{Image: volume.NewImage(16), Center: [2]float64{math.NaN(), 0}},
+	} {
+		if err := s.InsertViews([]ViewTask{good, bad}); err == nil {
+			t.Fatalf("InsertViews accepted %+v", bad)
 		}
 	}
-	st.Close()
-
-	if streamed.Views() != batch.Views() {
-		t.Fatalf("view counts differ: %d vs %d", streamed.Views(), batch.Views())
+	if s.Views() != 0 {
+		t.Fatalf("refused batches counted %d views", s.Views())
 	}
-	if !gridsIdentical(batch.Finish(), streamed.Finish()) {
-		t.Fatal("streamed accumulation differs from batch")
-	}
-}
-
-// TestStreamValidation: errors are synchronous, leave the stream
-// usable, and a closed stream refuses inserts.
-func TestStreamValidation(t *testing.T) {
-	s := NewSharded(16, ParallelOptions{})
-	st := s.InsertStream(0)
-	if err := st.Insert(ViewTask{Image: volume.NewImage(8)}); err == nil {
-		t.Fatal("size mismatch accepted by stream")
-	}
-	if err := st.Insert(ViewTask{Image: volume.NewImage(16), Center: [2]float64{math.NaN(), 0}}); err == nil {
-		t.Fatal("non-finite centre accepted by stream")
-	}
-	if err := st.Insert(ViewTask{Image: volume.NewImage(16)}); err != nil {
+	if err := s.InsertViews([]ViewTask{good}); err != nil {
 		t.Fatalf("valid insert after errors failed: %v", err)
-	}
-	st.Close()
-	st.Close() // idempotent
-	if err := st.Insert(ViewTask{Image: volume.NewImage(16)}); err == nil {
-		t.Fatal("insert on closed stream accepted")
 	}
 	if s.Views() != 1 {
 		t.Fatalf("view count %d, want 1", s.Views())
@@ -397,15 +367,15 @@ func TestWienerZeroCrossingCTF(t *testing.T) {
 	}
 }
 
-// TestCTFMemoMatchesDirectEval: the per-shard radial CTF memo must be
+// TestCTFMemoMatchesDirectEval: the per-worker radial CTF memo must be
 // transparent — alternating parameter sets (cache thrash) and repeated
 // sets (cache hits) both reproduce the oracle exactly.
 func TestCTFMemoMatchesDirectEval(t *testing.T) {
 	l := 16
 	ds, centers, ctfs := ctfDataset(t, l, 9, 29)
-	// Force every consecutive pair on one shard to differ: one shard,
-	// alternating groups.
-	opt := ParallelOptions{Options: Options{WienerCTF: true}, Shards: 1}
+	// One view at a time on one worker, alternating groups: every
+	// consecutive pair of views differs in its CTF.
+	opt := ParallelOptions{Options: Options{WienerCTF: true}, Workers: 1}
 	oracle := New(l, Options{WienerCTF: true})
 	sharded := NewSharded(l, opt)
 	for i, v := range ds.Views {
@@ -416,29 +386,69 @@ func TestCTFMemoMatchesDirectEval(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Single shard ⇒ same insertion order as the oracle ⇒ the only
-	// tolerance needed is for the tabulated phase ramp.
+	// Same summation order as the oracle ⇒ the tolerance covers only the
+	// tabulated phase ramp and the per-radius CTF value.
 	if d := maxRelDiff(oracle.Finish(), sharded.Finish()); d > 1e-12 {
 		t.Fatalf("CTF memo path diverges: max rel diff %g", d)
 	}
 }
 
-// TestShardCountPerturbsOnlyRounding: changing Shards regroups sums —
-// the maps must agree to rounding but are not required to be
-// bit-identical.
-func TestShardCountPerturbsOnlyRounding(t *testing.T) {
-	l := 16
-	ds, centers, ctfs := ctfDataset(t, l, 16, 30)
-	build := func(shards int) *volume.Grid {
+// TestShardedEqualsOneShardParent pins the accumulation order: every
+// voxel sums its contributions in view order, which is what the
+// view-striped kernel this one replaced computed with a single shard.
+// The digest was derived on aa55a71 with Shards: 1. 70 views are three
+// insert chunks, so chunk boundaries are covered at every worker
+// count, and one Insert at a time equals one InsertViews call.
+func TestShardedEqualsOneShardParent(t *testing.T) {
+	const want = "b7d57fcc0874ca2d12db50cd48b9d95c6d64861176b13b9a57416eaecf5db35d"
+	l := 24
+	ds, centers, ctfs := ctfDataset(t, l, 70, 32)
+	opt := Options{WienerCTF: true}
+	for _, w := range []int{1, 2, 3, 8} {
 		m, err := FromViewsParallel(ds.Images(), ds.TrueOrientations(), centers, ctfs,
-			ParallelOptions{Options: Options{WienerCTF: true}, Shards: shards})
+			ParallelOptions{Options: opt, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		if got := MapDigest(m); got != want {
+			t.Fatalf("workers %d: digest %s, want %s", w, got, want)
+		}
 	}
-	if d := maxRelDiff(build(2), build(7)); d > 1e-12 {
-		t.Fatalf("shard regrouping moved the result past rounding: %g", d)
+	one := NewSharded(l, ParallelOptions{Options: opt, Workers: 3})
+	for i, v := range ds.Views {
+		if err := one.Insert(v.Image, v.TrueOrient, centers[i], ctfs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := MapDigest(one.Finish()); got != want {
+		t.Fatalf("one Insert at a time: digest %s, want %s", got, want)
+	}
+}
+
+// TestReconstructionAllocBytes bounds what one reconstruction
+// allocates: the accumulator pair is 24·l³ bytes, Finish's spectrum and
+// map another 24·l³, and the prepared-coefficient chunk well under
+// that. A return to per-worker or per-shard accumulators — the
+// view-striped kernel allocated about 10 × 24·l³ — fails it.
+func TestReconstructionAllocBytes(t *testing.T) {
+	l := 32
+	ds, centers, ctfs := ctfDataset(t, l, 40, 33)
+	images, orients := ds.Images(), ds.TrueOrientations()
+	limit := uint64(4 * 24 * l * l * l)
+	for _, w := range []int{1, 4} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := FromViewsParallel(images, orients, centers, ctfs,
+			ParallelOptions{Options: Options{WienerCTF: true}, Workers: w})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("workers %d: %d bytes, %.2f × 24·l³", w, got, float64(got)/float64(24*l*l*l))
+		if got >= limit {
+			t.Errorf("workers %d: one reconstruction allocated %d bytes, want < %d (4 × 24·l³)", w, got, limit)
+		}
 	}
 }
 

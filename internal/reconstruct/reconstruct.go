@@ -12,12 +12,13 @@
 // Hermitian symmetry, and inverse-transforms.
 //
 // Two implementations coexist. The production path is the parallel
-// sharded-accumulator kernel (parallel.go): per-shard num/den volumes
-// fed by a worker pool over views, with a fused per-view insert
-// (real-input 2-D DFT, tabulated phase ramp, memoized CTF, wrap-free
-// trilinear scatter) and a fixed-order shard merge that keeps the
-// output bit-identical across worker counts. The serial Reconstructor
-// in this file is the //repro:oracle reference the parallel kernel is
+// kernel (parallel.go): one num/den accumulator pair, filled per chunk
+// of views by a prepare phase parallel over views (real-input 2-D DFT,
+// tabulated phase ramp, memoized CTF) and a scatter phase parallel over
+// x-plane slabs, each slab owning its planes' voxels and walking the
+// views in order — so every voxel sums in view order and the output is
+// bit-identical across worker counts. The serial Reconstructor in this
+// file is the //repro:oracle reference the parallel kernel is
 // equivalence-tested against (≤1e-12).
 package reconstruct
 
@@ -46,7 +47,7 @@ type Options struct {
 }
 
 // normalized returns the options with RMax clamped to the Nyquist
-// radius and the Wiener epsilon defaulted, so the serial and sharded
+// radius and the Wiener epsilon defaulted, so the serial and parallel
 // reconstructors resolve identical effective settings.
 func (o Options) normalized(l int) Options {
 	if o.RMax <= 0 || o.RMax > float64(l)/2 {
@@ -72,8 +73,7 @@ func checkCenter(center [2]float64) error {
 
 // Reconstructor accumulates views into a 3-D Fourier volume, one view
 // at a time on one goroutine. It is the reference implementation; new
-// code should use the sharded parallel kernel via NewSharded or
-// FromViews.
+// code should use the parallel kernel via NewSharded or FromViews.
 type Reconstructor struct {
 	l   int
 	opt Options
@@ -281,9 +281,8 @@ func taskAt(views []*volume.Image, orients []geom.Euler, centers [][2]float64, c
 }
 
 // FromViews reconstructs a map from views with per-view orientations
-// and centre corrections in one call, on the parallel sharded kernel
-// with default worker and shard counts. ctfs may be nil when
-// Options.WienerCTF is off.
+// and centre corrections in one call, on the parallel kernel with the
+// default worker count. ctfs may be nil when Options.WienerCTF is off.
 func FromViews(views []*volume.Image, orients []geom.Euler, centers [][2]float64, ctfs []ctf.Params, opt Options) (*volume.Grid, error) {
 	return FromViewsParallel(views, orients, centers, ctfs, ParallelOptions{Options: opt})
 }

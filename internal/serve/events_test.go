@@ -658,13 +658,17 @@ func jobStreamsHash(t *testing.T, spec JobSpec) string {
 // TestJobsBitIdenticalToParent pins every byte an executor writes — the
 // journal and the event stream of one refine and one cycle job — so an
 // executor refactor that means to change nothing can show it. The
-// hashes were last re-derived on parent 6bc0b2e, when centre distances
-// moved to the cross-spectrum and separable phase-ramp tables: the
-// journaled centres, distances and FSC crossings change in their last
-// digits, while every journaled count and orientation is the parent's.
-// Before that they were 61df1db9…2605 and de060cee…c58d, from the
-// descent's pattern move (derived on c861f40), and before that
-// e5c7fafe…3483 and fc38f086…737a, recorded at 8127939.
+// cycle hash was last re-derived on aa55a71 with DefaultShards = 1, when
+// reconstruction moved to one accumulator summing every voxel in view
+// order, which moves the maps' last bits and so their journaled
+// digests; it was 43015732…b093 before. Both hashes were re-derived on
+// parent 6bc0b2e, when centre distances moved to the cross-spectrum and
+// separable phase-ramp tables: the journaled centres, distances and FSC
+// crossings change in their last digits, while every journaled count
+// and orientation is the parent's. Before that they were 61df1db9…2605
+// and de060cee…c58d, from the descent's pattern move (derived on
+// c861f40), and before that e5c7fafe…3483 and fc38f086…737a, recorded
+// at 8127939.
 func TestJobsBitIdenticalToParent(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -672,7 +676,7 @@ func TestJobsBitIdenticalToParent(t *testing.T) {
 		golden string
 	}{
 		{"refine", tinySpec(), "198fa774cf62db0843045f9d7f8e45a734145f9abd617209f629adb22bd1935e"},
-		{"cycle", tinyCycleSpec(), "4301573238e525fe60468a274a799ac396fe0d316684f6f9ab604c9858b5b093"},
+		{"cycle", tinyCycleSpec(), "703d5ecc5d227c4424b79c8b6bea7838372ad0a7352df3c587d1e2f186398309"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if got := jobStreamsHash(t, c.spec); got != c.golden {
