@@ -422,16 +422,16 @@ func RefinePass(ctx context.Context, r *core.Refiner, src core.StreamSource, pri
 }
 
 // releaseStage collects the stage that just ended before the next one
-// allocates. Every stage boundary turns tens of MB of volume-sized
-// buffers into garbage at once (a refiner's padded transform, an
-// accumulator pair and its spectrum per reconstruction), and the
-// stages between two boundaries allocate almost nothing, so the pacer
-// alone sees the bursts late: whether its concurrent mark finished
-// before the next burst decided if the dead buffers counted as live,
-// and the same job peaked at 75 or 110 MB from one run to the next
-// (with eight shard accumulators per reconstruction). A collection here
-// costs a few ms against a refinement pass of seconds and makes the
-// peak the largest single stage, not the sum of neighbours.
+// allocates. Every stage boundary turns volume-sized buffers into
+// garbage at once (a refiner's padded transform; per reconstruction
+// one accumulator pair, Finish's half spectrum and the map; the FSC's
+// two spectra), and the stages between two boundaries allocate almost
+// nothing, so the pacer alone sees the bursts late: whether its
+// concurrent mark finished before the next burst decides if the dead
+// buffers count as live, and the same job's peak RSS then moves from
+// one run to the next. A collection here costs a few ms against a
+// refinement pass of seconds and makes the peak the largest single
+// stage, not the sum of neighbours.
 func releaseStage() { runtime.GC() }
 
 // InitialResults are the priors of a fresh refinement pass: the rough

@@ -29,7 +29,7 @@
 // Plan setup is cached globally: the twiddle factors, bit-reversal
 // permutation, Stockham stage tables and Bluestein chirp filter for
 // each length are computed once per process and shared (immutably) by
-// every Plan of that length, so repeated NewPlan/NewPlan2D/NewPlan3D
+// every Plan of that length, so repeated NewPlan/NewPlan2D/NewRealPlan3D
 // calls in hot loops cost only the per-plan scratch allocation.
 package fft
 

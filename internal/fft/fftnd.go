@@ -53,7 +53,10 @@ func (p *Plan2D) transform(x []complex128, forward bool) {
 }
 
 // Plan3D performs 3-D DFTs on nx×ny×nz arrays stored row-major with z
-// fastest: element (ix, iy, iz) lives at (ix*ny+iy)*nz + iz.
+// fastest: element (ix, iy, iz) lives at (ix*ny+iy)*nz + iz. Every 3-D
+// transform the pipeline runs is of a real map or back to one, so
+// production uses RealPlan3D and fourier.GridFromHalfSpectrum; this
+// complex transform is the //repro:oracle they are tested against.
 type Plan3D struct {
 	nx, ny, nz int
 	px, py, pz *Plan
@@ -61,6 +64,8 @@ type Plan3D struct {
 }
 
 // NewPlan3D creates a plan for nx×ny×nz transforms.
+//
+//repro:oracle
 func NewPlan3D(nx, ny, nz int) *Plan3D {
 	m := nx
 	if ny > m {
@@ -80,9 +85,13 @@ func (p *Plan3D) check(x []complex128) {
 }
 
 // Forward computes the in-place 3-D forward DFT.
+//
+//repro:oracle
 func (p *Plan3D) Forward(x []complex128) { p.transform(x, true) }
 
 // Inverse computes the in-place 3-D inverse DFT.
+//
+//repro:oracle
 func (p *Plan3D) Inverse(x []complex128) { p.transform(x, false) }
 
 func (p *Plan3D) transform(x []complex128, forward bool) {

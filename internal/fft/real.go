@@ -100,14 +100,10 @@ func (p *RealPlan) Forward(x []float64) ([]complex128, error) {
 	//   X[k] = E[k] + exp(−2πik/n)·O[k]        for k < h
 	//   X[h] = E[0] − O[0]
 	for k := 0; k < h; k++ {
-		km := (h - k) % h
-		zk, zkm := p.buf[k], cmplx.Conj(p.buf[km])
-		e := (zk + zkm) / 2
-		o := (zk - zkm) / complex(0, 2)
+		e, o := splitTerms(p.buf[k], p.buf[(h-k)%h])
 		p.spect[k] = e + p.twid[k]*o
 	}
-	e0 := (p.buf[0] + cmplx.Conj(p.buf[0])) / 2
-	o0 := (p.buf[0] - cmplx.Conj(p.buf[0])) / complex(0, 2)
+	e0, o0 := splitTerms(p.buf[0], p.buf[0])
 	p.spect[h] = e0 - o0
 	// Upper half by Hermitian symmetry of a real signal's DFT.
 	for k := h + 1; k < p.n; k++ {
@@ -135,9 +131,9 @@ func (p *RealPlan) Inverse(spect []complex128, dst []float64) error {
 	// then one half-size inverse FFT de-interleaves even/odd samples.
 	for k := 0; k < h; k++ {
 		xk, xkh := spect[k], spect[k+h]
-		e := (xk + xkh) / 2
-		o := cmplx.Conj(p.twid[k]) * (xk - xkh) / 2
-		p.buf[k] = e + complex(0, 1)*o
+		e := halve(xk + xkh)
+		o := halve(cmplx.Conj(p.twid[k]) * (xk - xkh))
+		p.buf[k] = complex(real(e)-imag(o), imag(e)+real(o)) // e + i·o
 	}
 	p.half.Inverse(p.buf)
 	for i := 0; i < h; i++ {
@@ -213,12 +209,22 @@ func IRFFT(spect []complex128) []float64 {
 func splitPair(z, dstA, dstB []complex128) {
 	n := len(z)
 	for k := 0; k < n; k++ {
-		km := (n - k) % n
-		zk, zkm := z[k], cmplx.Conj(z[km])
-		dstA[k] = (zk + zkm) / 2
-		dstB[k] = (zk - zkm) / complex(0, 2)
+		dstA[k], dstB[k] = splitTerms(z[k], z[(n-k)%n])
 	}
 }
+
+// splitTerms returns (z + conj(m))/2 and (z − conj(m))/(2i), the
+// unpacking butterfly of every real-input transform here. Both are
+// real scalings of the components rather than complex divisions (a
+// runtime call each): the values are the same, and only the sign of a
+// zero component may differ (TestSplitTermsMatchComplexDivision).
+func splitTerms(z, m complex128) (complex128, complex128) {
+	zr, zi, mr, mi := real(z), imag(z), real(m), imag(m)
+	return complex((zr+mr)*0.5, (zi-mi)*0.5), complex((zi+mi)*0.5, (mr-zr)*0.5)
+}
+
+// halve returns v/2 by real scaling, without a complex division.
+func halve(v complex128) complex128 { return complex(real(v)*0.5, imag(v)*0.5) }
 
 // RealPlan2D computes the full 2-D DFT of a real nx×ny array (row
 // major, y fastest — the layout of Plan2D) in roughly half the

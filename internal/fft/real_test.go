@@ -212,6 +212,94 @@ func TestRealPlan2DReuse(t *testing.T) {
 	}
 }
 
+// TestSplitTermsMatchComplexDivision pins the ±0 caveat of the real
+// scaling that replaced the complex divisions by 2 and 2i: on random
+// and all-zero lines, splitPair and RealPlan's Forward and Inverse give
+// outputs == the old expressions, so every value is equal and only the
+// sign of a zero may differ.
+func TestSplitTermsMatchComplexDivision(t *testing.T) {
+	r := rand.New(rand.NewSource(30))
+	negZero := math.Copysign(0, -1)
+	for _, n := range []int{2, 7, 16, 48} {
+		for _, zero := range []bool{false, true} {
+			z := make([]complex128, n)
+			for i := range z {
+				if zero {
+					z[i] = complex(negZero, 0) // mixed-sign zeros
+					if i%2 == 0 {
+						z[i] = complex(0, negZero)
+					}
+					continue
+				}
+				z[i] = complex(r.NormFloat64(), r.NormFloat64())
+			}
+			a, b := make([]complex128, n), make([]complex128, n)
+			splitPair(z, a, b)
+			for k := range z {
+				zk, zkm := z[k], cmplx.Conj(z[(n-k)%n])
+				if wa, wb := (zk+zkm)/2, (zk-zkm)/complex(0, 2); a[k] != wa || b[k] != wb {
+					t.Fatalf("n=%d zero=%t k=%d: splitPair (%v, %v), complex division (%v, %v)", n, zero, k, a[k], b[k], wa, wb)
+				}
+			}
+
+			if n%2 != 0 {
+				continue // RealPlan takes even lengths only
+			}
+			// RealPlan: the same half-size FFT, unpacked the old way.
+			x := make([]float64, n)
+			for i := range x {
+				if !zero {
+					x[i] = r.NormFloat64()
+				}
+			}
+			p, err := NewRealPlan(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.Forward(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := n / 2
+			buf := make([]complex128, h)
+			for i := range buf {
+				buf[i] = complex(x[2*i], x[2*i+1])
+			}
+			NewPlan(h).Forward(buf)
+			want := make([]complex128, n)
+			for k := 0; k < h; k++ {
+				zk, zkm := buf[k], cmplx.Conj(buf[(h-k)%h])
+				want[k] = (zk+zkm)/2 + p.twid[k]*((zk-zkm)/complex(0, 2))
+			}
+			want[h] = (buf[0]+cmplx.Conj(buf[0]))/2 - (buf[0]-cmplx.Conj(buf[0]))/complex(0, 2)
+			for k := h + 1; k < n; k++ {
+				want[k] = cmplx.Conj(want[n-k])
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("n=%d zero=%t: Forward[%d] = %v, old unpack %v", n, zero, k, got[k], want[k])
+				}
+			}
+
+			spect := append([]complex128(nil), want...)
+			back := make([]float64, n)
+			if err := p.Inverse(spect, back); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < h; k++ {
+				xk, xkh := spect[k], spect[k+h]
+				buf[k] = (xk+xkh)/2 + complex(0, 1)*(cmplx.Conj(p.twid[k])*(xk-xkh)/2)
+			}
+			NewPlan(h).Inverse(buf)
+			for i := 0; i < h; i++ {
+				if back[2*i] != real(buf[i]) || back[2*i+1] != imag(buf[i]) {
+					t.Fatalf("n=%d zero=%t: Inverse samples %d,%d = %v,%v, old repack %v", n, zero, 2*i, 2*i+1, back[2*i], back[2*i+1], buf[i])
+				}
+			}
+		}
+	}
+}
+
 // TestRealPlanInverseRoundTrip: Forward→Inverse must reproduce the
 // signal through the packed real path.
 func TestRealPlanInverseRoundTrip(t *testing.T) {

@@ -13,6 +13,12 @@
 // which is what makes trilinear interpolation between lattice points
 // accurate — the paper's "interpolation in the 3-D Fourier domain"
 // (step f) depends on exactly this.
+//
+// Real maps, Hermitian spectra. Maps and views are real, so every 3-D
+// transform here runs on half the spectrum's information: the forward
+// through fft.RealPlan3D, and the inverse (GridFromHalfSpectrum) from
+// the non-redundant half z ≤ L/2 alone, two real output lines per
+// complex FFT.
 package fourier
 
 import (
@@ -95,72 +101,149 @@ func (v *VolumeDFT) Pad() int { return v.L / v.SrcL }
 
 // Grid converts the centred spectrum back to a real-space density map
 // of the original size (inverse of NewVolumeDFTPadded, cropping the
-// padding). The imaginary residue is discarded. v is left untouched:
-// the inverse transform runs on a copy of Data.
+// padding). Only the non-redundant half z ≤ L/2 is read; v is left
+// untouched.
 func (v *VolumeDFT) Grid() *volume.Grid {
-	return GridFromSpectrum(append([]complex128(nil), v.Data...), v.L, v.SrcL)
+	bl, nh := v.L, v.L/2+1
+	half := make([]complex128, bl*bl*nh)
+	for i := 0; i < bl*bl; i++ {
+		copy(half[i*nh:(i+1)*nh], v.Data[i*bl:])
+	}
+	return GridFromHalfSpectrum(half, bl, v.SrcL, 0)
 }
 
-// GridFromSpectrum is Grid for a caller that owns the centred spectrum
-// and is done with it: data (bl³ coefficients of an l-voxel map padded
-// to bl) is the inverse transform's scratch and is clobbered, which
-// saves the bl³ copy Grid makes to protect its receiver.
-func GridFromSpectrum(data []complex128, bl, l int) *volume.Grid {
-	return gridFromSpectrum(data, bl, l, 0)
-}
-
-// gridFromSpectrum runs the z, y and x line passes of fft.Plan3D's
-// inverse on internal/pool (workers ≤ 0: GOMAXPROCS), one item per
-// x-plane for z and y and per cropped y for x, with a plan and a line
-// buffer per worker. Every line goes through the same Plan.Inverse in
-// the same pass order as the serial transform, so the map is
-// bit-identical to it at any worker count. The centring ramp is applied
-// plane by plane in the z pass, and the x pass transforms only the
-// lines the crop reads.
-func gridFromSpectrum(data []complex128, bl, l, workers int) *volume.Grid {
-	if len(data) != bl*bl*bl {
-		panic("fourier: spectrum length is not bl³")
+// GridFromHalfSpectrum is the complex-to-real inverse of a centred
+// spectrum of a real map: half holds its z ≤ bl/2 half, bl·bl·(bl/2+1)
+// coefficients at (x·bl + y)·(bl/2+1) + z, of an l-voxel map padded to
+// bl. The mirror half is implied by Hermitian symmetry and never
+// stored. half is the transform's scratch and is clobbered. workers ≤ 0
+// selects GOMAXPROCS; the map is bit-identical at every worker count.
+//
+// The passes run on internal/pool with a plan and buffers per worker:
+// complex y lines per x-plane with the centring ramp applied as they
+// are gathered, complex x lines per cropped y, then per cropped x-plane
+// a z pass that inverts two real lines per complex FFT — the packing
+// of fft.RealPlan3D.Forward run backwards. Only the lines the crop
+// reads are transformed after the first pass.
+func GridFromHalfSpectrum(half []complex128, bl, l, workers int) *volume.Grid {
+	nh := bl/2 + 1
+	if len(half) != bl*bl*nh {
+		panic("fourier: half spectrum length is not bl·bl·(bl/2+1)")
 	}
 	nw := pool.Workers(bl, workers)
-	plans, lines := make([]*fft.Plan, nw), make([][]complex128, nw)
-	for w := range plans {
-		plans[w], lines[w] = fft.NewPlan(bl), make([]complex128, bl)
+	ws := make([]halfWorker, nw)
+	for w := range ws {
+		ws[w] = halfWorker{plan: fft.NewPlan(bl), line: make([]complex128, bl), slab: make([]complex128, nh*bl)}
 	}
 	ramp := centerRamp(bl, -1)
-	pool.RunIndexedLabeled("fourier.inverse.z", bl, nw, func(w, x int) {
-		rampPlane(data, ramp, x, bl)
-		for i := x * bl; i < (x+1)*bl; i++ {
-			plans[w].Inverse(data[i*bl : (i+1)*bl])
-		}
-	})
-	pool.RunIndexedLabeled("fourier.inverse.y", bl, nw, func(w, x int) {
-		line, base := lines[w], x*bl*bl
-		for z := 0; z < bl; z++ {
-			for y := range line {
-				line[y] = data[base+y*bl+z]
-			}
-			plans[w].Inverse(line)
-			for y, v := range line {
-				data[base+y*bl+z] = v
-			}
-		}
-	})
 	off := bl/2 - l/2
-	g := volume.NewGrid(l)
+	pool.RunIndexedLabeled("fourier.inverse.y", bl, nw, func(w, x int) {
+		ws[w].yPass(half, ramp, x, bl)
+	})
 	pool.RunIndexedLabeled("fourier.inverse.x", l, nw, func(w, y int) {
-		line := lines[w]
-		for z := 0; z < l; z++ {
-			yz := (y+off)*bl + z + off
-			for x := range line {
-				line[x] = data[x*bl*bl+yz]
-			}
-			plans[w].Inverse(line)
-			for x := 0; x < l; x++ {
-				g.Data[(x*l+y)*l+z] = real(line[x+off])
-			}
-		}
+		ws[w].xPass(half, y+off, bl, l)
+	})
+	g := volume.NewGrid(l)
+	zero := make([]complex128, nh)
+	pool.RunIndexedLabeled("fourier.inverse.z", l, nw, func(w, x int) {
+		ws[w].zPass(g.Data[x*l*l:(x+1)*l*l], half, zero, x+off, bl, l)
 	})
 	return g
+}
+
+// halfWorker is one pool worker's state in GridFromHalfSpectrum: a
+// plan, a line buffer, and an x-pass slab of nh x-lines.
+type halfWorker struct {
+	plan       *fft.Plan
+	line, slab []complex128
+}
+
+// yPass applies the centring ramp to x-plane x of the half spectrum
+// and inverse-transforms its y lines, one per z ≤ bl/2.
+//
+//repro:hotpath
+func (hw *halfWorker) yPass(half, ramp []complex128, x, bl int) {
+	nh := bl/2 + 1
+	base := x * bl * nh
+	line := hw.line
+	for z := 0; z < nh; z++ {
+		rxz := ramp[x] * ramp[z]
+		for y := range line {
+			line[y] = half[base+y*nh+z] * (rxz * ramp[y])
+		}
+		hw.plan.Inverse(line)
+		for y, v := range line {
+			half[base+y*nh+z] = v
+		}
+	}
+}
+
+// xPass inverse-transforms the x lines of row y, one per z ≤ bl/2,
+// writing back only the x-planes the crop to l keeps. The lines are
+// gathered into a z-major slab first, so every read of the half is a
+// contiguous run of nh coefficients.
+//
+//repro:hotpath
+func (hw *halfWorker) xPass(half []complex128, y, bl, l int) {
+	nh := bl/2 + 1
+	slab := hw.slab
+	for x := 0; x < bl; x++ {
+		row := half[(x*bl+y)*nh : (x*bl+y+1)*nh]
+		for z, v := range row {
+			slab[z*bl+x] = v
+		}
+	}
+	for z := 0; z < nh; z++ {
+		hw.plan.Inverse(slab[z*bl : (z+1)*bl])
+	}
+	off := bl/2 - l/2
+	for x := off; x < off+l; x++ {
+		row := half[(x*bl+y)*nh : (x*bl+y+1)*nh]
+		for z := range row {
+			row[z] = slab[z*bl+x]
+		}
+	}
+}
+
+// zPass turns the cropped z half-lines of x-plane x into the real map
+// plane dst (l·l voxels), two lines per complex FFT: with half-lines a
+// and b of real lines p and q, it fills the full spectrum A + i·B from
+// A[bl−k] = conj(A[k]), and the inverse yields p + i·q. The imaginary
+// parts at k = 0 and k = bl/2 are dropped, as the real part of a
+// complex inverse drops them. An odd l pairs its last line with zero.
+//
+//repro:hotpath
+func (hw *halfWorker) zPass(dst []float64, half, zero []complex128, x, bl, l int) {
+	nh := bl/2 + 1
+	off := bl/2 - l/2
+	line := hw.line
+	for y := 0; y < l; y += 2 {
+		a := half[(x*bl+y+off)*nh : (x*bl+y+off+1)*nh]
+		b := zero
+		if y+1 < l {
+			b = half[(x*bl+y+1+off)*nh : (x*bl+y+off+2)*nh]
+		}
+		line[0] = complex(real(a[0]), real(b[0]))
+		for k := 1; k < bl-k; k++ {
+			ar, ai, br, bi := real(a[k]), imag(a[k]), real(b[k]), imag(b[k])
+			line[k] = complex(ar-bi, ai+br)
+			line[bl-k] = complex(ar+bi, br-ai)
+		}
+		if bl%2 == 0 {
+			line[bl/2] = complex(real(a[bl/2]), real(b[bl/2]))
+		}
+		hw.plan.Inverse(line)
+		p := dst[y*l : (y+1)*l]
+		for z := range p {
+			p[z] = real(line[z+off])
+		}
+		if y+1 < l {
+			q := dst[(y+1)*l : (y+2)*l]
+			for z := range q {
+				q[z] = imag(line[z+off])
+			}
+		}
+	}
 }
 
 // CGrid returns the centred spectrum as a CGrid sharing the same

@@ -234,18 +234,23 @@ func TestLowPassRemovesHighFrequencies(t *testing.T) {
 	}
 }
 
-// TestGridFromSpectrumMatchesSerialInverse pins the pooled inverse to
-// the serial one bit for bit: centring ramp, fft.Plan3D.Inverse, crop.
-// Boxes 16, 40 and 48 run the smooth kernels, 22 = 2·11 runs Bluestein,
-// and the padded cases (48 → 24, 22 → 11) take the cropped x pass.
-func TestGridFromSpectrumMatchesSerialInverse(t *testing.T) {
+// TestGridFromHalfSpectrumMatchesComplexInverse pins the half-spectrum
+// inverse to the complex one — centring ramp, fft.Plan3D.Inverse of
+// the full spectrum, real part, crop — to ≤ 1e-12 of the map's peak,
+// and bit for bit across worker counts. The spectra are of random real
+// maps, Hermitian to rounding. Boxes 16, 40 and 48 run the smooth
+// kernels, 22 = 2·11 runs Bluestein, 15 and 21 are odd (no Nyquist
+// plane), and the padded cases (48 → 24, 22 → 11, 21 → 7) take the
+// crop, 22 → 11 with an odd number of z-lines per plane.
+func TestGridFromHalfSpectrumMatchesComplexInverse(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for _, c := range []struct{ bl, l int }{{16, 16}, {40, 40}, {48, 48}, {22, 22}, {48, 24}, {22, 11}} {
-		spec := make([]complex128, c.bl*c.bl*c.bl)
-		for i := range spec {
-			spec[i] = complex(r.NormFloat64(), r.NormFloat64())
+	for _, c := range []struct{ bl, l int }{{16, 16}, {40, 40}, {48, 48}, {22, 22}, {15, 15}, {48, 24}, {22, 11}, {21, 7}} {
+		m := volume.NewGrid(c.l)
+		for i := range m.Data {
+			m.Data[i] = r.NormFloat64()
 		}
-		ref := append([]complex128(nil), spec...)
+		v := NewVolumeDFTPadded(m, c.bl/c.l)
+		ref := append([]complex128(nil), v.Data...)
 		ramp := centerRamp(c.bl, -1)
 		for x := 0; x < c.bl; x++ {
 			rampPlane(ref, ramp, x, c.bl)
@@ -253,18 +258,36 @@ func TestGridFromSpectrumMatchesSerialInverse(t *testing.T) {
 		fft.NewPlan3D(c.bl, c.bl, c.bl).Inverse(ref)
 		off := c.bl/2 - c.l/2
 		want := volume.NewGrid(c.l)
+		peak := 0.0
 		for x := 0; x < c.l; x++ {
 			for y := 0; y < c.l; y++ {
 				for z := 0; z < c.l; z++ {
-					want.Set(x, y, z, real(ref[((x+off)*c.bl+y+off)*c.bl+z+off]))
+					w := real(ref[((x+off)*c.bl+y+off)*c.bl+z+off])
+					want.Set(x, y, z, w)
+					peak = math.Max(peak, math.Abs(w))
 				}
 			}
 		}
+		nh := c.bl/2 + 1
+		var first *volume.Grid
 		for _, w := range []int{1, 2, 3, 8} {
-			got := gridFromSpectrum(append([]complex128(nil), spec...), c.bl, c.l, w)
-			for i := range want.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("box %d → %d, workers %d: voxel %d is %v, serial inverse %v", c.bl, c.l, w, i, got.Data[i], want.Data[i])
+			half := make([]complex128, c.bl*c.bl*nh)
+			for i := 0; i < c.bl*c.bl; i++ {
+				copy(half[i*nh:(i+1)*nh], v.Data[i*c.bl:])
+			}
+			got := GridFromHalfSpectrum(half, c.bl, c.l, w)
+			if first == nil {
+				first = got
+				for i := range want.Data {
+					if d := math.Abs(got.Data[i] - want.Data[i]); d > 1e-12*peak {
+						t.Fatalf("box %d → %d: voxel %d is %v, complex inverse %v (|Δ| %.3g of peak)", c.bl, c.l, i, got.Data[i], want.Data[i], d/peak)
+					}
+				}
+				continue
+			}
+			for i := range got.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(first.Data[i]) {
+					t.Fatalf("box %d → %d: workers %d differ from 1 at voxel %d", c.bl, c.l, w, i)
 				}
 			}
 		}

@@ -3,7 +3,8 @@
 // from each, and compute the correlation between the two maps shell by
 // shell in Fourier space (the Fourier Shell Correlation). The
 // resolution of the full map is conservatively read off where the
-// correlation falls through 0.5.
+// correlation falls through 0.5. The half maps are real, so both are
+// transformed by the real-input 3-D FFT straight from their voxels.
 package fsc
 
 import (
@@ -73,11 +74,14 @@ func Compute(a, b *volume.Grid, pixelA float64) (*Curve, error) {
 	return ComputeParallel(a, b, pixelA, 1)
 }
 
-// ComputeParallel is Compute on a bounded worker pool: the two forward
-// 3-D FFTs run concurrently and the shell accumulation fans out over
-// x-planes, each plane summed independently and the partials merged in
-// ascending x. The curve is bit-identical to Compute for every worker
-// count (workers ≤ 0 selects GOMAXPROCS).
+// ComputeParallel is Compute on a bounded worker pool: the shell
+// accumulation fans out over x-planes, each plane summed independently
+// and the partials merged in ascending x. The two maps are real, so
+// each is transformed by fft.RealPlan3D.Forward straight from its
+// voxels, with no complex copy; that transform fans out on its own pool
+// and is bit-identical at every worker count. So the curve is
+// bit-identical to Compute for every worker count (workers ≤ 0 selects
+// GOMAXPROCS).
 func ComputeParallel(a, b *volume.Grid, pixelA float64, workers int) (*Curve, error) {
 	if a.L != b.L {
 		return nil, fmt.Errorf("fsc: map sizes differ: %d vs %d", a.L, b.L)
@@ -86,18 +90,17 @@ func ComputeParallel(a, b *volume.Grid, pixelA float64, workers int) (*Curve, er
 		return nil, fmt.Errorf("fsc: pixel size must be positive")
 	}
 	l := a.L
-	fa := a.Complex()
-	fb := b.Complex()
-	spectra := [2][]complex128{fa.Data, fb.Data}
-	pool.RunIndexedLabeled("fsc.fft", len(spectra), workers, func(_, i int) {
-		fft.NewPlan3D(l, l, l).Forward(spectra[i])
-	})
+	fa := make([]complex128, l*l*l)
+	fb := make([]complex128, l*l*l)
+	plan := fft.NewRealPlan3D(l, l, l)
+	plan.Forward(a.Data, fa)
+	plan.Forward(b.Data, fb)
 
 	nShells := l / 2
 	stride := shellTerms * (nShells + 1)
 	partial := make([]float64, l*stride)
 	pool.RunIndexedLabeled("fsc.shells", l, workers, func(_, x int) {
-		accumulatePlane(partial[x*stride:(x+1)*stride], fa.Data, fb.Data, x, l, nShells)
+		accumulatePlane(partial[x*stride:(x+1)*stride], fa, fb, x, l, nShells)
 	})
 	cross := make([]float64, nShells+1)
 	ea := make([]float64, nShells+1)

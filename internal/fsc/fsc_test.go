@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fft"
 	"repro/internal/phantom"
 	"repro/internal/volume"
 )
@@ -138,6 +139,72 @@ func TestComputeParallelBitIdentical(t *testing.T) {
 		for i := range par.Points {
 			if par.Points[i] != serial.Points[i] {
 				t.Fatalf("workers=%d shell %d: %+v != %+v", w, par.Points[i].Shell, par.Points[i], serial.Points[i])
+			}
+		}
+	}
+}
+
+// complexPathCCs is the FSC on the complex path ComputeParallel
+// replaced: each map copied into a complex grid and transformed by
+// fft.Plan3D.Forward, then the same shell sums.
+func complexPathCCs(a, b *volume.Grid) []float64 {
+	l := a.L
+	var spectra [2][]complex128
+	for i, g := range []*volume.Grid{a, b} {
+		spectra[i] = make([]complex128, len(g.Data))
+		for j, v := range g.Data {
+			spectra[i][j] = complex(v, 0)
+		}
+		fft.NewPlan3D(l, l, l).Forward(spectra[i])
+	}
+	nShells := l / 2
+	sums := make([]float64, shellTerms*(nShells+1))
+	for x := 0; x < l; x++ {
+		accumulatePlane(sums, spectra[0], spectra[1], x, l, nShells)
+	}
+	ccs := make([]float64, nShells)
+	for s := 1; s <= nShells; s++ {
+		t := s * shellTerms
+		ccs[s-1] = sums[t] / math.Sqrt(sums[t+1]*sums[t+2])
+	}
+	return ccs
+}
+
+// TestComputeMatchesComplexPath: Compute and ComputeParallel agree bit
+// for bit at workers {1, 2, 3, 8}, and both agree with the complex-path
+// oracle to ≤ 1e-12 per shell, at an even and an odd box.
+func TestComputeMatchesComplexPath(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, l := range []int{24, 15} {
+		a, b := phantom.SindbisLike(l), phantom.SindbisLike(l)
+		_, _, _, std := a.Stats()
+		for i := range b.Data {
+			b.Data[i] += std * r.NormFloat64()
+		}
+		serial, err := Compute(a, b, 2.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := complexPathCCs(a, b)
+		if len(serial.Points) != len(want) {
+			t.Fatalf("l=%d: %d shells, oracle %d", l, len(serial.Points), len(want))
+		}
+		for i, p := range serial.Points {
+			if d := math.Abs(p.CC - want[i]); d > 1e-12 {
+				t.Fatalf("l=%d shell %d: CC %v, complex path %v (|Δ| %.3g)", l, p.Shell, p.CC, want[i], d)
+			}
+		}
+		for _, w := range []int{1, 2, 3, 8} {
+			par, err := ComputeParallel(a, b, 2.0, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range par.Points {
+				q := serial.Points[i]
+				if p.Shell != q.Shell || math.Float64bits(p.CC) != math.Float64bits(q.CC) ||
+					math.Float64bits(p.ResolutionA) != math.Float64bits(q.ResolutionA) {
+					t.Fatalf("l=%d workers %d shell %d: %+v, Compute %+v", l, w, p.Shell, p, q)
+				}
 			}
 		}
 	}

@@ -22,8 +22,9 @@ const insertChunk = 32
 // parallel kernel.
 type ParallelOptions struct {
 	Options
-	// Workers bounds the insertion parallelism; ≤0 selects GOMAXPROCS.
-	// Workers never affects the result, only wall time.
+	// Workers bounds the parallelism of insertion and Finish; ≤0
+	// selects GOMAXPROCS. Workers never affects the result, only wall
+	// time.
 	Workers int
 }
 
@@ -199,12 +200,12 @@ func (s *Sharded) InsertViews(tasks []ViewTask) error {
 	return nil
 }
 
-// Finish normalizes the one accumulator pair, Hermitianizes and
-// inverse-transforms. Accumulation state is not mutated; the
-// reconstructor may continue inserting views afterwards, and repeated
-// calls return identical maps.
+// Finish normalizes the one accumulator pair into the Hermitian half
+// spectrum and inverse-transforms it, both on Workers. Accumulation
+// state is not mutated; the reconstructor may continue inserting views
+// afterwards, and repeated calls return identical maps.
 func (s *Sharded) Finish() *volume.Grid {
-	return finishVolume(s.l, s.opt, s.num, s.den)
+	return finishVolume(s.l, s.opt, s.num, s.den, s.workers)
 }
 
 // prepare writes the weighted band coefficients of one view into chunk

@@ -1,6 +1,9 @@
 package reconstruct
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"runtime"
 	"testing"
@@ -393,48 +396,76 @@ func TestCTFMemoMatchesDirectEval(t *testing.T) {
 	}
 }
 
+// accumDigest is MapDigest for the accumulator pair: sha256 over l,
+// then every num coefficient's real and imaginary bits, then every den
+// value's bits, little-endian in flat storage order.
+func accumDigest(s *Sharded) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(bits uint64) {
+		binary.LittleEndian.PutUint64(buf[:], bits)
+		h.Write(buf[:])
+	}
+	put(uint64(s.l))
+	for _, v := range s.num {
+		put(math.Float64bits(real(v)))
+		put(math.Float64bits(imag(v)))
+	}
+	for _, v := range s.den {
+		put(math.Float64bits(v))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestShardedEqualsOneShardParent pins the accumulation order: every
 // voxel sums its contributions in view order, which is what the
 // view-striped kernel this one replaced computed with a single shard.
-// The digest was derived on aa55a71 with Shards: 1. 70 views are three
-// insert chunks, so chunk boundaries are covered at every worker
-// count, and one Insert at a time equals one InsertViews call.
+// It hashes the num/den accumulators, not the finished map, so the
+// insertion kernel's pin does not move with Finish; the digest was
+// derived on 4dd756f. 70 views are three insert chunks, so chunk
+// boundaries are covered at every worker count, and one Insert at a
+// time equals one InsertViews call.
 func TestShardedEqualsOneShardParent(t *testing.T) {
-	const want = "b7d57fcc0874ca2d12db50cd48b9d95c6d64861176b13b9a57416eaecf5db35d"
+	const want = "89fab91c72d4a5e6eaef350a9089950ea3e0436ae3637280f7824006703f5bd8"
 	l := 24
 	ds, centers, ctfs := ctfDataset(t, l, 70, 32)
+	images, orients := ds.Images(), ds.TrueOrientations()
+	tasks := make([]ViewTask, len(images))
+	for i := range tasks {
+		tasks[i] = taskAt(images, orients, centers, ctfs, i)
+	}
 	opt := Options{WienerCTF: true}
 	for _, w := range []int{1, 2, 3, 8} {
-		m, err := FromViewsParallel(ds.Images(), ds.TrueOrientations(), centers, ctfs,
-			ParallelOptions{Options: opt, Workers: w})
-		if err != nil {
+		s := NewSharded(l, ParallelOptions{Options: opt, Workers: w})
+		if err := s.InsertViews(tasks); err != nil {
 			t.Fatal(err)
 		}
-		if got := MapDigest(m); got != want {
-			t.Fatalf("workers %d: digest %s, want %s", w, got, want)
+		if got := accumDigest(s); got != want {
+			t.Fatalf("workers %d: accumulator digest %s, want %s", w, got, want)
 		}
 	}
 	one := NewSharded(l, ParallelOptions{Options: opt, Workers: 3})
-	for i, v := range ds.Views {
-		if err := one.Insert(v.Image, v.TrueOrient, centers[i], ctfs[i]); err != nil {
+	for _, tk := range tasks {
+		if err := one.Insert(tk.Image, tk.Orient, tk.Center, tk.CTF); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := MapDigest(one.Finish()); got != want {
-		t.Fatalf("one Insert at a time: digest %s, want %s", got, want)
+	if got := accumDigest(one); got != want {
+		t.Fatalf("one Insert at a time: accumulator digest %s, want %s", got, want)
 	}
 }
 
 // TestReconstructionAllocBytes bounds what one reconstruction
-// allocates: the accumulator pair is 24·l³ bytes, Finish's spectrum and
-// map another 24·l³, and the prepared-coefficient chunk well under
-// that. A return to per-worker or per-shard accumulators — the
-// view-striped kernel allocated about 10 × 24·l³ — fails it.
+// allocates: the accumulator pair is 24·l³ bytes, Finish's half
+// spectrum about 8·l³ and the map 8·l³, and the prepared-coefficient
+// chunk well under 24·l³. A return to a full l³ spectrum in Finish or to
+// per-worker or per-shard accumulators — the view-striped kernel
+// allocated about 10 × 24·l³ — fails it.
 func TestReconstructionAllocBytes(t *testing.T) {
 	l := 32
 	ds, centers, ctfs := ctfDataset(t, l, 40, 33)
 	images, orients := ds.Images(), ds.TrueOrientations()
-	limit := uint64(4 * 24 * l * l * l)
+	limit := uint64(3 * 24 * l * l * l)
 	for _, w := range []int{1, 4} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -447,7 +478,7 @@ func TestReconstructionAllocBytes(t *testing.T) {
 		got := after.TotalAlloc - before.TotalAlloc
 		t.Logf("workers %d: %d bytes, %.2f × 24·l³", w, got, float64(got)/float64(24*l*l*l))
 		if got >= limit {
-			t.Errorf("workers %d: one reconstruction allocated %d bytes, want < %d (4 × 24·l³)", w, got, limit)
+			t.Errorf("workers %d: one reconstruction allocated %d bytes, want < %d (3 × 24·l³)", w, got, limit)
 		}
 	}
 }

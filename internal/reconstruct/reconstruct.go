@@ -9,7 +9,11 @@
 // DFT (the projection-slice theorem), so reconstruction scatters every
 // view coefficient back onto the 3-D Fourier lattice with trilinear
 // spreading weights, normalizes by the accumulated weights, enforces
-// Hermitian symmetry, and inverse-transforms.
+// Hermitian symmetry, and inverse-transforms. The map is real, so its
+// spectrum is Hermitian and Finish builds only the non-redundant half
+// z ≤ l/2: one pass normalizes each coefficient and its Friedel mate
+// and stores their Hermitian average, and a complex-to-real inverse
+// (fourier.GridFromHalfSpectrum) turns the half into the map.
 //
 // Two implementations coexist. The production path is the parallel
 // kernel (parallel.go): one num/den accumulator pair, filled per chunk
@@ -29,6 +33,7 @@ import (
 	"repro/internal/ctf"
 	"repro/internal/fourier"
 	"repro/internal/geom"
+	"repro/internal/pool"
 	"repro/internal/volume"
 )
 
@@ -211,30 +216,61 @@ func wrap(f, l int) int {
 // reconstructor may continue accumulating views afterwards (Finish
 // does not mutate the accumulation state).
 func (r *Reconstructor) Finish() *volume.Grid {
-	return finishVolume(r.l, r.opt, r.num, r.den)
+	return finishVolume(r.l, r.opt, r.num, r.den, 0)
 }
 
-// finishVolume is the shared back half of both reconstructors:
-// normalize the accumulated num/den pair, Hermitianize, and
-// inverse-transform. The inputs are not mutated.
-func finishVolume(l int, opt Options, num []complex128, den []float64) *volume.Grid {
-	spec := volume.NewCGrid(l)
-	if opt.WienerCTF {
-		eps := opt.WienerEpsilon
-		for i := range num {
-			spec.Data[i] = num[i] * complex(1/(den[i]+eps), 0)
-		}
-	} else {
-		for i := range num {
-			if den[i] > 1e-9 {
-				spec.Data[i] = num[i] * complex(1/den[i], 0)
-			}
+// finishVolume is the shared back half of both reconstructors. One pool
+// pass over x-planes (workers ≤ 0: GOMAXPROCS) fills the z ≤ l/2 half
+// of the centred spectrum, l·l·(l/2+1) coefficients: each coefficient
+// F(f) and its Friedel mate F(−f) are normalized by num/den (or the
+// Wiener form), and their Hermitian average (F(f) + conj(F(−f)))/2 is
+// stored — the part of the spectrum a real map keeps. The half is then
+// inverted to the real map by fourier.GridFromHalfSpectrum. The inputs
+// are not mutated, and the map is bit-identical at every worker count.
+func finishVolume(l int, opt Options, num []complex128, den []float64, workers int) *volume.Grid {
+	nh := l/2 + 1
+	half := make([]complex128, l*l*nh)
+	pool.RunIndexedLabeled("reconstruct.finish", l, workers, func(_, x int) {
+		finishPlane(half, num, den, opt, x, l)
+	})
+	return fourier.GridFromHalfSpectrum(half, l, l, workers)
+}
+
+// finishPlane writes x-plane x of finishVolume's half spectrum. A
+// self-conjugate coefficient is its own mate, so the average keeps its
+// real part; a mate inside the half (z = 0 or z = l/2) gets the exact
+// conjugate of its partner's value.
+//
+//repro:hotpath
+func finishPlane(half, num []complex128, den []float64, opt Options, x, l int) {
+	nh := l/2 + 1
+	mx := (l - x) % l
+	for y := 0; y < l; y++ {
+		row := (x*l + y) * l
+		mrow := (mx*l + (l-y)%l) * l
+		dst := half[(x*l+y)*nh : (x*l+y+1)*nh]
+		for z := range dst {
+			a := normalized(num, den, opt, row+z)
+			b := normalized(num, den, opt, mrow+(l-z)%l)
+			dst[z] = complex((real(a)+real(b))*0.5, (imag(a)-imag(b))*0.5)
 		}
 	}
-	spec.Hermitianize()
-	// spec is ours and dead after this call, so the inverse transform
-	// may run in its buffer.
-	return fourier.GridFromSpectrum(spec.Data, l, l)
+}
+
+// normalized is accumulator voxel i divided by its weight: num/(den+ε)
+// under the Wiener CTF, else num/den, or 0 where den ≤ 1e-9 (no view
+// reached the voxel).
+func normalized(num []complex128, den []float64, opt Options, i int) complex128 {
+	var s float64
+	switch {
+	case opt.WienerCTF:
+		s = 1 / (den[i] + opt.WienerEpsilon)
+	case den[i] > 1e-9:
+		s = 1 / den[i]
+	default:
+		return 0
+	}
+	return complex(real(num[i])*s, imag(num[i])*s)
 }
 
 // validateSet checks the per-view argument slices of the batch entry

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -355,6 +356,40 @@ func TestEventsLongPoll(t *testing.T) {
 // per-job SSE stream replay this process's log from seq 1 instead of
 // blocking (poll) or ending empty (SSE, which the client would then
 // reconnect to forever).
+// FuzzEventCursor: for any Last-Event-ID header, ?since= value and log
+// length, eventCursor never panics and never returns a cursor past the
+// log's head; a header that parses to n ≤ LastSeq() wins, and without
+// a parseable header the same holds for ?since=.
+func FuzzEventCursor(f *testing.F) {
+	f.Add("", "", uint8(0))
+	f.Add("3", "", uint8(5))
+	f.Add("", "4", uint8(5))
+	f.Add("9", "2", uint8(5))
+	f.Add("18446744073709551615", "1", uint8(2))
+	f.Add("18446744073709551616", "-1", uint8(2))
+	f.Add(" 2", "0x2", uint8(3))
+	f.Fuzz(func(t *testing.T, header, since string, emitted uint8) {
+		l := obs.NewEventLog(16)
+		for i := 0; i < int(emitted); i++ {
+			l.Emit("tick", "", 0, 0, [obs.EventFieldsMax]obs.EventField{})
+		}
+		r := httptest.NewRequest(http.MethodGet, "/events", nil)
+		r.URL.RawQuery = url.Values{"since": {since}}.Encode()
+		r.Header.Set("Last-Event-ID", header)
+		got, head := eventCursor(r, l), l.LastSeq()
+		if got > head {
+			t.Fatalf("cursor %d past the log head %d (header %q, since %q)", got, head, header, since)
+		}
+		if n, err := strconv.ParseUint(header, 10, 64); err == nil {
+			if n <= head && got != n {
+				t.Fatalf("header %q: cursor %d, want %d", header, got, n)
+			}
+		} else if n, err := strconv.ParseUint(since, 10, 64); err == nil && n <= head && got != n {
+			t.Fatalf("since %q: cursor %d, want %d", since, got, n)
+		}
+	})
+}
+
 func TestEventsCursorFromPreviousProcess(t *testing.T) {
 	l := withEvents(t, 1024)
 	m, err := NewManager(Options{Stream: tinyStream()})
@@ -658,10 +693,14 @@ func jobStreamsHash(t *testing.T, spec JobSpec) string {
 // TestJobsBitIdenticalToParent pins every byte an executor writes — the
 // journal and the event stream of one refine and one cycle job — so an
 // executor refactor that means to change nothing can show it. The
-// cycle hash was last re-derived on aa55a71 with DefaultShards = 1, when
-// reconstruction moved to one accumulator summing every voxel in view
-// order, which moves the maps' last bits and so their journaled
-// digests; it was 43015732…b093 before. Both hashes were re-derived on
+// cycle hash was last re-derived on 4dd756f, when Finish moved to the
+// Hermitian half spectrum and the FSC to real-input transforms: the
+// journaled map digests change, and FSC values, distances and centres
+// move within 1e-9 relative, while every count and orientation is the
+// parent's; it was 703d5ecc…8309 before. It was re-derived on aa55a71
+// with DefaultShards = 1, when reconstruction moved to one accumulator
+// summing every voxel in view order, which moves the maps' last bits
+// and so their journaled digests; it was 43015732…b093 before. Both hashes were re-derived on
 // parent 6bc0b2e, when centre distances moved to the cross-spectrum and
 // separable phase-ramp tables: the journaled centres, distances and FSC
 // crossings change in their last digits, while every journaled count
@@ -676,7 +715,7 @@ func TestJobsBitIdenticalToParent(t *testing.T) {
 		golden string
 	}{
 		{"refine", tinySpec(), "198fa774cf62db0843045f9d7f8e45a734145f9abd617209f629adb22bd1935e"},
-		{"cycle", tinyCycleSpec(), "703d5ecc5d227c4424b79c8b6bea7838372ad0a7352df3c587d1e2f186398309"},
+		{"cycle", tinyCycleSpec(), "1dd0cc20a0481568da94039030c7812fc9f3c204ea3c80e75f295e652d6d39fd"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if got := jobStreamsHash(t, c.spec); got != c.golden {

@@ -1,9 +1,6 @@
 package volume
 
-import (
-	"fmt"
-	"math/cmplx"
-)
+import "fmt"
 
 // CGrid is a cubic complex-valued lattice: the 3-D DFT D̂ of an
 // electron-density map, stored in standard DFT layout (frequency 0 at
@@ -71,33 +68,6 @@ func (g *CGrid) Energy() float64 {
 		e += real(v)*real(v) + imag(v)*imag(v)
 	}
 	return e
-}
-
-// Hermitianize enforces the conjugate symmetry G(−f) = conj(G(f)) that
-// the DFT of a real map must satisfy, by averaging each element with
-// the conjugate of its Friedel mate. Self-conjugate elements are
-// forced real.
-func (g *CGrid) Hermitianize() {
-	l := g.L
-	for x := 0; x < l; x++ {
-		mx := (l - x) % l
-		for y := 0; y < l; y++ {
-			my := (l - y) % l
-			for z := 0; z < l; z++ {
-				mz := (l - z) % l
-				i := g.Index(x, y, z)
-				j := g.Index(mx, my, mz)
-				if i < j {
-					a, b := g.Data[i], g.Data[j]
-					avg := (a + cmplx.Conj(b)) / 2
-					g.Data[i] = avg
-					g.Data[j] = cmplx.Conj(avg)
-				} else if i == j {
-					g.Data[i] = complex(real(g.Data[i]), 0)
-				}
-			}
-		}
-	}
 }
 
 // LowPass zeroes all Fourier coefficients with radius (in frequency

@@ -149,15 +149,6 @@ func (g *Grid) ZSection(z int) *Image {
 	return im
 }
 
-// Complex returns the grid as a complex volume suitable for a 3-D DFT.
-func (g *Grid) Complex() *CGrid {
-	c := NewCGrid(g.L)
-	for i, v := range g.Data {
-		c.Data[i] = complex(v, 0)
-	}
-	return c
-}
-
 // Correlation returns the Pearson cross-correlation coefficient of two
 // equally sized grids — the global map-similarity measure used when
 // comparing reconstructions.

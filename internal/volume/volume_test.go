@@ -211,27 +211,6 @@ func TestCenterOfMass(t *testing.T) {
 	}
 }
 
-func TestHermitianize(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	g := NewCGrid(6)
-	for i := range g.Data {
-		g.Data[i] = complex(r.NormFloat64(), r.NormFloat64())
-	}
-	g.Hermitianize()
-	l := g.L
-	for x := 0; x < l; x++ {
-		for y := 0; y < l; y++ {
-			for z := 0; z < l; z++ {
-				a := g.At(x, y, z)
-				b := g.At((l-x)%l, (l-y)%l, (l-z)%l)
-				if math.Abs(real(a)-real(b)) > 1e-12 || math.Abs(imag(a)+imag(b)) > 1e-12 {
-					t.Fatalf("not Hermitian at (%d,%d,%d)", x, y, z)
-				}
-			}
-		}
-	}
-}
-
 func TestLowPass(t *testing.T) {
 	g := NewCGrid(8)
 	for i := range g.Data {
