@@ -509,7 +509,8 @@ func matchKernelSetup(b *testing.B) (*core.Refiner, *core.View, geom.Euler) {
 // BenchmarkMatchKernel times one fused matching operation — cut
 // sampling over the whole compared band (the Friedel half of the disc)
 // plus the distance accumulation — the inner loop of the entire
-// refinement. It must stay at 0 allocs/op. The band metric is the
+// refinement. It stays at 0 allocs/op (internal/core's
+// TestRefineLevelAllocs holds the kernel to that). The band metric is the
 // number of coefficients compared, not the paper's full-disc count.
 func BenchmarkMatchKernel(b *testing.B) {
 	r, pv, o := matchKernelSetup(b)
@@ -525,9 +526,9 @@ func BenchmarkMatchKernel(b *testing.B) {
 
 // BenchmarkMatchKernelInstrumented is BenchmarkMatchKernel with full
 // instrumentation enabled: the obs counters inside the kernel
-// (sampler cut calls, distance evaluations) fire on every op, and the
-// benchmark asserts the kernel still runs at 0 allocs/op — the
-// pooled/atomic design's contract.
+// (sampler cut calls, distance evaluations) fire on every op. The
+// 0 allocs/op contract of the instrumented kernel is held by
+// internal/core's TestRefineLevelAllocs.
 func BenchmarkMatchKernelInstrumented(b *testing.B) {
 	r, pv, o := matchKernelSetup(b)
 	prev := obs.SetEnabled(true)
@@ -539,10 +540,6 @@ func BenchmarkMatchKernelInstrumented(b *testing.B) {
 		acc += r.Distance(pv, o)
 	}
 	_ = acc
-	b.StopTimer()
-	if n := testing.AllocsPerRun(100, func() { acc += r.Distance(pv, o) }); n != 0 {
-		b.Fatalf("instrumented match kernel allocates %v/op, want 0", n)
-	}
 }
 
 // BenchmarkReconstruction is the kernel benchmark for step C.

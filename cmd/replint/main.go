@@ -1,8 +1,7 @@
 // Command replint runs the project lint suite (internal/analysis)
-// over the module: five analyzers that mechanically enforce the
-// repository's determinism, oracle-separation, hot-path and
-// error-handling invariants — interprocedurally, over a whole-module
-// static call graph.
+// over the module: five per-function analyzers that mechanically
+// enforce the repository's determinism, oracle-separation, hot-path
+// and error-handling invariants.
 //
 // Usage:
 //
@@ -14,9 +13,11 @@
 //	file:line:col: [analyzer] message
 //
 // with file relative to the module root, and the exit status is 1 when
-// any survive suppression, so the command gates CI directly. Packages
-// the loader has to skip (parse or type errors) are findings of the
-// pseudo-analyzer "load" — a partial analysis never passes silently.
+// any survive suppression, so the command gates CI directly. A
+// //replint:allow without a reason, or with nothing left to waive, is a
+// finding of the pseudo-analyzer "suppression". Packages the loader has
+// to skip (parse or type errors) are findings of the pseudo-analyzer
+// "load" — a partial analysis never passes silently.
 //
 //	-list  print the suite, sorted by analyzer name
 package main
@@ -88,7 +89,7 @@ func run() ([]analysis.Finding, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	findings := analysis.Run(loader.Fset, pkgs, analysis.All(), analysis.DefaultConfig())
+	findings := analysis.Run(loader.Fset, pkgs, analysis.All())
 	findings = append(findings, analysis.DiagnosticFindings(loader.Diagnostics())...)
 	analysis.SortFindings(findings)
 	return findings, root, nil

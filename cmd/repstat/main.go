@@ -90,7 +90,7 @@ func (c *client) getJSON(path string, out any) error {
 	if err != nil {
 		return err
 	}
-	defer func() { _ = resp.Body.Close() }()
+	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
@@ -287,7 +287,7 @@ func (c *client) streamOnce(id string, last *uint64) (done bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	defer func() { _ = resp.Body.Close() }()
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		data, rerr := io.ReadAll(resp.Body)
 		msg := strings.TrimSpace(string(data))

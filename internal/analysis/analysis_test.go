@@ -2,9 +2,11 @@ package analysis
 
 import (
 	"bufio"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -12,7 +14,8 @@ import (
 // The golden-fixture harness: each tree under testdata/src/<name> is a
 // tiny module loaded with an empty base path, so packages get import
 // paths like "internal/core" — which is how a fixture opts into the
-// path-scoped analyzers (Config matches by substring). A trailing
+// path-scoped analyzers (simclock and maporder match by substring).
+// A trailing
 //
 //	// want <analyzer> "<regexp>"
 //
@@ -83,7 +86,7 @@ func runFixture(t *testing.T, name string) ([]Finding, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Run(loader.Fset, pkgs, All(), DefaultConfig()), root
+	return Run(loader.Fset, pkgs, All()), root
 }
 
 // checkFixture asserts the exact want⇄finding correspondence.
@@ -129,25 +132,26 @@ func TestObsEventFixture(t *testing.T)     { checkFixture(t, "obsevent") }
 
 // TestSuppressionFixture asserts the waiver machinery directly: the
 // reasoned //replint:allow swallows its finding, the reason-less one is
-// itself reported and waives nothing, so exactly two findings survive —
-// one malformed-suppression report and the unwaived simclock finding.
+// itself reported and waives nothing, and the one with nothing to waive
+// is reported as stale, so exactly three findings survive — the
+// malformed and the stale suppression, and the unwaived simclock
+// finding.
 func TestSuppressionFixture(t *testing.T) {
 	findings, _ := runFixture(t, "suppress")
-	byAnalyzer := map[string]int{}
+	var got []string
 	for _, f := range findings {
-		byAnalyzer[f.Analyzer]++
+		got = append(got, fmt.Sprintf("%d [%s] %s", f.Pos.Line, f.Analyzer, strings.Fields(f.Message)[0]))
 	}
-	if byAnalyzer["suppression"] != 1 {
-		t.Errorf("want 1 malformed-suppression finding, got %d", byAnalyzer["suppression"])
+	want := []string{
+		"19 [suppression] malformed",
+		"20 [simclock] time.Now",
+		"27 [suppression] stale",
 	}
-	if byAnalyzer["simclock"] != 1 {
-		t.Errorf("want 1 surviving simclock finding (the malformed allow must not waive), got %d", byAnalyzer["simclock"])
-	}
-	if len(findings) != 2 {
+	if !slices.Equal(got, want) {
 		for _, f := range findings {
 			t.Logf("finding: %s", f)
 		}
-		t.Errorf("want exactly 2 findings, got %d", len(findings))
+		t.Errorf("findings = %q, want %q", got, want)
 	}
 }
 

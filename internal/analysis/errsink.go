@@ -17,9 +17,11 @@ import (
 // Pragmatic exclusions (these cannot fail meaningfully): fmt.Print*
 // to standard output, fmt.Fprint* whose writer is os.Stdout/os.Stderr,
 // and the never-failing in-memory writers bytes.Buffer and
-// strings.Builder. Deferred calls are also skipped — `defer f.Close()`
-// on read paths is accepted idiom; write paths should check Close
-// explicitly (see the -events-out write in cmd/refined for the pattern).
+// strings.Builder. A call deferred or started directly — `defer
+// f.Close()`, `go f()` — is not a statement of its own and is not
+// checked: on read paths that is accepted idiom, and write paths check
+// Close explicitly (see volume.WriteGridFile). The body of a deferred
+// or `go` function literal is ordinary code and is checked.
 var ErrSink = &Analyzer{
 	Name: "errsink",
 	Doc: "error returns may not be silently discarded outside _test.go; " +
@@ -36,8 +38,6 @@ func runErrSink(pass *Pass) {
 			}
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch s := n.(type) {
-				case *ast.DeferStmt, *ast.GoStmt:
-					return false
 				case *ast.ExprStmt:
 					call, ok := s.X.(*ast.CallExpr)
 					if !ok {

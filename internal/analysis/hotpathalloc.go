@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 )
 
 // HotpathAlloc enforces the 0-alloc contract of the matching kernels:
@@ -28,122 +27,40 @@ import (
 //     per-candidate kernel the enabled path would build a record and
 //     take the ring lock millions of times per pass.
 //
-// The contract is transitive: the same checks run over every function
-// statically reachable from a tagged root through the module call
-// graph, and an allocating callee is reported at the call site that
-// pulls it into the hot path, with the full chain from the root
-// printed. Amortized-growth scratch that a human has verified reaches
-// a steady state is waived with //replint:allow hotpathalloc <reason>
-// — at the construct inside a tagged function, or at the reported
-// call site for a callee.
+// The check covers the tagged function's own body, not its callees: a
+// helper below a kernel is held by the allocation tests that run the
+// kernels (internal/core's TestRefineLevelAllocs and its peers), which
+// count what the whole call tree allocates. Amortized-growth scratch
+// that a human has verified reaches a steady state is waived with
+// //replint:allow hotpathalloc <reason> at the construct.
 var HotpathAlloc = &Analyzer{
 	Name: "hotpathalloc",
-	Doc: "//repro:hotpath functions — and every function they transitively call — " +
-		"may not allocate per call: no growing append, no run-time-sized make, no new, " +
-		"no escaping composite literals, " +
+	Doc: "//repro:hotpath functions may not allocate per call: no growing append, " +
+		"no run-time-sized make, no new, no escaping composite literals, " +
 		"no numeric-slice→interface conversions, no closures over loop variables, " +
 		"no obs event emission",
 	Run: runHotpathAlloc,
 }
 
-// allocSite is one allocating construct found inside a function body.
-type allocSite struct {
-	pos token.Pos
-	msg string
-}
-
 func runHotpathAlloc(pass *Pass) {
-	// Tagged functions: report each construct in place, exactly as the
-	// intraprocedural suite always has.
 	for _, pkg := range pass.Pkgs {
 		for _, file := range pkg.Files {
 			if isTestFile(pass.Fset, file) {
 				continue
 			}
 			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if _, hot := pass.Facts.Hotpath[pkg.Info.Defs[fd.Name]]; !hot {
-					continue
-				}
-				for _, s := range allocSites(pkg.Info, fd) {
-					pass.Reportf(s.pos, "%s", s.msg)
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && hasDirective(fd, "//repro:hotpath") {
+					checkHotpath(pass, pkg.Info, fd)
 				}
 			}
-		}
-	}
-
-	// Transitive closure: walk the call graph from every tagged root
-	// and report allocating callees at the call site that reaches
-	// them. allocs caches per-function construct scans; reported
-	// dedupes call sites shared by several roots.
-	g := pass.Facts.Graph
-	allocs := map[types.Object][]allocSite{}
-	allocsOf := func(n *CallNode) []allocSite {
-		if s, ok := allocs[n.Obj]; ok {
-			return s
-		}
-		var s []allocSite
-		if !isTestFile(pass.Fset, fileOf(n.Pkg, n.Decl.Pos())) {
-			s = allocSites(n.Pkg.Info, n.Decl)
-		}
-		allocs[n.Obj] = s
-		return s
-	}
-	reported := map[token.Pos]bool{}
-	for _, root := range g.sortedNodes() {
-		if _, hot := pass.Facts.Hotpath[root.Obj]; !hot {
-			continue
-		}
-		// Nested tagged kernels are barriers: their own closure is
-		// covered when they are the root, so chains stay attributed to
-		// the nearest tagged ancestor.
-		pred := g.reachableStopping(root.Obj, func(o types.Object) bool {
-			_, tagged := pass.Facts.Hotpath[o]
-			return tagged
-		})
-		// Visit reached functions in deterministic (position) order.
-		for _, n := range g.sortedNodes() {
-			edge, reached := pred[n.Obj]
-			if !reached || n.Obj == root.Obj {
-				continue
-			}
-			if _, tagged := pass.Facts.Hotpath[n.Obj]; tagged {
-				continue // checked in place as its own root
-			}
-			sites := allocsOf(n)
-			if len(sites) == 0 || reported[edge.Site] {
-				continue
-			}
-			reported[edge.Site] = true
-			chain := Chain(pred, root.Obj, n.Obj)
-			first := pass.Fset.Position(sites[0].pos)
-			pass.Reportf(edge.Site,
-				"%s allocates per call inside a //repro:hotpath path (call chain %s): %s at %s:%d",
-				FuncName(n.Obj), FormatChain(root.Obj, chain), sites[0].msg, filepath.Base(first.Filename), first.Line)
 		}
 	}
 }
 
-// fileOf returns the *ast.File of pkg containing pos.
-func fileOf(pkg *Package, pos token.Pos) *ast.File {
-	for _, f := range pkg.Files {
-		if f.Pos() <= pos && pos <= f.End() {
-			return f
-		}
-	}
-	return nil
-}
-
-// allocSites scans one function body for the per-call-allocation
-// constructs the hot-path contract bans.
-func allocSites(info *types.Info, fd *ast.FuncDecl) []allocSite {
-	var out []allocSite
-	report := func(pos token.Pos, msg string) {
-		out = append(out, allocSite{pos: pos, msg: msg})
-	}
+// checkHotpath reports the per-call-allocation constructs the hot-path
+// contract bans in one tagged function body.
+func checkHotpath(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
+	report := func(pos token.Pos, msg string) { pass.Reportf(pos, "%s", msg) }
 	capped := cappedLocals(info, fd)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -190,7 +107,6 @@ func allocSites(info *types.Info, fd *ast.FuncDecl) []allocSite {
 		}
 		return true
 	})
-	return out
 }
 
 // cappedLocals collects the objects of local slices created by a

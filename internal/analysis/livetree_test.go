@@ -47,7 +47,7 @@ func TestLiveTreeClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run(loader.Fset, pkgs, All(), DefaultConfig())
+	findings := Run(loader.Fset, pkgs, All())
 	findings = append(findings, DiagnosticFindings(loader.Diagnostics())...)
 	for _, f := range findings {
 		t.Errorf("%s", f)

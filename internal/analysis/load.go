@@ -20,9 +20,7 @@ import (
 type Package struct {
 	// Path is the import path ("repro/internal/core", or the
 	// testdata-relative path for fixture packages).
-	Path string
-	// Dir is the absolute directory the files were read from.
-	Dir   string
+	Path  string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -42,7 +40,6 @@ type Loader struct {
 	dirs    map[string]string // import path -> absolute dir
 	std     types.Importer
 	pkgs    map[string]*Package
-	typed   map[string]*types.Package
 	loading map[string]bool
 	failed  map[string]error // packages that did not load, by path
 	diags   []LoadDiagnostic
@@ -81,7 +78,6 @@ func NewLoader(root, base string) (*Loader, error) {
 		dirs:    map[string]string{},
 		std:     importer.ForCompiler(fset, "source", nil),
 		pkgs:    map[string]*Package{},
-		typed:   map[string]*types.Package{},
 		loading: map[string]bool{},
 		failed:  map[string]error{},
 	}
@@ -186,16 +182,6 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Path < out[b].Path })
 	return out, nil
-}
-
-// Load loads (or returns the cached) package with the given import
-// path. Unlike LoadAll it propagates the load error, though the
-// diagnostic is recorded either way.
-func (l *Loader) Load(path string) (*Package, error) {
-	if _, ok := l.dirs[path]; !ok {
-		return nil, fmt.Errorf("analysis: package %q not in tree", path)
-	}
-	return l.load(path)
 }
 
 // Diagnostics returns one entry per package the loader skipped,
@@ -304,9 +290,8 @@ func (l *Loader) load(path string) (*Package, error) {
 		l.recordFailure(path, err)
 		return nil, err
 	}
-	p := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}
+	p := &Package{Path: path, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = p
-	l.typed[path] = tpkg
 	return p, nil
 }
 

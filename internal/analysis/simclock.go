@@ -2,30 +2,29 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"strings"
 )
 
-// Simclock enforces the determinism contract of the simulated-cluster
-// packages: every duration in internal/parfft, internal/cluster,
-// internal/core, internal/serve, internal/cycle and internal/workload
-// (whose priceOnCluster charges Tables 1–2) must come from the
-// per-rank clocks of the cluster ledger (cluster.Cluster.Clock/
-// Compute/Sleep), and
-// every random draw from an explicitly seeded source — so wall-clock
-// time and the global math/rand state, both of which vary run to run
-// and with GOMAXPROCS, are banned outright.
-//
-// The ban is transitive: a scoped function that reaches time.Now or
-// the global rand state through a helper in a package outside the
-// scope — where the direct use is perfectly legal — is reported at
-// its first call toward the sink, with the chain printed. One
-// nondeterministic hop anywhere in the loop invalidates the
-// bit-identical timing comparison the SP2 reproduction rests on.
+// simclockScope is the import-path fragment of the packages where
+// wall-clock time and global randomness are banned: every package under
+// internal/. Commands under cmd/ own the real clock and inject it.
+const simclockScope = "internal/"
+
+// Simclock enforces the determinism contract of the library packages:
+// every duration must come from the per-rank clocks of the cluster
+// ledger (cluster.Cluster.Clock/Compute/Sleep) — Tables 1–2 and step
+// a's pricing — or from a clock the caller injects (the job service's
+// logical ticks, the trace spans' timestamps), and every random draw
+// from an explicitly seeded source. Wall-clock time and the global
+// math/rand state, both of which vary run to run and with GOMAXPROCS,
+// are banned outright in every package under internal/, so a helper
+// that starts reading the clock is a finding where it does so, not
+// only where a simulated-clock caller reaches it.
 var Simclock = &Analyzer{
 	Name: "simclock",
 	Doc: "wall-clock time (time.Now/Since/...) and global math/rand are banned in " +
-		"simulated-clock packages, including transitively through helpers in other packages",
+		"every package under internal/; time comes from the ledger or an injected clock",
 	Run: runSimclock,
 }
 
@@ -44,13 +43,6 @@ var allowedRandFuncs = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 	// math/rand/v2 seeded constructors.
 	"NewPCG": true, "NewChaCha8": true,
-}
-
-// clockSink is one direct wall-clock or global-rand use inside a
-// function body.
-type clockSink struct {
-	pos  token.Pos
-	desc string // e.g. "time.Now" or "rand.Float64"
 }
 
 // clockSinkAt classifies one identifier use as a forbidden source, or
@@ -78,13 +70,8 @@ func clockSinkAt(info *types.Info, id *ast.Ident) string {
 }
 
 func runSimclock(pass *Pass) {
-	inScope := func(pkg *Package) bool {
-		return pass.Config.matches(pass.Config.SimclockPaths, pkg.Path)
-	}
-
-	// Direct uses inside scoped packages, reported at the identifier.
 	for _, pkg := range pass.Pkgs {
-		if !inScope(pkg) {
+		if !strings.Contains(pkg.Path, simclockScope) {
 			continue
 		}
 		for _, file := range pkg.Files {
@@ -99,61 +86,12 @@ func runSimclock(pass *Pass) {
 				switch desc := clockSinkAt(pkg.Info, id); {
 				case desc == "":
 				case desc[0] == 't':
-					pass.Reportf(id.Pos(), "%s reads the wall clock; simulated-clock packages must charge the cluster ledger instead", desc)
+					pass.Reportf(id.Pos(), "%s reads the wall clock; internal packages charge the cluster ledger or take an injected clock", desc)
 				default:
 					pass.Reportf(id.Pos(), "%s draws from the global source; use an explicitly seeded rand.New(rand.NewSource(...))", desc)
 				}
 				return true
 			})
-		}
-	}
-
-	// Transitive reach: scoped functions whose call graph hits a
-	// direct sink inside an out-of-scope module package. Sinks inside
-	// scoped packages are already direct findings above, so helpers in
-	// the same scope act as barriers rather than duplicate reports.
-	g := pass.Facts.Graph
-	sinks := map[types.Object][]clockSink{}
-	sinksOf := func(n *CallNode) []clockSink {
-		if s, ok := sinks[n.Obj]; ok {
-			return s
-		}
-		var s []clockSink
-		ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-			if id, ok := m.(*ast.Ident); ok {
-				if desc := clockSinkAt(n.Pkg.Info, id); desc != "" {
-					s = append(s, clockSink{pos: id.Pos(), desc: desc})
-				}
-			}
-			return true
-		})
-		sinks[n.Obj] = s
-		return s
-	}
-	for _, root := range g.sortedNodes() {
-		if !inScope(root.Pkg) {
-			continue
-		}
-		if isTestFile(pass.Fset, fileOf(root.Pkg, root.Decl.Pos())) {
-			continue
-		}
-		pred := g.reachableStopping(root.Obj, func(o types.Object) bool {
-			n := g.Nodes[o]
-			return n != nil && inScope(n.Pkg)
-		})
-		for _, n := range g.sortedNodes() {
-			if _, reached := pred[n.Obj]; !reached || inScope(n.Pkg) {
-				continue
-			}
-			s := sinksOf(n)
-			if len(s) == 0 {
-				continue
-			}
-			chain := Chain(pred, root.Obj, n.Obj)
-			pass.Reportf(chain[0].Site,
-				"%s reaches %s through %s (call chain %s); simulated-clock packages must charge the cluster ledger and use seeded sources only",
-				FuncName(root.Obj), s[0].desc, FuncName(n.Obj), FormatChain(root.Obj, chain))
-			break // one chain per scoped function keeps the signal readable
 		}
 	}
 }

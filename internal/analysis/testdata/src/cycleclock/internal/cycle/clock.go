@@ -1,7 +1,7 @@
-// Package cycle is a simclock fixture: its import path contains
-// "internal/cycle", the outer-loop driver scope — wall-clock reads and
-// the global rand source are banned there just as in the refinement
-// core, because the multi-cycle resume contract is bit-identity.
+// Package cycle is a simclock fixture for the outer-loop driver: its
+// import path contains "internal/", so wall-clock reads and the global
+// rand source are banned there just as in the refinement core, because
+// the multi-cycle resume contract is bit-identity.
 package cycle
 
 import (

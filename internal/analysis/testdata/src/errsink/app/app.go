@@ -18,8 +18,8 @@ func Flush(f *os.File, data []byte) int {
 }
 
 // Report exercises the pragmatic exclusions: stdout/stderr printing and
-// in-memory writers cannot fail meaningfully, and deferred closes on
-// read paths are accepted idiom.
+// in-memory writers cannot fail meaningfully, and a directly deferred
+// close on a read path is accepted idiom.
 func Report(f *os.File) string {
 	defer f.Close()
 	var buf bytes.Buffer
@@ -27,6 +27,18 @@ func Report(f *os.File) string {
 	fmt.Println("done")
 	fmt.Fprintf(os.Stderr, "done\n")
 	return buf.String()
+}
+
+// Cleanup defers and starts function literals: only a direct deferred
+// call is exempt, so the errors their bodies drop are findings.
+func Cleanup(f *os.File, path string) {
+	defer func() { _ = f.Close() }() // want errsink "error result of f.Close assigned to _"
+	defer func() {
+		os.Remove(path) // want errsink "os.Remove returns an error that is discarded"
+	}()
+	go func() {
+		f.Sync() // want errsink "f.Sync returns an error that is discarded"
+	}()
 }
 
 // Save checks everything — the compliant shape.

@@ -1,8 +1,7 @@
 // Package core is the obsevent fixture: event emission belongs to the
 // job/level lifecycle layer, never inside //repro:hotpath kernels.
 // Counters stay allowed in kernels (they are one atomic add); Emit —
-// whether the package function or the EventLog method, direct or
-// through a transitive callee — is a finding.
+// whether the package function or the EventLog method — is a finding.
 package core
 
 import "obs"
@@ -54,26 +53,6 @@ func MethodKernel(l *obs.EventLog, xs []float64) float64 {
 		}
 	}
 	return best
-}
-
-// narrate hides the emission one call deep; the transitive walk
-// reports narrate at the kernel's call site, and — because obs.Emit
-// itself forwards to the EventLog method — the chain one hop further
-// is reported here, where narrate pulls obs.Emit into the hot path.
-func narrate(v float64) {
-	obs.Emit("step", "", 0, v, noFields) // want hotpathalloc "obs.Emit allocates per call inside a //repro:hotpath path"
-}
-
-// IndirectKernel reaches narrate through the call graph.
-//
-//repro:hotpath
-func IndirectKernel(xs []float64) float64 {
-	var total float64
-	for _, v := range xs {
-		total += v
-		narrate(v) // want hotpathalloc "narrate allocates per call inside a //repro:hotpath path"
-	}
-	return total
 }
 
 // LevelDone is the lifecycle layer: not tagged, so emitting here is

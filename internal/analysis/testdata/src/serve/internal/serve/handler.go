@@ -1,5 +1,5 @@
 // Package serve is a combined fixture for the serving layer's replint
-// contract: its import path contains "internal/serve", so the simclock
+// contract: its import path contains "internal/", so the simclock
 // analyzer bans wall-clock reads in it — job timestamps must come from
 // the manager's injected logical clock — and errsink (which is
 // tree-wide) bans the classic HTTP-handler sin of dropping the error

@@ -1,6 +1,6 @@
 // Package core is a simclock fixture: its import path contains
-// "internal/core", so the analyzer treats it as a simulated-clock
-// package where wall-clock reads and the global rand source are banned.
+// "internal/", so wall-clock reads and the global rand source are
+// banned in it.
 package core
 
 import (

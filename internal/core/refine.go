@@ -246,7 +246,6 @@ func (r *Refiner) refineLevel(vd *viewData, res *Result, lv Level, sc *matchScra
 		var best geom.Euler
 		var bestD float64
 		if mode == SearchAdaptive {
-			//replint:allow hotpathalloc descendOrientations seeds sc.keys, worker-owned scratch reused via [:0] that holds its capacity across rounds; the search is alloc-free at steady state (gated by TestAdaptiveStreamAllocsPerView)
 			best, bestD = r.descendOrientations(vd, res.Orient, lv, n, &st, sc, rng)
 		} else {
 			best, bestD = r.scanOrientations(vd, res.Orient, lv, n, &st, sc)
@@ -278,7 +277,6 @@ func (r *Refiner) scanOrientations(vd *viewData, start geom.Euler, lv Level, n i
 	w := geom.CenteredWindow(start, lv.WindowHalf, lv.RAngular)
 	best, bestD := start, math.Inf(1)
 	for {
-		//replint:allow hotpathalloc AppendOrientations grows sc.orients, worker-owned scratch reused via [:0]; the window size is fixed per level so capacity reaches steady state after the first slide
 		sc.orients = w.AppendOrientations(sc.orients[:0])
 		sc.pending = sc.pending[:0]
 		for _, o := range sc.orients {
@@ -367,7 +365,6 @@ func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, 
 			}
 		}
 	}
-	//replint:allow hotpathalloc scoreLatticeKeys grows sc.pending, worker-owned scratch reused via [:0] that reaches steady-state capacity after the first batch
 	r.scoreLatticeKeys(vd, step, n, st, sc)
 	for _, k := range sc.keys {
 		if d := sc.cache[k]; d < bestD {
@@ -376,7 +373,6 @@ func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, 
 	}
 
 	for dry := 0; dry < maxDryRounds; {
-		//replint:allow hotpathalloc appendLatticeNeighbors grows sc.keys, worker-owned scratch reused via [:0] that holds its 27+probes capacity after the first round
 		sc.keys = appendLatticeNeighbors(sc.keys[:0], best)
 		for p := 0; p < searchProbes; p++ {
 			sc.keys = append(sc.keys, orientKey{

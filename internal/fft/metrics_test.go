@@ -147,6 +147,31 @@ func TestWorkloadTransformsAvoidBluestein(t *testing.T) {
 	}
 }
 
+// TestTransformsAllocFree: a planned transform allocates nothing, with
+// instrumentation on or off, on every kernel — power of two, every
+// radix of the 7-smooth Stockham kernel (840 = 4·2·3·5·7), Bluestein
+// (22 = 2·11) — forward and inverse, and through the 2-D real-input
+// path a view transform takes. The transforms run below the
+// //repro:hotpath kernels of reconstruct and fourier.
+func TestTransformsAllocFree(t *testing.T) {
+	for _, enabled := range []bool{false, true} {
+		prev := obs.SetEnabled(enabled)
+		for _, n := range []int{64, 840, 22} {
+			p := NewPlan(n)
+			x := make([]complex128, n)
+			if a := testing.AllocsPerRun(10, func() { p.Forward(x); p.Inverse(x) }); a != 0 {
+				t.Errorf("n=%d, instrumentation %v: Forward+Inverse allocates %v times per call", n, enabled, a)
+			}
+		}
+		rp := NewRealPlan2D(10, 12)
+		src, dst := make([]float64, 120), make([]complex128, 120)
+		if a := testing.AllocsPerRun(10, func() { rp.Forward(src, dst) }); a != 0 {
+			t.Errorf("instrumentation %v: RealPlan2D.Forward allocates %v times per call", enabled, a)
+		}
+		obs.SetEnabled(prev)
+	}
+}
+
 // TestTransformCountersOffPath: with instrumentation off a transform
 // moves no counter and allocates nothing.
 func TestTransformCountersOffPath(t *testing.T) {

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fft"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/volume"
 )
 
@@ -176,6 +178,49 @@ func TestSampleCutFriedelSymmetry(t *testing.T) {
 			if nonzero < len(pos)/2 {
 				t.Fatalf("interp %v orient %v: only %d of %d coefficients in band", interp, o, nonzero, len(pos))
 			}
+		}
+	}
+}
+
+// TestKernelsAllocFree: the //repro:hotpath kernels of this package —
+// the sampler (At, SampleCut, in both interpolations) and the three
+// line passes of GridFromHalfSpectrum — allocate nothing per call with
+// instrumentation on, counting everything below them (the trilinear
+// blend, frequency wrapping, the 1-D inverse FFTs).
+func TestKernelsAllocFree(t *testing.T) {
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	dft := randomVolumeDFT(16, 2, 5)
+	rot := geom.Euler{Theta: 31, Phi: 47, Omega: 12}.Matrix()
+	fh, fk := []float64{0, 1, -3, 4, 7}, []float64{0, 2, 5, -6, 1}
+	cut := make([]complex128, len(fh))
+	for _, interp := range []Interpolation{Trilinear, Nearest} {
+		s := dft.NewSampler(interp)
+		if a := testing.AllocsPerRun(50, func() { s.At(3.7, -2.2, 5.9) }); a != 0 {
+			t.Errorf("interp %v: At allocates %v times per call", interp, a)
+		}
+		if a := testing.AllocsPerRun(50, func() { s.SampleCut(cut, fh, fk, rot.Col(0), rot.Col(1)) }); a != 0 {
+			t.Errorf("interp %v: SampleCut allocates %v times per call", interp, a)
+		}
+	}
+
+	const bl, l = 12, 10
+	nh := bl/2 + 1
+	half := make([]complex128, bl*bl*nh)
+	for i := range half {
+		half[i] = complex(float64(i%7), float64(i%5))
+	}
+	hw := halfWorker{plan: fft.NewPlan(bl), line: make([]complex128, bl), slab: make([]complex128, nh*bl)}
+	ramp := centerRamp(bl, -1)
+	zero := make([]complex128, nh)
+	plane := make([]float64, l*l)
+	for name, pass := range map[string]func(){
+		"yPass": func() { hw.yPass(half, ramp, 3, bl) },
+		"xPass": func() { hw.xPass(half, 4, bl, l) },
+		"zPass": func() { hw.zPass(plane, half, zero, 5, bl, l) },
+	} {
+		if a := testing.AllocsPerRun(20, pass); a != 0 {
+			t.Errorf("%s allocates %v times per call", name, a)
 		}
 	}
 }

@@ -124,6 +124,27 @@ func TestFinishMatchesComplexInverse(t *testing.T) {
 	}
 }
 
+// TestFinishPlaneAllocFree: the //repro:hotpath plane kernel of Finish
+// allocates nothing, with and without the Wiener CTF, counting the
+// per-voxel normalization below it. (Finish itself allocates the half
+// spectrum and the map once per call; TestReconstructionAllocBytes
+// bounds that.)
+func TestFinishPlaneAllocFree(t *testing.T) {
+	const l = 12
+	nh := l/2 + 1
+	num, den := make([]complex128, l*l*l), make([]float64, l*l*l)
+	for i := range num {
+		num[i], den[i] = complex(float64(i%7), float64(i%3)), float64(i%4)
+	}
+	half := make([]complex128, l*l*nh)
+	for _, wiener := range []bool{true, false} {
+		opt := Options{WienerCTF: wiener}.normalized(l)
+		if a := testing.AllocsPerRun(20, func() { finishPlane(half, num, den, opt, 5, l) }); a != 0 {
+			t.Errorf("wiener=%t: finishPlane allocates %v times per call", wiener, a)
+		}
+	}
+}
+
 // BenchmarkFinish times one Finish at l = 64 on 60 views with the
 // Wiener CTF, the recon_fsc shape: normalize + Hermitian average into
 // the half spectrum, then the half-spectrum inverse.

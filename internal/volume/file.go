@@ -1,6 +1,7 @@
 package volume
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,7 +13,9 @@ import (
 // place, so a crash mid-write never leaves a torn map where a resuming
 // reader expects a complete one. The cycle journal records a map's
 // content digest before the path is trusted, so the rename is the
-// durability point, not a correctness requirement.
+// durability point, not a correctness requirement. On failure the
+// temporary file is closed and removed; an error doing so is joined to
+// the returned one, so a leaked temporary file is never silent.
 func WriteGridFile(path string, g *Grid) (err error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -22,8 +25,11 @@ func WriteGridFile(path string, g *Grid) (err error) {
 	tmp := f.Name()
 	defer func() {
 		if err != nil {
-			f.Close()
-			os.Remove(tmp)
+			cerr := f.Close()
+			if errors.Is(cerr, os.ErrClosed) {
+				cerr = nil // closed already; the rename failed
+			}
+			err = errors.Join(err, cerr, os.Remove(tmp))
 		}
 	}()
 	if _, err = g.WriteTo(f); err != nil {

@@ -3,6 +3,7 @@ package volume
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -70,6 +71,32 @@ func TestReadGridRejectsDamage(t *testing.T) {
 	}
 	if _, err := ReadGridFile(path); err != nil {
 		t.Fatalf("valid grid file rejected: %v", err)
+	}
+}
+
+// TestWriteGridFileFailureLeavesNoTemp: when publishing fails — here the
+// rename meets a directory in the target's place — WriteGridFile
+// returns the error and removes its temporary file instead of leaving
+// it beside the target.
+func TestWriteGridFileFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "cycle-0.map")
+	if err := os.MkdirAll(filepath.Join(target, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	err := WriteGridFile(target, randomGrid(rand.New(rand.NewSource(1)), 3))
+	if err == nil || !strings.Contains(err.Error(), "publishing grid file") {
+		t.Fatalf("WriteGridFile over a directory: got %v, want a publishing error", err)
+	}
+	if errors.Is(err, os.ErrClosed) {
+		t.Errorf("the cleanup's second Close leaked into the error: %v", err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Fatalf("directory holds %d entries after the failed write, want only the blocking directory", len(ents))
 	}
 }
 
