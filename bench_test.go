@@ -102,7 +102,7 @@ func BenchmarkFig4SplitFSC(b *testing.B) {
 	var res float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		odd, even, err := reconstruct.SplitHalves(ds.Images(), ds.TrueOrientations(), nil, nil, reconstruct.Options{})
+		odd, even, err := reconstruct.SplitHalvesParallel(ds.Images(), ds.TrueOrientations(), nil, nil, reconstruct.ParallelOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

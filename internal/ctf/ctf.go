@@ -141,21 +141,3 @@ func mapCTF(f *volume.CImage, p Params, fn func(float64) float64) {
 		}
 	}
 }
-
-// FirstZero returns the spatial frequency (1/Å) of the first CTF zero
-// beyond DC, found numerically. Reported resolutions finer than this
-// require correction across zones.
-func (p Params) FirstZero() float64 {
-	prev := p.Eval(1e-6)
-	const step = 1e-5
-	for s := step; s < 2; s += step {
-		v := p.Eval(s)
-		if (v > 0) != (prev > 0) && s > 1e-4 {
-			return s
-		}
-		if v != 0 {
-			prev = v
-		}
-	}
-	return math.Inf(1)
-}

@@ -52,16 +52,6 @@ func TestEvalOscillatesAndDecays(t *testing.T) {
 	}
 }
 
-func TestFirstZeroReasonable(t *testing.T) {
-	p := Typical(2.0)
-	s0 := p.FirstZero()
-	// 1.8 µm underfocus at 300 kV: first zero near 1/√(λ·Δf) ≈ 0.053
-	// 1/Å (≈19 Å).
-	if s0 < 0.03 || s0 > 0.08 {
-		t.Fatalf("first zero at %g 1/Å, expected ≈0.053", s0)
-	}
-}
-
 func TestPhaseFlipSquares(t *testing.T) {
 	// Applying the CTF then phase flipping must leave every
 	// coefficient with the sign it had before the microscope:

@@ -24,22 +24,6 @@ func TestPlansShareTables(t *testing.T) {
 	}
 }
 
-// TestCachedPlanSizesGrows: requesting a fresh odd length adds exactly
-// its tables (plus the inner power-of-two Bluestein length, which may
-// itself already be cached).
-func TestCachedPlanSizesGrows(t *testing.T) {
-	before := CachedPlanSizes()
-	NewPlan(997) // prime, certainly Bluestein
-	after := CachedPlanSizes()
-	if after <= before {
-		t.Fatalf("cache did not grow: %d -> %d", before, after)
-	}
-	NewPlan(997)
-	if CachedPlanSizes() != after {
-		t.Fatal("repeated NewPlan of a cached length grew the cache")
-	}
-}
-
 // TestConcurrentPlansCorrect hammers the cache from many goroutines on
 // first use of several lengths, each verifying a known transform —
 // catching both table races and scratch sharing (run under -race).

@@ -80,52 +80,25 @@ type planTables struct {
 	inner *planTables  // pow-2 tables of size bn
 }
 
-// The size-keyed caches are sharded by length so that concurrent
-// first-use storms from many workers (per-plane plans in the parallel
-// slab DFT, per-view plans in the streaming pipeline) spread their
-// LoadOrStore traffic over independent sync.Maps instead of contending
-// on one. Steady-state lookups are lock-free reads either way; the
-// shards matter during warm-up, which is exactly when a pool of
-// workers all request the same handful of lengths at once.
-const cacheShards = 16
-
-// planCache maps transform length to its shared *planTables.
-var planCache [cacheShards]sync.Map
-
-// realCache maps even transform length to its shared *realTables
-// (the unpack twiddles of the real-input path).
-var realCache [cacheShards]sync.Map
-
-func shardFor(n int) int {
-	// Fibonacci hash: the top 4 bits of n·φ32 spread consecutive and
-	// same-parity lengths across all 16 shards.
-	return int((uint32(n) * 0x9E3779B1) >> 28)
-}
+// planCache maps transform length to its shared *planTables. It is
+// read only when a plan is built, never per transform, and a sync.Map
+// reads a key it already holds without taking a lock, so one map
+// serves a pool of workers that all build plans of the same few
+// lengths at once.
+var planCache sync.Map
 
 // tablesFor returns the shared tables for length n, building them on
 // first use. Concurrent first calls may build duplicate tables; only
 // one wins the LoadOrStore and the rest are discarded.
 func tablesFor(n int) *planTables {
-	s := shardFor(n)
-	shard := &planCache[s]
-	if v, ok := shard.Load(n); ok {
-		planCacheHits.Inc(s)
+	if v, ok := planCache.Load(n); ok {
+		planCacheHits.Inc()
 		return v.(*planTables)
 	}
-	planCacheMisses.Inc(s)
+	planCacheMisses.Inc()
 	t := buildTables(n)
-	v, _ := shard.LoadOrStore(n, t)
+	v, _ := planCache.LoadOrStore(n, t)
 	return v.(*planTables)
-}
-
-// CachedPlanSizes reports how many distinct transform lengths are in
-// the global plan cache (diagnostics and tests).
-func CachedPlanSizes() int {
-	n := 0
-	for i := range planCache {
-		planCache[i].Range(func(_, _ interface{}) bool { n++; return true })
-	}
-	return n
 }
 
 func buildTables(n int) *planTables {

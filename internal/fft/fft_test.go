@@ -356,8 +356,8 @@ func TestFreqIndexRoundTrip(t *testing.T) {
 			if f < -n/2 || f > n/2 {
 				t.Errorf("FreqIndex(%d,%d) = %d out of range", k, n, f)
 			}
-			if ArrayIndex(f, n) != k {
-				t.Errorf("ArrayIndex(FreqIndex(%d,%d)) = %d", k, n, ArrayIndex(f, n))
+			if back := (f + n) % n; back != k {
+				t.Errorf("FreqIndex(%d,%d) = %d wraps back to index %d", k, n, f, back)
 			}
 		}
 	}
@@ -414,84 +414,5 @@ func BenchmarkFFT3D_32(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Forward(x)
-	}
-}
-
-func TestRealForwardMatchesComplex(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	for _, n := range []int{2, 4, 8, 10, 16, 22, 64, 222} {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		want := make([]complex128, n)
-		for i, v := range x {
-			want[i] = complex(v, 0)
-		}
-		Forward(want)
-		got, err := RealForward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxDiff(got, want); d > 1e-9*float64(n) {
-			t.Errorf("n=%d: real FFT deviates from complex by %g", n, d)
-		}
-	}
-}
-
-func TestRealPlanReuse(t *testing.T) {
-	p, err := NewRealPlan(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 5; trial++ {
-		x := make([]float64, 16)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		want := make([]complex128, 16)
-		for i, v := range x {
-			want[i] = complex(v, 0)
-		}
-		Forward(want)
-		got, err := p.Forward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxDiff(got, want); d > 1e-9 {
-			t.Fatalf("trial %d: plan reuse broke (err %g)", trial, d)
-		}
-	}
-}
-
-func TestRealPlanValidation(t *testing.T) {
-	if _, err := NewRealPlan(7); err == nil {
-		t.Fatal("odd length accepted")
-	}
-	if _, err := NewRealPlan(0); err == nil {
-		t.Fatal("zero length accepted")
-	}
-	p, _ := NewRealPlan(8)
-	if _, err := p.Forward(make([]float64, 6)); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if p.Len() != 8 {
-		t.Fatal("Len wrong")
-	}
-}
-
-func BenchmarkRealFFT_256(b *testing.B) {
-	p, _ := NewRealPlan(256)
-	r := rand.New(rand.NewSource(1))
-	x := make([]float64, 256)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Forward(x); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

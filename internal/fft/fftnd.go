@@ -146,12 +146,3 @@ func FreqIndex(k, n int) int {
 	}
 	return k - n
 }
-
-// ArrayIndex is the inverse of FreqIndex: it maps a signed frequency
-// f ∈ [−N/2, N/2] to the DFT array index in [0, N).
-func ArrayIndex(f, n int) int {
-	if f < 0 {
-		return f + n
-	}
-	return f
-}

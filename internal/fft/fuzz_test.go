@@ -1,7 +1,6 @@
 package fft
 
 import (
-	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -9,17 +8,21 @@ import (
 
 // FuzzFFTRoundTrip drives forward+inverse round trips over fuzzer-
 // chosen lengths (clamped to [1, 1024], so primes and other Bluestein
-// lengths are reachable) and fuzzer-seeded data, for both the complex
-// path and the real-input path. The seed corpus pins powers of two,
-// primes (including the paper's 221 and 511), and degenerate lengths;
-// `go test` replays the corpus, `go test -fuzz=FuzzFFTRoundTrip`
-// explores. A round trip cannot see a wrong spectrum — that is
-// FuzzFFTMatchesNaive's job.
+// lengths are reachable) and fuzzer-seeded data on the complex path,
+// and checks the two real-input plans production runs against the
+// complex transforms they replace: RealPlan2D.Forward on an nx×n array
+// (nx in [1, 8], from the data seed) against Plan2D.Forward, and
+// RealPlan3D.Forward on a cube of side ((n−1) mod 16) + 1 against
+// Plan3D.Forward, both within 1e-9 of the peak coefficient. The seed
+// corpus pins powers of two, primes (including the paper's 221 and
+// 511), and degenerate lengths; `go test` replays the corpus, `go test
+// -fuzz=FuzzFFTRoundTrip` explores. A round trip cannot see a wrong
+// spectrum — that is FuzzFFTMatchesNaive's job.
 func FuzzFFTRoundTrip(f *testing.F) {
 	for _, seed := range [][2]uint64{
 		{1, 1}, {2, 2}, {4, 3}, {16, 4}, {64, 5}, {1024, 6}, // powers of two
 		{3, 7}, {7, 8}, {97, 9}, {221, 10}, {511, 11}, {509, 12}, // Bluestein, incl. paper sizes
-		{6, 13}, {10, 14}, {222, 15}, {100, 16}, // even composites (packed real path)
+		{6, 13}, {10, 14}, {222, 15}, {100, 16}, // even composites
 	} {
 		f.Add(seed[0], seed[1])
 	}
@@ -43,47 +46,30 @@ func FuzzFFTRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Real round trip via RFFT/IRFFT (covers the packed even path
-		// and the odd fallback).
-		xr := make([]float64, n)
-		for i := range xr {
-			xr[i] = r.NormFloat64()
-		}
-		back := IRFFT(RFFT(xr))
-		for i := range xr {
-			if math.Abs(back[i]-xr[i]) > tol {
-				t.Fatalf("real round trip n=%d sample %d: |Δ|=%g", n, i, math.Abs(back[i]-xr[i]))
-			}
+		// RealPlan2D against Plan2D on an nx×n array.
+		nx := int(dataSeed%8) + 1
+		src := randomReal(r, nx*n)
+		got := make([]complex128, len(src))
+		NewRealPlan2D(nx, n).Forward(src, got)
+		if d := maxRel(got, complexOracle2D(src, nx, n)); d > 1e-9 {
+			t.Fatalf("RealPlan2D %d×%d: deviation from Plan2D %g of the peak", nx, n, d)
 		}
 
-		// RFFT must agree with the complex forward on the same data.
-		ref := make([]complex128, n)
-		for i, v := range xr {
-			ref[i] = complex(v, 0)
-		}
-		Forward(ref)
-		got := RFFT(xr)
-		var peak float64
-		for _, w := range ref {
-			if a := cmplx.Abs(w); a > peak {
-				peak = a
-			}
-		}
-		if peak == 0 {
-			peak = 1
-		}
-		for i := range got {
-			if cmplx.Abs(got[i]-ref[i]) > 1e-9*peak {
-				t.Fatalf("real vs complex forward n=%d coeff %d: |Δ|=%g", n, i, cmplx.Abs(got[i]-ref[i]))
-			}
+		// RealPlan3D against Plan3D on a small cube.
+		c := (n-1)%16 + 1
+		src = randomReal(r, c*c*c)
+		got = make([]complex128, len(src))
+		NewRealPlan3D(c, c, c).Forward(src, got)
+		if d := maxRel(got, complexOracle3D(src, c, c, c)); d > 1e-9 {
+			t.Fatalf("RealPlan3D %d³: deviation from Plan3D %g of the peak", c, d)
 		}
 	})
 }
 
 // FuzzFFTMatchesNaive checks Forward against the O(n²) DFT, which the
 // round-trip target cannot do: a kernel whose outputs are permuted or
-// mis-twiddled still inverts itself and still agrees with RFFT (which
-// is built on it). Lengths clamp to [1, 1024]; the bound is 1e-12 of
+// mis-twiddled still inverts itself and still agrees with the real
+// plans (which are built on it). Lengths clamp to [1, 1024]; the bound is 1e-12 of
 // the peak coefficient. The corpus holds every workload length (box,
 // padded box), one length per kernel boundary and the degenerate ones.
 func FuzzFFTMatchesNaive(f *testing.F) {

@@ -2,14 +2,12 @@ package fft
 
 import "repro/internal/obs"
 
-// Per-shard plan-cache traffic. A Load that finds the tables is a hit;
-// a miss covers the build + LoadOrStore path (including the losers of
-// a concurrent first-use race, whose built tables are discarded).
+// Plan-cache traffic. A Load that finds the tables is a hit; a miss
+// covers the build + LoadOrStore path (including the losers of a
+// concurrent first-use race, whose built tables are discarded).
 var (
-	planCacheHits   = obs.NewCounterVec("fft.plan_cache.hits", cacheShards)
-	planCacheMisses = obs.NewCounterVec("fft.plan_cache.misses", cacheShards)
-	realCacheHits   = obs.NewCounterVec("fft.real_cache.hits", cacheShards)
-	realCacheMisses = obs.NewCounterVec("fft.real_cache.misses", cacheShards)
+	planCacheHits   = obs.NewCounter("fft.plan_cache.hits")
+	planCacheMisses = obs.NewCounter("fft.plan_cache.misses")
 )
 
 // Which kernel served the work. transforms counts 1-D transforms per

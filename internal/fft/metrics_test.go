@@ -6,77 +6,34 @@ import (
 	"repro/internal/obs"
 )
 
-// The hit/miss tests use unusual fresh lengths so the shared global
-// caches (warm from other tests in the binary) cannot mask a delta.
+// The hit/miss tests use unusual lengths so the shared global cache
+// (warm from other tests in the binary) cannot mask a delta.
 
 // TestPlanCacheHitMissCounters: the first request of a fresh length is
-// a miss, the second identically-sized request is a hit, on the
-// length's own shard.
+// one miss, the second identically-sized request is one hit.
 func TestPlanCacheHitMissCounters(t *testing.T) {
 	prev := obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 
-	const n = 7919 // prime, not plausibly requested elsewhere
-	s := shardFor(n)
-	h0, m0 := planCacheHits.Value(s), planCacheMisses.Value(s)
+	// 3·5·7³: 7-smooth, so building its tables looks up no other length
+	// (a Bluestein length would also look up its inner power of two).
+	// Deleting it first keeps the length fresh under -count.
+	const n = 5145
+	planCache.Delete(n)
+	h0, m0 := planCacheHits.Value(), planCacheMisses.Value()
 	tablesFor(n)
-	if got := planCacheMisses.Value(s) - m0; got != 1 {
-		t.Fatalf("first request: %d misses on shard %d, want 1", got, s)
+	if dh, dm := planCacheHits.Value()-h0, planCacheMisses.Value()-m0; dh != 0 || dm != 1 {
+		t.Fatalf("first request: %d hits, %d misses, want 0 and 1", dh, dm)
 	}
-	hitsAfterFirst := planCacheHits.Value(s) - h0
 	tablesFor(n)
-	if got := planCacheHits.Value(s) - h0 - hitsAfterFirst; got != 1 {
-		t.Fatalf("second request: %d new hits on shard %d, want 1", got, s)
+	if dh, dm := planCacheHits.Value()-h0, planCacheMisses.Value()-m0; dh != 1 || dm != 1 {
+		t.Fatalf("after the second request: %d hits, %d misses, want 1 and 1", dh, dm)
 	}
-	if got := planCacheMisses.Value(s) - m0; got != 1 {
-		t.Fatalf("second request added a miss: %d total on shard %d", got, s)
-	}
-}
-
-// TestRealCacheHitMissCounters mirrors the plan-cache assertion for the
-// real-input unpack-twiddle cache.
-func TestRealCacheHitMissCounters(t *testing.T) {
-	prev := obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
-
-	const n = 7906 // even (real plans require it), fresh
-	s := shardFor(n)
-	h0, m0 := realCacheHits.Value(s), realCacheMisses.Value(s)
-	realTablesFor(n)
-	realTablesFor(n)
-	if got := realCacheMisses.Value(s) - m0; got != 1 {
-		t.Fatalf("misses on shard %d = %d, want 1", s, got)
-	}
-	if got := realCacheHits.Value(s) - h0; got != 1 {
-		t.Fatalf("hits on shard %d = %d, want 1", s, got)
-	}
-}
-
-// TestPlanCacheShardSpread: consecutive lengths must not pile onto one
-// shard — the Fibonacci hash exists to spread exactly this pattern
-// (same-parity, consecutive sizes from slab partitions).
-func TestPlanCacheShardSpread(t *testing.T) {
-	used := map[int]bool{}
-	for n := 4000; n < 4064; n++ {
-		used[shardFor(n)] = true
-	}
-	if len(used) < cacheShards/2 {
-		t.Fatalf("64 consecutive lengths landed on only %d of %d shards", len(used), cacheShards)
-	}
-	// And the counters actually live on those distinct shards: misses
-	// for fresh lengths on different shards move different cells.
-	prev := obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
-	na, nb := 7927, 7933 // fresh primes on (very likely) distinct shards
-	sa, sb := shardFor(na), shardFor(nb)
-	if sa == sb {
-		t.Skipf("chosen primes share shard %d; spread already proven above", sa)
-	}
-	ma, mb := planCacheMisses.Value(sa), planCacheMisses.Value(sb)
-	tablesFor(na)
-	tablesFor(nb)
-	if planCacheMisses.Value(sa)-ma < 1 || planCacheMisses.Value(sb)-mb < 1 {
-		t.Fatalf("misses did not land on their own shards (%d, %d)", sa, sb)
+	vals := obs.Values()
+	for _, name := range []string{"fft.plan_cache.hits", "fft.plan_cache.misses"} {
+		if vals[name] < 1 {
+			t.Errorf("snapshot series %q = %d, want the single counter", name, vals[name])
+		}
 	}
 }
 
@@ -87,11 +44,10 @@ func TestCountersSilentWhenDisabled(t *testing.T) {
 	defer obs.SetEnabled(prev)
 
 	const n = 7937 // fresh prime
-	s := shardFor(n)
-	h0, m0 := planCacheHits.Value(s), planCacheMisses.Value(s)
+	h0, m0 := planCacheHits.Value(), planCacheMisses.Value()
 	tablesFor(n)
 	tablesFor(n)
-	if planCacheHits.Value(s) != h0 || planCacheMisses.Value(s) != m0 {
+	if planCacheHits.Value() != h0 || planCacheMisses.Value() != m0 {
 		t.Fatal("disabled instrumentation moved cache counters")
 	}
 }

@@ -2,7 +2,6 @@ package fft
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 
 	"repro/internal/obs"
@@ -10,194 +9,19 @@ import (
 )
 
 // Real-input transforms. A real signal's DFT is Hermitian-symmetric
-// (X[k] = conj(X[n−k])), which the plans here exploit two ways:
+// (X[k] = conj(X[n−k])), which the 2-D and 3-D plans here exploit for
+// any lengths: transform the fastest axis two real lines at a time
+// through one complex FFT (pack line a as the real part, line b as the
+// imaginary part, split the spectra with the conjugate-mirror
+// identity), then run the remaining axes only over the non-redundant
+// half of that axis's frequencies and fill the mirror half by
+// Hermitian symmetry.
 //
-//   - 1-D (even n): the classical packing trick — treat the n real
-//     samples as n/2 complex samples, transform with a half-size
-//     complex FFT, and unpack with one butterfly pass.
-//   - 2-D / 3-D (any lengths): transform the fastest axis two real
-//     lines at a time through one complex FFT (pack line a as the real
-//     part, line b as the imaginary part, split the spectra with the
-//     conjugate-mirror identity), then run the remaining axes only
-//     over the non-redundant half of that axis's frequencies and fill
-//     the mirror half by Hermitian symmetry.
-//
-// Both halve the floating-point work relative to the equivalent
+// This halves the floating-point work relative to the equivalent
 // complex transform while still producing the full spectrum in the
 // standard layout, so callers (the centred image and volume transforms
-// of internal/fourier) can switch paths without touching any
+// of internal/fourier, the FSC) can switch paths without touching any
 // downstream indexing.
-
-// realTables is the immutable shared state of the even-length packing
-// trick: the unpack twiddles exp(−2πi·k/n). Cached globally like
-// planTables so repeated NewRealPlan calls in hot loops cost only the
-// per-plan scratch.
-type realTables struct {
-	n    int
-	twid []complex128
-}
-
-func realTablesFor(n int) *realTables {
-	s := shardFor(n)
-	shard := &realCache[s]
-	if v, ok := shard.Load(n); ok {
-		realCacheHits.Inc(s)
-		return v.(*realTables)
-	}
-	realCacheMisses.Inc(s)
-	t := &realTables{n: n, twid: make([]complex128, n/2)}
-	for k := range t.twid {
-		angle := -2 * math.Pi * float64(k) / float64(n)
-		t.twid[k] = cmplx.Exp(complex(0, angle))
-	}
-	v, _ := shard.LoadOrStore(n, t)
-	return v.(*realTables)
-}
-
-// RealPlan computes DFTs of real-valued signals of even length n using
-// the packing trick — roughly halving the work relative to a complex
-// transform of the same length.
-type RealPlan struct {
-	*realTables
-	half  *Plan
-	buf   []complex128
-	spect []complex128
-}
-
-// NewRealPlan creates a real-input transform plan for even length n.
-func NewRealPlan(n int) (*RealPlan, error) {
-	if n < 2 || n%2 != 0 {
-		return nil, fmt.Errorf("fft: real plan length must be even and ≥ 2, got %d", n)
-	}
-	return &RealPlan{
-		realTables: realTablesFor(n),
-		half:       NewPlan(n / 2),
-		buf:        make([]complex128, n/2),
-		spect:      make([]complex128, n),
-	}, nil
-}
-
-// Len returns the transform length.
-func (p *RealPlan) Len() int { return p.n }
-
-// Forward computes the full n-point DFT of the real signal x,
-// returning all n complex coefficients (the upper half is the
-// conjugate mirror of the lower half, as for any real signal). The
-// returned slice is reused across calls; copy it if you need to keep
-// it.
-func (p *RealPlan) Forward(x []float64) ([]complex128, error) {
-	if len(x) != p.n {
-		return nil, fmt.Errorf("fft: real forward length %d, plan length %d", len(x), p.n)
-	}
-	h := p.n / 2
-	for i := 0; i < h; i++ {
-		p.buf[i] = complex(x[2*i], x[2*i+1])
-	}
-	p.half.Forward(p.buf)
-	// Unpack: with Z = FFT(even + i·odd),
-	//   E[k] = (Z[k] + conj(Z[(h−k) mod h]))/2
-	//   O[k] = (Z[k] − conj(Z[(h−k) mod h]))/(2i)
-	//   X[k] = E[k] + exp(−2πik/n)·O[k]        for k < h
-	//   X[h] = E[0] − O[0]
-	for k := 0; k < h; k++ {
-		e, o := splitTerms(p.buf[k], p.buf[(h-k)%h])
-		p.spect[k] = e + p.twid[k]*o
-	}
-	e0, o0 := splitTerms(p.buf[0], p.buf[0])
-	p.spect[h] = e0 - o0
-	// Upper half by Hermitian symmetry of a real signal's DFT.
-	for k := h + 1; k < p.n; k++ {
-		p.spect[k] = cmplx.Conj(p.spect[p.n-k])
-	}
-	return p.spect, nil
-}
-
-// Inverse recovers the real signal from its full n-point DFT spectrum
-// (the inverse of Forward), writing the n samples into dst. Only the
-// lower half of the spectrum is read; the upper half is assumed to be
-// its Hermitian mirror, which holds for any spectrum of a real signal.
-func (p *RealPlan) Inverse(spect []complex128, dst []float64) error {
-	if len(spect) != p.n {
-		return fmt.Errorf("fft: real inverse length %d, plan length %d", len(spect), p.n)
-	}
-	if len(dst) != p.n {
-		return fmt.Errorf("fft: real inverse dst length %d, plan length %d", len(dst), p.n)
-	}
-	h := p.n / 2
-	// Repack: invert the forward unpacking butterflies,
-	//   E[k] = (X[k] + X[k+h])/2
-	//   O[k] = conj(t_k)·(X[k] − X[k+h])/2
-	//   Z[k] = E[k] + i·O[k],
-	// then one half-size inverse FFT de-interleaves even/odd samples.
-	for k := 0; k < h; k++ {
-		xk, xkh := spect[k], spect[k+h]
-		e := halve(xk + xkh)
-		o := halve(cmplx.Conj(p.twid[k]) * (xk - xkh))
-		p.buf[k] = complex(real(e)-imag(o), imag(e)+real(o)) // e + i·o
-	}
-	p.half.Inverse(p.buf)
-	for i := 0; i < h; i++ {
-		dst[2*i] = real(p.buf[i])
-		dst[2*i+1] = imag(p.buf[i])
-	}
-	return nil
-}
-
-// RealForward is a convenience wrapper that allocates a fresh result.
-func RealForward(x []float64) ([]complex128, error) {
-	p, err := NewRealPlan(len(x))
-	if err != nil {
-		return nil, err
-	}
-	out, err := p.Forward(x)
-	if err != nil {
-		return nil, err
-	}
-	return append([]complex128(nil), out...), nil
-}
-
-// RFFT computes the full DFT of a real signal of any length ≥ 1,
-// using the halved-work packing path for even lengths and falling back
-// to the complex transform for odd ones (where the single-signal
-// packing trick does not apply). The result is freshly allocated.
-func RFFT(x []float64) []complex128 {
-	n := len(x)
-	if n >= 2 && n%2 == 0 {
-		out, err := RealForward(x)
-		if err != nil {
-			panic(err) // unreachable: length validated above
-		}
-		return out
-	}
-	out := make([]complex128, n)
-	for i, v := range x {
-		out[i] = complex(v, 0)
-	}
-	Forward(out)
-	return out
-}
-
-// IRFFT inverts RFFT: given the full Hermitian spectrum of a real
-// signal it returns the freshly allocated real samples.
-func IRFFT(spect []complex128) []float64 {
-	n := len(spect)
-	dst := make([]float64, n)
-	if n >= 2 && n%2 == 0 {
-		p, err := NewRealPlan(n)
-		if err == nil {
-			if err := p.Inverse(spect, dst); err != nil {
-				panic(err) // unreachable: lengths validated above
-			}
-			return dst
-		}
-	}
-	buf := append([]complex128(nil), spect...)
-	Inverse(buf)
-	for i, v := range buf {
-		dst[i] = real(v)
-	}
-	return dst
-}
 
 // splitPair separates the spectra of two real signals transformed
 // together as Z = FFT(a + i·b) of length n:
@@ -214,17 +38,14 @@ func splitPair(z, dstA, dstB []complex128) {
 }
 
 // splitTerms returns (z + conj(m))/2 and (z − conj(m))/(2i), the
-// unpacking butterfly of every real-input transform here. Both are
-// real scalings of the components rather than complex divisions (a
-// runtime call each): the values are the same, and only the sign of a
-// zero component may differ (TestSplitTermsMatchComplexDivision).
+// unpacking butterfly of splitPair. Both are real scalings of the
+// components rather than complex divisions (a runtime call each): the
+// values are the same, and only the sign of a zero component may
+// differ (TestSplitTermsMatchComplexDivision).
 func splitTerms(z, m complex128) (complex128, complex128) {
 	zr, zi, mr, mi := real(z), imag(z), real(m), imag(m)
 	return complex((zr+mr)*0.5, (zi-mi)*0.5), complex((zi+mi)*0.5, (mr-zr)*0.5)
 }
-
-// halve returns v/2 by real scaling, without a complex division.
-func halve(v complex128) complex128 { return complex(real(v)*0.5, imag(v)*0.5) }
 
 // RealPlan2D computes the full 2-D DFT of a real nx×ny array (row
 // major, y fastest — the layout of Plan2D) in roughly half the

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -214,9 +213,8 @@ func TestRealPlan2DReuse(t *testing.T) {
 
 // TestSplitTermsMatchComplexDivision pins the ±0 caveat of the real
 // scaling that replaced the complex divisions by 2 and 2i: on random
-// and all-zero lines, splitPair and RealPlan's Forward and Inverse give
-// outputs == the old expressions, so every value is equal and only the
-// sign of a zero may differ.
+// and all-zero lines, splitPair gives outputs == the old expressions,
+// so every value is equal and only the sign of a zero may differ.
 func TestSplitTermsMatchComplexDivision(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	negZero := math.Copysign(0, -1)
@@ -241,181 +239,15 @@ func TestSplitTermsMatchComplexDivision(t *testing.T) {
 					t.Fatalf("n=%d zero=%t k=%d: splitPair (%v, %v), complex division (%v, %v)", n, zero, k, a[k], b[k], wa, wb)
 				}
 			}
-
-			if n%2 != 0 {
-				continue // RealPlan takes even lengths only
-			}
-			// RealPlan: the same half-size FFT, unpacked the old way.
-			x := make([]float64, n)
-			for i := range x {
-				if !zero {
-					x[i] = r.NormFloat64()
-				}
-			}
-			p, err := NewRealPlan(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.Forward(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := n / 2
-			buf := make([]complex128, h)
-			for i := range buf {
-				buf[i] = complex(x[2*i], x[2*i+1])
-			}
-			NewPlan(h).Forward(buf)
-			want := make([]complex128, n)
-			for k := 0; k < h; k++ {
-				zk, zkm := buf[k], cmplx.Conj(buf[(h-k)%h])
-				want[k] = (zk+zkm)/2 + p.twid[k]*((zk-zkm)/complex(0, 2))
-			}
-			want[h] = (buf[0]+cmplx.Conj(buf[0]))/2 - (buf[0]-cmplx.Conj(buf[0]))/complex(0, 2)
-			for k := h + 1; k < n; k++ {
-				want[k] = cmplx.Conj(want[n-k])
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("n=%d zero=%t: Forward[%d] = %v, old unpack %v", n, zero, k, got[k], want[k])
-				}
-			}
-
-			spect := append([]complex128(nil), want...)
-			back := make([]float64, n)
-			if err := p.Inverse(spect, back); err != nil {
-				t.Fatal(err)
-			}
-			for k := 0; k < h; k++ {
-				xk, xkh := spect[k], spect[k+h]
-				buf[k] = (xk+xkh)/2 + complex(0, 1)*(cmplx.Conj(p.twid[k])*(xk-xkh)/2)
-			}
-			NewPlan(h).Inverse(buf)
-			for i := 0; i < h; i++ {
-				if back[2*i] != real(buf[i]) || back[2*i+1] != imag(buf[i]) {
-					t.Fatalf("n=%d zero=%t: Inverse samples %d,%d = %v,%v, old repack %v", n, zero, 2*i, 2*i+1, back[2*i], back[2*i+1], buf[i])
-				}
-			}
 		}
 	}
-}
-
-// TestRealPlanInverseRoundTrip: Forward→Inverse must reproduce the
-// signal through the packed real path.
-func TestRealPlanInverseRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(24))
-	for _, n := range []int{2, 4, 10, 16, 64, 222} {
-		x := randomReal(r, n)
-		p, err := NewRealPlan(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spect, err := p.Forward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back := make([]float64, n)
-		if err := p.Inverse(spect, back); err != nil {
-			t.Fatal(err)
-		}
-		for i := range x {
-			if math.Abs(x[i]-back[i]) > 1e-11 {
-				t.Fatalf("n=%d sample %d: %g vs %g", n, i, x[i], back[i])
-			}
-		}
-	}
-	// Validation errors.
-	p, _ := NewRealPlan(8)
-	if err := p.Inverse(make([]complex128, 6), make([]float64, 8)); err == nil {
-		t.Fatal("spectrum length mismatch accepted")
-	}
-	if err := p.Inverse(make([]complex128, 8), make([]float64, 6)); err == nil {
-		t.Fatal("dst length mismatch accepted")
-	}
-}
-
-// TestRFFTIRFFTAllLengths covers the convenience pair over even, odd
-// and prime lengths: RFFT must agree with the complex transform and
-// IRFFT must invert it.
-func TestRFFTIRFFTAllLengths(t *testing.T) {
-	r := rand.New(rand.NewSource(25))
-	for _, n := range []int{1, 2, 3, 5, 7, 8, 9, 16, 17, 97, 221, 222} {
-		x := randomReal(r, n)
-		want := make([]complex128, n)
-		for i, v := range x {
-			want[i] = complex(v, 0)
-		}
-		Forward(want)
-		got := RFFT(x)
-		if rel := maxRel(got, want); rel > 1e-12 {
-			t.Errorf("n=%d: RFFT deviates by %g (rel)", n, rel)
-		}
-		back := IRFFT(got)
-		for i := range x {
-			if math.Abs(x[i]-back[i]) > 1e-10 {
-				t.Fatalf("n=%d: IRFFT sample %d: %g vs %g", n, i, x[i], back[i])
-			}
-		}
-	}
-}
-
-// TestRealTablesShared: real plans of one length must share the cached
-// unpack twiddles, like complex plans share planTables.
-func TestRealTablesShared(t *testing.T) {
-	a, _ := NewRealPlan(48)
-	b, _ := NewRealPlan(48)
-	if a.realTables != b.realTables {
-		t.Fatal("real plans built distinct table sets")
-	}
-	if &a.buf[0] == &b.buf[0] {
-		t.Fatal("real plans share mutable scratch")
-	}
-}
-
-// TestPlanCacheShardedConcurrent hammers many distinct lengths from
-// many goroutines through both caches at once; run under -race this
-// gates the sharded cache against construction races.
-func TestPlanCacheShardedConcurrent(t *testing.T) {
-	lengths := []int{30, 34, 38, 42, 46, 50, 54, 58, 62, 66, 70, 74}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for _, n := range lengths {
-				x := randomReal(r, n)
-				p, err := NewRealPlan(n)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				spect, err := p.Forward(x)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				back := make([]float64, n)
-				if err := p.Inverse(spect, back); err != nil {
-					t.Error(err)
-					return
-				}
-				for i := range x {
-					if math.Abs(x[i]-back[i]) > 1e-10 {
-						t.Error("round trip corrupted under concurrency")
-						return
-					}
-				}
-			}
-		}(int64(g + 1))
-	}
-	wg.Wait()
 }
 
 // BenchmarkNewPlanParallel measures concurrent plan construction for a
 // cached length across GOMAXPROCS goroutines — the warm-up pattern of
-// the parallel slab DFT and the streaming pipeline. With the sharded
-// lock-free cache this must scale, not serialize.
+// the pooled transforms, where every worker builds its own plans. A
+// sync.Map reads a cached key without a lock, so this must scale, not
+// serialize.
 func BenchmarkNewPlanParallel(b *testing.B) {
 	NewPlan(256)
 	b.ReportAllocs()
@@ -427,7 +259,7 @@ func BenchmarkNewPlanParallel(b *testing.B) {
 }
 
 // BenchmarkNewPlanParallelMixed exercises distinct lengths per
-// goroutine so shards are hit in parallel.
+// goroutine so different keys of the one cache are read in parallel.
 func BenchmarkNewPlanParallelMixed(b *testing.B) {
 	lengths := []int{64, 128, 221, 243, 256, 509, 512, 1024}
 	for _, n := range lengths {

@@ -246,19 +246,6 @@ func (hw *halfWorker) zPass(dst []float64, half, zero []complex128, x, bl, l int
 	}
 }
 
-// CGrid returns the centred spectrum as a CGrid sharing the same
-// backing array. Mutating it mutates the VolumeDFT.
-func (v *VolumeDFT) CGrid() *volume.CGrid {
-	return &volume.CGrid{L: v.L, Data: v.Data}
-}
-
-// LowPass zeroes all coefficients beyond frequency radius rmax (in
-// image frequency units), mirroring the paper's restriction of D̂ to a
-// sphere of radius r_map.
-func (v *VolumeDFT) LowPass(rmax float64) {
-	v.CGrid().LowPass(rmax * float64(v.Pad()))
-}
-
 // Sample returns the spectrum value at a continuous signed-frequency
 // point f in *image* frequency units (cycles per SrcL-pixel box, so
 // the view's Nyquist sphere has radius SrcL/2), using the given

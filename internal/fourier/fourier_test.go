@@ -222,18 +222,6 @@ func TestShiftPhaseComposes(t *testing.T) {
 	}
 }
 
-func TestLowPassRemovesHighFrequencies(t *testing.T) {
-	v := NewVolumeDFT(testGrid(16))
-	v.LowPass(4)
-	l := 16
-	if v.Data[(5*l+0)*l+0] != 0 {
-		t.Fatal("coefficient beyond rmax survived LowPass")
-	}
-	if v.Data[0] == 0 {
-		t.Fatal("DC removed by LowPass")
-	}
-}
-
 // TestGridFromHalfSpectrumMatchesComplexInverse pins the half-spectrum
 // inverse to the complex one — centring ramp, fft.Plan3D.Inverse of
 // the full spectrum, real part, crop — to ≤ 1e-12 of the map's peak,

@@ -95,18 +95,6 @@ func TestPaddedSliceMoreAccurate(t *testing.T) {
 	}
 }
 
-func TestPaddedLowPass(t *testing.T) {
-	g := testGrid(16)
-	v := NewVolumeDFTPadded(g, 2)
-	v.LowPass(3)
-	if s := v.Sample(geom.Vec3{X: 5}, Trilinear); cmplx.Abs(s) > 1e-12 {
-		t.Fatalf("coefficient beyond image-unit rmax survived: %v", s)
-	}
-	if s := v.Sample(geom.Vec3{X: 2}, Trilinear); cmplx.Abs(s) == 0 {
-		t.Fatal("in-band coefficient removed")
-	}
-}
-
 func TestNewVolumeDFTPaddedRejectsBadPad(t *testing.T) {
 	defer func() {
 		if recover() == nil {

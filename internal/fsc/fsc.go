@@ -191,26 +191,3 @@ func (c *Curve) Dominates(other *Curve, frac float64) bool {
 	}
 	return float64(wins) >= frac*float64(n)
 }
-
-// SSNR converts a correlation value to the spectral signal-to-noise
-// ratio of the *combined* (full-dataset) map via the standard relation
-// SSNR = 2·FSC/(1−FSC), clamping pathological values. FSC ≥ 1 maps to
-// +Inf; FSC ≤ 0 maps to 0.
-func SSNR(fscValue float64) float64 {
-	if fscValue >= 1 {
-		return math.Inf(1)
-	}
-	if fscValue <= 0 {
-		return 0
-	}
-	return 2 * fscValue / (1 - fscValue)
-}
-
-// SSNRCurve maps every shell of the curve through SSNR.
-func (c *Curve) SSNRCurve() []float64 {
-	out := make([]float64, len(c.Points))
-	for i, p := range c.Points {
-		out[i] = SSNR(p.CC)
-	}
-	return out
-}

@@ -247,34 +247,3 @@ func TestDominates(t *testing.T) {
 		t.Fatal("degraded curve should not dominate unit curve")
 	}
 }
-
-func TestSSNR(t *testing.T) {
-	// FSC 0.5 ↔ SSNR 2 (the classical justification for the 0.5
-	// criterion); FSC 1/3 ↔ SSNR 1.
-	if got := SSNR(0.5); math.Abs(got-2) > 1e-12 {
-		t.Errorf("SSNR(0.5) = %g, want 2", got)
-	}
-	if got := SSNR(1.0 / 3); math.Abs(got-1) > 1e-12 {
-		t.Errorf("SSNR(1/3) = %g, want 1", got)
-	}
-	if SSNR(-0.2) != 0 {
-		t.Error("negative FSC must map to 0")
-	}
-	if !math.IsInf(SSNR(1), 1) {
-		t.Error("FSC 1 must map to +Inf")
-	}
-}
-
-func TestSSNRCurveMonotone(t *testing.T) {
-	m := phantom.SindbisLike(16)
-	c, _ := Compute(m, m, 2)
-	ss := c.SSNRCurve()
-	if len(ss) != len(c.Points) {
-		t.Fatal("length mismatch")
-	}
-	for _, v := range ss {
-		if !math.IsInf(v, 1) {
-			t.Fatal("identical maps must have infinite SSNR everywhere")
-		}
-	}
-}

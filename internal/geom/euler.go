@@ -118,11 +118,3 @@ func AngularDistance(a, b Euler) float64 {
 	rel := ra.Transpose().Mul(rb)
 	return RadToDeg(rel.RotationAngle())
 }
-
-// AxisDistance returns the angle, in degrees, between the projection
-// axes of two orientations, ignoring the in-plane rotation ω.
-func AxisDistance(a, b Euler) float64 {
-	da, db := a.ViewAxis(), b.ViewAxis()
-	c := math.Max(-1, math.Min(1, da.Dot(db)))
-	return RadToDeg(math.Acos(c))
-}

@@ -126,14 +126,6 @@ func TestAngularDistanceKnown(t *testing.T) {
 	}
 }
 
-func TestAxisDistance(t *testing.T) {
-	a := Euler{90, 0, 0}
-	b := Euler{90, 90, 123} // ω must not matter
-	if d := AxisDistance(a, b); math.Abs(d-90) > 1e-9 {
-		t.Errorf("axis distance = %g, want 90", d)
-	}
-}
-
 func TestRotationAngle(t *testing.T) {
 	for _, deg := range []float64{0, 10, 90, 179} {
 		m := RotZ(DegToRad(deg))

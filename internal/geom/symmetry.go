@@ -92,32 +92,6 @@ func Icosahedral() *Group {
 	return g
 }
 
-// GroupByName returns the named group: "C<n>", "D<n>", "T", "O" or
-// "I" (case-insensitive first letter is not accepted; names are exact).
-func GroupByName(name string) (*Group, error) {
-	switch {
-	case name == "T":
-		return Tetrahedral(), nil
-	case name == "O":
-		return Octahedral(), nil
-	case name == "I":
-		return Icosahedral(), nil
-	case len(name) > 1 && name[0] == 'C':
-		var n int
-		if _, err := fmt.Sscanf(name[1:], "%d", &n); err != nil || n < 1 {
-			return nil, fmt.Errorf("geom: bad cyclic group name %q", name)
-		}
-		return Cyclic(n), nil
-	case len(name) > 1 && name[0] == 'D':
-		var n int
-		if _, err := fmt.Sscanf(name[1:], "%d", &n); err != nil || n < 1 {
-			return nil, fmt.Errorf("geom: bad dihedral group name %q", name)
-		}
-		return Dihedral(n), nil
-	}
-	return nil, fmt.Errorf("geom: unknown group name %q", name)
-}
-
 // matKey quantizes a matrix for deduplication during closure.
 func matKey(m Mat3) [9]int32 {
 	var k [9]int32

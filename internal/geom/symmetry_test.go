@@ -83,23 +83,6 @@ func TestIcosahedralHasExpectedAxes(t *testing.T) {
 	}
 }
 
-func TestGroupByName(t *testing.T) {
-	for _, name := range []string{"C1", "C17", "D4", "T", "O", "I"} {
-		g, err := GroupByName(name)
-		if err != nil {
-			t.Fatalf("GroupByName(%q): %v", name, err)
-		}
-		if g.Name != name {
-			t.Errorf("GroupByName(%q).Name = %q", name, g.Name)
-		}
-	}
-	for _, bad := range []string{"", "X", "C0", "Cfoo", "D-1", "icosahedral"} {
-		if _, err := GroupByName(bad); err == nil {
-			t.Errorf("GroupByName(%q) succeeded, want error", bad)
-		}
-	}
-}
-
 func TestAsymmetricUnitFraction(t *testing.T) {
 	// The asymmetric unit should contain ~1/|G| of uniformly random
 	// directions.

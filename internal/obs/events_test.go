@@ -231,12 +231,10 @@ func TestWritePromExposition(t *testing.T) {
 	c := NewCounter("test.prom.counter")
 	g := NewGauge("test.prom.gauge")
 	h := NewHistogram("test.prom.hist", 4)
-	v := NewCounterVec("test.prom.vec", 2)
 	lv := NewLabeledCounterVec("test.prom.labeled", "kind", "a", "b")
 	withEnabled(t, func() {
 		c.Add(3)
 		g.Set(-2)
-		v.Inc(1)
 		lv.Add(1, 5)
 		h.Observe(0) // bucket 0
 		h.Observe(1) // bucket 1
@@ -250,7 +248,6 @@ func TestWritePromExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE test_prom_counter counter\ntest_prom_counter 3\n",
 		"# TYPE test_prom_gauge gauge\ntest_prom_gauge -2\n",
-		`test_prom_vec{cell="1"} 1`,
 		"# TYPE test_prom_labeled counter\ntest_prom_labeled{kind=\"a\"} 0\ntest_prom_labeled{kind=\"b\"} 5\n",
 		`test_prom_hist_bucket{le="0"} 1`,
 		`test_prom_hist_bucket{le="1"} 2`,

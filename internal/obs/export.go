@@ -29,8 +29,8 @@ func WriteJSON(w io.Writer) error {
 //
 //	Counter     → one `counter` sample
 //	Gauge       → one `gauge` sample
-//	CounterVec  → one `counter` family with a cell="<i>" label per cell
-//	              (a labelled vector: its own <label>="<value>")
+//	CounterVec  → one `counter` family with a <label>="<value>" label
+//	              per cell
 //	Histogram   → a classic `histogram` family: cumulative
 //	              name_bucket{le="..."} series (le is the inclusive
 //	              integer upper bound of each power-of-two bucket, the
@@ -68,11 +68,7 @@ func WriteProm(w io.Writer) error {
 			fams = append(fams, family{promName(v.name), func(buf *bytes.Buffer, name string) {
 				promType(buf, name, "counter")
 				for i := range v.cells {
-					label, value := "cell", strconv.Itoa(i)
-					if v.label != "" {
-						label, value = v.label, v.values[i]
-					}
-					promSample(buf, name, `{`+label+`="`+value+`"}`, v.cells[i].Load())
+					promSample(buf, name, `{`+v.label+`="`+v.values[i]+`"}`, v.cells[i].Load())
 				}
 			}})
 		case *Histogram:

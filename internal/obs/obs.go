@@ -147,35 +147,22 @@ func (c *Counter) snapshot(ms []Metric) []Metric {
 
 func (c *Counter) reset() { c.v.Store(0) }
 
-// CounterVec is a fixed-width vector of counters indexed by a small
-// integer label (a cache shard, a resolution level). Cells export as
-// name[i] — or, for a vector built by NewLabeledCounterVec, as
-// name{label=value}; out-of-range indexes clamp to the last cell so
-// callers never need a bounds check on the hot path.
+// CounterVec is a fixed-width vector of counters over a small closed
+// set of alternatives — which kernel, which outcome — indexed by the
+// alternative's position. Cell i exports as name{label=values[i]}, so
+// an operator reading /metrics needs no source to decode a cell;
+// out-of-range indexes clamp to the last cell so callers never need a
+// bounds check on the hot path.
 type CounterVec struct {
 	name  string
 	cells []atomic.Int64
-	// label and values name the cells of a labelled vector (values[i]
-	// for cell i); both empty for an index-named one.
+	// label and values name the cells (values[i] for cell i).
 	label  string
 	values []string
 }
 
-// NewCounterVec registers a counter vector with n cells.
-func NewCounterVec(name string, n int) *CounterVec {
-	if n <= 0 {
-		panic("obs: CounterVec needs at least one cell: " + name)
-	}
-	v := &CounterVec{name: name, cells: make([]atomic.Int64, n)}
-	register(name, v)
-	return v
-}
-
-// NewLabeledCounterVec registers a counter vector whose cells carry
-// names instead of indexes: cell i exports as name{label=values[i]}
-// (Prometheus: name{label="values[i]"}). For a small closed set of
-// alternatives — which kernel, which outcome — where an operator
-// reading /metrics should not need the source to decode a cell number.
+// NewLabeledCounterVec registers a counter vector whose cell i exports
+// as name{label=values[i]} (Prometheus: name{label="values[i]"}).
 func NewLabeledCounterVec(name, label string, values ...string) *CounterVec {
 	if len(values) == 0 {
 		panic("obs: CounterVec needs at least one cell: " + name)
@@ -235,14 +222,12 @@ func (v *CounterVec) reset() {
 
 // cellName is the snapshot name of cell i.
 func (v *CounterVec) cellName(i int) string {
-	if v.label == "" {
-		return vecName(v.name, i)
-	}
 	return v.name + "{" + v.label + "=" + v.values[i] + "}"
 }
 
-// vecName formats name[i] without fmt (init-time and snapshot only, but
-// keeping obs free of fmt keeps the package lean).
+// vecName formats name[i] — a histogram bucket's series name — without
+// fmt (snapshot only, but keeping obs free of fmt keeps the package
+// lean).
 func vecName(name string, i int) string {
 	digits := [20]byte{}
 	p := len(digits)

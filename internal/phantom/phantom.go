@@ -194,46 +194,3 @@ func CnSymmetric(l, n int, seed int64) *volume.Grid {
 func subunitSigma(l int) float64 {
 	return math.Max(0.9, 0.032*float64(l))
 }
-
-// HelicalRod builds a particle with helical symmetry about the Z
-// axis, loosely modeled on rod viruses like TMV: subunits wound on a
-// helix of the given rise (voxels per subunit along Z) and twist
-// (degrees per subunit), spanning ≈70% of the box height. Helical
-// particles motivate the reconstruction methods of the paper's ref
-// [9]; here the phantom exercises orientation refinement on an
-// elongated particle and symmetry detection's behaviour on
-// non-point-group symmetry.
-func HelicalRod(l int, rise, twistDeg float64) *volume.Grid {
-	fl := float64(l)
-	radius := 0.18 * fl
-	sigma := subunitSigma(l)
-	halfSpan := 0.35 * fl
-	var blobs []Blob
-	for i := 0; ; i++ {
-		z := -halfSpan + float64(i)*rise
-		if z > halfSpan {
-			break
-		}
-		angle := geom.DegToRad(twistDeg * float64(i))
-		blobs = append(blobs, Blob{
-			Center: geom.Vec3{
-				X: radius * math.Cos(angle),
-				Y: radius * math.Sin(angle),
-				Z: z,
-			},
-			Sigma:     sigma,
-			Amplitude: 1,
-		})
-		// An inner strand models the packaged nucleic acid.
-		blobs = append(blobs, Blob{
-			Center: geom.Vec3{
-				X: 0.4 * radius * math.Cos(angle+1.2),
-				Y: 0.4 * radius * math.Sin(angle+1.2),
-				Z: z,
-			},
-			Sigma:     sigma * 0.8,
-			Amplitude: 0.5,
-		})
-	}
-	return Rasterize(l, blobs)
-}

@@ -170,50 +170,3 @@ func TestParticleFitsInBox(t *testing.T) {
 		}
 	}
 }
-
-func TestHelicalRod(t *testing.T) {
-	l := 32
-	rise, twist := 2.0, 36.0
-	m := HelicalRod(l, rise, twist)
-	// The rod must be invariant under its own screw operation:
-	// rotate by the twist and shift by the rise along Z.
-	rot := m.Rotate([3][3]float64(geom.RotZ(geom.DegToRad(twist))))
-	// Shift rot up by `rise` voxels along Z and compare the overlap
-	// region.
-	var num, da, db float64
-	for x := 0; x < l; x++ {
-		for y := 0; y < l; y++ {
-			for z := 0; z < l-int(rise); z++ {
-				a := m.At(x, y, z+int(rise))
-				b := rot.At(x, y, z)
-				num += a * b
-				da += a * a
-				db += b * b
-			}
-		}
-	}
-	cc := num / math.Sqrt(da*db)
-	if cc < 0.9 {
-		t.Fatalf("screw-symmetry correlation %.3f", cc)
-	}
-	// But it must NOT be invariant under the twist alone.
-	if cc2 := volume.Correlation(m, rot); cc2 > 0.9 {
-		t.Fatalf("rod invariant under rotation without rise (cc=%.3f)", cc2)
-	}
-	// The rod is elongated: mass spread along Z exceeds spread in X.
-	var mz, mx, tot float64
-	c := float64(l / 2)
-	for x := 0; x < l; x++ {
-		for y := 0; y < l; y++ {
-			for z := 0; z < l; z++ {
-				v := m.At(x, y, z)
-				tot += v
-				mz += v * (float64(z) - c) * (float64(z) - c)
-				mx += v * (float64(x) - c) * (float64(x) - c)
-			}
-		}
-	}
-	if mz/tot <= mx/tot {
-		t.Fatal("rod not elongated along Z")
-	}
-}

@@ -374,11 +374,14 @@ func FromViewsParallel(views []*volume.Image, orients []geom.Euler, centers [][2
 	return rec.Finish(), nil
 }
 
-// SplitHalvesParallel builds the odd and even half-maps: one pass over
-// the views routes each task to its half's list, and each half is one
-// InsertViews call, finished before the next half is built. Each half
-// sees its views in dataset order, so the outputs are bit-identical to
-// reconstructing the two subsets with FromViewsParallel.
+// SplitHalvesParallel builds the odd and even half-maps of the paper's
+// Fig. 4 procedure ("one using only odd numbered experimental views and
+// the other, even numbered views", 1-based) and returns them as (odd,
+// even): one pass over the views routes each task to its half's list,
+// and each half is one InsertViews call, finished before the next half
+// is built. Each half sees its views in dataset order, so the outputs
+// are bit-identical to reconstructing the two subsets with
+// FromViewsParallel.
 func SplitHalvesParallel(views []*volume.Image, orients []geom.Euler, centers [][2]float64, ctfs []ctf.Params, opt ParallelOptions) (*volume.Grid, *volume.Grid, error) {
 	if err := validateSet(views, orients, centers, ctfs, opt.Options); err != nil {
 		return nil, nil, err

@@ -179,7 +179,7 @@ func TestSplitHalvesSinglePassUnchanged(t *testing.T) {
 	l := 16
 	ds, centers, ctfs := ctfDataset(t, l, 21, 25)
 	opt := Options{WienerCTF: true}
-	odd, even, err := SplitHalves(ds.Images(), ds.TrueOrientations(), centers, ctfs, opt)
+	odd, even, err := SplitHalvesParallel(ds.Images(), ds.TrueOrientations(), centers, ctfs, ParallelOptions{Options: opt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -322,11 +322,3 @@ func taskAt(views []*volume.Image, orients []geom.Euler, centers [][2]float64, c
 func FromViews(views []*volume.Image, orients []geom.Euler, centers [][2]float64, ctfs []ctf.Params, opt Options) (*volume.Grid, error) {
 	return FromViewsParallel(views, orients, centers, ctfs, ParallelOptions{Options: opt})
 }
-
-// SplitHalves reconstructs two independent maps from the odd- and
-// even-numbered views (1-based, matching the paper's Fig. 4 procedure:
-// "one using only odd numbered experimental views and the other, even
-// numbered views"). The returned maps are (odd, even).
-func SplitHalves(views []*volume.Image, orients []geom.Euler, centers [][2]float64, ctfs []ctf.Params, opt Options) (*volume.Grid, *volume.Grid, error) {
-	return SplitHalvesParallel(views, orients, centers, ctfs, ParallelOptions{Options: opt})
-}

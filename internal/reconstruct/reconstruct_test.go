@@ -131,7 +131,7 @@ func TestWienerRequiresParams(t *testing.T) {
 func TestSplitHalves(t *testing.T) {
 	l := 24
 	ds := dataset(t, l, 80, micrograph.GenParams{Seed: 8})
-	odd, even, err := SplitHalves(ds.Images(), ds.TrueOrientations(), nil, nil, Options{})
+	odd, even, err := SplitHalvesParallel(ds.Images(), ds.TrueOrientations(), nil, nil, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSplitHalves(t *testing.T) {
 func TestSplitHalvesTooFewViews(t *testing.T) {
 	l := 16
 	ds := dataset(t, l, 1, micrograph.GenParams{Seed: 9})
-	if _, _, err := SplitHalves(ds.Images(), ds.TrueOrientations(), nil, nil, Options{}); err == nil {
+	if _, _, err := SplitHalvesParallel(ds.Images(), ds.TrueOrientations(), nil, nil, ParallelOptions{}); err == nil {
 		t.Fatal("split of a single view accepted")
 	}
 }
@@ -166,8 +166,8 @@ func TestInputValidation(t *testing.T) {
 		if _, err := FromViews(two, make([]geom.Euler, 2), nil, make([]ctf.Params, 1), opt); err == nil {
 			t.Fatalf("short CTF params accepted (WienerCTF %t)", opt.WienerCTF)
 		}
-		if _, _, err := SplitHalves(two, make([]geom.Euler, 2), nil, make([]ctf.Params, 1), opt); err == nil {
-			t.Fatalf("short CTF params accepted by SplitHalves (WienerCTF %t)", opt.WienerCTF)
+		if _, _, err := SplitHalvesParallel(two, make([]geom.Euler, 2), nil, make([]ctf.Params, 1), ParallelOptions{Options: opt}); err == nil {
+			t.Fatalf("short CTF params accepted by SplitHalvesParallel (WienerCTF %t)", opt.WienerCTF)
 		}
 	}
 	rec := New(8, Options{})

@@ -100,14 +100,24 @@ func NewHandler(m *Manager) http.Handler {
 // arbitrarily long token.
 const maxSpecBytes = 1 << 20
 
-// decodeSpec reads one JobSpec from a request body; a field JobSpec
-// does not have is an error, not silently dropped.
+// decodeSpec reads one JobSpec from a request body. The body must be
+// exactly one JSON value: a field JobSpec does not have, or anything
+// but whitespace after the value, is an error, not silently dropped.
 func decodeSpec(body io.Reader) (JobSpec, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var spec JobSpec
-	err := dec.Decode(&spec)
-	return spec, err
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return spec, nil
+	case err != nil:
+		return spec, err
+	default:
+		return spec, errors.New("data after the job spec")
+	}
 }
 
 // handleSubmit decodes, validates and enqueues a job spec.

@@ -223,32 +223,38 @@ func TestHTTPErrors(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(m))
 	defer ts.Close()
 
-	if resp, _ := postJob(t, ts, `{not json`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad JSON: %d", resp.StatusCode)
-	}
-	if resp, _ := postJob(t, ts, `{"dataset":"nope"}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown dataset: %d", resp.StatusCode)
-	}
-	if resp, _ := postJob(t, ts, `{"dataset":"asymmetric","bogus":1}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: %d", resp.StatusCode)
+	// Every refused submit is a 400 that journals nothing and leaves
+	// the queue empty.
+	for _, tc := range []struct{ name, body string }{
+		{"bad JSON", `{not json`},
+		{"unknown dataset", `{"dataset":"nope"}`},
+		{"unknown field", `{"dataset":"asymmetric","bogus":1}`},
+		// A one-view cycle job has no odd/even halves: refused at
+		// admission, not failed on the executor after being journaled.
+		{"one-view cycle job", `{"type":"cycle","dataset":"asymmetric","scale":2.5,"views":1}`},
+		// Data after the spec is refused like an unknown field, not
+		// dropped behind one admitted job.
+		{"second value", `{"dataset":"sindbis"}{"dataset":"reo"}`},
+		{"trailing garbage", `{"dataset":"sindbis"} garbage`},
+		{"stray bracket", `{"dataset":"sindbis"}]`},
+	} {
+		if resp, data := postJob(t, ts, tc.body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", tc.name, resp.StatusCode, data)
+		}
+		m.mu.Lock()
+		queued := m.queued
+		m.mu.Unlock()
+		if queued != 0 || len(m.List()) != 0 || j.Size() != 0 {
+			t.Fatalf("%s: refused POST left queued=%d jobs=%d journal_bytes=%d, want all 0", tc.name, queued, len(m.List()), j.Size())
+		}
 	}
 	if resp := getJSON(t, ts, "/jobs/job-999999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET unknown job: %d", resp.StatusCode)
 	}
-	// A one-view cycle job has no odd/even halves: refused at admission,
-	// not failed on the executor after being journaled.
-	if resp, data := postJob(t, ts, `{"type":"cycle","dataset":"asymmetric","scale":2.5,"views":1}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("one-view cycle job: %d %s", resp.StatusCode, data)
-	}
-	m.mu.Lock()
-	queued := m.queued
-	m.mu.Unlock()
-	if queued != 0 || len(m.List()) != 0 || j.Size() != 0 {
-		t.Fatalf("rejected POSTs left queued=%d jobs=%d journal_bytes=%d, want all 0", queued, len(m.List()), j.Size())
-	}
 
-	// Cancel flow: DELETE a pending job, then DELETE again → 409.
-	_, data := postJob(t, ts, `{"dataset":"asymmetric","scale":2.5,"views":4,"levels":1}`)
+	// Cancel flow: DELETE a pending job, then DELETE again → 409. The
+	// spec's trailing whitespace is not data after it.
+	_, data := postJob(t, ts, "{\"dataset\":\"asymmetric\",\"scale\":2.5,\"views\":4,\"levels\":1}\n \t\n")
 	var st JobStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)

@@ -9,11 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
-// FuzzJobSpecNormalize: whatever body POST /jobs decodes, normalize
-// never panics, and every spec it accepts is a fixed point. The
-// normalized spec survives a JSON round trip unchanged (it is what the
-// journal records) and re-normalizes to itself with the same dataset
-// (resuming a journaled job normalizes it again).
+// FuzzJobSpecNormalize: every body POST /jobs decodes is exactly one
+// JSON value, normalize never panics on it, and every spec it accepts
+// is a fixed point. The normalized spec survives a JSON round trip
+// unchanged (it is what the journal records) and re-normalizes to
+// itself with the same dataset (resuming a journaled job normalizes it
+// again).
 func FuzzJobSpecNormalize(f *testing.F) {
 	for _, seed := range []string{
 		`{"dataset":"asymmetric"}`,
@@ -23,6 +24,10 @@ func FuzzJobSpecNormalize(f *testing.F) {
 		`{"dataset":"reo","scale":1e300,"init_error":-0}`,
 		`{"type":"refine","dataset":"asymmetric","max_cycles":2}`,
 		`{"dataset":"asymmetric","bogus":1}`,
+		`{"dataset":"sindbis"}{"dataset":"reo"}`,
+		`{"dataset":"sindbis"} garbage`,
+		`{"dataset":"sindbis"}]`,
+		"{\"dataset\":\"sindbis\"}\n\t ",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -30,6 +35,9 @@ func FuzzJobSpecNormalize(f *testing.F) {
 		spec, err := decodeSpec(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("decodeSpec accepted %q, which is not exactly one JSON value", data)
 		}
 		norm, wspec, err := spec.normalize()
 		if err != nil {

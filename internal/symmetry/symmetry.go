@@ -93,41 +93,3 @@ func Detect(m *volume.Grid, candidates []*geom.Group, threshold float64) (*geom.
 	}
 	return geom.Cyclic(1), scores
 }
-
-// AxisScan searches for individual rotational symmetry axes: it
-// scores n-fold rotations about a grid of candidate axis directions
-// and returns those clearing the threshold. This is the exploratory
-// tool for particles whose symmetry is not one of the standard
-// candidates (e.g. a single odd-order cyclic axis in an arbitrary
-// direction).
-type Axis struct {
-	Direction geom.Vec3
-	Fold      int
-	CC        float64
-}
-
-// AxisScan samples axis directions at approximately stepDeg spacing
-// and tests folds 2..maxFold, returning axes with correlation ≥
-// threshold, strongest first.
-func AxisScan(m *volume.Grid, stepDeg float64, maxFold int, threshold float64) []Axis {
-	masked := m.Clone()
-	masked.SphericalMask(float64(m.L)/2 - 1)
-	var out []Axis
-	for _, e := range geom.SphereGrid(stepDeg) {
-		// Opposite directions define the same axis; keep one
-		// hemisphere.
-		d := e.ViewAxis()
-		if d.Z < 0 || (d.Z == 0 && d.Y < 0) {
-			continue
-		}
-		for fold := 2; fold <= maxFold; fold++ {
-			rot := masked.Rotate([3][3]float64(geom.AxisAngle(d, 2*math.Pi/float64(fold))))
-			cc := volume.Correlation(masked, rot)
-			if cc >= threshold {
-				out = append(out, Axis{Direction: d, Fold: fold, CC: cc})
-			}
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].CC > out[b].CC })
-	return out
-}

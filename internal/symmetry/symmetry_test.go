@@ -67,27 +67,3 @@ func TestScoreGroupPerfectForTrivial(t *testing.T) {
 		t.Fatalf("trivial group score %+v", s)
 	}
 }
-
-func TestAxisScanFindsCyclicAxis(t *testing.T) {
-	m := phantom.CnSymmetric(32, 4, 9)
-	axes := AxisScan(m, 30, 5, 0.9)
-	if len(axes) == 0 {
-		t.Fatal("no axes found for C4 particle")
-	}
-	// The strongest axis must be ±Z with fold 4 or 2 (C4 ⊃ C2).
-	best := axes[0]
-	if z := best.Direction.Z; z < 0.99 {
-		t.Fatalf("best axis %v, want Z", best.Direction)
-	}
-	if best.Fold != 2 && best.Fold != 4 {
-		t.Fatalf("best fold %d, want 2 or 4", best.Fold)
-	}
-}
-
-func TestAxisScanQuietForAsymmetric(t *testing.T) {
-	m := phantom.Asymmetric(32, 10, 11)
-	axes := AxisScan(m, 30, 4, 0.9)
-	if len(axes) != 0 {
-		t.Fatalf("asymmetric particle produced %d spurious axes (best %+v)", len(axes), axes[0])
-	}
-}

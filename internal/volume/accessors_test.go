@@ -6,33 +6,6 @@ import (
 	"testing"
 )
 
-func TestCGridAccessors(t *testing.T) {
-	g := NewCGrid(4)
-	g.Set(1, 2, 3, 2+3i)
-	if g.At(1, 2, 3) != 2+3i {
-		t.Fatal("Set/At mismatch")
-	}
-	g.Add(1, 2, 3, 1+1i)
-	if g.At(1, 2, 3) != 3+4i {
-		t.Fatal("Add failed")
-	}
-	if g.Data[g.Index(1, 2, 3)] != 3+4i {
-		t.Fatal("Index inconsistent")
-	}
-	c := g.Clone()
-	c.Set(0, 0, 0, 9)
-	if g.At(0, 0, 0) == 9 {
-		t.Fatal("Clone aliases original")
-	}
-	r := g.Real()
-	if r.At(1, 2, 3) != 3 {
-		t.Fatal("Real extracted wrong component")
-	}
-	if got := g.MaxImagAbs(); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("MaxImagAbs = %g, want 4", got)
-	}
-}
-
 func TestImageAccessors(t *testing.T) {
 	im := NewImage(5)
 	im.Set(2, 3, 7)
@@ -120,7 +93,6 @@ func TestRotateIdentityAndInverse(t *testing.T) {
 func TestNewGridPanicsOnBadSize(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewGrid(0) },
-		func() { NewCGrid(0) },
 		func() { NewImage(0) },
 		func() { NewCImage(-1) },
 	} {

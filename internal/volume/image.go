@@ -190,27 +190,3 @@ func (im *CImage) Energy() float64 {
 	}
 	return e
 }
-
-// Downsample returns the image binned by an integer factor: each
-// output pixel averages a factor² input block. The image size must be
-// divisible by the factor.
-func (im *Image) Downsample(factor int) *Image {
-	if factor < 1 || im.L%factor != 0 {
-		panic(fmt.Sprintf("volume: cannot downsample %d² by %d", im.L, factor))
-	}
-	nl := im.L / factor
-	out := NewImage(nl)
-	inv := 1 / float64(factor*factor)
-	for j := 0; j < nl; j++ {
-		for k := 0; k < nl; k++ {
-			var s float64
-			for dj := 0; dj < factor; dj++ {
-				for dk := 0; dk < factor; dk++ {
-					s += im.At(j*factor+dj, k*factor+dk)
-				}
-			}
-			out.Set(j, k, s*inv)
-		}
-	}
-	return out
-}

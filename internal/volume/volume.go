@@ -1,6 +1,6 @@
-// Package volume provides the dense 3-D electron-density grids and 2-D
-// particle images that the reconstruction pipeline operates on, in both
-// real (float64) and Fourier (complex128) form, with flat row-major
+// Package volume provides the dense 3-D electron-density grids (real,
+// float64) and 2-D particle images (real, and complex128 for a view's
+// spectrum) that the reconstruction pipeline operates on, with flat row-major
 // storage, slab views for the parallel 3-D DFT, radial masks, and a
 // simple binary serialization format.
 //
@@ -204,33 +204,4 @@ func stats(data []float64) (min, max, mean, std float64) {
 	}
 	std = math.Sqrt(ss / float64(len(data)))
 	return
-}
-
-// Downsample returns the grid binned by an integer factor: each output
-// voxel averages a factor³ input block. The grid size must be
-// divisible by the factor. Binning is the standard way to build the
-// coarse maps used early in a resolution ladder.
-func (g *Grid) Downsample(factor int) *Grid {
-	if factor < 1 || g.L%factor != 0 {
-		panic(fmt.Sprintf("volume: cannot downsample %d³ by %d", g.L, factor))
-	}
-	nl := g.L / factor
-	out := NewGrid(nl)
-	inv := 1 / float64(factor*factor*factor)
-	for x := 0; x < nl; x++ {
-		for y := 0; y < nl; y++ {
-			for z := 0; z < nl; z++ {
-				var s float64
-				for dx := 0; dx < factor; dx++ {
-					for dy := 0; dy < factor; dy++ {
-						for dz := 0; dz < factor; dz++ {
-							s += g.At(x*factor+dx, y*factor+dy, z*factor+dz)
-						}
-					}
-				}
-				out.Set(x, y, z, s*inv)
-			}
-		}
-	}
-	return out
 }

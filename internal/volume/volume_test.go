@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func randomGrid(r *rand.Rand, l int) *Grid {
@@ -211,37 +210,6 @@ func TestCenterOfMass(t *testing.T) {
 	}
 }
 
-func TestLowPass(t *testing.T) {
-	g := NewCGrid(8)
-	for i := range g.Data {
-		g.Data[i] = 1
-	}
-	g.LowPass(2)
-	if g.At(0, 0, 0) != 1 {
-		t.Error("DC removed")
-	}
-	if g.At(2, 0, 0) != 1 || g.At(0, 6, 0) != 1 { // freq (0,-2,0)
-		t.Error("in-band coefficient removed")
-	}
-	if g.At(3, 0, 0) != 0 || g.At(2, 2, 7) != 0 {
-		t.Error("out-of-band coefficient kept")
-	}
-}
-
-func TestCGridEnergyQuick(t *testing.T) {
-	f := func(re, im float64) bool {
-		// Fold arbitrary inputs into a safe range to avoid overflow.
-		re, im = math.Mod(re, 1e6), math.Mod(im, 1e6)
-		g := NewCGrid(2)
-		g.Data[3] = complex(re, im)
-		want := re*re + im*im
-		return math.Abs(g.Energy()-want) <= 1e-12*math.Max(1, want)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestZSection(t *testing.T) {
 	g := NewGrid(4)
 	g.Set(1, 2, 3, 9)
@@ -252,64 +220,4 @@ func TestZSection(t *testing.T) {
 	if im.At(1, 1) != 0 {
 		t.Fatal("ZSection contaminated")
 	}
-}
-
-func TestGridDownsample(t *testing.T) {
-	g := NewGrid(8)
-	for i := range g.Data {
-		g.Data[i] = float64(i)
-	}
-	d := g.Downsample(2)
-	if d.L != 4 {
-		t.Fatalf("downsampled size %d, want 4", d.L)
-	}
-	// First output voxel averages the (0..1)³ block.
-	var want float64
-	for x := 0; x < 2; x++ {
-		for y := 0; y < 2; y++ {
-			for z := 0; z < 2; z++ {
-				want += g.At(x, y, z)
-			}
-		}
-	}
-	want /= 8
-	if math.Abs(d.At(0, 0, 0)-want) > 1e-12 {
-		t.Fatalf("voxel (0,0,0) = %g, want %g", d.At(0, 0, 0), want)
-	}
-	// Mass is preserved under averaging x scale change.
-	var sumIn, sumOut float64
-	for _, v := range g.Data {
-		sumIn += v
-	}
-	for _, v := range d.Data {
-		sumOut += v
-	}
-	if math.Abs(sumOut*8-sumIn) > 1e-9*sumIn {
-		t.Fatal("downsampling lost mass")
-	}
-}
-
-func TestImageDownsample(t *testing.T) {
-	im := NewImage(6)
-	for i := range im.Data {
-		im.Data[i] = 2
-	}
-	d := im.Downsample(3)
-	if d.L != 2 {
-		t.Fatalf("size %d, want 2", d.L)
-	}
-	for _, v := range d.Data {
-		if math.Abs(v-2) > 1e-12 {
-			t.Fatal("constant image not preserved")
-		}
-	}
-}
-
-func TestDownsampleRejectsBadFactor(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-divisor factor accepted")
-		}
-	}()
-	NewGrid(9).Downsample(2)
 }

@@ -79,7 +79,7 @@ func TestFullPipelineFromMicrograph(t *testing.T) {
 	}
 
 	// Fig. 4: the resolution assessment must produce a usable curve.
-	odd, even, err := reconstruct.SplitHalves(images, orients, centers, nil, reconstruct.Options{})
+	odd, even, err := reconstruct.SplitHalvesParallel(images, orients, centers, nil, reconstruct.ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
