@@ -163,8 +163,8 @@ func TestHalfBandMatchesFullDisc(t *testing.T) {
 							t.Fatalf("%s level %d distance at %v: half %.17g, full %.17g (rel %.3g)", stage, li, o, a, b, d)
 						}
 						hc, fc := make([]complex128, nh), make([]complex128, nf)
-						half.sampleCut(hc, hv.refW, o)
-						full.sampleCut(fc, fv.refW, o)
+						half.sampleCut(hc, hv.refW, o, fourier.NewCellMemo(nh))
+						full.sampleCut(fc, fv.refW, o, fourier.NewCellMemo(nf))
 						// The centre kernel forms the raw metric as
 						// E_F + E_C − 2·cross, so it cancels like the
 						// least-squares one and takes the same floor.

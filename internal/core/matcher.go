@@ -32,9 +32,9 @@ type bandEntry struct {
 type matcher struct {
 	dft *fourier.VolumeDFT
 	// smp is the fused central-section sampler bound to dft: lattice
-	// constants hoisted, wrap arithmetic branch-based, trilinear blend
-	// inlined. The scalar dft.Sample path is kept as the reference
-	// implementation (and test oracle).
+	// constants hoisted, wrap arithmetic branch-based, trilinear corners
+	// read through the worker's cell memo. The scalar dft.Sample path is
+	// kept as the reference implementation (and test oracle).
 	smp fourier.Sampler
 	cfg Config
 	l   int
@@ -188,6 +188,7 @@ type matchScratch struct {
 	keys    []orientKey           // adaptive candidate batch (lattice keys)
 	dists   []float64             // batched distances for pending
 	cache   map[orientKey]float64 // per-level distance memo across window slides
+	cells   *fourier.CellMemo     // each band slot's last trilinear cell; nil in nearest mode
 }
 
 // growDists returns a length-n distance buffer, growing the backing
@@ -208,12 +209,16 @@ func (sc *matchScratch) growDists(n int) []float64 {
 // newScratch allocates worker scratch sized to the full band.
 func (m *matcher) newScratch() *matchScratch {
 	n := len(m.band)
-	return &matchScratch{
+	sc := &matchScratch{
 		cut:   make([]complex128, n),
 		cross: make([]complex128, n),
 		ramp:  m.newRamp(),
 		cache: make(map[orientKey]float64, 256),
 	}
+	if m.cfg.Interp != fourier.Nearest {
+		sc.cells = fourier.NewCellMemo(n)
+	}
+	return sc
 }
 
 // viewData is the per-view matching state: the CTF-corrected transform
@@ -316,13 +321,15 @@ func checkHermitian(dft *fourier.VolumeDFT) error {
 // sampling D̂ coefficient by coefficient — applying the view's
 // per-entry cut weights when present. It is the single cut
 // construction shared by the distance, magnitude and centre-refinement
-// paths, so the metric variants cannot drift from each other.
+// paths, so the metric variants cannot drift from each other. The
+// trilinear corners are read through the cell memo cells (nil in
+// nearest mode), which leaves the cut bit-identical to SampleCut's.
 //
 //repro:hotpath
-func (m *matcher) sampleCut(cut []complex128, refW []float64, o geom.Euler) {
+func (m *matcher) sampleCut(cut []complex128, refW []float64, o geom.Euler, cells *fourier.CellMemo) {
 	rot := o.Matrix()
 	n := len(cut)
-	m.smp.SampleCut(cut, m.fh[:n], m.fk[:n], rot.Col(0), rot.Col(1))
+	m.smp.SampleCutMemo(cut, m.fh[:n], m.fk[:n], rot.Col(0), rot.Col(1), cells)
 	if refW != nil {
 		for i, c := range cut {
 			w := refW[i]
@@ -379,7 +386,7 @@ func (m *matcher) distanceToCut(vd *viewData, cut []complex128) float64 {
 func (m *matcher) distance(vd *viewData, o geom.Euler, n int, sc *matchScratch) float64 {
 	matchDistanceEvals.Inc()
 	cut := sc.cut[:n]
-	m.sampleCut(cut, vd.refW, o)
+	m.sampleCut(cut, vd.refW, o, sc.cells)
 	return m.distanceToCut(vd, cut)
 }
 
@@ -394,7 +401,7 @@ func (m *matcher) distanceWindow(vd *viewData, orients []geom.Euler, n int, sc *
 	matchDistanceEvals.Add(int64(len(orients)))
 	cut := sc.cut[:n]
 	for i, o := range orients {
-		m.sampleCut(cut, vd.refW, o)
+		m.sampleCut(cut, vd.refW, o, sc.cells)
 		dst[i] = m.distanceToCut(vd, cut)
 	}
 }

@@ -146,7 +146,7 @@ func TestShiftedDistanceAgreesWithAppliedShift(t *testing.T) {
 	pv, _ := r.PrepareView(v.Image, v.CTF)
 	n := len(r.m.band)
 	cut := make([]complex128, n)
-	r.m.sampleCut(cut, pv.vd.refW, v.TrueOrient)
+	r.m.sampleCut(cut, pv.vd.refW, v.TrueOrient, fourier.NewCellMemo(n))
 	want := centerDistanceAt(r.m, pv.vd, cut, 0.7, -1.1)
 	rp := r.m.newRamp()
 	r.m.applyShift(pv.vd, 0.7, -1.1, &rp)
@@ -176,7 +176,7 @@ func BenchmarkCenterKernel(b *testing.B) {
 	}
 	sc := r.m.newScratch()
 	n := len(r.m.band)
-	r.m.sampleCut(sc.cut[:n], pv.vd.refW, v.TrueOrient)
+	r.m.sampleCut(sc.cut[:n], pv.vd.refW, v.TrueOrient, sc.cells)
 	g := sc.cross[:n]
 	ec := r.m.crossSpectrum(pv.vd, sc.cut[:n], g)
 	b.ReportAllocs()

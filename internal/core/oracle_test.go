@@ -218,7 +218,7 @@ func TestFusedShiftedDistanceMatchesOracle(t *testing.T) {
 			check := func(o geom.Euler, n int, dx, dy float64) {
 				t.Helper()
 				cut := make([]complex128, n)
-				r.m.sampleCut(cut, vd.refW, o)
+				r.m.sampleCut(cut, vd.refW, o, fourier.NewCellMemo(n))
 				wantCut := oracleCutValues(r.m, vd, o, n)
 				for i := range cut {
 					if d := math.Hypot(real(cut[i])-real(wantCut[i]), imag(cut[i])-imag(wantCut[i])); d > 1e-12 {
@@ -307,7 +307,7 @@ func TestApplyShiftEquivalentToShiftedDistance(t *testing.T) {
 				for _, lv := range r.cfg.Schedule {
 					n := r.m.prefixLen(lv.effRMapFrac() * r.cfg.RMap)
 					cut := make([]complex128, n)
-					r.m.sampleCut(cut, vd.refW, o)
+					r.m.sampleCut(cut, vd.refW, o, fourier.NewCellMemo(n))
 					want := centerDistanceAt(r.m, vd, cut, dx, dy)
 					got := centerDistanceAt(r.m, shiftedVd, cut, 0, 0)
 					if d := centerRel(r.m, vd, n, got, want); d > 1e-12 {

@@ -6,9 +6,13 @@ import "repro/internal/obs"
 // evaluations (one per candidate orientation); cut_coeffs counts band
 // coefficients filled across all cuts — the raw interpolation volume
 // the matcher drives. at_calls counts single-point samples (which the
-// nearest-neighbour SampleCut path also routes through).
+// nearest-neighbour SampleCut path also routes through). cell_hits and
+// cell_misses split the in-band samples of SampleCutMemo by whether the
+// worker's cell memo already held the sample's trilinear cell.
 var (
-	samplerAtCalls   = obs.NewCounter("fourier.sampler.at_calls")
-	samplerCutCalls  = obs.NewCounter("fourier.sampler.cut_calls")
-	samplerCutCoeffs = obs.NewCounter("fourier.sampler.cut_coeffs")
+	samplerAtCalls    = obs.NewCounter("fourier.sampler.at_calls")
+	samplerCutCalls   = obs.NewCounter("fourier.sampler.cut_calls")
+	samplerCutCoeffs  = obs.NewCounter("fourier.sampler.cut_coeffs")
+	samplerCellHits   = obs.NewCounter("fourier.sampler.cell_hits")
+	samplerCellMisses = obs.NewCounter("fourier.sampler.cell_misses")
 )

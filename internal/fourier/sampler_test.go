@@ -183,8 +183,8 @@ func TestSampleCutFriedelSymmetry(t *testing.T) {
 }
 
 // TestKernelsAllocFree: the //repro:hotpath kernels of this package —
-// the sampler (At, SampleCut, in both interpolations) and the three
-// line passes of GridFromHalfSpectrum — allocate nothing per call with
+// the sampler (At, SampleCut, SampleCutMemo, in both interpolations)
+// and the three line passes of GridFromHalfSpectrum — allocate nothing per call with
 // instrumentation on, counting everything below them (the trilinear
 // blend, frequency wrapping, the 1-D inverse FFTs).
 func TestKernelsAllocFree(t *testing.T) {
@@ -201,6 +201,10 @@ func TestKernelsAllocFree(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(50, func() { s.SampleCut(cut, fh, fk, rot.Col(0), rot.Col(1)) }); a != 0 {
 			t.Errorf("interp %v: SampleCut allocates %v times per call", interp, a)
+		}
+		memo := NewCellMemo(len(fh))
+		if a := testing.AllocsPerRun(50, func() { s.SampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), memo) }); a != 0 {
+			t.Errorf("interp %v: SampleCutMemo allocates %v times per call", interp, a)
 		}
 	}
 
