@@ -246,6 +246,10 @@ func (r *Refiner) refineStreamRange(ctx context.Context, n int, src StreamSource
 					}
 					init = priors[lv.i].Orient
 				}
+				if !init.Finite() {
+					fail(fmt.Errorf("core: view %d: non-finite orientation %v", lv.i, init))
+					return
+				}
 				select {
 				case prepared <- preparedView{i: lv.i, v: v, init: init}:
 				case <-abort:

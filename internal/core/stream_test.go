@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -241,5 +242,32 @@ func TestRefineStreamLevelsValidation(t *testing.T) {
 	}
 	if _, err := r.RefineStreamLevels(ctx, n, src, make([]Result, n), -1, 1, StreamOptions{}); err == nil {
 		t.Fatal("negative start level not rejected")
+	}
+}
+
+// TestRefineStreamNonFiniteOrientation: a NaN or infinite starting
+// orientation, from StreamItem.Init or from a prior's Orient, is
+// refused with an error by the prepare stage. It used to reach the cut
+// sampler and panic a refine worker, which no caller can recover.
+func TestRefineStreamNonFiniteOrientation(t *testing.T) {
+	r, ds := streamFixture(t, 3)
+	ctx := context.Background()
+	for _, bad := range []geom.Euler{{Theta: math.NaN()}, {Phi: math.Inf(1)}, {Omega: math.Inf(-1)}} {
+		n, good := datasetSource(ds, geom.Euler{})
+		src := func(i int) (StreamItem, error) {
+			it, err := good(i)
+			if i == 1 {
+				it.Init = bad
+			}
+			return it, err
+		}
+		if _, err := r.RefineStream(ctx, n, src, StreamOptions{}); err == nil {
+			t.Fatalf("RefineStream accepted initial orientation %v", bad)
+		}
+		priors := make([]Result, n)
+		priors[2].Orient = bad
+		if _, err := r.RefineStreamLevels(ctx, n, good, priors, 0, 1, StreamOptions{}); err == nil {
+			t.Fatalf("RefineStreamLevels accepted prior orientation %v", bad)
+		}
 	}
 }

@@ -42,6 +42,18 @@ func (e Euler) String() string {
 	return fmt.Sprintf("(θ=%.4g°, φ=%.4g°, ω=%.4g°)", e.Theta, e.Phi, e.Omega)
 }
 
+// Finite reports whether all three angles are finite in radians. A NaN
+// or infinite angle, or one so large its radian value overflows, has no
+// rotation matrix: Matrix would return NaNs.
+func (e Euler) Finite() bool {
+	for _, a := range [3]float64{e.Theta, e.Phi, e.Omega} {
+		if r := DegToRad(a); math.IsNaN(r) || math.IsInf(r, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Matrix returns the rotation matrix R(θ, φ, ω) = Rz(φ)·Ry(θ)·Rz(ω).
 func (e Euler) Matrix() Mat3 {
 	return RotZ(DegToRad(e.Phi)).Mul(RotY(DegToRad(e.Theta))).Mul(RotZ(DegToRad(e.Omega)))

@@ -166,3 +166,33 @@ func TestVec3Ops(t *testing.T) {
 		t.Error("add/sub inconsistent")
 	}
 }
+
+// TestEulerFinite: an orientation is finite only when every angle has a
+// finite radian value, so Matrix is a rotation; an angle whose
+// conversion to radians overflows is refused like an infinite one.
+func TestEulerFinite(t *testing.T) {
+	for _, c := range []struct {
+		e    Euler
+		want bool
+	}{
+		{Euler{10, 20, 30}, true},
+		{Euler{-1e300, 720, 0}, true},
+		{Euler{math.NaN(), 0, 0}, false},
+		{Euler{0, math.Inf(1), 0}, false},
+		{Euler{0, 0, math.Inf(-1)}, false},
+		{Euler{0, 0, math.MaxFloat64}, false},
+	} {
+		if got := c.e.Finite(); got != c.want {
+			t.Errorf("%v.Finite() = %t, want %t", c.e, got, c.want)
+		}
+		if c.want {
+			for _, v := range c.e.Matrix() {
+				for _, x := range v {
+					if math.IsNaN(x) || math.IsInf(x, 0) {
+						t.Errorf("%v is Finite but its matrix holds %v", c.e, x)
+					}
+				}
+			}
+		}
+	}
+}

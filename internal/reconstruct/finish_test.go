@@ -53,16 +53,25 @@ func TestHermitianizeOracle(t *testing.T) {
 	}
 }
 
-// finishOracle is the complex path Finish replaced: normalize the whole
-// l³ spectrum, Hermitianize, apply the centring ramp, run
+// finishOracle is the complex path the half-spectrum Finish replaced:
+// fold the half-disc accumulators over the whole l³ spectrum,
+// (num[q] + conj num[−q]) / (den[q] + den[−q]) with the Wiener ε or the
+// 1e-9 floor, Hermitianize, apply the centring ramp, run
 // fft.Plan3D.Inverse and keep the real part.
 func finishOracle(l int, opt Options, num []complex128, den []float64) *volume.Grid {
 	spec := make([]complex128, len(num))
-	for i := range num {
-		if opt.WienerCTF {
-			spec[i] = num[i] * complex(1/(den[i]+opt.WienerEpsilon), 0)
-		} else if den[i] > 1e-9 {
-			spec[i] = num[i] * complex(1/den[i], 0)
+	for x := 0; x < l; x++ {
+		for y := 0; y < l; y++ {
+			for z := 0; z < l; z++ {
+				i := (x*l+y)*l + z
+				m := (((l-x)%l)*l+(l-y)%l)*l + (l-z)%l
+				d, a := den[i]+den[m], num[i]+cmplx.Conj(num[m])
+				if opt.WienerCTF {
+					spec[i] = a / complex(d+opt.WienerEpsilon, 0)
+				} else if d > 1e-9 {
+					spec[i] = a / complex(d, 0)
+				}
+			}
 		}
 	}
 	hermitianize(spec, l)
@@ -125,10 +134,9 @@ func TestFinishMatchesComplexInverse(t *testing.T) {
 }
 
 // TestFinishPlaneAllocFree: the //repro:hotpath plane kernel of Finish
-// allocates nothing, with and without the Wiener CTF, counting the
-// per-voxel normalization below it. (Finish itself allocates the half
-// spectrum and the map once per call; TestReconstructionAllocBytes
-// bounds that.)
+// allocates nothing, with and without the Wiener CTF. (Finish itself
+// allocates the half spectrum and the map once per call;
+// TestReconstructionAllocBytes bounds that.)
 func TestFinishPlaneAllocFree(t *testing.T) {
 	const l = 12
 	nh := l/2 + 1
@@ -146,8 +154,8 @@ func TestFinishPlaneAllocFree(t *testing.T) {
 }
 
 // BenchmarkFinish times one Finish at l = 64 on 60 views with the
-// Wiener CTF, the recon_fsc shape: normalize + Hermitian average into
-// the half spectrum, then the half-spectrum inverse.
+// Wiener CTF, the recon_fsc shape: the fold into the half spectrum,
+// then the half-spectrum inverse.
 func BenchmarkFinish(b *testing.B) {
 	l := 64
 	ds, centers, ctfs := ctfDataset(b, l, 60, 34)

@@ -58,9 +58,9 @@ type Sharded struct {
 	workers int
 	num     []complex128
 	den     []float64
-	wrapTab []int32 // wrapTab[i+l] = wrap(i, l) for i ∈ [−l, l+1]
-	kMax    []int   // band row h spans k ∈ [−kMax[h+ri], kMax[h+ri]]
-	nBand   int     // coefficients per view
+	wrapTab []int32  // wrapTab[i+l] = wrap(i, l) for i ∈ [−l, l+1]
+	rows    [][2]int // band row h spans k ∈ [rows[h][0], rows[h][1]]
+	nBand   int      // coefficients per view
 
 	preps []*viewPrep    // one per prepare worker
 	band  []weighted     // nBand prepared coefficients per chunk slot
@@ -109,21 +109,27 @@ func NewSharded(l int, opt ParallelOptions) *Sharded {
 		num:     make([]complex128, l*l*l),
 		den:     make([]float64, l*l*l),
 		wrapTab: make([]int32, 2*l+2),
-		kMax:    make([]int, 2*ri+1),
+		rows:    make([][2]int, ri+1),
 		preps:   make([]*viewPrep, pool.Workers(insertChunk, opt.Workers)),
 	}
 	for i := range s.wrapTab {
 		s.wrapTab[i] = int32(wrap(i-l, l))
 	}
-	// The band is the disc h²+k² ≤ RMax²; row h is a symmetric k run.
+	// The band is the Friedel half of the disc h²+k² ≤ RMax²,
+	// {h > 0} ∪ {h = 0, k ≥ 0}: row h > 0 is a symmetric k run, row 0
+	// its k ≥ 0 half.
 	r2 := o.RMax * o.RMax
-	for h := -ri; h <= ri; h++ {
+	for h := 0; h <= ri; h++ {
 		fh, k := float64(h), ri
 		for fh*fh+float64(k)*float64(k) > r2 {
 			k--
 		}
-		s.kMax[h+ri] = k
-		s.nBand += 2*k + 1
+		lo := -k
+		if h == 0 {
+			lo = 0
+		}
+		s.rows[h] = [2]int{lo, k}
+		s.nBand += k - lo + 1
 	}
 	maxSS := 2*ri*ri + 1
 	for i := range s.preps {
@@ -148,7 +154,7 @@ func (s *Sharded) validate(t ViewTask) error {
 	if t.Image.L != s.l {
 		return fmt.Errorf("reconstruct: view size %d, want %d", t.Image.L, s.l)
 	}
-	return checkCenter(t.Center)
+	return checkView(t.Orient, t.Center)
 }
 
 // reserve sizes the chunk buffers for n views.
@@ -211,7 +217,8 @@ func (s *Sharded) Finish() *volume.Grid {
 // prepare writes the weighted band coefficients of one view into chunk
 // slot: one real-input 2-D DFT into worker scratch, then the phase ramp
 // and CTF weighting applied per band coefficient from tabulated
-// values. It allocates nothing.
+// values, then friedelEntry's rules on the origin and the self-mate
+// Nyquist entries. It allocates nothing.
 //
 //repro:hotpath
 func (s *Sharded) prepare(p *viewPrep, t ViewTask, slot int) {
@@ -233,15 +240,15 @@ func (s *Sharded) prepare(p *viewPrep, t ViewTask, slot int) {
 	wt := s.wrapTab
 	spec := p.spec.Data
 	j := 0
-	for h := -s.ri; h <= s.ri; h++ {
+	for h := 0; h <= s.ri; h++ {
 		hw := int(wt[h+l])
 		row := hw * l
 		var rh complex128
 		if shift {
 			rh = p.rampH[hw]
 		}
-		km := s.kMax[h+s.ri]
-		for k := -km; k <= km; k++ {
+		r := s.rows[h]
+		for k := r[0]; k <= r[1]; k++ {
 			kw := int(wt[k+l])
 			val := spec[row+kw]
 			if shift {
@@ -261,6 +268,14 @@ func (s *Sharded) prepare(p *viewPrep, t ViewTask, slot int) {
 			dst[j] = weighted{val, w}
 			j++
 		}
+	}
+	// The origin is band entry 0; (0, l/2) ends row 0 and (l/2, 0) is
+	// the band's last entry.
+	dst[0].val, dst[0].w = friedelEntry(0, 0, l, dst[0].val, dst[0].w)
+	if 2*s.ri == l {
+		e, f := &dst[s.rows[0][1]], &dst[s.nBand-1]
+		e.val, e.w = friedelEntry(0, s.ri, l, e.val, e.w)
+		f.val, f.w = friedelEntry(s.ri, 0, l, f.val, f.w)
 	}
 	viewsInserted.Inc()
 	coeffsSpread.Add(int64(s.nBand))
@@ -284,11 +299,11 @@ func (s *Sharded) scatter(n, lo, hi int) {
 		xa, ya := s.axes[v][0], s.axes[v][1]
 		src := s.band[v*s.nBand : (v+1)*s.nBand]
 		j := 0
-		for h := -s.ri; h <= s.ri; h++ {
+		for h := 0; h <= s.ri; h++ {
 			fh := float64(h)
 			hx, hy, hz := xa.X*fh, xa.Y*fh, xa.Z*fh
-			km := s.kMax[h+s.ri]
-			for k := -km; k <= km; k++ {
+			r := s.rows[h]
+			for k := r[0]; k <= r[1]; k++ {
 				c := &src[j]
 				j++
 				fk := float64(k)

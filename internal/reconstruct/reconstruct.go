@@ -8,12 +8,14 @@
 // Each view's centred 2-D DFT is a central section of the map's 3-D
 // DFT (the projection-slice theorem), so reconstruction scatters every
 // view coefficient back onto the 3-D Fourier lattice with trilinear
-// spreading weights, normalizes by the accumulated weights, enforces
-// Hermitian symmetry, and inverse-transforms. The map is real, so its
-// spectrum is Hermitian and Finish builds only the non-redundant half
-// z ≤ l/2: one pass normalizes each coefficient and its Friedel mate
-// and stores their Hermitian average, and a complex-to-real inverse
-// (fourier.GridFromHalfSpectrum) turns the half into the map.
+// spreading weights, normalizes by the accumulated weights, and
+// inverse-transforms. The map is real, so its spectrum is Hermitian and
+// each view coefficient's conjugate mate carries no new information:
+// insertion walks only the Friedel half disc {h > 0} ∪ {h = 0, k ≥ 0},
+// and Finish folds each voxel q with its mirror −q,
+// F(q) = (num[q] + conj num[−q]) / (den[q] + den[−q]), over the
+// non-redundant half z ≤ l/2 of the spectrum, which a complex-to-real
+// inverse (fourier.GridFromHalfSpectrum) turns into the map.
 //
 // Two implementations coexist. The production path is the parallel
 // kernel (parallel.go): one num/den accumulator pair, filled per chunk
@@ -64,16 +66,38 @@ func (o Options) normalized(l int) Options {
 	return o
 }
 
-// checkCenter rejects non-finite centre corrections before they are
-// baked into a phase ramp: exp(iθ) of a NaN or Inf angle is NaN, and a
-// single NaN coefficient spread onto the lattice silently corrupts
-// every voxel it touches after normalization.
-func checkCenter(center [2]float64) error {
+// checkView rejects non-finite centre corrections and orientations
+// before they reach the kernel. exp(iθ) of a NaN or Inf angle is NaN,
+// and a single NaN coefficient spread onto the lattice silently
+// corrupts every voxel it touches after normalization; a NaN or Inf
+// Euler angle makes the scatter's lattice index meaningless.
+func checkView(o geom.Euler, center [2]float64) error {
 	if math.IsNaN(center[0]) || math.IsInf(center[0], 0) ||
 		math.IsNaN(center[1]) || math.IsInf(center[1], 0) {
 		return fmt.Errorf("reconstruct: non-finite centre correction (%v, %v)", center[0], center[1])
 	}
+	if !o.Finite() {
+		return fmt.Errorf("reconstruct: non-finite orientation %v", o)
+	}
 	return nil
+}
+
+// friedelEntry applies the two exact rules of the half-disc insertion
+// to band entry (h, k) of an l-box, whose value and weight are val and
+// w. Finish's fold counts every inserted entry twice, as itself and as
+// its conjugate mate, so the origin goes in at half value and half
+// weight. (l/2, 0) and (0, l/2), present when l is even and RMax = l/2,
+// are their own mates on the lattice: they go in as their real part,
+// which is what the full disc's pair (±l/2 reading one aliased
+// coefficient under one ramp value) averaged to.
+func friedelEntry(h, k, l int, val complex128, w float64) (complex128, float64) {
+	switch {
+	case h == 0 && k == 0:
+		return complex(real(val)*0.5, imag(val)*0.5), w * 0.5
+	case 2*h == l || 2*k == l:
+		return complex(real(val), 0), w
+	}
+	return val, w
 }
 
 // Reconstructor accumulates views into a 3-D Fourier volume, one view
@@ -115,7 +139,7 @@ func (r *Reconstructor) Insert(im *volume.Image, o geom.Euler, center [2]float64
 	if im.L != r.l {
 		return fmt.Errorf("reconstruct: view size %d, want %d", im.L, r.l)
 	}
-	if err := checkCenter(center); err != nil {
+	if err := checkView(o, center); err != nil {
 		return err
 	}
 	f := fourier.ImageDFT(im)
@@ -127,10 +151,11 @@ func (r *Reconstructor) Insert(im *volume.Image, o geom.Euler, center [2]float64
 	l := r.l
 	ri := int(r.opt.RMax)
 	r2 := r.opt.RMax * r.opt.RMax
-	for h := -ri; h <= ri; h++ {
+	// The Friedel half disc, in the kernel's band order.
+	for h := 0; h <= ri; h++ {
 		for k := -ri; k <= ri; k++ {
 			fh, fk := float64(h), float64(k)
-			if fh*fh+fk*fk > r2 {
+			if fh*fh+fk*fk > r2 || h == 0 && k < 0 {
 				continue
 			}
 			val := f.Data[wrap(h, l)*l+wrap(k, l)]
@@ -143,6 +168,7 @@ func (r *Reconstructor) Insert(im *volume.Image, o geom.Euler, center [2]float64
 				val *= complex(c, 0)
 				w = c * c
 			}
+			val, w = friedelEntry(h, k, l, val, w)
 			pt := geom.Vec3{
 				X: xa.X*fh + ya.X*fk,
 				Y: xa.Y*fh + ya.Y*fk,
@@ -211,8 +237,8 @@ func wrap(f, l int) int {
 	return f
 }
 
-// Finish normalizes the accumulated Fourier volume, enforces Hermitian
-// symmetry, and inverse-transforms to a real-space density map. The
+// Finish folds the accumulated Fourier volume into the Hermitian half
+// spectrum and inverse-transforms it to a real-space density map. The
 // reconstructor may continue accumulating views afterwards (Finish
 // does not mutate the accumulation state).
 func (r *Reconstructor) Finish() *volume.Grid {
@@ -221,10 +247,9 @@ func (r *Reconstructor) Finish() *volume.Grid {
 
 // finishVolume is the shared back half of both reconstructors. One pool
 // pass over x-planes (workers ≤ 0: GOMAXPROCS) fills the z ≤ l/2 half
-// of the centred spectrum, l·l·(l/2+1) coefficients: each coefficient
-// F(f) and its Friedel mate F(−f) are normalized by num/den (or the
-// Wiener form), and their Hermitian average (F(f) + conj(F(−f)))/2 is
-// stored — the part of the spectrum a real map keeps. The half is then
+// of the centred spectrum, l·l·(l/2+1) coefficients, by folding each
+// voxel q of the half-disc accumulators with its mirror −q:
+// F(q) = (num[q] + conj num[−q]) / (den[q] + den[−q]). The half is then
 // inverted to the real map by fourier.GridFromHalfSpectrum. The inputs
 // are not mutated, and the map is bit-identical at every worker count.
 func finishVolume(l int, opt Options, num []complex128, den []float64, workers int) *volume.Grid {
@@ -236,10 +261,12 @@ func finishVolume(l int, opt Options, num []complex128, den []float64, workers i
 	return fourier.GridFromHalfSpectrum(half, l, l, workers)
 }
 
-// finishPlane writes x-plane x of finishVolume's half spectrum. A
-// self-conjugate coefficient is its own mate, so the average keeps its
-// real part; a mate inside the half (z = 0 or z = l/2) gets the exact
-// conjugate of its partner's value.
+// finishPlane writes x-plane x of finishVolume's half spectrum. The
+// weight is den[q] + den[−q], plus ε under the Wiener CTF; without it a
+// voxel whose weight is ≤ 1e-9 (no view reached it) is 0. A
+// self-conjugate voxel is its own mirror, so it keeps the real part of
+// num/den; a mirror inside the half (z = 0 or z = l/2) gets the exact
+// conjugate of its partner's value, since float addition commutes.
 //
 //repro:hotpath
 func finishPlane(half, num []complex128, den []float64, opt Options, x, l int) {
@@ -250,27 +277,22 @@ func finishPlane(half, num []complex128, den []float64, opt Options, x, l int) {
 		mrow := (mx*l + (l-y)%l) * l
 		dst := half[(x*l+y)*nh : (x*l+y+1)*nh]
 		for z := range dst {
-			a := normalized(num, den, opt, row+z)
-			b := normalized(num, den, opt, mrow+(l-z)%l)
-			dst[z] = complex((real(a)+real(b))*0.5, (imag(a)-imag(b))*0.5)
+			i, m := row+z, mrow+(l-z)%l
+			d := den[i] + den[m]
+			var s float64
+			switch {
+			case opt.WienerCTF:
+				s = 1 / (d + opt.WienerEpsilon)
+			case d > 1e-9:
+				s = 1 / d
+			default:
+				dst[z] = 0
+				continue
+			}
+			a, b := num[i], num[m]
+			dst[z] = complex((real(a)+real(b))*s, (imag(a)-imag(b))*s)
 		}
 	}
-}
-
-// normalized is accumulator voxel i divided by its weight: num/(den+ε)
-// under the Wiener CTF, else num/den, or 0 where den ≤ 1e-9 (no view
-// reached the voxel).
-func normalized(num []complex128, den []float64, opt Options, i int) complex128 {
-	var s float64
-	switch {
-	case opt.WienerCTF:
-		s = 1 / (den[i] + opt.WienerEpsilon)
-	case den[i] > 1e-9:
-		s = 1 / den[i]
-	default:
-		return 0
-	}
-	return complex(real(num[i])*s, imag(num[i])*s)
 }
 
 // validateSet checks the per-view argument slices of the batch entry
@@ -295,9 +317,13 @@ func validateSet(views []*volume.Image, orients []geom.Euler, centers [][2]float
 			return fmt.Errorf("reconstruct: view %d size %d, want %d", i, im.L, l)
 		}
 	}
-	for _, c := range centers {
-		if err := checkCenter(c); err != nil {
-			return err
+	for i, o := range orients {
+		var c [2]float64
+		if centers != nil {
+			c = centers[i]
+		}
+		if err := checkView(o, c); err != nil {
+			return fmt.Errorf("view %d: %w", i, err)
 		}
 	}
 	return nil

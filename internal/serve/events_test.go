@@ -693,7 +693,13 @@ func jobStreamsHash(t *testing.T, spec JobSpec) string {
 // TestJobsBitIdenticalToParent pins every byte an executor writes — the
 // journal and the event stream of one refine and one cycle job — so an
 // executor refactor that means to change nothing can show it. The
-// cycle hash was last re-derived on 4dd756f, when Finish moved to the
+// cycle hash was last re-derived on 2a6c23d plus the Friedel-half
+// insertion, when each view's half disc went in once and Finish folded
+// the conjugate mates: the journaled map digests change, the maps move
+// by at most 4.4e-14 (peak 2.17), and FSC values, distances, centres
+// and shifts move within 1.4e-11 relative, while every count and
+// orientation is the parent's; it was 1dd0cc20…39fd before. It was
+// re-derived on 4dd756f, when Finish moved to the
 // Hermitian half spectrum and the FSC to real-input transforms: the
 // journaled map digests change, and FSC values, distances and centres
 // move within 1e-9 relative, while every count and orientation is the
@@ -715,7 +721,7 @@ func TestJobsBitIdenticalToParent(t *testing.T) {
 		golden string
 	}{
 		{"refine", tinySpec(), "198fa774cf62db0843045f9d7f8e45a734145f9abd617209f629adb22bd1935e"},
-		{"cycle", tinyCycleSpec(), "1dd0cc20a0481568da94039030c7812fc9f3c204ea3c80e75f295e652d6d39fd"},
+		{"cycle", tinyCycleSpec(), "e75996e9d91e6bb644dfa65abf222c9e833193b392e3aed1f02baddb1e81670a"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if got := jobStreamsHash(t, c.spec); got != c.golden {
