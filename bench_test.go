@@ -417,8 +417,9 @@ func BenchmarkAblationReplication(b *testing.B) {
 	var replicated, onDemand, hitRate float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Replicated: one all-gather of the full spectrum.
-		replicated = model.MessageTime(len(dft.Data) * 16)
+		// Replicated: one all-gather of the full L³ spectrum, as the
+		// paper's nodes hold it (this process stores only its half).
+		replicated = model.MessageTime(dft.L * dft.L * dft.L * 16)
 		// On demand: the same slice workload through a small cache.
 		c, err := brick.NewClient(store, model, 8)
 		if err != nil {

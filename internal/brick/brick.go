@@ -70,10 +70,9 @@ func (s *Store) fetch(id brickID) []complex128 {
 	x0, y0, z0 := id.x*e, id.y*e, id.z*e
 	for dx := 0; dx < e && x0+dx < l; dx++ {
 		for dy := 0; dy < e && y0+dy < l; dy++ {
-			srcBase := ((x0+dx)*l + y0 + dy) * l
 			dstBase := (dx*e + dy) * e
 			for dz := 0; dz < e && z0+dz < l; dz++ {
-				out[dstBase+dz] = s.dft.Data[srcBase+z0+dz]
+				out[dstBase+dz] = s.dft.At(x0+dx, y0+dy, z0+dz)
 			}
 		}
 	}

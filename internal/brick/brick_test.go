@@ -120,8 +120,9 @@ func TestReplicatedVsOnDemandTiming(t *testing.T) {
 	}
 	model := cluster.SP2
 
-	// Replicated: pay the all-gather of the full spectrum once.
-	repl := float64(1) * model.MessageTime(len(dft.Data)*16)
+	// Replicated: pay the all-gather of the full L³ spectrum once, as
+	// the paper's nodes hold it (this process stores only its half).
+	repl := float64(1) * model.MessageTime(dft.L*dft.L*dft.L*16)
 
 	// On demand with a cache far smaller than the spectrum.
 	c, _ := NewClient(s, model, 4)

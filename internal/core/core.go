@@ -66,6 +66,18 @@ func (lv Level) effRMapFrac() float64 {
 	return lv.RMapFrac
 }
 
+// windowKeys bounds the orientations one search window of any schedule
+// level holds — the flat scan's window, or the adaptive descent's
+// stride-h seed lattice, whichever is larger — which sizes the
+// distance memo.
+func (c *Config) windowKeys() int {
+	n := 27
+	for _, lv := range c.Schedule {
+		n = max(n, geom.CenteredWindow(geom.Euler{}, lv.WindowHalf, lv.RAngular).Size())
+	}
+	return n
+}
+
 // DefaultSchedule returns the paper's refinement schedule: angular
 // resolutions 1°, 0.1°, 0.01° and 0.002°, with centre resolutions
 // 1, 0.1, 0.01 and 0.001 pixels (§5), and 9 cuts per axis per window.

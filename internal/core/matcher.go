@@ -180,15 +180,15 @@ func (m *matcher) prefixLen(rmax float64) int {
 // goroutine must own its scratch (the matcher itself stays read-only
 // and shared).
 type matchScratch struct {
-	cut     []complex128          // candidate cut being scored
-	cross   []complex128          // centre refinement's cross-spectrum w·conj(C)·F
-	ramp    shiftRamp             // phase-ramp tables of the shift being scored
-	orients []geom.Euler          // current window grid
-	pending []geom.Euler          // uncached candidates, scored as one batch
-	keys    []orientKey           // adaptive candidate batch (lattice keys)
-	dists   []float64             // batched distances for pending
-	cache   map[orientKey]float64 // per-level distance memo across window slides
-	cells   *fourier.CellMemo     // each band slot's last trilinear cell; nil in nearest mode
+	cut     []complex128      // candidate cut being scored
+	cross   []complex128      // centre refinement's cross-spectrum w·conj(C)·F
+	ramp    shiftRamp         // phase-ramp tables of the shift being scored
+	orients []geom.Euler      // current window grid
+	pending []geom.Euler      // uncached candidates, scored as one batch
+	keys    []orientKey       // adaptive candidate batch (lattice keys)
+	dists   []float64         // batched distances for pending
+	cache   *distMemo         // per-level distance memo across window slides
+	cells   *fourier.CellMemo // each band slot's last trilinear cell; nil in nearest mode
 }
 
 // growDists returns a length-n distance buffer, growing the backing
@@ -213,7 +213,7 @@ func (m *matcher) newScratch() *matchScratch {
 		cut:   make([]complex128, n),
 		cross: make([]complex128, n),
 		ramp:  m.newRamp(),
-		cache: make(map[orientKey]float64, 256),
+		cache: newDistMemo(m.cfg.windowKeys()),
 	}
 	if m.cfg.Interp != fourier.Nearest {
 		sc.cells = fourier.NewCellMemo(n)
@@ -284,13 +284,16 @@ func wrapIdx(f, l int) int {
 // at three strides (low, mid and high frequency), which costs
 // microseconds. The tolerance is relative to the largest sampled
 // magnitude, far above FFT rounding and far below any real asymmetry.
+// Points are read through VolumeDFT.At, which derives a z < 0 point
+// from its mate, so the check bites on the z = 0 plane, where the
+// stored half holds both members of each pair.
 func checkHermitian(dft *fourier.VolumeDFT) error {
 	l := dft.L
-	if l <= 0 || len(dft.Data) != l*l*l {
-		return fmt.Errorf("core: spectrum holds %d coefficients, want %d³", len(dft.Data), l)
+	if l <= 0 || len(dft.Data) != l*l*(l/2+1) {
+		return fmt.Errorf("core: spectrum holds %d coefficients, want the %d·%d·%d half of a %d³ lattice", len(dft.Data), l, l, l/2+1, l)
 	}
 	at := func(x, y, z int) complex128 {
-		return dft.Data[(wrapIdx(x, l)*l+wrapIdx(y, l))*l+wrapIdx(z, l)]
+		return dft.At(wrapIdx(x, l), wrapIdx(y, l), wrapIdx(z, l))
 	}
 	var worst, scale float64
 	var wx, wy, wz int

@@ -211,7 +211,7 @@ func (r *Refiner) refineLevel(vd *viewData, res *Result, lv Level, sc *matchScra
 		n = len(r.m.band)
 	}
 	st.BandUsed = n
-	clear(sc.cache)
+	sc.cache.reset()
 
 	for iter := 0; iter < maxLevelIters; iter++ {
 		// Steps k–l first within each round: a mis-centred view
@@ -237,7 +237,7 @@ func (r *Refiner) refineLevel(vd *viewData, res *Result, lv Level, sc *matchScra
 					shifted = true
 					// The cached distances were measured against the
 					// old centre.
-					clear(sc.cache)
+					sc.cache.reset()
 				}
 			}
 		}
@@ -280,16 +280,14 @@ func (r *Refiner) scanOrientations(vd *viewData, start geom.Euler, lv Level, n i
 		sc.orients = w.AppendOrientations(sc.orients[:0])
 		sc.pending = sc.pending[:0]
 		for _, o := range sc.orients {
-			k := keyOf(o, lv.RAngular)
-			if _, ok := sc.cache[k]; !ok {
-				sc.cache[k] = math.NaN() // claimed; value lands below
+			if sc.cache.claim(keyOf(o, lv.RAngular)) { // value lands below
 				//replint:allow hotpathalloc sc.pending is worker-owned scratch that reaches steady-state capacity after the first window of a run
 				sc.pending = append(sc.pending, o)
 			}
 		}
 		r.scorePending(vd, lv.RAngular, n, st, sc)
 		for _, o := range sc.orients {
-			if d := sc.cache[keyOf(o, lv.RAngular)]; d < bestD {
+			if d := sc.cache.get(keyOf(o, lv.RAngular)); d < bestD {
 				bestD = d
 				best = o
 			}
@@ -367,7 +365,7 @@ func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, 
 	}
 	r.scoreLatticeKeys(vd, step, n, st, sc)
 	for _, k := range sc.keys {
-		if d := sc.cache[k]; d < bestD {
+		if d := sc.cache.get(k); d < bestD {
 			bestD, best = d, k
 		}
 	}
@@ -384,7 +382,7 @@ func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, 
 		r.scoreLatticeKeys(vd, step, n, st, sc)
 		prev := best
 		for _, k := range sc.keys {
-			if d := sc.cache[k]; d < bestD {
+			if d := sc.cache.get(k); d < bestD {
 				bestD, best = d, k
 			}
 		}
@@ -408,7 +406,7 @@ func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, 
 			sc.keys = append(sc.keys[:0], k)
 			r.scoreLatticeKeys(vd, step, n, st, sc)
 			patternEvals.Inc()
-			d := sc.cache[k]
+			d := sc.cache.get(k)
 			if !(d < bestD) {
 				break
 			}
@@ -449,8 +447,7 @@ func appendLatticeNeighbors(dst []orientKey, c orientKey) []orientKey {
 func (r *Refiner) scoreLatticeKeys(vd *viewData, step float64, n int, st *LevelStats, sc *matchScratch) {
 	sc.pending = sc.pending[:0]
 	for _, k := range sc.keys {
-		if _, ok := sc.cache[k]; !ok {
-			sc.cache[k] = math.NaN() // claimed; value lands below
+		if sc.cache.claim(k) { // value lands below
 			sc.pending = append(sc.pending, eulerOfKey(k, step))
 		}
 	}
@@ -466,7 +463,7 @@ func (r *Refiner) scorePending(vd *viewData, step float64, n int, st *LevelStats
 	dists := sc.growDists(len(sc.pending))
 	r.m.distanceWindow(vd, sc.pending, n, sc, dists)
 	for i, o := range sc.pending {
-		sc.cache[keyOf(o, step)] = dists[i]
+		sc.cache.set(keyOf(o, step), dists[i])
 	}
 	st.Matchings += len(sc.pending)
 }

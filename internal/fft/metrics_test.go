@@ -92,9 +92,10 @@ func TestWorkloadTransformsAvoidBluestein(t *testing.T) {
 
 	before := transforms.Value(int(kernelBluestein))
 	for _, bl := range []int{96, 80, 32} { // sindbis, asymmetric, jobs_small at pad 2
-		src := make([]float64, bl*bl*bl)
-		src[(bl*bl+bl)*bl/2] = 1
-		NewRealPlan3D(bl, bl, bl).Forward(src, make([]complex128, len(src)))
+		l := bl / 2
+		src := make([]float64, l*l*l)
+		src[(l*l+l)*l/2] = 1
+		NewRealPlan3D(bl).Forward(src, l, make([]complex128, bl*bl*(bl/2+1)))
 		img := make([]float64, bl*bl/4)
 		NewRealPlan2D(bl/2, bl/2).Forward(img, make([]complex128, len(img)))
 	}
@@ -140,7 +141,7 @@ func TestTransformCountersOffPath(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { p.Forward(x) }); allocs != 0 {
 		t.Errorf("Forward allocates %v times per call with instrumentation off", allocs)
 	}
-	NewRealPlan3D(4, 4, 4).Forward(make([]float64, 64), make([]complex128, 64))
+	NewRealPlan3D(4).Forward(make([]float64, 64), 4, make([]complex128, 4*4*3))
 	if transforms.Total() != before || real3dLinesSkipped.Value() != skipped {
 		t.Fatal("disabled instrumentation moved transform counters")
 	}

@@ -14,14 +14,15 @@ import (
 // through one complex FFT (pack line a as the real part, line b as the
 // imaginary part, split the spectra with the conjugate-mirror
 // identity), then run the remaining axes only over the non-redundant
-// half of that axis's frequencies and fill the mirror half by
-// Hermitian symmetry.
+// half of that axis's frequencies.
 //
 // This halves the floating-point work relative to the equivalent
-// complex transform while still producing the full spectrum in the
-// standard layout, so callers (the centred image and volume transforms
-// of internal/fourier, the FSC) can switch paths without touching any
-// downstream indexing.
+// complex transform. RealPlan2D fills the mirror half and returns the
+// full spectrum in the standard layout (a view transform is small and
+// indexed by signed frequency everywhere downstream). RealPlan3D
+// returns only the non-redundant half: the 3-D spectra are the large
+// buffers of a cycle, and every reader (the central-section sampler,
+// the half-spectrum inverse, the FSC) works from that half.
 
 // splitPair separates the spectra of two real signals transformed
 // together as Z = FFT(a + i·b) of length n:
@@ -29,10 +30,11 @@ import (
 //	A[k] = (Z[k] + conj(Z[(n−k) mod n]))/2
 //	B[k] = (Z[k] − conj(Z[(n−k) mod n]))/(2i)
 //
-// writing A into dstA and B into dstB.
+// writing A into dstA and B into dstB for k < len(dstA): the full
+// spectra (length n) or their halves (length n/2+1).
 func splitPair(z, dstA, dstB []complex128) {
 	n := len(z)
-	for k := 0; k < n; k++ {
+	for k := range dstA {
 		dstA[k], dstB[k] = splitTerms(z[k], z[(n-k)%n])
 	}
 }
@@ -121,63 +123,59 @@ func (p *RealPlan2D) Forward(src []float64, dst []complex128) {
 	}
 }
 
-// RealPlan3D computes the full 3-D DFT of a real nx×ny×nz array (row
-// major, z fastest — the layout of Plan3D) in roughly half the
-// floating-point work of the complex transform: z-lines are
-// transformed two at a time, the y and x passes run only over z
-// frequencies iz ≤ nz/2, and the mirror half is filled by Hermitian
-// symmetry.
+// RealPlan3D computes the non-redundant half of the 3-D DFT of a real
+// n×n×n cube — the coefficients with z frequency index iz ≤ n/2, the
+// rest being their Hermitian mirrors X[−q] = conj X[q] — in roughly
+// half the floating-point work of the complex transform: z-lines are
+// transformed two at a time, then the y and x passes run only over
+// iz ≤ n/2. The mirror half is never formed; readers recover it from
+// the stored half (fourier.VolumeDFT.At).
 //
-// Forward skips the lines it can see are all zero — the transform of
-// a zero line is the zero line — which on a cube embedded in a pad-2
-// box is 5 808 of 14 016 line transforms at 96³: z-line pairs with no
+// The input is an l-cube embedded at offset n/2 − l/2 on every axis of
+// an otherwise zero n-cube — the padded reference map of
+// internal/fourier without a padded copy of it (l = n: a plain cube).
+// Forward skips the lines it can see are all zero — the transform of a
+// zero line is the zero line — which on a cube embedded in a pad-2 box
+// is 5 808 of 14 016 line transforms at 96³: z-line pairs with no
 // non-zero sample, and every y-line of an x-plane in which no z-line
 // was transformed. (A skipped line holds +0 where the transform might
 // have produced −0; no other bit differs.)
 //
 // Each pass fans out over internal/pool, one work item per x-plane
-// (z, y and mirror passes) or per iy (x pass), with a plan set and
-// line buffers per worker. Every output line is written by exactly one
-// item and its value does not depend on which worker ran it, so the
-// spectrum is bit-identical across worker counts. A RealPlan3D itself
-// is not safe for concurrent use.
+// (z and y passes) or per iy (x pass), with a plan and line buffers
+// per worker. Every output line is written by exactly one item and its
+// value does not depend on which worker ran it, so the spectrum is
+// bit-identical across worker counts. A RealPlan3D itself is not safe
+// for concurrent use.
 type RealPlan3D struct {
-	nx, ny, nz int
-	workers    []real3DWorker
+	n       int
+	workers []real3DWorker
 	// livePairs[ix] is the number of z-line transforms pass one ran in
 	// x-plane ix; zero marks a plane the y pass may skip.
 	livePairs []int32
 }
 
-// real3DWorker is the private state of one pool worker: 1-D plans
-// (their scratch is per plan) and the gather buffers.
+// real3DWorker is the private state of one pool worker: a 1-D plan
+// (its scratch is per plan) and the gather buffers.
 type real3DWorker struct {
-	px, py, pz *Plan
-	zbuf       []complex128 // packed z-line pair
-	line       []complex128
+	plan *Plan
+	zbuf []complex128 // packed z-line pair
+	line []complex128
 }
 
-// NewRealPlan3D creates a real-input plan for nx×ny×nz transforms.
-func NewRealPlan3D(nx, ny, nz int) *RealPlan3D { return newRealPlan3D(nx, ny, nz, 0) }
+// NewRealPlan3D creates a real-input plan for n×n×n transforms.
+func NewRealPlan3D(n int) *RealPlan3D { return newRealPlan3D(n, 0) }
 
 // newRealPlan3D is NewRealPlan3D with an explicit worker count (≤ 0:
 // GOMAXPROCS), which tests use to pin bit-identity across counts.
-func newRealPlan3D(nx, ny, nz, workers int) *RealPlan3D {
-	m := nx
-	if ny > m {
-		m = ny
-	}
+func newRealPlan3D(n, workers int) *RealPlan3D {
 	p := &RealPlan3D{
-		nx: nx, ny: ny, nz: nz,
-		workers:   make([]real3DWorker, pool.Workers(m, workers)),
-		livePairs: make([]int32, nx),
+		n:         n,
+		workers:   make([]real3DWorker, pool.Workers(n, workers)),
+		livePairs: make([]int32, n),
 	}
 	for i := range p.workers {
-		p.workers[i] = real3DWorker{
-			px: NewPlan(nx), py: NewPlan(ny), pz: NewPlan(nz),
-			zbuf: make([]complex128, nz),
-			line: make([]complex128, m),
-		}
+		p.workers[i] = real3DWorker{plan: NewPlan(n), zbuf: make([]complex128, n), line: make([]complex128, n)}
 	}
 	return p
 }
@@ -192,104 +190,95 @@ func allZero(x []float64) bool {
 	return true
 }
 
-// Forward computes the full 3-D DFT of the real array src into dst.
-// Both must have length nx·ny·nz; dst is fully overwritten.
-func (p *RealPlan3D) Forward(src []float64, dst []complex128) {
-	nx, ny, nz := p.nx, p.ny, p.nz
-	if len(src) != nx*ny*nz || len(dst) != nx*ny*nz {
-		panic(fmt.Sprintf("fft: real 3-D data length %d/%d, want %d×%d×%d", len(src), len(dst), nx, ny, nz))
+// Forward computes the half spectrum of the n-cube that holds the
+// l-cube src (x-major, z fastest) at offset n/2 − l/2 and zeros
+// elsewhere. dst must have length n·n·(n/2+1) and receives coefficient
+// (ix, iy, iz), iz ≤ n/2, at (ix·n + iy)·(n/2+1) + iz; it is fully
+// overwritten.
+func (p *RealPlan3D) Forward(src []float64, l int, dst []complex128) {
+	n := p.n
+	nh := n/2 + 1
+	if l < 1 || l > n || len(src) != l*l*l || len(dst) != n*n*nh {
+		panic(fmt.Sprintf("fft: real 3-D source length %d (l = %d), half spectrum %d; want an l³ source with l ≤ %d and %d coefficients", len(src), l, len(dst), n, n*n*nh))
+	}
+	off := n/2 - l/2
+	// row returns the source samples of padded z-line (ix, iy), nil
+	// for a line outside the embedded cube.
+	row := func(ix, iy int) []float64 {
+		x, y := ix-off, iy-off
+		if x < 0 || x >= l || y < 0 || y >= l {
+			return nil
+		}
+		return src[(x*l+y)*l : (x*l+y+1)*l]
 	}
 	nw := len(p.workers)
-	hz := nz / 2
-	// z-lines are contiguous; transform them in real pairs within each
-	// x-plane (the last line of an odd ny goes alone).
-	pool.RunIndexedLabeled("fft.real3d.z", nx, nw, func(worker, ix int) {
+	// z-lines, in real pairs (iy, iy+1) of the padded cube within each
+	// x-plane (the last line of an odd n goes alone, b = 0).
+	pool.RunIndexedLabeled("fft.real3d.z", n, nw, func(worker, ix int) {
 		w := &p.workers[worker]
 		live := int32(0)
-		iy := 0
-		for ; iy+1 < ny; iy += 2 {
-			li := ix*ny + iy
-			a := src[li*nz : (li+1)*nz]
-			b := src[(li+1)*nz : (li+2)*nz]
-			da, db := dst[li*nz:(li+1)*nz], dst[(li+1)*nz:(li+2)*nz]
+		for iy := 0; iy < n; iy += 2 {
+			a, b := row(ix, iy), []float64(nil)
+			da, db := dst[(ix*n+iy)*nh:(ix*n+iy+1)*nh], []complex128(nil)
+			if iy+1 < n {
+				b = row(ix, iy+1)
+				db = dst[(ix*n+iy+1)*nh : (ix*n+iy+2)*nh]
+			}
 			if allZero(a) && allZero(b) {
 				clear(da)
 				clear(db)
 				continue
 			}
-			for j := 0; j < nz; j++ {
-				w.zbuf[j] = complex(a[j], b[j])
-			}
-			w.pz.Forward(w.zbuf)
-			splitPair(w.zbuf, da, db)
-			live++
-		}
-		if iy < ny {
-			li := ix*ny + iy
-			zline := dst[li*nz : (li+1)*nz]
-			if a := src[li*nz : (li+1)*nz]; allZero(a) {
-				clear(zline)
-			} else {
-				for j, v := range a {
-					zline[j] = complex(v, 0)
+			clear(w.zbuf)
+			for j := range l {
+				var re, im float64
+				if a != nil {
+					re = a[j]
 				}
-				w.pz.Forward(zline)
-				live++
+				if b != nil {
+					im = b[j]
+				}
+				w.zbuf[off+j] = complex(re, im)
 			}
+			w.plan.Forward(w.zbuf)
+			if db != nil {
+				splitPair(w.zbuf, da, db)
+			} else {
+				copy(da, w.zbuf)
+			}
+			live++
 		}
 		p.livePairs[ix] = live
 	})
-	// y lines: stride nz within an x-plane, z frequencies 0..hz only.
-	// A plane with no live z-line is zero throughout and stays so.
-	pool.RunIndexedLabeled("fft.real3d.y", nx, nw, func(worker, ix int) {
+	// y lines: stride nh within an x-plane. A plane with no live
+	// z-line is zero throughout and stays so.
+	pool.RunIndexedLabeled("fft.real3d.y", n, nw, func(worker, ix int) {
 		if p.livePairs[ix] == 0 {
 			return
 		}
 		w := &p.workers[worker]
-		line := w.line[:ny]
-		base := ix * ny * nz
-		for iz := 0; iz <= hz; iz++ {
-			for iy := 0; iy < ny; iy++ {
-				line[iy] = dst[base+iy*nz+iz]
+		base := ix * n * nh
+		for iz := 0; iz < nh; iz++ {
+			for iy := range w.line {
+				w.line[iy] = dst[base+iy*nh+iz]
 			}
-			w.py.Forward(line)
-			for iy := 0; iy < ny; iy++ {
-				dst[base+iy*nz+iz] = line[iy]
+			w.plan.Forward(w.line)
+			for iy, v := range w.line {
+				dst[base+iy*nh+iz] = v
 			}
 		}
 	})
-	// x lines: stride ny·nz, z frequencies 0..hz only.
-	pool.RunIndexedLabeled("fft.real3d.x", ny, nw, func(worker, iy int) {
+	// x lines: stride n·nh.
+	pool.RunIndexedLabeled("fft.real3d.x", n, nw, func(worker, iy int) {
 		w := &p.workers[worker]
-		line := w.line[:nx]
-		for iz := 0; iz <= hz; iz++ {
-			off := iy*nz + iz
-			for ix := 0; ix < nx; ix++ {
-				line[ix] = dst[ix*ny*nz+off]
+		for iz := 0; iz < nh; iz++ {
+			col := iy*nh + iz
+			for ix := range w.line {
+				w.line[ix] = dst[ix*n*nh+col]
 			}
-			w.px.Forward(line)
-			for ix := 0; ix < nx; ix++ {
-				dst[ix*ny*nz+off] = line[ix]
-			}
-		}
-	})
-	// Mirror half by Hermitian symmetry:
-	// X[ix,iy,iz] = conj(X[(−ix) mod nx, (−iy) mod ny, (−iz) mod nz]).
-	// Plane ix writes only its own iz > hz and reads only iz ≤ hz.
-	pool.RunIndexedLabeled("fft.real3d.mirror", nx, nw, func(_, ix int) {
-		ixm := 0
-		if ix > 0 {
-			ixm = nx - ix
-		}
-		for iy := 0; iy < ny; iy++ {
-			iym := 0
-			if iy > 0 {
-				iym = ny - iy
-			}
-			fwd := (ix*ny + iy) * nz
-			mir := (ixm*ny + iym) * nz
-			for iz := hz + 1; iz < nz; iz++ {
-				dst[fwd+iz] = cmplx.Conj(dst[mir+nz-iz])
+			w.plan.Forward(w.line)
+			for ix, v := range w.line {
+				dst[ix*n*nh+col] = v
 			}
 		}
 	})
@@ -300,12 +289,12 @@ func (p *RealPlan3D) Forward(src []float64, dst []complex128) {
 
 // skipped counts the line transforms the last Forward did not run.
 func (p *RealPlan3D) skipped() int {
-	perPlane := (p.ny + 1) / 2
+	perPlane := (p.n + 1) / 2
 	n := 0
 	for _, live := range p.livePairs {
 		n += perPlane - int(live)
 		if live == 0 {
-			n += p.nz/2 + 1
+			n += p.n/2 + 1
 		}
 	}
 	return n

@@ -81,34 +81,65 @@ func TestRealPlan2DMatchesComplex(t *testing.T) {
 	}
 }
 
+// halfOf returns the z ≤ n/2 half of a full n³ spectrum in the layout
+// RealPlan3D.Forward writes.
+func halfOf(full []complex128, n int) []complex128 {
+	nh := n/2 + 1
+	half := make([]complex128, n*n*nh)
+	for i := 0; i < n*n; i++ {
+		copy(half[i*nh:(i+1)*nh], full[i*n:])
+	}
+	return half
+}
+
+// expandHalf rebuilds the full n³ spectrum from its half the way the
+// 3-D plan once did before returning: X[ix,iy,iz] = conj(X[(−ix) mod
+// n, (−iy) mod n, n − iz]) for iz > n/2.
+func expandHalf(half []complex128, n int) []complex128 {
+	nh := n/2 + 1
+	full := make([]complex128, n*n*n)
+	for ix := 0; ix < n; ix++ {
+		for iy := 0; iy < n; iy++ {
+			copy(full[(ix*n+iy)*n:], half[(ix*n+iy)*nh:(ix*n+iy+1)*nh])
+			mir := (((n-ix)%n)*n + (n-iy)%n) * nh
+			for iz := nh; iz < n; iz++ {
+				full[(ix*n+iy)*n+iz] = cmplx.Conj(half[mir+n-iz])
+			}
+		}
+	}
+	return full
+}
+
 // TestRealPlan3DMatchesComplex pins the Hermitian 3-D path the same
-// way.
+// way: dense cubes of even, odd, prime and degenerate sizes, and
+// l-cubes embedded in larger boxes of either parity, against the half
+// of the complex transform of the zero-padded cube.
 func TestRealPlan3DMatchesComplex(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
-	for _, d := range [][3]int{
-		{4, 4, 4}, {8, 8, 8}, {16, 16, 16},
-		{3, 5, 7}, {9, 9, 9}, {5, 5, 5},
-		{6, 2, 9}, {2, 3, 1}, {1, 1, 1}, {4, 7, 10},
+	for _, d := range [][2]int{
+		{4, 4}, {8, 8}, {16, 16}, {3, 3}, {9, 9}, {5, 5}, {7, 7},
+		{6, 6}, {2, 2}, {1, 1}, {10, 10},
+		{10, 7}, {9, 4}, {16, 8}, {21, 7}, {12, 5}, {5, 1},
 	} {
-		nx, ny, nz := d[0], d[1], d[2]
-		src := randomReal(r, nx*ny*nz)
-		want := complexOracle3D(src, nx, ny, nz)
-		got := make([]complex128, nx*ny*nz)
-		NewRealPlan3D(nx, ny, nz).Forward(src, got)
+		n, l := d[0], d[1]
+		src := randomReal(r, l*l*l)
+		want := halfOf(complexOracle3D(embedCube(src, l, n), n, n, n), n)
+		got := make([]complex128, len(want))
+		NewRealPlan3D(n).Forward(src, l, got)
 		if rel := maxRel(got, want); rel > 1e-12 {
-			t.Errorf("%d×%d×%d: real path deviates from complex by %g (rel)", nx, ny, nz, rel)
+			t.Errorf("%d³ in %d³: real path deviates from complex by %g (rel)", l, n, rel)
 		}
 	}
 }
 
 // skippedBy runs p.Forward and returns the fft.real3d.lines_skipped
 // delta it caused.
-func skippedBy(t *testing.T, p *RealPlan3D, src []float64, dst []complex128) int64 {
+func skippedBy(t *testing.T, p *RealPlan3D, src []float64, l int, dst []complex128) int64 {
 	t.Helper()
 	prev := obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 	before := real3dLinesSkipped.Value()
-	p.Forward(src, dst)
+	p.Forward(src, l, dst)
 	return real3dLinesSkipped.Value() - before
 }
 
@@ -131,13 +162,13 @@ func TestRealPlan3DPrunesZeroLines(t *testing.T) {
 		{9, 1, 0},
 	} {
 		bl := c.l * c.pad
-		src := paddedCube(r, c.l, c.pad)
-		want := complexOracle3D(src, bl, bl, bl)
-		got := make([]complex128, len(src))
+		src := randomReal(r, c.l*c.l*c.l)
+		want := halfOf(complexOracle3D(embedCube(src, c.l, bl), bl, bl, bl), bl)
+		got := make([]complex128, len(want))
 		for i := range got {
 			got[i] = complex(math.NaN(), math.NaN())
 		}
-		skipped := skippedBy(t, NewRealPlan3D(bl, bl, bl), src, got)
+		skipped := skippedBy(t, NewRealPlan3D(bl), src, c.l, got)
 		if rel := maxRel(got, want); !(rel <= 1e-12) {
 			t.Errorf("l=%d pad=%d: pruned path deviates from complex oracle by %g (rel)", c.l, c.pad, rel)
 		}
@@ -153,14 +184,14 @@ func TestRealPlan3DPrunesZeroLines(t *testing.T) {
 // passes share dst and the per-plane live counts).
 func TestRealPlan3DWorkersBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
-	for _, d := range [][3]int{{24, 24, 24}, {12, 10, 9}, {16, 16, 16}} {
-		nx, ny, nz := d[0], d[1], d[2]
-		src := randomReal(r, nx*ny*nz)
+	for _, d := range [][2]int{{24, 24}, {12, 9}, {16, 16}, {15, 8}} {
+		n, l := d[0], d[1]
+		src := randomReal(r, l*l*l)
 		clear(src[:len(src)/3]) // some dead planes and pairs
 		var want []complex128
 		for _, workers := range []int{1, 2, 3, 8} {
-			got := make([]complex128, len(src))
-			newRealPlan3D(nx, ny, nz, workers).Forward(src, got)
+			got := make([]complex128, n*n*(n/2+1))
+			newRealPlan3D(n, workers).Forward(src, l, got)
 			if want == nil {
 				want = got
 				continue
@@ -168,7 +199,7 @@ func TestRealPlan3DWorkersBitIdentical(t *testing.T) {
 			for i := range got {
 				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
 					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
-					t.Fatalf("%d×%d×%d: %d workers differ from 1 at coefficient %d", nx, ny, nz, workers, i)
+					t.Fatalf("%d³ in %d³: %d workers differ from 1 at coefficient %d", l, n, workers, i)
 				}
 			}
 		}
@@ -179,11 +210,15 @@ func TestRealPlan3DWorkersBitIdentical(t *testing.T) {
 // pruned, pooled transform reproduces the parent commit's serial one
 // bit for bit up to the sign of zero (a skipped line is +0 where the
 // transform of zeros could give −0; adding +0 folds both to +0). The
-// hash was recorded at the commit before the rewrite.
+// hash was recorded at the commit before the rewrite, on the full
+// spectrum that plan returned; expandHalf rebuilds it from the half by
+// the mirror rule that plan applied, so the half is that spectrum's
+// z ≤ n/2 half bit for bit.
 func TestRealPlan3DPow2BitIdenticalToParent(t *testing.T) {
-	src := paddedCube(rand.New(rand.NewSource(15)), 8, 2)
-	dst := make([]complex128, len(src))
-	NewRealPlan3D(16, 16, 16).Forward(src, dst)
+	src := randomReal(rand.New(rand.NewSource(15)), 8*8*8)
+	half := make([]complex128, 16*16*9)
+	NewRealPlan3D(16).Forward(src, 8, half)
+	dst := expandHalf(half, 16)
 	for i, v := range dst {
 		dst[i] = complex(real(v)+0, imag(v)+0)
 	}
@@ -312,29 +347,26 @@ func BenchmarkRealFFT3D_32(b *testing.B) {
 	const l = 32
 	r := rand.New(rand.NewSource(4))
 	src := randomReal(r, l*l*l)
-	dst := make([]complex128, l*l*l)
-	p := NewRealPlan3D(l, l, l)
+	dst := make([]complex128, l*l*(l/2+1))
+	p := NewRealPlan3D(l)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Forward(src, dst)
+		p.Forward(src, l, dst)
 	}
 }
 
-// paddedCube embeds a dense random l³ cube centrally in a zero (pad·l)³
-// box, the input fourier.NewVolumeDFTPadded builds.
-func paddedCube(r *rand.Rand, l, pad int) []float64 {
-	bl := pad * l
-	off := bl/2 - l/2
-	src := make([]float64, bl*bl*bl)
+// embedCube places an l³ cube centrally in a zero n³ box, at the
+// offset n/2 − l/2 RealPlan3D.Forward reads its source at.
+func embedCube(src []float64, l, n int) []float64 {
+	off := n/2 - l/2
+	out := make([]float64, n*n*n)
 	for x := 0; x < l; x++ {
 		for y := 0; y < l; y++ {
-			for z := 0; z < l; z++ {
-				src[((x+off)*bl+y+off)*bl+z+off] = r.NormFloat64()
-			}
+			copy(out[((x+off)*n+y+off)*n+off:], src[(x*l+y)*l:(x*l+y+1)*l])
 		}
 	}
-	return src
+	return out
 }
 
 // BenchmarkRealFFT3D_Padded96 is the reference-map transform of the
@@ -342,13 +374,13 @@ func paddedCube(r *rand.Rand, l, pad int) []float64 {
 // pool fan-out at GOMAXPROCS.
 func BenchmarkRealFFT3D_Padded96(b *testing.B) {
 	const bl = 96
-	src := paddedCube(rand.New(rand.NewSource(5)), bl/2, 2)
-	dst := make([]complex128, bl*bl*bl)
-	p := NewRealPlan3D(bl, bl, bl)
+	src := randomReal(rand.New(rand.NewSource(5)), 48*48*48)
+	dst := make([]complex128, bl*bl*(bl/2+1))
+	p := NewRealPlan3D(bl)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Forward(src, dst)
+		p.Forward(src, 48, dst)
 	}
 }
 

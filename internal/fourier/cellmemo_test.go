@@ -34,8 +34,10 @@ func cellCounts() (hits, misses int64) {
 }
 
 // checkMemoCut samples one cut both ways and fails on the first
-// coefficient whose bits differ.
-func checkMemoCut(t testing.TB, s *Sampler, memo *CellMemo, fh, fk []float64, n int, o geom.Euler) {
+// coefficient whose bits differ. With a full-cube reference ref (nil:
+// none) it also holds the memo's cut to the cut of the full spectrum,
+// by checkVsFull's rule.
+func checkMemoCut(t testing.TB, s *Sampler, memo *CellMemo, fh, fk []float64, n int, o geom.Euler, ref *fullCube, peak float64) {
 	t.Helper()
 	rot := o.Matrix()
 	want, got := make([]complex128, n), make([]complex128, n)
@@ -44,6 +46,10 @@ func checkMemoCut(t testing.TB, s *Sampler, memo *CellMemo, fh, fk []float64, n 
 	for i := range want {
 		if !sameBits(got[i], want[i]) {
 			t.Fatalf("orient %v band %d (h,k)=(%g,%g): memo %v, SampleCut %v", o, i, fh[i], fk[i], got[i], want[i])
+		}
+		if ref != nil {
+			p := rot.Col(0).Scale(fh[i]).Add(rot.Col(1).Scale(fk[i])).Scale(s.pad)
+			checkVsFull(t, fmt.Sprintf("orient %v band %d", o, i), got[i], ref.read(p.X, p.Y, p.Z, false), nearNyquist(p.X, p.Y, s.l), peak)
 		}
 	}
 }
@@ -84,7 +90,7 @@ func TestSampleCutMemoBitIdentical(t *testing.T) {
 					if j%3 == 1 {
 						n = 1 + rng.Intn(len(fh))
 					}
-					checkMemoCut(t, &s, memo, fh, fk, n, o)
+					checkMemoCut(t, &s, memo, fh, fk, n, o, nil, 0)
 				}
 			}
 			h1, m1 := cellCounts()
@@ -127,8 +133,11 @@ func TestCellMemoRepeatHitsEverySlot(t *testing.T) {
 
 // FuzzSampleCutMemo drives the cell memo along arbitrary orientation
 // walks — any start, any step, any band prefix — against SampleCut, bit
-// for bit. The memo carries over from a random jump first, so every
-// walk starts on slots holding another orientation's cells.
+// for bit, and against the full-cube spectrum the half layout replaced
+// (bit for bit away from the mirrored Nyquist points, see
+// TestHalfSpectrumMatchesFullCube). The memo carries over from a random
+// jump first, so every walk starts on slots holding another
+// orientation's cells.
 func FuzzSampleCutMemo(f *testing.F) {
 	for _, seed := range []struct {
 		theta, phi, omega, step float64
@@ -144,23 +153,27 @@ func FuzzSampleCutMemo(f *testing.F) {
 		f.Add(seed.theta, seed.phi, seed.omega, seed.step, seed.n, seed.steps, seed.pad)
 	}
 	fh, fk := squareBand(8)
-	samplers := [2]Sampler{randomVolumeDFT(16, 1, 71).NewSampler(Trilinear), randomVolumeDFT(16, 2, 71).NewSampler(Trilinear)}
+	g := randomDensity(16, 71)
+	samplers := [2]Sampler{NewVolumeDFTPadded(g, 1).NewSampler(Trilinear), NewVolumeDFTPadded(g, 2).NewSampler(Trilinear)}
+	refs := [2]*fullCube{newFullCube(g, 1), newFullCube(g, 2)}
+	peaks := [2]float64{refs[0].peak(), refs[1].peak()}
 	f.Fuzz(func(t *testing.T, theta, phi, omega, step float64, n, steps uint16, pad bool) {
 		for _, v := range []float64{theta, phi, omega, step} {
 			if math.IsNaN(v) || math.Abs(v) > 1e6 {
 				t.Skip("angles are finite and bounded")
 			}
 		}
-		s := &samplers[0]
+		i := 0
 		if pad {
-			s = &samplers[1]
+			i = 1
 		}
+		s, ref, peak := &samplers[i], refs[i], peaks[i]
 		nb := 1 + int(n)%len(fh)
 		memo := NewCellMemo(len(fh))
-		checkMemoCut(t, s, memo, fh, fk, len(fh), geom.Euler{Theta: theta + 73, Phi: phi - 41, Omega: omega + 17})
+		checkMemoCut(t, s, memo, fh, fk, len(fh), geom.Euler{Theta: theta + 73, Phi: phi - 41, Omega: omega + 17}, ref, peak)
 		o := geom.Euler{Theta: theta, Phi: phi, Omega: omega}
 		for j := 0; j <= int(steps)%64; j++ {
-			checkMemoCut(t, s, memo, fh, fk, nb, o)
+			checkMemoCut(t, s, memo, fh, fk, nb, o, ref, peak)
 			d := float64(j%3 - 1)
 			o = o.Add(geom.Euler{Theta: step, Phi: d * step, Omega: -step})
 		}

@@ -14,11 +14,14 @@
 // accurate — the paper's "interpolation in the 3-D Fourier domain"
 // (step f) depends on exactly this.
 //
-// Real maps, Hermitian spectra. Maps and views are real, so every 3-D
-// transform here runs on half the spectrum's information: the forward
-// through fft.RealPlan3D, and the inverse (GridFromHalfSpectrum) from
-// the non-redundant half z ≤ L/2 alone, two real output lines per
-// complex FFT.
+// Real maps, Hermitian spectra. Maps and views are real, so a 3-D
+// spectrum here is stored as its non-redundant half only — the
+// coefficients with z index ≤ L/2, the others being their conjugate
+// mirrors D̂(−q) = conj D̂(q). The forward transform (fft.RealPlan3D)
+// writes that half straight from the unpadded map, readers recover a
+// mirrored coefficient through VolumeDFT.At or the Sampler's corner
+// gather, and the inverse (GridFromHalfSpectrum) reads the half alone,
+// two real output lines per complex FFT.
 package fourier
 
 import (
@@ -44,10 +47,13 @@ const (
 	Nearest
 )
 
-// VolumeDFT is the centred 3-D DFT D̂ of an electron-density map, in
-// standard DFT index layout. It is immutable once built and safe for
-// concurrent reads, which is how the refinement distributes one
-// replicated copy to every node.
+// VolumeDFT is the centred 3-D DFT D̂ of an electron-density map. Data
+// holds its non-redundant half: coefficient (x, y, z), with x, y in
+// [0, L) and z in [0, L/2], at (x·L + y)·(L/2+1) + z, in standard DFT
+// index order on each axis — the layout GridFromHalfSpectrum inverts.
+// At reads any coefficient, the mirrored half included. A VolumeDFT is
+// immutable once built and safe for concurrent reads, which is how the
+// refinement distributes one replicated copy to every node.
 //
 // The spectrum may be oversampled: NewVolumeDFTPadded embeds the map
 // in a larger box before transforming, which samples the same
@@ -68,48 +74,54 @@ func NewVolumeDFT(g *volume.Grid) *VolumeDFT {
 
 // NewVolumeDFTPadded embeds g centrally in a box pad times larger,
 // then computes the centred 3-D DFT. pad = 2 is the usual production
-// choice for accurate trilinear slice extraction.
+// choice for accurate trilinear slice extraction. The map is real, so
+// the transform runs through the Hermitian-symmetry real-input path —
+// half the floating-point work of the complex 3-D FFT — which reads g
+// in place as the centre of the zero box and writes only the half
+// spectrum.
 func NewVolumeDFTPadded(g *volume.Grid, pad int) *VolumeDFT {
 	if pad < 1 {
 		panic("fourier: pad must be ≥ 1")
 	}
-	l := g.L
-	bl := pad * l
-	// The padded cube is purely real, so the transform runs through the
-	// Hermitian-symmetry real-input path — half the floating-point work
-	// of the complex 3-D FFT.
-	src := make([]float64, bl*bl*bl)
-	off := bl/2 - l/2 // maps voxel l/2 (particle origin) onto bl/2
-	for x := 0; x < l; x++ {
-		for y := 0; y < l; y++ {
-			base := ((x+off)*bl + y + off) * bl
-			srcBase := (x*l + y) * l
-			copy(src[base+off:base+off+l], g.Data[srcBase:srcBase+l])
-		}
-	}
-	data := make([]complex128, bl*bl*bl)
-	fft.NewRealPlan3D(bl, bl, bl).Forward(src, data)
+	bl := pad * g.L
+	data := make([]complex128, bl*bl*(bl/2+1))
+	// The plan puts voxel l/2 (the particle origin) on bl/2.
+	fft.NewRealPlan3D(bl).Forward(g.Data, g.L, data)
 	ramp := centerRamp(bl, +1)
 	for x := 0; x < bl; x++ {
 		rampPlane(data, ramp, x, bl)
 	}
-	return &VolumeDFT{L: bl, SrcL: l, Data: data}
+	return &VolumeDFT{L: bl, SrcL: g.L, Data: data}
 }
 
 // Pad returns the oversampling factor L/SrcL.
 func (v *VolumeDFT) Pad() int { return v.L / v.SrcL }
 
+// At returns the coefficient at lattice index (x, y, z), each in
+// [0, L). A z index up to L/2 is stored; above it the coefficient is
+// the conjugate of its stored mirror ((−x) mod L, (−y) mod L, L − z).
+func (v *VolumeDFT) At(x, y, z int) complex128 {
+	l, nh := v.L, v.L/2+1
+	if z < nh {
+		return v.Data[(x*l+y)*nh+z]
+	}
+	return cmplx.Conj(v.Data[(mirrorIndex(x, l)*l+mirrorIndex(y, l))*nh+l-z])
+}
+
+// mirrorIndex is the array index of frequency −f for the index i of f,
+// (−i) mod l, for i in [0, l).
+func mirrorIndex(i, l int) int {
+	if i == 0 {
+		return 0
+	}
+	return l - i
+}
+
 // Grid converts the centred spectrum back to a real-space density map
 // of the original size (inverse of NewVolumeDFTPadded, cropping the
-// padding). Only the non-redundant half z ≤ L/2 is read; v is left
-// untouched.
+// padding); v is left untouched.
 func (v *VolumeDFT) Grid() *volume.Grid {
-	bl, nh := v.L, v.L/2+1
-	half := make([]complex128, bl*bl*nh)
-	for i := 0; i < bl*bl; i++ {
-		copy(half[i*nh:(i+1)*nh], v.Data[i*bl:])
-	}
-	return GridFromHalfSpectrum(half, bl, v.SrcL, 0)
+	return GridFromHalfSpectrum(append([]complex128(nil), v.Data...), v.L, v.SrcL, 0)
 }
 
 // GridFromHalfSpectrum is the complex-to-real inverse of a centred
@@ -268,10 +280,7 @@ func (v *VolumeDFT) Sample(f geom.Vec3, interp Interpolation) complex128 {
 		return 0
 	}
 	if interp == Nearest {
-		xi := wrapFreq(int(math.Round(f.X)), l)
-		yi := wrapFreq(int(math.Round(f.Y)), l)
-		zi := wrapFreq(int(math.Round(f.Z)), l)
-		return v.Data[(xi*l+yi)*l+zi]
+		return v.At(wrapFreq(int(math.Round(f.X)), l), wrapFreq(int(math.Round(f.Y)), l), wrapFreq(int(math.Round(f.Z)), l))
 	}
 	x0, y0, z0 := int(math.Floor(f.X)), int(math.Floor(f.Y)), int(math.Floor(f.Z))
 	fx, fy, fz := f.X-float64(x0), f.Y-float64(y0), f.Z-float64(z0)
@@ -302,8 +311,7 @@ func (v *VolumeDFT) Sample(f geom.Vec3, interp Interpolation) complex128 {
 				if wz == 0 {
 					continue
 				}
-				zi := wrapFreq(z0+dz, l)
-				sum += complex(wx*wy*wz, 0) * v.Data[(xi*l+yi)*l+zi]
+				sum += complex(wx*wy*wz, 0) * v.At(xi, yi, wrapFreq(z0+dz, l))
 			}
 		}
 	}
@@ -442,16 +450,17 @@ func ShiftPhase(f *volume.CImage, dx, dy float64) {
 	}
 }
 
-// rampPlane multiplies coefficient (fx,fy,fz) of x-plane x by
-// ramp[fx]·ramp[fy]·ramp[fz], where ramp = centerRamp(l, sign)
-// converts between index-0-origin and centred spectra.
+// rampPlane multiplies coefficient (fx,fy,fz) of x-plane x of a half
+// spectrum by ramp[fx]·ramp[fy]·ramp[fz], where ramp = centerRamp(l,
+// sign) converts between index-0-origin and centred spectra.
 func rampPlane(data, ramp []complex128, x, l int) {
+	nh := l/2 + 1
 	rx := ramp[x]
 	for y := 0; y < l; y++ {
 		rxy := rx * ramp[y]
-		base := (x*l + y) * l
-		for z := 0; z < l; z++ {
-			data[base+z] *= rxy * ramp[z]
+		row := data[(x*l+y)*nh : (x*l+y+1)*nh]
+		for z := range row {
+			row[z] *= rxy * ramp[z]
 		}
 	}
 }

@@ -79,7 +79,7 @@ func TestCenteredSpectrumIsSmoothForCenteredBlob(t *testing.T) {
 	g := gaussianBlobGrid(l, [][4]float64{{c, c, c, 2.5}})
 	v := NewVolumeDFT(g)
 	for _, idx := range [][3]int{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 1, 1}} {
-		val := v.Data[(idx[0]*l+idx[1])*l+idx[2]]
+		val := v.At(idx[0], idx[1], idx[2])
 		if imag(val) > 1e-9 || imag(val) < -1e-9 {
 			t.Fatalf("centred spectrum of symmetric blob not real at %v: %v", idx, val)
 		}
@@ -94,7 +94,7 @@ func TestSampleAtLatticePoints(t *testing.T) {
 	v := NewVolumeDFT(g)
 	l := 16
 	for _, f := range [][3]int{{0, 0, 0}, {3, -2, 1}, {-5, 5, -5}, {7, 0, 0}} {
-		want := v.Data[(wrapFreq(f[0], l)*l+wrapFreq(f[1], l))*l+wrapFreq(f[2], l)]
+		want := v.At(wrapFreq(f[0], l), wrapFreq(f[1], l), wrapFreq(f[2], l))
 		got := v.Sample(geom.Vec3{X: float64(f[0]), Y: float64(f[1]), Z: float64(f[2])}, Trilinear)
 		if cmplx.Abs(got-want) > 1e-12 {
 			t.Fatalf("Sample at lattice point %v = %v, want %v", f, got, want)
@@ -125,7 +125,7 @@ func TestExtractSliceIdentityOrientation(t *testing.T) {
 			if h*h+k*k > 36 {
 				continue
 			}
-			want := v.Data[(wrapFreq(h, l)*l+wrapFreq(k, l))*l+0]
+			want := v.At(wrapFreq(h, l), wrapFreq(k, l), 0)
 			got := slice.Data[wrapFreq(h, l)*l+wrapFreq(k, l)]
 			if cmplx.Abs(got-want) > 1e-12 {
 				t.Fatalf("slice(%d,%d) = %v, want %v", h, k, got, want)
@@ -238,10 +238,14 @@ func TestGridFromHalfSpectrumMatchesComplexInverse(t *testing.T) {
 			m.Data[i] = r.NormFloat64()
 		}
 		v := NewVolumeDFTPadded(m, c.bl/c.l)
-		ref := append([]complex128(nil), v.Data...)
+		ref := make([]complex128, c.bl*c.bl*c.bl)
 		ramp := centerRamp(c.bl, -1)
 		for x := 0; x < c.bl; x++ {
-			rampPlane(ref, ramp, x, c.bl)
+			for y := 0; y < c.bl; y++ {
+				for z := 0; z < c.bl; z++ {
+					ref[(x*c.bl+y)*c.bl+z] = v.At(x, y, z) * (ramp[x] * ramp[y] * ramp[z])
+				}
+			}
 		}
 		fft.NewPlan3D(c.bl, c.bl, c.bl).Inverse(ref)
 		off := c.bl/2 - c.l/2
@@ -256,14 +260,9 @@ func TestGridFromHalfSpectrumMatchesComplexInverse(t *testing.T) {
 				}
 			}
 		}
-		nh := c.bl/2 + 1
 		var first *volume.Grid
 		for _, w := range []int{1, 2, 3, 8} {
-			half := make([]complex128, c.bl*c.bl*nh)
-			for i := 0; i < c.bl*c.bl; i++ {
-				copy(half[i*nh:(i+1)*nh], v.Data[i*c.bl:])
-			}
-			got := GridFromHalfSpectrum(half, c.bl, c.l, w)
+			got := GridFromHalfSpectrum(append([]complex128(nil), v.Data...), c.bl, c.l, w)
 			if first == nil {
 				first = got
 				for i := range want.Data {

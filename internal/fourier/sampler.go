@@ -2,6 +2,7 @@ package fourier
 
 import (
 	"math"
+	"math/cmplx"
 
 	"repro/internal/geom"
 )
@@ -16,11 +17,13 @@ import (
 // matching hot loop, where it is called once per band coefficient per
 // candidate orientation.
 //
+// It reads the half spectrum by VolumeDFT.At's rule (see gather).
+//
 // A Sampler is an immutable view of the spectrum and is safe for
 // concurrent use.
 type Sampler struct {
-	data    []complex128
-	l       int
+	v       *VolumeDFT
+	l, nh   int // lattice edge and half-spectrum z extent l/2+1
 	pad     float64
 	ny      float64 // Nyquist bound of the (padded) lattice, l/2
 	nearest bool
@@ -30,8 +33,9 @@ type Sampler struct {
 // interpolation mode.
 func (v *VolumeDFT) NewSampler(interp Interpolation) Sampler {
 	return Sampler{
-		data:    v.Data,
+		v:       v,
 		l:       v.L,
+		nh:      v.L/2 + 1,
 		pad:     float64(v.Pad()),
 		ny:      float64(v.L) / 2,
 		nearest: interp == Nearest,
@@ -54,18 +58,8 @@ func (s *Sampler) At(x, y, z float64) complex128 {
 	}
 	if s.nearest {
 		l := s.l
-		xi := wrapFreq(int(math.Round(x)), l)
-		yi := wrapFreq(int(math.Round(y)), l)
-		zi := wrapFreq(int(math.Round(z)), l)
-		return s.data[(xi*l+yi)*l+zi]
+		return s.v.At(wrapFreq(int(math.Round(x)), l), wrapFreq(int(math.Round(y)), l), wrapFreq(int(math.Round(z)), l))
 	}
-	return s.trilinear(x, y, z)
-}
-
-// trilinear performs the 8-corner blend at an in-band padded-lattice
-// point: the corners are gathered once and blended on separate
-// real/imaginary accumulators, avoiding complex multiplies.
-func (s *Sampler) trilinear(x, y, z float64) complex128 {
 	xf, yf, zf := math.Floor(x), math.Floor(y), math.Floor(z)
 	var c [8]complex128
 	s.gather(&c, int(xf), int(yf), int(zf))
@@ -74,42 +68,59 @@ func (s *Sampler) trilinear(x, y, z float64) complex128 {
 
 // gather loads the eight corners of the padded-lattice cell whose
 // unwrapped lower corner is (x0, y0, z0), in the blend's order: c000,
-// c001, c010, c011, c100, c101, c110, c111 (bits x, y, z). In-band
-// corner indices lie within [−l/2, l/2+1], so wrapping needs at most
-// one conditional add or subtract instead of wrapFreq's modulo.
+// c001, c010, c011, c100, c101, c110, c111 (bits x, y, z). A cell below
+// z = 0 is read as the conjugate of its mirror, a cell that straddles
+// the half's z boundary (z0 = −1, or the top of the half) corner by
+// corner through VolumeDFT.At. In-band corner indices lie within
+// [−l/2−1, l/2+1], so wrapping needs at most one conditional add or
+// subtract instead of wrapFreq's modulo.
 func (s *Sampler) gather(c *[8]complex128, x0, y0, z0 int) {
-	l := s.l
-	x1, y1, z1 := x0+1, y0+1, z0+1
-	if x0 < 0 {
-		x0 += l
+	l, nh := s.l, s.nh
+	if (wrapIndex(z0, l) >= nh) != (wrapIndex(z0+1, l) >= nh) {
+		xa, xb := wrapIndex(x0, l), wrapIndex(x0+1, l)
+		ya, yb := wrapIndex(y0, l), wrapIndex(y0+1, l)
+		za, zb := wrapIndex(z0, l), wrapIndex(z0+1, l)
+		v := s.v
+		*c = [8]complex128{v.At(xa, ya, za), v.At(xa, ya, zb), v.At(xa, yb, za), v.At(xa, yb, zb),
+			v.At(xb, ya, za), v.At(xb, ya, zb), v.At(xb, yb, za), v.At(xb, yb, zb)}
+		return
 	}
-	if x1 < 0 {
-		x1 += l
-	} else if x1 >= l {
-		x1 -= l
+	sg := mirrorSign(z0)
+	xa, xb := wrapIndex(sg*x0, l), wrapIndex(sg*(x0+1), l)
+	ya, yb := wrapIndex(sg*y0, l), wrapIndex(sg*(y0+1), l)
+	za, zb := sg*z0, sg*(z0+1)
+	d := s.v.Data
+	b00 := (xa*l + ya) * nh
+	b01 := (xa*l + yb) * nh
+	b10 := (xb*l + ya) * nh
+	b11 := (xb*l + yb) * nh
+	if sg > 0 {
+		*c = [8]complex128{d[b00+za], d[b00+zb], d[b01+za], d[b01+zb], d[b10+za], d[b10+zb], d[b11+za], d[b11+zb]}
+		return
 	}
-	if y0 < 0 {
-		y0 += l
-	}
-	if y1 < 0 {
-		y1 += l
-	} else if y1 >= l {
-		y1 -= l
-	}
+	*c = [8]complex128{cmplx.Conj(d[b00+za]), cmplx.Conj(d[b00+zb]), cmplx.Conj(d[b01+za]), cmplx.Conj(d[b01+zb]),
+		cmplx.Conj(d[b10+za]), cmplx.Conj(d[b10+zb]), cmplx.Conj(d[b11+za]), cmplx.Conj(d[b11+zb])}
+}
+
+// mirrorSign is −1 for a cell below z = 0, whose corner u is read as
+// conj D̂(−u), and +1 for a cell in the stored half.
+func mirrorSign(z0 int) int {
 	if z0 < 0 {
-		z0 += l
+		return -1
 	}
-	if z1 < 0 {
-		z1 += l
-	} else if z1 >= l {
-		z1 -= l
+	return 1
+}
+
+// wrapIndex is the array index of an in-band lattice coordinate
+// i ∈ [−l/2−1, l/2+1].
+func wrapIndex(i, l int) int {
+	if i < 0 {
+		return i + l
 	}
-	d := s.data
-	b00 := (x0*l + y0) * l
-	b01 := (x0*l + y1) * l
-	b10 := (x1*l + y0) * l
-	b11 := (x1*l + y1) * l
-	*c = [8]complex128{d[b00+z0], d[b00+z1], d[b01+z0], d[b01+z1], d[b10+z0], d[b10+z1], d[b11+z0], d[b11+z1]}
+	if i >= l {
+		return i - l
+	}
+	return i
 }
 
 // blend is the trilinear blend of a cell's corners c (gather's order)
@@ -153,8 +164,8 @@ func (s *Sampler) SampleCut(dst []complex128, fh, fk []float64, xAxis, yAxis geo
 		return
 	}
 	pad, ny := s.pad, s.ny
-	l := s.l
-	d := s.data
+	l, nh := s.l, s.nh
+	d := s.v.Data
 	for i := range dst {
 		h, k := fh[i], fk[i]
 		x := (xx*h + yx*k) * pad
@@ -166,44 +177,37 @@ func (s *Sampler) SampleCut(dst []complex128, fh, fk []float64, xAxis, yAxis geo
 		}
 		// gather and blend, manually inlined (both are past the
 		// compiler's inlining budget, and calling them costs ≈ 45 % per
-		// cut): same corner order and weight associativity, so
-		// SampleCutMemo's cuts equal these bit for bit.
+		// cut): same corner rule, order and weight associativity, so
+		// SampleCutMemo's cuts equal these bit for bit. A cell that
+		// straddles the half's z boundary (z0 = −1, or the top of the
+		// half) goes through gather.
 		xf, yf, zf := math.Floor(x), math.Floor(y), math.Floor(z)
 		fx, fy, fz := x-xf, y-yf, z-zf
 		x0, y0, z0 := int(xf), int(yf), int(zf)
-		x1, y1, z1 := x0+1, y0+1, z0+1
-		if x0 < 0 {
-			x0 += l
+		// A mirrored cell reads the corners of the negated cell and
+		// scales their imaginary parts by fs = −1 in the blend: v·(−1)
+		// is exactly −v, the conjugate gather would have loaded.
+		var c000, c001, c010, c011, c100, c101, c110, c111 complex128
+		fs := 1.0
+		if (wrapIndex(z0, l) >= nh) != (wrapIndex(z0+1, l) >= nh) {
+			var c [8]complex128
+			s.gather(&c, x0, y0, z0)
+			c000, c001, c010, c011, c100, c101, c110, c111 = c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+		} else {
+			sg := mirrorSign(z0)
+			xa, xb := wrapIndex(sg*x0, l), wrapIndex(sg*(x0+1), l)
+			ya, yb := wrapIndex(sg*y0, l), wrapIndex(sg*(y0+1), l)
+			za, zb := sg*z0, sg*(z0+1)
+			b00 := (xa*l + ya) * nh
+			b01 := (xa*l + yb) * nh
+			b10 := (xb*l + ya) * nh
+			b11 := (xb*l + yb) * nh
+			c000, c001 = d[b00+za], d[b00+zb]
+			c010, c011 = d[b01+za], d[b01+zb]
+			c100, c101 = d[b10+za], d[b10+zb]
+			c110, c111 = d[b11+za], d[b11+zb]
+			fs = float64(sg)
 		}
-		if x1 < 0 {
-			x1 += l
-		} else if x1 >= l {
-			x1 -= l
-		}
-		if y0 < 0 {
-			y0 += l
-		}
-		if y1 < 0 {
-			y1 += l
-		} else if y1 >= l {
-			y1 -= l
-		}
-		if z0 < 0 {
-			z0 += l
-		}
-		if z1 < 0 {
-			z1 += l
-		} else if z1 >= l {
-			z1 -= l
-		}
-		b00 := (x0*l + y0) * l
-		b01 := (x0*l + y1) * l
-		b10 := (x1*l + y0) * l
-		b11 := (x1*l + y1) * l
-		c000, c001 := d[b00+z0], d[b00+z1]
-		c010, c011 := d[b01+z0], d[b01+z1]
-		c100, c101 := d[b10+z0], d[b10+z1]
-		c110, c111 := d[b11+z0], d[b11+z1]
 		wx0, wy0, wz0 := 1-fx, 1-fy, 1-fz
 		w00, w01 := wx0*wy0, wx0*fy
 		w10, w11 := fx*wy0, fx*fy
@@ -213,8 +217,8 @@ func (s *Sampler) SampleCut(dst []complex128, fh, fk []float64, xAxis, yAxis geo
 		w110, w111 := w11*wz0, w11*fz
 		re := w000*real(c000) + w001*real(c001) + w010*real(c010) + w011*real(c011) +
 			w100*real(c100) + w101*real(c101) + w110*real(c110) + w111*real(c111)
-		im := w000*imag(c000) + w001*imag(c001) + w010*imag(c010) + w011*imag(c011) +
-			w100*imag(c100) + w101*imag(c101) + w110*imag(c110) + w111*imag(c111)
+		im := w000*(fs*imag(c000)) + w001*(fs*imag(c001)) + w010*(fs*imag(c010)) + w011*(fs*imag(c011)) +
+			w100*(fs*imag(c100)) + w101*(fs*imag(c101)) + w110*(fs*imag(c110)) + w111*(fs*imag(c111))
 		dst[i] = complex(re, im)
 	}
 }

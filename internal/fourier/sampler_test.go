@@ -11,18 +11,20 @@ import (
 	"repro/internal/volume"
 )
 
-// randomVolumeDFT builds the spectrum of a random density at the given
-// oversampling factor.
-func randomVolumeDFT(l, pad int, seed int64) *VolumeDFT {
+// randomDensity is a map of independent normal voxels.
+func randomDensity(l int, seed int64) *volume.Grid {
 	rng := rand.New(rand.NewSource(seed))
 	g := volume.NewGrid(l)
 	for i := range g.Data {
 		g.Data[i] = rng.NormFloat64()
 	}
-	if pad <= 1 {
-		return NewVolumeDFT(g)
-	}
-	return NewVolumeDFTPadded(g, pad)
+	return g
+}
+
+// randomVolumeDFT builds the spectrum of a random density at the given
+// oversampling factor.
+func randomVolumeDFT(l, pad int, seed int64) *VolumeDFT {
+	return NewVolumeDFTPadded(randomDensity(l, seed), max(pad, 1))
 }
 
 func cdiff(a, b complex128) float64 {

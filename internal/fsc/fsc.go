@@ -4,7 +4,8 @@
 // shell in Fourier space (the Fourier Shell Correlation). The
 // resolution of the full map is conservatively read off where the
 // correlation falls through 0.5. The half maps are real, so both are
-// transformed by the real-input 3-D FFT straight from their voxels.
+// transformed by the real-input 3-D FFT straight from their voxels, and
+// the shells are summed over the non-redundant half of each spectrum.
 package fsc
 
 import (
@@ -39,30 +40,39 @@ type Curve struct {
 // term and the two energies.
 const shellTerms = 3
 
-// accumulatePlane folds one x-plane of the two spectra into the
-// per-plane partial sums at dst (length shellTerms·(nShells+1), laid
-// out [shell][cross, ea, eb]). Both the serial and the parallel curve
-// computations call this and then merge planes in ascending x, so the
-// floating-point grouping — and therefore the curve, bit for bit — is
-// identical on every path and worker count.
+// accumulatePlane folds one x-plane of the two half spectra (layout
+// of fft.RealPlan3D.Forward) into the per-plane partial sums at dst
+// (length shellTerms·(nShells+1), laid out [shell][cross, ea, eb]).
+// Every stored coefficient stands for itself and its conjugate mate,
+// which adds the same real terms to the same shell, so it counts twice
+// — except on the planes z = 0 and, for even l, z = l/2, which hold
+// both members of each pair and count once. Both the serial and the
+// parallel curve computations call this and then merge planes in
+// ascending x, so the floating-point grouping — and therefore the
+// curve, bit for bit — is identical on every path and worker count.
 func accumulatePlane(dst []float64, fa, fb []complex128, x, l, nShells int) {
+	nh := l/2 + 1
 	fx := float64(fft.FreqIndex(x, l))
 	for y := 0; y < l; y++ {
 		fy := float64(fft.FreqIndex(y, l))
-		row := (x*l + y) * l
-		for z := 0; z < l; z++ {
-			fz := float64(fft.FreqIndex(z, l))
+		row := (x*l + y) * nh
+		for z := 0; z < nh; z++ {
+			fz := float64(z)
 			r := math.Sqrt(fx*fx + fy*fy + fz*fz)
 			shell := int(math.Round(r))
 			if shell < 1 || shell > nShells {
 				continue
 			}
+			w := 2.0
+			if z == 0 || 2*z == l {
+				w = 1
+			}
 			va := fa[row+z]
 			vb := fb[row+z]
 			t := shell * shellTerms
-			dst[t] += real(va)*real(vb) + imag(va)*imag(vb)
-			dst[t+1] += real(va)*real(va) + imag(va)*imag(va)
-			dst[t+2] += real(vb)*real(vb) + imag(vb)*imag(vb)
+			dst[t] += w * (real(va)*real(vb) + imag(va)*imag(vb))
+			dst[t+1] += w * (real(va)*real(va) + imag(va)*imag(va))
+			dst[t+2] += w * (real(vb)*real(vb) + imag(vb)*imag(vb))
 		}
 	}
 }
@@ -78,8 +88,8 @@ func Compute(a, b *volume.Grid, pixelA float64) (*Curve, error) {
 // accumulation fans out over x-planes, each plane summed independently
 // and the partials merged in ascending x. The two maps are real, so
 // each is transformed by fft.RealPlan3D.Forward straight from its
-// voxels, with no complex copy; that transform fans out on its own pool
-// and is bit-identical at every worker count. So the curve is
+// voxels into its half spectrum; that transform fans out on its own
+// pool and is bit-identical at every worker count. So the curve is
 // bit-identical to Compute for every worker count (workers ≤ 0 selects
 // GOMAXPROCS).
 func ComputeParallel(a, b *volume.Grid, pixelA float64, workers int) (*Curve, error) {
@@ -90,11 +100,11 @@ func ComputeParallel(a, b *volume.Grid, pixelA float64, workers int) (*Curve, er
 		return nil, fmt.Errorf("fsc: pixel size must be positive")
 	}
 	l := a.L
-	fa := make([]complex128, l*l*l)
-	fb := make([]complex128, l*l*l)
-	plan := fft.NewRealPlan3D(l, l, l)
-	plan.Forward(a.Data, fa)
-	plan.Forward(b.Data, fb)
+	fa := make([]complex128, l*l*(l/2+1))
+	fb := make([]complex128, l*l*(l/2+1))
+	plan := fft.NewRealPlan3D(l)
+	plan.Forward(a.Data, l, fa)
+	plan.Forward(b.Data, l, fb)
 
 	nShells := l / 2
 	stride := shellTerms * (nShells + 1)

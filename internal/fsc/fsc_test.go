@@ -144,9 +144,10 @@ func TestComputeParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// complexPathCCs is the FSC on the complex path ComputeParallel
-// replaced: each map copied into a complex grid and transformed by
-// fft.Plan3D.Forward, then the same shell sums.
+// complexPathCCs is the FSC on the full-cube complex path the
+// half-spectrum sums replaced: each map copied into a complex grid and
+// transformed by fft.Plan3D.Forward, then every coefficient of the
+// cube added to its shell once.
 func complexPathCCs(a, b *volume.Grid) []float64 {
 	l := a.L
 	var spectra [2][]complex128
@@ -159,8 +160,19 @@ func complexPathCCs(a, b *volume.Grid) []float64 {
 	}
 	nShells := l / 2
 	sums := make([]float64, shellTerms*(nShells+1))
-	for x := 0; x < l; x++ {
-		accumulatePlane(sums, spectra[0], spectra[1], x, l, nShells)
+	for i, va := range spectra[0] {
+		fx := float64(fft.FreqIndex(i/(l*l), l))
+		fy := float64(fft.FreqIndex(i/l%l, l))
+		fz := float64(fft.FreqIndex(i%l, l))
+		shell := int(math.Round(math.Sqrt(fx*fx + fy*fy + fz*fz)))
+		if shell < 1 || shell > nShells {
+			continue
+		}
+		vb := spectra[1][i]
+		t := shell * shellTerms
+		sums[t] += real(va)*real(vb) + imag(va)*imag(vb)
+		sums[t+1] += real(va)*real(va) + imag(va)*imag(va)
+		sums[t+2] += real(vb)*real(vb) + imag(vb)*imag(vb)
 	}
 	ccs := make([]float64, nShells)
 	for s := 1; s <= nShells; s++ {
@@ -171,11 +183,13 @@ func complexPathCCs(a, b *volume.Grid) []float64 {
 }
 
 // TestComputeMatchesComplexPath: Compute and ComputeParallel agree bit
-// for bit at workers {1, 2, 3, 8}, and both agree with the complex-path
-// oracle to ≤ 1e-12 per shell, at an even and an odd box.
+// for bit at workers {1, 2, 3, 8}, and both agree with the full-cube
+// complex-path oracle to ≤ 1e-12 per shell, at even and odd boxes: the
+// half spectrum with mate weights (1 on the z = 0 and z = l/2 planes,
+// 2 elsewhere) sums the same shells.
 func TestComputeMatchesComplexPath(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	for _, l := range []int{24, 15} {
+	for _, l := range []int{24, 15, 16, 9} {
 		a, b := phantom.SindbisLike(l), phantom.SindbisLike(l)
 		_, _, _, std := a.Stats()
 		for i := range b.Data {

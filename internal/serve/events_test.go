@@ -693,8 +693,13 @@ func jobStreamsHash(t *testing.T, spec JobSpec) string {
 // TestJobsBitIdenticalToParent pins every byte an executor writes — the
 // journal and the event stream of one refine and one cycle job — so an
 // executor refactor that means to change nothing can show it. The
-// cycle hash was last re-derived on 2a6c23d plus the Friedel-half
-// insertion, when each view's half disc went in once and Finish folded
+// cycle hash was last re-derived on b2ca433 plus the half-spectrum
+// reference, when the FSC moved to summing the half spectrum with mate
+// weights: two journaled resolution_a values and one mean_cc move by
+// ≤ 2.2e-16 relative (and the journal_bytes event fields by their
+// printed length), while every map digest, count, orientation, centre
+// and distance is the parent's; it was e75996e9…670a before. It was
+// re-derived on 2a6c23d plus the Friedel-half insertion, when each view's half disc went in once and Finish folded
 // the conjugate mates: the journaled map digests change, the maps move
 // by at most 4.4e-14 (peak 2.17), and FSC values, distances, centres
 // and shifts move within 1.4e-11 relative, while every count and
@@ -721,7 +726,7 @@ func TestJobsBitIdenticalToParent(t *testing.T) {
 		golden string
 	}{
 		{"refine", tinySpec(), "198fa774cf62db0843045f9d7f8e45a734145f9abd617209f629adb22bd1935e"},
-		{"cycle", tinyCycleSpec(), "e75996e9d91e6bb644dfa65abf222c9e833193b392e3aed1f02baddb1e81670a"},
+		{"cycle", tinyCycleSpec(), "42eebc10da4ae75312c73aede03a343c4fc4b15b55bab7ae5e33be4e723f2d0f"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if got := jobStreamsHash(t, c.spec); got != c.golden {
