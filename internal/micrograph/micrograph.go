@@ -21,6 +21,7 @@ import (
 	"repro/internal/ctf"
 	"repro/internal/fourier"
 	"repro/internal/geom"
+	"repro/internal/pool"
 	"repro/internal/projection"
 	"repro/internal/volume"
 )
@@ -83,6 +84,8 @@ func RandomOrientation(rng *rand.Rand) geom.Euler {
 }
 
 // Generate synthesizes a dataset of p.NumViews views of the truth map.
+// The views are synthesized on GOMAXPROCS workers; the dataset's bits
+// do not depend on their number.
 func Generate(truth *volume.Grid, p GenParams) *Dataset {
 	if p.NumViews < 1 {
 		panic(fmt.Sprintf("micrograph: invalid view count %d", p.NumViews))
@@ -100,7 +103,11 @@ func Generate(truth *volume.Grid, p GenParams) *Dataset {
 		params[i] = ctf.Typical(p.PixelA)
 		params[i].DefocusA *= 0.8 + 0.4*rng.Float64()
 	}
-	for i := 0; i < p.NumViews; i++ {
+	// Every random value is drawn here, on the caller's goroutine, in
+	// the serial order: orientation, jitter, group, then the l² noise
+	// normals, which go straight into the view's own image.
+	ds.Views = make([]*View, p.NumViews)
+	for i := range ds.Views {
 		o := RandomOrientation(rng)
 		var dx, dy float64
 		if p.CenterJitter > 0 {
@@ -108,18 +115,32 @@ func Generate(truth *volume.Grid, p GenParams) *Dataset {
 			dy = (2*rng.Float64() - 1) * p.CenterJitter
 		}
 		g := rng.Intn(groups)
-		im := synthesize(truth, o, dx, dy, params[g], p.ApplyCTF)
+		v := &View{TrueOrient: o, TrueCenter: [2]float64{dx, dy}, CTF: params[g], Group: g}
 		if p.SNR > 0 {
-			addNoise(im, p.SNR, rng)
+			v.Image = volume.NewImage(l)
+			for j := range v.Image.Data {
+				v.Image.Data[j] = rng.NormFloat64()
+			}
 		}
-		ds.Views = append(ds.Views, &View{
-			Image:      im,
-			TrueOrient: o,
-			TrueCenter: [2]float64{dx, dy},
-			CTF:        params[g],
-			Group:      g,
-		})
+		ds.Views[i] = v
 	}
+	// Synthesis draws nothing, so the views run on the pool; each
+	// writes only its own image.
+	pool.RunIndexedLabeled("micrograph.generate", len(ds.Views), 0, func(_, i int) {
+		v := ds.Views[i]
+		im := synthesize(truth, v.TrueOrient, v.TrueCenter[0], v.TrueCenter[1], v.CTF, p.ApplyCTF)
+		if p.SNR <= 0 {
+			v.Image = im
+			return
+		}
+		// White Gaussian noise at power SNR relative to the image
+		// variance: σ times the view's normals.
+		_, _, _, std := im.Stats()
+		sigma := std / math.Sqrt(p.SNR)
+		for j, n := range v.Image.Data {
+			v.Image.Data[j] = im.Data[j] + sigma*n
+		}
+	})
 	return ds
 }
 
@@ -137,16 +158,6 @@ func synthesize(truth *volume.Grid, o geom.Euler, dx, dy float64, p ctf.Params, 
 		ctf.Apply(f, p)
 	}
 	return fourier.InverseImageDFT(f)
-}
-
-// addNoise adds white Gaussian noise at the requested power SNR
-// relative to the image variance.
-func addNoise(im *volume.Image, snr float64, rng *rand.Rand) {
-	_, _, _, std := im.Stats()
-	sigma := std / math.Sqrt(snr)
-	for i := range im.Data {
-		im.Data[i] += sigma * rng.NormFloat64()
-	}
 }
 
 // PerturbedOrientations returns each view's true orientation displaced

@@ -56,11 +56,35 @@ func (g *Grid) Center() int { return g.L / 2 }
 
 // Interp samples the grid at fractional coordinates by trilinear
 // interpolation; points outside the lattice contribute zero.
+//
+// Corners outside the lattice or with a zero weight are skipped, never
+// multiplied, and the sum starts at +0: a point with no other corner
+// returns exactly +0, and the result is never −0. A point whose eight
+// corners are all inside with all six weights non-zero takes a
+// straight-line path that adds the same eight ((wx·wy)·wz)·v terms in
+// the same x, y, z order as the corner loop, so both paths give the
+// same bits for every input.
 func (g *Grid) Interp(x, y, z float64) float64 {
 	l := g.L
 	x0, y0, z0 := int(math.Floor(x)), int(math.Floor(y)), int(math.Floor(z))
 	fx, fy, fz := x-float64(x0), y-float64(y0), z-float64(z0)
 	var sum float64
+	wx0, wy0, wz0 := 1-fx, 1-fy, 1-fz
+	if uint(x0) < uint(l-1) && uint(y0) < uint(l-1) && uint(z0) < uint(l-1) &&
+		wx0 != 0 && wy0 != 0 && wz0 != 0 && fx != 0 && fy != 0 && fz != 0 {
+		i := (x0*l+y0)*l + z0
+		d := g.Data[i : i+l*l+l+2]
+		w00, w01, w10, w11 := wx0*wy0, wx0*fy, fx*wy0, fx*fy
+		sum += w00 * wz0 * d[0]
+		sum += w00 * fz * d[1]
+		sum += w01 * wz0 * d[l]
+		sum += w01 * fz * d[l+1]
+		sum += w10 * wz0 * d[l*l]
+		sum += w10 * fz * d[l*l+1]
+		sum += w11 * wz0 * d[l*l+l]
+		sum += w11 * fz * d[l*l+l+1]
+		return sum
+	}
 	for dx := 0; dx <= 1; dx++ {
 		wx := 1 - fx
 		if dx == 1 {

@@ -82,6 +82,35 @@ func TestGridInterpOutsideIsZero(t *testing.T) {
 	}
 }
 
+// TestGridInterpSignedZeroAndZeroWeights checks the two properties that
+// make Interp's interior path and corner loop agree bit for bit: the
+// sum starts at +0, so eight −0 corners give +0 (Rotate stores that
+// result as a voxel), and a corner with zero weight is skipped, not
+// multiplied, so an infinite voxel there leaves the sample finite.
+func TestGridInterpSignedZeroAndZeroWeights(t *testing.T) {
+	g := NewGrid(4)
+	for i := range g.Data {
+		g.Data[i] = math.Copysign(0, -1)
+	}
+	for _, p := range [][3]float64{{1.25, 1.5, 1.75}, {1, 1, 1}, {2.5, 0.5, 1}} {
+		if got := g.Interp(p[0], p[1], p[2]); math.Float64bits(got) != 0 {
+			t.Fatalf("Interp%v on a −0 grid = %v (%#x), want +0", p, got, math.Float64bits(got))
+		}
+	}
+	for i := range g.Data {
+		g.Data[i] = 1
+	}
+	g.Set(2, 2, 2, math.Inf(1))
+	for _, p := range [][3]float64{{1.5, 1.5, 1}, {1, 1.5, 1.5}, {1.5, 1, 1.5}, {1, 1, 1}} {
+		if got := g.Interp(p[0], p[1], p[2]); got != 1 {
+			t.Fatalf("Interp%v beside an Inf voxel at a zero-weight corner = %v, want 1", p, got)
+		}
+	}
+	if got := g.Interp(1.5, 1.5, 1.5); !math.IsInf(got, 1) {
+		t.Fatalf("Interp with an Inf voxel at a weighted corner = %v, want +Inf", got)
+	}
+}
+
 func TestSphericalMask(t *testing.T) {
 	g := NewGrid(9)
 	for i := range g.Data {
