@@ -10,7 +10,6 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/brick"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ctf"
@@ -399,17 +398,13 @@ func BenchmarkAblationShellMask(b *testing.B) {
 // BenchmarkAblationReplication measures the §6 design discussion on
 // the simulator: replicating the 3-D DFT on every node (chosen by the
 // paper) versus demand-paging bricks through an LRU cache
-// (internal/brick, the strategy of the paper's ref [6]). The
-// replicated all-gather pays once per pass; on-demand fetching pays a
-// message per cache miss across the matching workload.
+// (workload.PriceBrickPaging, the strategy of the paper's ref [6]).
+// The replicated all-gather pays once per pass; on-demand fetching
+// pays a message per cache miss across the matching workload.
 func BenchmarkAblationReplication(b *testing.B) {
 	model := cluster.SP2
 	truth := phantom.Asymmetric(24, 8, 1)
 	dft := fourier.NewVolumeDFTPadded(truth, 2)
-	store, err := brick.NewStore(dft, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
 	var orients []geom.Euler
 	for i := 0; i < 40; i++ {
 		orients = append(orients, geom.Euler{Theta: float64(3 * i), Phi: float64(5 * i), Omega: float64(7 * i)})
@@ -421,15 +416,12 @@ func BenchmarkAblationReplication(b *testing.B) {
 		// paper's nodes hold it (this process stores only its half).
 		replicated = model.MessageTime(dft.L * dft.L * dft.L * 16)
 		// On demand: the same slice workload through a small cache.
-		c, err := brick.NewClient(store, model, 8)
+		secs, hits, misses, err := workload.PriceBrickPaging(dft, orients, 9, 8, 8, model)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, o := range orients {
-			c.ExtractSlice(o, 9, fourier.Trilinear)
-		}
-		onDemand = c.CommSecs
-		hitRate = c.HitRate()
+		onDemand = secs
+		hitRate = float64(hits) / float64(hits+misses)
 	}
 	b.ReportMetric(replicated, "replicatedSecs")
 	b.ReportMetric(onDemand, "onDemandSecs")

@@ -56,9 +56,7 @@ func TestLiveTreeClean(t *testing.T) {
 
 // unreachableAllowed names the internal packages that may exist
 // without any command importing them, each with the reason it stays.
-var unreachableAllowed = map[string]string{
-	"internal/brick": "sole implementation behind EXPERIMENTS §6 (replication vs shared virtual memory), measured by BenchmarkAblationReplication",
-}
+var unreachableAllowed = map[string]string{}
 
 // TestInternalPackagesReachable holds the tree to one rule: an
 // internal package exists only if some command under cmd/ imports it,

@@ -28,7 +28,7 @@ var MapOrder = &Analyzer{
 // substring, so fixture trees opt in by mirroring the directory names.
 var numericPaths = []string{
 	"internal/fft", "internal/fourier", "internal/core", "internal/parfft",
-	"internal/cluster", "internal/reconstruct", "internal/fsc", "internal/brick",
+	"internal/cluster", "internal/reconstruct", "internal/fsc",
 	"internal/volume", "internal/geom", "internal/symmetry", "internal/workload",
 	"internal/cycle",
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -83,20 +82,7 @@ type View struct {
 // radial CTF correction and later centre phase ramps keep
 // F(−h,−k) = conj F(h,k), so the dropped half carries no information.
 func (r *Refiner) PrepareView(im *volume.Image, p ctf.Params) (*View, error) {
-	if im.L != r.m.l {
-		return nil, fmt.Errorf("core: view size %d does not match map size %d", im.L, r.m.l)
-	}
-	f := fourier.ImageDFT(im)
-	if r.cfg.CorrectCTF {
-		if err := ctf.Correct(f, p, r.cfg.CTFMode); err != nil {
-			return nil, err
-		}
-	}
-	var refW []float64
-	if r.cfg.CTFWeightCuts {
-		refW = r.m.ctfCutWeights(p)
-	}
-	return &View{vd: r.m.prepareView(f, refW)}, nil
+	return r.prepareViewReuse(im, p, fourier.NewViewTransformer(r.m.l), volume.NewCImage(r.m.l))
 }
 
 // Distance evaluates the configured matching distance d(F, C) between

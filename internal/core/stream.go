@@ -300,9 +300,10 @@ func (r *Refiner) refineStreamRange(ctx context.Context, n int, src StreamSource
 	return results, nil
 }
 
-// prepareViewReuse is PrepareView bound to caller-owned transform
+// prepareViewReuse is PrepareView's body on caller-owned transform
 // scratch: the spectrum lands in buf (overwritten) and only the
-// band-sized view state is freshly allocated.
+// band-sized view state is freshly allocated. PrepareView passes a
+// fresh transformer and buffer; the stream's loaders reuse theirs.
 func (r *Refiner) prepareViewReuse(im *volume.Image, p ctf.Params, trans *fourier.ViewTransformer, buf *volume.CImage) (*View, error) {
 	if im.L != r.m.l {
 		return nil, fmt.Errorf("core: view size %d does not match map size %d", im.L, r.m.l)

@@ -337,22 +337,8 @@ func wrapFreq(f, l int) int {
 // centred convention as ImageDFT, so it can be compared directly with
 // the transform of an experimental view.
 func (v *VolumeDFT) ExtractSlice(o geom.Euler, rmax float64, interp Interpolation) *volume.CImage {
-	out := volume.NewCImage(v.SrcL)
-	v.ExtractSliceInto(out, o, rmax, interp)
-	return out
-}
-
-// ExtractSliceInto is ExtractSlice writing into a caller-provided
-// image, zeroing it first; it avoids per-cut allocation in the hot
-// search loop.
-func (v *VolumeDFT) ExtractSliceInto(dst *volume.CImage, o geom.Euler, rmax float64, interp Interpolation) {
 	l := v.SrcL
-	if dst.L != l {
-		panic("fourier: slice destination size mismatch")
-	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
+	out := volume.NewCImage(l)
 	m := o.Matrix()
 	xAxis, yAxis := m.Col(0), m.Col(1)
 	rmax = math.Min(rmax, float64(l)/2)
@@ -367,27 +353,22 @@ func (v *VolumeDFT) ExtractSliceInto(dst *volume.CImage, o geom.Euler, rmax floa
 				continue
 			}
 			f := xAxis.Scale(fh).Add(yAxis.Scale(fk))
-			val := s.At(f.X, f.Y, f.Z)
-			dst.Data[wrapFreq(h, l)*l+wrapFreq(k, l)] = val
+			out.Data[wrapFreq(h, l)*l+wrapFreq(k, l)] = s.At(f.X, f.Y, f.Z)
 		}
 	}
+	return out
 }
 
 // ImageDFT computes the centred 2-D DFT F of a view. Views are real,
 // so the transform runs through the Hermitian-symmetry real-input path
-// (about half the work of the complex 2-D FFT).
+// (about half the work of the complex 2-D FFT). For repeated
+// transforms of equally sized views prefer a ViewTransformer, which
+// reuses the plan scratch and the ramp table and writes into a
+// caller-owned image.
 func ImageDFT(im *volume.Image) *volume.CImage {
 	c := volume.NewCImage(im.L)
-	ImageDFTInto(c, im)
+	NewViewTransformer(im.L).Transform(im, c)
 	return c
-}
-
-// ImageDFTInto is ImageDFT writing into a caller-provided image,
-// avoiding the per-view spectrum allocation in streaming paths. For
-// repeated transforms of equally sized views prefer a ViewTransformer,
-// which additionally reuses the plan scratch and ramp table.
-func ImageDFTInto(dst *volume.CImage, im *volume.Image) {
-	NewViewTransformer(im.L).Transform(im, dst)
 }
 
 // ViewTransformer performs repeated centred 2-D DFTs of equally sized

@@ -9,9 +9,10 @@ import (
 
 // Sampler is a spectrum sampler specialized to one VolumeDFT: the
 // lattice size, oversampling factor and Nyquist bound are hoisted out
-// of the per-sample path, wrap arithmetic uses conditional adds
-// instead of modulo, and the batched SampleCut kernel evaluates a
-// whole comparison band with the trilinear blend fully inlined. It
+// of the per-sample path, and wrap arithmetic uses conditional adds
+// instead of modulo. Every trilinear sample it takes, whether through
+// At, SampleCut or SampleCutMemo, loads its cell with gather and
+// interpolates with blend, the package's one trilinear cut kernel. It
 // produces the same values as VolumeDFT.Sample (which is kept as the
 // straightforward reference implementation) but is built for the
 // matching hot loop, where it is called once per band coefficient per
@@ -145,10 +146,11 @@ func blend(c *[8]complex128, fx, fy, fz float64) complex128 {
 // of a comparison band given in structure-of-arrays form (fh, fk hold
 // the signed image frequencies as float64), writing dst[i] for
 // (fh[i], fk[i]). x̂, ŷ are the image axes of the view — columns 0 and
-// 1 of the orientation matrix. This is the batched central-section
-// kernel of the matcher: one call per candidate orientation, with all
-// lattice constants and rotation columns held in registers across the
-// band loop. fh and fk must be at least len(dst) long.
+// 1 of the orientation matrix. fh and fk must be at least len(dst)
+// long. Every in-band trilinear sample goes through gather and blend,
+// the kernel SampleCutMemo runs on a miss, so the two cut paths agree
+// bit for bit by construction. Refinement cuts go through
+// SampleCutMemo, which delegates the nearest-neighbour mode here.
 //
 //repro:hotpath
 func (s *Sampler) SampleCut(dst []complex128, fh, fk []float64, xAxis, yAxis geom.Vec3) {
@@ -164,8 +166,7 @@ func (s *Sampler) SampleCut(dst []complex128, fh, fk []float64, xAxis, yAxis geo
 		return
 	}
 	pad, ny := s.pad, s.ny
-	l, nh := s.l, s.nh
-	d := s.v.Data
+	var c [8]complex128
 	for i := range dst {
 		h, k := fh[i], fk[i]
 		x := (xx*h + yx*k) * pad
@@ -175,51 +176,9 @@ func (s *Sampler) SampleCut(dst []complex128, fh, fk []float64, xAxis, yAxis geo
 			dst[i] = 0
 			continue
 		}
-		// gather and blend, manually inlined (both are past the
-		// compiler's inlining budget, and calling them costs ≈ 45 % per
-		// cut): same corner rule, order and weight associativity, so
-		// SampleCutMemo's cuts equal these bit for bit. A cell that
-		// straddles the half's z boundary (z0 = −1, or the top of the
-		// half) goes through gather.
 		xf, yf, zf := math.Floor(x), math.Floor(y), math.Floor(z)
-		fx, fy, fz := x-xf, y-yf, z-zf
-		x0, y0, z0 := int(xf), int(yf), int(zf)
-		// A mirrored cell reads the corners of the negated cell and
-		// scales their imaginary parts by fs = −1 in the blend: v·(−1)
-		// is exactly −v, the conjugate gather would have loaded.
-		var c000, c001, c010, c011, c100, c101, c110, c111 complex128
-		fs := 1.0
-		if (wrapIndex(z0, l) >= nh) != (wrapIndex(z0+1, l) >= nh) {
-			var c [8]complex128
-			s.gather(&c, x0, y0, z0)
-			c000, c001, c010, c011, c100, c101, c110, c111 = c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
-		} else {
-			sg := mirrorSign(z0)
-			xa, xb := wrapIndex(sg*x0, l), wrapIndex(sg*(x0+1), l)
-			ya, yb := wrapIndex(sg*y0, l), wrapIndex(sg*(y0+1), l)
-			za, zb := sg*z0, sg*(z0+1)
-			b00 := (xa*l + ya) * nh
-			b01 := (xa*l + yb) * nh
-			b10 := (xb*l + ya) * nh
-			b11 := (xb*l + yb) * nh
-			c000, c001 = d[b00+za], d[b00+zb]
-			c010, c011 = d[b01+za], d[b01+zb]
-			c100, c101 = d[b10+za], d[b10+zb]
-			c110, c111 = d[b11+za], d[b11+zb]
-			fs = float64(sg)
-		}
-		wx0, wy0, wz0 := 1-fx, 1-fy, 1-fz
-		w00, w01 := wx0*wy0, wx0*fy
-		w10, w11 := fx*wy0, fx*fy
-		w000, w001 := w00*wz0, w00*fz
-		w010, w011 := w01*wz0, w01*fz
-		w100, w101 := w10*wz0, w10*fz
-		w110, w111 := w11*wz0, w11*fz
-		re := w000*real(c000) + w001*real(c001) + w010*real(c010) + w011*real(c011) +
-			w100*real(c100) + w101*real(c101) + w110*real(c110) + w111*real(c111)
-		im := w000*(fs*imag(c000)) + w001*(fs*imag(c001)) + w010*(fs*imag(c010)) + w011*(fs*imag(c011)) +
-			w100*(fs*imag(c100)) + w101*(fs*imag(c101)) + w110*(fs*imag(c110)) + w111*(fs*imag(c111))
-		dst[i] = complex(re, im)
+		s.gather(&c, int(xf), int(yf), int(zf))
+		dst[i] = blend(&c, x-xf, y-yf, z-zf)
 	}
 }
 

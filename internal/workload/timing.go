@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fourier"
+	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/parfft"
 )
@@ -218,6 +220,89 @@ func priceOnCluster(cl *cluster.Cluster, l int, cfg core.Config, results []core.
 	cl.Gather(0, func(r int) int { return owned[r] * 64 })
 	stage("gather")
 	return read, fft, refine
+}
+
+// PriceBrickPaging prices the design alternative §6 of the paper
+// discusses and rejects: instead of replicating the spectrum on every
+// node, "implement a shared virtual memory where 3D bricks of the
+// electron density or its DFT are brought on demand in each node when
+// they are needed" (the strategy of the paper's ref. [6]). One node
+// extracts the trilinear central section of dft at every orientation
+// out to rmax, as VolumeDFT.ExtractSlice does, and reads each
+// non-zero-weight corner through an LRU cache of capacity bricks of
+// edge³ lattice points (an edge beyond the lattice is clamped to it).
+// Each miss costs one modeled message of a whole brick; secs is their
+// sum. Only the corners' lattice indices and their order matter, so no
+// spectrum value is read.
+func PriceBrickPaging(dft *fourier.VolumeDFT, orients []geom.Euler, rmax float64, edge, capacity int, model cluster.CostModel) (secs float64, hits, misses int, err error) {
+	if edge < 2 {
+		return 0, 0, 0, fmt.Errorf("workload: brick edge must be ≥ 2, got %d", edge)
+	}
+	if capacity < 1 {
+		return 0, 0, 0, fmt.Errorf("workload: brick cache capacity must be ≥ 1, got %d", capacity)
+	}
+	l := dft.L
+	edge = min(edge, l)
+	nb := (l + edge - 1) / edge
+	fetch := model.MessageTime(edge * edge * edge * 16)
+	// brick is the brick index of lattice coordinate i, wrapped.
+	brick := func(i int) int { return (i%l + l) % l / edge }
+	lru := make([]int, 0, capacity) // brick IDs, most recent first
+	touch := func(x, y, z int) {
+		id := (brick(x)*nb+brick(y))*nb + brick(z)
+		if j := slices.Index(lru, id); j >= 0 {
+			hits++
+			copy(lru[1:j+1], lru[:j])
+			lru[0] = id
+			return
+		}
+		misses++
+		secs += fetch
+		if len(lru) < capacity {
+			lru = append(lru, 0)
+		}
+		copy(lru[1:], lru)
+		lru[0] = id
+	}
+	// A cell's upper corner on an axis has weight f, its lower one
+	// 1 − f, which is never zero for f ∈ [0, 1).
+	upper := func(f float64) int {
+		if f == 0 {
+			return 0
+		}
+		return 1
+	}
+
+	pad, ny := float64(dft.Pad()), float64(l)/2
+	rmax = math.Min(rmax, float64(dft.SrcL)/2)
+	ri := int(rmax)
+	r2 := rmax * rmax
+	for _, o := range orients {
+		m := o.Matrix()
+		xAxis, yAxis := m.Col(0), m.Col(1)
+		for h := -ri; h <= ri; h++ {
+			fh := float64(h)
+			for k := -ri; k <= ri; k++ {
+				fk := float64(k)
+				if fh*fh+fk*fk > r2 {
+					continue
+				}
+				f := xAxis.Scale(fh).Add(yAxis.Scale(fk)).Scale(pad)
+				if f.X < -ny || f.X > ny || f.Y < -ny || f.Y > ny || f.Z < -ny || f.Z > ny {
+					continue
+				}
+				x0, y0, z0 := math.Floor(f.X), math.Floor(f.Y), math.Floor(f.Z)
+				for dx := 0; dx <= upper(f.X-x0); dx++ {
+					for dy := 0; dy <= upper(f.Y-y0); dy++ {
+						for dz := 0; dz <= upper(f.Z-z0); dz++ {
+							touch(int(x0)+dx, int(y0)+dy, int(z0)+dz)
+						}
+					}
+				}
+			}
+		}
+	}
+	return secs, hits, misses, nil
 }
 
 // paperScaleRow prices one pass at the paper's dataset dimensions: the
