@@ -74,9 +74,7 @@ func run() error {
 		journal    = flag.String("journal", "", "checkpoint journal path; empty disables persistence (jobs die with the process)")
 		queue      = flag.Int("queue", 16, "admission queue depth; submits beyond it get HTTP 429")
 		jobs       = flag.Int("jobs", 1, "concurrent job executors")
-		fftW       = flag.Int("fft-workers", 0, "FFT-stage workers per job (0 = GOMAXPROCS)")
-		refineW    = flag.Int("refine-workers", 0, "refine-stage workers per job (0 = GOMAXPROCS)")
-		depth      = flag.Int("depth", 0, "stream channel depth per job (0 = derived)")
+		workers    = flag.Int("workers", 0, "views refined at once per job, each loaded, transformed and refined by one worker (0 = GOMAXPROCS)")
 		levelDelay = flag.Duration("level-delay", 0, "artificial pause after each level checkpoint (smoke tests: widens the kill window)")
 		cycleDelay = flag.Duration("cycle-delay", 0, "artificial pause after each cycle-map checkpoint (smoke tests: widens the mid-reconstruction kill window)")
 		artifacts  = flag.String("artifact-dir", "", "directory for cycle map artifacts (default: the journal's directory)")
@@ -98,7 +96,7 @@ func run() error {
 	opt := serve.Options{
 		QueueDepth: *queue,
 		RunWorkers: *jobs,
-		Stream:     core.StreamOptions{FFTWorkers: *fftW, RefineWorkers: *refineW, Depth: *depth},
+		Stream:     core.StreamOptions{Workers: *workers},
 		Logf:       log.Printf,
 	}
 	if *journal != "" {

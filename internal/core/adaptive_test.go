@@ -175,7 +175,7 @@ func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 	}
 	src := SliceSource(ds.Images(), ds.CTFs(), inits)
 	for _, workers := range []int{1, 2, 8} {
-		res, err := r.RefineStream(context.Background(), len(inits), src, StreamOptions{FFTWorkers: workers, RefineWorkers: workers})
+		res, err := r.RefineStream(context.Background(), len(inits), src, StreamOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestAdaptiveResumeFromJournaledCheckpoint(t *testing.T) {
 	perturb := geom.Euler{Theta: 1.2, Phi: -0.8, Omega: 0.5}
 	n, src := datasetSource(ds, perturb)
 	ctx := context.Background()
-	opt := StreamOptions{Depth: 2, FFTWorkers: 2, RefineWorkers: 2}
+	opt := StreamOptions{Workers: 2}
 
 	want, err := r.RefineStream(ctx, n, src, opt)
 	if err != nil {
@@ -371,7 +371,7 @@ func adaptiveRunHash(t *testing.T, m int, withCTF bool) string {
 		it, _ := src(i)
 		res[i] = Result{Orient: it.Init}
 	}
-	opt := StreamOptions{Depth: 2, FFTWorkers: 2, RefineWorkers: 2}
+	opt := StreamOptions{Workers: 2}
 	for li := range cfg.Schedule {
 		if res, err = r.RefineStreamLevels(context.Background(), n, src, res, li, li+1, opt); err != nil {
 			t.Fatal(err)
@@ -441,7 +441,7 @@ func TestAdaptiveStreamAllocsPerView(t *testing.T) {
 		it, _ := src(i)
 		priors[i] = Result{Orient: it.Init}
 	}
-	opt := StreamOptions{Depth: 2, FFTWorkers: 1, RefineWorkers: 1}
+	opt := StreamOptions{Workers: 1}
 	// One cold call on a fresh refiner, counted directly: a repeated run
 	// over the same views would measure a warm replay, not distinct views.
 	var before, after runtime.MemStats

@@ -256,7 +256,7 @@ type LevelStats struct {
 	// increment (dx, dy) baked into the view's band during this level
 	// (one entry per refineLevel round that moved the centre). Replaying
 	// the increments on a freshly prepared view — in PerLevel order, as
-	// the stream's FFT stage does — reproduces the view's band state
+	// the stream's workers do — reproduces the view's band state
 	// bit-identically, which is what lets a checkpointed refinement
 	// resume mid-schedule with no numerical drift (see RefineStreamLevels).
 	Shifts [][2]float64

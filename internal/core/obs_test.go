@@ -20,7 +20,7 @@ func TestRefineStreamBitIdenticalUnderObs(t *testing.T) {
 	r, ds := streamFixture(t, 5)
 	perturb := geom.Euler{Theta: -0.6, Phi: 0.4, Omega: 0.9}
 	n, src := datasetSource(ds, perturb)
-	opt := StreamOptions{Depth: 2, FFTWorkers: 2, RefineWorkers: 2}
+	opt := StreamOptions{Workers: 2}
 
 	prev := obs.SetEnabled(false)
 	defer obs.SetEnabled(prev)

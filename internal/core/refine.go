@@ -144,7 +144,7 @@ func (r *Refiner) RefineView(v *View, init geom.Euler) Result {
 // continuing from the accumulated result res. The view's band must
 // already reflect every shift recorded in res.PerLevel (true trivially
 // for a fresh view with an empty prior, and restored for a checkpointed
-// view by the stream's FFT stage, which replays res.PerLevel[...].Shifts
+// view by the stream's worker, which replays res.PerLevel[...].Shifts
 // through the matcher's applyShift). res.PerLevel is cloned before appending so priors shared across runs
 // are never mutated. mode is the orientation search of every level:
 // Config.Search everywhere but the exhaustive oracle.

@@ -5,62 +5,17 @@ import (
 	"testing"
 )
 
-// StreamShape boundary cases: the resolved pipeline shape drives both
-// the serving layer's status reports and the channel sizing of every
-// stream run, so its defaulting rules are pinned here — zero and
-// negative worker hints select GOMAXPROCS, explicit depths pass
-// through, defaulted depth is twice the larger worker count, and a
-// single-CPU process degenerates to a 1/1/2 pipeline.
-
+// TestStreamShapeDefaults holds the deprecated StreamShape shim to the
+// pool pass's one worker count: a non-positive hint selects GOMAXPROCS,
+// a positive one passes through, and the answer keeps the old
+// three-stage form (W, W, 0) — the same count for both former stages
+// and no channel depth.
 func TestStreamShapeDefaults(t *testing.T) {
 	p := runtime.GOMAXPROCS(0)
-	for _, hint := range []int{0, -1, -99} {
-		fft, ref, depth := StreamShape(StreamOptions{FFTWorkers: hint, RefineWorkers: hint, Depth: hint})
-		if fft != p || ref != p {
-			t.Errorf("hint %d: workers (%d, %d), want (%d, %d)", hint, fft, ref, p, p)
+	for _, c := range []struct{ hint, want int }{{0, p}, {-3, p}, {5, 5}} {
+		fft, ref, depth := StreamShape(StreamOptions{Workers: c.hint})
+		if fft != c.want || ref != c.want || depth != 0 {
+			t.Errorf("hint %d: shape (%d, %d, %d), want (%d, %d, 0)", c.hint, fft, ref, depth, c.want, c.want)
 		}
-		if depth != 2*p {
-			t.Errorf("hint %d: depth %d, want %d", hint, depth, 2*p)
-		}
-	}
-}
-
-func TestStreamShapeDepthClamping(t *testing.T) {
-	// Defaulted depth follows the larger stage, whichever it is.
-	if _, _, depth := StreamShape(StreamOptions{FFTWorkers: 2, RefineWorkers: 6}); depth != 12 {
-		t.Errorf("depth %d, want 12 (2×max(2, 6))", depth)
-	}
-	if _, _, depth := StreamShape(StreamOptions{FFTWorkers: 6, RefineWorkers: 2}); depth != 12 {
-		t.Errorf("depth %d, want 12 (2×max(6, 2))", depth)
-	}
-	// An explicit positive depth is never adjusted, even when smaller
-	// than the worker counts suggest.
-	if _, _, depth := StreamShape(StreamOptions{FFTWorkers: 8, RefineWorkers: 8, Depth: 1}); depth != 1 {
-		t.Errorf("explicit depth overridden: got %d, want 1", depth)
-	}
-	// Depth zero and negative both mean "derive".
-	if _, _, depth := StreamShape(StreamOptions{FFTWorkers: 3, RefineWorkers: 1, Depth: -5}); depth != 6 {
-		t.Errorf("negative depth hint: got %d, want 6", depth)
-	}
-}
-
-func TestStreamShapeExplicitWorkers(t *testing.T) {
-	fft, ref, depth := StreamShape(StreamOptions{FFTWorkers: 5, RefineWorkers: 7, Depth: 3})
-	if fft != 5 || ref != 7 || depth != 3 {
-		t.Errorf("shape (%d, %d, %d), want (5, 7, 3)", fft, ref, depth)
-	}
-}
-
-func TestStreamShapeSingleCPU(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	fft, ref, depth := StreamShape(StreamOptions{})
-	if fft != 1 || ref != 1 || depth != 2 {
-		t.Errorf("GOMAXPROCS=1 shape (%d, %d, %d), want (1, 1, 2)", fft, ref, depth)
-	}
-	// Explicit hints still win over the single-CPU default.
-	fft, ref, _ = StreamShape(StreamOptions{FFTWorkers: 4, RefineWorkers: 2})
-	if fft != 4 || ref != 2 {
-		t.Errorf("GOMAXPROCS=1 explicit workers (%d, %d), want (4, 2)", fft, ref)
 	}
 }

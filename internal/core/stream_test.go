@@ -45,10 +45,9 @@ func datasetSource(ds *micrograph.Dataset, perturb geom.Euler) (int, StreamSourc
 	return len(views), SliceSource(views, ctfs, inits)
 }
 
-// TestRefineStreamMatchesSerial: the streaming pipeline must produce
-// results bit-identical to the serial form — PrepareView + RefineView,
-// one view at a time — for every pipeline shape and worker count, in
-// both search modes. PrepareView transforms through fourier.ImageDFT
+// TestRefineStreamMatchesSerial: the pool pass must produce results
+// bit-identical to the serial form — PrepareView + RefineView, one view
+// at a time — at every worker count, in both search modes. PrepareView transforms through fourier.ImageDFT
 // and the stream through a reused ViewTransformer, so this also pins
 // the two view-transform paths to each other.
 func TestRefineStreamMatchesSerial(t *testing.T) {
@@ -72,13 +71,7 @@ func TestRefineStreamMatchesSerial(t *testing.T) {
 			}
 			want[i] = r.RefineView(pv, inits[i])
 		}
-		for _, opt := range []StreamOptions{
-			{},
-			{Depth: 1, FFTWorkers: 1, RefineWorkers: 1},
-			{Depth: 2, FFTWorkers: 3, RefineWorkers: 2},
-			{FFTWorkers: 4, RefineWorkers: 4},
-			{FFTWorkers: 8, RefineWorkers: 8},
-		} {
+		for _, opt := range []StreamOptions{{}, {Workers: 1}, {Workers: 2}, {Workers: 4}, {Workers: 8}} {
 			got, err := r.RefineStream(context.Background(), len(ds.Views), src, opt)
 			if err != nil {
 				t.Fatalf("%s opt %+v: %v", mode, opt, err)
@@ -90,9 +83,9 @@ func TestRefineStreamMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRefineStreamPropagatesErrors: a failing source cancels the
-// pipeline and surfaces the error; a size-mismatched view fails in the
-// FFT stage the same way.
+// TestRefineStreamPropagatesErrors: a failing source stops the pass
+// and surfaces the error; a size-mismatched view fails in preparation
+// the same way.
 func TestRefineStreamPropagatesErrors(t *testing.T) {
 	r, ds := streamFixture(t, 4)
 	boom := errors.New("disk on fire")
@@ -127,9 +120,8 @@ func TestRefineStreamEmpty(t *testing.T) {
 }
 
 // TestRefineStreamCancelNoLeak: cancelling the context mid-stream
-// aborts between views, surfaces ctx.Err(), and leaks no stage
-// goroutine — every loader/FFT/refine worker must have exited by the
-// time RefineStream returns.
+// aborts between views, surfaces ctx.Err(), and leaks no goroutine —
+// every pool worker must have exited by the time RefineStream returns.
 func TestRefineStreamCancelNoLeak(t *testing.T) {
 	r, ds := streamFixture(t, 8)
 	n, src := datasetSource(ds, geom.Euler{Theta: 0.5})
@@ -142,7 +134,7 @@ func TestRefineStreamCancelNoLeak(t *testing.T) {
 		}
 		return src(i)
 	}
-	res, err := r.RefineStream(ctx, n, cancelling, StreamOptions{Depth: 1, FFTWorkers: 2, RefineWorkers: 2})
+	res, err := r.RefineStream(ctx, n, cancelling, StreamOptions{Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v (res %v)", err, res)
 	}
@@ -150,7 +142,7 @@ func TestRefineStreamCancelNoLeak(t *testing.T) {
 		t.Fatalf("cancelled stream returned results: %v", res)
 	}
 	// RefineStream waits for its own goroutines before returning, so
-	// any excess here would be a pipeline leak. Allow a short settle
+	// any excess here would be a worker leak. Allow a short settle
 	// for unrelated runtime goroutines.
 	for i := 0; i < 100; i++ {
 		if runtime.NumGoroutine() <= before {
@@ -159,6 +151,32 @@ func TestRefineStreamCancelNoLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: before %d, after %d", before, runtime.NumGoroutine())
+}
+
+// TestRefineStreamCancelAtLastView: a cancellation that lands while
+// the source is producing the last view still surfaces as
+// context.Canceled with nil results. No view check follows it, so only
+// the check after the pass can see it.
+func TestRefineStreamCancelAtLastView(t *testing.T) {
+	r, ds := streamFixture(t, 4)
+	n, src := datasetSource(ds, geom.Euler{Theta: 0.5})
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelling := func(i int) (StreamItem, error) {
+			if i == n-1 {
+				cancel()
+			}
+			return src(i)
+		}
+		res, err := r.RefineStream(ctx, n, cancelling, StreamOptions{Workers: workers})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: want context.Canceled, got %v", workers, err)
+		}
+		if res != nil {
+			t.Fatalf("workers %d: cancelled stream returned results: %v", workers, res)
+		}
+	}
 }
 
 // TestRefineStreamLevelsResume: running the schedule one level at a
@@ -186,7 +204,7 @@ func TestRefineStreamLevelsResume(t *testing.T) {
 	perturb := geom.Euler{Theta: 1.1, Phi: -0.7, Omega: 0.4}
 	n, src := datasetSource(ds, perturb)
 	ctx := context.Background()
-	opt := StreamOptions{Depth: 2, FFTWorkers: 2, RefineWorkers: 2}
+	opt := StreamOptions{Workers: 2}
 
 	want, err := r.RefineStream(ctx, n, src, opt)
 	if err != nil {
@@ -247,7 +265,7 @@ func TestRefineStreamLevelsValidation(t *testing.T) {
 
 // TestRefineStreamNonFiniteOrientation: a NaN or infinite starting
 // orientation, from StreamItem.Init or from a prior's Orient, is
-// refused with an error by the prepare stage. It used to reach the cut
+// refused with an error before refinement. It used to reach the cut
 // sampler and panic a refine worker, which no caller can recover.
 func TestRefineStreamNonFiniteOrientation(t *testing.T) {
 	r, ds := streamFixture(t, 3)

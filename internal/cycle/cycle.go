@@ -68,7 +68,7 @@ type Config struct {
 	// the experiments set it; no job spec, flag or environment variable
 	// reaches it.
 	GridCenters bool
-	// Stream shapes each refinement pass's pipeline.
+	// Stream shapes each refinement pass (zero value: GOMAXPROCS workers).
 	Stream core.StreamOptions
 }
 

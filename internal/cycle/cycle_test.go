@@ -39,7 +39,7 @@ func tinyRun(t testing.TB, ctfOn bool) (Dataset, Config) {
 	}
 	cfg := Config{
 		L: l, PixelA: gen.PixelA, Levels: 2, MaxCycles: 2, CTF: ctfOn,
-		Stream: core.StreamOptions{FFTWorkers: 2, RefineWorkers: 2, Depth: 2},
+		Stream: core.StreamOptions{Workers: 2},
 	}
 	return ds, cfg
 }

@@ -2,10 +2,10 @@
 // compute-bound fan-out in the system: a bounded worker pool handing
 // out indices through an atomic counter. It sits below the real-input
 // 3-D FFT (internal/fft), the pooled inverse 3-D FFT (internal/fourier),
-// the slab-owned reconstruction (internal/reconstruct) and FSC
-// (internal/fsc); internal/core uses Workers to size its stream
-// stages. The simulated SP2 (internal/cluster) runs nothing, so it
-// needs no pool.
+// the slab-owned reconstruction (internal/reconstruct), FSC
+// (internal/fsc) and the per-level refinement pass (internal/core).
+// The simulated SP2 (internal/cluster) runs nothing, so it needs no
+// pool.
 //
 // Determinism contract: fn(worker, i) is called exactly once for every
 // i in [0, n), and callers obtain input-order results by writing only

@@ -76,7 +76,7 @@ func TestHTTPLifecycle(t *testing.T) {
 	if st.ID == "" || st.State != StatePending || st.LevelsTotal != 2 {
 		t.Fatalf("initial status %+v", st)
 	}
-	if st.Shape.FFTWorkers != 2 || st.Shape.RefineWorkers != 2 || st.Shape.Depth != 2 {
+	if st.Shape.Workers != 2 {
 		t.Fatalf("shape not reported: %+v", st.Shape)
 	}
 

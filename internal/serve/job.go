@@ -204,12 +204,11 @@ func (s JobSpec) normalize() (JobSpec, workload.DatasetSpec, error) {
 	return s, wspec, nil
 }
 
-// Shape is the resolved stream-pipeline shape a job runs with,
+// Shape is the resolved refinement-pass shape a job runs with,
 // reported so clients can see what parallelism the service applied.
 type Shape struct {
-	FFTWorkers    int `json:"fft_workers"`
-	RefineWorkers int `json:"refine_workers"`
-	Depth         int `json:"depth"`
+	// Workers is the number of views a job refines at once.
+	Workers int `json:"workers"`
 }
 
 // Summary condenses a finished job against the dataset's ground truth.
@@ -253,7 +252,7 @@ type JobStatus struct {
 	// LevelsTotal is the job's full schedule length.
 	LevelsDone  int `json:"levels_done"`
 	LevelsTotal int `json:"levels_total"`
-	// Shape is the stream-pipeline shape the service runs jobs with.
+	// Shape is the refinement-pass shape the service runs jobs with.
 	Shape Shape `json:"shape"`
 	// SubmittedAt is the logical-clock tick the job was accepted at.
 	SubmittedAt float64 `json:"submitted_at"`

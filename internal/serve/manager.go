@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/fourier"
 	"repro/internal/micrograph"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/workload"
 )
 
@@ -36,10 +38,10 @@ type Options struct {
 	// 0 selects 16.
 	QueueDepth int
 	// RunWorkers is the number of concurrent job executors; each runs
-	// one job's stream pipeline at a time. 0 selects 1 — jobs usually
-	// want the cores inside the pipeline, not across jobs.
+	// one job's refinement passes at a time. 0 selects 1 — jobs usually
+	// want the cores inside the pass, not across jobs.
 	RunWorkers int
-	// Stream shapes the per-job pipeline (see core.StreamOptions).
+	// Stream shapes each job's refinement pass (see core.StreamOptions).
 	Stream core.StreamOptions
 	// Journal, when non-nil, persists every accepted job and every
 	// completed level so a restarted manager resumes mid-schedule.
@@ -99,7 +101,7 @@ type job struct {
 
 // Manager owns the job table, the bounded admission queue, and the
 // executor pool that schedules queued jobs onto the streaming
-// refinement pipeline.
+// refiner's pool passes.
 type Manager struct {
 	opt   Options
 	clock func() float64
@@ -139,12 +141,11 @@ func NewManager(opt Options) (*Manager, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	fftW, refW, depth := core.StreamShape(opt.Stream)
 	m := &Manager{
 		opt:   opt,
 		clock: clock,
 		logf:  logf,
-		shape: Shape{FFTWorkers: fftW, RefineWorkers: refW, Depth: depth},
+		shape: Shape{Workers: pool.Workers(math.MaxInt, opt.Stream.Workers)},
 		quit:  make(chan struct{}),
 		jobs:  map[string]*job{},
 	}
@@ -235,7 +236,7 @@ func (jb *job) noteLevel(g int, sum core.LevelSummary) {
 	}
 }
 
-// Shape returns the resolved stream-pipeline shape jobs run with.
+// Shape returns the resolved refinement-pass shape jobs run with.
 func (m *Manager) Shape() Shape { return m.shape }
 
 // Start launches the executor pool. It may be called once.
@@ -349,7 +350,7 @@ func (m *Manager) Results(id string) ([]core.Result, error) {
 
 // Cancel stops a job: a pending job goes terminal immediately, a
 // running job is cancelled through its context and goes terminal when
-// the pipeline unwinds. Cancelling a terminal job fails with
+// the refinement pass unwinds. Cancelling a terminal job fails with
 // ErrTerminal.
 func (m *Manager) Cancel(id string) (JobStatus, error) {
 	m.mu.Lock()

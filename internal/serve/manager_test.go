@@ -20,7 +20,7 @@ func tinySpec() JobSpec {
 
 // tinyStream keeps the per-job pipeline small so tests don't oversubscribe.
 func tinyStream() core.StreamOptions {
-	return core.StreamOptions{FFTWorkers: 2, RefineWorkers: 2, Depth: 2}
+	return core.StreamOptions{Workers: 2}
 }
 
 // waitState polls until the job leaves the running/pending states or

@@ -17,7 +17,7 @@ func TestRunCycleDriverPlateau(t *testing.T) {
 	res, err := RunCycleDriver(spec, CycleOptions{
 		MaxCycles: 8,
 		Levels:    2,
-		Stream:    core.StreamOptions{FFTWorkers: 2, RefineWorkers: 2, Depth: 2},
+		Stream:    core.StreamOptions{Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
