@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/scanner"
@@ -31,7 +32,8 @@ type Package struct {
 // module directories, everything else falls through to the stdlib
 // source importer. Test files are not loaded — the invariants replint
 // enforces concern production code, and every analyzer exempts
-// _test.go by construction.
+// _test.go by construction — and neither are files whose build
+// constraints exclude them from the host's default build.
 type Loader struct {
 	Fset *token.FileSet
 
@@ -264,7 +266,17 @@ func (l *Loader) load(path string) (*Package, error) {
 	var names []string
 	for _, e := range ents {
 		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			names = append(names, e.Name())
+			// Only the files the go command would build here: a
+			// package may hold per-architecture variants of one
+			// declaration (//go:build lines, _amd64 suffixes).
+			ok, err := build.Default.MatchFile(dir, e.Name())
+			if err != nil {
+				l.recordFailure(path, err)
+				return nil, err
+			}
+			if ok {
+				names = append(names, e.Name())
+			}
 		}
 	}
 	sort.Strings(names)

@@ -42,6 +42,39 @@ func TestRefineStreamBitIdenticalUnderObs(t *testing.T) {
 	}
 }
 
+// TestSamplerCountsPerJob: the cell memo tallies its cuts and refineLevel
+// publishes them once per level, and a job's fourier.sampler totals are
+// the ones recorded at dc261d1, when every cut counted into the process
+// counters as it ran. One worker carries one memo across the views, so
+// the hit/miss split is fixed; two workers split the views between two
+// memos, which moves the split but not the cuts, coefficients or
+// in-band samples.
+func TestSamplerCountsPerJob(t *testing.T) {
+	r, ds := streamFixture(t, 5)
+	n, src := datasetSource(ds, geom.Euler{Theta: -0.6, Phi: 0.4, Omega: 0.9})
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	names := []string{"cut_calls", "cut_coeffs", "cell_hits", "cell_misses"}
+	for _, w := range []int{1, 2} {
+		before := obs.Values()
+		if _, err := r.RefineStream(context.Background(), n, src, StreamOptions{Workers: w}); err != nil {
+			t.Fatal(err)
+		}
+		after := obs.Values()
+		var got [4]int64
+		for i, name := range names {
+			got[i] = after["fourier.sampler."+name] - before["fourier.sampler."+name]
+		}
+		want := [4]int64{465, 30225, 18204, 12021}
+		if w > 1 {
+			got[2], got[3] = got[2]+got[3], 0
+			want[2], want[3] = want[2]+want[3], 0
+		}
+		if got != want {
+			t.Errorf("%d workers: %v = %v, want %v", w, names, got, want)
+		}
+	}
+}
+
 // TestLevelCountersRecord: one refinement's level summary carries
 // exactly the LevelStats the result reports.
 func TestLevelCountersRecord(t *testing.T) {

@@ -248,6 +248,11 @@ func (r *Refiner) refineLevel(vd *viewData, res *Result, lv Level, sc *matchScra
 			break
 		}
 	}
+	if sc.cells != nil {
+		// The cell memo tallies its cuts in plain integers; the
+		// process counters hear of them once per level.
+		sc.cells.Publish()
+	}
 	return st
 }
 

@@ -27,10 +27,9 @@ func sameBits(a, b complex128) bool {
 		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
-// cellCounts reads fourier.sampler.cell_{hits,misses}, which count
-// only while obs is enabled.
-func cellCounts() (hits, misses int64) {
-	return samplerCellHits.Value(), samplerCellMisses.Value()
+// cellCounts reads the memo's cell hit and miss tallies.
+func cellCounts(memo *CellMemo) (hits, misses int64) {
+	return memo.hits, memo.misses
 }
 
 // checkMemoCut samples one cut both ways and fails on the first
@@ -75,7 +74,7 @@ func TestSampleCutMemoBitIdentical(t *testing.T) {
 			s := dft.NewSampler(tc.interp)
 			fh, fk := squareBand(8)
 			memo := NewCellMemo(len(fh))
-			h0, m0 := cellCounts()
+			h0, m0 := cellCounts(memo)
 			rng := rand.New(rand.NewSource(17))
 			for walk := 0; walk < 12; walk++ {
 				o := geom.Euler{Theta: rng.Float64() * 180, Phi: rng.Float64() * 360, Omega: rng.Float64() * 360}
@@ -93,7 +92,7 @@ func TestSampleCutMemoBitIdentical(t *testing.T) {
 					checkMemoCut(t, &s, memo, fh, fk, n, o, nil, 0)
 				}
 			}
-			h1, m1 := cellCounts()
+			h1, m1 := cellCounts(memo)
 			hits, misses := h1-h0, m1-m0
 			if tc.interp == Nearest {
 				if hits != 0 || misses != 0 {
@@ -117,11 +116,11 @@ func TestCellMemoRepeatHitsEverySlot(t *testing.T) {
 	memo := NewCellMemo(len(fh))
 	rot := geom.Euler{Theta: 37, Phi: 101, Omega: 250}.Matrix()
 	cut := make([]complex128, len(fh))
-	h0, m0 := cellCounts()
+	h0, m0 := cellCounts(memo)
 	s.SampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), memo)
-	h1, m1 := cellCounts()
+	h1, m1 := cellCounts(memo)
 	s.SampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), memo)
-	h2, m2 := cellCounts()
+	h2, m2 := cellCounts(memo)
 	h2, m2, h1, m1 = h2-h1, m2-m1, h1-h0, m1-m0
 	if h1 != 0 || m2 != 0 || h2 != m1 {
 		t.Fatalf("first cut %d hits / %d misses, repeat %d hits / %d misses; want 0/n then n/0", h1, m1, h2, m2)
@@ -180,15 +179,9 @@ func FuzzSampleCutMemo(f *testing.F) {
 	})
 }
 
-// BenchmarkSampleCutFine times one cut over a 48-pixel map's half band
-// (2× padded spectrum) with and without the cell memo, on each step of
-// DefaultSchedule. The walk follows the search's traffic: from eight
-// starting orientations, a centre is cut, then seven of its lattice
-// neighbours (each angle −1, 0 or +1 step), then the centre moves one
-// step. hit-rate is the memo's over one pass of the walk.
-func BenchmarkSampleCutFine(b *testing.B) {
-	s := randomVolumeDFT(48, 2, 3).NewSampler(Trilinear)
-	var fh, fk []float64
+// fineBand is a 48-pixel map's half band out to radius 19.2, in row
+// order: BenchmarkSampleCutFine's band.
+func fineBand() (fh, fk []float64) {
 	const rmax = 19.2
 	for h := 0; h <= 19; h++ {
 		for k := -19; k <= 19; k++ {
@@ -197,54 +190,113 @@ func BenchmarkSampleCutFine(b *testing.B) {
 			}
 		}
 	}
-	for _, step := range []float64{1, 0.1, 0.01, 0.002} {
-		rng := rand.New(rand.NewSource(1))
-		neighbour := func(o geom.Euler) geom.Euler {
-			return o.Add(geom.Euler{
-				Theta: float64(rng.Intn(3)-1) * step,
-				Phi:   float64(rng.Intn(3)-1) * step,
-				Omega: float64(rng.Intn(3)-1) * step,
-			})
-		}
-		var walk []geom.Euler
-		for v := 0; v < 8; v++ {
-			o := geom.Euler{Theta: rng.Float64() * 180, Phi: rng.Float64() * 360, Omega: rng.Float64() * 360}
-			for i := 0; i < 64; i++ {
-				if i%8 == 0 {
-					walk = append(walk, o)
-					o = neighbour(o)
-				} else {
-					walk = append(walk, neighbour(o))
-				}
+	return fh, fk
+}
+
+// fineWalk is BenchmarkSampleCutFine's walk at one lattice step. It
+// follows the search's traffic: from eight starting orientations, a
+// centre is cut, then seven of its lattice neighbours (each angle −1, 0
+// or +1 step), then the centre moves one step.
+func fineWalk(step float64) []geom.Euler {
+	rng := rand.New(rand.NewSource(1))
+	neighbour := func(o geom.Euler) geom.Euler {
+		return o.Add(geom.Euler{
+			Theta: float64(rng.Intn(3)-1) * step,
+			Phi:   float64(rng.Intn(3)-1) * step,
+			Omega: float64(rng.Intn(3)-1) * step,
+		})
+	}
+	var walk []geom.Euler
+	for v := 0; v < 8; v++ {
+		o := geom.Euler{Theta: rng.Float64() * 180, Phi: rng.Float64() * 360, Omega: rng.Float64() * 360}
+		for i := 0; i < 64; i++ {
+			if i%8 == 0 {
+				walk = append(walk, o)
+				o = neighbour(o)
+			} else {
+				walk = append(walk, neighbour(o))
 			}
 		}
-		cut := make([]complex128, len(fh))
-		for _, memo := range []bool{false, true} {
-			name := "plain"
-			if memo {
-				name = "memo"
+	}
+	return walk
+}
+
+// fineSteps are the lattice steps of DefaultSchedule.
+var fineSteps = []float64{1, 0.1, 0.01, 0.002}
+
+// TestSampleCutFineCountsPinned: one pass of BenchmarkSampleCutFine's
+// walk on a fresh memo, at each step, publishes exactly the sampler
+// counts recorded at dc261d1, when SampleCutMemo was one scalar loop
+// counting into the process counters cut by cut — through the vector
+// passes where this build has them, and through the Go loop alone.
+func TestSampleCutFineCountsPinned(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	s := randomVolumeDFT(48, 2, 3).NewSampler(Trilinear)
+	fh, fk := fineBand()
+	cut := make([]complex128, len(fh))
+	want := map[float64][4]int64{ // cut_calls, cut_coeffs, cell_hits, cell_misses
+		1:     {512, 295424, 109929, 185495},
+		0.1:   {512, 295424, 263828, 31596},
+		0.01:  {512, 295424, 288310, 7114},
+		0.002: {512, 295424, 290343, 5081},
+	}
+	counters := []*obs.Counter{samplerCutCalls, samplerCutCoeffs, samplerCellHits, samplerCellMisses}
+	for _, vector := range []bool{haveAVX, false} {
+		for _, step := range fineSteps {
+			memo := NewCellMemo(len(fh))
+			var before, got [4]int64
+			for i, c := range counters {
+				before[i] = c.Value()
 			}
-			b.Run(fmt.Sprintf("%s/step=%g", name, step), func(b *testing.B) {
+			for _, o := range fineWalk(step) {
+				rot := o.Matrix()
+				s.sampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), memo, vector)
+			}
+			memo.Publish()
+			for i, c := range counters {
+				got[i] = c.Value() - before[i]
+			}
+			if got != want[step] {
+				t.Errorf("vector passes %v, step %g: counts %v, want %v", vector, step, got, want[step])
+			}
+		}
+	}
+}
+
+// BenchmarkSampleCutFine times one cut over a 48-pixel map's half band
+// (2× padded spectrum) on fineWalk at each step of DefaultSchedule:
+// plain SampleCut, SampleCutMemo as this build runs it (memo: the AVX
+// passes on amd64), and SampleCutMemo on the Go loop alone (memo-go,
+// what arm64 and purego builds run). hit-rate is the memo's over one
+// pass of the walk.
+func BenchmarkSampleCutFine(b *testing.B) {
+	s := randomVolumeDFT(48, 2, 3).NewSampler(Trilinear)
+	fh, fk := fineBand()
+	cut := make([]complex128, len(fh))
+	for _, step := range fineSteps {
+		walk := fineWalk(step)
+		for _, mode := range []string{"plain", "memo", "memo-go"} {
+			vector := haveAVX && mode == "memo"
+			b.Run(fmt.Sprintf("%s/step=%g", mode, step), func(b *testing.B) {
 				cells := NewCellMemo(len(fh))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					rot := walk[i%len(walk)].Matrix()
-					if memo {
-						s.SampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), cells)
-					} else {
+					if mode == "plain" {
 						s.SampleCut(cut, fh, fk, rot.Col(0), rot.Col(1))
+					} else {
+						s.sampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), cells, vector)
 					}
 				}
 				b.StopTimer()
-				if memo {
-					defer obs.SetEnabled(obs.SetEnabled(true))
-					h0, m0 := cellCounts()
+				if mode != "plain" {
+					h0, m0 := cellCounts(cells)
 					for _, o := range walk {
 						rot := o.Matrix()
-						s.SampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), cells)
+						s.sampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), cells, vector)
 					}
-					h1, m1 := cellCounts()
+					h1, m1 := cellCounts(cells)
 					b.ReportMetric(float64(h1-h0)/float64(h1-h0+m1-m0), "hit-rate")
 				}
 			})

@@ -1,0 +1,193 @@
+package fourier
+
+import (
+	"math"
+
+	"repro/internal/geom"
+)
+
+// CellMemo is one worker's memory of the trilinear cells its last cuts
+// fell in: per band slot, the lower corner of the padded-lattice cell
+// the slot last sampled and that cell's eight corner values. A search
+// level scores candidates one lattice step apart, which moves a band
+// coefficient by a fraction of a cell, so from one candidate to the
+// next most slots land in the cell they already hold (from ≈ 40 % of
+// samples at 1° steps to ≈ 99 % at 0.002° on a 48-pixel map) and the
+// blend can skip the wrap arithmetic and the eight gathers from the
+// spectrum.
+//
+// A slot is keyed by its cell alone, and the spectrum a Sampler views
+// never changes, so a memo needs no invalidation: whatever coefficient
+// a slot held before, a hit reads the corners the gather would. It
+// stays valid across candidates, views and levels for as long as it is
+// used with one Sampler; keeping slot i on one band coefficient is what
+// makes it hit. A CellMemo is not safe for concurrent use; each worker
+// owns one.
+//
+// Slots sit in groups of four, slot i in lane i%4 of group i/4, and
+// each field of a group holds its four lanes side by side (structure
+// of arrays), so the vector passes of SampleCutMemo load one field of
+// four slots with one instruction. Where those passes run, a group
+// also carries the current cut's scratch: each lane's fractional
+// offsets, candidate cell and a miss/out-of-band mask.
+//
+// The memo tallies its own traffic in plain integers — cuts,
+// coefficients, cell hits and misses — which Publish hands to the
+// process counters, so the per-cut path does no atomic adds.
+type CellMemo struct {
+	keys    [][3][4]int32    // cell lower corner by axis and lane
+	corners [][16][4]float64 // real parts of c000…c111 (gather's order), then imaginary
+
+	// Scratch of the vector passes, nil without them.
+	frac [][3][4]float64 // this cut's offsets from the candidate cell's lower corner
+	cand [][3][4]int32   // this cut's cell lower corner
+	mask []uint8         // bit j: lane j missed; bit 4+j: lane j is out of band
+
+	calls, coeffs, hits, misses int64
+}
+
+// emptyCell is a lower corner no in-band point floors to.
+const emptyCell = math.MinInt32
+
+// NewCellMemo allocates an empty memo for bands of up to n slots.
+func NewCellMemo(n int) *CellMemo {
+	g := (n + 3) / 4
+	m := &CellMemo{keys: make([][3][4]int32, g), corners: make([][16][4]float64, g)}
+	if haveAVX {
+		m.frac, m.cand, m.mask = make([][3][4]float64, g), make([][3][4]int32, g), make([]uint8, g)
+	}
+	for i := range m.keys {
+		m.keys[i][0] = [4]int32{emptyCell, emptyCell, emptyCell, emptyCell}
+	}
+	return m
+}
+
+// Publish adds the memo's tallies since the last Publish to
+// fourier.sampler.{cut_calls,cut_coeffs,cell_hits,cell_misses} and
+// clears them. Like every counter, those move only while obs is
+// enabled.
+func (m *CellMemo) Publish() {
+	samplerCutCalls.Add(m.calls)
+	samplerCutCoeffs.Add(m.coeffs)
+	samplerCellHits.Add(m.hits)
+	samplerCellMisses.Add(m.misses)
+	m.calls, m.coeffs, m.hits, m.misses = 0, 0, 0, 0
+}
+
+// cutFrame is one cut's geometry in the order the vector passes read
+// it: a band coefficient (h, k) sits at x = (xx·h + yx·k)·pad, and
+// likewise y and z; it is in band when no coordinate lies outside
+// [−ny, ny].
+type cutFrame struct {
+	xx, yx, xy, yy, xz, yz float64
+	pad, ny, negNy         float64
+}
+
+// SampleCutMemo is SampleCut reading the trilinear corners through the
+// worker's cell memo: dst[i] is bit-identical to SampleCut's, because a
+// hit blends the same eight values with the same weights in the same
+// order. dst must be no longer than the memo. The nearest-neighbour
+// mode has nothing to remember and runs SampleCut; its memo may be nil.
+// The cut and its in-band samples, as cell hits or misses, count in the
+// memo's tallies (see Publish).
+//
+// On amd64 with AVX the band's whole groups of four go through the
+// vector passes (see vectorCut) and the last len(dst)%4 slots through
+// the Go loop; elsewhere, and under the purego build tag, the Go loop
+// takes every slot.
+//
+//repro:hotpath
+func (s *Sampler) SampleCutMemo(dst []complex128, fh, fk []float64, xAxis, yAxis geom.Vec3, memo *CellMemo) {
+	if s.nearest {
+		s.SampleCut(dst, fh, fk, xAxis, yAxis)
+		return
+	}
+	s.sampleCutMemo(dst, fh, fk, xAxis, yAxis, memo, haveAVX)
+}
+
+// sampleCutMemo is SampleCutMemo's trilinear cut, through the vector
+// passes only when vector is set.
+//
+//repro:hotpath
+func (s *Sampler) sampleCutMemo(dst []complex128, fh, fk []float64, xAxis, yAxis geom.Vec3, m *CellMemo, vector bool) {
+	f := cutFrame{xAxis.X, yAxis.X, xAxis.Y, yAxis.Y, xAxis.Z, yAxis.Z, s.pad, s.ny, -s.ny}
+	var done int
+	var oob, misses int64
+	if vector {
+		done, oob, misses = s.vectorCut(dst, fh, fk, &f, m)
+	}
+	o, mi := s.sampleSlots(dst, fh, fk, &f, m, done)
+	n := int64(len(dst))
+	oob, misses = oob+o, misses+mi
+	m.calls++
+	m.coeffs += n
+	m.hits += n - oob - misses
+	m.misses += misses
+}
+
+// sampleSlots is the cut in Go, one slot at a time from slot from on,
+// by SampleCut's arithmetic: the position, the band test, the floors
+// and, on a miss, the gather into the slot's lane; then blendLane. It
+// returns how many slots fell out of band and how many missed.
+//
+//repro:hotpath
+func (s *Sampler) sampleSlots(dst []complex128, fh, fk []float64, f *cutFrame, m *CellMemo, from int) (oob, misses int64) {
+	xx, yx, xy, yy, xz, yz := f.xx, f.yx, f.xy, f.yy, f.xz, f.yz
+	pad, ny, negNy := f.pad, f.ny, f.negNy
+	fh, fk = fh[:len(dst)], fk[:len(dst)]
+	for i := from; i < len(dst); i++ {
+		h, k := fh[i], fk[i]
+		x := (xx*h + yx*k) * pad
+		y := (xy*h + yy*k) * pad
+		z := (xz*h + yz*k) * pad
+		if x < negNy || x > ny || y < negNy || y > ny || z < negNy || z > ny {
+			dst[i] = 0
+			oob++
+			continue
+		}
+		xf, yf, zf := math.Floor(x), math.Floor(y), math.Floor(z)
+		cx, cy, cz := int32(xf), int32(yf), int32(zf)
+		g, j := i>>2, i&3
+		key, c := &m.keys[g], &m.corners[g]
+		if cx != key[0][j] || cy != key[1][j] || cz != key[2][j] {
+			s.fillLane(key, c, j, cx, cy, cz)
+			misses++
+		}
+		dst[i] = blendLane(c, j, x-xf, y-yf, z-zf)
+	}
+	return oob, misses
+}
+
+// fillLane keys lane j of a group to the cell with lower corner
+// (cx, cy, cz) and gathers that cell's corners into the lane.
+func (s *Sampler) fillLane(key *[3][4]int32, c *[16][4]float64, j int, cx, cy, cz int32) {
+	j &= 3
+	key[0][j], key[1][j], key[2][j] = cx, cy, cz
+	var cc [8]complex128
+	s.gather(&cc, int(cx), int(cy), int(cz))
+	for q, v := range &cc {
+		c[q][j], c[8+q][j] = real(v), imag(v)
+	}
+}
+
+// blendLane is the trilinear sample of lane j of a group at fractional
+// offsets (fx, fy, fz): blend's arithmetic term for term — the same
+// weights, products and left-to-right sums — on the lane's rows of
+// corners. It stays a call of its own: with j in a register each
+// corner is one load, where a loop over the lanes spends more on
+// addresses than on the blend.
+func blendLane(c *[16][4]float64, j int, fx, fy, fz float64) complex128 {
+	j &= 3
+	wx0, wy0, wz0 := 1-fx, 1-fy, 1-fz
+	w00, w01 := wx0*wy0, wx0*fy
+	w10, w11 := fx*wy0, fx*fy
+	w000, w001 := w00*wz0, w00*fz
+	w010, w011 := w01*wz0, w01*fz
+	w100, w101 := w10*wz0, w10*fz
+	w110, w111 := w11*wz0, w11*fz
+	re := w000*c[0][j] + w001*c[1][j] + w010*c[2][j] + w011*c[3][j] +
+		w100*c[4][j] + w101*c[5][j] + w110*c[6][j] + w111*c[7][j]
+	im := w000*c[8][j] + w001*c[9][j] + w010*c[10][j] + w011*c[11][j] +
+		w100*c[12][j] + w101*c[13][j] + w110*c[14][j] + w111*c[15][j]
+	return complex(re, im)
+}

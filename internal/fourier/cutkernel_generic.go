@@ -1,0 +1,12 @@
+//go:build !amd64 || purego
+
+package fourier
+
+// haveAVX is false: off amd64, and under the purego build tag, the Go
+// loop samples every slot of a cut.
+const haveAVX = false
+
+// vectorCut samples nothing here; see the amd64 build.
+func (s *Sampler) vectorCut(dst []complex128, fh, fk []float64, f *cutFrame, m *CellMemo) (done int, oob, misses int64) {
+	return 0, 0, 0
+}

@@ -10,9 +10,10 @@ import (
 // Sampler is a spectrum sampler specialized to one VolumeDFT: the
 // lattice size, oversampling factor and Nyquist bound are hoisted out
 // of the per-sample path, and wrap arithmetic uses conditional adds
-// instead of modulo. Every trilinear sample it takes, whether through
-// At, SampleCut or SampleCutMemo, loads its cell with gather and
-// interpolates with blend, the package's one trilinear cut kernel. It
+// instead of modulo. Every trilinear sample it takes loads its cell with
+// gather; At and SampleCut interpolate with blend, and SampleCutMemo
+// with blendLane or the AVX blend pass, which repeat blend's
+// arithmetic on the memo's lanes (see CellMemo). It
 // produces the same values as VolumeDFT.Sample (which is kept as the
 // straightforward reference implementation) but is built for the
 // matching hot loop, where it is called once per band coefficient per
@@ -147,10 +148,11 @@ func blend(c *[8]complex128, fx, fy, fz float64) complex128 {
 // the signed image frequencies as float64), writing dst[i] for
 // (fh[i], fk[i]). x̂, ŷ are the image axes of the view — columns 0 and
 // 1 of the orientation matrix. fh and fk must be at least len(dst)
-// long. Every in-band trilinear sample goes through gather and blend,
-// the kernel SampleCutMemo runs on a miss, so the two cut paths agree
-// bit for bit by construction. Refinement cuts go through
-// SampleCutMemo, which delegates the nearest-neighbour mode here.
+// long. Every in-band trilinear sample goes through gather and blend;
+// SampleCutMemo gathers its misses through the same gather and blends
+// by blend's arithmetic, so the two cut paths agree bit for bit (tests
+// hold it). Refinement cuts go through SampleCutMemo, which delegates
+// the nearest-neighbour mode here.
 //
 //repro:hotpath
 func (s *Sampler) SampleCut(dst []complex128, fh, fk []float64, xAxis, yAxis geom.Vec3) {
@@ -180,83 +182,4 @@ func (s *Sampler) SampleCut(dst []complex128, fh, fk []float64, xAxis, yAxis geo
 		s.gather(&c, int(xf), int(yf), int(zf))
 		dst[i] = blend(&c, x-xf, y-yf, z-zf)
 	}
-}
-
-// CellMemo is one worker's memory of the trilinear cells its last cuts
-// fell in: per band slot, the lower corner of the padded-lattice cell
-// the slot last sampled and that cell's eight corner values. A search
-// level scores candidates one lattice step apart, which moves a band
-// coefficient by a fraction of a cell, so from one candidate to the
-// next most slots land in the cell they already hold (from ≈ 40 % of
-// samples at 1° steps to ≈ 99 % at 0.002° on a 48-pixel map) and the
-// blend can skip the wrap arithmetic and the eight gathers from the
-// spectrum.
-//
-// A slot is keyed by its cell alone, and the spectrum a Sampler views
-// never changes, so a memo needs no invalidation: whatever coefficient
-// a slot held before, a hit reads the corners the gather would. It
-// stays valid across candidates, views and levels for as long as it is
-// used with one Sampler; keeping slot i on one band coefficient is what
-// makes it hit. A CellMemo is not safe for concurrent use; each worker
-// owns one.
-type CellMemo struct {
-	cells   [][3]int32
-	corners [][8]complex128
-}
-
-// emptyCell is a lower corner no in-band point floors to.
-const emptyCell = math.MinInt32
-
-// NewCellMemo allocates an empty memo for bands of up to n slots.
-func NewCellMemo(n int) *CellMemo {
-	m := &CellMemo{cells: make([][3]int32, n), corners: make([][8]complex128, n)}
-	for i := range m.cells {
-		m.cells[i][0] = emptyCell
-	}
-	return m
-}
-
-// SampleCutMemo is SampleCut reading the trilinear corners through the
-// worker's cell memo: dst[i] is bit-identical to SampleCut's, because a
-// hit blends the same eight values with the same weights in the same
-// order. dst must be no longer than the memo. The nearest-neighbour
-// mode has nothing to remember and runs SampleCut; its memo may be nil.
-// The in-band samples count as fourier.sampler.cell_hits or
-// cell_misses.
-//
-//repro:hotpath
-func (s *Sampler) SampleCutMemo(dst []complex128, fh, fk []float64, xAxis, yAxis geom.Vec3, memo *CellMemo) {
-	if s.nearest {
-		s.SampleCut(dst, fh, fk, xAxis, yAxis)
-		return
-	}
-	samplerCutCalls.Inc()
-	samplerCutCoeffs.Add(int64(len(dst)))
-	xx, xy, xz := xAxis.X, xAxis.Y, xAxis.Z
-	yx, yy, yz := yAxis.X, yAxis.Y, yAxis.Z
-	pad, ny := s.pad, s.ny
-	cells := memo.cells[:len(dst)]
-	corners := memo.corners[:len(dst)]
-	var inBand, misses int64
-	for i := range dst {
-		h, k := fh[i], fk[i]
-		x := (xx*h + yx*k) * pad
-		y := (xy*h + yy*k) * pad
-		z := (xz*h + yz*k) * pad
-		if x < -ny || x > ny || y < -ny || y > ny || z < -ny || z > ny {
-			dst[i] = 0
-			continue
-		}
-		inBand++
-		xf, yf, zf := math.Floor(x), math.Floor(y), math.Floor(z)
-		c := &corners[i]
-		if key := [3]int32{int32(xf), int32(yf), int32(zf)}; key != cells[i] {
-			misses++
-			cells[i] = key
-			s.gather(c, int(key[0]), int(key[1]), int(key[2]))
-		}
-		dst[i] = blend(c, x-xf, y-yf, z-zf)
-	}
-	samplerCellHits.Add(inBand - misses)
-	samplerCellMisses.Add(misses)
 }
