@@ -83,8 +83,8 @@ func (s *Sampler) gather(c *[8]complex128, x0, y0, z0 int) {
 		ya, yb := wrapIndex(y0, l), wrapIndex(y0+1, l)
 		za, zb := wrapIndex(z0, l), wrapIndex(z0+1, l)
 		v := s.v
-		*c = [8]complex128{v.At(xa, ya, za), v.At(xa, ya, zb), v.At(xa, yb, za), v.At(xa, yb, zb),
-			v.At(xb, ya, za), v.At(xb, ya, zb), v.At(xb, yb, za), v.At(xb, yb, zb)}
+		c[0], c[1], c[2], c[3] = v.At(xa, ya, za), v.At(xa, ya, zb), v.At(xa, yb, za), v.At(xa, yb, zb)
+		c[4], c[5], c[6], c[7] = v.At(xb, ya, za), v.At(xb, ya, zb), v.At(xb, yb, za), v.At(xb, yb, zb)
 		return
 	}
 	sg := mirrorSign(z0)
@@ -97,11 +97,12 @@ func (s *Sampler) gather(c *[8]complex128, x0, y0, z0 int) {
 	b10 := (xb*l + ya) * nh
 	b11 := (xb*l + yb) * nh
 	if sg > 0 {
-		*c = [8]complex128{d[b00+za], d[b00+zb], d[b01+za], d[b01+zb], d[b10+za], d[b10+zb], d[b11+za], d[b11+zb]}
+		c[0], c[1], c[2], c[3] = d[b00+za], d[b00+zb], d[b01+za], d[b01+zb]
+		c[4], c[5], c[6], c[7] = d[b10+za], d[b10+zb], d[b11+za], d[b11+zb]
 		return
 	}
-	*c = [8]complex128{cmplx.Conj(d[b00+za]), cmplx.Conj(d[b00+zb]), cmplx.Conj(d[b01+za]), cmplx.Conj(d[b01+zb]),
-		cmplx.Conj(d[b10+za]), cmplx.Conj(d[b10+zb]), cmplx.Conj(d[b11+za]), cmplx.Conj(d[b11+zb])}
+	c[0], c[1], c[2], c[3] = cmplx.Conj(d[b00+za]), cmplx.Conj(d[b00+zb]), cmplx.Conj(d[b01+za]), cmplx.Conj(d[b01+zb])
+	c[4], c[5], c[6], c[7] = cmplx.Conj(d[b10+za]), cmplx.Conj(d[b10+zb]), cmplx.Conj(d[b11+za]), cmplx.Conj(d[b11+zb])
 }
 
 // mirrorSign is −1 for a cell below z = 0, whose corner u is read as
