@@ -74,9 +74,9 @@ func TestRefineLevelAllocs(t *testing.T) {
 			if a := testing.AllocsPerRun(100, func() { r.m.distance(vd, start.Orient, n, sc) }); a != 0 {
 				t.Errorf("%s view %d: distance allocates %v times per call, want 0", mode, i, a)
 			}
-			r.m.sampleCut(sc.cut[:n], vd.refW, start.Orient, sc.cells)
+			ec, _ := r.m.scoreCut(vd, start.Orient, sc.cut[:n], sc.cells)
 			g := sc.cross[:n]
-			ec := r.m.crossSpectrum(vd, sc.cut[:n], g)
+			r.m.crossSpectrum(vd, sc.cut[:n], g)
 			if a := testing.AllocsPerRun(100, func() { r.m.centerDistance(vd, g, ec, 0.01, -0.01, &sc.ramp) }); a != 0 {
 				t.Errorf("%s view %d: centerDistance allocates %v times per call, want 0", mode, i, a)
 			}

@@ -122,23 +122,34 @@ type Config struct {
 	// RMin optionally excludes the lowest-frequency coefficients
 	// (below it) from the distance; the paper notes that for capsids
 	// one can compare only the shell that carries discriminating
-	// signal.
+	// signal. An ablation knob: only BenchmarkAblationShellMask and
+	// core's tests set it; no served job, cmd/tables row or example
+	// does.
 	RMin float64
 	// Schedule is the multi-resolution plan; nil selects
 	// DefaultSchedule.
 	Schedule []Level
 	// Weighting optionally weights each Fourier coefficient by its
 	// radius, "to give more weight to higher frequency components at
-	// higher resolution"; nil means uniform weights.
+	// higher resolution"; nil means uniform weights. Only core's tests
+	// set it; no served job, cmd/tables row or example does.
 	Weighting func(radius float64) float64
 	// SpectralWeight additionally weights each coefficient by the
 	// reference map's own radial power at that radius — a matched
-	// filter that suppresses frequency shells where the particle has
+	// filter meant to suppress frequency shells where the particle has
 	// no signal and experimental noise would otherwise dominate the
-	// distance. This is the production realization of the paper's
-	// wt(j,k) and is strongly recommended for noisy data.
+	// distance, one reading of the paper's wt(j,k). DefaultConfig
+	// leaves it off: on BenchmarkAblationWeighting's clean data it reads
+	// within 0.04° of uniform weights, on either side across builds
+	// (0.48° against 0.44° when EXPERIMENTS' Ablations table was
+	// recorded, 0.46° against 0.50° since), and no noisy benchmark has
+	// earned it a default. Only that ablation and core's
+	// tests set it; no served job, cmd/tables row or example does.
 	SpectralWeight bool
-	// Interp selects the 3-D interpolation used to cut D̂.
+	// Interp selects the 3-D interpolation used to cut D̂: Trilinear
+	// in production. Nearest is an ablation set only by
+	// BenchmarkAblationInterp and core's tests; no served job,
+	// cmd/tables row or example uses it.
 	Interp fourier.Interpolation
 	// MaxSlides bounds how many times a window or centre box may be
 	// re-centred per level (n_window).
@@ -151,7 +162,9 @@ type Config struct {
 	// NormalizeScale, when set, scales each cut to the view by least
 	// squares before the distance, making the metric insensitive to
 	// the arbitrary intensity gain of experimental images. Disable to
-	// use the paper's raw formula.
+	// use the paper's raw formula — which only BenchmarkAblationNormalize
+	// and core's tests do; no served job, cmd/tables row or example
+	// does.
 	NormalizeScale bool
 	// CorrectCTF applies the given correction to view transforms
 	// before matching (step e).

@@ -163,13 +163,13 @@ func TestHalfBandMatchesFullDisc(t *testing.T) {
 							t.Fatalf("%s level %d distance at %v: half %.17g, full %.17g (rel %.3g)", stage, li, o, a, b, d)
 						}
 						hc, fc := make([]complex128, nh), make([]complex128, nf)
-						half.sampleCut(hc, hv.refW, o, fourier.NewCellMemo(nh))
-						full.sampleCut(fc, fv.refW, o, fourier.NewCellMemo(nf))
+						hec, _ := half.scoreCut(hv, o, hc, fourier.NewCellMemo(nh))
+						fec, _ := full.scoreCut(fv, o, fc, fourier.NewCellMemo(nf))
 						// The centre kernel forms the raw metric as
 						// E_F + E_C − 2·cross, so it cancels like the
 						// least-squares one and takes the same floor.
 						dx, dy := (rng.Float64()-0.5)*4, (rng.Float64()-0.5)*4
-						a, b = centerDistanceAt(half, hv, hc, dx, dy), centerDistanceAt(full, fv, fc, dx, dy)
+						a, b = centerDistanceAt(half, hv, hc, hec, dx, dy), centerDistanceAt(full, fv, fc, fec, dx, dy)
 						if d := friedelRel(a, b, energy); d > tol {
 							t.Fatalf("%s level %d centerDistance(%g,%g) at %v: half %.17g, full %.17g (rel %.3g)", stage, li, dx, dy, o, a, b, d)
 						}

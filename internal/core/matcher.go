@@ -188,7 +188,7 @@ type matchScratch struct {
 	keys    []orientKey       // adaptive candidate batch (lattice keys)
 	dists   []float64         // batched distances for pending
 	cache   *distMemo         // per-level distance memo across window slides
-	cells   *fourier.CellMemo // each band slot's last trilinear cell; nil in nearest mode
+	cells   *fourier.CellMemo // each band slot's last cell
 }
 
 // growDists returns a length-n distance buffer, growing the backing
@@ -209,16 +209,13 @@ func (sc *matchScratch) growDists(n int) []float64 {
 // newScratch allocates worker scratch sized to the full band.
 func (m *matcher) newScratch() *matchScratch {
 	n := len(m.band)
-	sc := &matchScratch{
+	return &matchScratch{
 		cut:   make([]complex128, n),
 		cross: make([]complex128, n),
 		ramp:  m.newRamp(),
 		cache: newDistMemo(m.cfg.windowKeys()),
+		cells: fourier.NewCellMemo(n),
 	}
-	if m.cfg.Interp != fourier.Nearest {
-		sc.cells = fourier.NewCellMemo(n)
-	}
-	return sc
 }
 
 // viewData is the per-view matching state: the CTF-corrected transform
@@ -319,48 +316,34 @@ func checkHermitian(dft *fourier.VolumeDFT) error {
 	return nil
 }
 
-// sampleCut fills cut with the reference cut C at orientation o over
-// the leading len(cut) band entries — the fused replacement for
-// sampling D̂ coefficient by coefficient — applying the view's
-// per-entry cut weights when present. The centre box and the raw
-// metric's distances go through it. The trilinear
-// corners are read through the cell memo cells (nil in nearest mode),
-// which leaves the cut bit-identical to SampleCut's.
+// scoreCut samples the reference cut C at orientation o into cut over
+// the leading len(cut) band entries, times the view's per-entry cut
+// weights when present, and returns its sums against the view:
+// ec = E_C = Σ w·|C|² and cross = ⟨F,C⟩ = Σ w·(re F·re C + im F·im C).
+// It is core's one cut entry point — every distance, under either
+// metric and either interpolation, and the centre box's cut:
+// fourier.Sampler.SampleCutScore reads the corners through the
+// worker's cell memo and forms both sums as it writes the cut (inside
+// the AVX blend pass on amd64, a Go loop elsewhere), in slot order, so
+// every path gives the same bits.
 //
 //repro:hotpath
-func (m *matcher) sampleCut(cut []complex128, refW []float64, o geom.Euler, cells *fourier.CellMemo) {
+func (m *matcher) scoreCut(vd *viewData, o geom.Euler, cut []complex128, cells *fourier.CellMemo) (ec, cross float64) {
 	rot := o.Matrix()
 	n := len(cut)
-	m.smp.SampleCutMemo(cut, m.fh[:n], m.fk[:n], rot.Col(0), rot.Col(1), cells)
-	if refW != nil {
-		for i, c := range cut {
-			w := refW[i]
-			cut[i] = complex(real(c)*w, imag(c)*w)
-		}
-	}
+	return m.smp.SampleCutScore(cut, m.fh[:n], m.fk[:n], rot.Col(0), rot.Col(1), cells, vd.vals[:n], m.wt[:n], vd.refW)
 }
 
-// distanceToCut evaluates the paper's raw distance
-// d = Σ w·|F−C|² / l² between the view and an already-sampled cut over
-// the leading len(cut) band entries (Config.NormalizeScale off; the
-// least-squares metric is scored in the sampling pass, cutDistance).
-//
-//repro:hotpath
-func (m *matcher) distanceToCut(vd *viewData, cut []complex128) float64 {
-	wt := m.wt
-	vals := vd.vals
-	var d float64
-	for i, c := range cut {
-		fv := vals[i]
-		dr, di := real(fv)-real(c), imag(fv)-imag(c)
-		d += wt[i] * (dr*dr + di*di)
+// metric is the distance from the view energy E_F and a cut's sums
+// ec = E_C and cross = ⟨F,C⟩. Under Config.NormalizeScale the cut is
+// scaled by the least-squares factor α* = cross/E_C (clamped at zero)
+// before the squared difference, making the metric insensitive to
+// intensity gain: d = (E_F − cross²/E_C)/l². Without it, the paper's
+// raw d = Σ w·|F−C|²/l², expanded as (E_F + E_C − 2·cross)/l².
+func (m *matcher) metric(energy, ec, cross float64) float64 {
+	if !m.cfg.NormalizeScale {
+		return (energy + ec - 2*cross) * m.invL2
 	}
-	return d * m.invL2
-}
-
-// leastSquares is the scale-normalized distance (E_F − cross²/E_C)/l²
-// from the view energy and the sums ec = E_C and cross = ⟨F,C⟩.
-func (m *matcher) leastSquares(energy, ec, cross float64) float64 {
 	if ec == 0 || cross <= 0 {
 		// A zero or anti-correlated cut cannot be scaled onto F; the
 		// best non-negative scale is 0 and d = E_F.
@@ -370,25 +353,12 @@ func (m *matcher) leastSquares(energy, ec, cross float64) float64 {
 }
 
 // cutDistance samples the cut at orientation o into cut and returns
-// its distance to the view. Under Config.NormalizeScale the cut is
-// scaled by the least-squares factor α* = ⟨F,C⟩/⟨C,C⟩ (clamped at zero)
-// before the squared difference, making the metric insensitive to
-// intensity gain: d = (E_F − ⟨F,C⟩²/E_C)/l². The sampler forms E_C and
-// ⟨F,C⟩ as it writes the weighted cut (fourier.Sampler.SampleCutScore:
-// inside the AVX blend pass on amd64, a Go loop over the cut
-// elsewhere), in slot order, so every path gives the same bits.
-// Without it, sampleCut, then the raw metric (distanceToCut).
+// its distance to the view: scoreCut's sums, then metric.
 //
 //repro:hotpath
 func (m *matcher) cutDistance(vd *viewData, o geom.Euler, cut []complex128, cells *fourier.CellMemo) float64 {
-	if !m.cfg.NormalizeScale {
-		m.sampleCut(cut, vd.refW, o, cells)
-		return m.distanceToCut(vd, cut)
-	}
-	rot := o.Matrix()
-	n := len(cut)
-	ec, cross := m.smp.SampleCutScore(cut, m.fh[:n], m.fk[:n], rot.Col(0), rot.Col(1), cells, vd.vals[:n], m.wt[:n], vd.refW)
-	return m.leastSquares(vd.prefixE[n], ec, cross)
+	ec, cross := m.scoreCut(vd, o, cut, cells)
+	return m.metric(vd.prefixE[len(cut)], ec, cross)
 }
 
 // distance evaluates d(F, C_s) for the cut at orientation o without
@@ -446,30 +416,26 @@ func (m *matcher) fillRamp(rp *shiftRamp, dx, dy float64) {
 }
 
 // crossSpectrum prepares the centre search against one fixed cut: it
-// fills g[i] = w_i·conj(C_i)·F_i over the leading len(cut) band entries
-// and returns the cut energy E_C = Σ w_i·|C_i|². Neither depends on the
-// shift, so the centre box computes them once per search.
+// fills g[i] = w_i·conj(C_i)·F_i over the leading len(cut) band
+// entries. It does not depend on the shift, so the centre box forms it
+// once per search (the cut's energy E_C comes from scoreCut).
 //
 //repro:hotpath
-func (m *matcher) crossSpectrum(vd *viewData, cut, g []complex128) float64 {
+func (m *matcher) crossSpectrum(vd *viewData, cut, g []complex128) {
 	wt, vals := m.wt, vd.vals
-	var ec float64
 	for i, c := range cut {
 		w, f := wt[i], vals[i]
 		cr, ci := real(c), imag(c)
-		ec += w * (cr*cr + ci*ci)
 		g[i] = complex(w*(cr*real(f)+ci*imag(f)), w*(cr*imag(f)-ci*real(f)))
 	}
-	return ec
 }
 
 // centerDistance evaluates step k's d(E_i, C_µ): the view shifted by
-// (dx, dy) pixels against the fixed cut whose cross-spectrum g and
-// energy ec crossSpectrum prepared. The shifted view is F·x[h]·y[k], so
-// ⟨F_shifted, C⟩ = Σ Re(g·x[h]·y[k]), and a phase ramp leaves the view
-// energy E_F unchanged. The least-squares metric is then
-// (E_F − cross²/E_C)/l², the raw one (E_F + E_C − 2·cross)/l² — both
-// the same quantities cutDistance forms, expanded for a shifted view.
+// (dx, dy) pixels against the fixed cut whose cross-spectrum g
+// crossSpectrum prepared and whose energy ec scoreCut returned. The
+// shifted view is F·x[h]·y[k], so ⟨F_shifted, C⟩ = Σ Re(g·x[h]·y[k]),
+// and a phase ramp leaves the view energy E_F unchanged; metric turns
+// the sums into the distance, as it does for cutDistance.
 //
 //repro:hotpath
 func (m *matcher) centerDistance(vd *viewData, g []complex128, ec, dx, dy float64, rp *shiftRamp) float64 {
@@ -486,10 +452,7 @@ func (m *matcher) centerDistance(vd *viewData, g []complex128, ec, dx, dy float6
 		pi := real(xv)*imag(yv) + imag(xv)*real(yv)
 		cross += real(gv)*pr - imag(gv)*pi
 	}
-	if m.cfg.NormalizeScale {
-		return m.leastSquares(energy, ec, cross)
-	}
-	return (energy + ec - 2*cross) * m.invL2
+	return m.metric(energy, ec, cross)
 }
 
 // applyShift bakes a centre shift into the view's band coefficients

@@ -146,11 +146,11 @@ func TestShiftedDistanceAgreesWithAppliedShift(t *testing.T) {
 	pv, _ := r.PrepareView(v.Image, v.CTF)
 	n := len(r.m.band)
 	cut := make([]complex128, n)
-	r.m.sampleCut(cut, pv.vd.refW, v.TrueOrient, fourier.NewCellMemo(n))
-	want := centerDistanceAt(r.m, pv.vd, cut, 0.7, -1.1)
+	ec, _ := r.m.scoreCut(pv.vd, v.TrueOrient, cut, fourier.NewCellMemo(n))
+	want := centerDistanceAt(r.m, pv.vd, cut, ec, 0.7, -1.1)
 	rp := r.m.newRamp()
 	r.m.applyShift(pv.vd, 0.7, -1.1, &rp)
-	got := centerDistanceAt(r.m, pv.vd, cut, 0, 0)
+	got := centerDistanceAt(r.m, pv.vd, cut, ec, 0, 0)
 	if math.Abs(want-got) > 1e-12*(1+want) {
 		t.Fatalf("centre distance at the shift %g != at zero after applyShift %g", want, got)
 	}
@@ -176,9 +176,9 @@ func BenchmarkCenterKernel(b *testing.B) {
 	}
 	sc := r.m.newScratch()
 	n := len(r.m.band)
-	r.m.sampleCut(sc.cut[:n], pv.vd.refW, v.TrueOrient, sc.cells)
+	ec, _ := r.m.scoreCut(pv.vd, v.TrueOrient, sc.cut[:n], sc.cells)
 	g := sc.cross[:n]
-	ec := r.m.crossSpectrum(pv.vd, sc.cut[:n], g)
+	r.m.crossSpectrum(pv.vd, sc.cut[:n], g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var acc float64

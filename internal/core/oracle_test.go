@@ -113,13 +113,15 @@ func oracleShiftedDistance(m *matcher, vd *viewData, cut []complex128, dx, dy fl
 	return d * m.invL2
 }
 
-// centerDistanceAt scores one centre shift against cut through the
-// production path: the cross-spectrum refineCenter forms once per
-// search, then one ramp-table evaluation.
-func centerDistanceAt(m *matcher, vd *viewData, cut []complex128, dx, dy float64) float64 {
+// centerDistanceAt scores one centre shift against cut, whose energy
+// scoreCut returned as ec, through the production path: the
+// cross-spectrum refineCenter forms once per search, then one
+// ramp-table evaluation.
+func centerDistanceAt(m *matcher, vd *viewData, cut []complex128, ec, dx, dy float64) float64 {
 	g := make([]complex128, len(cut))
 	rp := m.newRamp()
-	return m.centerDistance(vd, g, m.crossSpectrum(vd, cut, g), dx, dy, &rp)
+	m.crossSpectrum(vd, cut, g)
+	return m.centerDistance(vd, g, ec, dx, dy, &rp)
 }
 
 // centerRel is the comparison rule for centre distances. The
@@ -205,29 +207,34 @@ func TestFusedDistanceMatchesOracle(t *testing.T) {
 }
 
 // cutApartDistance is a candidate's distance with the cut sampled
-// first (sampleCut) and scored in a second loop over it, as the matcher
-// did before the sampler scored its cuts: the least-squares sums
-// ec = Σ w·(cr²+ci²) and cross = Σ w·(fr·cr+fi·ci) in slot order, or
-// the raw metric.
-func cutApartDistance(m *matcher, vd *viewData, o geom.Euler, cut []complex128, cells *fourier.CellMemo) float64 {
-	m.sampleCut(cut, vd.refW, o, cells)
-	if !m.cfg.NormalizeScale {
-		return m.distanceToCut(vd, cut)
-	}
+// first (plain SampleCut, then the view's cut weights) and scored in a
+// second loop over it, as the matcher did before the sampler scored its
+// cuts: the sums ec = Σ w·(cr²+ci²) and cross = Σ w·(fr·cr+fi·ci) in
+// slot order, then the metric — least squares, or the raw metric in its
+// expanded form (E_F + E_C − 2·cross)/l².
+func cutApartDistance(m *matcher, vd *viewData, o geom.Euler, cut []complex128) float64 {
+	rot := o.Matrix()
+	n := len(cut)
+	m.smp.SampleCut(cut, m.fh[:n], m.fk[:n], rot.Col(0), rot.Col(1))
 	var ec, cross float64
 	for i, c := range cut {
+		if vd.refW != nil {
+			w := vd.refW[i]
+			c = complex(real(c)*w, imag(c)*w)
+			cut[i] = c
+		}
 		fv, w := vd.vals[i], m.wt[i]
 		cr, ci := real(c), imag(c)
 		ec += w * (cr*cr + ci*ci)
 		cross += w * (real(fv)*cr + imag(fv)*ci)
 	}
-	return m.leastSquares(vd.prefixE[len(cut)], ec, cross)
+	return m.metric(vd.prefixE[n], ec, cross)
 }
 
 // TestCutDistanceFusedMatchesApart: under every metric configuration a
-// candidate's distance (cutDistance, which scores least-squares cuts in
-// the sampler's pass) is bit for bit the cut sampled first and scored
-// apart (cutApartDistance), and leaves the same cut behind.
+// candidate's distance (cutDistance, whose sums the sampler forms in
+// its cut pass) is bit for bit the cut sampled first and scored apart
+// (cutApartDistance), and leaves the same cut behind.
 func TestCutDistanceFusedMatchesApart(t *testing.T) {
 	for name, cfg := range oracleConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -249,13 +256,13 @@ func TestCutDistanceFusedMatchesApart(t *testing.T) {
 					n = rng.Intn(full + 1)
 				}
 				got := r.m.cutDistance(vd, o, a.cut[:n], a.cells)
-				want := cutApartDistance(r.m, vd, o, b.cut[:n], b.cells)
+				want := cutApartDistance(r.m, vd, o, b.cut[:n])
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("orient %v n=%d: cutDistance %.17g, scored apart %.17g", o, n, got, want)
 				}
 				for i := range a.cut[:n] {
 					if math.Float64bits(real(a.cut[i])) != math.Float64bits(real(b.cut[i])) || math.Float64bits(imag(a.cut[i])) != math.Float64bits(imag(b.cut[i])) {
-						t.Fatalf("orient %v n=%d slot %d: cutDistance left %v, sampleCut %v", o, n, i, a.cut[i], b.cut[i])
+						t.Fatalf("orient %v n=%d slot %d: cutDistance left %v, SampleCut %v", o, n, i, a.cut[i], b.cut[i])
 					}
 				}
 			}
@@ -277,14 +284,14 @@ func TestFusedShiftedDistanceMatchesOracle(t *testing.T) {
 			check := func(o geom.Euler, n int, dx, dy float64) {
 				t.Helper()
 				cut := make([]complex128, n)
-				r.m.sampleCut(cut, vd.refW, o, fourier.NewCellMemo(n))
+				ec, _ := r.m.scoreCut(vd, o, cut, fourier.NewCellMemo(n))
 				wantCut := oracleCutValues(r.m, vd, o, n)
 				for i := range cut {
 					if d := math.Hypot(real(cut[i])-real(wantCut[i]), imag(cut[i])-imag(wantCut[i])); d > 1e-12 {
 						t.Fatalf("cut %d at %v: fused %v, oracle %v", i, o, cut[i], wantCut[i])
 					}
 				}
-				got := centerDistanceAt(r.m, vd, cut, dx, dy)
+				got := centerDistanceAt(r.m, vd, cut, ec, dx, dy)
 				want := oracleShiftedDistance(r.m, vd, wantCut, dx, dy)
 				if d := centerRel(r.m, vd, n, got, want); d > 1e-12 {
 					t.Fatalf("shift (%g,%g) n=%d: kernel %.17g, oracle %.17g (rel %.3g)", dx, dy, n, got, want, d)
@@ -366,9 +373,9 @@ func TestApplyShiftEquivalentToShiftedDistance(t *testing.T) {
 				for _, lv := range r.cfg.Schedule {
 					n := r.m.prefixLen(lv.effRMapFrac() * r.cfg.RMap)
 					cut := make([]complex128, n)
-					r.m.sampleCut(cut, vd.refW, o, fourier.NewCellMemo(n))
-					want := centerDistanceAt(r.m, vd, cut, dx, dy)
-					got := centerDistanceAt(r.m, shiftedVd, cut, 0, 0)
+					ec, _ := r.m.scoreCut(vd, o, cut, fourier.NewCellMemo(n))
+					want := centerDistanceAt(r.m, vd, cut, ec, dx, dy)
+					got := centerDistanceAt(r.m, shiftedVd, cut, ec, 0, 0)
 					if d := centerRel(r.m, vd, n, got, want); d > 1e-12 {
 						t.Fatalf("n=%d: applyShift(%g,%g) then zero shift %.17g != shift in the kernel %.17g (rel %.3g)", n, dx, dy, got, want, d)
 					}

@@ -466,9 +466,9 @@ func (r *Refiner) scorePending(vd *viewData, step float64, n int, st *LevelStats
 // one pass over it (centerDistance).
 func (r *Refiner) refineCenter(vd *viewData, o geom.Euler, lv Level, n int, st *LevelStats, sc *matchScratch) (float64, float64, float64) {
 	cut := sc.cut[:n]
-	r.m.sampleCut(cut, vd.refW, o, sc.cells)
+	ec, _ := r.m.scoreCut(vd, o, cut, sc.cells)
 	g := sc.cross[:n]
-	ec := r.m.crossSpectrum(vd, cut, g)
+	r.m.crossSpectrum(vd, cut, g)
 	at := func(dx, dy float64) float64 { return r.m.centerDistance(vd, g, ec, dx, dy, &sc.ramp) }
 	bestDx, bestDy := 0.0, 0.0
 	bestD := at(0, 0)

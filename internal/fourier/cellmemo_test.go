@@ -77,6 +77,24 @@ func sameSums(ec1, cross1, ec2, cross2 float64) bool {
 	return math.Float64bits(ec1) == math.Float64bits(ec2) && math.Float64bits(cross1) == math.Float64bits(cross2)
 }
 
+// unscored holds the zero band values and weights memoCut scores
+// against, grown to the longest cut seen.
+var unscored struct {
+	vals []complex128
+	wt   []float64
+}
+
+// memoCut is the memo's cut alone: SampleCutScore's pass, through the
+// vector passes only when vector is set, scored against zero band
+// values and weights and without cut weights, so dst is the cut
+// SampleCut writes. It is how the tests reach the memo's cut.
+func memoCut(s *Sampler, dst []complex128, fh, fk []float64, xa, ya geom.Vec3, memo *CellMemo, vector bool) {
+	if len(unscored.wt) < len(dst) {
+		unscored.vals, unscored.wt = make([]complex128, len(dst)), make([]float64, len(dst))
+	}
+	s.sampleCutMemo(dst, fh, fk, xa, ya, memo, vector, unscored.vals, unscored.wt, nil)
+}
+
 // cellCounts reads the memo's cell hit and miss tallies.
 func cellCounts(memo *CellMemo) (hits, misses int64) {
 	return memo.hits, memo.misses
@@ -91,14 +109,14 @@ func checkMemoCut(t testing.TB, s *Sampler, memo *CellMemo, fh, fk []float64, n 
 	rot := o.Matrix()
 	want, got := make([]complex128, n), make([]complex128, n)
 	s.SampleCut(want, fh[:n], fk[:n], rot.Col(0), rot.Col(1))
-	s.SampleCutMemo(got, fh[:n], fk[:n], rot.Col(0), rot.Col(1), memo)
+	memoCut(s, got, fh[:n], fk[:n], rot.Col(0), rot.Col(1), memo, haveAVX)
 	for i := range want {
 		if !sameBits(got[i], want[i]) {
 			t.Fatalf("orient %v band %d (h,k)=(%g,%g): memo %v, SampleCut %v", o, i, fh[i], fk[i], got[i], want[i])
 		}
 		if ref != nil {
 			p := rot.Col(0).Scale(fh[i]).Add(rot.Col(1).Scale(fk[i])).Scale(s.pad)
-			checkVsFull(t, fmt.Sprintf("orient %v band %d", o, i), got[i], ref.read(p.X, p.Y, p.Z, false), nearNyquist(p.X, p.Y, s.l), peak)
+			checkVsFull(t, fmt.Sprintf("orient %v band %d", o, i), got[i], ref.read(p.X, p.Y, p.Z, s.nearest), nearNyquist(p.X, p.Y, s.l), peak)
 		}
 	}
 }
@@ -106,8 +124,8 @@ func checkMemoCut(t testing.TB, s *Sampler, memo *CellMemo, fh, fk []float64, n 
 // TestSampleCutMemoBitIdentical: reading corners through the cell memo
 // gives SampleCut's cut bit for bit — on fine walks that keep slots in
 // their cells, on jumps that move every slot, on band prefixes shorter
-// than the memo, out of band (pad 1) and in nearest mode, which runs
-// SampleCut and leaves the memo alone.
+// than the memo, out of band (pad 1) and in nearest mode, which keys
+// the memo by the same cells and so both reuses and refreshes them.
 func TestSampleCutMemoBitIdentical(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	for _, tc := range []struct {
@@ -144,12 +162,6 @@ func TestSampleCutMemoBitIdentical(t *testing.T) {
 			}
 			h1, m1 := cellCounts(memo)
 			hits, misses := h1-h0, m1-m0
-			if tc.interp == Nearest {
-				if hits != 0 || misses != 0 {
-					t.Fatalf("nearest mode counted %d hits, %d misses; it has no cells", hits, misses)
-				}
-				return
-			}
 			if hits == 0 || misses == 0 {
 				t.Fatalf("%d hits, %d misses: the walks should both reuse and refresh cells", hits, misses)
 			}
@@ -167,9 +179,9 @@ func TestCellMemoRepeatHitsEverySlot(t *testing.T) {
 	rot := geom.Euler{Theta: 37, Phi: 101, Omega: 250}.Matrix()
 	cut := make([]complex128, len(fh))
 	h0, m0 := cellCounts(memo)
-	s.SampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), memo)
+	memoCut(&s, cut, fh, fk, rot.Col(0), rot.Col(1), memo, haveAVX)
 	h1, m1 := cellCounts(memo)
-	s.SampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), memo)
+	memoCut(&s, cut, fh, fk, rot.Col(0), rot.Col(1), memo, haveAVX)
 	h2, m2 := cellCounts(memo)
 	h2, m2, h1, m1 = h2-h1, m2-m1, h1-h0, m1-m0
 	if h1 != 0 || m2 != 0 || h2 != m1 {
@@ -230,59 +242,72 @@ func FuzzSampleCutMemo(f *testing.F) {
 }
 
 // FuzzSampleCutScore drives SampleCutScore along arbitrary orientation
-// walks, with and without cut weights, against SampleCutMemo followed
-// by scoreRef on a second memo walked in step: the weighted cut and
-// both sums must agree bit for bit at every step. On amd64 with AVX
-// this holds the fused blend pass, including its slot-order sums across
-// groups and into the Go loop's tail, to the scalar loop's sums.
+// walks, with and without cut weights, in both interpolations, against
+// plain SampleCut followed by scoreRef: the weighted cut and both sums
+// must agree bit for bit at every step. On amd64 with AVX this holds
+// the fused blend pass, including its slot-order sums across groups and
+// into the Go loop's tail, to the scalar loop's sums, and in the
+// nearest-neighbour mode the fractions snapped between locate and blend
+// to SampleCut's snapped offsets.
 func FuzzSampleCutScore(f *testing.F) {
 	for _, seed := range []struct {
 		theta, phi, omega, step float64
 		n, steps                uint16
-		pad, weighted           bool
+		pad, weighted, nearest  bool
 	}{
-		{10, 20, 30, 0.01, 200, 20, true, false},
-		{0, 0, 0, 0.002, 289, 8, true, true},
-		{90, 90, 0, 1, 289, 5, false, true},
-		{179.99, 359.9, 0.01, 0.1, 17, 40, false, false},
-		{45, 45, 45, 0, 6, 3, true, true},
+		{10, 20, 30, 0.01, 200, 20, true, false, false},
+		{0, 0, 0, 0.002, 289, 8, true, true, false},
+		{90, 90, 0, 1, 289, 5, false, true, false},
+		{179.99, 359.9, 0.01, 0.1, 17, 40, false, false, false},
+		{45, 45, 45, 0, 6, 3, true, true, false},
+		{10, 20, 30, 0.01, 200, 20, true, true, true},
+		{90, 90, 0, 1, 289, 5, false, false, true},
+		{179.99, 359.9, 0.01, 0.1, 17, 40, false, true, true},
 	} {
-		f.Add(seed.theta, seed.phi, seed.omega, seed.step, seed.n, seed.steps, seed.pad, seed.weighted)
+		f.Add(seed.theta, seed.phi, seed.omega, seed.step, seed.n, seed.steps, seed.pad, seed.weighted, seed.nearest)
 	}
 	fh, fk := squareBand(8)
 	g := randomDensity(16, 73)
-	samplers := [2]Sampler{NewVolumeDFTPadded(g, 1).NewSampler(Trilinear), NewVolumeDFTPadded(g, 2).NewSampler(Trilinear)}
+	var samplers [2][2]Sampler // by pad 1, 2 and by trilinear, nearest
+	for i, pad := range []int{1, 2} {
+		v := NewVolumeDFTPadded(g, pad)
+		samplers[i] = [2]Sampler{v.NewSampler(Trilinear), v.NewSampler(Nearest)}
+	}
 	vals, wt, refW := scoreInputs(rand.New(rand.NewSource(79)), len(fh))
-	f.Fuzz(func(t *testing.T, theta, phi, omega, step float64, n, steps uint16, pad, weighted bool) {
+	f.Fuzz(func(t *testing.T, theta, phi, omega, step float64, n, steps uint16, pad, weighted, nearest bool) {
 		for _, v := range []float64{theta, phi, omega, step} {
 			if math.IsNaN(v) || math.Abs(v) > 1e6 {
 				t.Skip("angles are finite and bounded")
 			}
 		}
-		s := &samplers[0]
+		var p, q int
 		if pad {
-			s = &samplers[1]
+			p = 1
 		}
+		if nearest {
+			q = 1
+		}
+		s := &samplers[p][q]
 		w := refW
 		if !weighted {
 			w = nil
 		}
 		nb := int(n) % (len(fh) + 1)
-		fused, apart := NewCellMemo(len(fh)), NewCellMemo(len(fh))
+		memo := NewCellMemo(len(fh))
 		got, want := make([]complex128, len(fh)), make([]complex128, len(fh))
 		check := func(o geom.Euler, nb int) {
 			t.Helper()
 			rot := o.Matrix()
-			ec, cross := s.SampleCutScore(got[:nb], fh, fk, rot.Col(0), rot.Col(1), fused, vals, wt, w)
-			s.SampleCutMemo(want[:nb], fh, fk, rot.Col(0), rot.Col(1), apart)
+			ec, cross := s.SampleCutScore(got[:nb], fh, fk, rot.Col(0), rot.Col(1), memo, vals, wt, w)
+			s.SampleCut(want[:nb], fh, fk, rot.Col(0), rot.Col(1))
 			wantEC, wantCross := scoreRef(want[:nb], vals, wt, w)
 			for i := range nb {
 				if !sameBits(got[i], want[i]) {
-					t.Fatalf("orient %v n %d slot %d: fused cut %v, apart %v", o, nb, i, got[i], want[i])
+					t.Fatalf("orient %v n %d slot %d: fused cut %v, SampleCut %v", o, nb, i, got[i], want[i])
 				}
 			}
 			if !sameSums(ec, cross, wantEC, wantCross) {
-				t.Fatalf("orient %v n %d: fused sums (%v, %v), apart (%v, %v)", o, nb, ec, cross, wantEC, wantCross)
+				t.Fatalf("orient %v n %d: fused sums (%v, %v), SampleCut + scoreRef (%v, %v)", o, nb, ec, cross, wantEC, wantCross)
 			}
 		}
 		check(geom.Euler{Theta: theta + 73, Phi: phi - 41, Omega: omega + 17}, len(fh))
@@ -342,7 +367,7 @@ var fineSteps = []float64{1, 0.1, 0.01, 0.002}
 
 // TestSampleCutFineCountsPinned: one pass of BenchmarkSampleCutFine's
 // walk on a fresh memo, at each step, publishes exactly the sampler
-// counts recorded at dc261d1, when SampleCutMemo was one scalar loop
+// counts recorded at dc261d1, when the memo's cut was one scalar loop
 // counting into the process counters cut by cut — through the vector
 // passes where this build has them, and through the Go loop alone.
 func TestSampleCutFineCountsPinned(t *testing.T) {
@@ -366,7 +391,7 @@ func TestSampleCutFineCountsPinned(t *testing.T) {
 			}
 			for _, o := range fineWalk(step) {
 				rot := o.Matrix()
-				s.sampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), memo, vector, nil, nil, nil)
+				memoCut(&s, cut, fh, fk, rot.Col(0), rot.Col(1), memo, vector)
 			}
 			memo.Publish()
 			for i, c := range counters {
@@ -381,13 +406,10 @@ func TestSampleCutFineCountsPinned(t *testing.T) {
 
 // BenchmarkSampleCutFine times one cut over a 48-pixel map's half band
 // (2× padded spectrum) on fineWalk at each step of DefaultSchedule:
-// plain SampleCut, SampleCutMemo as this build runs it (memo: the AVX
-// passes on amd64), and SampleCutMemo on the Go loop alone (memo-go,
-// what arm64 and purego builds run). score is a cut and its
-// least-squares sums through SampleCutScore (one fused pass on amd64
-// with AVX), score-apart the same through SampleCutMemo and a second
-// Go pass over the cut, as the matcher scored a cut before the fused
-// pass. hit-rate is the memo's over one pass of the walk.
+// plain SampleCut, and a cut with its least-squares sums through
+// SampleCutScore as this build runs it (score: one fused pass on amd64
+// with AVX) and on the Go loop alone (score-go, what arm64 and purego
+// builds run). hit-rate is the memo's over one pass of the walk.
 func BenchmarkSampleCutFine(b *testing.B) {
 	s := randomVolumeDFT(48, 2, 3).NewSampler(Trilinear)
 	fh, fk := fineBand()
@@ -401,24 +423,18 @@ func BenchmarkSampleCutFine(b *testing.B) {
 	}
 	for _, step := range fineSteps {
 		walk := fineWalk(step)
-		for _, mode := range []string{"plain", "memo", "memo-go", "score", "score-apart"} {
-			vector := haveAVX && mode != "memo-go"
+		for _, mode := range []string{"plain", "score", "score-go"} {
+			vector := haveAVX && mode != "score-go"
 			b.Run(fmt.Sprintf("%s/step=%g", mode, step), func(b *testing.B) {
 				cells := NewCellMemo(len(fh))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					rot := walk[i%len(walk)].Matrix()
-					switch mode {
-					case "plain":
+					if mode == "plain" {
 						s.SampleCut(cut, fh, fk, rot.Col(0), rot.Col(1))
-					case "score":
-						s.SampleCutScore(cut, fh, fk, rot.Col(0), rot.Col(1), cells, vals, wt, nil)
-					case "score-apart":
-						s.sampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), cells, vector, nil, nil, nil)
-						scoreSlots(cut, vals, wt, nil, 0, 0, 0)
-					default:
-						s.sampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), cells, vector, nil, nil, nil)
+					} else {
+						s.sampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), cells, vector, vals, wt, nil)
 					}
 				}
 				b.StopTimer()
@@ -426,7 +442,7 @@ func BenchmarkSampleCutFine(b *testing.B) {
 					h0, m0 := cellCounts(cells)
 					for _, o := range walk {
 						rot := o.Matrix()
-						s.sampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), cells, vector, nil, nil, nil)
+						memoCut(&s, cut, fh, fk, rot.Col(0), rot.Col(1), cells, vector)
 					}
 					h1, m1 := cellCounts(cells)
 					b.ReportMetric(float64(h1-h0)/float64(h1-h0+m1-m0), "hit-rate")

@@ -26,7 +26,7 @@ import (
 //
 // Slots sit in groups of four, slot i in lane i%4 of group i/4, and
 // each field of a group holds its four lanes side by side (structure
-// of arrays), so the vector passes of SampleCutMemo load one field of
+// of arrays), so the vector passes of SampleCutScore load one field of
 // four slots with one instruction. Where those passes run, a group
 // also carries the current cut's scratch: each lane's fractional
 // offsets, candidate cell and a miss/out-of-band mask.
@@ -85,49 +85,33 @@ type cutFrame struct {
 	pad, ny, negNy         float64
 }
 
-// SampleCutMemo is SampleCut reading the trilinear corners through the
-// worker's cell memo: dst[i] is bit-identical to SampleCut's, because a
-// hit blends the same eight values with the same weights in the same
-// order. dst must be no longer than the memo. The nearest-neighbour
-// mode has nothing to remember and runs SampleCut; its memo may be nil.
-// The cut and its in-band samples, as cell hits or misses, count in the
-// memo's tallies (see Publish).
-//
-// On amd64 with AVX the band's whole groups of four go through the
-// vector passes (see vectorCut) and the last len(dst)%4 slots through
-// the Go loop; elsewhere, and under the purego build tag, the Go loop
-// takes every slot.
-//
-//repro:hotpath
-func (s *Sampler) SampleCutMemo(dst []complex128, fh, fk []float64, xAxis, yAxis geom.Vec3, memo *CellMemo) {
-	if s.nearest {
-		s.SampleCut(dst, fh, fk, xAxis, yAxis)
-		return
-	}
-	s.sampleCutMemo(dst, fh, fk, xAxis, yAxis, memo, haveAVX, nil, nil, nil)
-}
-
-// SampleCutScore is SampleCutMemo followed by the cut weights and the
-// least-squares sums of a distance: it writes the cut C, times refW[i]
-// when refW is not nil (dst is then the weighted cut), and returns
+// SampleCutScore is SampleCut reading the cell corners through the
+// worker's cell memo, followed by the cut weights and the least-squares
+// sums of a distance: it writes the cut C, times refW[i] when refW is
+// not nil (dst is then the weighted cut), and returns
 //
 //	ec = Σ wt[i]·(re C_i·re C_i + im C_i·im C_i)
 //	cross = Σ wt[i]·(re vals[i]·re C_i + im vals[i]·im C_i)
 //
 // each accumulated serially in slot order, with exactly those products
-// and parentheses, so the sums are bit for bit those of a loop over the
-// cut SampleCutMemo writes. On amd64 with AVX, in the trilinear mode,
-// the blend pass forms them as it writes each group; elsewhere, and for
-// the last len(dst)%4 slots, scoreSlots does, over the cut once it is
-// written. vals, wt and refW (if not nil) must be at least len(dst)
-// long. memo may be nil in the nearest-neighbour mode.
+// and parentheses. Before the weights, dst[i] is bit-identical to
+// SampleCut's, because a hit blends the same eight values with the same
+// weights in the same order, and the sums are bit for bit those of a
+// loop over the weighted cut. It is the one cut entry point of the
+// refinement, for every metric and both interpolations: the nearest-
+// neighbour mode differs only in the offsets the blend is given (see
+// snap). dst must be no longer than the memo; vals, wt and refW (if not
+// nil) must be at least len(dst) long. The cut and its in-band samples,
+// as cell hits or misses, count in the memo's tallies (see Publish).
+//
+// On amd64 with AVX the band's whole groups of four go through the
+// vector passes (see vectorCut), whose blend pass forms the sums as it
+// writes each group, and the last len(dst)%4 slots through the Go loop
+// and scoreSlots; elsewhere, and under the purego build tag, the Go
+// loop samples every slot and scoreSlots scores the finished cut.
 //
 //repro:hotpath
 func (s *Sampler) SampleCutScore(dst []complex128, fh, fk []float64, xAxis, yAxis geom.Vec3, memo *CellMemo, vals []complex128, wt, refW []float64) (ec, cross float64) {
-	if s.nearest {
-		s.SampleCut(dst, fh, fk, xAxis, yAxis)
-		return scoreSlots(dst, vals, wt, refW, 0, 0, 0)
-	}
 	return s.sampleCutMemo(dst, fh, fk, xAxis, yAxis, memo, haveAVX, vals, wt, refW)
 }
 
@@ -153,10 +137,8 @@ func scoreSlots(dst, vals []complex128, wt, refW []float64, from int, ec, cross 
 	return ec, cross
 }
 
-// sampleCutMemo is SampleCutMemo's trilinear cut, through the vector
-// passes only when vector is set. With vals not nil it also weights the
-// cut and returns its sums, as SampleCutScore; otherwise it returns
-// zeros.
+// sampleCutMemo is SampleCutScore, through the vector passes only when
+// vector is set.
 //
 //repro:hotpath
 func (s *Sampler) sampleCutMemo(dst []complex128, fh, fk []float64, xAxis, yAxis geom.Vec3, m *CellMemo, vector bool, vals []complex128, wt, refW []float64) (ec, cross float64) {
@@ -167,9 +149,7 @@ func (s *Sampler) sampleCutMemo(dst []complex128, fh, fk []float64, xAxis, yAxis
 		done, oob, misses, ec, cross = s.vectorCut(dst, fh, fk, &f, m, vals, wt, refW)
 	}
 	o, mi := s.sampleSlots(dst, fh, fk, &f, m, done)
-	if vals != nil {
-		ec, cross = scoreSlots(dst, vals, wt, refW, done, ec, cross)
-	}
+	ec, cross = scoreSlots(dst, vals, wt, refW, done, ec, cross)
 	n := int64(len(dst))
 	oob, misses = oob+o, misses+mi
 	m.calls++
@@ -181,8 +161,9 @@ func (s *Sampler) sampleCutMemo(dst []complex128, fh, fk []float64, xAxis, yAxis
 
 // sampleSlots is the cut in Go, one slot at a time from slot from on,
 // by SampleCut's arithmetic: the position, the band test, the floors
-// and, on a miss, the gather into the slot's lane; then blendLane. It
-// returns how many slots fell out of band and how many missed.
+// and, on a miss, the gather into the slot's lane; then blendLane at
+// SampleCut's offsets. It returns how many slots fell out of band and
+// how many missed.
 //
 //repro:hotpath
 func (s *Sampler) sampleSlots(dst []complex128, fh, fk []float64, f *cutFrame, m *CellMemo, from int) (oob, misses int64) {
@@ -207,7 +188,8 @@ func (s *Sampler) sampleSlots(dst []complex128, fh, fk []float64, f *cutFrame, m
 			s.fillLane(m, g, j, cx, cy, cz)
 			misses++
 		}
-		dst[i] = blendLane(&m.corners[g], j, x-xf, y-yf, z-zf)
+		fx, fy, fz := s.offsets(x, y, z, xf, yf, zf)
+		dst[i] = blendLane(&m.corners[g], j, fx, fy, fz)
 	}
 	return oob, misses
 }

@@ -22,10 +22,10 @@ func locateGroupsAVX(fh, fk []float64, f *cutFrame, keys, cand [][3][4]int32, fr
 
 // blendGroupsAVX is the blend pass over len(mask) whole groups, four
 // lanes per instruction: blendLane's arithmetic on every lane, +0 on an
-// out-of-band lane, times refW when refW is not nil. With vals not nil
-// it also scores the cut it writes, by scoreSlots' arithmetic with the
-// sums started at +0, and returns them; otherwise it returns zeros.
-// vals, wt and refW, when used, must hold 4·len(mask) values.
+// out-of-band lane, times refW when refW is not nil. It also scores the
+// cut it writes, by scoreSlots' arithmetic with the sums started at +0,
+// and returns them. vals, wt and refW (if not nil) must hold
+// 4·len(mask) values.
 //
 //go:noescape
 func blendGroupsAVX(dst []complex128, frac [][3][4]float64, corners [][16][4]float64, mask []uint8, vals []complex128, wt, refW []float64) (ec, cross float64)
@@ -38,11 +38,12 @@ var haveAVX = cpuHasAVX()
 // positions all four slots of each group and marks which missed their
 // cell and which fell out of band; a Go pass gathers the missed cells
 // into their lanes (the gather is a branchy walk of the half spectrum
-// that stays in Go); blend writes the cut and, with vals not nil,
-// weights it by refW and scores it. It returns how many slots it
-// sampled (len(dst) rounded down to whole groups), how many fell out
-// of band, how many missed, and the sums over those slots (zeros when
-// vals is nil).
+// that stays in Go); blend writes the cut, weights it by refW and
+// scores it. In the nearest-neighbour mode a Go pass between locate and
+// blend snaps the fractions locate wrote (snap), so the assembly is the
+// trilinear pass alone. It returns how many slots it sampled (len(dst)
+// rounded down to whole groups), how many fell out of band, how many
+// missed, and the sums over those slots.
 //
 //repro:hotpath
 func (s *Sampler) vectorCut(dst []complex128, fh, fk []float64, f *cutFrame, m *CellMemo, vals []complex128, wt, refW []float64) (done int, oob, misses int64, ec, cross float64) {
@@ -61,11 +62,19 @@ func (s *Sampler) vectorCut(dst []complex128, fh, fk []float64, f *cutFrame, m *
 			misses++
 		}
 	}
-	if vals != nil {
-		vals, wt = vals[:done], wt[:done]
-		if refW != nil {
-			refW = refW[:done]
+	if s.nearest {
+		for g := range m.frac[:ng] {
+			fr := &m.frac[g]
+			for a := range fr {
+				for j, v := range fr[a] {
+					fr[a][j] = snap(v)
+				}
+			}
 		}
+	}
+	vals, wt = vals[:done], wt[:done]
+	if refW != nil {
+		refW = refW[:done]
 	}
 	ec, cross = blendGroupsAVX(dst[:done], m.frac[:ng], m.corners[:ng], m.mask[:ng], vals, wt, refW)
 	return done, oob, misses, ec, cross

@@ -139,7 +139,7 @@ TEXT ·blendGroupsAVX(SB), NOSPLIT, $0-184
 	MOVQ   corners_base+48(FP), R8
 	MOVQ   mask_base+72(FP), R9
 	MOVQ   mask_len+80(FP), CX
-	MOVQ   vals_base+96(FP), R11 // nil: the cut is not scored
+	MOVQ   vals_base+96(FP), R11
 	MOVQ   wt_base+120(FP), R12
 	MOVQ   refW_base+144(FP), R13 // nil: no cut weights
 	VXORPD X14, X14, X14          // the sums (ec, cross), one lane each
@@ -230,8 +230,6 @@ blendstore:
 	// The least-squares terms, four slots at a time with scoreSlots'
 	// products and parentheses: e = w·(cr·cr + ci·ci) and
 	// c = w·(fr·cr + fi·ci).
-	TESTQ       R11, R11
-	JZ          blendnext
 	VMULPD      Y0, Y0, Y3
 	VMULPD      Y2, Y2, Y5
 	VADDPD      Y5, Y3, Y3
@@ -260,7 +258,6 @@ blendstore:
 	ADDQ         $64, R11
 	ADDQ         $32, R12
 
-blendnext:
 	ADDQ $64, DI
 	ADDQ $96, SI
 	ADDQ $512, R8

@@ -122,12 +122,13 @@ func checkLocateParity(t *testing.T, name string, fh, fk []float64, f *cutFrame,
 }
 
 // checkBlendParity runs blendGroupsAVX and blendGroupsRef over the same
-// fractions, corners and masks and requires the same cut bit for bit.
+// fractions, corners and masks and requires the same cut bit for bit
+// (the pass scores it against zero values and weights, as memoCut).
 func checkBlendParity(t *testing.T, name string, m *CellMemo, ng int) {
 	t.Helper()
 	da, db := make([]complex128, 4*ng), make([]complex128, 4*ng)
 	blendGroupsRef(da, m.frac[:ng], m.corners[:ng], m.mask[:ng])
-	blendGroupsAVX(db, m.frac[:ng], m.corners[:ng], m.mask[:ng], nil, nil, nil)
+	blendGroupsAVX(db, m.frac[:ng], m.corners[:ng], m.mask[:ng], make([]complex128, 4*ng), make([]float64, 4*ng), nil)
 	for i := range da {
 		if !sameBits(da[i], db[i]) {
 			t.Fatalf("%s slot %d: blend %v, AVX %v", name, i, da[i], db[i])
@@ -153,7 +154,7 @@ func frameOf(s *Sampler, xa, ya geom.Vec3) cutFrame {
 // positions (locate only: a NaN lane is in band, as in Go).
 func TestCutLeavesAVXMatchGo(t *testing.T) {
 	if !cpuHasAVX() {
-		t.Skip("the CPU or OS lacks AVX; SampleCutMemo runs the Go loop alone")
+		t.Skip("the CPU or OS lacks AVX; SampleCutScore runs the Go loop alone")
 	}
 	var cov leafCoverage
 	rng := rand.New(rand.NewSource(43))
@@ -205,8 +206,8 @@ func TestCutLeavesAVXMatchGo(t *testing.T) {
 				ca, cb, want := make([]complex128, n), make([]complex128, n), make([]complex128, n)
 				xa := geom.Vec3{X: f.xx, Y: f.xy, Z: f.xz}
 				ya := geom.Vec3{X: f.yx, Y: f.yy, Z: f.yz}
-				s.sampleCutMemo(ca, fh[:n], fk[:n], xa, ya, ma, false, nil, nil, nil)
-				s.sampleCutMemo(cb, fh[:n], fk[:n], xa, ya, mb, true, nil, nil, nil)
+				memoCut(&s, ca, fh[:n], fk[:n], xa, ya, ma, false)
+				memoCut(&s, cb, fh[:n], fk[:n], xa, ya, mb, true)
 				s.SampleCut(want, fh[:n], fk[:n], xa, ya)
 				for i := range want {
 					if !sameBits(ca[i], want[i]) || !sameBits(cb[i], want[i]) {
@@ -223,7 +224,7 @@ func TestCutLeavesAVXMatchGo(t *testing.T) {
 				}
 			}
 			// Carry the memo on, so later frames start on held cells.
-			s.SampleCutMemo(make([]complex128, len(fh)), fh, fk, geom.Vec3{X: f.xx, Y: f.xy, Z: f.xz}, geom.Vec3{X: f.yx, Y: f.yy, Z: f.yz}, m)
+			memoCut(&s, make([]complex128, len(fh)), fh, fk, geom.Vec3{X: f.xx, Y: f.xy, Z: f.xz}, geom.Vec3{X: f.yx, Y: f.yy, Z: f.yz}, m, true)
 		}
 
 		// Non-finite positions: NaN is in band, ±Inf out of band.
@@ -236,7 +237,7 @@ func TestCutLeavesAVXMatchGo(t *testing.T) {
 	// An empty memo: nothing to locate, gather or blend.
 	s := randomVolumeDFT(16, 2, 89).NewSampler(Trilinear)
 	empty := NewCellMemo(0)
-	s.sampleCutMemo(nil, nil, nil, geom.Vec3{X: 1}, geom.Vec3{Y: 1}, empty, true, nil, nil, nil)
+	memoCut(&s, nil, nil, nil, geom.Vec3{X: 1}, geom.Vec3{Y: 1}, empty, true)
 	if empty.calls != 1 || empty.coeffs != 0 || empty.hits != 0 || empty.misses != 0 {
 		t.Fatalf("empty cut tallied %+v", *empty)
 	}
@@ -257,6 +258,7 @@ type scoreCoverage struct {
 	negZero     int       // −0 corners blended
 	subnormal   int       // subnormal corners blended
 	leafNaNFrac int       // blend-pass lanes scored at a NaN fraction
+	nearest     int       // whole cuts in the nearest-neighbour mode
 }
 
 // keyEvery keys every in-band slot of m to the cell its position in
@@ -333,7 +335,7 @@ func checkScoreParity(t *testing.T, name string, s *Sampler, fh, fk []float64, f
 	ca, cb := make([]complex128, n), make([]complex128, n)
 	xa := geom.Vec3{X: f.xx, Y: f.xy, Z: f.xz}
 	ya := geom.Vec3{X: f.yx, Y: f.yy, Z: f.yz}
-	s.sampleCutMemo(ca, fh[:n], fk[:n], xa, ya, ma, false, nil, nil, nil)
+	memoCut(s, ca, fh[:n], fk[:n], xa, ya, ma, false)
 	wantEC, wantCross := scoreRef(ca, vals, wt, refW)
 	ec, cross := s.sampleCutMemo(cb, fh[:n], fk[:n], xa, ya, mb, true, vals, wt, refW)
 	for i := range ca {
@@ -358,6 +360,9 @@ func checkScoreParity(t *testing.T, name string, s *Sampler, fh, fk []float64, f
 	}
 	cov.tails[n%4][w]++
 	cov.groups[min(n/4, 2)]++
+	if s.nearest {
+		cov.nearest++
+	}
 	countSlots(m, fh, fk, f, n, cov)
 }
 
@@ -391,15 +396,15 @@ func checkBlendScoreParity(t *testing.T, name string, m *CellMemo, ng int, vals 
 
 // TestCutScoreAVXMatchGo holds the fused cut-and-score pass to the cut
 // of the Go loop scored apart by scoreRef (the matcher's cut weighting
-// and its former least-squares loop written out), bit for bit — the weighted cut, both
-// sums, the memo and its tallies: on whole cuts of every length mod 4,
-// with and without cut weights, of 0, 1 and many groups, with slots out
-// of band (pad 1, the square band's corners), at NaN and ±Inf
-// positions, and on −0 and subnormal corners and band values; and the
-// blend pass alone against blendGroupsRef
-// and scoreRef, NaN fractions and non-finite fractions under
-// out-of-band lanes included. It logs how many of each it saw and fails
-// if a class is missing.
+// and its former least-squares loop written out), bit for bit — the
+// weighted cut, both sums, the memo and its tallies: on whole cuts of
+// every length mod 4, with and without cut weights, of 0, 1 and many
+// groups, in both interpolations (nearest on half-lattice ties too),
+// with slots out of band (pad 1, the square band's corners), at NaN and
+// ±Inf positions, and on −0 and subnormal corners and band values; and
+// the blend pass alone against blendGroupsRef and scoreRef, NaN
+// fractions and non-finite fractions under out-of-band lanes included.
+// It logs how many of each it saw and fails if a class is missing.
 func TestCutScoreAVXMatchGo(t *testing.T) {
 	if !cpuHasAVX() {
 		t.Skip("the CPU or OS lacks AVX; SampleCutScore runs the Go loop alone")
@@ -410,7 +415,8 @@ func TestCutScoreAVXMatchGo(t *testing.T) {
 	vals, wt, refW := scoreInputs(rng, len(fh))
 	lengths := []int{len(fh), len(fh) - 1, len(fh) - 2, len(fh) - 3, 0, 1, 2, 3, 4, 5, 6, 7, 8}
 	for _, pad := range []int{1, 2} {
-		s := randomVolumeDFT(16, pad, 97).NewSampler(Trilinear)
+		dft := randomVolumeDFT(16, pad, 97)
+		s, sn := dft.NewSampler(Trilinear), dft.NewSampler(Nearest)
 		var frames []cutFrame
 		for range 30 {
 			rot := geom.Euler{Theta: rng.Float64() * 180, Phi: rng.Float64() * 360, Omega: rng.Float64() * 360}.Matrix()
@@ -418,13 +424,16 @@ func TestCutScoreAVXMatchGo(t *testing.T) {
 		}
 		frames = append(frames,
 			frameOf(&s, geom.Vec3{X: 1}, geom.Vec3{Z: 1}),
-			frameOf(&s, geom.Vec3{X: -0.6, Y: -0.8}, geom.Vec3{Y: -0.6, Z: -0.8}))
+			frameOf(&s, geom.Vec3{X: -0.6, Y: -0.8}, geom.Vec3{Y: -0.6, Z: -0.8}),
+			// Half-lattice positions of both signs at pad 1: nearest's ties.
+			frameOf(&s, geom.Vec3{X: 0.5}, geom.Vec3{Y: -0.5, Z: 0.5}))
 		m := NewCellMemo(len(fh))
 		for i, f := range frames {
 			name := fmt.Sprintf("pad %d frame %d", pad, i)
 			for _, n := range lengths {
 				for _, w := range [][]float64{nil, refW} {
 					checkScoreParity(t, name, &s, fh, fk, &f, m, n, vals, wt, w, &cov)
+					checkScoreParity(t, name+" nearest", &sn, fh, fk, &f, m, n, vals, wt, w, &cov)
 				}
 			}
 			// The blend pass alone, on locate's fractions and masks with
@@ -462,19 +471,20 @@ func TestCutScoreAVXMatchGo(t *testing.T) {
 			for _, n := range lengths {
 				for _, w := range [][]float64{nil, refW} {
 					checkScoreParity(t, fmt.Sprintf("pad %d position %v", pad, v), &s, fh, fk, &f, m, n, vals, wt, w, &cov)
+					checkScoreParity(t, fmt.Sprintf("pad %d position %v nearest", pad, v), &sn, fh, fk, &f, m, n, vals, wt, w, &cov)
 				}
 			}
 		}
 	}
 
-	t.Logf("coverage: cuts by length mod 4 × (no cut weights, cut weights) %v, by groups (0, 1, more) %v; slots: %d out of band, %d at NaN, %d at ±Inf; %d −0 and %d subnormal corners; %d blend-pass lanes at a NaN fraction",
-		cov.tails, cov.groups, cov.oob, cov.nan, cov.inf, cov.negZero, cov.subnormal, cov.leafNaNFrac)
+	t.Logf("coverage: cuts by length mod 4 × (no cut weights, cut weights) %v, by groups (0, 1, more) %v, %d in nearest mode; slots: %d out of band, %d at NaN, %d at ±Inf; %d −0 and %d subnormal corners; %d blend-pass lanes at a NaN fraction",
+		cov.tails, cov.groups, cov.nearest, cov.oob, cov.nan, cov.inf, cov.negZero, cov.subnormal, cov.leafNaNFrac)
 	for _, tw := range cov.tails {
 		if tw[0] == 0 || tw[1] == 0 {
 			t.Fatal("the cases missed a tail length, with or without cut weights")
 		}
 	}
-	if cov.groups[0] == 0 || cov.groups[1] == 0 || cov.groups[2] == 0 || cov.oob == 0 || cov.nan == 0 || cov.inf == 0 || cov.negZero == 0 || cov.subnormal == 0 || cov.leafNaNFrac == 0 {
+	if cov.groups[0] == 0 || cov.groups[1] == 0 || cov.groups[2] == 0 || cov.oob == 0 || cov.nan == 0 || cov.inf == 0 || cov.negZero == 0 || cov.subnormal == 0 || cov.leafNaNFrac == 0 || cov.nearest == 0 {
 		t.Fatal("the cases missed a class they are meant to cover")
 	}
 }

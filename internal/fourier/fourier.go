@@ -42,10 +42,29 @@ const (
 	// Trilinear is 8-point linear interpolation, the production
 	// choice.
 	Trilinear Interpolation = iota
-	// Nearest is nearest-neighbour sampling, kept as an ablation
-	// baseline: cheaper but much less accurate.
+	// Nearest is nearest-neighbour sampling, an ablation baseline:
+	// much less accurate, and no cheaper. Only BenchmarkAblationInterp
+	// and tests select it; no served job, cmd/tables row or example
+	// does. It is the trilinear path with each fractional
+	// offset snapped to 0 or 1 (snap): it gathers the same eight
+	// corners, and the blend returns the chosen one (for finite
+	// corners, up to the sign of a zero). Ties go up: a coordinate x
+	// reads ⌊x⌋ + 1 once x − ⌊x⌋ ≥ 0.5. That is math.Round's choice
+	// except at exact negative half-integers, where math.Round rounds
+	// away from zero: −2.5 reads −2, not −3. So at an exact tie the cut
+	// at −p need not be the conjugate of the cut at p.
 	Nearest
 )
+
+// snap is the nearest-neighbour rule, defined here once: an offset
+// f ∈ [0, 1) from a cell's lower corner becomes 1 (the upper corner)
+// when f ≥ 0.5 and 0 otherwise. A NaN offset becomes 0.
+func snap(f float64) float64 {
+	if f >= 0.5 {
+		return 1
+	}
+	return 0
+}
 
 // VolumeDFT is the centred 3-D DFT D̂ of an electron-density map. Data
 // holds its non-redundant half: coefficient (x, y, z), with x, y in
@@ -279,11 +298,12 @@ func (v *VolumeDFT) Sample(f geom.Vec3, interp Interpolation) complex128 {
 	if f.X < -ny || f.X > ny || f.Y < -ny || f.Y > ny || f.Z < -ny || f.Z > ny {
 		return 0
 	}
-	if interp == Nearest {
-		return v.At(wrapFreq(int(math.Round(f.X)), l), wrapFreq(int(math.Round(f.Y)), l), wrapFreq(int(math.Round(f.Z)), l))
-	}
 	x0, y0, z0 := int(math.Floor(f.X)), int(math.Floor(f.Y)), int(math.Floor(f.Z))
 	fx, fy, fz := f.X-float64(x0), f.Y-float64(y0), f.Z-float64(z0)
+	if interp == Nearest {
+		// One corner keeps weight 1; the loop skips the rest.
+		fx, fy, fz = snap(fx), snap(fy), snap(fz)
+	}
 	var sum complex128
 	for dx := 0; dx <= 1; dx++ {
 		wx := 1 - fx

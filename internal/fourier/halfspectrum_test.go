@@ -54,23 +54,24 @@ func newFullCube(g *volume.Grid, pad int) *fullCube {
 func (c *fullCube) at(x, y, z int) complex128 { return c.data[(x*c.l+y)*c.l+z] }
 
 // read is the Sampler's read of the full cube at the padded-lattice
-// point (x, y, z): out of band zero, the nearest lattice point, or the
-// eight corners in gather's order blended by blend.
+// point (x, y, z): out of band zero, else the eight corners in gather's
+// order blended by blend, at offsets snapped by snap when nearest.
 func (c *fullCube) read(x, y, z float64, nearest bool) complex128 {
 	l := c.l
 	ny := float64(l) / 2
 	if x < -ny || x > ny || y < -ny || y > ny || z < -ny || z > ny {
 		return 0
 	}
-	if nearest {
-		return c.at(wrapFreq(int(math.Round(x)), l), wrapFreq(int(math.Round(y)), l), wrapFreq(int(math.Round(z)), l))
-	}
 	xf, yf, zf := math.Floor(x), math.Floor(y), math.Floor(z)
 	var corners [8]complex128
 	for i := range corners {
 		corners[i] = c.at(wrapFreq(int(xf)+i>>2, l), wrapFreq(int(yf)+i>>1&1, l), wrapFreq(int(zf)+i&1, l))
 	}
-	return blend(&corners, x-xf, y-yf, z-zf)
+	fx, fy, fz := x-xf, y-yf, z-zf
+	if nearest {
+		fx, fy, fz = snap(fx), snap(fy), snap(fz)
+	}
+	return blend(&corners, fx, fy, fz)
 }
 
 // sample is VolumeDFT.Sample as it read the full cube.
@@ -82,11 +83,11 @@ func (c *fullCube) sample(f geom.Vec3, interp Interpolation) complex128 {
 	if x < -ny || x > ny || y < -ny || y > ny || z < -ny || z > ny {
 		return 0
 	}
-	if interp == Nearest {
-		return c.read(x, y, z, true)
-	}
 	x0, y0, z0 := int(math.Floor(x)), int(math.Floor(y)), int(math.Floor(z))
 	fx, fy, fz := x-float64(x0), y-float64(y0), z-float64(z0)
+	if interp == Nearest {
+		fx, fy, fz = snap(fx), snap(fy), snap(fz)
+	}
 	var sum complex128
 	for i := 0; i < 8; i++ {
 		dx, dy, dz := i>>2, i>>1&1, i&1
@@ -181,7 +182,7 @@ func TestFullCubeIsParentSpectrum(t *testing.T) {
 
 // TestHalfSpectrumMatchesFullCube holds every read of the half
 // spectrum — At on every lattice point, Sample, the Sampler's At,
-// SampleCut and SampleCutMemo, trilinear and nearest — to the full cube
+// SampleCut and SampleCutScore's cut, trilinear and nearest — to the full cube
 // it replaced, for odd and even l at pad 1 and pad 2. They agree bit
 // for bit, with one pinned exception: on an even lattice a mirrored
 // point (z > L/2) with x or y on the Nyquist index L/2 is the
@@ -272,7 +273,7 @@ func TestHalfSpectrumMatchesFullCube(t *testing.T) {
 						if pass == 0 {
 							sm.SampleCut(cut, fh, fk, xa, ya)
 						} else {
-							sm.SampleCutMemo(cut, fh, fk, xa, ya, memo)
+							memoCut(&sm, cut, fh, fk, xa, ya, memo, haveAVX)
 						}
 						for i := range cut {
 							p := xa.Scale(fh[i]).Add(ya.Scale(fk[i])).Scale(s)

@@ -5,10 +5,9 @@ import "repro/internal/obs"
 // Sampler traffic. cut_calls counts batched central-section
 // evaluations (one per candidate orientation); cut_coeffs counts band
 // coefficients filled across all cuts — the raw interpolation volume
-// the matcher drives. at_calls counts single-point samples (which the
-// nearest-neighbour SampleCut path also routes through). cell_hits and
-// cell_misses split the in-band samples of SampleCutMemo by whether the
-// worker's cell memo already held the sample's trilinear cell.
+// the matcher drives. at_calls counts single-point samples. cell_hits
+// and cell_misses split the in-band samples of SampleCutScore by
+// whether the worker's cell memo already held the sample's cell.
 var (
 	samplerAtCalls    = obs.NewCounter("fourier.sampler.at_calls")
 	samplerCutCalls   = obs.NewCounter("fourier.sampler.cut_calls")

@@ -10,14 +10,15 @@ import (
 // Sampler is a spectrum sampler specialized to one VolumeDFT: the
 // lattice size, oversampling factor and Nyquist bound are hoisted out
 // of the per-sample path, and wrap arithmetic uses conditional adds
-// instead of modulo. Every trilinear sample it takes loads its cell with
-// gather; At and SampleCut interpolate with blend, and SampleCutMemo
-// with blendLane or the AVX blend pass, which repeat blend's
-// arithmetic on the memo's lanes (see CellMemo). It
-// produces the same values as VolumeDFT.Sample (which is kept as the
-// straightforward reference implementation) but is built for the
-// matching hot loop, where it is called once per band coefficient per
-// candidate orientation.
+// instead of modulo. Every sample it takes loads its cell with gather;
+// At and SampleCut interpolate with blend, and SampleCutScore with
+// blendLane or the AVX blend pass, which repeat blend's arithmetic on
+// the memo's lanes (see CellMemo). The nearest-neighbour mode is the
+// same code on snapped offsets (see offsets). It produces the same
+// values as VolumeDFT.Sample (which is kept as the straightforward
+// reference implementation) but is built for the matching hot loop,
+// where it is called once per band coefficient per candidate
+// orientation.
 //
 // It reads the half spectrum by VolumeDFT.At's rule (see gather).
 //
@@ -58,14 +59,23 @@ func (s *Sampler) At(x, y, z float64) complex128 {
 	if x < -ny || x > ny || y < -ny || y > ny || z < -ny || z > ny {
 		return 0
 	}
-	if s.nearest {
-		l := s.l
-		return s.v.At(wrapFreq(int(math.Round(x)), l), wrapFreq(int(math.Round(y)), l), wrapFreq(int(math.Round(z)), l))
-	}
 	xf, yf, zf := math.Floor(x), math.Floor(y), math.Floor(z)
 	var c [8]complex128
 	s.gather(&c, int(xf), int(yf), int(zf))
-	return blend(&c, x-xf, y-yf, z-zf)
+	fx, fy, fz := s.offsets(x, y, z, xf, yf, zf)
+	return blend(&c, fx, fy, fz)
+}
+
+// offsets is the blend's fractional offsets of the point (x, y, z) from
+// the lower corner (xf, yf, zf) of its cell; in the nearest-neighbour
+// mode each is snapped to 0 or 1 (snap), so the blend returns the
+// nearest corner.
+func (s *Sampler) offsets(x, y, z, xf, yf, zf float64) (fx, fy, fz float64) {
+	fx, fy, fz = x-xf, y-yf, z-zf
+	if s.nearest {
+		fx, fy, fz = snap(fx), snap(fy), snap(fz)
+	}
+	return fx, fy, fz
 }
 
 // gather loads the eight corners of the padded-lattice cell whose
@@ -149,11 +159,12 @@ func blend(c *[8]complex128, fx, fy, fz float64) complex128 {
 // the signed image frequencies as float64), writing dst[i] for
 // (fh[i], fk[i]). x̂, ŷ are the image axes of the view — columns 0 and
 // 1 of the orientation matrix. fh and fk must be at least len(dst)
-// long. Every in-band trilinear sample goes through gather and blend;
-// SampleCutMemo gathers its misses through the same gather and blends
-// by blend's arithmetic, so the two cut paths agree bit for bit (tests
-// hold it). Refinement cuts go through SampleCutMemo, which delegates
-// the nearest-neighbour mode here.
+// long. Every in-band sample goes through gather and blend;
+// SampleCutScore gathers its misses through the same gather and blends
+// by blend's arithmetic on the same offsets, so the two cut paths agree
+// bit for bit (tests hold it). Refinement cuts go through
+// SampleCutScore; SampleCut is the tests' reference cut, and
+// cmd/benchcycle times it.
 //
 //repro:hotpath
 func (s *Sampler) SampleCut(dst []complex128, fh, fk []float64, xAxis, yAxis geom.Vec3) {
@@ -161,13 +172,6 @@ func (s *Sampler) SampleCut(dst []complex128, fh, fk []float64, xAxis, yAxis geo
 	samplerCutCoeffs.Add(int64(len(dst)))
 	xx, xy, xz := xAxis.X, xAxis.Y, xAxis.Z
 	yx, yy, yz := yAxis.X, yAxis.Y, yAxis.Z
-	if s.nearest {
-		for i := range dst {
-			h, k := fh[i], fk[i]
-			dst[i] = s.At(xx*h+yx*k, xy*h+yy*k, xz*h+yz*k)
-		}
-		return
-	}
 	pad, ny := s.pad, s.ny
 	var c [8]complex128
 	for i := range dst {
@@ -181,6 +185,7 @@ func (s *Sampler) SampleCut(dst []complex128, fh, fk []float64, xAxis, yAxis geo
 		}
 		xf, yf, zf := math.Floor(x), math.Floor(y), math.Floor(z)
 		s.gather(&c, int(xf), int(yf), int(zf))
-		dst[i] = blend(&c, x-xf, y-yf, z-zf)
+		fx, fy, fz := s.offsets(x, y, z, xf, yf, zf)
+		dst[i] = blend(&c, fx, fy, fz)
 	}
 }

@@ -1,6 +1,7 @@
 package fourier
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,6 +133,71 @@ func TestSamplerEdgeFrequencies(t *testing.T) {
 	}
 }
 
+// TestNearestTies: at exact half-lattice positions every nearest-
+// neighbour read — At, SampleCut, SampleCutScore through the vector
+// passes and through the Go loop, and VolumeDFT.Sample — returns the
+// corner snap chooses: ties go up, so −0.5 reads 0 and −2.5 reads −2,
+// where math.Round (half away from zero) chose −1 and −3. Points sit at
+// ±0.5 and ±2.5 and next to the Nyquist edge ±(l/2 − 0.5) of the padded
+// lattice (l = 16 at pad 1, 32 at pad 2), and on the edge itself.
+func TestNearestTies(t *testing.T) {
+	for _, tc := range []struct {
+		pad    int
+		p, c   [3]float64 // padded-lattice point and the corner it reads
+		rounds bool       // math.Round chose the same corner
+	}{
+		{1, [3]float64{0.5, 0, 0}, [3]float64{1, 0, 0}, true},
+		{1, [3]float64{-0.5, 0, 0}, [3]float64{0, 0, 0}, false},
+		{1, [3]float64{2.5, 0.5, 2.5}, [3]float64{3, 1, 3}, true},
+		{1, [3]float64{2.5, -2.5, 0.5}, [3]float64{3, -2, 1}, false},
+		{1, [3]float64{0, 0, -2.5}, [3]float64{0, 0, -2}, false},
+		{1, [3]float64{7.5, 0, 3}, [3]float64{8, 0, 3}, true},
+		{1, [3]float64{1, -7.5, 7.5}, [3]float64{1, -7, 8}, false},
+		{1, [3]float64{8, -8, -8}, [3]float64{8, -8, -8}, true},
+		{2, [3]float64{-0.5, 2.5, -2.5}, [3]float64{0, 3, -2}, false},
+		{2, [3]float64{15.5, 0.5, 1}, [3]float64{16, 1, 1}, true},
+		{2, [3]float64{15.5, -15.5, 0.5}, [3]float64{16, -15, 1}, false},
+		{2, [3]float64{-16, 16, -15.5}, [3]float64{-16, 16, -15}, false},
+	} {
+		v := randomVolumeDFT(16, tc.pad, 59)
+		s := v.NewSampler(Nearest)
+		l, pad := v.L, float64(tc.pad)
+		corner := func(c [3]float64) complex128 {
+			return v.At(wrapFreq(int(c[0]), l), wrapFreq(int(c[1]), l), wrapFreq(int(c[2]), l))
+		}
+		want := corner(tc.c)
+		round := corner([3]float64{math.Round(tc.p[0]), math.Round(tc.p[1]), math.Round(tc.p[2])})
+		if (round == want) != tc.rounds {
+			t.Fatalf("pad %d point %v: math.Round's corner %v, snap's %v; the case expects them equal: %v", tc.pad, tc.p, round, want, tc.rounds)
+		}
+		// The point in image units, as a cut reaches it: x̂ = (1, 0, 0)
+		// at h, ŷ = (0, y, z) at k = 1.
+		f := geom.Vec3{X: tc.p[0] / pad, Y: tc.p[1] / pad, Z: tc.p[2] / pad}
+		got := map[string]complex128{"At": s.At(f.X, f.Y, f.Z), "Sample": v.Sample(f, Nearest)}
+		const n = 5 // one group of four for the vector passes, one slot for the Go loop
+		fh, fk := make([]float64, n), make([]float64, n)
+		for i := range fh {
+			fh[i], fk[i] = f.X, 1
+		}
+		xa, ya := geom.Vec3{X: 1}, geom.Vec3{Y: f.Y, Z: f.Z}
+		vals, wt := make([]complex128, n), make([]float64, n)
+		cuts := map[string][]complex128{"SampleCut": make([]complex128, n), "SampleCutScore": make([]complex128, n), "Go loop": make([]complex128, n)}
+		s.SampleCut(cuts["SampleCut"], fh, fk, xa, ya)
+		s.SampleCutScore(cuts["SampleCutScore"], fh, fk, xa, ya, NewCellMemo(n), vals, wt, nil)
+		s.sampleCutMemo(cuts["Go loop"], fh, fk, xa, ya, NewCellMemo(n), false, vals, wt, nil)
+		for name, cut := range cuts {
+			for i, c := range cut {
+				got[fmt.Sprintf("%s slot %d", name, i)] = c
+			}
+		}
+		for name, c := range got {
+			if c != want {
+				t.Errorf("pad %d point %v: %s read %v, want corner %v = %v", tc.pad, tc.p, name, c, tc.c, want)
+			}
+		}
+	}
+}
+
 // TestSampleCutFriedelSymmetry: the spectrum of a real map is
 // Hermitian, and both interpolations preserve that, so the cut at
 // (−h, −k) is the conjugate of the cut at (h, k) for every orientation.
@@ -185,7 +251,7 @@ func TestSampleCutFriedelSymmetry(t *testing.T) {
 }
 
 // TestKernelsAllocFree: the //repro:hotpath kernels of this package —
-// the sampler (At, SampleCut, SampleCutMemo, in both interpolations)
+// the sampler (At, SampleCut, SampleCutScore, in both interpolations)
 // and the three line passes of GridFromHalfSpectrum — allocate nothing per call with
 // instrumentation on, counting everything below them (the trilinear
 // blend, frequency wrapping, the 1-D inverse FFTs).
@@ -196,6 +262,7 @@ func TestKernelsAllocFree(t *testing.T) {
 	rot := geom.Euler{Theta: 31, Phi: 47, Omega: 12}.Matrix()
 	fh, fk := []float64{0, 1, -3, 4, 7}, []float64{0, 2, 5, -6, 1}
 	cut := make([]complex128, len(fh))
+	vals, wt := make([]complex128, len(fh)), make([]float64, len(fh))
 	for _, interp := range []Interpolation{Trilinear, Nearest} {
 		s := dft.NewSampler(interp)
 		if a := testing.AllocsPerRun(50, func() { s.At(3.7, -2.2, 5.9) }); a != 0 {
@@ -205,8 +272,8 @@ func TestKernelsAllocFree(t *testing.T) {
 			t.Errorf("interp %v: SampleCut allocates %v times per call", interp, a)
 		}
 		memo := NewCellMemo(len(fh))
-		if a := testing.AllocsPerRun(50, func() { s.SampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), memo) }); a != 0 {
-			t.Errorf("interp %v: SampleCutMemo allocates %v times per call", interp, a)
+		if a := testing.AllocsPerRun(50, func() { s.SampleCutScore(cut, fh, fk, rot.Col(0), rot.Col(1), memo, vals, wt, nil) }); a != 0 {
+			t.Errorf("interp %v: SampleCutScore allocates %v times per call", interp, a)
 		}
 	}
 
