@@ -130,7 +130,7 @@ func benchmarkTiming(b *testing.B, spec workload.DatasetSpec) {
 	var table *workload.TimingTable
 	for i := 0; i < b.N; i++ {
 		var err error
-		table, err = workload.RunTiming(spec, workload.TimingOptions{P: 16})
+		table, err = workload.RunTiming(spec, 16)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func BenchmarkCycleBreakdown(b *testing.B) {
 	spec := workload.SindbisSpec().Scaled(benchScale * 1.5)
 	var cb workload.CycleBreakdown
 	for i := 0; i < b.N; i++ {
-		table, err := workload.RunTiming(spec, workload.TimingOptions{P: 16})
+		table, err := workload.RunTiming(spec, 16)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -365,34 +365,6 @@ func BenchmarkAblationMultiRes(b *testing.B) {
 	b.ReportMetric(float64(flatMatch)/nv, "flatMatch/view")
 	b.ReportMetric(multiErr/nv, "multiErr°")
 	b.ReportMetric(flatErr/nv, "flatErr°")
-}
-
-// BenchmarkAblationWeighting compares uniform band weights against
-// the reference-spectrum (gated matched-filter) weighting.
-func BenchmarkAblationWeighting(b *testing.B) {
-	ds, dft, _ := ablationSetup(b)
-	var uniform, spectral float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		uniform = meanRefineError(b, ds, dft, nil)
-		spectral = meanRefineError(b, ds, dft, func(c *core.Config) { c.SpectralWeight = true })
-	}
-	b.ReportMetric(uniform, "uniformErr°")
-	b.ReportMetric(spectral, "spectralErr°")
-}
-
-// BenchmarkAblationShellMask compares the full Fourier disc against an
-// annulus excluding the lowest frequencies (§3's capsid-shell remark).
-func BenchmarkAblationShellMask(b *testing.B) {
-	ds, dft, _ := ablationSetup(b)
-	var full, annulus float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		full = meanRefineError(b, ds, dft, nil)
-		annulus = meanRefineError(b, ds, dft, func(c *core.Config) { c.RMin = 2 })
-	}
-	b.ReportMetric(full, "fullBandErr°")
-	b.ReportMetric(annulus, "annulusErr°")
 }
 
 // BenchmarkAblationReplication measures the §6 design discussion on

@@ -113,7 +113,7 @@ func run(w io.Writer, args []string) error {
 		case "table2":
 			return runTiming(w, workload.ReoSpec().Scaled(*scale), *p)
 		case "cycle":
-			t, err := workload.RunTiming(sindbis, workload.TimingOptions{P: *p})
+			t, err := workload.RunTiming(sindbis, *p)
 			if err != nil {
 				return err
 			}
@@ -124,7 +124,7 @@ func run(w io.Writer, args []string) error {
 		case "symdetect":
 			return workload.WriteSymDetect(w, workload.RunSymmetryDetection(32))
 		case "plateau":
-			res, err := workload.RunCycleDriver(sindbis, workload.CycleOptions{})
+			res, err := workload.RunCycleDriver(sindbis)
 			if err != nil {
 				return err
 			}
@@ -163,7 +163,7 @@ func run(w io.Writer, args []string) error {
 }
 
 func runTiming(w io.Writer, spec workload.DatasetSpec, p int) error {
-	t, err := workload.RunTiming(spec, workload.TimingOptions{P: p})
+	t, err := workload.RunTiming(spec, p)
 	if err != nil {
 		return err
 	}

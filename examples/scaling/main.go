@@ -43,7 +43,7 @@ func main() {
 
 	var base float64
 	for _, p := range []int{1, 2, 4, 8, 16} {
-		t, err := workload.RunTiming(spec, workload.TimingOptions{P: p})
+		t, err := workload.RunTiming(spec, p)
 		if err != nil {
 			log.Fatal(err)
 		}

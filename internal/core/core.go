@@ -119,33 +119,9 @@ type Config struct {
 	// only coefficients with h²+k² ≤ RMap² enter the distance, which
 	// both band-limits the comparison and bounds its cost.
 	RMap float64
-	// RMin optionally excludes the lowest-frequency coefficients
-	// (below it) from the distance; the paper notes that for capsids
-	// one can compare only the shell that carries discriminating
-	// signal. An ablation knob: only BenchmarkAblationShellMask and
-	// core's tests set it; no served job, cmd/tables row or example
-	// does.
-	RMin float64
 	// Schedule is the multi-resolution plan; nil selects
 	// DefaultSchedule.
 	Schedule []Level
-	// Weighting optionally weights each Fourier coefficient by its
-	// radius, "to give more weight to higher frequency components at
-	// higher resolution"; nil means uniform weights. Only core's tests
-	// set it; no served job, cmd/tables row or example does.
-	Weighting func(radius float64) float64
-	// SpectralWeight additionally weights each coefficient by the
-	// reference map's own radial power at that radius — a matched
-	// filter meant to suppress frequency shells where the particle has
-	// no signal and experimental noise would otherwise dominate the
-	// distance, one reading of the paper's wt(j,k). DefaultConfig
-	// leaves it off: on BenchmarkAblationWeighting's clean data it reads
-	// within 0.04° of uniform weights, on either side across builds
-	// (0.48° against 0.44° when EXPERIMENTS' Ablations table was
-	// recorded, 0.46° against 0.50° since), and no noisy benchmark has
-	// earned it a default. Only that ablation and core's
-	// tests set it; no served job, cmd/tables row or example does.
-	SpectralWeight bool
 	// Interp selects the 3-D interpolation used to cut D̂: Trilinear
 	// in production. Nearest is an ablation set only by
 	// BenchmarkAblationInterp and core's tests; no served job,
@@ -208,9 +184,6 @@ func DefaultConfig(l int) Config {
 func (c *Config) Validate() error {
 	if c.RMap <= 0 {
 		return fmt.Errorf("core: RMap must be positive, got %g", c.RMap)
-	}
-	if c.RMin < 0 || c.RMin >= c.RMap {
-		return fmt.Errorf("core: RMin %g out of range [0, RMap)", c.RMin)
 	}
 	for i, lv := range c.Schedule {
 		if lv.RAngular <= 0 {

@@ -14,12 +14,12 @@ import (
 )
 
 // newFullDiscMatcher is the band enumeration as it stood before the
-// Friedel half band: every coefficient of the disc −r…r × −r…r at its
-// plain weight, both members of every conjugate pair included. It is
-// kept verbatim as the reference the half band is held to; weighting,
-// sorting and every matcher method are band-agnostic and shared, so the
-// oracle differs from production in exactly the one decision under
-// test and runs the same kernels over twice the entries.
+// Friedel half band: every coefficient of the disc −r…r × −r…r at
+// weight 1, both members of every conjugate pair included. It is kept
+// as the reference the half band is held to; sorting and every matcher
+// method are band-agnostic and shared, so the oracle differs from
+// production in exactly the one decision under test and runs the same
+// kernels over twice the entries.
 //
 //repro:oracle
 func newFullDiscMatcher(dft *fourier.VolumeDFT, cfg Config) *matcher {
@@ -30,17 +30,10 @@ func newFullDiscMatcher(dft *fourier.VolumeDFT, cfg Config) *matcher {
 	for h := -ri; h <= ri; h++ {
 		for k := -ri; k <= ri; k++ {
 			r := math.Hypot(float64(h), float64(k))
-			if r > rmax || r < cfg.RMin {
+			if r > rmax {
 				continue
 			}
-			w := 1.0
-			if cfg.Weighting != nil {
-				w = cfg.Weighting(r)
-			}
-			if w <= 0 {
-				continue
-			}
-			m.band = append(m.band, bandEntry{h: h, k: k, weight: w, radius: r})
+			m.band = append(m.band, bandEntry{h: h, k: k, weight: 1, radius: r})
 		}
 	}
 	m.finishBand(rmax)
@@ -89,10 +82,6 @@ func friedelConfigs(l int) map[string]Config {
 	nyqRaw.NormalizeScale = false
 	nyqRaw.Interp = fourier.Nearest
 	out["nyquist-raw-nearest"] = nyqRaw
-	spectral := DefaultConfig(l)
-	spectral.SpectralWeight = true
-	spectral.RMin = 2
-	out["spectral+rmin"] = spectral
 	return out
 }
 
@@ -207,28 +196,65 @@ func TestHalfBandMatchesFullDisc(t *testing.T) {
 // entry but the self-conjugate origin.
 func TestBandSizeIsFullDiscCount(t *testing.T) {
 	for _, tc := range []struct {
-		l          int
-		rmap, rmin float64
-		selfConj   int
+		l    int
+		rmap float64
 	}{
-		{20, 8, 0, 1},
-		{20, 10, 0, 1}, // RMap = l/2
-		{24, 9.6, 3, 0},
-		{32, 12.8, 0, 1},
+		{20, 8},
+		{20, 10}, // RMap = l/2
+		{24, 9.6},
+		{32, 12.8},
 	} {
 		truth := phantom.Asymmetric(tc.l, 6, 1)
 		dft := fourier.NewVolumeDFTPadded(truth, 1)
-		cfg := Config{RMap: tc.rmap, RMin: tc.rmin}
+		cfg := Config{RMap: tc.rmap}
 		r, err := NewRefiner(dft, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		full := BandSize(tc.l, cfg)
-		if want := 2*r.BandSize() - tc.selfConj; full != want {
-			t.Errorf("l=%d RMap=%g RMin=%g: BandSize %d, want 2·%d − %d = %d", tc.l, tc.rmap, tc.rmin, full, r.BandSize(), tc.selfConj, want)
+		if want := 2*r.BandSize() - 1; full != want {
+			t.Errorf("l=%d RMap=%g: BandSize %d, want 2·%d − 1 = %d", tc.l, tc.rmap, full, r.BandSize(), want)
 		}
 		if oracle := len(newFullDiscMatcher(dft, cfg).band); full != oracle {
-			t.Errorf("l=%d RMap=%g RMin=%g: BandSize %d, full-disc oracle holds %d", tc.l, tc.rmap, tc.rmin, full, oracle)
+			t.Errorf("l=%d RMap=%g: BandSize %d, full-disc oracle holds %d", tc.l, tc.rmap, full, oracle)
+		}
+	}
+}
+
+// TestBandWeights holds the band weights wt(j,k) to the Friedel
+// doubling alone: every half-band entry stands for itself and its
+// conjugate mate at weight exactly 2, the self-conjugate origin at
+// exactly 1, and the half band holds (full disc + 1)/2 entries. CTF cut
+// weights are per view (viewData.refW) and must leave the band's own
+// weights untouched.
+func TestBandWeights(t *testing.T) {
+	for _, l := range []int{16, 20, 24} {
+		dft := fourier.NewVolumeDFTPadded(phantom.Asymmetric(l, 6, 1), 1)
+		for _, rmap := range []float64{0.8 * float64(l) / 2, float64(l) / 2} {
+			for _, ctfCuts := range []bool{false, true} {
+				cfg := DefaultConfig(l)
+				cfg.RMap = rmap
+				if ctfCuts {
+					cfg.CorrectCTF, cfg.CTFMode, cfg.CTFWeightCuts = true, ctf.PhaseFlip, true
+				}
+				r, err := NewRefiner(dft, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := r.m
+				for i, e := range m.band {
+					want := 2.0
+					if e.h == 0 && e.k == 0 {
+						want = 1
+					}
+					if m.wt[i] != want || e.weight != want {
+						t.Errorf("l=%d RMap=%g ctf=%t: entry (%d,%d) weight %g (wt %g), want %g", l, rmap, ctfCuts, e.h, e.k, e.weight, m.wt[i], want)
+					}
+				}
+				if full := len(newFullDiscMatcher(dft, cfg).band); len(m.band) != (full+1)/2 {
+					t.Errorf("l=%d RMap=%g ctf=%t: half band %d entries, want (%d + 1)/2", l, rmap, ctfCuts, len(m.band), full)
+				}
+			}
 		}
 	}
 }

@@ -13,10 +13,10 @@ import (
 )
 
 // bandEntry is one Fourier coefficient position that participates in
-// the distance d(F, C): signed frequencies (h, k) with RMin ≤ r ≤ RMap
-// on the Friedel half plane, plus its weight wt(j,k) — doubled when the
-// entry also stands for its dropped conjugate mate (−h, −k) — and
-// radius.
+// the distance d(F, C): signed frequencies (h, k) with r ≤ RMap on the
+// Friedel half plane, plus its weight wt(j,k) — 2, because the entry
+// also stands for its dropped conjugate mate (−h, −k), and 1 at the
+// self-conjugate origin — and radius.
 type bandEntry struct {
 	h, k   int
 	weight float64
@@ -25,7 +25,7 @@ type bandEntry struct {
 
 // matcher owns the read-only state shared by all views: the volume
 // spectrum and the comparison band — the Friedel half of the disc
-// RMin ≤ r ≤ RMap, valid because the spectrum is that of a real map
+// r ≤ RMap, valid because the spectrum is that of a real map
 // (NewRefiner checks) — sorted by increasing frequency radius so coarse
 // schedule levels can match on a low-frequency prefix. It is safe for
 // concurrent use; mutable per-worker state lives in matchScratch.
@@ -70,18 +70,12 @@ func newMatcher(dft *fourier.VolumeDFT, cfg Config) *matcher {
 				continue
 			}
 			r := math.Hypot(float64(h), float64(k))
-			if r > rmax || r < cfg.RMin {
+			if r > rmax {
 				continue
 			}
-			w := 1.0
-			if cfg.Weighting != nil {
-				w = cfg.Weighting(r)
-			}
-			if w <= 0 {
-				continue
-			}
-			if h != 0 || k != 0 {
-				w *= 2
+			w := 2.0
+			if h == 0 && k == 0 {
+				w = 1
 			}
 			m.band = append(m.band, bandEntry{h: h, k: k, weight: w, radius: r})
 		}
@@ -91,27 +85,11 @@ func newMatcher(dft *fourier.VolumeDFT, cfg Config) *matcher {
 }
 
 // finishBand turns the enumerated band positions into the matcher's
-// working layout: spectral weights applied, entries sorted by
-// (radius, h, k), and the structure-of-arrays mirror and phase-ramp
-// table indices filled. Every entry has |h|, |k| ≤ r ≤ rmax, so tables
-// spanning −⌊rmax⌋…⌊rmax⌋ cover the half band and the full disc alike.
+// working layout: entries sorted by (radius, h, k), and the
+// structure-of-arrays mirror and phase-ramp table indices filled. Every
+// entry has |h|, |k| ≤ r ≤ rmax, so tables spanning −⌊rmax⌋…⌊rmax⌋
+// cover the half band and the full disc alike.
 func (m *matcher) finishBand(rmax float64) {
-	if m.cfg.SpectralWeight && m.dft.Data != nil {
-		power := radialPower(m.dft, rmax)
-		// Soft gate rather than raw power: shells carrying signal get
-		// weight ≈1, shells whose power has fallen below ~1% of the
-		// peak (noise-only territory on experimental data) roll off.
-		// Raw power would over-weight the lowest shells — which are
-		// nearly rotation-invariant — and flatten the search
-		// landscape.
-		const gate = 0.01
-		for i := range m.band {
-			shell := int(math.Round(m.band[i].radius))
-			if shell < len(power) {
-				m.band[i].weight *= power[shell] / (power[shell] + gate)
-			}
-		}
-	}
 	sort.SliceStable(m.band, func(a, b int) bool {
 		ea, eb := m.band[a], m.band[b]
 		if ea.radius != eb.radius {
@@ -135,39 +113,6 @@ func (m *matcher) finishBand(rmax float64) {
 		m.hi[i] = int32(e.h + m.rampR)
 		m.ki[i] = int32(e.k + m.rampR)
 	}
-}
-
-// radialPower tabulates the reference spectrum's mean power per
-// frequency shell (in image-frequency units), normalized to a maximum
-// of 1. Shells are sampled along the three lattice axes — adequate for
-// the radially smooth spectra of compact particles and much cheaper
-// than a full 3-D scan of a padded volume.
-func radialPower(dft *fourier.VolumeDFT, rmax float64) []float64 {
-	dirs := geom.SphereGrid(26)
-	n := int(rmax) + 1
-	power := make([]float64, n)
-	s := dft.NewSampler(fourier.Trilinear)
-	for shell := 0; shell < n; shell++ {
-		f := float64(shell)
-		for _, d := range dirs {
-			p := d.ViewAxis().Scale(f)
-			v := s.At(p.X, p.Y, p.Z)
-			power[shell] += real(v)*real(v) + imag(v)*imag(v)
-		}
-		power[shell] /= float64(len(dirs))
-	}
-	max := 0.0
-	for _, p := range power {
-		if p > max {
-			max = p
-		}
-	}
-	if max > 0 {
-		for i := range power {
-			power[i] /= max
-		}
-	}
-	return power
 }
 
 // prefixLen returns how many leading band entries have radius ≤ rmax.

@@ -195,56 +195,6 @@ func BenchmarkCenterKernel(b *testing.B) {
 // centerSink keeps BenchmarkCenterKernel's result live.
 var centerSink float64
 
-func TestWeightingAffectsDistanceOrdering(t *testing.T) {
-	// A weighting that kills the high frequencies makes the distance
-	// insensitive to fine mismatch: distances at small offsets shrink
-	// relative to the unweighted metric.
-	cfgW := DefaultConfig(20)
-	cfgW.Weighting = func(radius float64) float64 {
-		if radius > 3 {
-			return 0
-		}
-		return 1
-	}
-	rw, ds := matcherFixture(t, cfgW)
-	ru, _ := matcherFixture(t, DefaultConfig(20))
-	if len(rw.m.band) >= len(ru.m.band) {
-		t.Fatal("weighting did not prune the band")
-	}
-	v := ds.Views[0]
-	pvw, _ := rw.PrepareView(v.Image, v.CTF)
-	pvu, _ := ru.PrepareView(v.Image, v.CTF)
-	// Both metrics must still prefer the truth over a large offset.
-	off := v.TrueOrient.Add(geom.Euler{Theta: 8})
-	scw, scu := rw.m.newScratch(), ru.m.newScratch()
-	if rw.m.distance(pvw.vd, v.TrueOrient, len(rw.m.band), scw) >= rw.m.distance(pvw.vd, off, len(rw.m.band), scw) {
-		t.Fatal("weighted metric lost discrimination entirely")
-	}
-	if ru.m.distance(pvu.vd, v.TrueOrient, len(ru.m.band), scu) >= ru.m.distance(pvu.vd, off, len(ru.m.band), scu) {
-		t.Fatal("unweighted metric lost discrimination")
-	}
-}
-
-func TestSpectralWeightGatesDeadShells(t *testing.T) {
-	cfg := DefaultConfig(20)
-	cfg.SpectralWeight = true
-	r, _ := matcherFixture(t, cfg)
-	// With the gate, weights at shells beyond the particle's spectral
-	// support must be much smaller than at the strongest shells.
-	maxW, minW := 0.0, math.Inf(1)
-	for _, e := range r.m.band {
-		if e.weight > maxW {
-			maxW = e.weight
-		}
-		if e.weight < minW {
-			minW = e.weight
-		}
-	}
-	if minW >= maxW {
-		t.Fatal("spectral weighting produced uniform weights")
-	}
-}
-
 func TestEstimateMatchFlopsMonotone(t *testing.T) {
 	if EstimateMatchFlops(100) >= EstimateMatchFlops(200) {
 		t.Fatal("match flops not monotone in band size")

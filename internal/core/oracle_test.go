@@ -168,14 +168,11 @@ func oracleConfigs() map[string]Config {
 	nearest.Interp = fourier.Nearest
 	ctfW := base
 	ctfW.CTFWeightCuts = true
-	spectral := base
-	spectral.SpectralWeight = true
 	return map[string]Config{
 		"normalized": base,
 		"raw":        raw,
 		"nearest":    nearest,
 		"ctf-weight": ctfW,
-		"spectral":   spectral,
 	}
 }
 

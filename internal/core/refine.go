@@ -248,11 +248,9 @@ func (r *Refiner) refineLevel(vd *viewData, res *Result, lv Level, sc *matchScra
 			break
 		}
 	}
-	if sc.cells != nil {
-		// The cell memo tallies its cuts in plain integers; the
-		// process counters hear of them once per level.
-		sc.cells.Publish()
-	}
+	// The cell memo tallies its cuts in plain integers; the process
+	// counters hear of them once per level.
+	sc.cells.Publish()
 	return st
 }
 

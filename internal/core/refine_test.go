@@ -191,7 +191,6 @@ func TestConfigValidation(t *testing.T) {
 	dft := fourier.NewVolumeDFT(truth)
 	bad := []Config{
 		{RMap: 0},
-		{RMap: 5, RMin: 6},
 		{RMap: 5, Schedule: []Level{{RAngular: -1}}},
 		{RMap: 5, Schedule: []Level{{RAngular: 1, WindowHalf: -2}}},
 		{RMap: 5, MaxSlides: -1, Schedule: []Level{{RAngular: 1}}},
@@ -229,39 +228,5 @@ func TestMultiResolutionCheaperThanFlat(t *testing.T) {
 	flat := 81 * 81 * 81
 	if multi*50 > flat {
 		t.Fatalf("multi-resolution used %d matchings, flat equivalent %d — expected ≥50× saving", multi, flat)
-	}
-}
-
-func TestBandRespectsRMinRMax(t *testing.T) {
-	cfg := Config{RMap: 8, RMin: 3, Schedule: DefaultSchedule()}
-	// The cost model's count is the paper's full disc: annulus area
-	// ≈ π(64−9) ≈ 173.
-	n := BandSize(32, cfg)
-	if n < 140 || n > 210 {
-		t.Fatalf("full-disc band size %d, want ≈173", n)
-	}
-	// The matcher compares its Friedel half; the origin is outside this
-	// annulus, so exactly half.
-	dummy := &fourier.VolumeDFT{L: 32, SrcL: 32}
-	if compared := len(newMatcher(dummy, cfg).band); 2*compared != n {
-		t.Fatalf("compared band holds %d coefficients, want half of %d", compared, n)
-	}
-	full := BandSize(32, Config{RMap: 8, Schedule: DefaultSchedule()})
-	if full <= n {
-		t.Fatal("RMin did not shrink the band")
-	}
-}
-
-func TestWeightingChangesBand(t *testing.T) {
-	cfg := Config{RMap: 8, Schedule: DefaultSchedule(), Weighting: func(r float64) float64 {
-		if r < 2 {
-			return 0 // drop low frequencies entirely
-		}
-		return r
-	}}
-	n := BandSize(32, cfg)
-	full := BandSize(32, Config{RMap: 8, Schedule: DefaultSchedule()})
-	if n >= full {
-		t.Fatal("zero-weight coefficients not dropped")
 	}
 }

@@ -67,7 +67,7 @@ func finishOracle(l int, opt Options, num []complex128, den []float64) *volume.G
 				m := (((l-x)%l)*l+(l-y)%l)*l + (l-z)%l
 				d, a := den[i]+den[m], num[i]+cmplx.Conj(num[m])
 				if opt.WienerCTF {
-					spec[i] = a / complex(d+opt.WienerEpsilon, 0)
+					spec[i] = a / complex(d+wienerEpsilon, 0)
 				} else if d > 1e-9 {
 					spec[i] = a / complex(d, 0)
 				}
@@ -146,7 +146,7 @@ func TestFinishPlaneAllocFree(t *testing.T) {
 	}
 	half := make([]complex128, l*l*nh)
 	for _, wiener := range []bool{true, false} {
-		opt := Options{WienerCTF: wiener}.normalized(l)
+		opt := Options{WienerCTF: wiener}
 		if a := testing.AllocsPerRun(20, func() { finishPlane(half, num, den, opt, 5, l) }); a != 0 {
 			t.Errorf("wiener=%t: finishPlane allocates %v times per call", wiener, a)
 		}

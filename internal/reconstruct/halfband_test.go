@@ -14,19 +14,18 @@ import (
 
 // fullDiscReference is the insertion and Finish the Friedel-half kernel
 // replaced, kept as the reference it is held to. Every coefficient of
-// the disc h²+k² ≤ RMax² — each one and its conjugate mate — is ramped
+// the disc h²+k² ≤ (l/2)² — each one and its conjugate mate — is ramped
 // with the tabulated shift ramp, CTF-weighted and spread trilinearly
 // with the old kernel's arithmetic (no bounds check, (wx·wy)·wz weight
 // association), views in order and each view's disc in (h, k) order.
 // Then each voxel and its mirror are normalized separately and their
 // Hermitian average is inverted, as the old Finish did.
 func fullDiscReference(l int, opt Options, tasks []ViewTask) *volume.Grid {
-	opt = opt.normalized(l)
 	num, den := fullDiscAccum(l, opt, tasks)
 	norm := func(i int) complex128 {
 		switch {
 		case opt.WienerCTF:
-			return num[i] * complex(1/(den[i]+opt.WienerEpsilon), 0)
+			return num[i] * complex(1/(den[i]+wienerEpsilon), 0)
 		case den[i] > 1e-9:
 			return num[i] * complex(1/den[i], 0)
 		}
@@ -52,7 +51,8 @@ func fullDiscAccum(l int, opt Options, tasks []ViewTask) ([]complex128, []float6
 	num, den := make([]complex128, l*l*l), make([]float64, l*l*l)
 	tx, spec := fourier.NewViewTransformer(l), volume.NewCImage(l)
 	rampH, rampK := make([]complex128, l), make([]complex128, l)
-	ri, r2 := int(opt.RMax), opt.RMax*opt.RMax
+	rmax := float64(l) / 2
+	ri, r2 := int(rmax), rmax*rmax
 	for _, t := range tasks {
 		tx.Transform(t.Image, spec)
 		shift := t.Center != [2]float64{}
@@ -125,10 +125,10 @@ func foldGap(l int, num []complex128, den []float64, fullNum []complex128, fullD
 // TestHalfBandMatchesFullDisc holds the Friedel-half insertion and the
 // fold in Finish to the full-disc kernel and normalize-then-average
 // Finish they replaced, at ≤ 1e-12 of the map's peak: odd and even
-// boxes (15, 16, 22, 24), Wiener on and off, centres on and off, and
-// RMax at the Nyquist radius l/2 (where even boxes insert the
-// self-mate entries (l/2, 0) and (0, l/2), shifted when centres are on)
-// and at 0.49·l.
+// boxes (15, 16, 22, 24), Wiener on and off, centres on and off, over
+// the band up to the Nyquist radius l/2 (where even boxes insert the
+// self-mate entries (l/2, 0) and (0, l/2), shifted when centres are on;
+// odd boxes have none).
 func TestHalfBandMatchesFullDisc(t *testing.T) {
 	for _, l := range []int{15, 16, 22, 24} {
 		ds, centers, ctfs := ctfDataset(t, l, 40, int64(60+l))
@@ -142,16 +142,14 @@ func TestHalfBandMatchesFullDisc(t *testing.T) {
 				}
 			}
 			for _, wiener := range []bool{true, false} {
-				for _, rmax := range []float64{float64(l) / 2, 0.49 * float64(l)} {
-					opt := Options{RMax: rmax, WienerCTF: wiener}
-					s := NewSharded(l, ParallelOptions{Options: opt, Workers: 2})
-					if err := s.InsertViews(tasks); err != nil {
-						t.Fatal(err)
-					}
-					if d := maxRelDiff(fullDiscReference(l, opt, tasks), s.Finish()); d > 1e-12 {
-						t.Errorf("l=%d centres=%t wiener=%t RMax=%g: %.3g of peak from the full-disc kernel",
-							l, centred, wiener, rmax, d)
-					}
+				opt := Options{WienerCTF: wiener}
+				s := NewSharded(l, ParallelOptions{Options: opt, Workers: 2})
+				if err := s.InsertViews(tasks); err != nil {
+					t.Fatal(err)
+				}
+				if d := maxRelDiff(fullDiscReference(l, opt, tasks), s.Finish()); d > 1e-12 {
+					t.Errorf("l=%d centres=%t wiener=%t: %.3g of peak from the full-disc kernel",
+						l, centred, wiener, d)
 				}
 			}
 		}
@@ -160,9 +158,10 @@ func TestHalfBandMatchesFullDisc(t *testing.T) {
 
 // FuzzHalfBandInsert fuzzes one to three views' orientation, centre and
 // CTF parameters (defocus, voltage, pixel size and B-factor, mapped
-// into a physical range) over boxes 7, 8, 9, 10 and 12. It holds the
-// Friedel-half accumulators, folded, to the full-disc pair at ≤ 1e-12
-// of their peaks (foldGap), and the Wiener map to the full-disc
+// into a physical range) over boxes 7, 8, 9, 10 and 12: the even boxes
+// insert the self-mate Nyquist entries, the odd ones have none. It
+// holds the Friedel-half accumulators, folded, to the full-disc pair at
+// ≤ 1e-12 of their peaks (foldGap), and the Wiener map to the full-disc
 // reference's at ≤ 1e-12 of its peak. The plain map is held only on 40
 // views (TestHalfBandMatchesFullDisc): with one to three views, edge
 // voxels carry total weights down to 1e-14, where the mates' trilinear
@@ -171,12 +170,12 @@ func TestHalfBandMatchesFullDisc(t *testing.T) {
 // between Insert one view at a time and InsertViews, and a non-finite
 // orientation or centre must be refused with an error, never a panic.
 func FuzzHalfBandInsert(f *testing.F) {
-	f.Add(uint8(0), uint8(2), int64(1), 30.0, 40.0, 50.0, 0.0, 0.0, uint16(9000), uint16(300), uint16(200), uint16(80), true, true)
-	f.Add(uint8(1), uint8(1), int64(2), 0.0, 0.0, 0.0, 0.5, -0.5, uint16(20000), uint16(4000), uint16(50), uint16(0), false, false)
-	f.Add(uint8(3), uint8(0), int64(3), 90.0, 0.0, 90.0, 3.0, 1.25, uint16(1), uint16(0), uint16(999), uint16(500), true, false)
-	f.Add(uint8(2), uint8(2), int64(4), 179.9, 359.0, 1e-9, -2.0, 7.5, uint16(65535), uint16(65535), uint16(65535), uint16(65535), false, true)
+	f.Add(uint8(0), uint8(2), int64(1), 30.0, 40.0, 50.0, 0.0, 0.0, uint16(9000), uint16(300), uint16(200), uint16(80), true)
+	f.Add(uint8(1), uint8(1), int64(2), 0.0, 0.0, 0.0, 0.5, -0.5, uint16(20000), uint16(4000), uint16(50), uint16(0), false)
+	f.Add(uint8(3), uint8(0), int64(3), 90.0, 0.0, 90.0, 3.0, 1.25, uint16(1), uint16(0), uint16(999), uint16(500), true)
+	f.Add(uint8(2), uint8(2), int64(4), 179.9, 359.0, 1e-9, -2.0, 7.5, uint16(65535), uint16(65535), uint16(65535), uint16(65535), false)
 	f.Fuzz(func(t *testing.T, li, nv uint8, seed int64, theta, phi, omega, cx, cy float64,
-		defocus, kv, pixel, bfac uint16, wiener, nyquist bool) {
+		defocus, kv, pixel, bfac uint16, wiener bool) {
 		sizes := []int{7, 8, 9, 10, 12}
 		l := sizes[int(li)%len(sizes)]
 		p := ctf.Params{
@@ -203,10 +202,7 @@ func FuzzHalfBandInsert(f *testing.F) {
 				Orient: geom.Euler{Theta: theta + 37*d, Phi: phi - 53*d, Omega: omega + 71*d},
 				Center: [2]float64{cx + d, cy - d/2}}
 		}
-		opt := Options{WienerCTF: wiener, RMax: 0.49 * float64(l)}
-		if nyquist {
-			opt.RMax = float64(l) / 2
-		}
+		opt := Options{WienerCTF: wiener}
 		s := NewSharded(l, ParallelOptions{Options: opt, Workers: 1})
 		err := s.InsertViews(tasks)
 		if checkView(tasks[0].Orient, tasks[0].Center) != nil {
@@ -232,7 +228,7 @@ func FuzzHalfBandInsert(f *testing.F) {
 		if accumDigest(s3) != want || accumDigest(one) != want {
 			t.Fatal("accumulators differ across worker counts or between Insert and InsertViews")
 		}
-		fullNum, fullDen := fullDiscAccum(l, opt.normalized(l), tasks)
+		fullNum, fullDen := fullDiscAccum(l, opt, tasks)
 		if gn, gd := foldGap(l, s.num, s.den, fullNum, fullDen); gn > 1e-12 || gd > 1e-12 {
 			t.Fatalf("l=%d: folded accumulators %.3g (num) and %.3g (den) of peak from the full disc", l, gn, gd)
 		}

@@ -99,12 +99,12 @@ func NewSharded(l int, opt ParallelOptions) *Sharded {
 	if l < 2 {
 		panic(fmt.Sprintf("reconstruct: invalid size %d", l))
 	}
-	o := opt.Options.normalized(l)
-	ri := int(o.RMax)
+	rmax := float64(l) / 2
+	ri := int(rmax)
 	s := &Sharded{
 		l:       l,
 		ri:      ri,
-		opt:     o,
+		opt:     opt.Options,
 		workers: opt.Workers,
 		num:     make([]complex128, l*l*l),
 		den:     make([]float64, l*l*l),
@@ -115,10 +115,10 @@ func NewSharded(l int, opt ParallelOptions) *Sharded {
 	for i := range s.wrapTab {
 		s.wrapTab[i] = int32(wrap(i-l, l))
 	}
-	// The band is the Friedel half of the disc h²+k² ≤ RMax²,
+	// The band is the Friedel half of the disc h²+k² ≤ (l/2)²,
 	// {h > 0} ∪ {h = 0, k ≥ 0}: row h > 0 is a symmetric k run, row 0
 	// its k ≥ 0 half.
-	r2 := o.RMax * o.RMax
+	r2 := rmax * rmax
 	for h := 0; h <= ri; h++ {
 		fh, k := float64(h), ri
 		for fh*fh+float64(k)*float64(k) > r2 {
@@ -287,7 +287,7 @@ func (s *Sharded) prepare(p *viewPrep, t ViewTask, slot int) {
 // contributions in the same order whichever slab owns it.
 //
 // The scatter needs no bounds check: the rotation is orthonormal, so
-// |pt| = √(h²+k²) ≤ RMax ≤ l/2, and the wrap table covers the one-cell
+// |pt| = √(h²+k²) ≤ l/2, and the wrap table covers the one-cell
 // overshoot floor/+1 can produce at the Nyquist boundary.
 //
 //repro:hotpath

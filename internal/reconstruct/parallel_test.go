@@ -261,7 +261,7 @@ func TestShardedFinishThenContinue(t *testing.T) {
 func TestRMaxExactlyNyquist(t *testing.T) {
 	l := 16
 	ds, centers, ctfs := ctfDataset(t, l, 10, 27)
-	opt := Options{RMax: float64(l) / 2, WienerCTF: true}
+	opt := Options{WienerCTF: true}
 	oracle := New(l, opt)
 	for i, v := range ds.Views {
 		if err := oracle.Insert(v.Image, v.TrueOrient, centers[i], ctfs[i]); err != nil {
@@ -284,7 +284,7 @@ func TestRMaxExactlyNyquist(t *testing.T) {
 
 // TestSpreadOutsideLatticeIsNoOp: a rotated frequency point that
 // leaves the lattice (possible only through direct use, since
-// orthonormal rotations keep |pt| ≤ RMax) must be dropped whole, not
+// orthonormal rotations keep |pt| ≤ l/2) must be dropped whole, not
 // partially wrapped.
 func TestSpreadOutsideLatticeIsNoOp(t *testing.T) {
 	r := New(8, Options{})
@@ -385,7 +385,7 @@ func TestWienerZeroCrossingCTF(t *testing.T) {
 	if zeroCrossings == 0 {
 		t.Fatal("fixture CTF has no zero crossing inside the band; test is vacuous")
 	}
-	m, err := FromViews(ds.Images(), ds.TrueOrientations(), nil, ctfs, Options{WienerCTF: true, WienerEpsilon: 1e-12})
+	m, err := FromViews(ds.Images(), ds.TrueOrientations(), nil, ctfs, Options{WienerCTF: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,32 +39,18 @@ import (
 	"repro/internal/volume"
 )
 
-// Options configures a reconstruction.
+// Options configures a reconstruction. Every view coefficient up to
+// the Nyquist radius l/2 is inserted.
 type Options struct {
-	// RMax is the Fourier radius (frequency-index units) up to which
-	// view coefficients are inserted; ≤0 means the Nyquist radius.
-	RMax float64
 	// WienerCTF enables per-view CTF weighting: coefficients are
 	// accumulated as Σ CTF·F / (Σ CTF² + ε), the standard multi-view
-	// Wiener inversion. Views must then be inserted with their CTF
-	// parameters.
+	// Wiener inversion with ε = wienerEpsilon. Views must then be
+	// inserted with their CTF parameters.
 	WienerCTF bool
-	// WienerEpsilon regularizes the CTF division; 0 selects 0.1.
-	WienerEpsilon float64
 }
 
-// normalized returns the options with RMax clamped to the Nyquist
-// radius and the Wiener epsilon defaulted, so the serial and parallel
-// reconstructors resolve identical effective settings.
-func (o Options) normalized(l int) Options {
-	if o.RMax <= 0 || o.RMax > float64(l)/2 {
-		o.RMax = float64(l) / 2
-	}
-	if o.WienerEpsilon <= 0 {
-		o.WienerEpsilon = 0.1
-	}
-	return o
-}
+// wienerEpsilon regularizes the Wiener CTF division.
+const wienerEpsilon = 0.1
 
 // checkView rejects non-finite centre corrections and orientations
 // before they reach the kernel. exp(iθ) of a NaN or Inf angle is NaN,
@@ -86,10 +72,10 @@ func checkView(o geom.Euler, center [2]float64) error {
 // to band entry (h, k) of an l-box, whose value and weight are val and
 // w. Finish's fold counts every inserted entry twice, as itself and as
 // its conjugate mate, so the origin goes in at half value and half
-// weight. (l/2, 0) and (0, l/2), present when l is even and RMax = l/2,
-// are their own mates on the lattice: they go in as their real part,
-// which is what the full disc's pair (±l/2 reading one aliased
-// coefficient under one ramp value) averaged to.
+// weight. (l/2, 0) and (0, l/2), present when l is even, are their
+// own mates on the lattice: they go in as their real part, which is
+// what the full disc's pair (±l/2 reading one aliased coefficient
+// under one ramp value) averaged to.
 func friedelEntry(h, k, l int, val complex128, w float64) (complex128, float64) {
 	switch {
 	case h == 0 && k == 0:
@@ -119,7 +105,7 @@ func New(l int, opt Options) *Reconstructor {
 	}
 	return &Reconstructor{
 		l:   l,
-		opt: opt.normalized(l),
+		opt: opt,
 		num: make([]complex128, l*l*l),
 		den: make([]float64, l*l*l),
 	}
@@ -149,8 +135,8 @@ func (r *Reconstructor) Insert(im *volume.Image, o geom.Euler, center [2]float64
 	rot := o.Matrix()
 	xa, ya := rot.Col(0), rot.Col(1)
 	l := r.l
-	ri := int(r.opt.RMax)
-	r2 := r.opt.RMax * r.opt.RMax
+	rmax := float64(l) / 2
+	ri, r2 := int(rmax), rmax*rmax
 	// The Friedel half disc, in the kernel's band order.
 	for h := 0; h <= ri; h++ {
 		for k := -ri; k <= ri; k++ {
@@ -282,7 +268,7 @@ func finishPlane(half, num []complex128, den []float64, opt Options, x, l int) {
 			var s float64
 			switch {
 			case opt.WienerCTF:
-				s = 1 / (d + opt.WienerEpsilon)
+				s = 1 / (d + wienerEpsilon)
 			case d > 1e-9:
 				s = 1 / d
 			default:

@@ -1,7 +1,6 @@
 package reconstruct
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/ctf"
@@ -173,21 +172,6 @@ func TestInputValidation(t *testing.T) {
 	rec := New(8, Options{})
 	if err := rec.Insert(volume.NewImage(10), geom.Euler{}, [2]float64{}, ctf.Params{}); err == nil {
 		t.Fatal("size mismatch accepted")
-	}
-}
-
-func TestRMaxLimitsResolution(t *testing.T) {
-	l := 24
-	ds := dataset(t, l, 60, micrograph.GenParams{Seed: 10})
-	full, _ := FromViews(ds.Images(), ds.TrueOrientations(), nil, nil, Options{})
-	lim, _ := FromViews(ds.Images(), ds.TrueOrientations(), nil, nil, Options{RMax: 4})
-	ccFull := volume.Correlation(ds.Truth, full)
-	ccLim := volume.Correlation(ds.Truth, lim)
-	if ccLim >= ccFull {
-		t.Fatalf("band-limited reconstruction (%.4f) not worse than full (%.4f)", ccLim, ccFull)
-	}
-	if math.IsNaN(ccLim) || ccLim < 0.3 {
-		t.Fatalf("band-limited reconstruction unreasonably bad: %.4f", ccLim)
 	}
 }
 

@@ -5,10 +5,11 @@
 //
 // The package is deliberately wall-clock-free — it is listed in the
 // replint simclock scope — so job scheduling is reproducible: all
-// timestamps come from an injectable logical clock (Options.Clock),
-// and all randomness from the seeds carried in the job spec. Anything
-// that genuinely needs real time (HTTP timeouts, signal handling,
-// artificial level delays for smoke tests) lives in cmd/refined.
+// timestamps come from the manager's logical clock (a monotonic tick
+// counter, Manager.clock), and all randomness from the seeds carried
+// in the job spec. Anything that genuinely needs real time (HTTP
+// timeouts, signal handling, artificial level delays for smoke tests)
+// lives in cmd/refined.
 //
 // A job walks the states
 //

@@ -47,10 +47,6 @@ type Options struct {
 	// completed level so a restarted manager resumes mid-schedule.
 	// The caller owns the journal and closes it after Drain.
 	Journal *Journal
-	// Clock is the logical clock stamped onto job events and trace
-	// spans. nil selects a process-local monotonic tick counter —
-	// serve is a simclock package, so wall time is not an option.
-	Clock func() float64
 	// OnLevel, when non-nil, is called after each level checkpoint
 	// (journal written, status updated). It runs on the executor
 	// goroutine: it may call RequestDrain to stop the schedule at
@@ -104,9 +100,11 @@ type job struct {
 // refiner's pool passes.
 type Manager struct {
 	opt   Options
-	clock func() float64
 	logf  func(string, ...any)
 	shape Shape
+	// tick backs clock, the logical time stamped onto job events and
+	// trace spans.
+	tick atomic.Int64
 
 	queue chan *job
 	quit  chan struct{}
@@ -132,18 +130,12 @@ func NewManager(opt Options) (*Manager, error) {
 	if opt.RunWorkers <= 0 {
 		opt.RunWorkers = 1
 	}
-	clock := opt.Clock
-	if clock == nil {
-		var tick atomic.Int64
-		clock = func() float64 { return float64(tick.Add(1)) }
-	}
 	logf := opt.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	m := &Manager{
 		opt:   opt,
-		clock: clock,
 		logf:  logf,
 		shape: Shape{Workers: pool.Workers(math.MaxInt, opt.Stream.Workers)},
 		quit:  make(chan struct{}),
@@ -187,6 +179,10 @@ func NewManager(opt Options) (*Manager, error) {
 	}
 	return m, nil
 }
+
+// clock is the manager's logical clock: a process-local monotonic tick
+// counter. serve is a simclock package, so wall time never enters it.
+func (m *Manager) clock() float64 { return float64(m.tick.Add(1)) }
 
 // reviveJob rebuilds a job from its journal replay.
 func (m *Manager) reviveJob(rp JobReplay) (*job, error) {

@@ -14,32 +14,6 @@ import (
 	"repro/internal/volume"
 )
 
-// CycleOptions tunes the cycles-to-plateau experiment: the paper's
-// outer loop run "until the 3D electron density map cannot be further
-// improved", with internal/cycle's plateau rule deciding when that is.
-type CycleOptions struct {
-	// MaxCycles is the hard cap (0 selects 8 — the plateau rule is
-	// expected to fire well before it).
-	MaxCycles int
-	// Levels is the per-cycle schedule depth (0 selects 3).
-	Levels int
-	// PlateauEps / PlateauWindow tune the stopping rule (zeros select
-	// the cycle package defaults: 0.01 Å over 2 cycles).
-	PlateauEps    float64
-	PlateauWindow int
-	// Stream shapes each refinement pass (zero value: GOMAXPROCS).
-	Stream core.StreamOptions
-}
-
-func (o *CycleOptions) setDefaults() {
-	if o.MaxCycles <= 0 {
-		o.MaxCycles = 8
-	}
-	if o.Levels <= 0 {
-		o.Levels = 3
-	}
-}
-
 // CycleDriverResult is the outer-loop trajectory on one dataset.
 type CycleDriverResult struct {
 	Spec DatasetSpec
@@ -53,18 +27,18 @@ type CycleDriverResult struct {
 	MeanAngErr float64
 }
 
-// RunCycleDriver executes the multi-cycle refine→reconstruct→FSC loop
-// on the spec's dataset through internal/cycle — the same driver the
-// job service runs, here fed directly for table generation.
-func RunCycleDriver(spec DatasetSpec, opt CycleOptions) (*CycleDriverResult, error) {
-	opt.setDefaults()
+// RunCycleDriver executes the cycles-to-plateau experiment: the
+// paper's outer refine→reconstruct→FSC loop, run "until the 3D electron
+// density map cannot be further improved", on the spec's dataset
+// through internal/cycle — the same driver the job service runs, here
+// fed directly for table generation. Each cycle refines over 3 schedule
+// levels; cycle's default plateau rule decides when to stop, with a
+// hard cap of 8 cycles it is expected to fire well before.
+func RunCycleDriver(spec DatasetSpec) (*CycleDriverResult, error) {
 	ds := spec.Build()
 	run, err := runCycles(ds, ds.PerturbedOrientations(spec.InitError, spec.Seed+1), cycle.Config{
-		Levels:        opt.Levels,
-		MaxCycles:     opt.MaxCycles,
-		PlateauEps:    opt.PlateauEps,
-		PlateauWindow: opt.PlateauWindow,
-		Stream:        opt.Stream,
+		Levels:    3,
+		MaxCycles: 8,
 	})
 	if err != nil {
 		return nil, err

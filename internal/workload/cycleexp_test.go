@@ -4,21 +4,17 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cycle"
 )
 
 // TestRunCycleDriverPlateau pins the outer loop's termination claim on
-// the scaled sindbis phantom: the plateau rule stops the run before
+// the scaled sindbis phantom at the experiment's depth (3 levels, 8
+// cycles at most): the plateau rule stops the run before
 // the hard cycle cap, every completed cycle carries an FSC record, and
 // the report renders one row per cycle.
 func TestRunCycleDriverPlateau(t *testing.T) {
 	spec := SindbisSpec().Scaled(3)
-	res, err := RunCycleDriver(spec, CycleOptions{
-		MaxCycles: 8,
-		Levels:    2,
-		Stream:    core.StreamOptions{Workers: 2},
-	})
+	res, err := RunCycleDriver(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

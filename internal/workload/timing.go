@@ -57,48 +57,28 @@ type TimingTable struct {
 	ReconSecs float64
 }
 
-// TimingOptions configures the timing experiment.
-type TimingOptions struct {
-	// P is the simulated processor count; 0 selects 16.
-	P int
-	// Model is the machine cost model; zero value selects cluster.SP2.
-	Model cluster.CostModel
-	// Pad is the matching spectrum oversampling; 0 selects 2.
-	Pad int
-}
-
-func (o *TimingOptions) setDefaults() {
-	if o.P <= 0 {
-		o.P = 16
-	}
-	if o.Model == (cluster.CostModel{}) {
-		o.Model = cluster.SP2
-	}
-	if o.Pad <= 0 {
-		o.Pad = 2
-	}
-}
-
 // RunTiming reproduces Tables 1–2 for a dataset: it runs one
 // refinement pass per angular resolution of the default schedule
 // through the production entry point, core.RefineStream (each pass
 // starting from the previous pass's orientations, exactly as
 // consecutive production runs would), prices each pass on the simulated
-// cluster, and reports per-step simulated times at both simulator and
-// paper scale.
-func RunTiming(spec DatasetSpec, opt TimingOptions) (*TimingTable, error) {
-	opt.setDefaults()
+// cluster of p SP2 nodes, and reports per-step simulated times at both
+// simulator and paper scale.
+func RunTiming(spec DatasetSpec, p int) (*TimingTable, error) {
+	if p < 1 {
+		return nil, fmt.Errorf("workload: timing needs at least one processor, got %d", p)
+	}
 	ds := spec.Build()
 
 	// Step a once per pass in the paper; the map transform is the
 	// same for every pass here, so price it once and reuse.
 	mapReadSecs := float64(8*spec.L*spec.L*spec.L) / diskBytesPerSec
-	dft3dSecs := parfft.Price(cluster.New(opt.P, opt.Model), spec.L, mapReadSecs)
-	// Matching uses an oversampled spectrum for accuracy (step a is
+	dft3dSecs := parfft.Price(cluster.New(p, cluster.SP2), spec.L, mapReadSecs)
+	// Matching uses a 2× oversampled spectrum for accuracy (step a is
 	// priced for the unpadded transform of the paper).
-	dft := fourier.NewVolumeDFTPadded(ds.Truth, opt.Pad)
+	dft := fourier.NewVolumeDFTPadded(ds.Truth, 2)
 
-	table := &TimingTable{Spec: spec, P: opt.P}
+	table := &TimingTable{Spec: spec, P: p}
 	orients := ds.PerturbedOrientations(spec.InitError, spec.Seed+2)
 	images := ds.Images()
 
@@ -123,7 +103,7 @@ func RunTiming(spec DatasetSpec, opt TimingOptions) (*TimingTable, error) {
 			SearchRange: 2*int(math.Round(lv.WindowHalf/lv.RAngular)) + 1,
 			DFT3D:       dft3dSecs,
 		}
-		row.ReadImages, row.FFTAnalysis, row.Refinement = priceOnCluster(cluster.New(opt.P, opt.Model), spec.L, cfg, results)
+		row.ReadImages, row.FFTAnalysis, row.Refinement = priceOnCluster(cluster.New(p, cluster.SP2), spec.L, cfg, results)
 		row.Total = row.DFT3D + row.ReadImages + row.FFTAnalysis + row.Refinement
 		for i, res := range results {
 			orients[i] = res.Orient
@@ -137,9 +117,9 @@ func RunTiming(spec DatasetSpec, opt TimingOptions) (*TimingTable, error) {
 		table.Rows = append(table.Rows, row)
 
 		table.PaperRows = append(table.PaperRows,
-			paperScaleRow(spec, opt, lv, row))
+			paperScaleRow(spec, p, lv, row))
 	}
-	table.ReconSecs = paperReconSecs(spec, opt)
+	table.ReconSecs = paperReconSecs(spec, p)
 	return table.validate()
 }
 
@@ -309,10 +289,10 @@ func PriceBrickPaging(dft *fourier.VolumeDFT, orients []geom.Euler, rmax float64
 // measured matchings per view are kept, but the per-matching cost uses
 // the paper-size comparison band, the view FFTs use the paper box, and
 // I/O uses the paper file sizes.
-func paperScaleRow(spec DatasetSpec, opt TimingOptions, lv core.Level, measured TimingRow) TimingRow {
+func paperScaleRow(spec DatasetSpec, p int, lv core.Level, measured TimingRow) TimingRow {
 	pl := spec.PaperL
 	pm := float64(spec.PaperViews)
-	perNode := math.Ceil(pm / float64(opt.P))
+	perNode := math.Ceil(pm / float64(p))
 	cfg := core.Config{RMap: 0.8 * float64(pl) / 2, Schedule: []core.Level{lv}}
 	band := float64(core.BandSize(pl, cfg))
 	frac := lv.RMapFrac
@@ -327,12 +307,12 @@ func paperScaleRow(spec DatasetSpec, opt TimingOptions, lv core.Level, measured 
 		MeanMatchings: measured.MeanMatchings,
 		SlideViews:    measured.SlideViews,
 	}
-	row.DFT3D = parfft.ModelTime(opt.Model, pl, opt.P,
+	row.DFT3D = parfft.ModelTime(cluster.SP2, pl, p,
 		float64(8*pl*pl*pl)/diskBytesPerSec)
 	row.ReadImages = pm * float64(pl*pl) * bytesPerPixel / diskBytesPerSec
-	row.FFTAnalysis = perNode * core.EstimateViewFFTFlops(pl) / opt.Model.FlopsPerSec
+	row.FFTAnalysis = perNode * core.EstimateViewFFTFlops(pl) / cluster.SP2.FlopsPerSec
 	row.Refinement = perNode * measured.MeanMatchings *
-		core.EstimateMatchFlops(int(bandAtLevel)) / opt.Model.FlopsPerSec
+		core.EstimateMatchFlops(int(bandAtLevel)) / cluster.SP2.FlopsPerSec
 	row.Total = row.DFT3D + row.ReadImages + row.FFTAnalysis + row.Refinement
 	if row.Total > 0 {
 		row.RefinementShare = row.Refinement / row.Total
@@ -343,13 +323,13 @@ func paperScaleRow(spec DatasetSpec, opt TimingOptions, lv core.Level, measured 
 // paperReconSecs models the paper-scale 3-D reconstruction (step C):
 // each view scatters its band coefficients with 8-point spreading,
 // plus one 3-D inverse FFT of the map.
-func paperReconSecs(spec DatasetSpec, opt TimingOptions) float64 {
+func paperReconSecs(spec DatasetSpec, p int) float64 {
 	pl := float64(spec.PaperL)
 	pm := float64(spec.PaperViews)
-	perNode := math.Ceil(pm / float64(opt.P))
+	perNode := math.Ceil(pm / float64(p))
 	band := math.Pi * (0.8 * pl / 2) * (0.8 * pl / 2)
-	insert := perNode * band * 8 * 12 / opt.Model.FlopsPerSec
-	ifft := 3 * 5 * pl * pl * pl * math.Log2(pl) / opt.Model.FlopsPerSec
+	insert := perNode * band * 8 * 12 / cluster.SP2.FlopsPerSec
+	ifft := 3 * 5 * pl * pl * pl * math.Log2(pl) / cluster.SP2.FlopsPerSec
 	return insert + ifft
 }
 

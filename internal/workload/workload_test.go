@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
@@ -140,7 +139,7 @@ func TestRunTimingSmall(t *testing.T) {
 		t.Skip("cluster timing experiment")
 	}
 	spec := SindbisSpec().Scaled(2) // l=24, m=40
-	table, err := RunTiming(spec, TimingOptions{P: 4})
+	table, err := RunTiming(spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,25 +166,6 @@ func TestRunTimingSmall(t *testing.T) {
 	WriteTiming(&buf, table)
 	if buf.Len() == 0 {
 		t.Fatal("empty timing report")
-	}
-}
-
-func TestRunTimingCustomModel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster timing experiment")
-	}
-	spec := AsymmetricSpec().Scaled(2.5)
-	fast := cluster.CostModel{LatencySec: 1e-6, BytesPerSec: 1e9, FlopsPerSec: 1e9}
-	table, err := RunTiming(spec, TimingOptions{P: 2, Model: fast})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := RunTiming(spec, TimingOptions{P: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table.Rows[0].Total >= slow.Rows[0].Total {
-		t.Error("faster machine model did not reduce simulated time")
 	}
 }
 
