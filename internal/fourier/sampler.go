@@ -48,10 +48,7 @@ func (v *VolumeDFT) NewSampler(interp Interpolation) Sampler {
 // At samples the spectrum at the continuous signed-frequency point
 // (x, y, z) in image frequency units — the fused equivalent of
 // VolumeDFT.Sample. Frequencies beyond Nyquist return zero.
-//
-//repro:hotpath
 func (s *Sampler) At(x, y, z float64) complex128 {
-	samplerAtCalls.Inc()
 	x *= s.pad
 	y *= s.pad
 	z *= s.pad

@@ -35,20 +35,19 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 	})
 
 	m.mu.Lock()
-	st := cycle.State{
-		LevelsDone: jb.levelsDone,
-		Results:    jb.results,
-		History:    append([]cycle.CycleFSC(nil), jb.cycleHist...),
-	}
-	lastCycle, lastPath, lastDigest := jb.lastMapCycle, jb.lastMapPath, jb.lastMapDigest
-	stopped := jb.cycleStopped
+	d := jb.durable
 	m.mu.Unlock()
+	st := cycle.State{
+		LevelsDone: d.LevelsDone,
+		Results:    d.Results,
+		History:    append([]cycle.CycleFSC(nil), d.History...),
+	}
 
 	// A journaled stop reason means the outer loop already finished; the
 	// kill landed between the final cycle_end and the terminal record.
 	// Everything (results, history, map artifact) is replayed — only the
 	// terminal record is missing.
-	if stopped != "" {
+	if d.Stopped != "" {
 		m.conclude(jb, ds, st.Results, false, nil)
 		return
 	}
@@ -57,11 +56,11 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 	// reference; reload it from the journaled artifact and verify its
 	// content digest before trusting it.
 	if c := len(st.History); c > 0 && st.LevelsDone < (c+1)*jb.spec.Levels {
-		if lastCycle != c-1 {
-			m.conclude(jb, ds, nil, false, fmt.Errorf("resume: journal has map for cycle %d, need %d", lastCycle, c-1))
+		if d.LastMapCycle != c-1 {
+			m.conclude(jb, ds, nil, false, fmt.Errorf("resume: journal has map for cycle %d, need %d", d.LastMapCycle, c-1))
 			return
 		}
-		ref, err := loadMapArtifact(lastPath, lastDigest)
+		ref, err := loadMapArtifact(d.LastMapPath, d.LastMapDigest)
 		if err != nil {
 			m.conclude(jb, ds, nil, false, fmt.Errorf("resume: %w", err))
 			return
@@ -87,31 +86,24 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 			m.mu.Lock()
 			defer m.mu.Unlock()
 			// Already journaled iff this cycle started before a restart.
-			if m.opt.Journal != nil && c >= jb.cyclesStarted {
-				if err := m.opt.Journal.CycleStart(jb.id, c); err != nil {
-					return err
-				}
-				gaugeJournalBytes.Set(m.opt.Journal.Size())
+			if c < jb.durable.CyclesStarted {
+				return nil
 			}
-			if c >= jb.cyclesStarted {
-				jb.cyclesStarted = c + 1
-			}
-			return nil
+			return m.commitLocked(jb, journalRecord{Kind: "cycle_start", ID: jb.id, Cycle: c})
 		},
 		OnMap: func(c int, g *volume.Grid) error {
 			ts := m.clock()
 			digest := reconstruct.MapDigest(g)
 			if m.opt.Journal != nil {
 				m.mu.Lock()
-				journaled := jb.lastMapCycle == c
-				journaledDigest := jb.lastMapDigest
+				d := jb.durable
 				m.mu.Unlock()
-				if journaled {
+				if d.LastMapCycle == c {
 					// The kill landed between this cycle's map journal
 					// and its cycle_end; the recomputed map must match
 					// the journaled digest bit for bit.
-					if digest != journaledDigest {
-						return fmt.Errorf("cycle %d map digest %.12s does not match journaled %.12s", c, digest, journaledDigest)
+					if digest != d.LastMapDigest {
+						return fmt.Errorf("cycle %d map digest %.12s does not match journaled %.12s", c, digest, d.LastMapDigest)
 					}
 				} else {
 					path := filepath.Join(m.artifactDir(), fmt.Sprintf("%s.cycle-%d.map", jb.id, c))
@@ -119,10 +111,8 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 						return err
 					}
 					m.mu.Lock()
-					err := m.opt.Journal.CycleMap(jb.id, c, path, digest)
+					err := m.commitLocked(jb, journalRecord{Kind: "cycle_map", ID: jb.id, Cycle: c, MapPath: path, MapDigest: digest})
 					if err == nil {
-						jb.lastMapCycle, jb.lastMapPath, jb.lastMapDigest = c, path, digest
-						gaugeJournalBytes.Set(m.opt.Journal.Size())
 						obs.Emit(evCheckpoint, jb.id, noLevel, ts, [obs.EventFieldsMax]obs.EventField{
 							{Key: "cycle", Value: int64(c)},
 							{Key: "journal_bytes", Value: m.opt.Journal.Size()},
@@ -161,15 +151,7 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 			})
 			m.mu.Lock()
 			defer m.mu.Unlock()
-			jb.cycleHist = append(jb.cycleHist, rec)
-			jb.cycleStopped = stopped
-			if m.opt.Journal != nil {
-				if err := m.opt.Journal.CycleEnd(jb.id, rec, stopped); err != nil {
-					return err
-				}
-				gaugeJournalBytes.Set(m.opt.Journal.Size())
-			}
-			return nil
+			return m.commitLocked(jb, journalRecord{Kind: "cycle_end", ID: jb.id, Cycle: rec.Cycle, FSC: &rec, Stopped: stopped})
 		},
 	}
 

@@ -21,6 +21,14 @@
 // exactly the state RefineStreamLevels needs to resume the schedule
 // bit-identically after a crash (see internal/core).
 //
+// One fold owns a job's durable state: JobReplay.apply is the only code
+// that knows what a journal record means and when it may follow the
+// ones before it. OpenJournal folds the file through it; the live path
+// (Manager.commitLocked) checks each record with it, appends the record
+// and then applies it, so a running job's state is always what a
+// restart would replay, and the service never writes a journal it
+// cannot reopen.
+//
 // The level loop is not here. Both job types run cycle.RefinePass — a
 // refine job directly, on a refiner over the dataset's truth map; a
 // cycle job through cycle.Run — with the same three hooks

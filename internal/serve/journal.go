@@ -12,46 +12,34 @@ import (
 
 // The checkpoint journal is an append-only JSONL file: one record per
 // line, written and fsynced before the manager acknowledges the event
-// it describes. Six kinds exist:
-//
-//	submit      — a job was accepted (id + normalized spec)
-//	level       — one schedule level finished; carries the full
-//	              per-view results including every centre-shift
-//	              increment, i.e. exactly the priors
-//	              RefineStreamLevels resumes from. Cycle jobs journal
-//	              the GLOBAL level index (cycle·Levels + level), so
-//	              levels stay contiguous from 0 across cycles.
-//	cycle_start — a cycle job began cycle c's refinement pass
-//	cycle_map   — cycle c's full map was reconstructed and serialized;
-//	              carries the artifact path and the map's content
-//	              digest (reconstruct.MapDigest), which a resume
-//	              verifies before trusting the artifact
-//	cycle_end   — cycle c's odd/even FSC summary and, if the loop
-//	              ended here, why
-//	terminal    — the job reached done/failed/cancelled
-//
-// A record counts only once its '\n' is on disk: append writes the
-// record and its newline in one Write before the fsync that
+// it describes. JobReplay.apply says what each of the six kinds means
+// and when it may follow the records before it (DESIGN §11.4 has the
+// table). A record counts only once its '\n' is on disk: append writes
+// the record and its newline in one Write before the fsync that
 // acknowledges it. Replay therefore ignores an unterminated final line
 // (a crash mid-append), and OpenJournal cuts it off so the next record
 // starts a line of its own; a malformed line anywhere earlier is
-// corruption and an error.
-// Because core.Result and fsc/cycle records round-trip through
-// encoding/json without losing a bit (float64 fields only), a journal
-// resume reproduces the uninterrupted run exactly.
+// corruption and an error. Because core.Result and fsc/cycle records
+// round-trip through encoding/json without losing a bit (float64
+// fields only), a journal resume reproduces the uninterrupted run
+// exactly.
 
 // journalRecord is one line of the journal.
 type journalRecord struct {
 	Kind string `json:"kind"` // "submit" | "level" | "cycle_start" | "cycle_map" | "cycle_end" | "terminal"
 	ID   string `json:"id"`
-	// Submit fields.
+	// Submit fields: the normalized spec.
 	Spec *JobSpec `json:"spec,omitempty"`
-	// Level fields: the zero-based (global) schedule level just
-	// completed and the per-view results after it.
+	// Level fields: the zero-based schedule level just completed —
+	// global across a cycle job's cycles (cycle·Levels + level) — and
+	// the per-view results after it, every centre-shift increment
+	// included: exactly the priors RefineStreamLevels resumes from.
 	Level   int           `json:"level,omitempty"`
 	Results []core.Result `json:"results,omitempty"`
-	// Cycle fields. Cycle is the zero-based cycle index of the
-	// cycle_start/cycle_map/cycle_end kinds.
+	// Cycle fields: the zero-based cycle index of the cycle_start/
+	// cycle_map/cycle_end kinds, the map artifact's path and content
+	// digest (reconstruct.MapDigest, verified before a resume trusts
+	// the artifact), the cycle's FSC record and why the loop stopped.
 	Cycle     int             `json:"cycle,omitempty"`
 	MapPath   string          `json:"map_path,omitempty"`
 	MapDigest string          `json:"map_digest,omitempty"`
@@ -63,21 +51,21 @@ type journalRecord struct {
 	Summary *Summary `json:"summary,omitempty"`
 }
 
-// JobReplay is the state of one job reconstructed from the journal.
+// JobReplay is one job's durable state: the fold of its journal
+// records through apply, on replay and on the live path alike.
 type JobReplay struct {
 	ID   string
-	Spec JobSpec
+	Spec JobSpec // as journaled
 	// LevelsDone is the number of checkpointed levels (global across
 	// cycles for cycle jobs); Results holds the per-view results after
 	// the last of them (nil when none).
 	LevelsDone int
 	Results    []core.Result
-	// Cycle-job fields: how many cycles have started (cycle_start) and
-	// completed (cycle_end), the completed cycles' FSC records, the
-	// last journaled map artifact (LastMapCycle is -1 when none), and
-	// the journaled stop reason.
+	// Cycle-job fields: how many cycles have started (cycle_start), the
+	// completed cycles' FSC records (cycle_end), the last journaled map
+	// artifact (LastMapCycle is -1 when none), and the journaled stop
+	// reason.
 	CyclesStarted int
-	CyclesDone    int
 	History       []cycle.CycleFSC
 	LastMapCycle  int
 	LastMapPath   string
@@ -90,8 +78,96 @@ type JobReplay struct {
 	Summary *Summary
 }
 
+// apply folds one record into the job's state, or says why the record
+// cannot follow the ones already folded; a rejected record leaves the
+// state as it was. It is the one place that knows what each record
+// kind means and when it is valid (DESIGN §11.4 tabulates the rules).
+// A refine job's MaxCycles is 0, so it takes no cycle record.
+func (s *JobReplay) apply(rec journalRecord) error {
+	journaled := s.Spec
+	switch {
+	case rec.Kind == "submit" && s.ID != "":
+		return fmt.Errorf("duplicate submit for %s", rec.ID)
+	case rec.Kind == "submit" && (rec.ID == "" || rec.Spec == nil):
+		return fmt.Errorf("submit without id or spec")
+	case rec.Kind == "submit":
+		journaled = *rec.Spec
+	case s.ID == "":
+		return fmt.Errorf("%s for unknown job %s", rec.Kind, rec.ID)
+	case s.State.Terminal() || (s.Stopped != "" && rec.Kind != "terminal"):
+		return fmt.Errorf("job %s %s past the job's end (state %s, loop stopped %q)", s.ID, rec.Kind, s.State, s.Stopped)
+	}
+	spec, _, err := journaled.normalize()
+	if err != nil {
+		return fmt.Errorf("job %s: %w", rec.ID, err)
+	}
+	outOfOrder := func() error {
+		return fmt.Errorf("job %s: %s job's %s (level %d, cycle %d) after %d levels, %d cycles started, %d ended",
+			s.ID, spec.Type, rec.Kind, rec.Level, rec.Cycle, s.LevelsDone, s.CyclesStarted, len(s.History))
+	}
+	// The cycle a map or an end closes: started, not ended, levels done.
+	closes := rec.Cycle == s.CyclesStarted-1 && rec.Cycle == len(s.History) && s.LevelsDone == (rec.Cycle+1)*spec.Levels
+	switch rec.Kind {
+	case "submit":
+		*s = JobReplay{ID: rec.ID, Spec: journaled, State: StatePending, LastMapCycle: -1}
+	case "level":
+		switch {
+		case rec.Level != s.LevelsDone || rec.Level >= spec.levelsTotal(),
+			spec.Type == TypeCycle && rec.Level/spec.Levels != s.CyclesStarted-1:
+			return outOfOrder()
+		case len(rec.Results) != spec.Views:
+			return fmt.Errorf("job %s level %d carries %d results for %d views", s.ID, rec.Level, len(rec.Results), spec.Views)
+		}
+		s.LevelsDone++
+		s.Results = rec.Results
+	case "cycle_start":
+		if rec.Cycle != s.CyclesStarted || rec.Cycle != len(s.History) || rec.Cycle >= spec.MaxCycles {
+			return outOfOrder()
+		}
+		s.CyclesStarted++
+	case "cycle_map":
+		switch {
+		case !closes:
+			return outOfOrder()
+		case rec.MapPath == "" || rec.MapDigest == "":
+			return fmt.Errorf("job %s cycle_map %d missing path or digest", s.ID, rec.Cycle)
+		}
+		s.LastMapCycle = rec.Cycle
+		s.LastMapPath = rec.MapPath
+		s.LastMapDigest = rec.MapDigest
+	case "cycle_end":
+		// The loop stops on a plateau, else on its last cycle at the cap.
+		noPlateau := ""
+		if rec.Cycle == spec.MaxCycles-1 {
+			noPlateau = cycle.StopMaxCycles
+		}
+		switch {
+		case !closes:
+			return outOfOrder()
+		case rec.FSC == nil || rec.FSC.Cycle != rec.Cycle:
+			return fmt.Errorf("job %s cycle_end %d without its fsc record", s.ID, rec.Cycle)
+		case rec.Stopped != noPlateau && rec.Stopped != cycle.StopPlateau:
+			return fmt.Errorf("job %s cycle_end %d of %d stopped %q", s.ID, rec.Cycle, spec.MaxCycles, rec.Stopped)
+		}
+		s.History = append(s.History, *rec.FSC)
+		s.Stopped = rec.Stopped
+	case "terminal":
+		if !rec.State.Terminal() {
+			return fmt.Errorf("job %s non-terminal state %q", s.ID, rec.State)
+		}
+		s.State = rec.State
+		s.Error = rec.Error
+		s.Summary = rec.Summary
+	default:
+		return fmt.Errorf("job %s unknown record kind %q", s.ID, rec.Kind)
+	}
+	return nil
+}
+
 // Journal is the append side of the checkpoint log. Methods are not
-// goroutine-safe; the Manager serializes access.
+// goroutine-safe; the Manager serializes access. The exported
+// appenders write records as given; the Manager writes through
+// commitLocked, which checks each record with the fold first.
 type Journal struct {
 	f      *os.File
 	path   string
@@ -198,10 +274,11 @@ func (j *Journal) Terminal(id string, state State, errMsg string, sum *Summary) 
 	return j.append(journalRecord{Kind: "terminal", ID: id, State: state, Error: errMsg, Summary: sum})
 }
 
-// replayJournal folds the journal bytes into per-job state. Only
-// '\n'-terminated lines are records: an unterminated final line was
-// never acknowledged, so it is dropped even when it parses. A malformed
-// terminated line is an error.
+// replayJournal folds the journal bytes into per-job state through
+// JobReplay.apply. Only '\n'-terminated lines are records: an
+// unterminated final line was never acknowledged, so it is dropped even
+// when it parses. A malformed terminated line, or one the fold rejects,
+// is an error.
 func replayJournal(data []byte) ([]JobReplay, error) {
 	var (
 		order []string
@@ -219,71 +296,13 @@ func replayJournal(data []byte) ([]JobReplay, error) {
 			return nil, fmt.Errorf("journal line %d: %w", i+1, err)
 		}
 		jb := jobs[rec.ID]
-		switch rec.Kind {
-		case "submit":
-			if jb != nil {
-				return nil, fmt.Errorf("journal line %d: duplicate submit for %s", i+1, rec.ID)
-			}
-			if rec.Spec == nil {
-				return nil, fmt.Errorf("journal line %d: submit without spec", i+1)
-			}
-			jobs[rec.ID] = &JobReplay{ID: rec.ID, Spec: *rec.Spec, State: StatePending, LastMapCycle: -1}
+		if jb == nil {
+			jb = &JobReplay{}
+			jobs[rec.ID] = jb
 			order = append(order, rec.ID)
-		case "level":
-			if jb == nil {
-				return nil, fmt.Errorf("journal line %d: level for unknown job %s", i+1, rec.ID)
-			}
-			if rec.Level != jb.LevelsDone {
-				return nil, fmt.Errorf("journal line %d: job %s level %d after %d levels", i+1, rec.ID, rec.Level, jb.LevelsDone)
-			}
-			jb.LevelsDone++
-			jb.Results = rec.Results
-		case "cycle_start":
-			if jb == nil {
-				return nil, fmt.Errorf("journal line %d: cycle_start for unknown job %s", i+1, rec.ID)
-			}
-			if rec.Cycle != jb.CyclesStarted {
-				return nil, fmt.Errorf("journal line %d: job %s cycle_start %d after %d started cycles", i+1, rec.ID, rec.Cycle, jb.CyclesStarted)
-			}
-			jb.CyclesStarted++
-		case "cycle_map":
-			if jb == nil {
-				return nil, fmt.Errorf("journal line %d: cycle_map for unknown job %s", i+1, rec.ID)
-			}
-			if rec.Cycle != jb.CyclesStarted-1 {
-				return nil, fmt.Errorf("journal line %d: job %s cycle_map %d with %d started cycles", i+1, rec.ID, rec.Cycle, jb.CyclesStarted)
-			}
-			if rec.MapPath == "" || rec.MapDigest == "" {
-				return nil, fmt.Errorf("journal line %d: job %s cycle_map %d missing path or digest", i+1, rec.ID, rec.Cycle)
-			}
-			jb.LastMapCycle = rec.Cycle
-			jb.LastMapPath = rec.MapPath
-			jb.LastMapDigest = rec.MapDigest
-		case "cycle_end":
-			if jb == nil {
-				return nil, fmt.Errorf("journal line %d: cycle_end for unknown job %s", i+1, rec.ID)
-			}
-			if rec.Cycle != jb.CyclesDone {
-				return nil, fmt.Errorf("journal line %d: job %s cycle_end %d after %d done cycles", i+1, rec.ID, rec.Cycle, jb.CyclesDone)
-			}
-			if rec.FSC == nil {
-				return nil, fmt.Errorf("journal line %d: job %s cycle_end %d without fsc record", i+1, rec.ID, rec.Cycle)
-			}
-			jb.CyclesDone++
-			jb.History = append(jb.History, *rec.FSC)
-			jb.Stopped = rec.Stopped
-		case "terminal":
-			if jb == nil {
-				return nil, fmt.Errorf("journal line %d: terminal for unknown job %s", i+1, rec.ID)
-			}
-			if !rec.State.Terminal() {
-				return nil, fmt.Errorf("journal line %d: non-terminal state %q", i+1, rec.State)
-			}
-			jb.State = rec.State
-			jb.Error = rec.Error
-			jb.Summary = rec.Summary
-		default:
-			return nil, fmt.Errorf("journal line %d: unknown record kind %q", i+1, rec.Kind)
+		}
+		if err := jb.apply(rec); err != nil {
+			return nil, fmt.Errorf("journal line %d: %w", i+1, err)
 		}
 	}
 	out := make([]JobReplay, 0, len(order))

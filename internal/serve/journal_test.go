@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -187,17 +188,41 @@ func TestJournalTornTailThenAppend(t *testing.T) {
 	}
 }
 
-// FuzzJournalReplay: replay never panics on arbitrary bytes, and any
-// file OpenJournal accepts stays appendable — one more submit, a close
+// levelRecord is a level record of job-000001 carrying n results.
+func levelRecord(level, n int) string {
+	res := strings.Repeat(`{"orient":{"theta":1,"phi":2,"omega":3}},`, n)
+	return fmt.Sprintf(`{"kind":"level","id":"job-000001","level":%d,"results":[%s]}`, level, strings.TrimSuffix(res, ","))
+}
+
+// Journals the fold rejects though each line parses: a refine job's
+// level with more results than views (a restart once indexed past the
+// views and killed the daemon), with fewer (the job once ran to done on
+// one view), and a cycle job's level before any cycle_start (the job
+// once ran to done, leaving a journal no restart could read).
+var (
+	tinySubmit       = `{"kind":"submit","id":"job-000001","spec":{"dataset":"asymmetric","scale":2.5,"views":4,"levels":2}}`
+	tinyCycleSubmit  = `{"kind":"submit","id":"job-000001","spec":{"type":"cycle","dataset":"asymmetric","scale":2.5,"views":4,"levels":2,"max_cycles":2}}`
+	tooManyResults   = tinySubmit + "\n" + levelRecord(0, 6) + "\n"
+	tooFewResults    = tinySubmit + "\n" + levelRecord(0, 1) + "\n"
+	levelBeforeCycle = tinyCycleSubmit + "\n" + levelRecord(0, 4) + "\n"
+)
+
+// FuzzJournalReplay: replay never panics on arbitrary bytes; every
+// file OpenJournal accepts revives in a manager, each job holding
+// either no results or one per view and no more levels than its
+// schedule; and the file stays appendable — one more submit, a close
 // and a reopen replay exactly one more job.
 func FuzzJournalReplay(f *testing.F) {
-	valid := `{"kind":"submit","id":"job-000001","spec":{"dataset":"asymmetric"}}` + "\n" +
+	valid := `{"kind":"submit","id":"job-000001","spec":{"dataset":"asymmetric","views":1}}` + "\n" +
 		`{"kind":"level","id":"job-000001","level":0,"results":[{"orient":{"theta":1,"phi":2,"omega":3}}]}` + "\n" +
 		`{"kind":"terminal","id":"job-000001","state":"done"}` + "\n"
 	f.Add([]byte(valid))
 	f.Add([]byte(valid + `{"kind":"submit","id":"job-0000`))
 	f.Add([]byte(`{"kind":"submit","id":"job-000001","spec":{"dataset":"asymmetric"}}` + "\nnot json\n" +
 		`{"kind":"terminal","id":"job-000001","state":"done"}` + "\n"))
+	for _, seed := range []string{tooManyResults, tooFewResults, levelBeforeCycle} {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = replayJournal(data)
 
@@ -208,6 +233,19 @@ func FuzzJournalReplay(f *testing.F) {
 		j, err := OpenJournal(path)
 		if err != nil {
 			return // rejected as corrupt: nothing more to hold
+		}
+		m, err := NewManager(Options{Journal: j})
+		if err != nil {
+			t.Fatalf("accepted journal does not revive: %v", err)
+		}
+		for _, jb := range m.jobs {
+			d := jb.durable
+			if d.Results != nil && len(d.Results) != jb.spec.Views {
+				t.Fatalf("job %s revived with %d results for %d views", jb.id, len(d.Results), jb.spec.Views)
+			}
+			if d.LevelsDone > jb.spec.levelsTotal() {
+				t.Fatalf("job %s revived with %d of %d levels done", jb.id, d.LevelsDone, jb.spec.levelsTotal())
+			}
 		}
 		n := len(j.Replay())
 		seen := map[string]bool{}
@@ -270,5 +308,97 @@ func TestJournalInconsistentRecords(t *testing.T) {
 		if _, err := OpenJournal(path); err == nil {
 			t.Errorf("inconsistent journal accepted: %s", bad)
 		}
+	}
+	terminal := `{"kind":"terminal","id":"job-000001","state":"done"}` + "\n"
+	for _, c := range []struct {
+		name, journal string
+		line          int
+	}{
+		{"more results than views", tooManyResults, 2},
+		{"fewer results than views", tooFewResults, 2},
+		{"cycle level before cycle_start", levelBeforeCycle, 2},
+		{"record after terminal", tinySubmit + "\n" + terminal + levelRecord(0, 4) + "\n", 3},
+		{"cycle_start on a refine job", tinySubmit + "\n" + `{"kind":"cycle_start","id":"job-000001","cycle":0}` + "\n", 2},
+	} {
+		if err := os.WriteFile(path, []byte(c.journal), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenJournal(path)
+		if want := fmt.Sprintf("journal line %d: ", c.line); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: OpenJournal error %v, want one at %q", c.name, err, want)
+		}
+	}
+}
+
+// TestJournalReplayEqualsLiveState: the live path folds every record it
+// journals through the fold replay uses, so at every level and map
+// checkpoint, and at the terminal state, a copy of the journal replays
+// exactly the running job's durable state.
+func TestJournalReplayEqualsLiveState(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		spec   JobSpec
+		checks int // levels + maps + the terminal state
+	}{
+		{TypeRefine, tinySpec(), 2 + 0 + 1},
+		{TypeCycle, tinyCycleSpec(), 4 + 2 + 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "jobs.jsonl")
+			j, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			var m *Manager
+			checks := 0
+			// check runs on the executor goroutine at checkpoints: Errorf,
+			// not Fatal.
+			check := func(id, at string) {
+				checks++
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cp := filepath.Join(t.TempDir(), "copy.jsonl")
+				if err := os.WriteFile(cp, data, 0o644); err != nil {
+					t.Error(err)
+					return
+				}
+				jc, err := OpenJournal(cp)
+				if err != nil {
+					t.Errorf("%s: %v", at, err)
+					return
+				}
+				defer jc.Close()
+				m.mu.Lock()
+				live := m.jobs[id].durable
+				m.mu.Unlock()
+				if got := jc.Replay(); !reflect.DeepEqual(got, []JobReplay{live}) {
+					t.Errorf("%s: replay\n  %+v\nlive\n  %+v", at, got, live)
+				}
+			}
+			m, err = NewManager(Options{
+				Stream:     tinyStream(),
+				Journal:    j,
+				OnLevel:    func(id string, level int) { check(id, fmt.Sprintf("level %d", level)) },
+				OnCycleMap: func(id string, cyc int) { check(id, fmt.Sprintf("cycle %d map", cyc)) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Start()
+			st, err := m.Submit(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, m, st.ID, StateDone)
+			m.Drain()
+			check(st.ID, "terminal")
+			if checks != c.checks {
+				t.Fatalf("%d checks, want %d", checks, c.checks)
+			}
+		})
 	}
 }

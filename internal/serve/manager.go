@@ -66,33 +66,25 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// job is the manager-internal state of one refinement job. Mutable
-// fields are guarded by Manager.mu.
+// job is the manager-internal state of one refinement job: its
+// durable state, which only commitLocked changes, and what this process
+// derives or keeps beside it. Mutable fields are guarded by Manager.mu.
 type job struct {
 	id          string
-	spec        JobSpec
+	spec        JobSpec // normalized
 	wspec       workload.DatasetSpec
 	submittedAt float64
 	resumed     bool
 	ctx         context.Context
 	cancel      context.CancelFunc
 
-	state      State
-	levelsDone int
-	results    []core.Result
-	errMsg     string
-	summary    *Summary
+	// durable is the fold of every record journaled for the job.
+	durable JobReplay
+	// running is set while an executor runs the job.
+	running bool
 	// levels holds the latest summary of each schedule level (a cycle
 	// job overwrites cycle c−1's with cycle c's).
 	levels []core.LevelSummary
-
-	// Cycle-job state, mirroring the journal's cycle records.
-	cyclesStarted int
-	cycleHist     []cycle.CycleFSC
-	cycleStopped  string
-	lastMapCycle  int // -1 until a cycle_map is journaled
-	lastMapPath   string
-	lastMapDigest string
 }
 
 // Manager owns the job table, the bounded admission queue, and the
@@ -150,7 +142,7 @@ func NewManager(opt Options) (*Manager, error) {
 			}
 			m.jobs[jb.id] = jb
 			m.order = append(m.order, jb.id)
-			if !jb.state.Terminal() {
+			if !jb.durable.State.Terminal() {
 				resumable = append(resumable, jb)
 			}
 			var n int
@@ -167,11 +159,11 @@ func NewManager(opt Options) (*Manager, error) {
 		m.queued++
 		m.queue <- jb
 		jobsResumed.Inc()
-		obs.Emit(evResume, jb.id, jb.levelsDone, jb.submittedAt, [obs.EventFieldsMax]obs.EventField{
-			{Key: "levels_done", Value: int64(jb.levelsDone)},
+		obs.Emit(evResume, jb.id, jb.durable.LevelsDone, jb.submittedAt, [obs.EventFieldsMax]obs.EventField{
+			{Key: "levels_done", Value: int64(jb.durable.LevelsDone)},
 			{Key: "levels_total", Value: int64(jb.spec.levelsTotal())},
 		})
-		m.logf("serve: resuming %s at level %d/%d", jb.id, jb.levelsDone, jb.spec.levelsTotal())
+		m.logf("serve: resuming %s at level %d/%d", jb.id, jb.durable.LevelsDone, jb.spec.levelsTotal())
 	}
 	gaugeQueueDepth.Set(int64(len(resumable)))
 	if opt.Journal != nil {
@@ -184,7 +176,8 @@ func NewManager(opt Options) (*Manager, error) {
 // counter. serve is a simclock package, so wall time never enters it.
 func (m *Manager) clock() float64 { return float64(m.tick.Add(1)) }
 
-// reviveJob rebuilds a job from its journal replay.
+// reviveJob rebuilds a job around its journal replay: the normalized
+// spec and what is not journaled.
 func (m *Manager) reviveJob(rp JobReplay) (*job, error) {
 	spec, wspec, err := rp.Spec.normalize()
 	if err != nil {
@@ -199,18 +192,7 @@ func (m *Manager) reviveJob(rp JobReplay) (*job, error) {
 		resumed:     !rp.State.Terminal(),
 		ctx:         ctx,
 		cancel:      cancel,
-		state:       rp.State,
-		levelsDone:  rp.LevelsDone,
-		results:     rp.Results,
-		errMsg:      rp.Error,
-		summary:     rp.Summary,
-
-		cyclesStarted: rp.CyclesStarted,
-		cycleHist:     rp.History,
-		cycleStopped:  rp.Stopped,
-		lastMapCycle:  rp.LastMapCycle,
-		lastMapPath:   rp.LastMapPath,
-		lastMapDigest: rp.LastMapDigest,
+		durable:     rp,
 	}
 	// The summaries are not journaled: refold them from the results
 	// with the MaxSlides both job types' refiners are built with.
@@ -272,21 +254,17 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	m.nextID++
 	ctx, cancel := context.WithCancel(context.Background())
 	jb := &job{
-		id:           fmt.Sprintf("job-%06d", m.nextID),
-		spec:         spec,
-		wspec:        wspec,
-		submittedAt:  m.clock(),
-		ctx:          ctx,
-		cancel:       cancel,
-		state:        StatePending,
-		lastMapCycle: -1,
+		id:          fmt.Sprintf("job-%06d", m.nextID),
+		spec:        spec,
+		wspec:       wspec,
+		submittedAt: m.clock(),
+		ctx:         ctx,
+		cancel:      cancel,
 	}
-	if m.opt.Journal != nil {
-		if err := m.opt.Journal.Submit(jb.id, jb.spec); err != nil {
-			cancel()
-			jobsRejected.Inc()
-			return JobStatus{}, err
-		}
+	if err := m.commitLocked(jb, journalRecord{Kind: "submit", ID: jb.id, Spec: &spec}); err != nil {
+		cancel()
+		jobsRejected.Inc()
+		return JobStatus{}, err
 	}
 	m.jobs[jb.id] = jb
 	m.order = append(m.order, jb.id)
@@ -298,9 +276,6 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	jobsSubmitted.Inc()
 	queueDepth.Observe(int64(m.queued))
 	gaugeQueueDepth.Set(int64(m.queued))
-	if m.opt.Journal != nil {
-		gaugeJournalBytes.Set(m.opt.Journal.Size())
-	}
 	obs.Emit(evAdmit, jb.id, noLevel, jb.submittedAt, [obs.EventFieldsMax]obs.EventField{
 		{Key: "queue_depth", Value: int64(m.queued)},
 		{Key: "views", Value: int64(jb.spec.Views)},
@@ -341,7 +316,7 @@ func (m *Manager) Results(id string) ([]core.Result, error) {
 	if jb == nil {
 		return nil, ErrNotFound
 	}
-	return append([]core.Result(nil), jb.results...), nil
+	return append([]core.Result(nil), jb.durable.Results...), nil
 }
 
 // Cancel stops a job: a pending job goes terminal immediately, a
@@ -355,12 +330,12 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 		m.mu.Unlock()
 		return JobStatus{}, ErrNotFound
 	}
-	if jb.state.Terminal() {
+	if jb.durable.State.Terminal() {
 		st := m.statusLocked(jb)
 		m.mu.Unlock()
 		return st, ErrTerminal
 	}
-	if jb.state == StatePending {
+	if !jb.running {
 		m.terminalLocked(jb, StateCancelled, "cancelled before start", nil)
 		st := m.statusLocked(jb)
 		m.mu.Unlock()
@@ -420,10 +395,8 @@ func (m *Manager) executor(worker int) {
 			m.mu.Lock()
 			m.queued--
 			gaugeQueueDepth.Set(int64(m.queued))
-			skip := jb.state != StatePending // cancelled while queued
-			if !skip {
-				jb.state = StateRunning
-			}
+			skip := jb.durable.State.Terminal() // cancelled while queued
+			jb.running = !skip
 			m.mu.Unlock()
 			if !skip {
 				admitToStartTicks.Observe(int64(started - jb.submittedAt))
@@ -465,8 +438,8 @@ func (m *Manager) runJob(worker int, jb *job) {
 	}
 
 	m.mu.Lock()
-	start := jb.levelsDone
-	priors := jb.results
+	start := jb.durable.LevelsDone
+	priors := jb.durable.Results
 	m.mu.Unlock()
 	if priors == nil {
 		priors = cycle.InitialResults(inits)
@@ -541,22 +514,16 @@ func (m *Manager) checkpointLevel(worker int, jb *job, span string, level int, t
 	})
 	levelsDone.Inc()
 	m.mu.Lock()
-	jb.levelsDone = level + 1
-	jb.results = results
 	jb.noteLevel(level, sum)
-	var jerr error
-	if m.opt.Journal != nil {
-		jerr = m.opt.Journal.Level(jb.id, level, results)
-		if jerr == nil {
-			gaugeJournalBytes.Set(m.opt.Journal.Size())
-			obs.Emit(evCheckpoint, jb.id, level, t1, [obs.EventFieldsMax]obs.EventField{
-				{Key: "journal_bytes", Value: m.opt.Journal.Size()},
-			})
-		}
+	err := m.commitLocked(jb, journalRecord{Kind: "level", ID: jb.id, Level: level, Results: results})
+	if err == nil && m.opt.Journal != nil {
+		obs.Emit(evCheckpoint, jb.id, level, t1, [obs.EventFieldsMax]obs.EventField{
+			{Key: "journal_bytes", Value: m.opt.Journal.Size()},
+		})
 	}
 	m.mu.Unlock()
-	if jerr != nil {
-		return jerr
+	if err != nil {
+		return err
 	}
 	if m.opt.OnLevel != nil {
 		m.opt.OnLevel(jb.id, level)
@@ -568,12 +535,12 @@ func (m *Manager) checkpointLevel(worker int, jb *job, span string, level int, t
 // journal already holds everything a restart needs.
 func (m *Manager) park(jb *job) {
 	m.mu.Lock()
-	jb.state = StatePending
-	obs.Emit(evPark, jb.id, jb.levelsDone, m.clock(), [obs.EventFieldsMax]obs.EventField{
-		{Key: "levels_done", Value: int64(jb.levelsDone)},
+	jb.running = false
+	obs.Emit(evPark, jb.id, jb.durable.LevelsDone, m.clock(), [obs.EventFieldsMax]obs.EventField{
+		{Key: "levels_done", Value: int64(jb.durable.LevelsDone)},
 	})
 	m.mu.Unlock()
-	m.logf("serve: parked %s at level %d/%d for drain", jb.id, jb.levelsDone, jb.spec.levelsTotal())
+	m.logf("serve: parked %s at level %d/%d for drain", jb.id, jb.durable.LevelsDone, jb.spec.levelsTotal())
 }
 
 // finish moves a job to a terminal state and journals it.
@@ -585,9 +552,6 @@ func (m *Manager) finish(jb *job, state State, errMsg string, sum *Summary) {
 
 // terminalLocked is finish with Manager.mu held.
 func (m *Manager) terminalLocked(jb *job, state State, errMsg string, sum *Summary) {
-	jb.state = state
-	jb.errMsg = errMsg
-	jb.summary = sum
 	jb.cancel()
 	switch state {
 	case StateDone:
@@ -599,47 +563,72 @@ func (m *Manager) terminalLocked(jb *job, state State, errMsg string, sum *Summa
 	}
 	// The terminal event's kind is the state string itself
 	// ("done"/"failed"/"cancelled") so emission never concatenates.
-	obs.Emit(string(state), jb.id, jb.levelsDone, m.clock(), [obs.EventFieldsMax]obs.EventField{
-		{Key: "levels_done", Value: int64(jb.levelsDone)},
+	obs.Emit(string(state), jb.id, jb.durable.LevelsDone, m.clock(), [obs.EventFieldsMax]obs.EventField{
+		{Key: "levels_done", Value: int64(jb.durable.LevelsDone)},
 	})
-	if m.opt.Journal != nil {
-		if err := m.opt.Journal.Terminal(jb.id, state, errMsg, sum); err != nil {
-			m.logf("serve: journaling terminal state of %s: %v", jb.id, err)
-		} else {
-			gaugeJournalBytes.Set(m.opt.Journal.Size())
+	rec := journalRecord{Kind: "terminal", ID: jb.id, State: state, Error: errMsg, Summary: sum}
+	if err := m.commitLocked(jb, rec); err != nil {
+		// The run is over in this process whatever the journal holds;
+		// a restart resumes the job from its last checkpoint.
+		m.logf("serve: journaling terminal state of %s: %v", jb.id, err)
+		if err := jb.durable.apply(rec); err != nil {
+			m.logf("serve: %s: %v", jb.id, err)
 		}
 	}
 	m.logf("serve: %s → %s %s", jb.id, state, errMsg)
 }
 
+// commitLocked is the live path's one way to change a job's durable
+// state, with Manager.mu held: it checks rec against the fold, journals
+// it (fsynced), and only then folds it in. A record the fold rejects
+// is never journaled.
+func (m *Manager) commitLocked(jb *job, rec journalRecord) error {
+	next := jb.durable
+	if err := next.apply(rec); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	if j := m.opt.Journal; j != nil {
+		if err := j.append(rec); err != nil {
+			return err
+		}
+		gaugeJournalBytes.Set(j.Size())
+	}
+	jb.durable = next
+	return nil
+}
+
 // statusLocked snapshots a job's status with Manager.mu held.
 func (m *Manager) statusLocked(jb *job) JobStatus {
+	d := &jb.durable
 	st := JobStatus{
 		ID:          jb.id,
-		State:       jb.state,
+		State:       d.State,
 		Spec:        jb.spec,
 		Views:       jb.spec.Views,
-		LevelsDone:  jb.levelsDone,
+		LevelsDone:  d.LevelsDone,
 		LevelsTotal: jb.spec.levelsTotal(),
 		Shape:       m.shape,
 		SubmittedAt: jb.submittedAt,
 		Resumed:     jb.resumed,
-		Error:       jb.errMsg,
-		Summary:     jb.summary,
+		Error:       d.Error,
+		Summary:     d.Summary,
 		Levels:      append([]core.LevelSummary(nil), jb.levels...),
+	}
+	if jb.running && !d.State.Terminal() {
+		st.State = StateRunning
 	}
 	if jb.spec.Type == TypeCycle {
 		cs := &CycleStatus{
-			Done:      len(jb.cycleHist),
+			Done:      len(d.History),
 			Max:       jb.spec.MaxCycles,
-			Stopped:   jb.cycleStopped,
-			MapPath:   jb.lastMapPath,
-			MapDigest: jb.lastMapDigest,
-			History:   append([]cycle.CycleFSC(nil), jb.cycleHist...),
+			Stopped:   d.Stopped,
+			MapPath:   d.LastMapPath,
+			MapDigest: d.LastMapDigest,
+			History:   append([]cycle.CycleFSC(nil), d.History...),
 		}
-		if n := len(jb.cycleHist); n > 0 {
-			cs.ResolutionA = jb.cycleHist[n-1].ResolutionA
-			cs.Plateau = jb.cycleHist[n-1].Plateau
+		if n := len(d.History); n > 0 {
+			cs.ResolutionA = d.History[n-1].ResolutionA
+			cs.Plateau = d.History[n-1].Plateau
 		}
 		st.Cycle = cs
 	}
