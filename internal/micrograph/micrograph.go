@@ -125,10 +125,12 @@ func Generate(truth *volume.Grid, p GenParams) *Dataset {
 		ds.Views[i] = v
 	}
 	// Synthesis draws nothing, so the views run on the pool; each
-	// writes only its own image.
+	// writes only its own image. The truth's support is measured once
+	// for all of them.
+	density := projection.NewDensity(truth)
 	pool.RunIndexedLabeled("micrograph.generate", len(ds.Views), 0, func(_, i int) {
 		v := ds.Views[i]
-		im := synthesize(truth, v.TrueOrient, v.TrueCenter[0], v.TrueCenter[1], v.CTF, p.ApplyCTF)
+		im := synthesize(density, v.TrueOrient, v.TrueCenter[0], v.TrueCenter[1], v.CTF, p.ApplyCTF)
 		if p.SNR <= 0 {
 			v.Image = im
 			return
@@ -145,7 +147,7 @@ func Generate(truth *volume.Grid, p GenParams) *Dataset {
 }
 
 // synthesize projects, shifts, and optionally CTF-corrupts one view.
-func synthesize(truth *volume.Grid, o geom.Euler, dx, dy float64, p ctf.Params, applyCTF bool) *volume.Image {
+func synthesize(truth projection.Density, o geom.Euler, dx, dy float64, p ctf.Params, applyCTF bool) *volume.Image {
 	im := projection.Real(truth, o)
 	if dx == 0 && dy == 0 && !applyCTF {
 		return im

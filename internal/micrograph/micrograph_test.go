@@ -36,7 +36,7 @@ func TestGenerateNoiselessMatchesProjection(t *testing.T) {
 	truth := phantom.Asymmetric(24, 6, 1)
 	ds := Generate(truth, GenParams{NumViews: 3, PixelA: 2, Seed: 5})
 	for _, v := range ds.Views {
-		want := projection.Real(truth, v.TrueOrient)
+		want := projection.Real(projection.NewDensity(truth), v.TrueOrient)
 		if cc := volume.ImageCorrelation(v.Image, want); cc < 1-1e-9 {
 			t.Fatalf("noiseless uncorrupted view differs from projection (cc=%g)", cc)
 		}
@@ -63,7 +63,7 @@ func TestGenerateCenterJitter(t *testing.T) {
 	}
 	// A jittered view should match the projection after shifting back.
 	v := ds.Views[0]
-	proj := projection.Real(truth, v.TrueOrient)
+	proj := projection.Real(projection.NewDensity(truth), v.TrueOrient)
 	shifted := proj.Shift(v.TrueCenter[0], v.TrueCenter[1])
 	if cc := volume.ImageCorrelation(v.Image, shifted); cc < 0.98 {
 		t.Fatalf("jittered view does not match shifted projection (cc=%g)", cc)

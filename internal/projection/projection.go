@@ -2,7 +2,10 @@
 // density, in two independent ways:
 //
 //   - Real: direct line integration through the density grid along the
-//     view axis, sampling by trilinear interpolation. This is how the
+//     view axis, sampling by trilinear interpolation. Each ray sums
+//     only the samples that lie in the box and near the ball that
+//     holds the map's nonzero voxels (a Density carries that ball's
+//     radius); every other sample is an exact +0. This is how the
 //     synthetic "experimental" views of the test datasets are made.
 //   - Fourier: extraction of a central section of the 3-D DFT followed
 //     by an inverse 2-D DFT, per the projection-slice theorem. This is
@@ -14,21 +17,68 @@
 package projection
 
 import (
+	"math"
+
 	"repro/internal/fourier"
 	"repro/internal/geom"
 	"repro/internal/volume"
 )
 
-// Real projects the density g at orientation o by integrating along
+// Density is a map prepared for Real: the grid and the radius of its
+// support, the ball about the box centre (voxel l/2 on each axis) that
+// holds every voxel that is not ±0.
+type Density struct {
+	g *volume.Grid
+	// r is the largest distance from the box centre of a voxel that is
+	// not ±0 (NaN and ±Inf count); −1 when every voxel is ±0.
+	r float64
+}
+
+// NewDensity measures g's support in one pass over its voxels. g must
+// not change while the Density is in use.
+func NewDensity(g *volume.Grid) Density {
+	return Density{g: g, r: supportRadius(g)}
+}
+
+// supportRadius is the largest distance from the box centre of any
+// voxel of g that is not ±0, or −1 if there is none. v != 0 holds for
+// NaN and ±Inf and fails only for ±0.
+func supportRadius(g *volume.Grid) float64 {
+	l := g.L
+	c := l / 2
+	r2 := -1
+	for x := 0; x < l; x++ {
+		for y := 0; y < l; y++ {
+			row := g.Data[(x*l+y)*l : (x*l+y+1)*l]
+			for z, v := range row {
+				if v != 0 {
+					dx, dy, dz := x-c, y-c, z-c
+					r2 = max(r2, dx*dx+dy*dy+dz*dz)
+				}
+			}
+		}
+	}
+	if r2 < 0 {
+		return -1
+	}
+	return math.Sqrt(float64(r2))
+}
+
+// Real projects the density d at orientation o by integrating along
 // the view axis. Pixel (j,k) of the result is the sum over t of the
-// density at center + (j−c)·x̂' + (k−c)·ŷ' + t·ẑ', with t spanning the
-// full box. Samples outside the grid contribute zero, so each ray sums
-// only the samples that can touch the grid (clip): the ones it skips
-// are exact +0 and a sum that starts at +0 is never −0, so skipping
-// them moves no bit.
-func Real(g *volume.Grid, o geom.Euler) *volume.Image {
+// density at center + (j−c)·x̂' + (k−c)·ŷ' + t·ẑ', with t running over
+// the box, −l/2 ≤ t < l − l/2. Each ray sums only the samples that can
+// be nonzero: the ones within r + 2 voxels of the box centre (sphere)
+// and the ones that can touch the grid (clip). A skipped sample is an
+// exact +0 — off the grid, or with all eight corners farther than r
+// from the centre, so every corner is ±0 — and a sum that starts at +0
+// is never −0, so skipping it moves no bit.
+func Real(d Density, o geom.Euler) *volume.Image {
+	g := d.g
 	l := g.L
 	c := float64(l / 2)
+	centre := geom.Vec3{X: c, Y: c, Z: c}
+	reach := d.r + 2
 	m := o.Matrix()
 	xa, ya, za := m.Col(0), m.Col(1), m.Col(2)
 	out := volume.NewImage(l)
@@ -38,10 +88,11 @@ func Real(g *volume.Grid, o geom.Euler) *volume.Image {
 		for k := 0; k < l; k++ {
 			v := float64(k) - c
 			// Base point of the ray in map coordinates.
-			base := geom.Vec3{X: c, Y: c, Z: c}.
+			base := centre.
 				Add(xa.Scale(u)).
 				Add(ya.Scale(v))
-			lo, hi := clip(base.X, za.X, l, -half, l-half)
+			lo, hi := sphere(base.Sub(centre), za, reach, -half, l-half)
+			lo, hi = clip(base.X, za.X, l, lo, hi)
 			lo, hi = clip(base.Y, za.Y, l, lo, hi)
 			lo, hi = clip(base.Z, za.Z, l, lo, hi)
 			var sum float64
@@ -53,6 +104,30 @@ func Real(g *volume.Grid, o geom.Euler) *volume.Image {
 		}
 	}
 	return out
+}
+
+// sphere narrows the sample range [lo, hi) of one ray, whose sample t
+// sits at b + t·a relative to the box centre, to the samples with
+// |b + t·a| ≤ reach: the roots of |a|²t² + 2(b·a)t + |b|² − reach² = 0,
+// rounded outward. A ray that misses the ball keeps no sample; a NaN
+// root keeps the whole range. Real passes reach = r + 2, which leaves
+// 2 − √3 ≈ 0.27 voxel between a skipped sample's nearest corner and the
+// support, far above the rounding of the roots, so the range is only
+// ever wider than the exact one, never narrower.
+func sphere(b, a geom.Vec3, reach float64, lo, hi int) (int, int) {
+	qa, qb, qc := a.Dot(a), b.Dot(a), b.Dot(b)-reach*reach
+	disc := qb*qb - qa*qc
+	if disc < 0 {
+		return lo, lo
+	}
+	s := math.Sqrt(disc)
+	if t := math.Floor((-qb - s) / qa); t > float64(lo) {
+		lo = int(min(t, float64(hi)))
+	}
+	if t := math.Ceil((-qb+s)/qa) + 1; t < float64(hi) {
+		hi = int(max(t, float64(lo)))
+	}
+	return lo, hi
 }
 
 // clip narrows the sample range [lo, hi) of one ray to the samples t

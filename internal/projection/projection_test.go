@@ -40,7 +40,7 @@ func TestRealProjectionAlongZ(t *testing.T) {
 	// At the identity orientation the projection is the sum over z.
 	l := 16
 	g := asymGrid(l)
-	p := Real(g, geom.Euler{})
+	p := Real(NewDensity(g), geom.Euler{})
 	for j := 0; j < l; j++ {
 		for k := 0; k < l; k++ {
 			var want float64
@@ -62,7 +62,7 @@ func TestRealProjectionMassConservation(t *testing.T) {
 	g.SphericalMask(10)
 	var masses []float64
 	for _, o := range []geom.Euler{{}, {Theta: 30, Phi: 60, Omega: 0}, {Theta: 85, Phi: 200, Omega: 45}, {Theta: 140, Phi: 10, Omega: 300}} {
-		p := Real(g, o)
+		p := Real(NewDensity(g), o)
 		var m float64
 		for _, v := range p.Data {
 			m += v
@@ -90,7 +90,7 @@ func TestProjectionSliceTheorem(t *testing.T) {
 		{Theta: 45, Phi: 120, Omega: 30},
 		{Theta: 133, Phi: 311, Omega: 201},
 	} {
-		pr := Real(g, o)
+		pr := Real(NewDensity(g), o)
 		pf := Fourier(vdft, o, rmax, fourier.Trilinear)
 		cc := volume.ImageCorrelation(pr, pf)
 		if cc < 0.98 {
@@ -105,7 +105,7 @@ func TestProjectionSliceTheoremTrilinearBeatsNearest(t *testing.T) {
 	g.SphericalMask(11)
 	vdft := fourier.NewVolumeDFT(g)
 	o := geom.Euler{Theta: 52, Phi: 77, Omega: 13}
-	pr := Real(g, o)
+	pr := Real(NewDensity(g), o)
 	ccTri := volume.ImageCorrelation(pr, Fourier(vdft, o, 15, fourier.Trilinear))
 	ccNear := volume.ImageCorrelation(pr, Fourier(vdft, o, 15, fourier.Nearest))
 	if ccTri <= ccNear {
@@ -148,8 +148,8 @@ func TestProjectionDistinguishesOrientations(t *testing.T) {
 	l := 32
 	g := asymGrid(l)
 	g.SphericalMask(11)
-	a := Real(g, geom.Euler{Theta: 20, Phi: 0, Omega: 0})
-	b := Real(g, geom.Euler{Theta: 110, Phi: 140, Omega: 60})
+	a := Real(NewDensity(g), geom.Euler{Theta: 20, Phi: 0, Omega: 0})
+	b := Real(NewDensity(g), geom.Euler{Theta: 110, Phi: 140, Omega: 60})
 	if cc := volume.ImageCorrelation(a, b); cc > 0.95 {
 		t.Fatalf("distant orientations give near-identical projections (cc=%.4f)", cc)
 	}

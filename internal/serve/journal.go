@@ -152,8 +152,16 @@ func (s *JobReplay) apply(rec journalRecord) error {
 		s.History = append(s.History, *rec.FSC)
 		s.Stopped = rec.Stopped
 	case "terminal":
-		if !rec.State.Terminal() {
+		// A job fails or is cancelled at any point, but is done only
+		// once its work is: every level of a refine job, a stop reason
+		// on a cycle job.
+		switch {
+		case !rec.State.Terminal():
 			return fmt.Errorf("job %s non-terminal state %q", s.ID, rec.State)
+		case rec.State == StateDone && spec.Type == TypeRefine && s.LevelsDone != spec.levelsTotal():
+			return fmt.Errorf("job %s done after %d of %d levels", s.ID, s.LevelsDone, spec.levelsTotal())
+		case rec.State == StateDone && spec.Type == TypeCycle && s.Stopped == "":
+			return fmt.Errorf("job %s done before its cycle loop stopped", s.ID)
 		}
 		s.State = rec.State
 		s.Error = rec.Error

@@ -50,8 +50,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.Submit("job-000001", spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Level("job-000001", 0, results); err != nil {
-		t.Fatal(err)
+	for level := 0; level < spec.Levels; level++ {
+		if err := j.Level("job-000001", level, results); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := j.Submit("job-000002", spec); err != nil {
 		t.Fatal(err)
@@ -73,7 +75,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		}
 	}()
 	want := []JobReplay{
-		{ID: "job-000001", Spec: spec, LevelsDone: 1, Results: results, State: StateDone, Summary: sum, LastMapCycle: -1},
+		{ID: "job-000001", Spec: spec, LevelsDone: 2, Results: results, State: StateDone, Summary: sum, LastMapCycle: -1},
 		{ID: "job-000002", Spec: spec, State: StatePending, LastMapCycle: -1},
 	}
 	if got := j2.Replay(); !reflect.DeepEqual(got, want) {
@@ -213,7 +215,7 @@ var (
 // schedule; and the file stays appendable — one more submit, a close
 // and a reopen replay exactly one more job.
 func FuzzJournalReplay(f *testing.F) {
-	valid := `{"kind":"submit","id":"job-000001","spec":{"dataset":"asymmetric","views":1}}` + "\n" +
+	valid := `{"kind":"submit","id":"job-000001","spec":{"dataset":"asymmetric","views":1,"levels":1}}` + "\n" +
 		`{"kind":"level","id":"job-000001","level":0,"results":[{"orient":{"theta":1,"phi":2,"omega":3}}]}` + "\n" +
 		`{"kind":"terminal","id":"job-000001","state":"done"}` + "\n"
 	f.Add([]byte(valid))
@@ -291,7 +293,8 @@ func TestJournalMalformedMiddle(t *testing.T) {
 }
 
 // TestJournalInconsistentRecords: level records must reference a
-// submitted job and arrive in schedule order.
+// submitted job and arrive in schedule order, and a job is done only
+// after its last level (refine) or its stop reason (cycle).
 func TestJournalInconsistentRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
 	for _, bad := range []string{
@@ -309,7 +312,10 @@ func TestJournalInconsistentRecords(t *testing.T) {
 			t.Errorf("inconsistent journal accepted: %s", bad)
 		}
 	}
-	terminal := `{"kind":"terminal","id":"job-000001","state":"done"}` + "\n"
+	cancelled := `{"kind":"terminal","id":"job-000001","state":"cancelled"}` + "\n"
+	done := `{"kind":"terminal","id":"job-000001","state":"done"}` + "\n"
+	cycleLevels := tinyCycleSubmit + "\n" + `{"kind":"cycle_start","id":"job-000001","cycle":0}` + "\n" +
+		levelRecord(0, 4) + "\n" + levelRecord(1, 4) + "\n"
 	for _, c := range []struct {
 		name, journal string
 		line          int
@@ -317,7 +323,9 @@ func TestJournalInconsistentRecords(t *testing.T) {
 		{"more results than views", tooManyResults, 2},
 		{"fewer results than views", tooFewResults, 2},
 		{"cycle level before cycle_start", levelBeforeCycle, 2},
-		{"record after terminal", tinySubmit + "\n" + terminal + levelRecord(0, 4) + "\n", 3},
+		{"record after terminal", tinySubmit + "\n" + cancelled + levelRecord(0, 4) + "\n", 3},
+		{"refine job done before its last level", tinySubmit + "\n" + levelRecord(0, 4) + "\n" + done, 3},
+		{"cycle job done with no stop reason", cycleLevels + done, 5},
 		{"cycle_start on a refine job", tinySubmit + "\n" + `{"kind":"cycle_start","id":"job-000001","cycle":0}` + "\n", 2},
 	} {
 		if err := os.WriteFile(path, []byte(c.journal), 0o644); err != nil {

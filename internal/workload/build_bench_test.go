@@ -9,15 +9,18 @@ import (
 )
 
 // BenchmarkDatasetBuild times one dataset synthesis, phantom plus
-// views, at two sizes: recon_fsc's (the reo phantom at L = 64, 160
-// views with CTF in four defocus groups) and ROADMAP's cycle_large
-// (sindbis at L = 128, 500 views). Besides ns/op it reports
+// views, at three sizes: cycle_exhaustive's (the asymmetric phantom at
+// L = 40, 30 views), recon_fsc's (the reo phantom at L = 64, 160 views
+// with CTF in four defocus groups) and ROADMAP's cycle_large (sindbis
+// at L = 128, 500 views). Besides ns/op it reports
 // peak-heap-MB, the largest heap (objects live or not yet swept) that a
 // 1 ms sampler sees during the builds. The build runs on GOMAXPROCS
 // workers, so set -cpu to compare worker counts.
 //
 //	go test -run '^$' -bench DatasetBuild -benchtime 1x ./internal/workload
 func BenchmarkDatasetBuild(b *testing.B) {
+	exhaustive := AsymmetricSpec()
+	exhaustive.NumViews = 30
 	recon := ReoSpec()
 	recon.L, recon.NumViews = 64, 160
 	recon.ApplyCTF, recon.DefocusGroups, recon.Seed = true, 4, 1
@@ -26,7 +29,7 @@ func BenchmarkDatasetBuild(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		spec DatasetSpec
-	}{{"recon_fsc", recon}, {"cycle_large", large}} {
+	}{{"cycle_exhaustive", exhaustive}, {"recon_fsc", recon}, {"cycle_large", large}} {
 		b.Run(c.name, func(b *testing.B) {
 			runtime.GC()
 			stop := sampleHeapPeak()
