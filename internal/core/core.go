@@ -78,6 +78,17 @@ func (c *Config) windowKeys() int {
 	return n
 }
 
+// windowAxis is the most samples one axis of a flat-scan window of any
+// schedule level holds, which sizes the window's lattice.
+func (c *Config) windowAxis() int {
+	n := 1
+	for _, lv := range c.Schedule {
+		nt, np, no := geom.CenteredWindow(geom.Euler{}, lv.WindowHalf, lv.RAngular).Counts()
+		n = max(n, nt, np, no)
+	}
+	return n
+}
+
 // DefaultSchedule returns the paper's refinement schedule: angular
 // resolutions 1°, 0.1°, 0.01° and 0.002°, with centre resolutions
 // 1, 0.1, 0.01 and 0.001 pixels (§5), and 9 cuts per axis per window.

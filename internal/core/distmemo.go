@@ -16,15 +16,24 @@ import (
 //
 // The table starts with room for one search window of the schedule
 // (Config.windowKeys) and doubles when it would pass three-quarters
-// full. Whether it grows depends only on the keys, so a level that has
-// run once never grows on a replay, and a worker's table settles at
-// the size of the largest level it has run. reset empties it in place.
+// full, only ever on a claim of a key it does not hold. Whether it
+// grows depends only on the keys, so a level that has run once never
+// grows on a replay, and a worker's table settles at the size of the
+// largest level it has run. reset empties it in place.
+//
+// A search claims each candidate once and keeps the slot claim returns:
+// the candidate's distance lands in dists at that slot, and the argmin
+// reads it there. Growth moves every key, so it bumps gen; a batch that
+// sees gen change between its first claim and its scoring finds its
+// slots again (slot).
 type distMemo struct {
 	keys  []orientKey
 	dists []float64
 	used  []uint64 // bit i set: slot i holds a key
 	n     int      // used slots
 	shift uint     // 64 − log2(len(keys)): the hash's top bits index a slot
+	gen   int      // growths so far: slots found before a growth are stale
+	finds int64    // probes so far, growth's re-entries included: the search's cost in the table
 }
 
 // newDistMemo allocates a memo for at least n keys before it grows.
@@ -56,6 +65,7 @@ func (m *distMemo) reset() {
 // find returns the slot that holds k, or the empty slot where k would
 // go, and whether k is there.
 func (m *distMemo) find(k orientKey) (int, bool) {
+	m.finds++
 	h := uint64(k[0])*0x9e3779b97f4a7c15 ^ uint64(k[1])*0xc2b2ae3d27d4eb4f ^ uint64(k[2])*0x165667b19e3779f9
 	mask := len(m.keys) - 1
 	i := int((h*0xff51afd7ed558ccd)>>m.shift) & mask
@@ -68,19 +78,25 @@ func (m *distMemo) find(k orientKey) (int, bool) {
 	return i, false
 }
 
-// claim enters k with a NaN distance and reports true, or reports false
-// if k is already in the memo.
-func (m *distMemo) claim(k orientKey) bool {
+// claim returns k's slot and whether k is fresh: a key the memo does
+// not hold enters with a NaN distance, its value to land at the slot.
+func (m *distMemo) claim(k orientKey) (int, bool) {
 	i, ok := m.find(k)
 	if ok {
-		return false
+		return i, false
 	}
 	if 4*(m.n+1) > 3*len(m.keys) {
 		m.grow()
 		i, _ = m.find(k)
 	}
 	m.put(i, k, math.NaN())
-	return true
+	return i, true
+}
+
+// slot returns the slot of a key the memo holds.
+func (m *distMemo) slot(k orientKey) int {
+	i, _ := m.find(k)
+	return i
 }
 
 func (m *distMemo) put(i int, k orientKey, d float64) {
@@ -91,6 +107,7 @@ func (m *distMemo) put(i int, k orientKey, d float64) {
 
 // grow doubles the table and re-enters every key.
 func (m *distMemo) grow() {
+	m.gen++
 	keys, dists, used := m.keys, m.dists, m.used
 	m.alloc(2 * len(keys))
 	for i, k := range keys {
@@ -99,20 +116,4 @@ func (m *distMemo) grow() {
 			m.put(j, k, dists[i])
 		}
 	}
-}
-
-// set records the distance of a claimed key.
-func (m *distMemo) set(k orientKey, d float64) {
-	i, _ := m.find(k)
-	m.dists[i] = d
-}
-
-// get returns the distance of key k: NaN while it is claimed and not
-// scored, and for a key never claimed.
-func (m *distMemo) get(k orientKey) float64 {
-	i, ok := m.find(k)
-	if !ok {
-		return math.NaN()
-	}
-	return m.dists[i]
 }

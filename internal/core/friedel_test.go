@@ -141,11 +141,12 @@ func TestHalfBandMatchesFullDisc(t *testing.T) {
 						orients = append(orients, micrograph.RandomOrientation(rng))
 					}
 					hd, fd := make([]float64, len(orients)), make([]float64, len(orients))
-					half.distanceWindow(hv, orients, nh, hs, hd)
-					full.distanceWindow(fv, orients, nf, fs, fd)
+					for i, o := range orients {
+						hd[i], fd[i] = half.cutDistance(hv, o, nh, hs.cells), full.cutDistance(fv, o, nf, fs.cells)
+					}
 					for i, o := range orients {
 						if d := friedelRel(hd[i], fd[i], floor); d > tol {
-							t.Fatalf("%s level %d distanceWindow at %v: half %.17g, full %.17g (rel %.3g)", stage, li, o, hd[i], fd[i], d)
+							t.Fatalf("%s level %d cutDistance at %v: half %.17g, full %.17g (rel %.3g)", stage, li, o, hd[i], fd[i], d)
 						}
 						a, b := half.distance(hv, o, nh, hs), full.distance(fv, o, nf, fs)
 						if d := friedelRel(a, b, floor); d > tol {
@@ -163,17 +164,17 @@ func TestHalfBandMatchesFullDisc(t *testing.T) {
 							t.Fatalf("%s level %d centerDistance(%g,%g) at %v: half %.17g, full %.17g (rel %.3g)", stage, li, dx, dy, o, a, b, d)
 						}
 					}
-					// Lattice orientations, as the adaptive descent scores them.
-					lattice := make([]geom.Euler, 10)
-					for i := range lattice {
-						lattice[i] = eulerOfKey(keyOf(micrograph.RandomOrientation(rng), lv.RAngular), lv.RAngular)
-					}
-					hd, fd = hd[:len(lattice)], fd[:len(lattice)]
-					half.distanceWindow(hv, lattice, nh, hs, hd)
-					full.distanceWindow(fv, lattice, nf, fs, fd)
-					for i, o := range lattice {
-						if d := friedelRel(hd[i], fd[i], floor); d > tol {
-							t.Fatalf("%s level %d distanceWindow at lattice point %v: half %.17g, full %.17g (rel %.3g)", stage, li, o, hd[i], fd[i], d)
+					// Lattice orientations, as the adaptive descent scores
+					// them: image axes from the lattice rotation factors.
+					hs.rot.use(lv.RAngular)
+					fs.rot.use(lv.RAngular)
+					for range 10 {
+						k := keyOf(micrograph.RandomOrientation(rng), lv.RAngular)
+						hx, hy := hs.rot.axes(k)
+						fx, fy := fs.rot.axes(k)
+						a, b := half.axesDistance(hv, hx, hy, nh, hs.cells), full.axesDistance(fv, fx, fy, nf, fs.cells)
+						if d := friedelRel(a, b, floor); d > tol {
+							t.Fatalf("%s level %d axesDistance at lattice point %v: half %.17g, full %.17g (rel %.3g)", stage, li, k, a, b, d)
 						}
 					}
 				}

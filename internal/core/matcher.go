@@ -46,6 +46,11 @@ type matcher struct {
 	// loops read three flat float64 slices (frequencies pre-converted
 	// from int) instead of an array of mixed-field structs.
 	fh, fk, wt []float64
+	// inNyquist is how many leading band entries no rotation carries
+	// past Nyquist (fourier.Sampler.InNyquist): the whole band when RMap
+	// is below l/2, as in production, and all but the Nyquist ring when
+	// it is l/2.
+	inNyquist int
 	// hi, ki index each entry's h and k into the separable phase-ramp
 	// tables of a centre shift, which span −rampR…rampR: hi = h + rampR.
 	hi, ki []int32
@@ -85,8 +90,9 @@ func newMatcher(dft *fourier.VolumeDFT, cfg Config) *matcher {
 }
 
 // finishBand turns the enumerated band positions into the matcher's
-// working layout: entries sorted by (radius, h, k), and the
-// structure-of-arrays mirror and phase-ramp table indices filled. Every
+// working layout: entries sorted by (radius, h, k), the
+// structure-of-arrays mirror and phase-ramp table indices filled, and
+// the in-Nyquist prefix measured on the sorted band. Every
 // entry has |h|, |k| ≤ r ≤ rmax, so tables spanning −⌊rmax⌋…⌊rmax⌋
 // cover the half band and the full disc alike.
 func (m *matcher) finishBand(rmax float64) {
@@ -113,6 +119,7 @@ func (m *matcher) finishBand(rmax float64) {
 		m.hi[i] = int32(e.h + m.rampR)
 		m.ki[i] = int32(e.k + m.rampR)
 	}
+	m.inNyquist = m.smp.InNyquist(m.fh, m.fk)
 }
 
 // prefixLen returns how many leading band entries have radius ≤ rmax.
@@ -125,41 +132,34 @@ func (m *matcher) prefixLen(rmax float64) int {
 // goroutine must own its scratch (the matcher itself stays read-only
 // and shared).
 type matchScratch struct {
-	cut     []complex128      // candidate cut being scored
-	cross   []complex128      // centre refinement's cross-spectrum w·conj(C)·F
-	ramp    shiftRamp         // phase-ramp tables of the shift being scored
-	orients []geom.Euler      // current window grid
-	pending []geom.Euler      // uncached candidates, scored as one batch
-	keys    []orientKey       // adaptive candidate batch (lattice keys)
-	dists   []float64         // batched distances for pending
-	cache   *distMemo         // per-level distance memo across window slides
-	cells   *fourier.CellMemo // each band slot's last cell
+	cut      []complex128      // the centre search's cut
+	cross    []complex128      // centre refinement's cross-spectrum w·conj(C)·F
+	ramp     shiftRamp         // phase-ramp tables of the shifts being scored
+	window   latticeWindow     // the flat scan's window: axis values, keys and rotation factors
+	slots    []int             // memo slot of each window orientation, in grid order
+	rot      latticeRotations  // the descent's rotation factors by lattice index
+	pending  []candidate       // fresh candidates, scored pendingChunk at a time
+	keys     []orientKey       // adaptive candidate batch (lattice keys)
+	keySlots []int             // memo slot of each key in keys
+	cache    *distMemo         // per-level distance memo across window slides
+	cells    *fourier.CellMemo // each band slot's last cell
 }
 
-// growDists returns a length-n distance buffer, growing the backing
-// array geometrically so the adaptive path's many small candidate
-// batches and the flat scan's occasional large windows share one
-// steady-state allocation (the same pattern sc.pending follows through
-// append).
-//
-//repro:hotpath
-func (sc *matchScratch) growDists(n int) []float64 {
-	if cap(sc.dists) < n {
-		//replint:allow hotpathalloc worker-owned scratch doubled on demand: it reaches the level's largest batch (one flat window, or 27+probes lattice keys) within the first view and never allocates again
-		sc.dists = make([]float64, max(n, 2*cap(sc.dists)))
-	}
-	return sc.dists[:n]
-}
-
-// newScratch allocates worker scratch sized to the full band.
+// newScratch allocates worker scratch sized to the full band, to one
+// search window of the schedule and to one candidate batch, so a
+// search grows none of it.
 func (m *matcher) newScratch() *matchScratch {
-	n := len(m.band)
+	n, w := len(m.band), m.cfg.windowKeys()
 	return &matchScratch{
-		cut:   make([]complex128, n),
-		cross: make([]complex128, n),
-		ramp:  m.newRamp(),
-		cache: newDistMemo(m.cfg.windowKeys()),
-		cells: fourier.NewCellMemo(n),
+		cut:      make([]complex128, n),
+		cross:    make([]complex128, n),
+		ramp:     m.newRamp(),
+		window:   newLatticeWindow(m.cfg.windowAxis()),
+		slots:    make([]int, w),
+		pending:  make([]candidate, 0, pendingChunk),
+		keySlots: make([]int, 0, pendingChunk),
+		cache:    newDistMemo(w),
+		cells:    fourier.NewCellMemo(n),
 	}
 }
 
@@ -261,22 +261,32 @@ func checkHermitian(dft *fourier.VolumeDFT) error {
 	return nil
 }
 
-// scoreCut samples the reference cut C at orientation o into cut over
-// the leading len(cut) band entries, times the view's per-entry cut
+// scoreAxes samples the reference cut C whose image axes are x̂ and ŷ
+// over the leading n band entries, times the view's per-entry cut
 // weights when present, and returns its sums against the view:
 // ec = E_C = Σ w·|C|² and cross = ⟨F,C⟩ = Σ w·(re F·re C + im F·im C).
-// It is core's one cut entry point — every distance, under either
-// metric and either interpolation, and the centre box's cut:
-// fourier.Sampler.SampleCutScore reads the corners through the
-// worker's cell memo and forms both sums as it writes the cut (inside
-// the AVX blend pass on amd64, a Go loop elsewhere), in slot order, so
-// every path gives the same bits.
+// It writes the weighted cut to cut when cut is not nil; a distance
+// needs only the sums. It is core's one cut entry point — every
+// distance, under either metric and either interpolation, and the
+// centre box's cut: fourier.Sampler.SampleCutScore reads the corners
+// through the worker's cell memo and forms both sums as it samples the
+// cut (inside the AVX blend pass on amd64, over the band's in-Nyquist
+// prefix, a Go loop elsewhere), in slot order, so every path gives the
+// same bits.
+//
+//repro:hotpath
+func (m *matcher) scoreAxes(vd *viewData, x, y geom.Vec3, n int, cut []complex128, cells *fourier.CellMemo) (ec, cross float64) {
+	return m.smp.SampleCutScore(cut, m.fh, m.fk, m.inNyquist, x, y, cells, vd.vals[:n], m.wt, vd.refW)
+}
+
+// scoreCut is scoreAxes at orientation o over the leading len(cut)
+// band entries, writing the weighted cut to cut: the centre search's
+// cut.
 //
 //repro:hotpath
 func (m *matcher) scoreCut(vd *viewData, o geom.Euler, cut []complex128, cells *fourier.CellMemo) (ec, cross float64) {
 	rot := o.Matrix()
-	n := len(cut)
-	return m.smp.SampleCutScore(cut, m.fh[:n], m.fk[:n], rot.Col(0), rot.Col(1), cells, vd.vals[:n], m.wt[:n], vd.refW)
+	return m.scoreAxes(vd, rot.Col(0), rot.Col(1), len(cut), cut, cells)
 }
 
 // metric is the distance from the view energy E_F and a cut's sums
@@ -297,67 +307,94 @@ func (m *matcher) metric(energy, ec, cross float64) float64 {
 	return (energy - cross*cross/ec) * m.invL2
 }
 
-// cutDistance samples the cut at orientation o into cut and returns
-// its distance to the view: scoreCut's sums, then metric.
+// axesDistance is the distance to the view of the cut whose image axes
+// are x̂ and ŷ over the leading n band entries: scoreAxes' sums, then
+// metric. The cut is not stored.
 //
 //repro:hotpath
-func (m *matcher) cutDistance(vd *viewData, o geom.Euler, cut []complex128, cells *fourier.CellMemo) float64 {
-	ec, cross := m.scoreCut(vd, o, cut, cells)
-	return m.metric(vd.prefixE[len(cut)], ec, cross)
+func (m *matcher) axesDistance(vd *viewData, x, y geom.Vec3, n int, cells *fourier.CellMemo) float64 {
+	ec, cross := m.scoreAxes(vd, x, y, n, nil, cells)
+	return m.metric(vd.prefixE[n], ec, cross)
 }
 
-// distance evaluates d(F, C_s) for the cut at orientation o without
-// materializing anything beyond the scratch cut buffer (cutDistance).
+// cutDistance is axesDistance at orientation o, whose image axes are
+// columns 0 and 1 of o.Matrix().
+//
+//repro:hotpath
+func (m *matcher) cutDistance(vd *viewData, o geom.Euler, n int, cells *fourier.CellMemo) float64 {
+	rot := o.Matrix()
+	return m.axesDistance(vd, rot.Col(0), rot.Col(1), n, cells)
+}
+
+// distance evaluates d(F, C_s) for the cut at orientation o over the
+// leading n band entries (cutDistance), counting one evaluation.
 //
 //repro:hotpath
 func (m *matcher) distance(vd *viewData, o geom.Euler, n int, sc *matchScratch) float64 {
 	matchDistanceEvals.Inc()
-	return m.cutDistance(vd, o, sc.cut[:n], sc.cells)
+	return m.cutDistance(vd, o, n, sc.cells)
 }
 
-// distanceWindow is the batched sliding-window entry point: it scores
-// every candidate orientation in one call, writing dst[i] for
-// orients[i]. Scratch, band layout and metric configuration are set up
-// once per call instead of once per candidate; dst must have length
-// len(orients).
-//
-//repro:hotpath
-func (m *matcher) distanceWindow(vd *viewData, orients []geom.Euler, n int, sc *matchScratch, dst []float64) {
-	matchDistanceEvals.Add(int64(len(orients)))
-	cut := sc.cut[:n]
-	for i, o := range orients {
-		dst[i] = m.cutDistance(vd, o, cut, sc.cells)
-	}
+// shiftRamp holds phase-ramp tables of centre shifts in the shift
+// theorem's separable form: the table of a shift d along one axis holds
+// t[h+R] = e^{−2πi·h·d/l} for R = matcher.rampR, so band entry i is
+// shifted by (dx, dy) through x[hi[i]]·y[ki[i]]. A table depends on d
+// alone, so each axis keeps its last rampWays tables keyed by the bits
+// of d and fills a table only for a shift it does not hold: a centre
+// box has 2·CenterHalf+1 distinct shifts per axis, and refineCenter
+// computes each the same way at every box point.
+type shiftRamp struct{ x, y rampAxis }
+
+// rampWays is how many tables a shiftRamp keeps per axis: the three
+// distinct shifts of the paper's 3×3 box, and one more.
+const rampWays = 4
+
+// rampAxis is one axis's tables, replaced round robin.
+type rampAxis struct {
+	tabs  [rampWays][]complex128
+	keys  [rampWays]uint64 // math.Float64bits of each table's shift
+	valid [rampWays]bool
+	next  int // the table the next fill replaces
+	fills int // tables filled so far
 }
 
-// shiftRamp holds the phase ramp of one centre shift (dx, dy) in the
-// shift theorem's separable form, x[h+R] = e^{−2πi·h·dx/l} and
-// y[k+R] = e^{−2πi·k·dy/l} for R = matcher.rampR, so band entry i is
-// shifted by x[hi[i]]·y[ki[i]].
-type shiftRamp struct{ x, y []complex128 }
-
-// newRamp allocates ramp tables spanning the matcher's band, both in
-// one backing array.
+// newRamp allocates ramp tables spanning the matcher's band, all in one
+// backing array.
 func (m *matcher) newRamp() shiftRamp {
 	n := 2*m.rampR + 1
-	buf := make([]complex128, 2*n)
-	return shiftRamp{x: buf[:n:n], y: buf[n:]}
+	buf := make([]complex128, 2*rampWays*n)
+	var rp shiftRamp
+	for w := range rampWays {
+		rp.x.tabs[w] = buf[(2*w)*n : (2*w+1)*n : (2*w+1)*n]
+		rp.y.tabs[w] = buf[(2*w+1)*n : (2*w+2)*n : (2*w+2)*n]
+	}
+	return rp
 }
 
-// fillRamp tabulates the ramp of shift (dx, dy): 2(R+1) Sincos calls,
-// the negative frequencies being the conjugate mirror of the positive
-// ones, instead of one call per band coefficient.
+// rampTable returns the ramp table of shift d along one axis, filling
+// it on a miss: R+1 Sincos calls, the negative frequencies being the
+// conjugate mirror of the positive ones, instead of one call per band
+// coefficient.
 //
 //repro:hotpath
-func (m *matcher) fillRamp(rp *shiftRamp, dx, dy float64) {
-	r := m.rampR
+func (m *matcher) rampTable(a *rampAxis, d float64) []complex128 {
+	b := math.Float64bits(d)
+	for w := range a.tabs {
+		if a.valid[w] && a.keys[w] == b {
+			return a.tabs[w]
+		}
+	}
+	w := a.next
+	a.next = (w + 1) % rampWays
+	t, r := a.tabs[w], m.rampR
 	twoPiOverL := 2 * math.Pi / float64(m.l)
 	for j := 0; j <= r; j++ {
-		s, c := math.Sincos(-twoPiOverL * float64(j) * dx)
-		rp.x[r+j], rp.x[r-j] = complex(c, s), complex(c, -s)
-		s, c = math.Sincos(-twoPiOverL * float64(j) * dy)
-		rp.y[r+j], rp.y[r-j] = complex(c, s), complex(c, -s)
+		s, c := math.Sincos(-twoPiOverL * float64(j) * d)
+		t[r+j], t[r-j] = complex(c, s), complex(c, -s)
 	}
+	a.keys[w], a.valid[w] = b, true
+	a.fills++
+	return t
 }
 
 // crossSpectrum prepares the centre search against one fixed cut: it
@@ -380,16 +417,15 @@ func (m *matcher) crossSpectrum(vd *viewData, cut, g []complex128) {
 // crossSpectrum prepared and whose energy ec scoreCut returned. The
 // shifted view is F·x[h]·y[k], so ⟨F_shifted, C⟩ = Σ Re(g·x[h]·y[k]),
 // and a phase ramp leaves the view energy E_F unchanged; metric turns
-// the sums into the distance, as it does for cutDistance.
+// the sums into the distance, as it does for axesDistance.
 //
 //repro:hotpath
 func (m *matcher) centerDistance(vd *viewData, g []complex128, ec, dx, dy float64, rp *shiftRamp) float64 {
 	matchShiftedEvals.Inc()
-	m.fillRamp(rp, dx, dy)
 	n := len(g)
 	energy := vd.prefixE[n]
 	hi, ki := m.hi[:n], m.ki[:n]
-	x, y := rp.x, rp.y
+	x, y := m.rampTable(&rp.x, dx), m.rampTable(&rp.y, dy)
 	var cross float64
 	for i, gv := range g {
 		xv, yv := x[hi[i]], y[ki[i]]
@@ -406,8 +442,7 @@ func (m *matcher) centerDistance(vd *viewData, g []complex128, ec, dx, dy float6
 //
 //repro:hotpath
 func (m *matcher) applyShift(vd *viewData, dx, dy float64, rp *shiftRamp) {
-	m.fillRamp(rp, dx, dy)
-	x, y := rp.x, rp.y
+	x, y := m.rampTable(&rp.x, dx), m.rampTable(&rp.y, dy)
 	for i, f := range vd.vals {
 		vd.vals[i] = f * (x[m.hi[i]] * y[m.ki[i]])
 	}

@@ -230,8 +230,9 @@ func cutApartDistance(m *matcher, vd *viewData, o geom.Euler, cut []complex128) 
 
 // TestCutDistanceFusedMatchesApart: under every metric configuration a
 // candidate's distance (cutDistance, whose sums the sampler forms in
-// its cut pass) is bit for bit the cut sampled first and scored apart
-// (cutApartDistance), and leaves the same cut behind.
+// its cut pass and which stores no cut) is bit for bit the cut sampled
+// first and scored apart (cutApartDistance), and the centre search's
+// scoreCut leaves that same cut behind.
 func TestCutDistanceFusedMatchesApart(t *testing.T) {
 	for name, cfg := range oracleConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -252,14 +253,18 @@ func TestCutDistanceFusedMatchesApart(t *testing.T) {
 				if trial%3 == 0 {
 					n = rng.Intn(full + 1)
 				}
-				got := r.m.cutDistance(vd, o, a.cut[:n], a.cells)
+				got := r.m.cutDistance(vd, o, n, a.cells)
 				want := cutApartDistance(r.m, vd, o, b.cut[:n])
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("orient %v n=%d: cutDistance %.17g, scored apart %.17g", o, n, got, want)
 				}
+				ec, cross := r.m.scoreCut(vd, o, a.cut[:n], a.cells)
+				if d := r.m.metric(vd.prefixE[n], ec, cross); math.Float64bits(d) != math.Float64bits(want) {
+					t.Fatalf("orient %v n=%d: scoreCut's sums give %.17g, scored apart %.17g", o, n, d, want)
+				}
 				for i := range a.cut[:n] {
 					if math.Float64bits(real(a.cut[i])) != math.Float64bits(real(b.cut[i])) || math.Float64bits(imag(a.cut[i])) != math.Float64bits(imag(b.cut[i])) {
-						t.Fatalf("orient %v n=%d slot %d: cutDistance left %v, SampleCut %v", o, n, i, a.cut[i], b.cut[i])
+						t.Fatalf("orient %v n=%d slot %d: scoreCut left %v, SampleCut %v", o, n, i, a.cut[i], b.cut[i])
 					}
 				}
 			}
@@ -312,25 +317,44 @@ func TestFusedShiftedDistanceMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestDistanceWindowMatchesScalar checks the batched window kernel
-// slot-for-slot against individual distance evaluations.
+// TestDistanceWindowMatchesScalar checks the flat scan's batched
+// window — candidates whose image axes come from the window's lattice
+// rotation factors, scored through scorePending into their memo slots —
+// slot for slot against individual distance evaluations at each
+// orientation's Euler.Matrix, bit for bit, and against the oracle.
 func TestDistanceWindowMatchesScalar(t *testing.T) {
 	r, vd, _ := oracleFixture(t, DefaultConfig(20), 41)
 	sc := r.m.newScratch()
 	n := len(r.m.band)
-	w := geom.CenteredWindow(geom.Euler{Theta: 55, Phi: 120, Omega: 300}, 4, 1)
-	orients := w.Orientations()
-	dst := make([]float64, len(orients))
-	r.m.distanceWindow(vd, orients, n, sc, dst)
+	w := geom.CenteredWindow(geom.Euler{Theta: 55.3, Phi: 120, Omega: 299.7}, 4, 1)
+	sc.window.build(w, w.Step)
+	lw := &sc.window
+	no := len(lw.omega)
+	var st LevelStats
+	var slots []int
+	for row := range len(lw.rows) {
+		for k := range no {
+			key := orientKey{lw.kt[row/len(lw.phi)], lw.kp[row%len(lw.phi)], lw.ko[k]}
+			slot, _ := sc.cache.claim(key)
+			x, y := lw.axes(row, k)
+			sc.pending = append(sc.pending, candidate{x: x, y: y, key: key, slot: slot})
+			slots = append(slots, slot)
+		}
+	}
+	r.scorePending(vd, n, &st, sc, sc.cache.gen)
+	if st.Matchings != len(slots) || len(sc.pending) != 0 {
+		t.Fatalf("scored %d of %d candidates and left %d pending", st.Matchings, len(slots), len(sc.pending))
+	}
 	sc2 := r.m.newScratch()
-	for i, o := range orients {
+	for i, o := range w.Orientations() {
+		got := sc.cache.dists[slots[i]]
 		want := r.m.distance(vd, o, n, sc2)
-		if dst[i] != want {
-			t.Fatalf("window slot %d (%v): batched %.17g, scalar %.17g", i, o, dst[i], want)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("window slot %d (%v): batched %.17g, scalar %.17g", i, o, got, want)
 		}
 		wantOracle := oracleDistance(r.m, vd, o, n)
-		if relDiff(dst[i], wantOracle) > 1e-12 {
-			t.Fatalf("window slot %d (%v): batched %.17g, oracle %.17g", i, o, dst[i], wantOracle)
+		if relDiff(got, wantOracle) > 1e-12 {
+			t.Fatalf("window slot %d (%v): batched %.17g, oracle %.17g", i, o, got, wantOracle)
 		}
 	}
 }

@@ -255,30 +255,84 @@ func (r *Refiner) refineLevel(vd *viewData, res *Result, lv Level, sc *matchScra
 }
 
 // scanOrientations is the paper's flat sliding-window search (steps
-// f–i): every window orientation is scored as one batched kernel call
-// over the orientations not already in the level cache; the argmin
-// then walks the window in grid order, so the selected orientation is
-// identical to a scalar orientation-at-a-time scan. The window slides
-// whenever the argmin lands on its edge, at most MaxSlides times.
+// f–i): the window's orientations not already in the level cache are
+// scored as one batch; the argmin then walks the window in grid order,
+// so the selected orientation is identical to a scalar
+// orientation-at-a-time scan. The window slides whenever the argmin
+// lands on its edge, at most MaxSlides times.
+//
+// The window is a lattice (latticeWindow): each candidate's image axes
+// come from its θ, φ and ω rotation factors, bit for bit Euler.Matrix's
+// columns, and its memo slot from one claim. The batch visits the
+// window in serpentine order — ω reversed on alternate (θ, φ) rows and
+// φ on alternate θ planes — so each fresh candidate is one lattice step
+// from the one scored before it and the cell memo keeps its cells; only
+// the memo's traffic depends on that order, not any distance. Fresh
+// candidates are scored pendingChunk at a time as the walk goes.
 //
 //repro:hotpath
 func (r *Refiner) scanOrientations(vd *viewData, start geom.Euler, lv Level, n int, st *LevelStats, sc *matchScratch) (geom.Euler, float64) {
 	w := geom.CenteredWindow(start, lv.WindowHalf, lv.RAngular)
 	best, bestD := start, math.Inf(1)
+	lw := &sc.window
 	for {
-		sc.orients = w.AppendOrientations(sc.orients[:0])
-		sc.pending = sc.pending[:0]
-		for _, o := range sc.orients {
-			if sc.cache.claim(keyOf(o, lv.RAngular)) { // value lands below
-				//replint:allow hotpathalloc sc.pending is worker-owned scratch that reaches steady-state capacity after the first window of a run
-				sc.pending = append(sc.pending, o)
+		lw.build(w, lv.RAngular)
+		nt, np, no := len(lw.theta), len(lw.phi), len(lw.omega)
+		if cap(sc.slots) < nt*np*no {
+			//replint:allow hotpathalloc sc.slots is sized for the schedule's windows by newScratch; this only runs for a window that rounding made one sample wider
+			sc.slots = make([]int, nt*np*no)
+		}
+		slots := sc.slots[:nt*np*no]
+		gen := sc.cache.gen
+		batchGen := gen
+		for i := 0; i < nt; i++ {
+			for jj := 0; jj < np; jj++ {
+				j := jj
+				if i&1 == 1 {
+					j = np - 1 - jj
+				}
+				row := i*np + j
+				for kk := 0; kk < no; kk++ {
+					k := kk
+					if (i*np+jj)&1 == 1 {
+						k = no - 1 - kk
+					}
+					key := orientKey{lw.kt[i], lw.kp[j], lw.ko[k]}
+					slot, fresh := sc.cache.claim(key)
+					slots[row*no+k] = slot
+					if fresh { // value lands in scorePending
+						if len(sc.pending) == 0 {
+							batchGen = sc.cache.gen
+						}
+						x, y := lw.axes(row, k)
+						//replint:allow hotpathalloc sc.pending is made with capacity pendingChunk and scored empty whenever it reaches it, so this append never grows it
+						sc.pending = append(sc.pending, candidate{x: x, y: y, key: key, slot: slot})
+						if len(sc.pending) == pendingChunk {
+							r.scorePending(vd, n, st, sc, batchGen)
+						}
+					}
+				}
 			}
 		}
-		r.scorePending(vd, lv.RAngular, n, st, sc)
-		for _, o := range sc.orients {
-			if d := sc.cache.get(keyOf(o, lv.RAngular)); d < bestD {
-				bestD = d
-				best = o
+		r.scorePending(vd, n, st, sc, batchGen)
+		if sc.cache.gen != gen {
+			for i := 0; i < nt; i++ {
+				for j := 0; j < np; j++ {
+					for k := 0; k < no; k++ {
+						slots[(i*np+j)*no+k] = sc.cache.slot(orientKey{lw.kt[i], lw.kp[j], lw.ko[k]})
+					}
+				}
+			}
+		}
+		dists := sc.cache.dists
+		for i := 0; i < nt; i++ {
+			for j := 0; j < np; j++ {
+				for k := 0; k < no; k++ {
+					if d := dists[slots[(i*np+j)*no+k]]; d < bestD {
+						bestD = d
+						best = geom.Euler{Theta: lw.theta[i], Phi: lw.phi[j], Omega: lw.omega[k]}
+					}
+				}
 			}
 		}
 		if !w.OnEdge(best) || st.Slides >= r.cfg.MaxSlides {
@@ -352,9 +406,10 @@ func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, 
 			}
 		}
 	}
-	r.scoreLatticeKeys(vd, step, n, st, sc)
-	for _, k := range sc.keys {
-		if d := sc.cache.get(k); d < bestD {
+	sc.rot.use(step)
+	r.scoreLatticeKeys(vd, n, st, sc)
+	for i, k := range sc.keys {
+		if d := sc.cache.dists[sc.keySlots[i]]; d < bestD {
 			bestD, best = d, k
 		}
 	}
@@ -368,10 +423,10 @@ func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, 
 				best[2] + rng.offset(h),
 			})
 		}
-		r.scoreLatticeKeys(vd, step, n, st, sc)
+		r.scoreLatticeKeys(vd, n, st, sc)
 		prev := best
-		for _, k := range sc.keys {
-			if d := sc.cache.get(k); d < bestD {
+		for i, k := range sc.keys {
+			if d := sc.cache.dists[sc.keySlots[i]]; d < bestD {
 				bestD, best = d, k
 			}
 		}
@@ -393,9 +448,9 @@ func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, 
 		for s := int64(1); s <= h*int64(r.cfg.MaxSlides-st.Slides); s *= 2 {
 			k := orientKey{best[0] + s*v[0], best[1] + s*v[1], best[2] + s*v[2]}
 			sc.keys = append(sc.keys[:0], k)
-			r.scoreLatticeKeys(vd, step, n, st, sc)
+			r.scoreLatticeKeys(vd, n, st, sc)
 			patternEvals.Inc()
-			d := sc.cache.get(k)
+			d := sc.cache.dists[sc.keySlots[0]]
 			if !(d < bestD) {
 				break
 			}
@@ -430,31 +485,65 @@ func appendLatticeNeighbors(dst []orientKey, c orientKey) []orientKey {
 }
 
 // scoreLatticeKeys scores every key in sc.keys not already in the
-// level cache, landing the distances in sc.cache. Duplicate keys
-// within the batch deduplicate via the same NaN-claim the flat scan
-// uses.
-func (r *Refiner) scoreLatticeKeys(vd *viewData, step float64, n int, st *LevelStats, sc *matchScratch) {
-	sc.pending = sc.pending[:0]
+// level cache, landing the distances in sc.cache, and leaves each key's
+// memo slot in sc.keySlots. Duplicate keys within the batch claim once,
+// as in the flat scan. A candidate's image axes come from the worker's
+// lattice rotation factors (sc.rot, switched to the level's step by the
+// caller), bit for bit those of eulerOfKey's Matrix.
+func (r *Refiner) scoreLatticeKeys(vd *viewData, n int, st *LevelStats, sc *matchScratch) {
+	gen := sc.cache.gen
+	batchGen := gen
+	sc.keySlots = sc.keySlots[:0]
 	for _, k := range sc.keys {
-		if sc.cache.claim(k) { // value lands below
-			sc.pending = append(sc.pending, eulerOfKey(k, step))
+		slot, fresh := sc.cache.claim(k)
+		sc.keySlots = append(sc.keySlots, slot)
+		if fresh { // value lands in scorePending
+			if len(sc.pending) == 0 {
+				batchGen = sc.cache.gen
+			}
+			x, y := sc.rot.axes(k)
+			sc.pending = append(sc.pending, candidate{x: x, y: y, key: k, slot: slot})
+			if len(sc.pending) == pendingChunk {
+				r.scorePending(vd, n, st, sc, batchGen)
+			}
 		}
 	}
-	r.scorePending(vd, step, n, st, sc)
+	r.scorePending(vd, n, st, sc, batchGen)
+	if sc.cache.gen != gen {
+		for i, k := range sc.keys {
+			sc.keySlots[i] = sc.cache.slot(k)
+		}
+	}
 }
 
-// scorePending scores the claimed candidates in sc.pending through
-// distanceWindow — the one batched kernel both search modes share — and
-// lands each distance in sc.cache under its level-grid key (keyOf
-// inverts eulerOfKey exactly, so lattice candidates land on the key
-// that claimed them).
-func (r *Refiner) scorePending(vd *viewData, step float64, n int, st *LevelStats, sc *matchScratch) {
-	dists := sc.growDists(len(sc.pending))
-	r.m.distanceWindow(vd, sc.pending, n, sc, dists)
-	for i, o := range sc.pending {
-		sc.cache.set(keyOf(o, step), dists[i])
+// pendingChunk is how many fresh candidates a batch holds before they
+// are scored: a descent round fits in one, and a flat-scan window is
+// scored a chunk at a time as its walk claims it, so the batch's
+// scratch stays small whatever the window.
+const pendingChunk = 32
+
+// scorePending scores the fresh candidates in sc.pending — the one
+// batched kernel both search modes share — landing each distance in
+// sc.cache at the candidate's slot, and empties the batch. A
+// candidate's cut is not stored. gen is the memo's generation when the
+// batch's first candidate was claimed: if the memo has grown since, the
+// batch finds its slots again first.
+//
+//repro:hotpath
+func (r *Refiner) scorePending(vd *viewData, n int, st *LevelStats, sc *matchScratch, gen int) {
+	if sc.cache.gen != gen {
+		for i := range sc.pending {
+			sc.pending[i].slot = sc.cache.slot(sc.pending[i].key)
+		}
+	}
+	matchDistanceEvals.Add(int64(len(sc.pending)))
+	dists := sc.cache.dists
+	for i := range sc.pending {
+		c := &sc.pending[i]
+		dists[c.slot] = r.m.axesDistance(vd, c.x, c.y, n, sc.cells)
 	}
 	st.Matchings += len(sc.pending)
+	sc.pending = sc.pending[:0]
 }
 
 // refineCenter performs the sliding-box centre search (step k) against

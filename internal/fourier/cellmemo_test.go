@@ -4,19 +4,38 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
 )
 
-// squareBand returns the frequencies −r…r × −r…r in row order. At
-// pad 1 its corners lie beyond Nyquist, so some points fall out of band.
+// squareBand returns the frequencies −r…r × −r…r sorted by radius,
+// ties by h and then k, as the matcher sorts its band. On a 2r-pixel
+// map the slots inside the disc of radius r form the in-Nyquist prefix
+// (InNyquist), and the Nyquist ring and the square's corners follow it
+// for the Go loop; at pad 1 the corners fall out of band.
 func squareBand(r int) (fh, fk []float64) {
+	type slot struct{ h, k float64 }
+	var band []slot
 	for h := -r; h <= r; h++ {
 		for k := -r; k <= r; k++ {
-			fh, fk = append(fh, float64(h)), append(fk, float64(k))
+			band = append(band, slot{float64(h), float64(k)})
 		}
+	}
+	sort.Slice(band, func(a, b int) bool {
+		ra, rb := math.Hypot(band[a].h, band[a].k), math.Hypot(band[b].h, band[b].k)
+		if ra != rb {
+			return ra < rb
+		}
+		if band[a].h != band[b].h {
+			return band[a].h < band[b].h
+		}
+		return band[a].k < band[b].k
+	})
+	for _, e := range band {
+		fh, fk = append(fh, e.h), append(fk, e.k)
 	}
 	return fh, fk
 }
@@ -84,15 +103,16 @@ var unscored struct {
 	wt   []float64
 }
 
-// memoCut is the memo's cut alone: SampleCutScore's pass, through the
-// vector passes only when vector is set, scored against zero band
-// values and weights and without cut weights, so dst is the cut
-// SampleCut writes. It is how the tests reach the memo's cut.
+// memoCut is the memo's cut alone: SampleCutScore's pass over the
+// band's whole in-Nyquist prefix, through the vector passes only when
+// vector is set, scored against zero band values and weights and
+// without cut weights, so dst is the cut SampleCut writes. It is how
+// the tests reach the memo's cut.
 func memoCut(s *Sampler, dst []complex128, fh, fk []float64, xa, ya geom.Vec3, memo *CellMemo, vector bool) {
 	if len(unscored.wt) < len(dst) {
 		unscored.vals, unscored.wt = make([]complex128, len(dst)), make([]float64, len(dst))
 	}
-	s.sampleCutMemo(dst, fh, fk, xa, ya, memo, vector, unscored.vals, unscored.wt, nil)
+	s.sampleCutMemo(dst, fh, fk, s.InNyquist(fh[:len(dst)], fk), xa, ya, memo, vector, unscored.vals[:len(dst)], unscored.wt, nil)
 }
 
 // cellCounts reads the memo's cell hit and miss tallies.
@@ -244,27 +264,37 @@ func FuzzSampleCutMemo(f *testing.F) {
 // FuzzSampleCutScore drives SampleCutScore along arbitrary orientation
 // walks, with and without cut weights, in both interpolations, against
 // plain SampleCut followed by scoreRef: the weighted cut and both sums
-// must agree bit for bit at every step. On amd64 with AVX this holds
-// the fused blend pass, including its slot-order sums across groups and
-// into the Go loop's tail, to the scalar loop's sums, and in the
+// must agree bit for bit at every step, and a distance-only call (nil
+// dst) must return the same sums. The prefix axis picks how many
+// leading slots are declared in Nyquist, anywhere from none to the
+// band's whole in-Nyquist prefix, so on amd64 with AVX the vector
+// passes cover that many slots, a last partial group masked, and the Go
+// loop the rest, the Nyquist ring and the corners included; every
+// split must give the same bits. This holds the fused blend pass,
+// including its slot-order sums across groups, through the masked tail
+// and into the Go loop, to the scalar loop's sums, and in the
 // nearest-neighbour mode the fractions snapped between locate and blend
 // to SampleCut's snapped offsets.
 func FuzzSampleCutScore(f *testing.F) {
 	for _, seed := range []struct {
 		theta, phi, omega, step float64
-		n, steps                uint16
+		n, steps, prefix        uint16
 		pad, weighted, nearest  bool
 	}{
-		{10, 20, 30, 0.01, 200, 20, true, false, false},
-		{0, 0, 0, 0.002, 289, 8, true, true, false},
-		{90, 90, 0, 1, 289, 5, false, true, false},
-		{179.99, 359.9, 0.01, 0.1, 17, 40, false, false, false},
-		{45, 45, 45, 0, 6, 3, true, true, false},
-		{10, 20, 30, 0.01, 200, 20, true, true, true},
-		{90, 90, 0, 1, 289, 5, false, false, true},
-		{179.99, 359.9, 0.01, 0.1, 17, 40, false, true, true},
+		{10, 20, 30, 0.01, 200, 20, 65535, true, false, false},
+		{0, 0, 0, 0.002, 289, 8, 65535, true, true, false},
+		{90, 90, 0, 1, 289, 5, 65535, false, true, false},
+		{179.99, 359.9, 0.01, 0.1, 17, 40, 65535, false, false, false},
+		{45, 45, 45, 0, 6, 3, 65535, true, true, false},
+		{10, 20, 30, 0.01, 200, 20, 65535, true, true, true},
+		{90, 90, 0, 1, 289, 5, 65535, false, false, true},
+		{179.99, 359.9, 0.01, 0.1, 17, 40, 65535, false, true, true},
+		{33, 71, 5, 0.1, 289, 10, 0, true, true, false},
+		{33, 71, 5, 0.1, 289, 10, 101, false, true, false},
+		{12, 250, 300, 0.01, 150, 10, 98, true, false, true},
+		{12, 250, 300, 1, 196, 10, 195, false, true, false},
 	} {
-		f.Add(seed.theta, seed.phi, seed.omega, seed.step, seed.n, seed.steps, seed.pad, seed.weighted, seed.nearest)
+		f.Add(seed.theta, seed.phi, seed.omega, seed.step, seed.n, seed.steps, seed.prefix, seed.pad, seed.weighted, seed.nearest)
 	}
 	fh, fk := squareBand(8)
 	g := randomDensity(16, 73)
@@ -273,8 +303,9 @@ func FuzzSampleCutScore(f *testing.F) {
 		v := NewVolumeDFTPadded(g, pad)
 		samplers[i] = [2]Sampler{v.NewSampler(Trilinear), v.NewSampler(Nearest)}
 	}
+	inNyquist := samplers[0][0].InNyquist(fh, fk)
 	vals, wt, refW := scoreInputs(rand.New(rand.NewSource(79)), len(fh))
-	f.Fuzz(func(t *testing.T, theta, phi, omega, step float64, n, steps uint16, pad, weighted, nearest bool) {
+	f.Fuzz(func(t *testing.T, theta, phi, omega, step float64, n, steps, prefix uint16, pad, weighted, nearest bool) {
 		for _, v := range []float64{theta, phi, omega, step} {
 			if math.IsNaN(v) || math.Abs(v) > 1e6 {
 				t.Skip("angles are finite and bounded")
@@ -293,21 +324,26 @@ func FuzzSampleCutScore(f *testing.F) {
 			w = nil
 		}
 		nb := int(n) % (len(fh) + 1)
+		pre := min(int(prefix), inNyquist)
 		memo := NewCellMemo(len(fh))
 		got, want := make([]complex128, len(fh)), make([]complex128, len(fh))
 		check := func(o geom.Euler, nb int) {
 			t.Helper()
 			rot := o.Matrix()
-			ec, cross := s.SampleCutScore(got[:nb], fh, fk, rot.Col(0), rot.Col(1), memo, vals, wt, w)
+			ec, cross := s.SampleCutScore(got[:nb], fh, fk, pre, rot.Col(0), rot.Col(1), memo, vals[:nb], wt, w)
 			s.SampleCut(want[:nb], fh, fk, rot.Col(0), rot.Col(1))
 			wantEC, wantCross := scoreRef(want[:nb], vals, wt, w)
 			for i := range nb {
 				if !sameBits(got[i], want[i]) {
-					t.Fatalf("orient %v n %d slot %d: fused cut %v, SampleCut %v", o, nb, i, got[i], want[i])
+					t.Fatalf("orient %v n %d prefix %d slot %d: fused cut %v, SampleCut %v", o, nb, pre, i, got[i], want[i])
 				}
 			}
 			if !sameSums(ec, cross, wantEC, wantCross) {
-				t.Fatalf("orient %v n %d: fused sums (%v, %v), SampleCut + scoreRef (%v, %v)", o, nb, ec, cross, wantEC, wantCross)
+				t.Fatalf("orient %v n %d prefix %d: fused sums (%v, %v), SampleCut + scoreRef (%v, %v)", o, nb, pre, ec, cross, wantEC, wantCross)
+			}
+			ec, cross = s.SampleCutScore(nil, fh, fk, pre, rot.Col(0), rot.Col(1), memo, vals[:nb], wt, w)
+			if !sameSums(ec, cross, wantEC, wantCross) {
+				t.Fatalf("orient %v n %d prefix %d: distance-only sums (%v, %v), SampleCut + scoreRef (%v, %v)", o, nb, pre, ec, cross, wantEC, wantCross)
 			}
 		}
 		check(geom.Euler{Theta: theta + 73, Phi: phi - 41, Omega: omega + 17}, len(fh))
@@ -404,50 +440,84 @@ func TestSampleCutFineCountsPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkSampleCutFine times one cut over a 48-pixel map's half band
-// (2× padded spectrum) on fineWalk at each step of DefaultSchedule:
-// plain SampleCut, and a cut with its least-squares sums through
-// SampleCutScore as this build runs it (score: one fused pass on amd64
-// with AVX) and on the Go loop alone (score-go, what arm64 and purego
-// builds run). hit-rate is the memo's over one pass of the walk.
-func BenchmarkSampleCutFine(b *testing.B) {
-	s := randomVolumeDFT(48, 2, 3).NewSampler(Trilinear)
-	fh, fk := fineBand()
-	cut := make([]complex128, len(fh))
-	// A view's values and weights without scoreInputs' subnormals, whose
-	// microcode assists would swamp the timing.
-	rng := rand.New(rand.NewSource(5))
-	vals, wt := make([]complex128, len(fh)), make([]float64, len(fh))
-	for i := range vals {
-		vals[i], wt[i] = complex(rng.NormFloat64(), rng.NormFloat64()), 2
+// smallBand is a 16-pixel map's half band out to radius 6.4 (RMap at
+// 80 % of Nyquist), in row order: the 65 slots a jobs_small refinement
+// cuts.
+func smallBand() (fh, fk []float64) {
+	const rmax = 6.4
+	for h := 0; h <= 6; h++ {
+		for k := -6; k <= 6; k++ {
+			if (h > 0 || k >= 0) && math.Hypot(float64(h), float64(k)) <= rmax {
+				fh, fk = append(fh, float64(h)), append(fk, float64(k))
+			}
+		}
 	}
-	for _, step := range fineSteps {
-		walk := fineWalk(step)
-		for _, mode := range []string{"plain", "score", "score-go"} {
-			vector := haveAVX && mode != "score-go"
-			b.Run(fmt.Sprintf("%s/step=%g", mode, step), func(b *testing.B) {
-				cells := NewCellMemo(len(fh))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rot := walk[i%len(walk)].Matrix()
-					if mode == "plain" {
-						s.SampleCut(cut, fh, fk, rot.Col(0), rot.Col(1))
-					} else {
-						s.sampleCutMemo(cut, fh, fk, rot.Col(0), rot.Col(1), cells, vector, vals, wt, nil)
-					}
+	return fh, fk
+}
+
+// BenchmarkSampleCutFine times one cut on fineWalk at each step of
+// DefaultSchedule, over a 48-pixel map's half band (577 slots) and, as
+// l16/…, over a 16-pixel map's (65 slots, a jobs_small refinement's
+// cut), both on a 2× padded spectrum: plain SampleCut; a cut with its
+// least-squares sums through SampleCutScore as this build runs it
+// (score: on amd64 with AVX the vector passes over the band's whole
+// in-Nyquist prefix, which is every slot here, the last partial group
+// masked); the same as a distance-only call that does not store the
+// cut (dist: what every search candidate costs); and the Go loop alone
+// (score-go, what arm64 and purego builds run). hit-rate is the memo's
+// over one pass of the walk.
+func BenchmarkSampleCutFine(b *testing.B) {
+	for _, band := range []struct {
+		name  string
+		l     int
+		slots func() (fh, fk []float64)
+	}{
+		{"", 48, fineBand},
+		{"l16/", 16, smallBand},
+	} {
+		s := randomVolumeDFT(band.l, 2, 3).NewSampler(Trilinear)
+		fh, fk := band.slots()
+		inNyquist := s.InNyquist(fh, fk)
+		cut := make([]complex128, len(fh))
+		// A view's values and weights without scoreInputs' subnormals,
+		// whose microcode assists would swamp the timing.
+		rng := rand.New(rand.NewSource(5))
+		vals, wt := make([]complex128, len(fh)), make([]float64, len(fh))
+		for i := range vals {
+			vals[i], wt[i] = complex(rng.NormFloat64(), rng.NormFloat64()), 2
+		}
+		for _, step := range fineSteps {
+			walk := fineWalk(step)
+			for _, mode := range []string{"plain", "score", "dist", "score-go"} {
+				vector := haveAVX && mode != "score-go"
+				dst := cut
+				if mode == "dist" {
+					dst = nil
 				}
-				b.StopTimer()
-				if mode != "plain" {
-					h0, m0 := cellCounts(cells)
-					for _, o := range walk {
-						rot := o.Matrix()
-						memoCut(&s, cut, fh, fk, rot.Col(0), rot.Col(1), cells, vector)
+				b.Run(fmt.Sprintf("%s%s/step=%g", band.name, mode, step), func(b *testing.B) {
+					cells := NewCellMemo(len(fh))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						rot := walk[i%len(walk)].Matrix()
+						if mode == "plain" {
+							s.SampleCut(cut, fh, fk, rot.Col(0), rot.Col(1))
+						} else {
+							s.sampleCutMemo(dst, fh, fk, inNyquist, rot.Col(0), rot.Col(1), cells, vector, vals, wt, nil)
+						}
 					}
-					h1, m1 := cellCounts(cells)
-					b.ReportMetric(float64(h1-h0)/float64(h1-h0+m1-m0), "hit-rate")
-				}
-			})
+					b.StopTimer()
+					if mode != "plain" {
+						h0, m0 := cellCounts(cells)
+						for _, o := range walk {
+							rot := o.Matrix()
+							memoCut(&s, cut, fh, fk, rot.Col(0), rot.Col(1), cells, vector)
+						}
+						h1, m1 := cellCounts(cells)
+						b.ReportMetric(float64(h1-h0)/float64(h1-h0+m1-m0), "hit-rate")
+					}
+				})
+			}
 		}
 	}
 }

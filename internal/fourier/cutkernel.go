@@ -29,7 +29,7 @@ import (
 // of arrays), so the vector passes of SampleCutScore load one field of
 // four slots with one instruction. Where those passes run, a group
 // also carries the current cut's scratch: each lane's fractional
-// offsets, candidate cell and a miss/out-of-band mask.
+// offsets, candidate cell and whether it missed.
 //
 // The memo tallies its own traffic in plain integers — cuts,
 // coefficients, cell hits and misses — which Publish hands to the
@@ -41,7 +41,7 @@ type CellMemo struct {
 	// Scratch of the vector passes, nil without them.
 	frac [][3][4]float64 // this cut's offsets from the candidate cell's lower corner
 	cand [][3][4]int32   // this cut's cell lower corner
-	mask []uint8         // bit j: lane j missed; bit 4+j: lane j is out of band
+	mask []uint8         // bit j: lane j missed
 
 	gathered [8]complex128 // fillLane's landing place for gather
 
@@ -76,6 +76,29 @@ func (m *CellMemo) Publish() {
 	m.calls, m.coeffs, m.hits, m.misses = 0, 0, 0, 0
 }
 
+// nyquistMargin is the relative margin InNyquist keeps between a
+// slot's radius and the Nyquist bound. It dwarfs every rounding error
+// of a position (a few units in the last place) and of the axes'
+// orthonormality (rowsBounded's 1e-12), so a slot within it lies
+// strictly inside the bound.
+const nyquistMargin = 1 + 1e-9
+
+// InNyquist returns how many leading slots of the band (fh, fk) no
+// rotation can carry past Nyquist: the longest prefix whose every slot
+// has hypot(h, k)·(1 + 1e-9) below half the map's edge. A band sorted
+// by radius, as the matcher's is, has every slot inside Nyquist in that
+// prefix and only its Nyquist ring or beyond after it. It is the
+// inNyquist argument of SampleCutScore.
+func (s *Sampler) InNyquist(fh, fk []float64) int {
+	fk = fk[:len(fh)]
+	for i, h := range fh {
+		if !(math.Hypot(h, fk[i])*nyquistMargin*s.pad < s.ny) {
+			return i
+		}
+	}
+	return len(fh)
+}
+
 // cutFrame is one cut's geometry in the order the vector passes read
 // it: a band coefficient (h, k) sits at x = (xx·h + yx·k)·pad, and
 // likewise y and z; it is in band when no coordinate lies outside
@@ -85,112 +108,141 @@ type cutFrame struct {
 	pad, ny, negNy         float64
 }
 
+// rowsBounded reports whether every row of the frame's axes, (xx, yx)
+// and likewise y and z, has a norm of at most 1 (to 1e-12), as the
+// first two columns of a rotation do. By Cauchy–Schwarz each
+// coordinate of a slot is then at most its radius times pad, so an
+// InNyquist slot stays strictly inside the band. A NaN or infinite
+// axis fails it.
+func (f *cutFrame) rowsBounded() bool {
+	const lim = 1 + 1e-12
+	return f.xx*f.xx+f.yx*f.yx <= lim && f.xy*f.xy+f.yy*f.yy <= lim && f.xz*f.xz+f.yz*f.yz <= lim
+}
+
 // SampleCutScore is SampleCut reading the cell corners through the
 // worker's cell memo, followed by the cut weights and the least-squares
-// sums of a distance: it writes the cut C, times refW[i] when refW is
-// not nil (dst is then the weighted cut), and returns
+// sums of a distance, over the first len(vals) slots of the band. It
+// forms the cut C, times refW[i] when refW is not nil, writes it to dst
+// when dst is not nil (dst is then the weighted cut), and returns
 //
 //	ec = Σ wt[i]·(re C_i·re C_i + im C_i·im C_i)
 //	cross = Σ wt[i]·(re vals[i]·re C_i + im vals[i]·im C_i)
 //
 // each accumulated serially in slot order, with exactly those products
-// and parentheses. Before the weights, dst[i] is bit-identical to
+// and parentheses. Before the weights, the cut is bit-identical to
 // SampleCut's, because a hit blends the same eight values with the same
 // weights in the same order, and the sums are bit for bit those of a
 // loop over the weighted cut. It is the one cut entry point of the
 // refinement, for every metric and both interpolations: the nearest-
 // neighbour mode differs only in the offsets the blend is given (see
-// snap). dst must be no longer than the memo; vals, wt and refW (if not
-// nil) must be at least len(dst) long. The cut and its in-band samples,
-// as cell hits or misses, count in the memo's tallies (see Publish).
+// snap). A distance needs only the sums and passes a nil dst.
 //
-// On amd64 with AVX the band's whole groups of four go through the
-// vector passes (see vectorCut), whose blend pass forms the sums as it
-// writes each group, and the last len(dst)%4 slots through the Go loop
-// and scoreSlots; elsewhere, and under the purego build tag, the Go
-// loop samples every slot and scoreSlots scores the finished cut.
+// inNyquist is at most InNyquist(fh, fk): how many leading slots lie
+// inside Nyquist at every rotation. When xAxis and yAxis are the first
+// two columns of a rotation (rowsBounded), those slots need no band
+// test; with any other axes every slot takes it. dst (if not nil), fh,
+// fk, wt and refW (if not nil) must be at least len(vals) long, and the
+// memo must hold that many slots. The cut and its in-band samples, as
+// cell hits or misses, count in the memo's tallies (see Publish).
 //
-//repro:hotpath
-func (s *Sampler) SampleCutScore(dst []complex128, fh, fk []float64, xAxis, yAxis geom.Vec3, memo *CellMemo, vals []complex128, wt, refW []float64) (ec, cross float64) {
-	return s.sampleCutMemo(dst, fh, fk, xAxis, yAxis, memo, haveAVX, vals, wt, refW)
-}
-
-// scoreSlots weights slots from on of the cut by refW (nil: none) and
-// adds their least-squares terms to the sums ec and cross, slot by
-// slot, as SampleCutScore describes; it returns the sums.
+// On amd64 with AVX the in-Nyquist prefix goes through the vector
+// passes (see vectorCut), whose blend pass forms the sums as it writes
+// each group and masks the spare lanes of a last partial group, and
+// the slots past it through the Go loop with its band test; elsewhere,
+// and under the purego build tag, the Go loop samples and scores every
+// slot.
 //
 //repro:hotpath
-func scoreSlots(dst, vals []complex128, wt, refW []float64, from int, ec, cross float64) (float64, float64) {
-	vals, wt = vals[:len(dst)], wt[:len(dst)]
-	for i := from; i < len(dst); i++ {
-		c := dst[i]
-		if refW != nil {
-			w := refW[i]
-			c = complex(real(c)*w, imag(c)*w)
-			dst[i] = c
-		}
-		fv, w := vals[i], wt[i]
-		cr, ci := real(c), imag(c)
-		ec += w * (cr*cr + ci*ci)
-		cross += w * (real(fv)*cr + imag(fv)*ci)
-	}
-	return ec, cross
+func (s *Sampler) SampleCutScore(dst []complex128, fh, fk []float64, inNyquist int, xAxis, yAxis geom.Vec3, memo *CellMemo, vals []complex128, wt, refW []float64) (ec, cross float64) {
+	return s.sampleCutMemo(dst, fh, fk, inNyquist, xAxis, yAxis, memo, haveAVX, vals, wt, refW)
 }
 
 // sampleCutMemo is SampleCutScore, through the vector passes only when
 // vector is set.
 //
 //repro:hotpath
-func (s *Sampler) sampleCutMemo(dst []complex128, fh, fk []float64, xAxis, yAxis geom.Vec3, m *CellMemo, vector bool, vals []complex128, wt, refW []float64) (ec, cross float64) {
+func (s *Sampler) sampleCutMemo(dst []complex128, fh, fk []float64, inNyquist int, xAxis, yAxis geom.Vec3, m *CellMemo, vector bool, vals []complex128, wt, refW []float64) (ec, cross float64) {
+	n := len(vals)
 	f := cutFrame{xAxis.X, yAxis.X, xAxis.Y, yAxis.Y, xAxis.Z, yAxis.Z, s.pad, s.ny, -s.ny}
 	var done int
-	var oob, misses int64
-	if vector {
-		done, oob, misses, ec, cross = s.vectorCut(dst, fh, fk, &f, m, vals, wt, refW)
+	var misses int64
+	if vector && haveAVX && inNyquist > 0 && f.rowsBounded() {
+		done = min(inNyquist, n)
 	}
-	o, mi := s.sampleSlots(dst, fh, fk, &f, m, done)
-	ec, cross = scoreSlots(dst, vals, wt, refW, done, ec, cross)
-	n := int64(len(dst))
-	oob, misses = oob+o, misses+mi
+	if done > 0 {
+		var d []complex128
+		if dst != nil {
+			d = dst[:done]
+		}
+		var w []float64
+		if refW != nil {
+			w = refW[:done]
+		}
+		misses, ec, cross = s.vectorCut(d, fh[:done], fk[:done], &f, m, vals[:done], wt[:done], w)
+	}
+	oob, mi := s.sampleSlots(dst, fh, fk, &f, m, done, vals, wt, refW, &ec, &cross)
+	misses += mi
 	m.calls++
-	m.coeffs += n
-	m.hits += n - oob - misses
+	m.coeffs += int64(n)
+	m.hits += int64(n) - oob - misses
 	m.misses += misses
 	return ec, cross
 }
 
-// sampleSlots is the cut in Go, one slot at a time from slot from on,
-// by SampleCut's arithmetic: the position, the band test, the floors
-// and, on a miss, the gather into the slot's lane; then blendLane at
-// SampleCut's offsets. It returns how many slots fell out of band and
-// how many missed.
+// sampleSlots is the cut in Go, one slot at a time from slot from to
+// len(vals), by SampleCut's arithmetic: the position, the band test,
+// the floors and, on a miss, the gather into the slot's lane; then
+// blendLane at SampleCut's offsets. Each slot's sample is weighted by
+// refW (nil: none), stored when dst is not nil, and its least-squares
+// terms added to *ec and *cross as SampleCutScore describes. It returns
+// how many slots fell out of band and how many missed.
 //
 //repro:hotpath
-func (s *Sampler) sampleSlots(dst []complex128, fh, fk []float64, f *cutFrame, m *CellMemo, from int) (oob, misses int64) {
+func (s *Sampler) sampleSlots(dst []complex128, fh, fk []float64, f *cutFrame, m *CellMemo, from int, vals []complex128, wt, refW []float64, ec, cross *float64) (oob, misses int64) {
+	n := len(vals)
 	xx, yx, xy, yy, xz, yz := f.xx, f.yx, f.xy, f.yy, f.xz, f.yz
 	pad, ny, negNy := f.pad, f.ny, f.negNy
-	fh, fk = fh[:len(dst)], fk[:len(dst)]
-	for i := from; i < len(dst); i++ {
+	fh, fk, wt = fh[:n], fk[:n], wt[:n]
+	if dst != nil {
+		dst = dst[:n]
+	}
+	if refW != nil {
+		refW = refW[:n]
+	}
+	e, c := *ec, *cross
+	for i := from; i < n; i++ {
 		h, k := fh[i], fk[i]
 		x := (xx*h + yx*k) * pad
 		y := (xy*h + yy*k) * pad
 		z := (xz*h + yz*k) * pad
+		var v complex128
 		if x < negNy || x > ny || y < negNy || y > ny || z < negNy || z > ny {
-			dst[i] = 0
 			oob++
-			continue
+		} else {
+			xf, yf, zf := math.Floor(x), math.Floor(y), math.Floor(z)
+			cx, cy, cz := int32(xf), int32(yf), int32(zf)
+			g, j := i>>2, i&3
+			key := &m.keys[g]
+			if cx != key[0][j] || cy != key[1][j] || cz != key[2][j] {
+				s.fillLane(m, g, j, cx, cy, cz)
+				misses++
+			}
+			fx, fy, fz := s.offsets(x, y, z, xf, yf, zf)
+			v = blendLane(&m.corners[g], j, fx, fy, fz)
 		}
-		xf, yf, zf := math.Floor(x), math.Floor(y), math.Floor(z)
-		cx, cy, cz := int32(xf), int32(yf), int32(zf)
-		g, j := i>>2, i&3
-		key := &m.keys[g]
-		if cx != key[0][j] || cy != key[1][j] || cz != key[2][j] {
-			s.fillLane(m, g, j, cx, cy, cz)
-			misses++
+		if refW != nil {
+			w := refW[i]
+			v = complex(real(v)*w, imag(v)*w)
 		}
-		fx, fy, fz := s.offsets(x, y, z, xf, yf, zf)
-		dst[i] = blendLane(&m.corners[g], j, fx, fy, fz)
+		if dst != nil {
+			dst[i] = v
+		}
+		fv, w := vals[i], wt[i]
+		cr, ci := real(v), imag(v)
+		e += w * (cr*cr + ci*ci)
+		c += w * (real(fv)*cr + imag(fv)*ci)
 	}
+	*ec, *cross = e, c
 	return oob, misses
 }
 

@@ -7,6 +7,6 @@ package fourier
 const haveAVX = false
 
 // vectorCut samples nothing here; see the amd64 build.
-func (s *Sampler) vectorCut(dst []complex128, fh, fk []float64, f *cutFrame, m *CellMemo, vals []complex128, wt, refW []float64) (done int, oob, misses int64, ec, cross float64) {
-	return 0, 0, 0, 0, 0
+func (s *Sampler) vectorCut(dst []complex128, fh, fk []float64, f *cutFrame, m *CellMemo, vals []complex128, wt, refW []float64) (misses int64, ec, cross float64) {
+	return 0, 0, 0
 }

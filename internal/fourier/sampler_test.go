@@ -134,9 +134,10 @@ func TestSamplerEdgeFrequencies(t *testing.T) {
 }
 
 // TestNearestTies: at exact half-lattice positions every nearest-
-// neighbour read — At, SampleCut, SampleCutScore through the vector
-// passes and through the Go loop, and VolumeDFT.Sample — returns the
-// corner snap chooses: ties go up, so −0.5 reads 0 and −2.5 reads −2,
+// neighbour read — At, SampleCut, SampleCutScore, the vector passes
+// (a whole group and a masked partial one) and the Go loop, and
+// VolumeDFT.Sample — returns the corner snap chooses: ties go up, so
+// −0.5 reads 0 and −2.5 reads −2,
 // where math.Round (half away from zero) chose −1 and −3. Points sit at
 // ±0.5 and ±2.5 and next to the Nyquist edge ±(l/2 − 0.5) of the padded
 // lattice (l = 16 at pad 1, 32 at pad 2), and on the edge itself.
@@ -174,7 +175,7 @@ func TestNearestTies(t *testing.T) {
 		// at h, ŷ = (0, y, z) at k = 1.
 		f := geom.Vec3{X: tc.p[0] / pad, Y: tc.p[1] / pad, Z: tc.p[2] / pad}
 		got := map[string]complex128{"At": s.At(f.X, f.Y, f.Z), "Sample": v.Sample(f, Nearest)}
-		const n = 5 // one group of four for the vector passes, one slot for the Go loop
+		const n = 5 // one whole group and a last partial group of one slot
 		fh, fk := make([]float64, n), make([]float64, n)
 		for i := range fh {
 			fh[i], fk[i] = f.X, 1
@@ -183,8 +184,17 @@ func TestNearestTies(t *testing.T) {
 		vals, wt := make([]complex128, n), make([]float64, n)
 		cuts := map[string][]complex128{"SampleCut": make([]complex128, n), "SampleCutScore": make([]complex128, n), "Go loop": make([]complex128, n)}
 		s.SampleCut(cuts["SampleCut"], fh, fk, xa, ya)
-		s.SampleCutScore(cuts["SampleCutScore"], fh, fk, xa, ya, NewCellMemo(n), vals, wt, nil)
-		s.sampleCutMemo(cuts["Go loop"], fh, fk, xa, ya, NewCellMemo(n), false, vals, wt, nil)
+		s.SampleCutScore(cuts["SampleCutScore"], fh, fk, n, xa, ya, NewCellMemo(n), vals, wt, nil)
+		s.sampleCutMemo(cuts["Go loop"], fh, fk, 0, xa, ya, NewCellMemo(n), false, vals, wt, nil)
+		if haveAVX {
+			// ŷ is no rotation's column here, so SampleCutScore sends
+			// every slot to the Go loop; the vector passes are reached
+			// directly, every point being in band.
+			cut := make([]complex128, n)
+			fr := cutFrame{xa.X, ya.X, xa.Y, ya.Y, xa.Z, ya.Z, s.pad, s.ny, -s.ny}
+			s.vectorCut(cut, fh, fk, &fr, NewCellMemo(n), vals, wt, nil)
+			cuts["vector passes"] = cut
+		}
 		for name, cut := range cuts {
 			for i, c := range cut {
 				got[fmt.Sprintf("%s slot %d", name, i)] = c
@@ -272,8 +282,10 @@ func TestKernelsAllocFree(t *testing.T) {
 			t.Errorf("interp %v: SampleCut allocates %v times per call", interp, a)
 		}
 		memo := NewCellMemo(len(fh))
-		if a := testing.AllocsPerRun(50, func() { s.SampleCutScore(cut, fh, fk, rot.Col(0), rot.Col(1), memo, vals, wt, nil) }); a != 0 {
-			t.Errorf("interp %v: SampleCutScore allocates %v times per call", interp, a)
+		for _, dst := range [][]complex128{cut, nil} {
+			if a := testing.AllocsPerRun(50, func() { s.SampleCutScore(dst, fh, fk, len(fh), rot.Col(0), rot.Col(1), memo, vals, wt, nil) }); a != 0 {
+				t.Errorf("interp %v, cut stored %v: SampleCutScore allocates %v times per call", interp, dst != nil, a)
+			}
 		}
 	}
 
