@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -129,4 +130,79 @@ func TestSearchHealthCountersRecord(t *testing.T) {
 	if st, sum := res.PerLevel[0], Summarize([]Result{res}, 0, r.MaxSlides()); st.Slides != 1 || sum.SlideCapped != 1 {
 		t.Errorf("level with its one slide spent (%d slides) has SlideCapped %d, want 1", st.Slides, sum.SlideCapped)
 	}
+}
+
+// TestStreamPassesReuseScratch: a refiner's stream passes borrow their
+// workers' scratch from the refiner and return it, so a later pass
+// makes no new scratch for a worker an earlier pass had, and each pass
+// starts on an empty cell memo, so back-to-back one-worker passes over
+// the same views publish the same cell hits and misses.
+func TestStreamPassesReuseScratch(t *testing.T) {
+	r, ds := streamFixture(t, 5)
+	n, src := datasetSource(ds, geom.Euler{Theta: -0.6, Phi: 0.4, Omega: 0.9})
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	var first [2]int64
+	var sc *matchScratch
+	for pass, workers := range []int{1, 1, 1, 2} {
+		before := obs.Values()
+		if _, err := r.RefineStream(context.Background(), n, src, StreamOptions{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		after := obs.Values()
+		got := [2]int64{
+			after["fourier.sampler.cell_hits"] - before["fourier.sampler.cell_hits"],
+			after["fourier.sampler.cell_misses"] - before["fourier.sampler.cell_misses"],
+		}
+		free := r.scratch.free
+		if len(free) != workers || len(r.transforms.free) != workers {
+			t.Fatalf("pass %d: refiner holds %d match and %d transform scratches after a %d-worker pass",
+				pass, len(free), len(r.transforms.free), workers)
+		}
+		switch {
+		case pass == 0:
+			first, sc = got, free[0]
+		case free[0] != sc:
+			t.Fatalf("pass %d made new match scratch for its first worker", pass)
+		case workers == 1 && got != first:
+			t.Errorf("pass %d: cell hits, misses = %v, first pass %v", pass, got, first)
+		}
+	}
+}
+
+// TestRefinerConcurrentUse: goroutines that share one refiner borrow
+// and return its scratch at once, through PrepareView, Distance and
+// stream passes, and each gets what it gets alone.
+func TestRefinerConcurrentUse(t *testing.T) {
+	r, ds := streamFixture(t, 3)
+	n, src := datasetSource(ds, geom.Euler{Theta: 0.4, Phi: -0.3, Omega: 0.2})
+	want, err := r.RefineStream(context.Background(), n, src, StreamOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := ds.Views[0]
+	pv, err := r.PrepareView(v.Image, v.CTF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantD := r.Distance(pv, v.TrueOrient)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := r.RefineStream(context.Background(), n, src, StreamOptions{Workers: 2})
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent stream pass: %v, results equal %t", err, err == nil && reflect.DeepEqual(got, want))
+			}
+			pv, err := r.PrepareView(v.Image, v.CTF)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if d := r.Distance(pv, v.TrueOrient); d != wantD {
+				t.Errorf("concurrent distance %v, alone %v", d, wantD)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -13,11 +13,48 @@ import (
 // Refiner refines view orientations against one reference map
 // spectrum. It is safe for concurrent use by multiple goroutines: all
 // shared matching state is read-only after construction, and mutable
-// kernel buffers come from a per-call scratch pool.
+// kernel buffers are borrowed per call from the refiner's free lists.
 type Refiner struct {
-	m           *matcher
-	cfg         Config
-	scratchPool sync.Pool
+	m          *matcher
+	cfg        Config
+	scratch    freeList[*matchScratch]
+	transforms freeList[*transformScratch]
+}
+
+// freeList holds the scratch a refiner's calls have returned, for the
+// next call to reuse. It is a plain field, not a sync.Pool: the
+// runtime's list of pools would keep a pooled refiner's pool, and so
+// the whole refiner and its reference spectrum, alive for two
+// collections after its last use.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []T
+}
+
+// get returns a value from the list, or a new one from fresh.
+func (f *freeList[T]) get(fresh func() T) T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.free); n > 0 {
+		v := f.free[n-1]
+		f.free = f.free[:n-1]
+		return v
+	}
+	return fresh()
+}
+
+// put returns v to the list.
+func (f *freeList[T]) put(v T) {
+	f.mu.Lock()
+	f.free = append(f.free, v)
+	f.mu.Unlock()
+}
+
+// transformScratch is the scratch of one view transform: the
+// real-input transformer and the spectrum it writes.
+type transformScratch struct {
+	trans *fourier.ViewTransformer
+	buf   *volume.CImage
 }
 
 // NewRefiner builds a refiner for the centred map spectrum dft.
@@ -43,18 +80,25 @@ func NewRefiner(dft *fourier.VolumeDFT, cfg Config) (*Refiner, error) {
 	if cfg.RMap > float64(dft.SrcL)/2 {
 		cfg.RMap = float64(dft.SrcL) / 2
 	}
-	r := &Refiner{m: newMatcher(dft, cfg), cfg: cfg}
-	r.scratchPool.New = func() interface{} { return r.m.newScratch() }
-	return r, nil
+	return &Refiner{m: newMatcher(dft, cfg), cfg: cfg}, nil
 }
 
-// getScratch borrows worker scratch from the pool; returning it keeps
-// the public matching entry points allocation-free at steady state.
-func (r *Refiner) getScratch() *matchScratch {
-	return r.scratchPool.Get().(*matchScratch)
+// getScratch borrows worker scratch; returning it keeps the public
+// matching entry points and the stream's passes allocation-free at
+// steady state.
+func (r *Refiner) getScratch() *matchScratch { return r.scratch.get(r.m.newScratch) }
+
+func (r *Refiner) putScratch(sc *matchScratch) { r.scratch.put(sc) }
+
+// getTransform borrows view-transform scratch, as getScratch does
+// matching scratch.
+func (r *Refiner) getTransform() *transformScratch {
+	return r.transforms.get(func() *transformScratch {
+		return &transformScratch{fourier.NewViewTransformer(r.m.l), volume.NewCImage(r.m.l)}
+	})
 }
 
-func (r *Refiner) putScratch(sc *matchScratch) { r.scratchPool.Put(sc) }
+func (r *Refiner) putTransform(ts *transformScratch) { r.transforms.put(ts) }
 
 // BandSize returns the number of Fourier coefficients a matching
 // actually compares: the Friedel half of the comparison band. The
@@ -82,7 +126,9 @@ type View struct {
 // radial CTF correction and later centre phase ramps keep
 // F(−h,−k) = conj F(h,k), so the dropped half carries no information.
 func (r *Refiner) PrepareView(im *volume.Image, p ctf.Params) (*View, error) {
-	return r.prepareViewReuse(im, p, fourier.NewViewTransformer(r.m.l), volume.NewCImage(r.m.l))
+	ts := r.getTransform()
+	defer r.putTransform(ts)
+	return r.prepareViewReuse(im, p, ts.trans, ts.buf)
 }
 
 // Distance evaluates the configured matching distance d(F, C) between

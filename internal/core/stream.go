@@ -112,11 +112,11 @@ func (r *Refiner) RefineStreamLevels(ctx context.Context, n int, src StreamSourc
 	return r.refineStreamRange(ctx, n, src, priors, start, stop, opt)
 }
 
-// streamWorker is the scratch one pool worker owns for the whole pass.
+// streamWorker is the scratch one pool worker owns for the whole pass,
+// borrowed from the refiner's free lists and returned after it.
 type streamWorker struct {
-	trans *fourier.ViewTransformer
-	buf   *volume.CImage
-	sc    *matchScratch
+	ts *transformScratch
+	sc *matchScratch
 }
 
 // refineStreamRange is the shared pool pass behind RefineStream and
@@ -130,10 +130,19 @@ func (r *Refiner) refineStreamRange(ctx context.Context, n int, src StreamSource
 	if n == 0 {
 		return nil, nil
 	}
+	// Every pass starts each worker on an empty cell memo, so which
+	// scratch a worker draws does not move its hits and misses.
 	workers := make([]streamWorker, pool.Workers(n, opt.Workers))
 	for w := range workers {
-		workers[w] = streamWorker{fourier.NewViewTransformer(r.m.l), volume.NewCImage(r.m.l), r.m.newScratch()}
+		workers[w] = streamWorker{r.getTransform(), r.getScratch()}
+		workers[w].sc.cells.Reset()
 	}
+	defer func() {
+		for _, w := range workers {
+			r.putTransform(w.ts)
+			r.putScratch(w.sc)
+		}
+	}()
 	results := make([]Result, n)
 	var firstErr atomic.Pointer[error]
 	pool.RunIndexedLabeled("core.refine", n, len(workers), func(w, i int) {
@@ -164,7 +173,7 @@ func (r *Refiner) streamView(i int, src StreamSource, priors []Result, start, st
 	if err != nil {
 		return Result{}, fmt.Errorf("core: loading view %d: %w", i, err)
 	}
-	v, err := r.prepareViewReuse(item.Image, item.CTF, w.trans, w.buf)
+	v, err := r.prepareViewReuse(item.Image, item.CTF, w.ts.trans, w.ts.buf)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: preparing view %d: %w", i, err)
 	}

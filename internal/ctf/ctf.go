@@ -98,10 +98,28 @@ const (
 // wienerEpsilon regularizes the Wiener filter near CTF zeros.
 const wienerEpsilon = 0.1
 
-// Apply multiplies the centred image transform f by the CTF —
-// simulating the microscope's effect on a clean projection.
-func Apply(f *volume.CImage, p Params) {
-	mapCTF(f, p, func(c float64) float64 { return c })
+// Table returns the CTF at every bin of an l×l centred image
+// transform, in the transform's row-major order: p.Eval at the bin's
+// p.FreqOfBin, the value Correct weights each bin by. Views that share
+// one Params share one table.
+func (p Params) Table(l int) []float64 {
+	tab := make([]float64, l*l)
+	for j := 0; j < l; j++ {
+		h := fft.FreqIndex(j, l)
+		for k := 0; k < l; k++ {
+			tab[j*l+k] = p.Eval(p.FreqOfBin(h, fft.FreqIndex(k, l), l))
+		}
+	}
+	return tab
+}
+
+// Apply multiplies the centred image transform f by the CTF table tab
+// (Params.Table of f.L), simulating the microscope's effect on a
+// clean projection.
+func Apply(f *volume.CImage, tab []float64) {
+	for i := range f.Data {
+		f.Data[i] *= complex(tab[i], 0)
+	}
 }
 
 // Correct compensates the CTF on the centred image transform f using

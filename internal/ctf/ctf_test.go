@@ -65,7 +65,7 @@ func TestPhaseFlipSquares(t *testing.T) {
 	clean := fourier.ImageDFT(im)
 	seen := clean.Clone()
 	p := Typical(2.0)
-	Apply(seen, p)
+	Apply(seen, p.Table(seen.L))
 	if err := Correct(seen, p, PhaseFlip); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestWienerRestoresImage(t *testing.T) {
 	}
 	p := Typical(2.0)
 	f := fourier.ImageDFT(im)
-	Apply(f, p)
+	Apply(f, p.Table(f.L))
 	corrupted := fourier.InverseImageDFT(f)
 	if err := Correct(f, p, Wiener); err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestApplyPreservesHermitian(t *testing.T) {
 		im.Data[i] = r.NormFloat64()
 	}
 	f := fourier.ImageDFT(im)
-	Apply(f, Typical(3))
+	Apply(f, Typical(3).Table(f.L))
 	for j := 0; j < l; j++ {
 		for k := 0; k < l; k++ {
 			a := f.Data[j*l+k]

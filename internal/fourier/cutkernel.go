@@ -64,6 +64,16 @@ func NewCellMemo(n int) *CellMemo {
 	return m
 }
 
+// Reset returns m to the state NewCellMemo leaves it in: every slot
+// forgets its cell, so the next cut gathers every slot afresh, and
+// tallies not yet published are dropped.
+func (m *CellMemo) Reset() {
+	for i := range m.keys {
+		m.keys[i][0] = [4]int32{emptyCell, emptyCell, emptyCell, emptyCell}
+	}
+	m.calls, m.coeffs, m.hits, m.misses = 0, 0, 0, 0
+}
+
 // Publish adds the memo's tallies since the last Publish to
 // fourier.sampler.{cut_calls,cut_coeffs,cell_hits,cell_misses} and
 // clears them. Like every counter, those move only while obs is

@@ -126,11 +126,23 @@ func Generate(truth *volume.Grid, p GenParams) *Dataset {
 	}
 	// Synthesis draws nothing, so the views run on the pool; each
 	// writes only its own image. The truth's support is measured once
-	// for all of them.
+	// for all of them, and each group's CTF is tabulated once for its
+	// views.
 	density := projection.NewDensity(truth)
+	var tables [][]float64
+	if p.ApplyCTF {
+		tables = make([][]float64, groups)
+		for g := range tables {
+			tables[g] = params[g].Table(l)
+		}
+	}
 	pool.RunIndexedLabeled("micrograph.generate", len(ds.Views), 0, func(_, i int) {
 		v := ds.Views[i]
-		im := synthesize(density, v.TrueOrient, v.TrueCenter[0], v.TrueCenter[1], v.CTF, p.ApplyCTF)
+		var tab []float64
+		if p.ApplyCTF {
+			tab = tables[v.Group]
+		}
+		im := synthesize(density, v.TrueOrient, v.TrueCenter[0], v.TrueCenter[1], tab)
 		if p.SNR <= 0 {
 			v.Image = im
 			return
@@ -146,18 +158,19 @@ func Generate(truth *volume.Grid, p GenParams) *Dataset {
 	return ds
 }
 
-// synthesize projects, shifts, and optionally CTF-corrupts one view.
-func synthesize(truth projection.Density, o geom.Euler, dx, dy float64, p ctf.Params, applyCTF bool) *volume.Image {
+// synthesize projects, shifts, and CTF-corrupts one view; ctfTab is
+// the view's ctf.Params.Table, or nil for no CTF.
+func synthesize(truth projection.Density, o geom.Euler, dx, dy float64, ctfTab []float64) *volume.Image {
 	im := projection.Real(truth, o)
-	if dx == 0 && dy == 0 && !applyCTF {
+	if dx == 0 && dy == 0 && ctfTab == nil {
 		return im
 	}
 	f := fourier.ImageDFT(im)
 	if dx != 0 || dy != 0 {
 		fourier.ShiftPhase(f, dx, dy)
 	}
-	if applyCTF {
-		ctf.Apply(f, p)
+	if ctfTab != nil {
+		ctf.Apply(f, ctfTab)
 	}
 	return fourier.InverseImageDFT(f)
 }

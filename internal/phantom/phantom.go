@@ -17,6 +17,7 @@ import (
 	"math/rand"
 
 	"repro/internal/geom"
+	"repro/internal/pool"
 	"repro/internal/volume"
 )
 
@@ -30,19 +31,23 @@ type Blob struct {
 
 // Rasterize renders blobs onto an l³ grid. Each blob only touches
 // voxels within 4σ of its centre, so rendering is fast even for many
-// subunits.
+// subunits. The x planes render on the pool; each walks every blob in
+// order and writes only its own voxels, so every voxel sums its blobs
+// in blob order whichever worker renders it.
 func Rasterize(l int, blobs []Blob) *volume.Grid {
 	g := volume.NewGrid(l)
 	c := float64(l / 2)
-	for _, b := range blobs {
-		cx, cy, cz := b.Center.X+c, b.Center.Y+c, b.Center.Z+c
-		r := 4 * b.Sigma
-		x0, x1 := clamp(int(math.Floor(cx-r)), l), clamp(int(math.Ceil(cx+r))+1, l)
-		y0, y1 := clamp(int(math.Floor(cy-r)), l), clamp(int(math.Ceil(cy+r))+1, l)
-		z0, z1 := clamp(int(math.Floor(cz-r)), l), clamp(int(math.Ceil(cz+r))+1, l)
-		inv := 1 / (2 * b.Sigma * b.Sigma)
-		r2 := r * r
-		for x := x0; x < x1; x++ {
+	pool.RunIndexedLabeled("phantom.rasterize", l, 0, func(_, x int) {
+		for _, b := range blobs {
+			cx, cy, cz := b.Center.X+c, b.Center.Y+c, b.Center.Z+c
+			r := 4 * b.Sigma
+			if x < clamp(int(math.Floor(cx-r)), l) || x >= clamp(int(math.Ceil(cx+r))+1, l) {
+				continue
+			}
+			y0, y1 := clamp(int(math.Floor(cy-r)), l), clamp(int(math.Ceil(cy+r))+1, l)
+			z0, z1 := clamp(int(math.Floor(cz-r)), l), clamp(int(math.Ceil(cz+r))+1, l)
+			inv := 1 / (2 * b.Sigma * b.Sigma)
+			r2 := r * r
 			dx := float64(x) - cx
 			for y := y0; y < y1; y++ {
 				dy := float64(y) - cy
@@ -56,7 +61,7 @@ func Rasterize(l int, blobs []Blob) *volume.Grid {
 				}
 			}
 		}
-	}
+	})
 	return g
 }
 

@@ -72,8 +72,21 @@ func supportRadius(g *volume.Grid) float64 {
 // and the ones that can touch the grid (clip). A skipped sample is an
 // exact +0 — off the grid, or with all eight corners farther than r
 // from the centre, so every corner is ±0 — and a sum that starts at +0
-// is never −0, so skipping it moves no bit.
+// is never −0, so skipping it moves no bit. Where the CPU runs AVX2,
+// the samples go four at a time through the ray kernel (see project).
 func Real(d Density, o geom.Euler) *volume.Image {
+	return project(d, o, haveRayKernel)
+}
+
+// project is Real, with the ray kernel or without it. With it, each
+// ray's samples run in groups of four through rayAVX2, which computes
+// Interp's straight-line value on each lane and adds the lanes to the
+// sum in t order; a group with any lane off that path, and the last
+// n mod 4 samples, go through Interp here, in t order. Both ways every
+// sample adds Interp's value at the same position to the same sum in
+// the same order, so the image is the same bit for bit. The kernel's
+// corner index is int32, so it runs only while l³ < 2³¹.
+func project(d Density, o geom.Euler, vector bool) *volume.Image {
 	g := d.g
 	l := g.L
 	c := float64(l / 2)
@@ -83,6 +96,7 @@ func Real(d Density, o geom.Euler) *volume.Image {
 	xa, ya, za := m.Col(0), m.Col(1), m.Col(2)
 	out := volume.NewImage(l)
 	half := l / 2
+	vector = vector && l*l*l < 1<<31
 	for j := 0; j < l; j++ {
 		u := float64(j) - c
 		for k := 0; k < l; k++ {
@@ -96,9 +110,21 @@ func Real(d Density, o geom.Euler) *volume.Image {
 			lo, hi = clip(base.Y, za.Y, l, lo, hi)
 			lo, hi = clip(base.Z, za.Z, l, lo, hi)
 			var sum float64
-			for t := lo; t < hi; t++ {
-				p := base.Add(za.Scale(float64(t)))
-				sum += g.Interp(p.X, p.Y, p.Z)
+			for t := lo; t < hi; {
+				// n is how many samples go through Interp next: all of
+				// them without the kernel; with it, the group it
+				// stopped at, or the ray's last n mod 4.
+				n := hi - t
+				if vector && n >= 4 {
+					var done int
+					sum, done = rayAVX2(&g.Data[0], l, base.X, base.Y, base.Z, za.X, za.Y, za.Z, t, n/4, sum)
+					t += 4 * done
+					n = min(hi-t, 4)
+				}
+				for e := t + n; t < e; t++ {
+					p := base.Add(za.Scale(float64(t)))
+					sum += g.Interp(p.X, p.Y, p.Z)
+				}
 			}
 			out.Set(j, k, sum)
 		}

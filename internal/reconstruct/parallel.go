@@ -77,7 +77,7 @@ type weighted struct {
 
 // viewPrep is one prepare worker's scratch: the real-input FFT
 // transformer, the spectrum buffer, the separable phase-ramp tables,
-// and the memoized CTF profile of the last-seen parameter set.
+// and the memoized CTF profiles of the parameter sets it has seen.
 type viewPrep struct {
 	tx           *fourier.ViewTransformer
 	spec         *volume.CImage
@@ -86,11 +86,44 @@ type viewPrep struct {
 	// CTF memo: the CTF is radial, so within one parameter set the
 	// value at bin (h,k) depends only on h²+k². Views from the same
 	// defocus group (the common case: "views originated from the same
-	// micrograph have the same CTF") reuse the table.
-	ctfParams ctf.Params
-	ctfValid  bool
-	ctfTab    []float64
-	ctfSet    []bool
+	// micrograph have the same CTF") reuse its table, in whatever
+	// order the groups arrive. ctfNext is the table a new parameter
+	// set takes once ctfMemoSize are kept.
+	ctfs    []ctfTable
+	ctfNext int
+}
+
+// ctfMemoSize bounds how many parameter sets a prepare worker keeps a
+// CTF table for: a dataset has one per defocus group, and a stream of
+// per-view parameters recycles the oldest table instead of growing.
+const ctfMemoSize = 16
+
+// ctfTable is the CTF of one parameter set by h²+k², filled lazily in
+// band order: tab[ss] is valid where set[ss] is.
+type ctfTable struct {
+	params ctf.Params
+	tab    []float64
+	set    []bool
+}
+
+// ctfFor returns the worker's table for params: the one kept for an
+// equal parameter set, or else an empty one of n entries, the oldest
+// table cleared once ctfMemoSize are kept.
+func (p *viewPrep) ctfFor(params ctf.Params, n int) *ctfTable {
+	for i := range p.ctfs {
+		if p.ctfs[i].params == params {
+			return &p.ctfs[i]
+		}
+	}
+	if len(p.ctfs) < ctfMemoSize {
+		p.ctfs = append(p.ctfs, ctfTable{params: params, tab: make([]float64, n), set: make([]bool, n)})
+		return &p.ctfs[len(p.ctfs)-1]
+	}
+	c := &p.ctfs[p.ctfNext]
+	p.ctfNext = (p.ctfNext + 1) % ctfMemoSize
+	c.params = params
+	clear(c.set)
+	return c
 }
 
 // NewSharded creates a parallel reconstructor for l×l views and an l³
@@ -131,15 +164,13 @@ func NewSharded(l int, opt ParallelOptions) *Sharded {
 		s.rows[h] = [2]int{lo, k}
 		s.nBand += k - lo + 1
 	}
-	maxSS := 2*ri*ri + 1
 	for i := range s.preps {
 		s.preps[i] = &viewPrep{
-			tx:     fourier.NewViewTransformer(l),
-			spec:   volume.NewCImage(l),
-			rampH:  make([]complex128, l),
-			rampK:  make([]complex128, l),
-			ctfTab: make([]float64, maxSS),
-			ctfSet: make([]bool, maxSS),
+			tx:    fourier.NewViewTransformer(l),
+			spec:  volume.NewCImage(l),
+			rampH: make([]complex128, l),
+			rampK: make([]complex128, l),
+			ctfs:  make([]ctfTable, 0, ctfMemoSize),
 		}
 	}
 	return s
@@ -230,9 +261,9 @@ func (s *Sharded) prepare(p *viewPrep, t ViewTask, slot int) {
 		fillShiftRamp(p.rampK, t.Center[1], l)
 	}
 	wiener := s.opt.WienerCTF
-	if wiener && (!p.ctfValid || t.CTF != p.ctfParams) {
-		clear(p.ctfSet)
-		p.ctfParams, p.ctfValid = t.CTF, true
+	var ct *ctfTable
+	if wiener {
+		ct = p.ctfFor(t.CTF, 2*s.ri*s.ri+1)
 	}
 	rot := t.Orient.Matrix()
 	s.axes[slot] = [2]geom.Vec3{rot.Col(0), rot.Col(1)}
@@ -257,10 +288,10 @@ func (s *Sharded) prepare(p *viewPrep, t ViewTask, slot int) {
 			w := 1.0
 			if wiener {
 				ss := h*h + k*k
-				c := p.ctfTab[ss]
-				if !p.ctfSet[ss] {
+				c := ct.tab[ss]
+				if !ct.set[ss] {
 					c = t.CTF.Eval(t.CTF.FreqOfBin(h, k, l))
-					p.ctfTab[ss], p.ctfSet[ss] = c, true
+					ct.tab[ss], ct.set[ss] = c, true
 				}
 				val *= complex(c, 0)
 				w = c * c
