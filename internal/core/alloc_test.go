@@ -20,9 +20,10 @@ import (
 // reaches every scratch capacity the counted calls need. The two
 // per-candidate kernels, distance and centerDistance, are held at 0.
 //
-// The kernels are called with explicit scratch rather than through the
-// refiner's pool: under the race detector sync.Pool drops returned
-// items at random, and the pool would allocate fresh scratch.
+// The kernels are called with a scratch the test makes itself
+// (newScratch) and warms: refineLevel takes its scratch as an argument,
+// and the refiner's free lists (freeList, refine.go), which lend
+// scratch to the stream passes, play no part in what is counted.
 func TestRefineLevelAllocs(t *testing.T) {
 	const l = 24
 	dft, ds := testSetup(t, l, 2, micrograph.GenParams{Seed: 5, CenterJitter: 1})

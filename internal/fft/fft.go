@@ -5,7 +5,10 @@
 //
 // The 1-D kernel is chosen by the length's factorisation alone:
 //
-//   - powers of two: iterative radix-2 Cooley–Tukey, in place;
+//   - powers of two: iterative radix-2 Cooley–Tukey, in place; on
+//     amd64 with AVX an assembly path runs two butterflies per
+//     instruction, bit for bit the Go loop (pow2_amd64.s), which runs
+//     everywhere else and under the purego build tag;
 //   - other lengths whose prime factors are all ≤ 7 (the 40, 48, 56,
 //     80, 96, 112 of real box sizes and their padded lattices): a
 //     Stockham autosort mixed-radix transform with butterflies for 2,
@@ -15,7 +18,8 @@
 //     Bluestein's chirp-z algorithm over a power-of-two convolution of
 //     length ≥ 2n−1.
 //
-// There is no option that selects a kernel; the fft.transforms
+// There is no option that selects a kernel or its assembly path; the
+// CPU picks the latter (HaveAVX), and the fft.transforms
 // counters (metrics.go) report which ones served a run.
 //
 // Conventions. Forward transforms are unnormalized,
@@ -69,6 +73,13 @@ type planTables struct {
 	// Radix-2 state (kernelPow2 only).
 	twiddle []complex128
 	rev     []int // bit-reversal permutation
+	// The vector kernel's tables (HaveAVX and n ≥ 4 only): the
+	// bit-reversal swaps as index pairs, and each stage's twiddles,
+	// the stage of half-size h at stageTw[2h−4 : 4h−4] holding
+	// twiddle[j·n/(2h)] for j < h, each two followed by their copy with
+	// the parts swapped (pow2_amd64.s).
+	swaps   []uint32
+	stageTw []complex128
 
 	// Stockham stages (kernelSmooth only).
 	stages []smoothStage
@@ -153,6 +164,22 @@ func (t *planTables) initPow2(n int) {
 	for i := range t.rev {
 		t.rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
 	}
+	if !HaveAVX || n < 4 {
+		return
+	}
+	for i, j := range t.rev {
+		if i < j {
+			t.swaps = append(t.swaps, uint32(i), uint32(j))
+		}
+	}
+	t.stageTw = make([]complex128, 0, 2*n-4)
+	for h := 2; h < n; h <<= 1 {
+		stride := n / (2 * h)
+		for j := 0; j < h; j += 2 {
+			w0, w1 := t.twiddle[j*stride], t.twiddle[(j+1)*stride]
+			t.stageTw = append(t.stageTw, w0, w1, complex(imag(w0), real(w0)), complex(imag(w1), real(w1)))
+		}
+	}
 }
 
 // Plan caches twiddle factors and scratch space for transforms of a
@@ -165,6 +192,10 @@ type Plan struct {
 	// convolution buffer (bn); nil for powers of two, which run in
 	// place.
 	scratch []complex128
+	// vector routes the power-of-two kernel and Inverse's
+	// conjugations through the amd64 assembly: HaveAVX, which tests
+	// clear to run the Go loops the assembly is held to.
+	vector bool
 }
 
 // NewPlan creates a transform plan for length n ≥ 1.
@@ -172,7 +203,7 @@ func NewPlan(n int) *Plan {
 	if n < 1 {
 		panic(fmt.Sprintf("fft: invalid length %d", n))
 	}
-	p := &Plan{planTables: tablesFor(n)}
+	p := &Plan{planTables: tablesFor(n), vector: HaveAVX}
 	switch p.kernel {
 	case kernelSmooth:
 		p.scratch = make([]complex128, n)
@@ -194,7 +225,7 @@ func (p *Plan) Forward(x []complex128) {
 	transforms.Inc(int(p.kernel))
 	switch p.kernel {
 	case kernelPow2:
-		p.forwardPow2(x)
+		p.pow2(x, p.vector)
 	case kernelSmooth:
 		p.forwardSmooth(x, p.scratch)
 	default:
@@ -208,19 +239,42 @@ func (p *Plan) Inverse(x []complex128) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: Inverse length %d, plan length %d", len(x), p.n))
 	}
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
+	conj(x, p.vector)
 	p.Forward(x)
+	if p.vector {
+		conjScaleAVX(x, 1/float64(p.n))
+		return
+	}
 	scale := complex(1/float64(p.n), 0)
 	for i := range x {
 		x[i] = cmplx.Conj(x[i]) * scale
 	}
 }
 
-// forwardPow2 is the iterative radix-2 Cooley–Tukey kernel. It reads
-// only the immutable tables, so shared tables may execute it
-// concurrently on distinct data.
+// conj conjugates x in place, through the assembly when vector is set.
+func conj(x []complex128, vector bool) {
+	if vector {
+		conjAVX(x)
+		return
+	}
+	for i := range x {
+		x[i] = cmplx.Conj(x[i])
+	}
+}
+
+// pow2 runs the radix-2 kernel on x: the assembly path when vector is
+// set and the length is at least 4, the Go loop otherwise.
+func (t *planTables) pow2(x []complex128, vector bool) {
+	if vector && len(x) >= 4 {
+		t.forwardPow2AVX(x)
+		return
+	}
+	t.forwardPow2(x)
+}
+
+// forwardPow2 is the iterative radix-2 Cooley–Tukey kernel in Go. It
+// reads only the immutable tables, so shared tables may execute it
+// concurrently on distinct data. forwardPow2AVX repeats it on amd64.
 func (t *planTables) forwardPow2(x []complex128) {
 	n := len(x)
 	if n == 1 {
@@ -258,15 +312,13 @@ func (p *Plan) bluestein(x []complex128) {
 	for k := 0; k < n; k++ {
 		a[k] = x[k] * p.chirp[k]
 	}
-	p.inner.forwardPow2(a)
+	p.inner.pow2(a, p.vector)
 	for i := 0; i < bn; i++ {
 		a[i] *= p.bfft[i]
 	}
 	// Inverse pow-2 transform of a.
-	for i := range a {
-		a[i] = cmplx.Conj(a[i])
-	}
-	p.inner.forwardPow2(a)
+	conj(a, p.vector)
+	p.inner.pow2(a, p.vector)
 	scale := complex(1/float64(bn), 0)
 	for k := 0; k < n; k++ {
 		x[k] = cmplx.Conj(a[k]*scale) * p.chirp[k]

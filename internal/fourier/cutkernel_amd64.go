@@ -2,13 +2,11 @@
 
 package fourier
 
-import "math/bits"
+import (
+	"math/bits"
 
-// cpuHasAVX reports whether the CPU implements AVX (CPUID.1:ECX bit
-// 28) and the OS saves its registers across context switches (bit 27,
-// OSXSAVE, and XCR0 bits 1–2 read by XGETBV), and, if so, whether it
-// also implements AVX2 (CPUID.(EAX=7,ECX=0):EBX bit 5).
-func cpuHasAVX() (avx, avx2 bool)
+	"repro/internal/fft"
+)
 
 // locateGroupsAVX is the locate pass over the len(fh) slots of a cut's
 // in-Nyquist prefix, four lanes per instruction: each lane's position,
@@ -36,10 +34,9 @@ func locateGroupsAVX(fh, fk []float64, f *cutFrame, keys, cand [][3][4]int32, fr
 //go:noescape
 func blendGroupsAVX(dst []complex128, frac [][3][4]float64, corners [][16][4]float64, vals []complex128, wt, refW []float64) (ec, cross float64)
 
-// haveAVX reports whether the vector passes can run, and HaveAVX2
-// whether the CPU and OS also run AVX2 code (projection's ray kernel
-// reads it); both are set once, at init.
-var haveAVX, HaveAVX2 = cpuHasAVX()
+// haveAVX reports whether the vector passes can run: the CPU and OS
+// run AVX code (fft.HaveAVX, probed once at init).
+var haveAVX = fft.HaveAVX
 
 // vectorCut samples the len(vals) slots of a cut's in-Nyquist prefix in
 // three passes: locate positions all four slots of each group and marks

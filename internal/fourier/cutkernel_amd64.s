@@ -14,38 +14,6 @@
 // nothing for a spare lane and gives it +0, and stores them with
 // VMASKMOVPD, which writes nothing for a spare lane.
 
-// func cpuHasAVX() (avx, avx2 bool)
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-2
-	MOVB $0, avx+0(FP)
-	MOVB $0, avx2+1(FP)
-	XORL AX, AX
-	XORL CX, CX
-	CPUID                // EAX: the highest standard leaf
-	MOVL AX, R8
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX // OSXSAVE (bit 27) and AVX (bit 28)
-	CMPL CX, $0x18000000
-	JNE  nofeature
-	XORL CX, CX
-	XGETBV               // XCR0 into EDX:EAX
-	ANDL $6, AX          // the OS saves XMM (bit 1) and YMM (bit 2) state
-	CMPL AX, $6
-	JNE  nofeature
-	MOVB $1, avx+0(FP)
-	CMPL R8, $7
-	JB   nofeature
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	BTL  $5, BX          // AVX2 (CPUID.(EAX=7,ECX=0):EBX bit 5)
-	JCC  nofeature
-	MOVB $1, avx2+1(FP)
-
-nofeature:
-	RET
-
 // LOCATE positions the group whose h and k are in Y9 and Y10 in the
 // frame held in Y0–Y6, writes each lane's fractions to (R10) and
 // candidate cell to (R9), and leaves in BX bit j set when lane j's

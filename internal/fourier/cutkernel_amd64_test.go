@@ -185,7 +185,7 @@ func countGoLoopSlots(s *Sampler, fh, fk []float64, f *cutFrame, n int, cov *lea
 // band's corners) and on cells straddling the top of the half, which
 // only a slot on Nyquist reaches.
 func TestCutLeavesAVXMatchGo(t *testing.T) {
-	if avx, _ := cpuHasAVX(); !avx {
+	if !haveAVX {
 		t.Skip("the CPU or OS lacks AVX; SampleCutScore runs the Go loop alone")
 	}
 	var cov leafCoverage
@@ -531,7 +531,7 @@ func checkBlendScoreParity(t *testing.T, name string, m *CellMemo, n int, vals [
 // included. It logs how many of each it saw and fails if a class is
 // missing.
 func TestCutScoreAVXMatchGo(t *testing.T) {
-	if avx, _ := cpuHasAVX(); !avx {
+	if !haveAVX {
 		t.Skip("the CPU or OS lacks AVX; SampleCutScore runs the Go loop alone")
 	}
 	var cov scoreCoverage

@@ -2,9 +2,9 @@
 
 package fourier
 
-// haveAVX and HaveAVX2 are false: off amd64, and under the purego
-// build tag, the Go loops run everywhere.
-const haveAVX, HaveAVX2 = false, false
+// haveAVX is false: off amd64, and under the purego build tag, the Go
+// loops run everywhere.
+const haveAVX = false
 
 // vectorCut samples nothing here; see the amd64 build.
 func (s *Sampler) vectorCut(dst []complex128, fh, fk []float64, f *cutFrame, m *CellMemo, vals []complex128, wt, refW []float64) (misses int64, ec, cross float64) {

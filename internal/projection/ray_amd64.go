@@ -2,11 +2,11 @@
 
 package projection
 
-import "repro/internal/fourier"
+import "repro/internal/fft"
 
 // haveRayKernel reports whether rayAVX2 can run: the CPU and OS
-// support AVX2. It is set once, at init.
-var haveRayKernel = fourier.HaveAVX2
+// support AVX2 (fft.HaveAVX2, probed once at init).
+var haveRayKernel = fft.HaveAVX2
 
 // rayAVX2 sums groups of four consecutive samples of one ray onto sum,
 // starting at sample t0: sample t sits at b + t·a in map coordinates

@@ -50,7 +50,8 @@ func WriteGridFile(path string, g *Grid) (err error) {
 // ReadGridFile deserializes a grid written by WriteGridFile. The file
 // must be exactly as long as its header's grid size implies; that is
 // checked before any sample is read, so a damaged header, a truncated
-// file or trailing bytes cost an error, never an allocation.
+// file or trailing bytes cost an error, never an allocation, and the
+// samples are then read into one l³ slice.
 func ReadGridFile(path string) (*Grid, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -75,5 +76,5 @@ func ReadGridFile(path string) (*Grid, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("volume: reading grid file: %w", err)
 	}
-	return ReadGrid(f)
+	return readGrid(f, true)
 }

@@ -15,25 +15,36 @@ import (
 
 const gridMagic = 0x4d504456 // "VDPM"
 
-// WriteGrid serializes g to w.
+// WriteTo serializes g to w: the header, then the samples encoded
+// writeChunk samples at a time into one buffer, so a map write costs one
+// chunk of memory rather than a copy of the map in bytes.
 func (g *Grid) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	hdr := []uint32{gridMagic, uint32(g.L)}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return 0, err
+	buf := make([]byte, gridHeaderLen, 8*min(len(g.Data), writeChunk)+gridHeaderLen)
+	binary.LittleEndian.PutUint32(buf, gridMagic)
+	binary.LittleEndian.PutUint32(buf[4:], uint32(g.L))
+	var n int64
+	data := g.Data
+	for {
+		k := min(len(data), writeChunk)
+		for _, v := range data[:k] {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		data = data[k:]
+		m, err := w.Write(buf)
+		n += int64(m)
+		if err != nil || len(data) == 0 {
+			return n, err
+		}
+		buf = buf[:0]
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Data); err != nil {
-		return 0, err
-	}
-	n := int64(8 + 8*len(g.Data))
-	return n, bw.Flush()
 }
 
 // gridHeaderLen is the byte length of the header: magic, then size.
 const gridHeaderLen = 8
 
-// readChunk is how many samples ReadGrid decodes per read.
-const readChunk = 1 << 13
+// readChunk is how many samples ReadGrid decodes per read, and
+// writeChunk how many WriteTo encodes per write.
+const readChunk, writeChunk = 1 << 13, 1 << 13
 
 // parseGridHeader validates a header and returns the grid size l it
 // declares.
@@ -56,7 +67,13 @@ func gridBytes(l int) int64 { return gridHeaderLen + 8*int64(l)*int64(l)*int64(l
 // present rather than with the size the header claims: a damaged header
 // is an error, not an allocation of up to 4096³ samples. Bytes after
 // the last sample are an error too.
-func ReadGrid(r io.Reader) (*Grid, error) {
+func ReadGrid(r io.Reader) (*Grid, error) { return readGrid(r, false) }
+
+// readGrid is ReadGrid; with sized set it makes room for all the
+// samples the header declares at once instead of growing with the
+// bytes read, which ReadGridFile asks for once it has checked the
+// file's length against the header.
+func readGrid(r io.Reader, sized bool) (*Grid, error) {
 	br := bufio.NewReader(r)
 	var hdr [gridHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -68,6 +85,9 @@ func ReadGrid(r io.Reader) (*Grid, error) {
 	}
 	n := l * l * l
 	var data []float64
+	if sized {
+		data = make([]float64, 0, n)
+	}
 	var buf [8 * readChunk]byte
 	for len(data) < n {
 		k := min(n-len(data), readChunk)
